@@ -8,6 +8,7 @@ document on standard output (or at --json PATH). Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from fractions import Fraction
 
@@ -50,6 +51,17 @@ def _rational_flag(text: str) -> Fraction:
         return parse_rational(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc))
+
+
+def _join_negative_t(argv: list[str]) -> list[str]:
+    """Rewrite "--t -1/2" as "--t=-1/2".  argparse reads a token that starts
+    with "-" as a flag unless it looks like a plain number such as -1, so a
+    negative fraction after a space would otherwise be a usage error."""
+    out = list(argv)
+    for i in range(len(out) - 2, -1, -1):
+        if out[i] == "--t" and re.match(r"-\d", out[i + 1]):
+            out[i : i + 2] = [f"--t={out[i + 1]}"]
+    return out
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -187,9 +199,9 @@ def _run_order(args):
     }
     if args.different:
         doc["different_inverse"] = lattice_json(different_inverse(mx).lattice())
+    root = sqrt_different_inverse(mx) if args.sqrt_different or args.fake_a3 else None
     if args.sqrt_different:
-        ideal = sqrt_different_inverse(mx)
-        L = ideal.lattice()
+        L = root.lattice()
         entry = lattice_json(L)
         entry["type"] = classify_root_type(L)
         doc["sqrt_different_inverse"] = entry
@@ -200,7 +212,7 @@ def _run_order(args):
             "ideals": [matrix_json(ideal.basis) for ideal in ideals],
         }
     if args.fake_a3:
-        L = fake_a3(mx)
+        L = fake_a3(mx, root)
         entry = lattice_json(L)
         entry["hnf"] = hnf_json(L)
         witness = odd_trace_witness(L)
@@ -231,7 +243,9 @@ def _run_reparam(args, parser):
 
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = parser.parse_args(_join_negative_t(argv))
 
     try:
         if args.subcommand == "gen-a3":

@@ -7,11 +7,12 @@ and the idealizer {x : xJ <= J} strictly contains O exactly when O is not
 p-maximal.  Each step is a mod-p nullspace computation, so the whole climb
 is exact integer linear algebra.
 
-On top of the maximal order: the trace-dual ideal, its square root found by
-exhaustive search over intermediate sublattices (uniqueness is checked, not
-assumed), the primes above 2 read off from the 8-element quotient algebra,
-and the rank-3 odd lattices obtained by multiplying a prime above 2 into
-the square root of the trace dual.  The quadratic-residue exclusion test
+On top of the maximal order: the trace-dual ideal D^-1; its square root in
+closed form, prod p^-1 P_p^2 over the tame primes p of the conductor times
+3^-1 P_3 when 3 ramifies (P_p the p-radical), certified by squaring it back
+to D^-1 exactly; the primes above 2 read off from the 8-element quotient
+algebra; and the rank-3 odd lattices obtained by multiplying a prime above 2
+into the square root of the trace dual.  The quadratic-residue exclusion test
 for root-lattice discriminants lives here too, as an_exclusion.
 """
 from __future__ import annotations
@@ -21,7 +22,7 @@ from math import isqrt, lcm
 from typing import NamedTuple, Sequence
 
 from ._intfactor import factor, is_square, squarefree_kernel
-from .errors import NotFound, NotMaximal, TooLarge, TwoInert
+from .errors import NotFound, NotMaximal, TwoInert
 from .exact_linalg import Matrix, det, hnf, inverse
 from .lattice_core import (
     TraceLattice,
@@ -35,8 +36,6 @@ from .lattice_core import (
 from .shanks_field import ShanksField, new_field
 
 F = Fraction
-
-CONDUCTOR_CAP = 200
 
 
 def _hnf_span(rows, rank: int = 3) -> Matrix:
@@ -289,52 +288,30 @@ def different_inverse(o: CubicOrder) -> IdealLattice:
     return _make_ideal(o, [d.basis.row(i) for i in range(3)])
 
 
-def _sublattice_candidates(m: int):
-    """Upper-triangular Hermite matrices of determinant m: every index-m
-    sublattice has exactly one such coordinate matrix."""
-    for d0 in range(1, m + 1):
-        if m % d0:
-            continue
-        for d1 in range(1, m // d0 + 1):
-            if (m // d0) % d1:
-                continue
-            d2 = m // (d0 * d1)
-            for b in range(d1):
-                for c in range(d2):
-                    for e in range(d2):
-                        yield Matrix.from_rows(
-                            [[d0, b, c], [0, d1, e], [0, 0, d2]]
-                        )
-
-
 def sqrt_different_inverse(o: CubicOrder) -> IdealLattice:
-    """The unique ideal between Z_F and its trace dual whose square is the
-    trace dual; exhaustive search over index-m sublattices, m the conductor."""
+    """The ideal C with C^2 = D^-1, the trace dual of the maximal order.
+
+    Every ramified prime of a cyclic cubic field is totally ramified,
+    pZ_F = P_p^3, and the different is prod P_p^2 over the tame p with P_3^4
+    at 3 (Erez, Math. Z. 208, 1991).  Hence C = prod p^-1 P_p^2 (tame p | m)
+    * 3^-1 P_3 (if 3 | m), m the conductor, with P_p the p-radical.  C is
+    unique by ideal factorization; the result is certified by squaring it
+    back to the trace dual exactly and by checking that it contains Z_F."""
     m = isqrt(o.disc)
     if m * m != o.disc:
         raise NotFound(f"discriminant {o.disc} is not a square")
-    if m > CONDUCTOR_CAP:
-        raise TooLarge(f"conductor {m} exceeds the search cap {CONDUCTOR_CAP}")
     dinv = different_inverse(o)
-    target = dinv.basis
-    found = []
-    for h in _sublattice_candidates(m):
-        rows = h * target
-        rinv = inverse(rows)
-        if not ((o.basis * rinv).is_integer()):
-            continue  # must contain the order
-        try:
-            candidate = _make_ideal(o, [rows.row(i) for i in range(3)])
-        except ValueError:
-            continue  # not ring-stable
-        square = module_product(candidate, candidate)
-        if square.basis == target:
-            found.append(candidate)
-    if len(found) != 1:
-        raise NotFound(
-            f"expected exactly one square root of the trace dual, got {len(found)}"
-        )
-    return found[0]
+    root = IdealLattice(o, o.basis)
+    for p in factor(m):
+        rad = IdealLattice(o, _p_radical(o, p) * o.basis)
+        # pZ_F = P_p^3, so P_p^-1 = p^-1 P_p^2 and P_3^-2 = 3^-1 P_3
+        power = rad if p == 3 else module_product(rad, rad)
+        root = module_product(root, IdealLattice(o, power.basis * F(1, p)))
+    if module_product(root, root).basis != dinv.basis:
+        raise NotFound("the closed-form root does not square to the trace dual")
+    if not (o.basis * inverse(root.basis)).is_integer():
+        raise NotFound("the closed-form root does not contain the order")
+    return root
 
 
 def primes_above_2(o: CubicOrder) -> list[IdealLattice]:
@@ -369,9 +346,10 @@ def primes_above_2(o: CubicOrder) -> list[IdealLattice]:
     return [_make_ideal(o, [(h * o.basis).row(i) for i in range(3)]) for h in out]
 
 
-def fake_a3(o: CubicOrder) -> TraceLattice:
+def fake_a3(o: CubicOrder, root: IdealLattice | None = None) -> TraceLattice:
     """The odd determinant-4 lattice: (prime above 2) * (square root of the
-    trace dual), built from the lexicographically least prime.
+    trace dual), built from the lexicographically least prime.  A caller
+    that already holds sqrt_different_inverse(o) passes it as root.
 
     Every call re-certifies the four defining properties: odd, discriminant
     group Z/4, classified as the diagonal (1,1,4) form, and not stable under
@@ -379,7 +357,9 @@ def fake_a3(o: CubicOrder) -> TraceLattice:
     primes = primes_above_2(o)
     if len(primes) == 1:
         raise TwoInert("2 is inert here; the construction needs a split prime")
-    lattice = module_product(primes[0], sqrt_different_inverse(o)).lattice()
+    if root is None:
+        root = sqrt_different_inverse(o)
+    lattice = module_product(primes[0], root).lattice()
     assert odd_trace_witness(lattice) is not None
     assert disc_group(lattice) == (1, 1, 4)
     assert classify_root_type(lattice) == "diag114"

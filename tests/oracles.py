@@ -2,8 +2,9 @@
 
 Everything here is deliberately naive: short vectors by exhaustive box
 enumeration with numpy, lattice equivalence by brute-force row search over
-GL(n, Z), and Gram matrices built straight from Dynkin diagram adjacency.
-None of it shares code with the package under test.
+GL(n, Z), Gram matrices built straight from Dynkin diagram adjacency, and
+the square root of a cubic trace dual by search over all sublattices of the
+right index.  None of it shares code with the package under test.
 """
 from __future__ import annotations
 
@@ -16,8 +17,8 @@ import numpy as np
 CHUNK = 200_000
 
 
-def _inverse_diag(rows: list[list[int]]) -> list[Fraction]:
-    """Exact diagonal of G^{-1} by Fraction Gauss-Jordan."""
+def _inverse(rows) -> list[list[Fraction]]:
+    """Exact G^{-1} by Fraction Gauss-Jordan."""
     n = len(rows)
     a = [[Fraction(rows[i][j]) for j in range(n)] for i in range(n)]
     inv = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
@@ -33,7 +34,13 @@ def _inverse_diag(rows: list[list[int]]) -> list[Fraction]:
                 f = a[r][col]
                 a[r] = [x - f * y for x, y in zip(a[r], a[col])]
                 inv[r] = [x - f * y for x, y in zip(inv[r], inv[col])]
-    return [inv[i][i] for i in range(n)]
+    return inv
+
+
+def _inverse_diag(rows: list[list[int]]) -> list[Fraction]:
+    """Exact diagonal of G^{-1}."""
+    inv = _inverse(rows)
+    return [inv[i][i] for i in range(len(rows))]
 
 
 def _dual_box_bounds(gram: list[list[int]], bound: int) -> list[int]:
@@ -219,3 +226,110 @@ def random_equivalent_gram(rng, base) -> list[list[int]]:
     b = np.array(base, dtype=np.int64)
     out = w @ b @ w.T
     return [[int(x) for x in row] for row in out]
+
+
+# --- square root of the trace dual by exhaustive search ---------------------
+
+def _vecmat(v, m):
+    return [sum(v[i] * m[i][j] for i in range(len(v))) for j in range(len(m[0]))]
+
+
+def _det3(m):
+    return (
+        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
+        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
+        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
+    )
+
+
+def _adjugate3(m):
+    """adj(m), integer for integer m, with m adj(m) = det(m) I."""
+
+    def minor(i, j):
+        r = [k for k in range(3) if k != i]
+        c = [k for k in range(3) if k != j]
+        return m[r[0]][c[0]] * m[r[1]][c[1]] - m[r[0]][c[1]] * m[r[1]][c[0]]
+
+    return [[(-1) ** (i + j) * minor(j, i) for j in range(3)] for i in range(3)]
+
+
+def _shanks_mul(t: Fraction, a, b):
+    """Product in Q[x]/(x^3 - t x^2 - (t+3) x - 1), power-basis coordinates."""
+    p = [Fraction(0)] * 5
+    for i in range(3):
+        for j in range(3):
+            p[i + j] += a[i] * b[j]
+    for k in (4, 3):
+        # x^k = x^(k-3) (t x^2 + (t+3) x + 1)
+        c, p[k] = p[k], Fraction(0)
+        p[k - 1] += c * t
+        p[k - 2] += c * (t + 3)
+        p[k - 3] += c
+    return p[:3]
+
+
+def _hermite_det(m: int):
+    """Every upper-triangular Hermite matrix of determinant m: one per
+    index-m sublattice of Z^3."""
+    for d0 in range(1, m + 1):
+        if m % d0:
+            continue
+        for d1 in range(1, m // d0 + 1):
+            if (m // d0) % d1:
+                continue
+            d2 = m // (d0 * d1)
+            for b in range(d1):
+                for c in range(d2):
+                    for e in range(d2):
+                        yield [[d0, b, c], [0, d1, e], [0, 0, d2]]
+
+
+def sqrt_dual_by_search(t, order_rows, dual_rows) -> list[list[list[Fraction]]]:
+    """Every lattice C with O <= C <= D, [D : C] = m, O C <= C and C C = D,
+    where O is a maximal order of Q(eps), D its trace dual and m^2 = [D : O].
+
+    Exhaustive over the Hermite matrices of determinant m in D-coordinates;
+    containment and stability are tested as v adj(H) = 0 mod m.  Returns
+    the bases of all hits (power-basis coordinates); unique by theory."""
+    t = Fraction(t)
+    o = [[Fraction(x) for x in r] for r in order_rows]
+    d = [[Fraction(x) for x in r] for r in dual_rows]
+    dinv = _inverse(d)
+
+    def d_coords(v):
+        w = _vecmat(v, dinv)
+        return [int(x) for x in w] if all(x.denominator == 1 for x in w) else None
+
+    index = abs(_det3(o) / _det3(d))
+    assert index.denominator == 1
+    m = math.isqrt(int(index))
+    assert m * m == index
+    order_in_d = [d_coords(r) for r in o]
+    assert all(r is not None for r in order_in_d), "O must lie in its dual"
+
+    def inside(v, adj):
+        return v is not None and all(x % m == 0 for x in _vecmat(v, adj))
+
+    hits = []
+    for h in _hermite_det(m):
+        adj = _adjugate3(h)
+        if not all(inside(v, adj) for v in order_in_d):
+            continue
+        c = [_vecmat(row, d) for row in h]
+        if not all(
+            inside(d_coords(_shanks_mul(t, ci, oj)), adj) for ci in c for oj in o
+        ):
+            continue
+        square = [d_coords(_shanks_mul(t, ci, cj)) for ci in c for cj in c]
+        if any(v is None for v in square):
+            continue
+        minors = (_det3(list(rows)) for rows in itertools.combinations(square, 3))
+        if math.gcd(*minors) == 1:
+            hits.append(c)
+    return hits
+
+
+def same_lattice(a, b) -> bool:
+    """Do the rational bases a and b span the same Z-module?"""
+    u = [_vecmat(row, _inverse(b)) for row in a]
+    return all(x.denominator == 1 for r in u for x in r) and abs(_det3(u)) == 1

@@ -239,9 +239,24 @@ def test_order_fake_a3_inert_is_exit_1(capsys):
     assert code == 1 and doc["error"]["kind"] == "TwoInert"
 
 
-def test_order_conductor_cap_is_exit_1(capsys):
-    code, doc = run_cli(["order", "--t", "13", "--sqrt-different"], capsys)
-    assert code == 1 and doc["error"]["kind"] == "TooLarge"
+def test_order_large_conductor_is_exit_0(capsys):
+    # conductor 217, past what an index-m sublattice search can reach
+    code, doc = run_cli(
+        ["order", "--t", "13", "--different", "--sqrt-different"], capsys
+    )
+    assert code == 0
+    assert doc["maximal_order"]["disc"] == 217 * 217
+    assert doc["sqrt_different_inverse"]["type"] == "unimodular_odd"
+
+
+@pytest.mark.parametrize(
+    "sub,extra", [("gen-a3", ["--height", "2"]), ("order", ["--fake-a3"])]
+)
+def test_negative_rational_t_after_a_space(sub, extra):
+    spaced = run_proc([sub, "--t", "-1/2", *extra])
+    joined = run_proc([sub, "--t=-1/2", *extra])
+    assert spaced.returncode == 0 and spaced.stderr == ""
+    assert spaced.stdout == joined.stdout
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
 """Orders, duals, primes above 2, and the odd determinant-4 lattices.
 
 sympy's round_two is the independent oracle for maximal-order
-discriminants; everything else is checked against frozen hand values and
-the index-discriminant law disc(suborder) = index^2 * disc(order).
+discriminants, and an exhaustive sublattice search (tests/oracles.py) for
+the square root of the trace dual at small conductors; everything else is
+checked against frozen hand values and the index-discriminant law
+disc(suborder) = index^2 * disc(order).
 """
 from __future__ import annotations
 
@@ -14,12 +16,12 @@ from sympy import Poly, QQ
 from sympy.abc import x as _x
 from sympy.polys.numberfields.basis import round_two
 
+from oracles import same_lattice, sqrt_dual_by_search
 from tracelattice._intfactor import is_square
 from tracelattice.errors import (
     NotFound,
     NotMaximal,
     Reducible,
-    TooLarge,
     TwoInert,
 )
 from tracelattice.exact_linalg import Matrix, det, inverse
@@ -77,6 +79,10 @@ def _round_two_disc(t: Fraction) -> int:
 
 def _contains(outer: Matrix, inner: Matrix) -> bool:
     return (inner * inverse(outer)).is_integer()
+
+
+def _rows(m: Matrix) -> list[list[Fraction]]:
+    return [list(m.row(i)) for i in range(m.rows)]
 
 
 # ---------------------------------------------------------------------------
@@ -220,10 +226,30 @@ def test_sqrt_different_inverse_unimodular_odd(t):
     assert classify_root_type(c) == "unimodular_odd"
 
 
-def test_sqrt_different_inverse_conductor_cap():
-    # delta_13 = 217 = 7 * 31, squarefree, so the conductor is 217 > 200
-    with pytest.raises(TooLarge):
-        sqrt_different_inverse(maximal_order(13))
+@pytest.mark.parametrize(
+    "t", [F(0), F(1), F(2), F(-5), F(1, 2), F(-1, 2), F(4), F(3, 2)]
+)
+def test_sqrt_different_inverse_matches_search_oracle(t):
+    # conductors 9, 13, 19, 19, 43, 31, 37, 63: wild only, tame only, both
+    mo = maximal_order(t)
+    d = different_inverse(mo)
+    hits = sqrt_dual_by_search(t, _rows(mo.basis), _rows(d.basis))
+    assert len(hits) == 1
+    assert same_lattice(hits[0], _rows(sqrt_different_inverse(mo).basis))
+
+
+@pytest.mark.parametrize("t,m", [(F(13), 217), (F(9, 2), 171)])
+def test_sqrt_different_inverse_large_conductors(t, m):
+    # 217 = 7 * 31 and 171 = 9 * 19: conductors an index-m search cannot reach
+    mo = maximal_order(t)
+    assert mo.disc == m * m
+    d = different_inverse(mo)
+    c = sqrt_different_inverse(mo)
+    assert module_product(c, c).basis == d.basis
+    assert _contains(c.basis, mo.basis) and _contains(d.basis, c.basis)
+    assert det(mo.basis) / det(c.basis) == m
+    assert det(c.basis) / det(d.basis) == m
+    assert classify_root_type(c.lattice()) == "unimodular_odd"
 
 
 # ---------------------------------------------------------------------------
