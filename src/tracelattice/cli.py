@@ -93,7 +93,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gram", required=True, help="square matrix as a JSON array")
 
     p = add("cyclotomic", "ideal lattices in cyclotomic fields under the trace form")
-    p.add_argument("--p", type=int, default=None, help="odd prime, preset generator")
+    p.add_argument(
+        "--p", type=int, default=None, help="odd prime up to 23, preset generator"
+    )
     p.add_argument("--n", type=int, default=None, help="root-of-unity order")
     p.add_argument(
         "--generator",
@@ -197,9 +199,11 @@ def _run_order(args):
         "equation_order": {"basis": matrix_json(eq.basis), "disc": eq.disc},
         "maximal_order": {"basis": matrix_json(mx.basis), "disc": mx.disc},
     }
+    need_root = args.sqrt_different or args.fake_a3
+    dinv = different_inverse(mx) if args.different or need_root else None
     if args.different:
-        doc["different_inverse"] = lattice_json(different_inverse(mx).lattice())
-    root = sqrt_different_inverse(mx) if args.sqrt_different or args.fake_a3 else None
+        doc["different_inverse"] = lattice_json(dinv.lattice())
+    root = sqrt_different_inverse(mx, dinv) if need_root else None
     if args.sqrt_different:
         L = root.lattice()
         entry = lattice_json(L)

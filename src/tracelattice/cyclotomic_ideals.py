@@ -218,8 +218,8 @@ def ap_lattice(p: int) -> TraceLattice:
     """The ideal lattice of (1 - zeta_p)^{-(p-3)/2} in Q(zeta_p)."""
     if p < 3 or not is_probable_prime(p):
         raise NotPrime(f"p must be an odd prime, got {p}")
-    if p > 13:
-        raise TooLarge(f"rank {p - 1} enumeration is past desk scale, cap is p = 13")
+    if p > 23:
+        raise TooLarge(f"rank {p - 1} is past the classifier's rank cap, cap is p = 23")
     field = cyc_field(p)
     one_minus_zeta = field.element([1, -1])
     generator = power(field, one_minus_zeta, -((p - 3) // 2))

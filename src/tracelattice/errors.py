@@ -57,6 +57,14 @@ class NotIntegral(TraceLatticeError):
     """An integral lattice (integer Gram matrix) was required."""
 
 
+class NotSymmetric(TraceLatticeError):
+    """A symmetric Gram matrix was required."""
+
+
+class NotPositiveDefinite(TraceLatticeError):
+    """A positive definite form was required."""
+
+
 class RankTooLarge(TraceLatticeError):
     """The operation is capped at a small rank."""
 

@@ -12,22 +12,33 @@ object implementing the small protocol used here:
     galois_maps()    -- coordinate maps generating the automorphism group
     descriptor()     -- JSON-friendly identity, used for ambient equality
 
+Short vectors are enumerated by Fincke-Pohst on the LLL-reduced Gram (an
+exact integral LLL on the Gram alone, Cohen GTM 138 Alg. 2.6.7), so the
+enumeration tree stays small however skewed the caller's basis is; results
+come back as coefficient vectors in the caller's basis.
+
 Root-type recognition is certificate-based and exact: an even lattice is
 reported as type X iff its norm-2 vectors generate it (HNF index 1), their
 orthogonality graph is connected, and (rank, det) match X. Those conditions
 are equivalent to being the irreducible root lattice of that rank and
 determinant, so the redundant root-count table is asserted, not assumed.
+The root type does not change under a unimodular change of basis, so every
+certificate runs on the reduced Gram.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import floor, ceil, isqrt
+from operator import mul
 from typing import Optional, Sequence
 
 from .errors import (
     AmbientMismatch,
     DependentBasis,
     NotIntegral,
+    NotPositiveDefinite,
+    NotSymmetric,
     RankTooLarge,
 )
 from .exact_linalg import Matrix, det, hnf, inverse, rat, snf
@@ -107,7 +118,12 @@ def _check_positive_definite(gram: Matrix) -> None:
     for k in range(1, gram.rows + 1):
         lead = Matrix([[gram[i, j] for j in range(k)] for i in range(k)])
         if det(lead) <= 0:
-            raise ValueError("form is not positive definite")
+            raise NotPositiveDefinite("form is not positive definite")
+
+
+def _check_symmetric(gram: Matrix) -> None:
+    if gram != gram.transpose():
+        raise NotSymmetric("Gram matrix is not symmetric")
 
 
 def is_integral(L: TraceLattice) -> bool:
@@ -138,8 +154,83 @@ def disc_group(L: TraceLattice) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# exact short-vector enumeration (Fincke-Pohst over a rational LDL split)
+# exact integral LLL on the Gram, then Fincke-Pohst over a rational LDL split
 # ---------------------------------------------------------------------------
+
+def _lll_gram(g: list[list[int]]) -> tuple[list[list[int]], list[list[int]]]:
+    """LLL reduction (delta = 3/4) of a positive definite integer Gram.
+
+    Integral LLL after Cohen, GTM 138, Alg. 2.6.7, driven by the Gram alone:
+    d[k] is the leading k x k minor of the current Gram and lam[k][j] =
+    d[j+1] * mu[k][j], so every quantity is an integer and every division is
+    exact.  Returns (U G U^T, U) with U unimodular.  Every leading minor of
+    the input is computed once, when its last row is first reached (the
+    transform never mixes in later rows), so this is also the definiteness
+    check: a minor <= 0 raises NotPositiveDefinite."""
+    n = len(g)
+    g = [list(row) for row in g]
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    d = [1] * (n + 1)
+    lam = [[0] * n for _ in range(n)]
+    d[1] = g[0][0]
+    if d[1] <= 0:
+        raise NotPositiveDefinite("form is not positive definite")
+
+    def size_reduce(k: int, l: int) -> None:
+        # b_k -= q b_l with q the integer nearest mu[k][l]
+        if 2 * abs(lam[k][l]) <= d[l + 1]:
+            return
+        q = (2 * lam[k][l] + d[l + 1]) // (2 * d[l + 1])
+        u[k] = [a - q * b for a, b in zip(u[k], u[l])]
+        g[k] = [a - q * b for a, b in zip(g[k], g[l])]
+        for row in g:
+            row[k] -= q * row[l]
+        lam[k][l] -= q * d[l + 1]
+        for i in range(l):
+            lam[k][i] -= q * lam[l][i]
+
+    def swap(k: int, kmax: int) -> None:
+        # exchange b_{k-1} and b_k, updating d and lam in place
+        u[k - 1], u[k] = u[k], u[k - 1]
+        g[k - 1], g[k] = g[k], g[k - 1]
+        for row in g:
+            row[k - 1], row[k] = row[k], row[k - 1]
+        for j in range(k - 1):
+            lam[k - 1][j], lam[k][j] = lam[k][j], lam[k - 1][j]
+        lk = lam[k][k - 1]
+        b = (d[k - 1] * d[k + 1] + lk * lk) // d[k]
+        for i in range(k + 1, kmax + 1):
+            t = lam[i][k]
+            lam[i][k] = (d[k + 1] * lam[i][k - 1] - lk * t) // d[k]
+            lam[i][k - 1] = (b * t + lk * lam[i][k]) // d[k + 1]
+        d[k] = b
+
+    k, kmax = 1, 0
+    while k < n:
+        if k > kmax:
+            # incremental Gram-Schmidt data of the new vector b_k
+            kmax = k
+            for j in range(k + 1):
+                acc = g[k][j]
+                for i in range(j):
+                    acc = (d[i + 1] * acc - lam[k][i] * lam[j][i]) // d[i]
+                if j < k:
+                    lam[k][j] = acc
+                else:
+                    d[k + 1] = acc
+            if d[k + 1] <= 0:
+                raise NotPositiveDefinite("form is not positive definite")
+        size_reduce(k, k - 1)
+        lk = lam[k][k - 1]
+        if 4 * d[k + 1] * d[k - 1] < 3 * d[k] * d[k] - 4 * lk * lk:
+            swap(k, kmax)
+            k = max(1, k - 1)
+        else:
+            for l in range(k - 2, -1, -1):
+                size_reduce(k, l)
+            k += 1
+    return g, u
+
 
 def _fp_decompose(gram: Matrix) -> list[list[Fraction]]:
     """Return q with Q(x) = sum_i q[i][i]*(x_i + sum_{j>i} q[i][j] x_j)^2."""
@@ -147,7 +238,7 @@ def _fp_decompose(gram: Matrix) -> list[list[Fraction]]:
     q = [[gram[i, j] for j in range(n)] for i in range(n)]
     for i in range(n):
         if q[i][i] <= 0:
-            raise ValueError("form is not positive definite")
+            raise NotPositiveDefinite("form is not positive definite")
         for j in range(i + 1, n):
             q[j][i] = q[i][j]
             q[i][j] = q[i][j] / q[i][i]
@@ -180,15 +271,18 @@ def _int_interval(rad: Fraction, shift: Fraction) -> tuple[int, int]:
     return (lo, hi)
 
 
-def short_vectors_gram(
-    gram: Matrix, bound: int | str | Fraction
-) -> list[tuple[tuple[int, ...], Fraction]]:
-    """All nonzero x with x*gram*x^T <= bound, one representative per +-pair
-    (first nonzero coefficient positive), sorted by (norm, coefficients)."""
-    bound = rat(bound)
+def _sign_rep(vec: tuple[int, ...]) -> tuple[int, ...]:
+    """The representative of +-vec whose first nonzero coefficient is > 0."""
+    for c in vec:
+        if c != 0:
+            return tuple(-y for y in vec) if c < 0 else vec
+    return vec
+
+
+def _fincke_pohst(gram: Matrix, bound: Fraction) -> dict[tuple[int, ...], Fraction]:
+    """Every nonzero x with x*gram*x^T <= bound, one sign-rep per +-pair,
+    mapped to its norm; coefficients are in gram's own basis."""
     n = gram.rows
-    if bound < 0:
-        return []
     q = _fp_decompose(gram)
     x = [0] * n
     found: dict[tuple[int, ...], Fraction] = {}
@@ -203,19 +297,38 @@ def short_vectors_gram(
             if total > bound:
                 continue
             if i == 0:
-                vec = tuple(x)
-                if any(vec):
-                    for c in vec:
-                        if c != 0:
-                            if c < 0:
-                                vec = tuple(-y for y in vec)
-                            break
-                    found[vec] = total
+                if any(x):
+                    found[_sign_rep(tuple(x))] = total
             else:
                 descend(i - 1, total)
         x[i] = 0
 
     descend(n - 1, Fraction(0))
+    return found
+
+
+def short_vectors_gram(
+    gram: Matrix, bound: int | str | Fraction
+) -> list[tuple[tuple[int, ...], Fraction]]:
+    """All nonzero x with x*gram*x^T <= bound, one representative per +-pair
+    (first nonzero coefficient positive), sorted by (norm, coefficients).
+
+    The enumeration runs on the LLL-reduced Gram (a rational Gram is scaled
+    by the lcm of its denominators first) and every vector is mapped back
+    through the unimodular transform, so coefficients are in the caller's
+    basis."""
+    bound = rat(bound)
+    if bound < 0:
+        return []
+    _check_symmetric(gram)
+    scale = gram.denominator_lcm()
+    reduced, u = _lll_gram([[int(x * scale) for x in row] for row in gram.data])
+    red = Matrix([[Fraction(x, scale) for x in row] for row in reduced])
+    cols = list(zip(*u))
+    found = {
+        _sign_rep(tuple(sum(map(mul, x, col)) for col in cols)): norm
+        for x, norm in _fincke_pohst(red, bound).items()
+    }
     return sorted(found.items(), key=lambda kv: (kv[1], kv[0]))
 
 
@@ -253,9 +366,16 @@ def _roots_generate(vectors: list[tuple[int, ...]], n: int) -> bool:
     return prod == 1
 
 
+def _gram_images(g: list[list[int]], vectors) -> list[list[int]]:
+    """G*v for each v, so that <u, v> is one n-term dot product."""
+    return [[sum(map(mul, row, v)) for row in g] for v in vectors]
+
+
 def _connected(g: list[list[int]], vectors: list[tuple[int, ...]]) -> bool:
     m = len(vectors)
+    images = _gram_images(g, vectors)
     parent = list(range(m))
+    components = m
 
     def find(a: int) -> int:
         while parent[a] != a:
@@ -265,46 +385,63 @@ def _connected(g: list[list[int]], vectors: list[tuple[int, ...]]) -> bool:
 
     for i in range(m):
         for j in range(i + 1, m):
-            if _iprod(g, vectors[i], vectors[j]) != 0:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[ri] = rj
-    return len({find(i) for i in range(m)}) == 1
+            ri, rj = find(i), find(j)
+            if ri != rj and sum(map(mul, vectors[i], images[j])) != 0:
+                parent[ri] = rj
+                components -= 1
+                if components == 1:
+                    return True
+    return components == 1
 
 
 def _orthogonal_set(
-    g: list[list[int]], pool: list[tuple[int, ...]], norms: list[int], chosen=()
+    g: list[list[int]], pool: list[tuple[tuple[int, ...], int]], norms: list[int]
 ) -> Optional[list[tuple[int, ...]]]:
     """Backtracking search for pairwise-orthogonal vectors with the given
-    norms (in order); the pool holds (vector, norm) canonical sign-reps."""
-    if not norms:
-        return list(chosen)
-    want = norms[0]
-    for v, nv in pool:
-        if nv != want:
-            continue
-        if any(_iprod(g, v, u) != 0 for u in chosen):
-            continue
-        res = _orthogonal_set(g, pool, norms[1:], chosen + (v,))
-        if res is not None:
-            return res
-    return None
+    non-decreasing norms; the pool holds (vector, norm) canonical sign-reps
+    sorted by norm, so each level only looks past the previous pick."""
+    images = _gram_images(g, [v for v, _ in pool])
+    entries = [(v, nv, gv) for (v, nv), gv in zip(pool, images)]
+
+    def extend(
+        start: int, chosen: tuple, want: list[int]
+    ) -> Optional[list[tuple[int, ...]]]:
+        if not want:
+            return [v for v, _ in chosen]
+        for idx in range(start, len(entries)):
+            v, nv, gv = entries[idx]
+            if nv != want[0]:
+                continue
+            if any(sum(map(mul, u, gv)) != 0 for u, _ in chosen):
+                continue
+            res = extend(idx + 1, chosen + ((v, gv),), want[1:])
+            if res is not None:
+                return res
+        return None
+
+    return extend(0, (), norms)
 
 
+@lru_cache(maxsize=1024)
 def classify_gram(gram: Matrix) -> str:
     """Certificate-based recognition over {A_n, D_n, E6, E7, E8, diag114,
-    unimodular_odd, other}; see the module docstring for the exact criteria."""
+    unimodular_odd, other}; see the module docstring for the exact criteria.
+
+    The Gram is LLL-reduced once; enumeration and every certificate run on
+    the reduced Gram.  Results are memoized on the exact Gram."""
     if not gram.is_integer():
         raise NotIntegral("classification needs an integral Gram matrix")
     n = gram.rows
-    if n > 12:
-        raise RankTooLarge(f"rank {n} exceeds the enumeration cap of 12")
-    _check_positive_definite(gram)
-    g = gram.to_int_rows()
-    dt = int(det(gram))
+    if n > 22:
+        raise RankTooLarge(f"rank {n} exceeds the enumeration cap of 22")
+    _check_symmetric(gram)
+    # _lll_gram raises NotPositiveDefinite on the first leading minor <= 0
+    g, _ = _lll_gram(gram.to_int_rows())
+    reduced = Matrix(g)
+    dt = int(det(reduced))
     even = all(g[i][i] % 2 == 0 for i in range(n))
     if even:
-        pairs = short_vectors_gram(gram, 2)
+        pairs = short_vectors_gram(reduced, 2)
         roots = [v for v, nrm in pairs if nrm == 2]
         if not roots:
             return "other"
@@ -330,22 +467,24 @@ def classify_gram(gram: Matrix) -> str:
             f"{expected} roots, found {count}"
         )
         return kind
-    # odd lattice templates
-    pairs4 = short_vectors_gram(gram, 4)
-    pool = [(v, int(nrm)) for v, nrm in pairs4 if nrm.denominator == 1]
+    # odd lattice templates: enumerate only the norms the frame needs
     if dt == 1:
-        ortho = _orthogonal_set(g, pool, [1] * n)
-        if ortho is not None:
-            return "unimodular_odd"
+        # norm-1 vectors of an integral lattice that are not +-each other
+        # are orthogonal (Cauchy-Schwarz), so n sign-reps are the frame
+        frame = [v for v, _ in short_vectors_gram(reduced, 1)]
+        if len(frame) != n:
+            return "other"
+        kind = "unimodular_odd"
+    elif n == 3 and dt == 4:
+        pool = [(v, int(nrm)) for v, nrm in short_vectors_gram(reduced, 4)]
+        frame = _orthogonal_set(g, pool, [1, 1, 4])
+        if frame is None:
+            return "other"
+        kind = "diag114"
+    else:
         return "other"
-    if n == 3 and dt == 4:
-        triple = _orthogonal_set(g, pool, [1, 1, 4])
-        if triple is not None:
-            b = Matrix.from_rows(triple)
-            assert abs(det(b)) == 1
-            return "diag114"
-        return "other"
-    return "other"
+    assert abs(det(Matrix.from_rows(frame))) == 1
+    return kind
 
 
 def classify_root_type(L: TraceLattice) -> str:

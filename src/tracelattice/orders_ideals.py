@@ -288,7 +288,9 @@ def different_inverse(o: CubicOrder) -> IdealLattice:
     return _make_ideal(o, [d.basis.row(i) for i in range(3)])
 
 
-def sqrt_different_inverse(o: CubicOrder) -> IdealLattice:
+def sqrt_different_inverse(
+    o: CubicOrder, dinv: IdealLattice | None = None
+) -> IdealLattice:
     """The ideal C with C^2 = D^-1, the trace dual of the maximal order.
 
     Every ramified prime of a cyclic cubic field is totally ramified,
@@ -296,11 +298,13 @@ def sqrt_different_inverse(o: CubicOrder) -> IdealLattice:
     at 3 (Erez, Math. Z. 208, 1991).  Hence C = prod p^-1 P_p^2 (tame p | m)
     * 3^-1 P_3 (if 3 | m), m the conductor, with P_p the p-radical.  C is
     unique by ideal factorization; the result is certified by squaring it
-    back to the trace dual exactly and by checking that it contains Z_F."""
+    back to the trace dual exactly and by checking that it contains Z_F.
+    A caller that already holds different_inverse(o) passes it as dinv."""
     m = isqrt(o.disc)
     if m * m != o.disc:
         raise NotFound(f"discriminant {o.disc} is not a square")
-    dinv = different_inverse(o)
+    if dinv is None:
+        dinv = different_inverse(o)
     root = IdealLattice(o, o.basis)
     for p in factor(m):
         rad = IdealLattice(o, _p_radical(o, p) * o.basis)

@@ -83,7 +83,8 @@ def parse_rational(text: str) -> Fraction:
 
 
 def parse_gram(text: str) -> Matrix:
-    """A square matrix from a JSON literal; entries integers or "p/q" strings."""
+    """A symmetric matrix from a JSON literal; entries integers or "p/q"
+    strings."""
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -111,6 +112,13 @@ def parse_gram(text: str) -> Matrix:
             except ValueError as exc:
                 raise ValueError(f"invalid gram matrix at entry ({i},{j}): {exc}")
         rows.append(parsed)
+    for i in range(n):
+        for j in range(i):
+            if rows[i][j] != rows[j][i]:
+                raise ValueError(
+                    f"invalid gram matrix: not symmetric at entries ({j},{i}) "
+                    f"and ({i},{j})"
+                )
     return Matrix(rows)
 
 

@@ -228,6 +228,67 @@ def random_equivalent_gram(rng, base) -> list[list[int]]:
     return [[int(x) for x in row] for row in out]
 
 
+def random_unimodular(rng, n: int, steps: int) -> list[list[int]]:
+    """A random U in GL(n, Z): row shears by small multiples, row swaps and
+    sign flips applied to the identity, in exact Python integers."""
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(steps):
+        i, j = rng.randrange(n), rng.randrange(n)
+        kind = rng.randrange(4)
+        if i != j and kind < 2:
+            q = rng.choice([-3, -2, -1, 1, 2, 3])
+            u[i] = [a + q * b for a, b in zip(u[i], u[j])]
+        elif kind == 2:
+            u[i], u[j] = u[j], u[i]
+        else:
+            u[i] = [-a for a in u[i]]
+    return u
+
+
+def conjugate_gram(u, gram) -> list[list[int]]:
+    """U G U^T in exact integers."""
+    n = len(u)
+    ug = [[sum(u[i][k] * gram[k][j] for k in range(n)) for j in range(n)]
+          for i in range(n)]
+    return [[sum(ug[i][k] * u[j][k] for k in range(n)) for j in range(n)]
+            for i in range(n)]
+
+
+def fraction_det(rows) -> Fraction:
+    """Exact determinant by Fraction Gaussian elimination."""
+    a = [[Fraction(x) for x in row] for row in rows]
+    n = len(a)
+    out = Fraction(1)
+    for col in range(n):
+        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != col:
+            a[col], a[piv] = a[piv], a[col]
+            out = -out
+        out *= a[col][col]
+        for r in range(col + 1, n):
+            f = a[r][col] / a[col][col]
+            if f:
+                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+    return out
+
+
+def gram_schmidt(gram):
+    """(mu, B) of the basis with this Gram: B[i] = |b_i*|^2 and
+    mu[i][j] = <b_i, b_j*> / B[j], in Fractions, straight from the Gram."""
+    n = len(gram)
+    mu = [[Fraction(0)] * n for _ in range(n)]
+    big_b = [Fraction(0)] * n
+    for i in range(n):
+        for j in range(i):
+            mu[i][j] = (
+                Fraction(gram[i][j]) - sum(mu[j][k] * mu[i][k] * big_b[k] for k in range(j))
+            ) / big_b[j]
+        big_b[i] = Fraction(gram[i][i]) - sum(mu[i][k] ** 2 * big_b[k] for k in range(i))
+    return mu, big_b
+
+
 # --- square root of the trace dual by exhaustive search ---------------------
 
 def _vecmat(v, m):

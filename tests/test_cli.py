@@ -58,6 +58,24 @@ def test_classify_usage_error_is_exit_2():
     assert "invalid gram" in r.stderr
 
 
+def test_classify_asymmetric_gram_is_exit_2():
+    r = run_proc(["classify", "--gram", "[[2,1],[0,2]]"])
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert "not symmetric" in r.stderr and "Traceback" not in r.stderr
+
+
+def test_classify_indefinite_gram_is_exit_1():
+    # exit 1 carries the error document, never a traceback
+    r = run_proc(["classify", "--gram", "[[1,2],[2,1]]"])
+    assert r.returncode == 1
+    assert r.stderr == ""
+    assert r.stdout == (
+        '{"error":{"detail":"form is not positive definite",'
+        '"kind":"NotPositiveDefinite"}}\n'
+    )
+
+
 # ---------------------------------------------------------------------------
 # cyclotomic
 # ---------------------------------------------------------------------------
@@ -71,6 +89,12 @@ def test_cyclotomic_preset_exact_bytes():
 def test_cyclotomic_p3(capsys):
     code, doc = run_cli(["cyclotomic", "--p", "3"], capsys)
     assert code == 0 and doc == {"type": "A2"}
+
+
+def test_cyclotomic_p23_is_a22():
+    r = run_proc(["cyclotomic", "--p", "23"])
+    assert r.returncode == 0
+    assert r.stdout == '{"type":"A22"}\n'
 
 
 def test_cyclotomic_not_prime_is_exit_1(capsys):
@@ -247,6 +271,26 @@ def test_order_large_conductor_is_exit_0(capsys):
     assert code == 0
     assert doc["maximal_order"]["disc"] == 217 * 217
     assert doc["sqrt_different_inverse"]["type"] == "unimodular_odd"
+
+
+def test_order_takes_the_inverse_different_once(capsys, monkeypatch):
+    import tracelattice.cli as cli_module
+    import tracelattice.orders_ideals as orders_module
+
+    calls = []
+    real = orders_module.different_inverse
+
+    def counting(o):
+        calls.append(o)
+        return real(o)
+
+    monkeypatch.setattr(orders_module, "different_inverse", counting)
+    monkeypatch.setattr(cli_module, "different_inverse", counting)
+    code, doc = run_cli(
+        ["order", "--t=3/2", "--different", "--sqrt-different", "--fake-a3"], capsys
+    )
+    assert code == 0 and doc["fake_a3"]["type"] == "diag114"
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize(

@@ -282,7 +282,11 @@ def test_non_primes_rejected():
             verify_cyclotomic_ap(p)
 
 
+@pytest.mark.parametrize("p,label", [(17, "A16"), (19, "A18")])
+def test_large_prime_ideal_lattice_classification(p, label):
+    assert verify_cyclotomic_ap(p) == label
+
+
 def test_large_primes_rejected():
-    for p in (17, 19):
-        with pytest.raises(TooLarge):
-            verify_cyclotomic_ap(p)
+    with pytest.raises(TooLarge):
+        verify_cyclotomic_ap(29)

@@ -6,6 +6,7 @@ pure-Gram lattices can exercise dual/classify/equality without field data.
 from __future__ import annotations
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -14,16 +15,27 @@ from hypothesis import given, settings, strategies as st
 from oracles import (
     ROOT_COUNTS,
     box_short_vectors,
+    conjugate_gram,
+    fraction_det,
     gram_A,
     gram_D,
     gram_E,
     gram_equivalent,
+    gram_schmidt,
     random_equivalent_gram,
+    random_unimodular,
 )
-from tracelattice.errors import AmbientMismatch, NotIntegral, RankTooLarge
+from tracelattice.errors import (
+    AmbientMismatch,
+    NotIntegral,
+    NotPositiveDefinite,
+    NotSymmetric,
+    RankTooLarge,
+)
 from tracelattice.exact_linalg import Matrix, det, inverse
 from tracelattice.lattice_core import (
     TraceLattice,
+    _lll_gram,
     canonical_key,
     classify_gram,
     classify_root_type,
@@ -205,6 +217,78 @@ def test_short_vectors_match_box_on_random_pd_grams(seed):
     assert _impl_pairs(gram, bound) == box_short_vectors(gram, bound)
 
 
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000))
+def test_short_vectors_rational_grams_match_box_in_order(seed):
+    # a rational Gram is reduced after scaling by its denominators; the
+    # result must be the box oracle's list, in the same order
+    rng = random.Random(seed)
+    n = rng.choice([2, 3, 4])
+    while True:
+        w = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
+        if det(Matrix.from_rows(w)) != 0:
+            break
+    scale = rng.choice([1, 2, 3, 6])
+    ints = [[sum(w[i][k] * w[j][k] for k in range(n)) for j in range(n)]
+            for i in range(n)]
+    gram = Matrix.from_rows([[F(x, scale) for x in row] for row in ints])
+    bound = F(rng.choice([2, 4, 6, 12]), scale)
+    got = [(norm * scale, v) for v, norm in short_vectors_gram(gram, bound)]
+    assert got == box_short_vectors(ints, int(bound * scale))
+
+
+def test_short_vectors_rejects_asymmetric_and_indefinite_grams():
+    with pytest.raises(NotSymmetric):
+        short_vectors_gram(Matrix.from_rows([[2, 1], [0, 2]]), 2)
+    with pytest.raises(NotPositiveDefinite):
+        short_vectors_gram(Matrix.from_rows([[1, 2], [2, 1]]), 2)
+
+
+# --- LLL reduction ----------------------------------------------------------------
+
+def _assert_lll_certificate(gram, reduced, u):
+    n = len(gram)
+    assert abs(fraction_det(u)) == 1
+    assert conjugate_gram(u, gram) == reduced
+    mu, big_b = gram_schmidt(reduced)
+    for i in range(n):
+        for j in range(i):
+            assert abs(mu[i][j]) <= F(1, 2), (i, j, mu[i][j])
+    for i in range(1, n):
+        assert big_b[i] >= (F(3, 4) - mu[i][i - 1] ** 2) * big_b[i - 1], i
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000))
+def test_lll_gram_output_is_a_certificate(seed):
+    rng = random.Random(seed)
+    n = rng.randint(1, 8)
+    while True:
+        w = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+        if fraction_det(w) != 0:
+            break
+    gram = [[sum(w[i][k] * w[j][k] for k in range(n)) for j in range(n)]
+            for i in range(n)]
+    reduced, u = _lll_gram(gram)
+    _assert_lll_certificate(gram, reduced, u)
+
+
+def test_lll_gram_takes_disguised_root_lattices_to_small_diagonals():
+    rng = random.Random(314)
+    for base in (gram_A(12), gram_D(10), gram_E(8)):
+        u = random_unimodular(rng, len(base), 60)
+        gram = conjugate_gram(u, base)
+        reduced, v = _lll_gram(gram)
+        _assert_lll_certificate(gram, reduced, v)
+        assert max(reduced[i][i] for i in range(len(base))) == 2
+
+
+def test_lll_gram_rejects_indefinite_forms():
+    for rows in ([[1, 2], [2, 1]], [[0]], [[1, 0], [0, 0]], [[-3]]):
+        with pytest.raises(NotPositiveDefinite):
+            _lll_gram(rows)
+
+
 # --- classification ---------------------------------------------------------------
 
 def test_classify_named_root_lattices():
@@ -244,7 +328,62 @@ def test_classify_rejects_nonintegral_and_big_rank():
     with pytest.raises(NotIntegral):
         classify_gram(Matrix.from_rows([[F(1, 2)]]))
     with pytest.raises(RankTooLarge):
-        classify_gram(Matrix.identity(13))
+        classify_gram(Matrix.identity(23))
+
+
+def test_classify_at_the_rank_cap():
+    assert classify_gram(Matrix.identity(22)) == "unimodular_odd"
+
+
+def test_classify_odd_unimodular_with_too_few_unit_vectors_is_other():
+    # E8 + I_14 is odd with det 1 but only 14 norm-1 sign-reps at rank 22;
+    # the frame is read off the norm-1 vectors, not searched over orderings
+    n = 22
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    for i in range(8):
+        for j in range(8):
+            rows[i][j] = E8[i][j]
+    u = random_unimodular(random.Random(22), n, 8 * n)
+    start = time.perf_counter()
+    assert classify_gram(Matrix.from_rows(rows)) == "other"
+    assert classify_gram(Matrix.from_rows(conjugate_gram(u, rows))) == "other"
+    assert time.perf_counter() - start < 10
+
+
+def test_classify_rejects_asymmetric_and_indefinite_grams():
+    with pytest.raises(NotSymmetric):
+        classify_gram(Matrix.from_rows([[2, 1], [0, 2]]))
+    # the last case has positive leading minors up to size 2
+    for rows in ([[1, 2], [2, 1]], [[0]], [[-3]], [[2, 1, 0], [1, 2, 1], [0, 1, -5]]):
+        with pytest.raises(NotPositiveDefinite):
+            classify_gram(Matrix.from_rows(rows))
+
+
+def _identity_rows(n):
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+@pytest.mark.parametrize(
+    "base,label",
+    [(gram_A(n), f"A{n}") for n in (1, 4, 9, 15, 22)]
+    + [(gram_D(n), f"D{n}") for n in (4, 7, 13, 22)]
+    + [(gram_E(n), f"E{n}") for n in (6, 7, 8)]
+    + [(_identity_rows(n), "unimodular_odd") for n in (2, 8, 22)],
+)
+def test_classify_random_unimodular_conjugates(base, label):
+    rng = random.Random(len(base) * 1000 + len(label))
+    u = random_unimodular(rng, len(base), 8 * len(base))
+    gram = conjugate_gram(u, base)
+    assert classify_gram(Matrix.from_rows(gram)) == label
+
+
+def test_classify_is_memoized_on_the_exact_gram():
+    gram = Matrix.from_rows(random_equivalent_gram(random.Random(5), gram_D(5)))
+    assert classify_gram(gram) == "D5"
+    before = classify_gram.cache_info()
+    assert classify_gram(gram) == "D5"
+    after = classify_gram.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
 
 
 def test_classify_equivalent_grams_same_label():
