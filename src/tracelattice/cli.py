@@ -12,7 +12,6 @@ import re
 import sys
 from fractions import Fraction
 
-from ._parallel import pmap
 from .a3_factory import TARGET_A3, TARGET_SELF_DUAL, scan_family
 from .cyclotomic_ideals import cyc_field, principal_ideal_lattice, verify_cyclotomic_ap
 from .errors import TraceLatticeError
@@ -53,6 +52,16 @@ def _rational_flag(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(str(exc))
 
 
+def _height_flag(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"height must be >= 0, got {value}")
+    return value
+
+
 def _join_negative_t(argv: list[str]) -> list[str]:
     """Rewrite "--t -1/2" as "--t=-1/2".  argparse reads a token that starts
     with "-" as a flag unless it looks like a plain number such as -1, so a
@@ -83,11 +92,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add("gen-a3", "sweep conic chords into distinct A3 lattices")
     p.add_argument("--t", type=_rational_flag, required=True, help='parameter "p/q"')
-    p.add_argument("--height", type=int, required=True, help="slope height bound")
+    p.add_argument("--height", type=_height_flag, required=True, help="slope height bound")
 
     p = add("gen-selfdual", "sweep conic chords into unimodular lattices")
     p.add_argument("--t", type=_rational_flag, required=True, help='parameter "p/q"')
-    p.add_argument("--height", type=int, required=True, help="slope height bound")
+    p.add_argument("--height", type=_height_flag, required=True, help="slope height bound")
 
     p = add("classify", "name the root-lattice type of a Gram matrix")
     p.add_argument("--gram", required=True, help="square matrix as a JSON array")
@@ -105,7 +114,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add("quad-a2", "A2 lattices in quadratic fields, or bounded falsification")
     p.add_argument("--d", type=int, required=True, help="squarefree radicand")
-    p.add_argument("--height", type=int, required=True, help="search height bound")
+    p.add_argument("--height", type=_height_flag, required=True, help="search height bound")
     p.add_argument(
         "--falsify",
         action="store_true",
@@ -141,7 +150,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _run_family(args, target):
     scan = scan_family(args.t, args.height, target)
-    return pmap(member_json, scan.members), 0
+    return [member_json(m) for m in scan.members], 0
 
 
 def _run_classify(args, parser):
@@ -159,8 +168,8 @@ def _run_cyclotomic(args, parser):
         return {"type": verify_cyclotomic_ap(args.p)}, 0
     if args.n is None or args.generator is None:
         parser.error("either --p, or both --n and --generator, are required")
-    field = cyc_field(args.n)
     try:
+        field = cyc_field(args.n)
         gen = parse_generator(field, args.generator)
     except ValueError as exc:
         parser.error(str(exc))
@@ -188,7 +197,7 @@ def _run_quad_a2(args, parser):
     if args.d != 3:
         parser.error("the parametrized family needs --d 3; use --falsify otherwise")
     fam = family_distinctness(args.height)
-    return pmap(lattice_json, fam.lattices), 0
+    return [lattice_json(L) for L in fam.lattices], 0
 
 
 def _run_order(args):
@@ -283,8 +292,13 @@ def main(argv=None) -> int:
 
     payload = dumps_canonical(doc)
     if args.json is not None:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            fh.write(payload)
+        try:
+            with open(args.json, "w", encoding="utf-8") as fh:
+                fh.write(payload)
+        except OSError as exc:
+            parser.exit(
+                2, f"{parser.prog}: error: cannot write {args.json}: {exc.strerror}\n"
+            )
     else:
         sys.stdout.write(payload)
     return code

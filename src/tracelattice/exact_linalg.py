@@ -10,7 +10,8 @@ Conventions fixed for the whole library:
   - `hnf` is row-style: h = u*m with u unimodular, pivots positive, zeros
     below pivots, entries above a pivot reduced into [0, pivot), zero rows
     at the bottom; this form is unique, so it doubles as a lattice-equality
-    key,
+    key; `hnf_rows` is the same elimination on bare integer rows, without
+    the transform,
   - `snf` returns the invariant-factor chain d1 | d2 | ... | dn.
 """
 from __future__ import annotations
@@ -197,15 +198,16 @@ def _row_op_sub(rows: list[list[int]], i: int, j: int, q: int) -> None:
         rows[i] = [x - q * y for x, y in zip(rows[i], rows[j])]
 
 
-def hnf(m: Matrix) -> tuple[Matrix, Matrix]:
-    """Row-style Hermite normal form: returns (h, u) with h = u*m, u unimodular.
+def hnf_rows(a: list[list[int]], ncols: int | None = None) -> list[list[int]]:
+    """Row-style Hermite normal form of integer rows, computed in place.
 
-    Canonical shape: pivots positive and strictly right-down, zeros below each
-    pivot, entries above a pivot reduced into [0, pivot), zero rows last.
-    """
-    a = m.to_int_rows()
-    nrows, ncols = m.rows, m.cols
-    u = [[int(i == j) for j in range(nrows)] for i in range(nrows)]
+    Pivots are taken in the first ncols columns only (default: all); every
+    row operation acts on whole rows, so columns past ncols ride along.
+    That is how hnf carries its transform: it reduces [m | I] with ncols =
+    m.cols.  Callers that need only h pass the bare rows."""
+    nrows = len(a)
+    if ncols is None:
+        ncols = len(a[0])
     r = 0
     for c in range(ncols):
         if r == nrows:
@@ -217,13 +219,10 @@ def hnf(m: Matrix) -> tuple[Matrix, Matrix]:
                 break
             i0 = min(nz, key=lambda i: abs(a[i][c]))
             a[r], a[i0] = a[i0], a[r]
-            u[r], u[i0] = u[i0], u[r]
             clean = True
             for i in range(r + 1, nrows):
                 if a[i][c] != 0:
-                    q = a[i][c] // a[r][c]
-                    _row_op_sub(a, i, r, q)
-                    _row_op_sub(u, i, r, q)
+                    _row_op_sub(a, i, r, a[i][c] // a[r][c])
                     if a[i][c] != 0:
                         clean = False
             if clean:
@@ -231,13 +230,28 @@ def hnf(m: Matrix) -> tuple[Matrix, Matrix]:
         if a[r][c] != 0:
             if a[r][c] < 0:
                 a[r] = [-x for x in a[r]]
-                u[r] = [-x for x in u[r]]
             for i in range(r):
-                q = a[i][c] // a[r][c]
-                _row_op_sub(a, i, r, q)
-                _row_op_sub(u, i, r, q)
+                _row_op_sub(a, i, r, a[i][c] // a[r][c])
             r += 1
-    return Matrix(a), Matrix(u)
+    return a
+
+
+def hnf(m: Matrix) -> tuple[Matrix, Matrix]:
+    """Row-style Hermite normal form: returns (h, u) with h = u*m, u unimodular.
+
+    Canonical shape: pivots positive and strictly right-down, zeros below each
+    pivot, entries above a pivot reduced into [0, pivot), zero rows last.
+    """
+    n = m.rows
+    aug = [
+        row + [int(i == j) for j in range(n)]
+        for i, row in enumerate(m.to_int_rows())
+    ]
+    h = hnf_rows(aug, m.cols)
+    return (
+        Matrix([row[: m.cols] for row in h]),
+        Matrix([row[m.cols :] for row in h]),
+    )
 
 
 def snf(m: Matrix) -> tuple[int, ...]:

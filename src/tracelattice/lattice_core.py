@@ -6,11 +6,17 @@ cached Gram matrix gram[i][j] = Tr(b_i * conj(b_j)). The ambient is any
 object implementing the small protocol used here:
 
     degree           -- rank of the field over Q
-    mul_coords(a, b) -- product in power-basis coordinates
-    conj_coords(a)   -- complex conjugation (identity when totally real)
+    mul_coords(a, b) -- product in power-basis coordinates; Q-bilinear
+    conj_coords(a)   -- complex conjugation (identity when totally real);
+                        Q-linear
     trace_coords(a)  -- trace of the multiplication operator
     galois_maps()    -- coordinate maps generating the automorphism group
     descriptor()     -- JSON-friendly identity, used for ambient equality
+
+Because the pairing Tr(x * conj(y)) is then Q-bilinear, the Gram of a basis
+B is B T B^T with T[i][j] = Tr(e_i * conj(e_j)) on the power basis.  T is
+derived from the protocol once per ambient (ambients are hashable and equal
+ambients share it), and each Gram costs two integer matrix products.
 
 Short vectors are enumerated by Fincke-Pohst on the LLL-reduced Gram (an
 exact integral LLL on the Gram alone, Cohen GTM 138 Alg. 2.6.7), so the
@@ -29,7 +35,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import floor, ceil, isqrt
+from math import floor, ceil, isqrt, lcm, prod
 from operator import mul
 from typing import Optional, Sequence
 
@@ -41,7 +47,7 @@ from .errors import (
     NotSymmetric,
     RankTooLarge,
 )
-from .exact_linalg import Matrix, det, hnf, inverse, rat, snf
+from .exact_linalg import Matrix, det, hnf_rows, inverse, rat, snf
 
 #: doubled root counts of the simply-laced types, used as a cross-check only
 _ROOT_COUNTS = {
@@ -93,32 +99,68 @@ class TraceLattice:
         return f"TraceLattice(ambient={self.ambient.descriptor()}{tag})"
 
 
+@lru_cache(maxsize=256)
+def _trace_form(ambient) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """(T', s) with T'/s = T, T[i][j] = Tr(e_i * conj(e_j)) on the power basis.
+
+    Derived once per ambient through the protocol; the Gram of any basis B
+    is then B T B^T, because mul_coords is bilinear and conj_coords linear."""
+    n = ambient.degree
+    unit = [tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n)]
+    conj = [ambient.conj_coords(e) for e in unit]
+    form = [
+        [ambient.trace_coords(ambient.mul_coords(e, ce)) for ce in conj]
+        for e in unit
+    ]
+    scale = lcm(*(Fraction(x).denominator for row in form for x in row))
+    return tuple(tuple(int(x * scale) for x in row) for row in form), scale
+
+
 def gram_of(basis: Matrix | Sequence[Sequence], ambient) -> Matrix:
-    """Exact Gram matrix Tr(b_i * conj(b_j)); raises DependentBasis if the
-    rows are linearly dependent (the trace form is definite, so dependence
-    is equivalent to a singular Gram)."""
+    """Exact Gram matrix Tr(b_i * conj(b_j)) = (B T B^T)[i][j]; raises
+    DependentBasis if the rows are linearly dependent and NotPositiveDefinite
+    if the form is not definite on them.
+
+    B and T are cleared to integers, so the two products run in int and each
+    entry pays one Fraction division."""
     if not isinstance(basis, Matrix):
         basis = Matrix.from_rows(basis)
-    rows = [basis.row(i) for i in range(basis.rows)]
-    conj_rows = [ambient.conj_coords(r) for r in rows]
-    g = [
-        [ambient.trace_coords(ambient.mul_coords(a, cb)) for cb in conj_rows]
-        for a in rows
-    ]
-    gram = Matrix(g)
-    assert gram == gram.transpose(), "trace pairing must be symmetric"
-    if det(gram) == 0:
-        raise DependentBasis("Gram matrix is singular")
-    _check_positive_definite(gram)
-    return gram
+    form, form_scale = _trace_form(ambient)
+    scale = basis.denominator_lcm()
+    b = [[x.numerator * (scale // x.denominator) for x in row] for row in basis.data]
+    bt = [[sum(map(mul, row, col)) for col in zip(*form)] for row in b]
+    g = [[sum(map(mul, row, other)) for other in b] for row in bt]
+    n = len(g)
+    assert all(
+        g[i][j] == g[j][i] for i in range(n) for j in range(i)
+    ), "trace pairing must be symmetric"
+    _check_positive_definite(g)
+    den = scale * scale * form_scale
+    return Matrix([[Fraction(x, den) for x in row] for row in g])
 
 
-def _check_positive_definite(gram: Matrix) -> None:
-    # leading principal minors of a symmetric matrix are all > 0 iff PD
-    for k in range(1, gram.rows + 1):
-        lead = Matrix([[gram[i, j] for j in range(k)] for i in range(k)])
-        if det(lead) <= 0:
+def _check_positive_definite(g: list[list[int]]) -> None:
+    """Sylvester's criterion in one fraction-free Bareiss pass without
+    pivoting: the k-th pivot is the k-th leading minor of g.
+
+    A failed pass means dependent rows (singular Gram, DependentBasis) or an
+    indefinite form (NotPositiveDefinite); only then is det computed, to
+    tell the two apart."""
+    a = [list(row) for row in g]
+    n = len(a)
+    prev = 1
+    for k in range(n):
+        pivot = a[k][k]
+        if pivot <= 0:
+            if det(Matrix(g)) == 0:
+                raise DependentBasis("Gram matrix is singular")
             raise NotPositiveDefinite("form is not positive definite")
+        for i in range(k + 1, n):
+            aik = a[i][k]
+            row_i, row_k = a[i], a[k]
+            for j in range(k + 1, n):
+                row_i[j] = (row_i[j] * pivot - aik * row_k[j]) // prev
+        prev = pivot
 
 
 def _check_symmetric(gram: Matrix) -> None:
@@ -350,20 +392,14 @@ def _iprod(g: list[list[int]], u: Sequence[int], v: Sequence[int]) -> int:
 
 
 def _roots_generate(vectors: list[tuple[int, ...]], n: int) -> bool:
-    h, _ = hnf(Matrix.from_rows(vectors))
+    h = hnf_rows([list(v) for v in vectors])
     pivots = []
-    for i in range(h.rows):
-        row = h.row(i)
+    for row in h:
         nz = [x for x in row if x != 0]
         if not nz:
             break
         pivots.append(nz[0])
-    if len(pivots) < n:
-        return False
-    prod = Fraction(1)
-    for p in pivots:
-        prod *= p
-    return prod == 1
+    return len(pivots) >= n and prod(pivots) == 1
 
 
 def _gram_images(g: list[list[int]], vectors) -> list[list[int]]:
@@ -521,9 +557,10 @@ def canonical_key(L: TraceLattice) -> tuple:
     The minimal k with k*L inside Z^n is basis-independent, and the row HNF
     of the cleared basis is the unique canonical basis of k*L."""
     scale = L.basis.denominator_lcm()
-    cleared = L.basis * scale
-    h, _ = hnf(cleared)
-    return (scale, tuple(tuple(int(x) for x in h.row(i)) for i in range(h.rows)))
+    h = hnf_rows(
+        [[x.numerator * (scale // x.denominator) for x in row] for row in L.basis.data]
+    )
+    return (scale, tuple(map(tuple, h)))
 
 
 def lattice_equal(L1: TraceLattice, L2: TraceLattice) -> bool:

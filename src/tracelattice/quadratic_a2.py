@@ -185,18 +185,31 @@ def falsify_a2(d: int, height: int, sign: int = -1) -> Optional[TraceLattice]:
     """Bounded exhaustive search for an A2 basis in Q(sqrt(+-d)): two
     norm-one points of height <= height with pairing -1.
 
+    The search runs in integers.  Every point from norm_one_points is
+    (a/m, k/m) with one denominator m, so for two points (a/m, k/m) and
+    (a'/m', k'/m') the pairing 2(x x' + d y y') = -1 is the integer identity
+
+        2(a a' + d k k') = -m m',
+
+    and the points are proportional exactly when a k' = k a'.  The pairs are
+    visited in the order of the sorted point list.
+
     Returns the witness lattice when one exists (so d = 3 yields the normal
     basis at height 2 already), or None when the sweep is empty; by the
     classification that is the expected outcome for every squarefree d != 3."""
     points = norm_one_points(d, height)
     ambient = QuadAmbient(d, sign)
-    for i, p in enumerate(points):
-        for q in points[i:]:
-            if 2 * (p[0] * q[0] + d * p[1] * q[1]) != -1:
+    scaled = [
+        (x.numerator, y.numerator * (x.denominator // y.denominator), x.denominator)
+        for x, y in points
+    ]
+    for i, (a, k, m) in enumerate(scaled):
+        for j, (a2, k2, m2) in enumerate(scaled[i:], i):
+            if 2 * (a * a2 + d * k * k2) != -m * m2:
                 continue
-            if p[0] * q[1] == p[1] * q[0]:
+            if a * k2 == k * a2:
                 continue  # proportional points never span
-            lattice = TraceLattice.from_rows(ambient, [p, q])
+            lattice = TraceLattice.from_rows(ambient, [points[i], points[j]])
             assert lattice.gram == A2_GRAM
             return lattice.with_type("A2")
     return None

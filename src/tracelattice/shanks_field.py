@@ -12,6 +12,7 @@ Elements live in the power basis (1, eps, eps^2); the normal basis
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 from typing import Iterable, Sequence
 
@@ -251,8 +252,12 @@ def _check_irreducible(t: Fraction) -> None:
                     raise Reducible(f"f_t has rational root {r} at t = {t}")
 
 
+@lru_cache(maxsize=256)
 def new_field(t: int | str | Fraction) -> ShanksField:
-    """Field handle for f_t; raises Reducible when f_t factors (e.g. t = -3/2)."""
+    """Field handle for f_t; raises Reducible when f_t factors (e.g. t = -3/2).
+
+    Memoized on t: a ShanksField is immutable, so every caller asking for
+    the same parameter shares one handle (and one irreducibility check)."""
     return ShanksField(t)
 
 

@@ -2,9 +2,12 @@
 
 Everything here is deliberately naive: short vectors by exhaustive box
 enumeration with numpy, lattice equivalence by brute-force row search over
-GL(n, Z), Gram matrices built straight from Dynkin diagram adjacency, and
-the square root of a cubic trace dual by search over all sublattices of the
-right index.  None of it shares code with the package under test.
+GL(n, Z), Gram matrices built straight from Dynkin diagram adjacency, the
+square root of a cubic trace dual by search over all sublattices of the
+right index, trace Grams from polynomial products and Newton sums, Hermite
+forms by extended-gcd row pairs, and the A2 falsification as a Fraction
+pair search over a box of points.  None of it shares code with the package
+under test.
 """
 from __future__ import annotations
 
@@ -394,3 +397,141 @@ def same_lattice(a, b) -> bool:
     """Do the rational bases a and b span the same Z-module?"""
     u = [_vecmat(row, _inverse(b)) for row in a]
     return all(x.denominator == 1 for r in u for x in r) and abs(_det3(u)) == 1
+
+
+# --- trace Grams from the definition ----------------------------------------
+
+def _poly_mod(p, minpoly):
+    """p mod the monic minpoly (ascending coefficients), padded to its degree."""
+    n = len(minpoly) - 1
+    p = [Fraction(c) for c in p]
+    for k in range(len(p) - 1, n - 1, -1):
+        c = p[k]
+        if c:
+            for i in range(n + 1):
+                p[k - n + i] -= c * minpoly[i]
+    return (p + [Fraction(0)] * n)[:n]
+
+
+def _newton_sums(minpoly) -> list[Fraction]:
+    """Power sums p_0 .. p_{n-1} of the roots of the monic minpoly."""
+    n = len(minpoly) - 1
+    c = [Fraction(x) for x in minpoly]  # x^n + c[n-1] x^{n-1} + ... + c[0]
+    sums = [Fraction(n)]
+    for k in range(1, n):
+        acc = k * c[n - k]
+        for i in range(1, k):
+            acc += c[n - i] * sums[k - i]
+        sums.append(-acc)
+    return sums
+
+
+def trace_gram(minpoly, conj, rows) -> list[list[Fraction]]:
+    """Tr(b_i * conj(b_j)) straight from the definition: the product of two
+    coordinate polynomials reduced mod the minpoly, and the trace of a
+    reduced polynomial as the sum of its coefficients times Newton sums."""
+    sums = _newton_sums(minpoly)
+
+    def product(a, b):
+        p = [Fraction(0)] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                p[i + j] += Fraction(x) * Fraction(y)
+        return _poly_mod(p, minpoly)
+
+    def tr(a):
+        return sum((x * s for x, s in zip(a, sums)), Fraction(0))
+
+    return [[tr(product(a, conj(b))) for b in rows] for a in rows]
+
+
+def shanks_minpoly(t) -> list[Fraction]:
+    t = Fraction(t)
+    return [Fraction(-1), -(t + 3), -t, Fraction(1)]
+
+
+#: Phi_n, ascending, for the orders the tests use
+CYCLOTOMIC_MINPOLY = {
+    5: [1, 1, 1, 1, 1],
+    7: [1, 1, 1, 1, 1, 1, 1],
+    12: [1, 0, -1, 0, 1],
+}
+
+
+def cyclotomic_conj(n: int):
+    """zeta -> zeta^-1 = zeta^(n-1) on power-basis coordinates."""
+    minpoly = CYCLOTOMIC_MINPOLY[n]
+
+    def conj(a):
+        p = [Fraction(0)] * n
+        for j, x in enumerate(a):
+            p[(n - j) % n] += Fraction(x)
+        return _poly_mod(p, minpoly)
+
+    return conj
+
+
+# --- Hermite normal form by extended-gcd row pairs --------------------------
+
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    x0, y0, x1, y1 = 1, 0, 0, 1
+    while b:
+        q = a // b
+        a, b = b, a - q * b
+        x0, x1 = x1, x0 - q * x1
+        y0, y1 = y1, y0 - q * y1
+    return a, x0, y0
+
+
+def hermite_form(rows) -> list[list[int]]:
+    """Row-style HNF: pivots positive, zeros below, entries above a pivot in
+    [0, pivot), zero rows last.  Each column is cleared by 2x2 unimodular
+    steps [[x, y], [-b/g, a/g]] with x a + y b = g = gcd(a, b)."""
+    a = [[int(x) for x in row] for row in rows]
+    m, n = len(a), len(a[0])
+    r = 0
+    for c in range(n):
+        if r == m:
+            break
+        for i in range(r + 1, m):
+            if a[i][c] == 0:
+                continue
+            if a[r][c] == 0:
+                a[r], a[i] = a[i], a[r]
+                continue
+            g, x, y = _xgcd(a[r][c], a[i][c])
+            p, q = a[r][c] // g, a[i][c] // g
+            a[r], a[i] = (
+                [x * u + y * v for u, v in zip(a[r], a[i])],
+                [-q * u + p * v for u, v in zip(a[r], a[i])],
+            )
+        if a[r][c] == 0:
+            continue
+        if a[r][c] < 0:
+            a[r] = [-u for u in a[r]]
+        for i in range(r):
+            f = a[i][c] // a[r][c]
+            a[i] = [u - f * v for u, v in zip(a[i], a[r])]
+        r += 1
+    return a
+
+
+# --- A2 falsification by Fraction pair search --------------------------------
+
+def a2_witness_by_search(d: int, height: int):
+    """First pair (p, q), p <= q in the sorted list of the rational points
+    (a/m, k/m) with m <= height and |a|, |k| <= m on x^2 + d y^2 = 1, whose
+    pairing 2(x x' + d y y') is -1 and which are not proportional; None when
+    there is no such pair."""
+    points = set()
+    for m in range(1, height + 1):
+        for a in range(-m, m + 1):
+            for k in range(-m, m + 1):
+                if a * a + d * k * k == m * m:  # (a/m)^2 + d (k/m)^2 = 1
+                    points.add((Fraction(a, m), Fraction(k, m)))
+    points = sorted(points)
+    for i, p in enumerate(points):
+        for q in points[i:]:
+            if 2 * (p[0] * q[0] + d * p[1] * q[1]) == -1 and p[0] * q[1] != p[1] * q[0]:
+                return p, q
+    return None

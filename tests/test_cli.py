@@ -7,7 +7,11 @@ import sys
 
 import pytest
 
+import tracelattice
 from tracelattice.cli import main
+
+# the directory holding the package under test, for child interpreters
+SRC = os.path.dirname(os.path.dirname(tracelattice.__file__))
 
 
 def run_cli(args, capsys):
@@ -19,7 +23,7 @@ def run_cli(args, capsys):
 
 def run_proc(args, env_extra=None):
     env = dict(os.environ)
-    env.pop("TRACE_LATTICE_THREADS", None)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     if env_extra:
         env.update(env_extra)
     return subprocess.run(
@@ -146,19 +150,16 @@ def test_gen_selfdual_identity_grams(capsys):
     assert all(doc["gram"] == eye for doc in docs)
 
 
-def test_gen_a3_deterministic_bytes_incl_threads():
+def test_gen_a3_deterministic_bytes():
     base = run_proc(["gen-a3", "--t", "1/3", "--height", "4"])
     again = run_proc(["gen-a3", "--t", "1/3", "--height", "4"])
-    pooled = run_proc(
+    # the removed thread-count variable is ignored, whatever its value
+    stray = run_proc(
         ["gen-a3", "--t", "1/3", "--height", "4"],
-        env_extra={"TRACE_LATTICE_THREADS": "4"},
-    )
-    serial = run_proc(
-        ["gen-a3", "--t", "1/3", "--height", "4"],
-        env_extra={"TRACE_LATTICE_THREADS": "0"},
+        env_extra={"TRACE_LATTICE_THREADS": "abc"},
     )
     assert base.returncode == 0
-    assert base.stdout == again.stdout == pooled.stdout == serial.stdout
+    assert base.stdout == again.stdout == stray.stdout
 
 
 def test_gen_a3_classify_round_trip(capsys):
@@ -337,6 +338,38 @@ def test_reparam_flag_shape_errors():
 # ---------------------------------------------------------------------------
 # top-level usage
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["cyclotomic", "--n", "2", "--generator", "z"],
+        ["gen-a3", "--t", "1", "--height", "-1"],
+        ["gen-selfdual", "--t", "1", "--height", "-1"],
+        ["quad-a2", "--d", "3", "--height", "-1"],
+        ["quad-a2", "--d", "5", "--height", "-1", "--falsify"],
+        ["gen-a3", "--t", "1", "--height", "2", "--json", "/nonexistent/x.json"],
+    ],
+)
+def test_bad_input_is_a_usage_error_without_traceback(args):
+    r = run_proc(args)
+    assert r.returncode == 2
+    assert "Traceback" not in r.stderr
+    assert r.stdout == ""
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["gen-a3", "--t", "1", "--height", "0"],
+        ["gen-selfdual", "--t", "1", "--height", "0"],
+        ["quad-a2", "--d", "3", "--height", "0"],
+        ["quad-a2", "--d", "5", "--height", "0", "--falsify"],
+    ],
+)
+def test_height_zero_is_valid(args, capsys):
+    code, doc = run_cli(args, capsys)
+    assert code == 0 and doc is not None
+
 
 def test_unknown_subcommand_is_exit_2():
     assert run_proc(["frobnicate"]).returncode == 2

@@ -5,34 +5,42 @@ pure-Gram lattices can exercise dual/classify/equality without field data.
 """
 from __future__ import annotations
 
+import math
 import random
 import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from oracles import (
+    CYCLOTOMIC_MINPOLY,
     ROOT_COUNTS,
     box_short_vectors,
     conjugate_gram,
+    cyclotomic_conj,
     fraction_det,
     gram_A,
     gram_D,
     gram_E,
     gram_equivalent,
     gram_schmidt,
+    hermite_form,
     random_equivalent_gram,
     random_unimodular,
+    shanks_minpoly,
+    trace_gram,
 )
+from tracelattice.cyclotomic_ideals import cyc_field
 from tracelattice.errors import (
     AmbientMismatch,
+    DependentBasis,
     NotIntegral,
     NotPositiveDefinite,
     NotSymmetric,
     RankTooLarge,
 )
-from tracelattice.exact_linalg import Matrix, det, inverse
+from tracelattice.exact_linalg import Matrix, det, hnf, inverse
 from tracelattice.lattice_core import (
     TraceLattice,
     _lll_gram,
@@ -50,6 +58,7 @@ from tracelattice.lattice_core import (
     short_vectors,
     short_vectors_gram,
 )
+from tracelattice.quadratic_a2 import QuadAmbient
 from tracelattice.shanks_field import new_field, sigma, trace_pair
 
 F = Fraction
@@ -125,6 +134,70 @@ def test_shanks_trace_gram_example():
         ))
     g = gram_of(rows, k)
     assert g == Matrix.from_rows([[2, 1, 1], [1, 2, 1], [1, 1, 2]])
+
+
+def _identity_conj(a):
+    return list(a)
+
+
+def _quad_conj(sign):
+    return _identity_conj if sign > 0 else (lambda a: [a[0], -F(a[1])])
+
+
+# (ambient, minpoly, conjugation) with the oracle's own field data
+TRACE_CASES = (
+    [(new_field(t), shanks_minpoly(t), _identity_conj)
+     for t in (1, F(-1, 2), F(5, 2), F(-13, 2))]
+    + [(cyc_field(n), CYCLOTOMIC_MINPOLY[n], cyclotomic_conj(n)) for n in (5, 7, 12)]
+    + [(QuadAmbient(d, sign), [-sign * d, 0, 1], _quad_conj(sign))
+       for d in (2, 3, 7) for sign in (-1, 1)]
+)
+
+
+def _random_rational_basis(rng, n):
+    while True:
+        rows = [[F(rng.randint(-9, 9), rng.choice([1, 2, 3, 5, 6])) for _ in range(n)]
+                for _ in range(n)]
+        if fraction_det(rows) != 0:
+            return rows
+
+
+def _ambient_id(ambient) -> str:
+    return "-".join(str(v) for v in ambient.descriptor().values())
+
+
+@pytest.mark.parametrize(
+    "ambient, minpoly, conj", TRACE_CASES, ids=[_ambient_id(c[0]) for c in TRACE_CASES]
+)
+def test_gram_of_matches_trace_definition(ambient, minpoly, conj):
+    rng = random.Random(_ambient_id(ambient))
+    for _ in range(3):
+        rows = _random_rational_basis(rng, ambient.degree)
+        assert gram_of(rows, ambient) == Matrix.from_rows(trace_gram(minpoly, conj, rows))
+
+
+@pytest.mark.parametrize(
+    "ambient",
+    [case[0] for case in TRACE_CASES] + [FormAmbient(gram_A(3))],
+    ids=[_ambient_id(c[0]) for c in TRACE_CASES] + ["form-A3"],
+)
+def test_gram_of_dependent_rows_raise(ambient):
+    n = ambient.degree
+    rows = _random_rational_basis(random.Random(n), n)
+    with pytest.raises(DependentBasis):
+        gram_of([rows[0], [F(-3, 2) * x for x in rows[0]]] + rows[2:], ambient)
+    with pytest.raises(DependentBasis):
+        gram_of([[0] * n] + rows[1:], ambient)
+
+
+def test_gram_of_indefinite_form_raises():
+    # each form fails Sylvester's criterion at a different leading minor
+    for form in ([[-1]], [[1, 2], [2, 1]], [[2, 1, 0], [1, 2, 3], [0, 3, 1]]):
+        with pytest.raises(NotPositiveDefinite):
+            lattice_from_gram(form)
+    # a singular form is a dependent basis, as the Gram is singular
+    with pytest.raises(DependentBasis):
+        lattice_from_gram([[1, 1], [1, 1]])
 
 
 # --- dual and discriminant group ------------------------------------------------
@@ -476,6 +549,28 @@ def test_odd_witness_none_iff_even(seed):
 
 
 # --- identity and stability ----------------------------------------------------------
+
+square_rationals = st.integers(min_value=1, max_value=4).flatmap(
+    lambda n: st.lists(
+        st.tuples(st.integers(-9, 9), st.integers(1, 6)),
+        min_size=n * n,
+        max_size=n * n,
+    ).map(lambda xs: [[F(*xs[i * n + j]) for j in range(n)] for i in range(n)])
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(square_rationals)
+def test_canonical_key_is_the_hnf_of_the_cleared_basis(rows):
+    assume(fraction_det(rows) != 0)
+    n = len(rows)
+    L = TraceLattice.from_rows(FormAmbient(gram_A(n)), rows)
+    scale, key_rows = canonical_key(L)
+    assert scale == math.lcm(*(x.denominator for row in rows for x in row))
+    cleared = [[int(x * scale) for x in row] for row in rows]
+    assert Matrix.from_rows(key_rows) == hnf(Matrix.from_rows(cleared))[0]
+    assert [list(r) for r in key_rows] == hermite_form(cleared)
+
 
 def test_lattice_equal_under_basis_permutation():
     amb = FormAmbient(A3)

@@ -15,6 +15,7 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import a2_witness_by_search
 from tracelattice.errors import ZeroSlopePair
 from tracelattice.exact_linalg import Matrix
 from tracelattice.lattice_core import (
@@ -35,6 +36,7 @@ from tracelattice.quadratic_a2 import (
     normal_basis_search,
     pairing,
 )
+from tracelattice.serialize import lattice_json
 
 F = Fraction
 
@@ -286,6 +288,20 @@ def test_falsifier_finds_d3_witness_at_height_two():
 @pytest.mark.parametrize("d", [1, 2, 5, 6, 7])
 def test_falsifier_empty_for_other_d(d):
     assert falsify_a2(d, 50) is None
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 7, 11])
+@pytest.mark.parametrize("height", [1, 2, 13, 60])
+@pytest.mark.parametrize("sign", [-1, 1])
+def test_falsifier_matches_fraction_pair_search(d, height, sign):
+    expected = a2_witness_by_search(d, height)
+    witness = falsify_a2(d, height, sign)
+    if expected is None:
+        assert witness is None
+        return
+    assert witness is not None
+    assert lattice_json(witness)["basis"] == [[str(c) for c in p] for p in expected]
+    assert witness.gram == A2_GRAM
 
 
 def test_falsifier_rejects_non_squarefree():
