@@ -18,8 +18,9 @@ of either kind, every one carrying a normal basis by construction.
 """
 from __future__ import annotations
 
-import logging
 from fractions import Fraction
+from math import lcm
+from operator import mul
 from typing import NamedTuple, Optional
 
 from .conic_points import (
@@ -42,18 +43,19 @@ from .lattice_core import (
     canonical_key,
     classify_root_type,
     dual,
+    galois_matrices,
     galois_stable,
-    lattice_equal,
 )
-from .shanks_field import bracket, new_field, sigma
-
-logger = logging.getLogger(__name__)
+from .shanks_field import bracket, new_field
 
 LambdaVector = tuple[Fraction, Fraction, Fraction]
 
 #: Gram of the normal A3 basis and the standard A3 Gram it base-changes to
 NORMAL_A3_GRAM = Matrix.from_rows([[2, 1, 1], [1, 2, 1], [1, 1, 2]])
 STANDARD_A3_GRAM = Matrix.from_rows([[2, -1, 0], [-1, 2, -1], [0, -1, 2]])
+#: unimodular P with P * NORMAL_A3_GRAM * P^T = STANDARD_A3_GRAM
+_NORMAL_TO_STANDARD = Matrix.from_rows([[1, 0, 0], [-1, 1, 0], [0, -1, 1]])
+_IDENTITY_3 = Matrix.identity(3)
 
 
 class TraceTarget(NamedTuple):
@@ -99,69 +101,110 @@ def lambda_from_point(t, target: TraceTarget, point: ConicPoint) -> LambdaVector
 
     lam0 = (2tx/delta + f) / 3t, and lam1, lam2 split off y; lam1 always
     takes the + branch so output is deterministic (the - choice relabels
-    the same normal basis)."""
+    the same normal basis).
+
+    With t = p/q, D = q^2 delta = p^2 + 3pq + 9q^2 and x, y, f = X/m, Y/m,
+    F/m over their common denominator m, the three weights share one
+    denominator: lam_i = q n_i / (3pDm) with
+
+        n0 = FD + 2pqX,   n1 = FD - pqX + 3pqY,   n2 = FD - pqX - 3pqY,
+
+    so the conic check, the residual discriminant and the final target
+    check all run in int on (X, Y, F) and the n_i."""
     t = rat(t)
     if t == 0:
         raise ZeroParameter("the weight recovery divides by t")
     d, e, f = (rat(v) for v in target)
     assert f * f == d + 2 * e, "inconsistent target: f^2 != d + 2e"
-    delta = t * t + 3 * t + 9
+    p, q = t.numerator, t.denominator
+    big_d = p * p + 3 * p * q + 9 * q * q
     x, y = point.as_pair()
-    if x * x + 3 * y * y != (d - e) * delta:
+    m = lcm(x.denominator, y.denominator, f.denominator)
+    big_x, big_y, big_f = (v.numerator * (m // v.denominator) for v in (x, y, f))
+    c = d - e
+    if c.denominator * q * q * (big_x * big_x + 3 * big_y * big_y) != (
+        c.numerator * big_d * m * m
+    ):
         raise PointNotOnConic(
-            f"({x}, {y}) is not on x^2 + 3y^2 = {(d - e) * delta}"
+            f"({x}, {y}) is not on x^2 + 3y^2 = {c * (t * t + 3 * t + 9)}"
         )
-    lam0 = (2 * t * x / delta + f) / (3 * t)
+    pq = p * q
+    fd = big_f * big_d
+    n0 = fd + 2 * pq * big_x
+    n1 = fd - pq * big_x + 3 * pq * big_y
+    n2 = fd - pq * big_x - 3 * pq * big_y
     # the discriminant of the residual quadratic in lam1, recomputed from
-    # the closed form and matched against the y-coordinate
-    residual_disc = (
-        -Fraction(1, 3) * (3 * t * lam0 - f) ** 2
-        + (4 * t * t * f * f - 12 * t * t * e) / (3 * delta)
-    )
-    assert residual_disc == (2 * t * y / delta) ** 2
-    half_sum = f - t * lam0
-    lam1 = (half_sum + 2 * t * y / delta) / (2 * t)
-    lam2 = (half_sum - 2 * t * y / delta) / (2 * t)
-    lam = (lam0, lam1, lam2)
-    assert trace_targets_of(t, lam) == (d, e)
-    return lam
+    # lam0 (3t lam0 - f = (n0 - FD)/Dm) and matched against (2ty/delta)^2,
+    # all over 3 D^2 m^2 e.denominator
+    r = n0 - fd
+    assert e.denominator * (
+        4 * p * p * big_d * big_f * big_f - r * r - 12 * pq * pq * big_y * big_y
+    ) == 12 * p * p * big_d * e.numerator * m * m
+    # trace_targets_of on lam = q n / R: both sides over R^2
+    big_r = 3 * p * big_d * m
+    big_l = n0 + n1 + n2
+    big_q = n0 * n1 + n0 * n2 + n1 * n2
+    r2 = big_r * big_r
+    assert d.denominator * (
+        (p * p + 2 * pq + 6 * q * q) * big_l * big_l - 2 * big_d * big_q
+    ) == d.numerator * r2
+    assert e.denominator * (
+        big_d * big_q - q * (p + 3 * q) * big_l * big_l
+    ) == e.numerator * r2
+    return (Fraction(q * n0, big_r), Fraction(q * n1, big_r), Fraction(q * n2, big_r))
 
 
-def normal_basis_lattice(t, lam) -> TraceLattice:
+def normal_basis_lattice(t, lam, targets=None) -> TraceLattice:
     """Lattice spanned by the sigma-orbit of beta = <lam, eps-orbit>.
 
     Gram is the circulant of (d, e) by the Galois symmetry; raises
-    DegenerateLambda when the three conjugates are linearly dependent."""
+    DegenerateLambda when the three conjugates are linearly dependent.
+    targets is (d, e) when the caller has already certified it for lam
+    (lambda_from_point); by default it is recomputed by trace_targets_of.
+    The conjugates beta S and beta S^2 are computed in int on the cleared
+    beta, with S'/s the integer matrix of sigma (galois_matrices)."""
     field = new_field(t)
-    beta = bracket(field, lam)
-    beta_s = sigma(beta)
-    rows = [beta.coords, beta_s.coords, sigma(beta_s).coords]
+    (row,), den = Matrix([bracket(field, lam).coords]).cleared()
+    ((s_rows, s),) = galois_matrices(field)
+    cols = list(zip(*s_rows))
+    rows = [[Fraction(v, den) for v in row]]
+    for _ in range(2):
+        row = [sum(map(mul, row, col)) for col in cols]
+        den *= s
+        rows.append([Fraction(v, den) for v in row])
     try:
         lattice = TraceLattice.from_rows(field, rows)
     except DependentBasis as exc:
         raise DegenerateLambda(
             f"conjugates of the weighted element are dependent for lam = {lam}"
         ) from exc
-    d, e = trace_targets_of(t, lam)
+    d, e = trace_targets_of(t, lam) if targets is None else targets
     expected = Matrix.from_rows([[d, e, e], [e, d, e], [e, e, d]])
     assert lattice.gram == expected, "orbit Gram must be circulant in (d, e)"
     return lattice
 
 
-def to_a3_basis(lattice: TraceLattice) -> TraceLattice:
+def to_a3_basis(lattice: TraceLattice, key: tuple | None = None) -> TraceLattice:
     """Base change from the normal-basis Gram to the standard A3 Gram.
 
-    The new basis spans the same lattice (the transform is unimodular)."""
+    The new basis spans the same lattice (the transform is unimodular); that
+    is checked against key, the lattice's canonical_key (computed when not
+    given).  The new Gram is P G P^T in int."""
     if lattice.gram != NORMAL_A3_GRAM:
         raise WrongGram(
             "expected the normal A3 Gram [[2,1,1],[1,2,1],[1,1,2]], got "
             f"{lattice.gram!r}"
         )
-    transform = Matrix.from_rows([[1, 0, 0], [-1, 1, 0], [0, -1, 1]])
-    out = TraceLattice(lattice.ambient, transform * lattice.basis)
+    p = _NORMAL_TO_STANDARD.to_int_rows()
+    g = lattice.gram.to_int_rows()
+    pg = [[sum(map(mul, row, col)) for col in zip(*g)] for row in p]
+    gram = Matrix([[sum(map(mul, row, other)) for other in p] for row in pg])
+    out = TraceLattice(
+        lattice.ambient, _NORMAL_TO_STANDARD * lattice.basis, gram, "A3"
+    )
     assert out.gram == STANDARD_A3_GRAM
-    assert lattice_equal(out, lattice)
-    return out.with_type("A3")
+    assert canonical_key(out) == (canonical_key(lattice) if key is None else key)
+    return out
 
 
 def identity_to_a3_transform() -> Matrix:
@@ -179,6 +222,8 @@ class FamilyMember(NamedTuple):
     point: ConicPoint
     slope: Optional[Fraction]
     lam0_denominator: int
+    #: canonical_key of the lattice, when the producer already computed it
+    key: Optional[tuple] = None
 
 
 class FamilyScan(NamedTuple):
@@ -210,9 +255,12 @@ def scan_family(t, height: int, target: TraceTarget = TARGET_A3) -> FamilyScan:
         seen_points.add(point)
         lam = lambda_from_point(t, target, point)
         try:
-            lattice = normal_basis_lattice(t, lam)
+            lattice = normal_basis_lattice(t, lam, (target.d, target.e))
         except DegenerateLambda:
-            logger.info(
+            # imported here: no other path logs, and start-up pays for it
+            import logging
+
+            logging.getLogger(__name__).info(
                 "skipping degenerate weights lam=%s at point %s (t=%s)",
                 lam, point, t,
             )
@@ -223,15 +271,15 @@ def scan_family(t, height: int, target: TraceTarget = TARGET_A3) -> FamilyScan:
             continue
         seen_keys.add(key)
         if target == TARGET_A3:
-            to_a3_basis(lattice)  # exact Gram + same-lattice certificates
+            to_a3_basis(lattice, key)  # exact Gram + same-lattice certificates
             label = classify_root_type(lattice)
             assert label == "A3"
         else:
-            assert lattice.gram == Matrix.identity(3)
-            assert lattice_equal(dual(lattice), lattice)
+            assert lattice.gram == _IDENTITY_3
+            assert canonical_key(dual(lattice)) == key, "L must equal its dual"
             label = classify_root_type(lattice)
             assert label == "unimodular_odd"
-        assert galois_stable(lattice)
+        assert galois_stable(lattice, key)
         members.append(
             FamilyMember(
                 lattice.with_type(label),
@@ -239,6 +287,7 @@ def scan_family(t, height: int, target: TraceTarget = TARGET_A3) -> FamilyScan:
                 point,
                 slope,
                 lam[0].denominator,
+                key,
             )
         )
     return FamilyScan(members, skipped)

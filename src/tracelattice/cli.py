@@ -73,6 +73,15 @@ def _join_negative_t(argv: list[str]) -> list[str]:
     return out
 
 
+def _reject_joined_double_dash(parser: argparse.ArgumentParser, argv: list[str]) -> None:
+    """argparse drops a "--" value written as "--flag=--" and passes [] on
+    as the flag's value; that is a missing argument, so say so."""
+    for token in argv:
+        flag, sep, value = token.partition("=")
+        if flag.startswith("--") and sep and value == "--":
+            parser.error(f"argument {flag}: expected one argument")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tracelattice",
@@ -258,6 +267,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     if argv is None:
         argv = sys.argv[1:]
+    _reject_joined_double_dash(parser, argv)
     args = parser.parse_args(_join_negative_t(argv))
 
     try:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import NonSquareMatrix, NotInteger, SingularMatrix
@@ -106,12 +107,13 @@ class Matrix:
             return Matrix([[x * s for x in row] for row in self.data])
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
-        cols = list(zip(*other.data))
+        # integer product of the cleared matrices, one division per entry
+        a, sa = self.cleared()
+        b, sb = other.cleared()
+        den = sa * sb
+        cols = list(zip(*b))
         return Matrix(
-            [
-                [sum(a * b for a, b in zip(row, col)) for col in cols]
-                for row in self.data
-            ]
+            [[Fraction(sum(map(mul, row, col)), den) for col in cols] for row in a]
         )
 
     def __rmul__(self, other: "int | Fraction") -> "Matrix":
@@ -131,6 +133,14 @@ class Matrix:
 
     def denominator_lcm(self) -> int:
         return lcm(*[x.denominator for row in self.data for x in row])
+
+    def cleared(self) -> tuple[list[list[int]], int]:
+        """(m', s) with m'/s = self, s the least common denominator."""
+        scale = self.denominator_lcm()
+        return (
+            [[x.numerator * (scale // x.denominator) for x in row] for row in self.data],
+            scale,
+        )
 
     def to_int_rows(self) -> list[list[int]]:
         if not self.is_integer():
@@ -163,8 +173,7 @@ def det(m: Matrix) -> Fraction:
     """Exact determinant via Bareiss elimination on the cleared matrix."""
     if not m.is_square():
         raise NonSquareMatrix(f"{m.rows}x{m.cols}")
-    scale = m.denominator_lcm()
-    ints = [[int(x * scale) for x in row] for row in m.data]
+    ints, scale = m.cleared()
     d = _bareiss_det(ints)
     return Fraction(d, scale**m.rows)
 

@@ -10,13 +10,17 @@ object implementing the small protocol used here:
     conj_coords(a)   -- complex conjugation (identity when totally real);
                         Q-linear
     trace_coords(a)  -- trace of the multiplication operator
-    galois_maps()    -- coordinate maps generating the automorphism group
+    galois_maps()    -- Q-linear coordinate maps generating the automorphism
+                        group
     descriptor()     -- JSON-friendly identity, used for ambient equality
 
 Because the pairing Tr(x * conj(y)) is then Q-bilinear, the Gram of a basis
 B is B T B^T with T[i][j] = Tr(e_i * conj(e_j)) on the power basis.  T is
 derived from the protocol once per ambient (ambients are hashable and equal
-ambients share it), and each Gram costs two integer matrix products.
+ambients share it), and each Gram costs two integer matrix products.  The
+same holds for each Galois generator: its matrix S (row x maps to x S) is
+derived once per ambient, and Galois stability is a membership test of the
+images H S against the lattice's own integer HNF H, with no inverse.
 
 Short vectors are enumerated by Fincke-Pohst on the LLL-reduced Gram (an
 exact integral LLL on the Gram alone, Cohen GTM 138 Alg. 2.6.7), so the
@@ -35,7 +39,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import floor, ceil, isqrt, lcm, prod
+from math import floor, ceil, isqrt, prod
 from operator import mul
 from typing import Optional, Sequence
 
@@ -99,21 +103,37 @@ class TraceLattice:
         return f"TraceLattice(ambient={self.ambient.descriptor()}{tag})"
 
 
+def _unit_vectors(n: int) -> list[tuple[Fraction, ...]]:
+    return [tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n)]
+
+
 @lru_cache(maxsize=256)
 def _trace_form(ambient) -> tuple[tuple[tuple[int, ...], ...], int]:
     """(T', s) with T'/s = T, T[i][j] = Tr(e_i * conj(e_j)) on the power basis.
 
     Derived once per ambient through the protocol; the Gram of any basis B
     is then B T B^T, because mul_coords is bilinear and conj_coords linear."""
-    n = ambient.degree
-    unit = [tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n)]
+    unit = _unit_vectors(ambient.degree)
     conj = [ambient.conj_coords(e) for e in unit]
-    form = [
-        [ambient.trace_coords(ambient.mul_coords(e, ce)) for ce in conj]
-        for e in unit
-    ]
-    scale = lcm(*(Fraction(x).denominator for row in form for x in row))
-    return tuple(tuple(int(x * scale) for x in row) for row in form), scale
+    form, scale = Matrix(
+        [[ambient.trace_coords(ambient.mul_coords(e, ce)) for ce in conj] for e in unit]
+    ).cleared()
+    return tuple(map(tuple, form)), scale
+
+
+@lru_cache(maxsize=256)
+def galois_matrices(ambient) -> tuple[tuple[tuple[tuple[int, ...], ...], int], ...]:
+    """(S', s) per generator in galois_maps() order, with S'/s = S the
+    matrix of the map on row coordinates: the image of a row x is x S.
+
+    Derived once per ambient through the protocol (the maps are Q-linear,
+    so row i of S is the image of the i-th power-basis vector)."""
+    unit = _unit_vectors(ambient.degree)
+    out = []
+    for gmap in ambient.galois_maps():
+        rows, scale = Matrix([gmap(e) for e in unit]).cleared()
+        out.append((tuple(map(tuple, rows)), scale))
+    return tuple(out)
 
 
 def gram_of(basis: Matrix | Sequence[Sequence], ambient) -> Matrix:
@@ -126,8 +146,7 @@ def gram_of(basis: Matrix | Sequence[Sequence], ambient) -> Matrix:
     if not isinstance(basis, Matrix):
         basis = Matrix.from_rows(basis)
     form, form_scale = _trace_form(ambient)
-    scale = basis.denominator_lcm()
-    b = [[x.numerator * (scale // x.denominator) for x in row] for row in basis.data]
+    b, scale = basis.cleared()
     bt = [[sum(map(mul, row, col)) for col in zip(*form)] for row in b]
     g = [[sum(map(mul, row, other)) for other in b] for row in bt]
     n = len(g)
@@ -182,9 +201,9 @@ def dual(L: TraceLattice) -> TraceLattice:
     """The dual lattice: rows of inverse(gram)*basis are the dual basis.
 
     dual is an involution, and the dual Gram is the inverse Gram (checked)."""
-    dual_basis = inverse(L.gram) * L.basis
-    out = TraceLattice(L.ambient, dual_basis)
-    assert out.gram == inverse(L.gram), "dual Gram must be the inverse Gram"
+    gram_inv = inverse(L.gram)
+    out = TraceLattice(L.ambient, gram_inv * L.basis)
+    assert out.gram == gram_inv, "dual Gram must be the inverse Gram"
     return out
 
 
@@ -363,8 +382,8 @@ def short_vectors_gram(
     if bound < 0:
         return []
     _check_symmetric(gram)
-    scale = gram.denominator_lcm()
-    reduced, u = _lll_gram([[int(x * scale) for x in row] for row in gram.data])
+    ints, scale = gram.cleared()
+    reduced, u = _lll_gram(ints)
     red = Matrix([[Fraction(x, scale) for x in row] for row in reduced])
     cols = list(zip(*u))
     found = {
@@ -556,11 +575,8 @@ def canonical_key(L: TraceLattice) -> tuple:
 
     The minimal k with k*L inside Z^n is basis-independent, and the row HNF
     of the cleared basis is the unique canonical basis of k*L."""
-    scale = L.basis.denominator_lcm()
-    h = hnf_rows(
-        [[x.numerator * (scale // x.denominator) for x in row] for row in L.basis.data]
-    )
-    return (scale, tuple(map(tuple, h)))
+    rows, scale = L.basis.cleared()
+    return (scale, tuple(map(tuple, hnf_rows(rows))))
 
 
 def lattice_equal(L1: TraceLattice, L2: TraceLattice) -> bool:
@@ -571,14 +587,36 @@ def lattice_equal(L1: TraceLattice, L2: TraceLattice) -> bool:
     return canonical_key(L1) == canonical_key(L2)
 
 
-def galois_stable(L: TraceLattice) -> bool:
-    """True iff every generator of the ambient automorphism group maps each
-    basis vector back into the lattice."""
-    binv = inverse(L.basis)
-    for gmap in L.ambient.galois_maps():
-        for i in range(L.basis.rows):
-            image = gmap(L.basis.row(i))
-            coeffs = Matrix([list(image)]) * binv
-            if not coeffs.is_integer():
+def _in_span(h: Sequence[Sequence[int]], v: list[int]) -> bool:
+    """Is the integer row v in the Z-span of the row HNF h?  Each pivot row
+    is subtracted as often as its pivot goes into v's entry there (Cohen,
+    GTM 138, Sec. 2.4.3); v is in the span iff nothing is left."""
+    for row in h:
+        c = next((j for j, x in enumerate(row) if x), None)
+        if c is None:
+            break
+        q = v[c] // row[c]
+        if q:
+            v = [a - q * b for a, b in zip(v, row)]
+    return not any(v)
+
+
+def galois_stable(L: TraceLattice, key: tuple | None = None) -> bool:
+    """True iff every generator of the ambient automorphism group maps the
+    lattice into itself.
+
+    With (k, H) = canonical_key(L) (pass it as key when it is already
+    known), H is an integer basis of kL and each generator acts by S'/s
+    (galois_matrices).  The lattice is stable iff every image h S'/s of an
+    HNF row is integral and lies in the span of H.  All of it is int
+    arithmetic; no inverse of the basis is formed."""
+    _, h = canonical_key(L) if key is None else key
+    for gen, scale in galois_matrices(L.ambient):
+        cols = list(zip(*gen))
+        for row in h:
+            image = [sum(map(mul, row, col)) for col in cols]
+            if any(x % scale for x in image):
+                return False
+            if not _in_span(h, [x // scale for x in image]):
                 return False
     return True

@@ -350,10 +350,8 @@ def bracket(field: ShanksField, lam: Sequence[int | str | Fraction]) -> FieldEle
     """
     if field.t == 0:
         raise ZeroParameter()
-    l0, l1, l2 = (rat(x) for x in lam)
-    e0, e1, e2 = field.orbit_coords()
-    coords = tuple(l0 * a + l1 * b + l2 * c for a, b, c in zip(e0, e1, e2))
-    return FieldElement(field, coords)
+    product = Matrix([list(lam)]) * Matrix(field.orbit_coords())
+    return FieldElement(field, product.row(0))
 
 
 def normal_coords(field: ShanksField, a: FieldElement) -> Coords:

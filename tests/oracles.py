@@ -5,9 +5,10 @@ enumeration with numpy, lattice equivalence by brute-force row search over
 GL(n, Z), Gram matrices built straight from Dynkin diagram adjacency, the
 square root of a cubic trace dual by search over all sublattices of the
 right index, trace Grams from polynomial products and Newton sums, Hermite
-forms by extended-gcd row pairs, and the A2 falsification as a Fraction
-pair search over a box of points.  None of it shares code with the package
-under test.
+forms by extended-gcd row pairs, the A2 falsification as a Fraction
+pair search over a box of points, and Galois stability as integrality of
+B S B^-1 by Gauss-Jordan, with each field's automorphisms written out from
+their definitions.  None of it shares code with the package under test.
 """
 from __future__ import annotations
 
@@ -454,21 +455,27 @@ def shanks_minpoly(t) -> list[Fraction]:
 CYCLOTOMIC_MINPOLY = {
     5: [1, 1, 1, 1, 1],
     7: [1, 1, 1, 1, 1, 1, 1],
+    8: [1, 0, 0, 0, 1],
     12: [1, 0, -1, 0, 1],
 }
 
 
-def cyclotomic_conj(n: int):
-    """zeta -> zeta^-1 = zeta^(n-1) on power-basis coordinates."""
+def cyclotomic_power_map(n: int, k: int):
+    """zeta -> zeta^k on power-basis coordinates: a(zeta) -> a(zeta^k)."""
     minpoly = CYCLOTOMIC_MINPOLY[n]
 
-    def conj(a):
+    def apply(a):
         p = [Fraction(0)] * n
         for j, x in enumerate(a):
-            p[(n - j) % n] += Fraction(x)
+            p[(k * j) % n] += Fraction(x)
         return _poly_mod(p, minpoly)
 
-    return conj
+    return apply
+
+
+def cyclotomic_conj(n: int):
+    """zeta -> zeta^-1 = zeta^(n-1) on power-basis coordinates."""
+    return cyclotomic_power_map(n, n - 1)
 
 
 # --- Hermite normal form by extended-gcd row pairs --------------------------
@@ -535,3 +542,50 @@ def a2_witness_by_search(d: int, height: int):
             if 2 * (p[0] * q[0] + d * p[1] * q[1]) == -1 and p[0] * q[1] != p[1] * q[0]:
                 return p, q
     return None
+
+
+# --- Galois stability as integrality of B S B^-1 -----------------------------
+
+def shanks_automorphisms(t) -> list:
+    """sigma and sigma^2 of Q[x]/(x^3 - t x^2 - (t+3) x - 1), from the
+    definition eps^sigma = -1/(1+eps): u = eps^sigma solves (1+eps) u = -1,
+    found by inverting the multiplication-by-(1+eps) matrix, and then
+    a0 + a1 eps + a2 eps^2 maps to a0 + a1 u + a2 u^2."""
+    t = Fraction(t)
+    unit = [[Fraction(int(i == j)) for j in range(3)] for i in range(3)]
+    times = [_shanks_mul(t, [1, 1, 0], e) for e in unit]
+    u = _vecmat([-1, 0, 0], _inverse(times))
+    assert _shanks_mul(t, [1, 1, 0], u) == [-1, 0, 0]
+
+    def power_map(images):
+        return lambda a: _vecmat([Fraction(x) for x in a], images)
+
+    sigma = [[1, 0, 0], u, _shanks_mul(t, u, u)]
+    sigma2 = [_vecmat(row, sigma) for row in sigma]
+    return [power_map(sigma), power_map(sigma2)]
+
+
+def cyclotomic_automorphisms(n: int) -> list:
+    """zeta -> zeta^k for every unit k mod n, identity included."""
+    return [cyclotomic_power_map(n, k) for k in range(1, n) if math.gcd(k, n) == 1]
+
+
+def quadratic_automorphisms() -> list:
+    """x + y sqrt(+-d) -> x - y sqrt(+-d)."""
+    return [lambda a: [Fraction(a[0]), -Fraction(a[1])]]
+
+
+def galois_stable_by_inverse(automorphisms, rows) -> bool:
+    """Is B S B^-1 integral for the matrix S of every automorphism?  Row i
+    of S is the image of the i-th power-basis vector, B^-1 comes from
+    Fraction Gauss-Jordan, and B S B^-1 holds the coordinates of the images
+    of the basis vectors in the basis itself."""
+    b = [[Fraction(x) for x in row] for row in rows]
+    n = len(b)
+    b_inv = _inverse(b)
+    for gmap in automorphisms:
+        s = [gmap([Fraction(int(i == j)) for j in range(n)]) for i in range(n)]
+        coords = [_vecmat(_vecmat(row, s), b_inv) for row in b]
+        if any(x.denominator != 1 for row in coords for x in row):
+            return False
+    return True

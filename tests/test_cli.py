@@ -1,5 +1,6 @@
 """Command-line contract: JSON shapes, exit codes, determinism, round-trips."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -160,6 +161,33 @@ def test_gen_a3_deterministic_bytes():
     )
     assert base.returncode == 0
     assert base.stdout == again.stdout == stray.stdout
+
+
+#: sha256 of the stdout of fixed runs: the bytes must not move when the
+#: arithmetic under them changes
+PINNED_STDOUT_SHA256 = [
+    (
+        ["gen-a3", "--t=-1/2", "--height", "6"],
+        "d21f3cb35f1476ccd8ad077d7894ad16a90ab2866fdb934fcdb5f8206749477c",
+    ),
+    (
+        ["gen-selfdual", "--t=2", "--height", "6"],
+        "5d86c464ff73ee14c14eedd000422bca965d004644174a8ecff81eb86de8ed59",
+    ),
+    (
+        ["quad-a2", "--d", "3", "--height", "3"],
+        "330ba99ab1d3672162611cca37cc3c961015caa00f7b3637ec83d601f1bcdd7d",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "args, digest", PINNED_STDOUT_SHA256, ids=[a[0] for a, _ in PINNED_STDOUT_SHA256]
+)
+def test_stdout_bytes_are_pinned(args, digest, capsys):
+    assert main(args) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_gen_a3_classify_round_trip(capsys):
@@ -348,6 +376,10 @@ def test_reparam_flag_shape_errors():
         ["quad-a2", "--d", "3", "--height", "-1"],
         ["quad-a2", "--d", "5", "--height", "-1", "--falsify"],
         ["gen-a3", "--t", "1", "--height", "2", "--json", "/nonexistent/x.json"],
+        # argparse drops a joined "--" value and would pass [] on
+        ["order", "--t=--"],
+        ["gen-a3", "--t=1", "--height=--"],
+        ["classify", "--gram=--"],
     ],
 )
 def test_bad_input_is_a_usage_error_without_traceback(args):

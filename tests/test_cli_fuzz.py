@@ -1,0 +1,142 @@
+"""In-process fuzz of the command line over a small argv grammar.
+
+Every argv drawn here, valid or not, must end in one of the documented
+outcomes: exit 0 or 1 with one canonical JSON document on stdout, or exit 2
+(usage) with empty stdout, and never a Python traceback.  Heights, ranks
+and primes stay small so that a run of the whole grammar takes seconds.
+"""
+from __future__ import annotations
+
+import io
+import json
+from contextlib import redirect_stderr, redirect_stdout
+
+from hypothesis import given, settings, strategies as st
+
+from tracelattice.cli import main
+from tracelattice.serialize import dumps_canonical
+
+JUNK = st.sampled_from(["", "x", "--", "1.5", "1/0", "0/0", "+", "-", "[]", "1,2"])
+
+rationals = (
+    st.builds(
+        lambda p, q: str(p) if q == 1 else f"{p}/{q}",
+        st.integers(-9, 9),
+        st.integers(1, 4),
+    )
+    | st.sampled_from(["-3/2", "0", "-1/2", "3/-2"])
+    | JUNK
+)
+heights = st.integers(-1, 3).map(str) | JUNK
+small_ints = st.integers(-40, 40).map(str) | JUNK
+
+
+def _t_flag(value: str, joined: bool) -> list[str]:
+    return [f"--t={value}"] if joined else ["--t", value]
+
+
+def _optional(flag: str, values) -> st.SearchStrategy:
+    """[flag, value], [flag=value] or nothing: a missing required flag is
+    part of the grammar."""
+    return st.one_of(
+        st.just([]),
+        values.map(lambda v: [flag, v]),
+        values.map(lambda v: [f"{flag}={v}"]),
+    )
+
+
+family = st.builds(
+    lambda sub, t, joined, h: [sub, *(_t_flag(t, joined) if t else []), *h],
+    st.sampled_from(["gen-a3", "gen-selfdual"]),
+    st.one_of(st.none(), rationals),
+    st.booleans(),
+    _optional("--height", heights),
+)
+
+entries = st.integers(-3, 3) | st.sampled_from(['"1/2"', '"x"', "true", "1.5"])
+grams = st.integers(1, 3).flatmap(
+    lambda n: st.lists(
+        st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n
+    ).map(lambda rows: "[" + ",".join("[" + ",".join(map(str, r)) + "]" for r in rows) + "]")
+) | JUNK | st.sampled_from(["[[2,1],[1,2]]", "[[0]]", "[[1,2],[2,1]]", "[[2,1],[0,2]]"])
+classify = st.builds(lambda g: ["classify", *g], _optional("--gram", grams))
+
+generators = st.sampled_from(
+    ["z", "1+z", "(1-z)^-1", "(1-z)^-2", "2*z-1", "z/(1+z)", "0", "0^-1", "1/0",
+     "z^", "(z", "z**2", "3", "q", "z - z"]
+)
+cyclotomic = st.one_of(
+    st.builds(
+        lambda p: ["cyclotomic", "--p", p],
+        st.sampled_from(["-1", "0", "1", "2", "3", "4", "5", "7", "9", "11", "x"]),
+    ),
+    st.builds(
+        lambda n, g: ["cyclotomic", *n, *g],
+        _optional("--n", st.integers(-1, 12).map(str)),
+        _optional("--generator", generators),
+    ),
+    st.just(["cyclotomic", "--p", "5", "--n", "5", "--generator", "z"]),
+)
+
+quad = st.builds(
+    lambda d, h, falsify: ["quad-a2", *d, *h, *(["--falsify"] if falsify else [])],
+    _optional("--d", st.integers(-4, 12).map(str) | JUNK),
+    _optional("--height", heights),
+    st.booleans(),
+)
+
+ORDER_FLAGS = ["--different", "--sqrt-different", "--primes2", "--fake-a3"]
+order = st.builds(
+    lambda t, joined, flags: ["order", *(_t_flag(t, joined) if t else []), *flags],
+    st.one_of(st.none(), rationals),
+    st.booleans(),
+    st.lists(st.sampled_from(ORDER_FLAGS), unique=True, max_size=4),
+)
+
+obstruction = st.builds(
+    lambda d, o: ["obstruction", *d, *o],
+    _optional("--dF", small_ints),
+    _optional("--disc-order", small_ints),
+)
+
+elements = st.one_of(
+    st.lists(st.integers(-3, 3).map(str) | st.sampled_from(["1/2", "-2/3"]), min_size=1, max_size=4).map(",".join),
+    JUNK,
+)
+reparam = st.builds(
+    lambda t, joined, e: ["reparam", *(_t_flag(t, joined) if t else []), *e],
+    st.one_of(st.none(), rationals),
+    st.booleans(),
+    _optional("--element", elements),
+)
+
+argvs = st.one_of(
+    family, classify, cyclotomic, quad, order, obstruction, reparam,
+    st.lists(JUNK | st.sampled_from(["frobnicate", "--t", "gen-a3"]), max_size=3),
+)
+
+
+def _run(argv: list[str]) -> tuple[object, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse usage errors exit here
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=400, deadline=None)
+@given(argvs)
+def test_every_argv_ends_in_a_documented_outcome(argv):
+    # an uncaught exception fails the test with its traceback
+    code, out, err = _run(argv)
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in err
+    if code == 2:
+        assert out == "", argv
+    else:
+        assert out == dumps_canonical(json.loads(out)), argv
+        if code == 1:
+            doc = json.loads(out)
+            assert "error" in doc or argv[0] == "quad-a2", argv

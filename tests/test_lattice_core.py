@@ -18,20 +18,25 @@ from oracles import (
     ROOT_COUNTS,
     box_short_vectors,
     conjugate_gram,
+    cyclotomic_automorphisms,
     cyclotomic_conj,
     fraction_det,
+    galois_stable_by_inverse,
     gram_A,
     gram_D,
     gram_E,
     gram_equivalent,
     gram_schmidt,
     hermite_form,
+    quadratic_automorphisms,
     random_equivalent_gram,
     random_unimodular,
+    shanks_automorphisms,
     shanks_minpoly,
     trace_gram,
 )
-from tracelattice.cyclotomic_ideals import cyc_field
+from tracelattice.a3_factory import TARGET_A3, TARGET_SELF_DUAL, scan_family
+from tracelattice.cyclotomic_ideals import ap_lattice, cyc_field, principal_ideal_lattice
 from tracelattice.errors import (
     AmbientMismatch,
     DependentBasis,
@@ -58,7 +63,15 @@ from tracelattice.lattice_core import (
     short_vectors,
     short_vectors_gram,
 )
-from tracelattice.quadratic_a2 import QuadAmbient
+from tracelattice.orders_ideals import (
+    different_inverse,
+    equation_order,
+    fake_a3_variants,
+    maximal_order,
+    primes_above_2,
+    sqrt_different_inverse,
+)
+from tracelattice.quadratic_a2 import QuadAmbient, a2_from_slopes
 from tracelattice.shanks_field import new_field, sigma, trace_pair
 
 F = Fraction
@@ -628,6 +641,132 @@ def test_gram_under_galois_conjugate_basis_is_stable():
     g = L.gram
     assert g[0, 0] == g[1, 1] == g[2, 2]
     assert g[0, 1] == g[1, 2] == g[0, 2]
+
+
+def _oracle_maps(ambient):
+    kind = ambient.descriptor()["kind"]
+    if kind == "shanks":
+        return shanks_automorphisms(ambient.t)
+    if kind == "cyclotomic":
+        return cyclotomic_automorphisms(ambient.n)
+    return quadratic_automorphisms()
+
+
+def _assert_stability(L, expected):
+    """galois_stable, with and without the precomputed key, against the
+    B S B^-1 oracle and the value theory gives."""
+    rows = [L.basis.row(i) for i in range(L.rank())]
+    assert galois_stable_by_inverse(_oracle_maps(L.ambient), rows) is expected
+    assert galois_stable(L) is expected
+    assert galois_stable(L, canonical_key(L)) is expected
+
+
+@pytest.mark.parametrize("t", [1, 2, F(-1, 2), F(-5, 2), F(1, 3)])
+def test_galois_stable_on_family_members(t):
+    # normal bases: every member is sigma-stable by construction; the key
+    # the sweep hands on is the member's own
+    for target in (TARGET_A3, TARGET_SELF_DUAL):
+        members = scan_family(t, 2, target).members
+        assert members
+        for m in members:
+            assert m.key == canonical_key(m.lattice)
+            _assert_stability(m.lattice, True)
+
+
+@pytest.mark.parametrize("t", [F(-1, 2), F(1, 2), F(3, 2)])
+def test_galois_stable_on_orders_and_ideals(t):
+    # O, D^-1 and its square root are Galois-invariant; the primes above a
+    # split 2 are permuted, and so are the fake A3 lattices built on them
+    # Z[eps] and Z[2 eps]: sigma(eps) has half-integral coordinates, so
+    # both fail already at the integrality of the images
+    power_basis = TraceLattice.from_rows(new_field(t), [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    _assert_stability(power_basis, False)
+    _assert_stability(equation_order(t).lattice(), False)
+    o = maximal_order(t)
+    dinv = different_inverse(o)
+    for L in (o.lattice(), dinv.lattice(), sqrt_different_inverse(o, dinv).lattice()):
+        _assert_stability(L, True)
+    for ideal in primes_above_2(o):
+        _assert_stability(ideal.lattice(), False)
+    for L in fake_a3_variants(o):
+        _assert_stability(L, False)
+
+
+def test_galois_stable_on_cyclotomic_lattices():
+    for p in (5, 7):
+        _assert_stability(ap_lattice(p), True)
+    k5 = cyc_field(5)
+    # 2 + z has norm Phi_5(-2) = 11, a split prime: its ideal is not stable
+    _assert_stability(principal_ideal_lattice(k5, k5.element([2, 1])), False)
+    _assert_stability(principal_ideal_lattice(k5, k5.element([3])), True)
+    k8 = cyc_field(8)
+    # 1 + z generates the prime above the ramified 2, which every map fixes
+    _assert_stability(principal_ideal_lattice(k8, k8.element([1, 1])), True)
+    _assert_stability(principal_ideal_lattice(k8, k8.element([1, 2])), False)
+    k12 = cyc_field(12)
+    _assert_stability(
+        TraceLattice.from_rows(k12, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 2]]),
+        False,
+    )
+
+
+@pytest.mark.parametrize("sign", [-1, 1])
+def test_galois_stable_on_quadratic_lattices(sign):
+    amb = QuadAmbient(3, sign)
+    _assert_stability(TraceLattice.from_rows(amb, [[1, 0], [0, 1]]), True)
+    _assert_stability(TraceLattice.from_rows(amb, [[1, 0], [F(1, 2), F(1, 2)]]), True)
+    _assert_stability(TraceLattice.from_rows(amb, [[1, 1], [0, 2]]), True)
+    _assert_stability(TraceLattice.from_rows(amb, [[2, 1], [0, 3]]), False)
+    _assert_stability(TraceLattice.from_rows(amb, [[1, 0], [F(1, 3), F(1, 3)]]), False)
+    for s0, s1 in ((1, 0), (1, 1), (2, 1), (1, 3)):
+        L = a2_from_slopes(s0, s1, sign=sign)
+        rows = [L.basis.row(i) for i in range(2)]
+        expected = galois_stable_by_inverse(quadratic_automorphisms(), rows)
+        _assert_stability(L, expected)
+
+
+#: (ambient, basis of a stable lattice, index in _oracle_maps of a map that
+#: generates the cyclic Galois group)
+_STABLE_BASES = [
+    (new_field(1), [[1, 0, 0], [0, 1, 0], [0, 0, 1]], 0),
+    (new_field(F(-1, 2)), [[F(1, 2), 0, 0], [0, 1, 0], [0, 0, 1]], 0),
+    (cyc_field(5), [[1 if i == j else 0 for j in range(4)] for i in range(4)], 1),
+    (QuadAmbient(3, -1), [[1, 0], [F(1, 2), F(1, 2)]], 0),
+]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from(range(len(_STABLE_BASES))),
+    st.booleans(),
+    st.lists(st.integers(-4, 4), min_size=16, max_size=16),
+)
+def test_galois_stable_on_random_sublattices(which, orbit, entries):
+    # either M B for a random integer M (stable or not), or the orbit of one
+    # lattice vector under a generator (stable when it spans); both sides
+    # must agree
+    ambient, rows, gen = _STABLE_BASES[which]
+    n = ambient.degree
+    base = Matrix.from_rows(rows)
+    if orbit:
+        v = (Matrix([entries[:n]]) * base).row(0)
+        spin = _oracle_maps(ambient)[gen]
+        m_rows = [list(v)]
+        for _ in range(n - 1):
+            m_rows.append(spin(m_rows[-1]))
+        assume(fraction_det(m_rows) != 0)
+        basis = Matrix.from_rows(m_rows)
+    else:
+        m = [entries[i * n : (i + 1) * n] for i in range(n)]
+        assume(fraction_det(m) != 0)
+        basis = Matrix.from_rows(m) * base
+    L = TraceLattice(ambient, basis)
+    oracle = galois_stable_by_inverse(
+        _oracle_maps(ambient), [basis.row(i) for i in range(n)]
+    )
+    assert oracle or not orbit
+    assert galois_stable(L) is oracle
+    assert galois_stable(L, canonical_key(L)) is oracle
 
 
 def test_trace_pair_matches_gram_entries():
