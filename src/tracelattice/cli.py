@@ -11,11 +11,14 @@ import argparse
 import re
 import sys
 from fractions import Fraction
+from math import prod
 
+from ._intfactor import factor
 from .a3_factory import TARGET_A3, TARGET_SELF_DUAL, scan_family
 from .cyclotomic_ideals import cyc_field, principal_ideal_lattice, verify_cyclotomic_ap
 from .errors import TraceLatticeError
 from .lattice_core import (
+    check_enumeration_rank,
     classify_gram,
     classify_root_type,
     disc_group,
@@ -62,14 +65,15 @@ def _height_flag(text: str) -> int:
     return value
 
 
-def _join_negative_t(argv: list[str]) -> list[str]:
-    """Rewrite "--t -1/2" as "--t=-1/2".  argparse reads a token that starts
-    with "-" as a flag unless it looks like a plain number such as -1, so a
-    negative fraction after a space would otherwise be a usage error."""
+def _join_negative_values(argv: list[str]) -> list[str]:
+    """Rewrite "--t -1/2" as "--t=-1/2", and "--element -1/3,1,0" likewise.
+    argparse reads a token that starts with "-" as a flag unless it looks
+    like a plain number such as -1, so a negative fraction or coordinate
+    list after a space would otherwise be a usage error."""
     out = list(argv)
     for i in range(len(out) - 2, -1, -1):
-        if out[i] == "--t" and re.match(r"-\d", out[i + 1]):
-            out[i : i + 2] = [f"--t={out[i + 1]}"]
+        if out[i] in ("--t", "--element") and re.match(r"-\d", out[i + 1]):
+            out[i : i + 2] = [f"{out[i]}={out[i + 1]}"]
     return out
 
 
@@ -177,6 +181,10 @@ def _run_cyclotomic(args, parser):
         return {"type": verify_cyclotomic_ap(args.p)}, 0
     if args.n is None or args.generator is None:
         parser.error("either --p, or both --n and --generator, are required")
+    if args.n >= 3:
+        # a rank past the classifier's cap fails before the field is built
+        phi = prod((p - 1) * p ** (e - 1) for p, e in factor(args.n).items())
+        check_enumeration_rank(phi)
     try:
         field = cyc_field(args.n)
         gen = parse_generator(field, args.generator)
@@ -268,7 +276,7 @@ def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     _reject_joined_double_dash(parser, argv)
-    args = parser.parse_args(_join_negative_t(argv))
+    args = parser.parse_args(_join_negative_values(argv))
 
     try:
         if args.subcommand == "gen-a3":

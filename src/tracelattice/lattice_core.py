@@ -53,6 +53,9 @@ from .errors import (
 )
 from .exact_linalg import Matrix, det, hnf_rows, inverse, rat, snf
 
+#: the largest rank classify_gram enumerates
+ENUMERATION_RANK_CAP = 22
+
 #: doubled root counts of the simply-laced types, used as a cross-check only
 _ROOT_COUNTS = {
     "A": lambda n: n * (n + 1),
@@ -477,6 +480,12 @@ def _orthogonal_set(
     return extend(0, (), norms)
 
 
+def check_enumeration_rank(n: int) -> None:
+    """Raise RankTooLarge when classify_gram would refuse rank n."""
+    if n > ENUMERATION_RANK_CAP:
+        raise RankTooLarge(f"rank {n} exceeds the enumeration cap of {ENUMERATION_RANK_CAP}")
+
+
 @lru_cache(maxsize=1024)
 def classify_gram(gram: Matrix) -> str:
     """Certificate-based recognition over {A_n, D_n, E6, E7, E8, diag114,
@@ -487,8 +496,7 @@ def classify_gram(gram: Matrix) -> str:
     if not gram.is_integer():
         raise NotIntegral("classification needs an integral Gram matrix")
     n = gram.rows
-    if n > 22:
-        raise RankTooLarge(f"rank {n} exceeds the enumeration cap of 22")
+    check_enumeration_rank(n)
     _check_symmetric(gram)
     # _lll_gram raises NotPositiveDefinite on the first leading minor <= 0
     g, _ = _lll_gram(gram.to_int_rows())

@@ -23,7 +23,7 @@ from typing import NamedTuple, Sequence
 
 from ._intfactor import factor, is_square, squarefree_kernel
 from .errors import NotFound, NotMaximal, TwoInert
-from .exact_linalg import Matrix, det, hnf, inverse
+from .exact_linalg import Matrix, det, hnf_rows, inverse
 from .lattice_core import (
     TraceLattice,
     classify_root_type,
@@ -43,12 +43,11 @@ def _hnf_span(rows, rank: int = 3) -> Matrix:
     clear denominators, row-reduce to Hermite form, drop zero rows, rescale."""
     rows = [tuple(F(x) for x in r) for r in rows]
     scale = lcm(*(x.denominator for r in rows for x in r))
-    cleared = Matrix([[x * scale for x in r] for r in rows])
-    h, _ = hnf(cleared)
-    kept = [h.row(i) for i in range(h.rows) if any(x != 0 for x in h.row(i))]
+    h = hnf_rows([[x.numerator * (scale // x.denominator) for x in r] for r in rows])
+    kept = [r for r in h if any(r)]
     if len(kept) != rank:
         raise ValueError(f"span has rank {len(kept)}, expected {rank}")
-    return Matrix([[x / scale for x in r] for r in kept])
+    return Matrix([[F(x, scale) for x in r] for r in kept])
 
 
 class CubicOrder:
@@ -214,8 +213,7 @@ def _p_radical(o: CubicOrder, p: int) -> Matrix:
     frob = [[columns[k][i] for k in range(3)] for i in range(3)]
     kernel = _nullspace_mod(frob, p, 3)
     rows = [[p * int(i == j) for j in range(3)] for i in range(3)] + kernel
-    h, _ = hnf(Matrix(rows))
-    return Matrix([h.row(i) for i in range(h.rows) if any(h.row(i))])
+    return Matrix([r for r in hnf_rows(rows) if any(r)])
 
 
 def _enlarge_at(o: CubicOrder, p: int) -> CubicOrder:
@@ -343,9 +341,7 @@ def primes_above_2(o: CubicOrder) -> list[IdealLattice]:
     out = []
     for space in ideals:
         rows = [[2 * int(i == j) for j in range(3)] for i in range(3)] + space
-        h, _ = hnf(Matrix(rows))
-        lift = Matrix([h.row(i) for i in range(h.rows) if any(h.row(i))])
-        out.append(lift)
+        out.append(Matrix([r for r in hnf_rows(rows) if any(r)]))
     out.sort(key=lambda h: tuple(tuple(int(x) for x in h.row(i)) for i in range(3)))
     return [_make_ideal(o, [(h * o.basis).row(i) for i in range(3)]) for h in out]
 

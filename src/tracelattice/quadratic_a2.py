@@ -12,72 +12,54 @@ up to a height.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, isqrt
 from typing import NamedTuple, Optional
 
 from ._intfactor import squarefree_kernel
 from .conic_points import unit_conic_point
 from .errors import ZeroSlopePair
-from .exact_linalg import Matrix, rat
+from .exact_linalg import Matrix
 from .lattice_core import TraceLattice, canonical_key
-from .shanks_field import Coords
+from .power_basis import PowerBasisField
 
 F = Fraction
 
 A2_GRAM = Matrix.from_rows([[2, -1], [-1, 2]])
 
 
-class QuadAmbient:
-    """The field Q(sqrt(sign * d)) with d squarefree positive."""
+class QuadAmbient(PowerBasisField):
+    """The field Q(sqrt(sign * d)) with d squarefree positive, as a
+    PowerBasisField: minimal polynomial x^2 - sign*d, conjugation flipping
+    the radical when sign = -1, and the Galois generator flipping it always."""
 
-    __slots__ = ("d", "sign", "degree")
+    __slots__ = ("d", "sign")
 
     def __init__(self, d: int, sign: int = -1):
         if d < 1 or squarefree_kernel(d) != d:
             raise ValueError(f"d must be a squarefree positive integer, got {d}")
         if sign not in (1, -1):
             raise ValueError("sign must be +1 (real) or -1 (imaginary)")
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "sign", sign)
-        object.__setattr__(self, "degree", 2)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("QuadAmbient is immutable")
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, QuadAmbient)
-            and (self.d, self.sign) == (other.d, other.sign)
+        flip = (0, -1)
+        super().__init__(
+            (-sign * d, 0, 1),
+            flip if sign < 0 else None,
+            (flip,),
+            {"kind": "quad", "d": d, "sign": sign},
         )
+        self._freeze(d=d, sign=sign)
 
-    def __hash__(self):
-        return hash(("quad", self.d, self.sign))
 
-    def mul_coords(self, a, b) -> Coords:
-        x1, y1 = (rat(v) for v in a)
-        x2, y2 = (rat(v) for v in b)
-        radicand = self.sign * self.d
-        return (x1 * x2 + radicand * y1 * y2, x1 * y2 + x2 * y1)
-
-    def conj_coords(self, a) -> Coords:
-        x, y = (rat(v) for v in a)
-        if self.sign < 0:
-            return (x, -y)
-        return (x, y)
-
-    def trace_coords(self, a) -> Fraction:
-        return 2 * rat(a[0])
-
-    def galois_maps(self):
-        return (lambda coords: (rat(coords[0]), -rat(coords[1])),)
-
-    def descriptor(self):
-        return {"kind": "quad", "d": self.d, "sign": self.sign}
+@lru_cache(maxsize=None)
+def _quad_ambient(d: int, sign: int) -> QuadAmbient:
+    # one handle per field: the slope family builds a lattice per slope pair,
+    # and each new handle would derive its tables again
+    return QuadAmbient(d, sign)
 
 
 def pairing(a, b, ambient: QuadAmbient) -> Fraction:
     """2(a_x b_x + d a_y b_y), the trace of a * conj(b) for either sign."""
-    return ambient.trace_coords(ambient.mul_coords(a, ambient.conj_coords(b)))
+    return ambient.pair_coords(a, b)
 
 
 def _second_point(s0: int, s1: int, branch) -> tuple[Fraction, Fraction]:
@@ -111,7 +93,7 @@ def a2_from_slopes(s0: int, s1: int, branch="+", sign: int = -1) -> TraceLattice
     x1, y1 = p1.as_pair()
     x2, y2 = _second_point(s0, s1, branch)
     assert x2 * x2 + 3 * y2 * y2 == 1
-    ambient = QuadAmbient(3, sign)
+    ambient = _quad_ambient(3, sign)
     assert pairing((x1, y1), (x2, y2), ambient) == -1
     lattice = TraceLattice.from_rows(ambient, [(x1, y1), (x2, y2)])
     assert lattice.gram == A2_GRAM
@@ -125,7 +107,7 @@ def normal_a2(sign: int = -1) -> TraceLattice:
     Uniqueness is re-checked by constrained search: among norm-one points of
     height <= 2, only the four sign choices of (1/2, 1/2) pair to -1 with
     their own conjugate, and they all span this one lattice."""
-    ambient = QuadAmbient(3, sign)
+    ambient = _quad_ambient(3, sign)
     solutions = normal_basis_search(2)
     assert solutions == [
         (F(-1, 2), F(-1, 2)),
@@ -198,7 +180,7 @@ def falsify_a2(d: int, height: int, sign: int = -1) -> Optional[TraceLattice]:
     basis at height 2 already), or None when the sweep is empty; by the
     classification that is the expected outcome for every squarefree d != 3."""
     points = norm_one_points(d, height)
-    ambient = QuadAmbient(d, sign)
+    ambient = _quad_ambient(d, sign)
     scaled = [
         (x.numerator, y.numerator * (x.denominator // y.denominator), x.denominator)
         for x, y in points

@@ -176,8 +176,6 @@ class _GenParser:
         return value
 
     def _product(self):
-        from .cyclotomic_ideals import inv
-
         value = self._factor()
         while self._peek() in ("*", "/"):
             op = self._next()
@@ -187,7 +185,7 @@ class _GenParser:
             else:
                 if not any(rhs):
                     self._error("division by zero")
-                value = self.field.mul_coords(value, inv(self.field, rhs))
+                value = self.field.mul_coords(value, self.field.inv_coords(rhs))
         return value
 
     def _factor(self):
@@ -201,8 +199,6 @@ class _GenParser:
         return self._power()
 
     def _power(self):
-        from .cyclotomic_ideals import power
-
         base = self._atom()
         if self._peek() in ("^", "**"):
             self._next()
@@ -215,7 +211,7 @@ class _GenParser:
                 self._error("expected an integer exponent")
             exponent = sign * int(tok)
             try:
-                return power(self.field, base, exponent)
+                return self.field.pow_coords(base, exponent)
             except DivisionByZero:
                 self._error("zero raised to a negative power")
         return base

@@ -453,10 +453,16 @@ def shanks_minpoly(t) -> list[Fraction]:
 
 #: Phi_n, ascending, for the orders the tests use
 CYCLOTOMIC_MINPOLY = {
+    3: [1, 1, 1],
+    4: [1, 0, 1],
     5: [1, 1, 1, 1, 1],
     7: [1, 1, 1, 1, 1, 1, 1],
     8: [1, 0, 0, 0, 1],
+    9: [1, 0, 0, 1, 0, 0, 1],
     12: [1, 0, -1, 0, 1],
+    15: [1, -1, 0, 1, -1, 1, 0, -1, 1],
+    20: [1, 0, -1, 0, 1, 0, -1, 0, 1],
+    23: [1] * 23,
 }
 
 

@@ -22,7 +22,7 @@ def run_cli(args, capsys):
     return code, (json.loads(out) if out else None)
 
 
-def run_proc(args, env_extra=None):
+def run_proc(args, env_extra=None, timeout=None):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     if env_extra:
@@ -32,6 +32,7 @@ def run_proc(args, env_extra=None):
         capture_output=True,
         text=True,
         env=env,
+        timeout=timeout,
     )
 
 
@@ -107,6 +108,18 @@ def test_cyclotomic_not_prime_is_exit_1(capsys):
     assert code == 1 and doc["error"]["kind"] == "NotPrime"
 
 
+@pytest.mark.parametrize("n, rank", [(47, 46), (100, 40), (1000, 400)])
+def test_cyclotomic_past_the_rank_cap_is_exit_1(n, rank):
+    # phi(n) is checked against the cap before Q(zeta_n) is built, so even
+    # n = 1000 (phi = 400) answers at once
+    r = run_proc(["cyclotomic", "--n", str(n), "--generator", "z"], timeout=30)
+    assert r.returncode == 1
+    assert r.stdout == (
+        '{"error":{"detail":"rank %d exceeds the enumeration cap of 22",'
+        '"kind":"RankTooLarge"}}\n' % rank
+    )
+
+
 def test_cyclotomic_generator_mode(capsys):
     code, doc = run_cli(
         ["cyclotomic", "--n", "5", "--generator", "(1-z)^-1"], capsys
@@ -177,6 +190,26 @@ PINNED_STDOUT_SHA256 = [
     (
         ["quad-a2", "--d", "3", "--height", "3"],
         "330ba99ab1d3672162611cca37cc3c961015caa00f7b3637ec83d601f1bcdd7d",
+    ),
+    (
+        ["cyclotomic", "--p", "11"],
+        "2304b13eb52f3f8dbb48aa15de79d56ea0ae851c5027762a3b13aaef3740f0bc",
+    ),
+    (
+        ["cyclotomic", "--n", "12", "--generator", "1+z"],
+        "0e9d3e3530b1c5a2aa931080edd94219f39ac63688eb6b7e9e53bfeefc519479",
+    ),
+    (
+        ["cyclotomic", "--n", "7", "--generator", "(1-z)^-2"],
+        "b78c0e082ce43b8578aea391c396369c2eb7f3e57c53aabedf5144534ea25e53",
+    ),
+    (
+        ["order", "--t=3/2", "--different", "--sqrt-different", "--primes2", "--fake-a3"],
+        "03a5d9774ef0eb1d1259e67183ad301561e328fb0ba7d173e7f9ae6d4516517b",
+    ),
+    (
+        ["order", "--t=2", "--different", "--sqrt-different"],
+        "bd85def76ffe400474d8c9c8656e4498426178e81b88c9b4efd845923402989b",
     ),
 ]
 
@@ -323,7 +356,13 @@ def test_order_takes_the_inverse_different_once(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "sub,extra", [("gen-a3", ["--height", "2"]), ("order", ["--fake-a3"])]
+    "sub,extra",
+    [
+        ("gen-a3", ["--height", "2"]),
+        ("order", ["--fake-a3"]),
+        # a negative first coordinate after a space is joined the same way
+        ("reparam", ["--element", "-1/6,-1,0"]),
+    ],
 )
 def test_negative_rational_t_after_a_space(sub, extra):
     spaced = run_proc([sub, "--t", "-1/2", *extra])

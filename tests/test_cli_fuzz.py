@@ -3,7 +3,8 @@
 Every argv drawn here, valid or not, must end in one of the documented
 outcomes: exit 0 or 1 with one canonical JSON document on stdout, or exit 2
 (usage) with empty stdout, and never a Python traceback.  Heights, ranks
-and primes stay small so that a run of the whole grammar takes seconds.
+and primes stay small so that a run of the whole grammar takes seconds;
+cyclotomic orders also reach past the rank cap.
 """
 from __future__ import annotations
 
@@ -72,7 +73,11 @@ cyclotomic = st.one_of(
     ),
     st.builds(
         lambda n, g: ["cyclotomic", *n, *g],
-        _optional("--n", st.integers(-1, 12).map(str)),
+        # 21 and 25 (phi 12 and 20) build the field; 47, 100 and 1000
+        # (phi 46, 40 and 400) stop at the classifier's rank cap of 22
+        _optional(
+            "--n", (st.integers(-1, 12) | st.sampled_from([21, 25, 47, 100, 1000])).map(str)
+        ),
         _optional("--generator", generators),
     ),
     st.just(["cyclotomic", "--p", "5", "--n", "5", "--generator", "z"]),
