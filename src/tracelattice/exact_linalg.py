@@ -11,7 +11,7 @@ Conventions fixed for the whole library:
     below pivots, entries above a pivot reduced into [0, pivot), zero rows
     at the bottom; this form is unique, so it doubles as a lattice-equality
     key; `hnf_rows` is the same elimination on bare integer rows, without
-    the transform,
+    the transform, and `hnf_coords` the membership test against it,
   - `snf` returns the invariant-factor chain d1 | d2 | ... | dn.
 """
 from __future__ import annotations
@@ -243,6 +243,24 @@ def hnf_rows(a: list[list[int]], ncols: int | None = None) -> list[list[int]]:
                 _row_op_sub(a, i, r, a[i][c] // a[r][c])
             r += 1
     return a
+
+
+def hnf_coords(h: Sequence[Sequence[int]], v: Sequence[int]) -> list[int] | None:
+    """The integer x with x h = v, for a row HNF h and an integer row v, or
+    None when v is not in the Z-span of h: each pivot row is subtracted as
+    often as its pivot goes into v's entry there (Cohen, GTM 138, Sec.
+    2.4.3), and v is in the span iff nothing is left.  Zero rows get no
+    coordinate."""
+    x = []
+    for row in h:
+        c = next((j for j, a in enumerate(row) if a), None)
+        if c is None:
+            break
+        q = v[c] // row[c]
+        if q:
+            v = [a - q * b for a, b in zip(v, row)]
+        x.append(q)
+    return None if any(v) else x
 
 
 def hnf(m: Matrix) -> tuple[Matrix, Matrix]:

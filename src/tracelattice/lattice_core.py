@@ -51,7 +51,7 @@ from .errors import (
     NotSymmetric,
     RankTooLarge,
 )
-from .exact_linalg import Matrix, det, hnf_rows, inverse, rat, snf
+from .exact_linalg import Matrix, det, hnf_coords, hnf_rows, inverse, rat, snf
 
 #: the largest rank classify_gram enumerates
 ENUMERATION_RANK_CAP = 22
@@ -595,20 +595,6 @@ def lattice_equal(L1: TraceLattice, L2: TraceLattice) -> bool:
     return canonical_key(L1) == canonical_key(L2)
 
 
-def _in_span(h: Sequence[Sequence[int]], v: list[int]) -> bool:
-    """Is the integer row v in the Z-span of the row HNF h?  Each pivot row
-    is subtracted as often as its pivot goes into v's entry there (Cohen,
-    GTM 138, Sec. 2.4.3); v is in the span iff nothing is left."""
-    for row in h:
-        c = next((j for j, x in enumerate(row) if x), None)
-        if c is None:
-            break
-        q = v[c] // row[c]
-        if q:
-            v = [a - q * b for a, b in zip(v, row)]
-    return not any(v)
-
-
 def galois_stable(L: TraceLattice, key: tuple | None = None) -> bool:
     """True iff every generator of the ambient automorphism group maps the
     lattice into itself.
@@ -625,6 +611,6 @@ def galois_stable(L: TraceLattice, key: tuple | None = None) -> bool:
             image = [sum(map(mul, row, col)) for col in cols]
             if any(x % scale for x in image):
                 return False
-            if not _in_span(h, [x // scale for x in image]):
+            if hnf_coords(h, [x // scale for x in image]) is None:
                 return False
     return True

@@ -1,29 +1,37 @@
-"""Orders and fractional ideals in the cyclic cubic fields.
+"""Orders and fractional ideals in a number field of any degree n.
 
-The maximal order is reached from the equation order Z[q*eps] by repeated
-p-enlargement: the p-radical of O/pO is the kernel of the linearized
-Frobenius iterate x -> x^(p^e) with p^e >= 3, its preimage J is an O-ideal,
-and the idealizer {x : xJ <= J} strictly contains O exactly when O is not
-p-maximal.  Each step is a mod-p nullspace computation, so the whole climb
-is exact integer linear algebra.
+An Order is a multiplication-closed rank-n lattice containing 1 in a
+PowerBasisField of degree n, kept in canonical Hermite form.  Its integer
+structure constants c_ijk, o_i o_j = sum_k c_ijk o_k, are computed once:
+their integrality certifies closure, and all arithmetic of O/pO reads them.
+Every "is this row in the Z-span of that basis, and with which
+coefficients?" is hnf_coords against the basis's integer HNF, no inverse.
 
-On top of the maximal order: the trace-dual ideal D^-1; its square root in
-closed form, prod p^-1 P_p^2 over the tame primes p of the conductor times
-3^-1 P_3 when 3 ramifies (P_p the p-radical), certified by squaring it back
-to D^-1 exactly; the primes above 2 read off from the 8-element quotient
-algebra; and the rank-3 odd lattices obtained by multiplying a prime above 2
-into the square root of the trace dual.  The quadratic-residue exclusion test
-for root-lattice discriminants lives here too, as an_exclusion.
+The maximal order is reached by repeated p-enlargement (Pohst-Zassenhaus;
+Cohen, GTM 138, Sec. 6.1): the p-radical of O/pO is the kernel of the
+linearized Frobenius iterate x -> x^(p^e) with p^e >= n, its preimage J is
+an O-ideal, and the idealizer {x : xJ <= J} strictly contains O exactly
+when O is not p-maximal.  Each step is a mod-p nullspace computation, so
+the whole climb is exact integer linear algebra.  The trace dual D^-1 and
+the primes above 2 (the kernels of the ring maps O -> F_2) work at any n.
+
+Cubic only, as their mathematics is: equation_order(t) and maximal_order(t)
+take the Shanks parameter; sqrt_different_inverse is the cyclic-cubic closed
+form prod p^-1 P_p^2 over the tame primes p of the conductor times 3^-1 P_3
+when 3 ramifies (P_p the p-radical), certified by squaring it back to D^-1,
+so elsewhere it raises NotFound; fake_a3 multiplies a prime above 2 into it.
+The square-class exclusion test for root lattices is an_exclusion.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt, lcm
+from math import isqrt
+from operator import mul
 from typing import NamedTuple, Sequence
 
-from ._intfactor import factor, is_square, squarefree_kernel
+from ._intfactor import factor, is_probable_prime, is_square, squarefree_kernel
 from .errors import NotFound, NotMaximal, TwoInert
-from .exact_linalg import Matrix, det, hnf_rows, inverse
+from .exact_linalg import Matrix, det, hnf_coords, hnf_rows
 from .lattice_core import (
     TraceLattice,
     classify_root_type,
@@ -33,41 +41,50 @@ from .lattice_core import (
     gram_of,
     odd_trace_witness,
 )
-from .shanks_field import ShanksField, new_field
+from .power_basis import PowerBasisField
+from .shanks_field import new_field
 
 F = Fraction
 
 
-def _hnf_span(rows, rank: int = 3) -> Matrix:
+def _hnf_span(rows, rank: int) -> Matrix:
     """Canonical basis of the Z-span of possibly redundant rational rows:
     clear denominators, row-reduce to Hermite form, drop zero rows, rescale."""
-    rows = [tuple(F(x) for x in r) for r in rows]
-    scale = lcm(*(x.denominator for r in rows for x in r))
-    h = hnf_rows([[x.numerator * (scale // x.denominator) for x in r] for r in rows])
-    kept = [r for r in h if any(r)]
+    ints, scale = Matrix(rows).cleared()
+    kept = [r for r in hnf_rows(ints) if any(r)]
     if len(kept) != rank:
         raise ValueError(f"span has rank {len(kept)}, expected {rank}")
     return Matrix([[F(x, scale) for x in r] for r in kept])
 
 
-class CubicOrder:
-    """A multiplication-closed rank-3 lattice containing 1, with its trace
-    Gram and discriminant; the basis is kept in canonical Hermite form."""
+def _coords(span: tuple[list[list[int]], int], row) -> list[int] | None:
+    """Integer coordinates of a rational row against a canonical basis B,
+    span = B.cleared(), or None when the row is not in the Z-span of B."""
+    h, scale = span
+    v = [F(x) * scale for x in row]
+    if any(x.denominator != 1 for x in v):
+        return None
+    return hnf_coords(h, [x.numerator for x in v])
 
-    __slots__ = ("ambient", "basis", "gram", "disc")
 
-    def __init__(self, ambient: ShanksField, basis: Matrix | Sequence):
-        rows = basis if isinstance(basis, Matrix) else Matrix.from_rows(basis)
-        rows = _hnf_span([rows.row(i) for i in range(rows.rows)])
-        binv = inverse(rows)
-        one = Matrix([[1, 0, 0]]) * binv
-        if not one.is_integer():
+class Order:
+    """A multiplication-closed rank-n lattice containing 1 in a
+    PowerBasisField of degree n, with its trace Gram, its discriminant and
+    its structure constants: table[i][j] holds the integer coordinates of
+    o_i * o_j.  The basis is kept in canonical Hermite form."""
+
+    __slots__ = ("ambient", "basis", "gram", "disc", "table")
+
+    def __init__(self, ambient: PowerBasisField, basis: Matrix | Sequence):
+        rows = _hnf_span(basis.data if isinstance(basis, Matrix) else basis, ambient.degree)
+        span = rows.cleared()
+        if _coords(span, ambient.reduce([1])) is None:
             raise ValueError("order must contain 1")
-        for i in range(3):
-            for j in range(i, 3):
-                prod = ambient.mul_coords(rows.row(i), rows.row(j))
-                if not (Matrix([list(prod)]) * binv).is_integer():
-                    raise ValueError("order basis is not multiplication-closed")
+        table = [
+            [_coords(span, ambient.mul_coords(a, b)) for b in rows.data] for a in rows.data
+        ]
+        if any(c is None for r in table for c in r):
+            raise ValueError("order basis is not multiplication-closed")
         gram = gram_of(rows, ambient)
         d = det(gram)
         assert d.denominator == 1 and d > 0
@@ -75,63 +92,63 @@ class CubicOrder:
         object.__setattr__(self, "basis", rows)
         object.__setattr__(self, "gram", gram)
         object.__setattr__(self, "disc", int(d))
+        object.__setattr__(self, "table", tuple(tuple(map(tuple, r)) for r in table))
 
     def __setattr__(self, name, value):
-        raise AttributeError("CubicOrder is immutable")
+        raise AttributeError("Order is immutable")
 
     def __eq__(self, other):
         return (
-            isinstance(other, CubicOrder)
+            isinstance(other, Order)
             and self.ambient.descriptor() == other.ambient.descriptor()
             and self.basis == other.basis
         )
 
     def __repr__(self):
-        return f"CubicOrder(t={self.ambient.t}, disc={self.disc})"
+        return f"Order({self.ambient!r}, disc={self.disc})"
 
     def lattice(self) -> TraceLattice:
         return TraceLattice(self.ambient, self.basis, gram=self.gram)
 
 
-class IdealLattice(NamedTuple):
-    """A fractional ideal of a cubic order, held as a canonical basis."""
+CubicOrder = Order  # the rank-3 name, kept while it is public
 
-    order: CubicOrder
+
+class IdealLattice(NamedTuple):
+    """A fractional ideal of an order, held as a canonical basis."""
+
+    order: Order
     basis: Matrix
 
     def lattice(self) -> TraceLattice:
         return TraceLattice(self.order.ambient, self.basis)
 
 
-def _make_ideal(order: CubicOrder, rows) -> IdealLattice:
-    basis = _hnf_span(rows)
-    binv = inverse(basis)
-    for i in range(3):
-        for j in range(3):
-            prod = order.ambient.mul_coords(basis.row(i), order.basis.row(j))
-            if not (Matrix([list(prod)]) * binv).is_integer():
-                raise ValueError("module is not stable under the order")
+def _make_ideal(order: Order, rows) -> IdealLattice:
+    basis = _hnf_span(rows, order.ambient.degree)
+    span = basis.cleared()
+    products = (
+        order.ambient.mul_coords(b, o) for b in basis.data for o in order.basis.data
+    )
+    if any(_coords(span, row) is None for row in products):
+        raise ValueError("module is not stable under the order")
     return IdealLattice(order, basis)
 
 
 def module_product(a: IdealLattice, b: IdealLattice) -> IdealLattice:
     """The ideal generated by all pairwise basis products."""
     ambient = a.order.ambient
-    rows = [
-        ambient.mul_coords(a.basis.row(i), b.basis.row(j))
-        for i in range(3)
-        for j in range(3)
-    ]
+    rows = [ambient.mul_coords(x, y) for x in a.basis.data for y in b.basis.data]
     return _make_ideal(a.order, rows)
 
 
-def equation_order(t) -> CubicOrder:
+def equation_order(t) -> Order:
     """Z[theta] for theta = q * eps, the least positive multiple of eps with
     an integral minimal polynomial (q the denominator of t)."""
     field = new_field(t)
     q = F(t).denominator
     basis = Matrix.from_rows([[1, 0, 0], [0, q, 0], [0, 0, q * q]])
-    return CubicOrder(field, basis)
+    return Order(field, basis)
 
 
 def _nullspace_mod(rows: list[list[int]], p: int, width: int) -> list[list[int]]:
@@ -164,82 +181,52 @@ def _nullspace_mod(rows: list[list[int]], p: int, width: int) -> list[list[int]]
     return out
 
 
-def _structure_mod(o: CubicOrder, p: int) -> list[list[list[int]]]:
-    """Structure constants of O/pO: table[i][j] = coords of o_i * o_j."""
-    binv = inverse(o.basis)
-    table = []
-    for i in range(3):
-        row = []
-        for j in range(3):
-            prod = o.ambient.mul_coords(o.basis.row(i), o.basis.row(j))
-            coeffs = Matrix([list(prod)]) * binv
-            row.append([int(coeffs[0, k]) % p for k in range(3)])
-        table.append(row)
-    return table
+def _mul_mod(table, u, v, p: int) -> list[int]:
+    """u * v in O/pO, for coordinate rows u and v over the structure table."""
+    terms = [(x * y, c) for x, row in zip(u, table) for y, c in zip(v, row) if x * y]
+    return [sum(s * c[k] for s, c in terms) % p for k in range(len(u))]
 
 
-def _mul_mod(table, u, v, p):
-    out = [0, 0, 0]
-    for i, ui in enumerate(u):
-        if not ui:
-            continue
-        for j, vj in enumerate(v):
-            if not vj:
-                continue
-            c = table[i][j]
-            for k in range(3):
-                out[k] = (out[k] + ui * vj * c[k]) % p
-    return out
+def _p_radical(o: Order, p: int) -> Matrix:
+    """The radical of O/pO lifted to O, as the integer HNF rows of the
+    p-radical in O-coordinates, worked out in O/pO on the structure table.
 
-
-def _p_radical(o: CubicOrder, p: int) -> Matrix:
-    """The radical of O/pO lifted to O, as integer rows in O-coordinates."""
-    table = _structure_mod(o, p)
-    e = 1
-    while p ** e < 3:
-        e += 1
+    O/pO has dimension n, so its radical is nilpotent of index at most n and
+    is the kernel of x -> x^q as soon as q = p^e >= n.  That map is the
+    Frobenius iterated e times, linear over the p-element field, so its
+    values on the basis vectors determine it."""
+    n = len(o.table)
+    q = p
+    while q < n:
+        q *= p
     columns = []
-    for k in range(3):
-        v = [int(i == k) for i in range(3)]
-        power = v
-        for _ in range(e):
-            # x -> x^p is linear over the p-element field, so iterating it
-            # on basis vectors determines the map everywhere
-            acc = v_pow = power
-            for _ in range(p - 1):
-                acc = _mul_mod(table, acc, v_pow, p)
-            power = acc
+    for k in range(n):
+        power = v = [int(i == k) for i in range(n)]
+        for _ in range(q - 1):
+            power = _mul_mod(o.table, power, v, p)
         columns.append(power)
-    frob = [[columns[k][i] for k in range(3)] for i in range(3)]
-    kernel = _nullspace_mod(frob, p, 3)
-    rows = [[p * int(i == j) for j in range(3)] for i in range(3)] + kernel
-    return Matrix([r for r in hnf_rows(rows) if any(r)])
+    kernel = _nullspace_mod(list(zip(*columns)), p, n)
+    return _hnf_span([[p * int(i == j) for j in range(n)] for i in range(n)] + kernel, n)
 
 
-def _enlarge_at(o: CubicOrder, p: int) -> CubicOrder:
-    """One idealizer step: O' = {x : x J <= J} for J the p-radical ideal."""
-    hj = _p_radical(o, p)
-    jmat = hj * o.basis
-    jinv = inverse(jmat)
+def _enlarge_at(o: Order, p: int) -> Order:
+    """One idealizer step: O' = {x : x J <= J} for J the p-radical ideal.
+
+    With H the integer HNF of J in O-coordinates, o_m * j_k = sum_l H_kl c_ml
+    is read against H; x = sum_m y_m o_m maps J into pJ exactly when those
+    J-coordinates, weighted by y, vanish mod p, and then x / p is in O'."""
+    h = _p_radical(o, p).to_int_rows()
     stacked = []
-    for k in range(3):
-        block = []
-        for m in range(3):
-            prod = o.ambient.mul_coords(o.basis.row(m), jmat.row(k))
-            coeffs = Matrix([list(prod)]) * jinv
-            assert coeffs.is_integer()  # J is an O-ideal
-            block.append([int(coeffs[0, i]) for i in range(3)])
-        for i in range(3):
-            stacked.append([block[m][i] for m in range(3)])
-    kernel = _nullspace_mod(stacked, p, 3)
-    rows = [o.basis.row(i) for i in range(3)]
-    for y in kernel:
-        lifted = Matrix([[F(c, p) for c in y]]) * o.basis
-        rows.append(lifted.row(0))
-    return CubicOrder(o.ambient, _hnf_span(rows))
+    for hk in h:
+        block = [hnf_coords(h, [sum(map(mul, hk, c)) for c in zip(*cm)]) for cm in o.table]
+        assert None not in block  # J is an O-ideal
+        stacked.extend(zip(*block))
+    lifts = [[F(c, p) for c in y] for y in _nullspace_mod(stacked, p, len(h))]
+    rows = list(o.basis.data) + [(Matrix([y]) * o.basis).row(0) for y in lifts]
+    return Order(o.ambient, rows)
 
 
-def dedekind_maximalize(o: CubicOrder, p: int) -> CubicOrder:
+def dedekind_maximalize(o: Order, p: int) -> Order:
     """The p-maximal order over o: enlarge until the discriminant stops
     dropping; each strict step divides it by an even power of p."""
     while True:
@@ -251,7 +238,7 @@ def dedekind_maximalize(o: CubicOrder, p: int) -> CubicOrder:
         o = bigger
 
 
-def maximal_order(t) -> CubicOrder:
+def maximal_order(t) -> Order:
     """The ring of integers: enlarge the equation order at every prime whose
     square divides its discriminant.  The result's discriminant is a perfect
     square, as it must be for a cyclic cubic field."""
@@ -263,7 +250,7 @@ def maximal_order(t) -> CubicOrder:
     return o
 
 
-def is_maximal(o: CubicOrder) -> bool:
+def is_maximal(o: Order) -> bool:
     """True iff every idealizer step at a square-dividing prime is a fixed
     point."""
     for p, e in factor(o.disc).items():
@@ -272,7 +259,7 @@ def is_maximal(o: CubicOrder) -> bool:
     return True
 
 
-def different_inverse(o: CubicOrder) -> IdealLattice:
+def different_inverse(o: Order) -> IdealLattice:
     """The trace-dual of the maximal order, {x : Tr(x y) in Z for y in Z_F}.
 
     The dual of any order is a module over it, so stability cannot witness
@@ -283,11 +270,11 @@ def different_inverse(o: CubicOrder) -> IdealLattice:
     d = dual(o.lattice())
     index = det(o.basis) / det(d.basis)
     assert abs(index) == o.disc
-    return _make_ideal(o, [d.basis.row(i) for i in range(3)])
+    return _make_ideal(o, d.basis.data)
 
 
 def sqrt_different_inverse(
-    o: CubicOrder, dinv: IdealLattice | None = None
+    o: Order, dinv: IdealLattice | None = None
 ) -> IdealLattice:
     """The ideal C with C^2 = D^-1, the trace dual of the maximal order.
 
@@ -311,42 +298,40 @@ def sqrt_different_inverse(
         root = module_product(root, IdealLattice(o, power.basis * F(1, p)))
     if module_product(root, root).basis != dinv.basis:
         raise NotFound("the closed-form root does not square to the trace dual")
-    if not (o.basis * inverse(root.basis)).is_integer():
+    span = root.basis.cleared()
+    if any(_coords(span, row) is None for row in o.basis.data):
         raise NotFound("the closed-form root does not contain the order")
     return root
 
 
-def primes_above_2(o: CubicOrder) -> list[IdealLattice]:
-    """Maximal ideals of the 8-element algebra Z_F/2Z_F, lifted to ideals.
-
-    Three candidates of index 2 when 2 splits (t with even denominator),
-    the single ideal 2 Z_F when 2 stays inert; cyclic cubics admit nothing
-    in between at an unramified prime."""
-    table = _structure_mod(o, 2)
-    ideals = []
-    for w in range(1, 8):
-        wvec = [(w >> i) & 1 for i in range(3)]
-        space = [v for v in _nullspace_mod([wvec], 2, 3)]
-        assert len(space) == 2
-        stable = all(
-            sum(x * y for x, y in zip(wvec, _mul_mod(table, e, v, 2))) % 2 == 0
-            for v in space
-            for e in ([1, 0, 0], [0, 1, 0], [0, 0, 1])
-        )
-        if stable:
-            ideals.append(space)
-    assert len(ideals) in (0, 3)
-    if not ideals:
-        return [_make_ideal(o, [tuple(2 * x for x in o.basis.row(i)) for i in range(3)])]
-    out = []
-    for space in ideals:
-        rows = [[2 * int(i == j) for j in range(3)] for i in range(3)] + space
-        out.append(Matrix([r for r in hnf_rows(rows) if any(r)]))
-    out.sort(key=lambda h: tuple(tuple(int(x) for x in h.row(i)) for i in range(3)))
-    return [_make_ideal(o, [(h * o.basis).row(i) for i in range(3)]) for h in out]
+def primes_above_2(o: Order) -> list[IdealLattice]:
+    """The primes of residue degree 1 above 2 in HNF order, or [2 O] when 2
+    is inert.  They are the kernels of the ring maps O -> F_2: the nonzero
+    w in F_2^n with w(o_i o_j) = w(o_i) w(o_j), among 2^n - 1 candidates.
+    In a Galois field where 2 is unramified there are n of them or none;
+    none makes 2 inert only at prime n (residue degree 1 or n), so at
+    composite n it raises NotFound: Q(zeta_7) has two primes of degree 3."""
+    n = o.ambient.degree
+    kernels = []
+    for m in range(1, 2**n):
+        w = [(m >> i) & 1 for i in range(n)]
+        if all(
+            (sum(map(mul, w, c)) - w[i] * w[j]) % 2 == 0
+            for i, row in enumerate(o.table)
+            for j, c in enumerate(row)
+        ):
+            kernels.append(_nullspace_mod([w], 2, n))
+    assert len(kernels) in (0, n)
+    if not kernels:
+        if not is_probable_prime(n):
+            raise NotFound(f"2 has no prime of residue degree 1 in degree {n}, not a prime")
+        return [_make_ideal(o, (o.basis * 2).data)]
+    two = [[2 * int(i == j) for j in range(n)] for i in range(n)]
+    primes = sorted((_hnf_span(two + k, n) for k in kernels), key=lambda h: h.data)
+    return [_make_ideal(o, (h * o.basis).data) for h in primes]
 
 
-def fake_a3(o: CubicOrder, root: IdealLattice | None = None) -> TraceLattice:
+def fake_a3(o: Order, root: IdealLattice | None = None) -> TraceLattice:
     """The odd determinant-4 lattice: (prime above 2) * (square root of the
     trace dual), built from the lexicographically least prime.  A caller
     that already holds sqrt_different_inverse(o) passes it as root.
@@ -367,7 +352,7 @@ def fake_a3(o: CubicOrder, root: IdealLattice | None = None) -> TraceLattice:
     return lattice.with_type("diag114")
 
 
-def fake_a3_variants(o: CubicOrder) -> list[TraceLattice]:
+def fake_a3_variants(o: Order) -> list[TraceLattice]:
     """All three determinant-4 lattices, one per prime above 2."""
     primes = primes_above_2(o)
     if len(primes) == 1:

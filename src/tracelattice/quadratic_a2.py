@@ -29,7 +29,8 @@ A2_GRAM = Matrix.from_rows([[2, -1], [-1, 2]])
 
 
 class QuadAmbient(PowerBasisField):
-    """The field Q(sqrt(sign * d)) with d squarefree positive, as a
+    """The field Q(sqrt(sign * d)) with d squarefree positive and not 1 when
+    sign = +1 (x^2 - 1 is reducible, so Q x Q and not a field), as a
     PowerBasisField: minimal polynomial x^2 - sign*d, conjugation flipping
     the radical when sign = -1, and the Galois generator flipping it always."""
 
@@ -40,6 +41,8 @@ class QuadAmbient(PowerBasisField):
             raise ValueError(f"d must be a squarefree positive integer, got {d}")
         if sign not in (1, -1):
             raise ValueError("sign must be +1 (real) or -1 (imaginary)")
+        if d == 1 and sign == 1:
+            raise ValueError("x^2 - 1 is reducible, so d = 1 needs sign -1")
         flip = (0, -1)
         super().__init__(
             (-sign * d, 0, 1),

@@ -211,6 +211,18 @@ PINNED_STDOUT_SHA256 = [
         ["order", "--t=2", "--different", "--sqrt-different"],
         "bd85def76ffe400474d8c9c8656e4498426178e81b88c9b4efd845923402989b",
     ),
+    (
+        ["order", "--t=-1/2", "--different", "--sqrt-different", "--primes2", "--fake-a3"],
+        "75c9af081eacce90b7bfd9676d4b9884d192edc6bc6a2c0b1d882921f6d8fea6",
+    ),
+    (
+        ["order", "--t=9/2", "--different", "--sqrt-different", "--primes2", "--fake-a3"],
+        "52e438d2c3565ce476ec47b0f0c9942d4c566551b4fb0572ddc66da7d778e342",
+    ),
+    (
+        ["order", "--t=13", "--different", "--sqrt-different", "--primes2"],
+        "1f7e5b15960a1a164db98f5a30d7ac10c34a18e28994d38265e2ed29c91c7a53",
+    ),
 ]
 
 

@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tracelattice.errors import NonSquareMatrix, NotInteger, SingularMatrix
-from tracelattice.exact_linalg import Matrix, det, hnf, inverse, rat, snf
+from oracles import _inverse, fraction_det
+from tracelattice.exact_linalg import Matrix, det, hnf, hnf_coords, hnf_rows, inverse, rat, snf
 
 A3_GRAM = Matrix.from_rows([[2, -1, 0], [-1, 2, -1], [0, -1, 2]])
 A2_GRAM = Matrix.from_rows([[2, -1], [-1, 2]])
@@ -243,6 +244,47 @@ def test_hnf_row_permutation_invariant(m, rng):
     rng.shuffle(order)
     p = Matrix([[m.row(i)[j] for j in range(m.cols)] for i in order])
     assert hnf(m)[0] == hnf(p)[0]
+
+
+@st.composite
+def _basis_and_rows(draw):
+    """A nonsingular integer B (rank 1-6), a row c B of its lattice, that row
+    moved by a small integer offset delta (often leaving the lattice), and
+    the row with its last-row component removed."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    entry = st.integers(min_value=-9, max_value=9)
+    b = draw(
+        st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n).filter(
+            lambda rows: fraction_det(rows) != 0
+        )
+    )
+    c = draw(st.lists(entry, min_size=n, max_size=n))
+    delta = draw(st.lists(st.integers(min_value=-2, max_value=2), min_size=n, max_size=n))
+    v = [sum(ci * row[j] for ci, row in zip(c, b)) for j in range(n)]
+    return b, [v, [x + d for x, d in zip(v, delta)], [x - c[-1] * y for x, y in zip(v, b[-1])]]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_basis_and_rows())
+def test_hnf_coords_matches_inverse_oracle(case):
+    # against B, v is in the span iff v B^-1 is integral; against B without
+    # its last row (a non-pivot column in its HNF) iff also the last
+    # coordinate is 0
+    b, rows = case
+    binv = _inverse(b)
+    for basis in (b, b[:-1]):
+        if not basis:
+            continue
+        h = hnf_rows([row[:] for row in basis])
+        for w in rows:
+            y = [sum(wi * binv[i][j] for i, wi in enumerate(w)) for j in range(len(w))]
+            inside = all(c.denominator == 1 for c in y) and (basis is b or y[-1] == 0)
+            x = hnf_coords(h, w)
+            if inside:
+                assert x is not None
+                assert [sum(xi * row[j] for xi, row in zip(x, h)) for j in range(len(w))] == w
+            else:
+                assert x is None
 
 
 # --- snf ----------------------------------------------------------------------

@@ -4,7 +4,8 @@ sympy's round_two is the independent oracle for maximal-order
 discriminants, and an exhaustive sublattice search (tests/oracles.py) for
 the square root of the trace dual at small conductors; everything else is
 checked against frozen hand values and the index-discriminant law
-disc(suborder) = index^2 * disc(order).
+disc(suborder) = index^2 * disc(order).  The rank-n orders are checked on
+Z[zeta_n] against the known |disc Q(zeta_n)| = 5^3, 7^5, 3^9.
 """
 from __future__ import annotations
 
@@ -18,6 +19,7 @@ from sympy.polys.numberfields.basis import round_two
 
 from oracles import same_lattice, sqrt_dual_by_search
 from tracelattice._intfactor import is_square
+from tracelattice.cyclotomic_ideals import cyc_field
 from tracelattice.errors import (
     NotFound,
     NotMaximal,
@@ -36,6 +38,7 @@ from tracelattice.lattice_core import (
 from tracelattice.orders_ideals import (
     CubicOrder,
     IdealLattice,
+    Order,
     an_exclusion,
     dedekind_maximalize,
     different_inverse,
@@ -48,6 +51,7 @@ from tracelattice.orders_ideals import (
     primes_above_2,
     sqrt_different_inverse,
     _make_ideal,
+    _p_radical,
 )
 from tracelattice.shanks_field import new_field
 
@@ -280,6 +284,59 @@ def test_primes_above_2_deterministic_order():
     a = [p.basis for p in primes_above_2(mo)]
     b = [p.basis for p in primes_above_2(mo)]
     assert a == b
+
+
+# ---------------------------------------------------------------------------
+# rank n: the cyclotomic orders Z[zeta_n], of rank phi(n)
+
+
+def _diagonal_order(n, diagonal):
+    field = cyc_field(n)
+    rank = field.degree
+    return Order(field, [[d * int(i == j) for j in range(rank)] for i, d in enumerate(diagonal)])
+
+
+@pytest.mark.parametrize("n,disc", [(5, 125), (7, 16807), (9, 19683)])
+def test_cyclotomic_integers_are_maximal(n, disc):
+    # |disc Q(zeta_n)|: 5^3, 7^5 and 3^9
+    o = Order(cyc_field(n), Matrix.identity(cyc_field(n).degree))
+    assert o.disc == disc
+    assert is_maximal(o)
+
+
+@pytest.mark.parametrize("n,p", [(5, 2), (5, 5), (7, 2), (7, 7), (9, 2), (9, 3)])
+def test_suborders_maximalize_to_cyclotomic_integers(n, p):
+    rank = cyc_field(n).degree
+    identity = Matrix.identity(rank)
+    maximal = Order(cyc_field(n), identity).disc
+    # Z + p Z[zeta] has index p^(rank-1), Z[p zeta] index p^(0+1+...+rank-1)
+    for o, index in (
+        (_diagonal_order(n, [1] + [p] * (rank - 1)), p ** (rank - 1)),
+        (_diagonal_order(n, [p**i for i in range(rank)]), p ** (rank * (rank - 1) // 2)),
+    ):
+        assert o.disc == index**2 * maximal
+        assert not is_maximal(o)
+        assert dedekind_maximalize(o, p).basis == identity
+
+
+def test_p_radical_of_wild_prime_at_rank_six():
+    # 3 Z[zeta_9] = P^6 with P = (1 - zeta_9) of index 3; x -> x^3 alone
+    # would leave P^2, of index 9
+    o = Order(cyc_field(9), Matrix.identity(6))
+    assert det(_p_radical(o, 3)) == 3
+
+
+def test_primes_above_2_needs_prime_degree_to_call_2_inert():
+    # 2 has order 3 mod 7: two primes of degree 3, no hyperplane ideal
+    with pytest.raises(NotFound):
+        primes_above_2(Order(cyc_field(7), Matrix.identity(6)))
+
+
+def test_rank_four_constructor_enforces_closure():
+    field = cyc_field(5)
+    with pytest.raises(ValueError, match="closed"):
+        Order(field, [[1, 0, 0, 0], [0, F(1, 2), 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+    assert Order(field, Matrix.identity(4)).table[1][1] == (0, 0, 1, 0)
 
 
 # ---------------------------------------------------------------------------

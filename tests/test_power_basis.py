@@ -63,7 +63,7 @@ FIELDS = {
     ).map(_shanks),
     "cyclotomic": st.sampled_from([3, 4, 5, 7, 8, 9, 12, 15, 20, 23]).map(_cyclotomic),
     "quadratic": st.sampled_from(
-        [(d, sign) for d in (1, 2, 3, 7) for sign in (-1, 1)]
+        [(d, sign) for d in (1, 2, 3, 7) for sign in (-1, 1) if (d, sign) != (1, 1)]
     ).map(lambda case: _quadratic(*case)),
 }
 
@@ -99,7 +99,6 @@ def test_field_matches_polynomial_oracle(kind, data):
     one = [F(1)] + [F(0)] * (n - 1)
     times_a = [_product(a, [F(int(i == j)) for j in range(n)], minpoly) for i in range(n)]
     if fraction_det(times_a) == 0:
-        # a = 0, or a zero divisor when the polynomial is reducible (x^2 - 1)
         with pytest.raises(DivisionByZero):
             field.inv_coords(a)
     else:

@@ -77,6 +77,15 @@ def test_ambient_rejects_bad_parameters():
         QuadAmbient(3, sign=2)
 
 
+def test_real_d_one_is_not_a_field():
+    # x^2 - 1 = (x - 1)(x + 1): Q x Q has zero divisors
+    with pytest.raises(ValueError, match="reducible"):
+        QuadAmbient(1, 1)
+    with pytest.raises(ValueError, match="reducible"):
+        falsify_a2(1, 3, sign=1)
+    assert QuadAmbient(1, -1).degree == 2
+
+
 def test_ambient_equality_and_descriptor():
     a = QuadAmbient(3, -1)
     assert a == QuadAmbient(3, -1)
