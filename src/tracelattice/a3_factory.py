@@ -43,7 +43,6 @@ from .lattice_core import (
     canonical_key,
     classify_root_type,
     dual,
-    galois_matrices,
     galois_stable,
 )
 from .shanks_field import bracket, new_field
@@ -162,18 +161,18 @@ def normal_basis_lattice(t, lam, targets=None) -> TraceLattice:
     targets is (d, e) when the caller has already certified it for lam
     (lambda_from_point); by default it is recomputed by trace_targets_of.
     The conjugates beta S and beta S^2 are computed in int on the cleared
-    beta, with S'/s the integer matrix of sigma (galois_matrices)."""
+    beta, with S the matrix of sigma (galois_matrices), and the three rows
+    are put over one denominator."""
     field = new_field(t)
-    (row,), den = Matrix([bracket(field, lam).coords]).cleared()
-    ((s_rows, s),) = galois_matrices(field)
-    cols = list(zip(*s_rows))
-    rows = [[Fraction(v, den) for v in row]]
+    beta = Matrix([bracket(field, lam).coords])
+    (s,) = field.galois_matrices()
+    cols = list(zip(*s.ints))
+    rows = [beta.ints[0]]
     for _ in range(2):
-        row = [sum(map(mul, row, col)) for col in cols]
-        den *= s
-        rows.append([Fraction(v, den) for v in row])
+        image = [sum(map(mul, rows[-1], col)) for col in cols]
+        rows = [[x * s.den for x in row] for row in rows] + [image]
     try:
-        lattice = TraceLattice.from_rows(field, rows)
+        lattice = TraceLattice(field, Matrix.scaled(rows, beta.den * s.den * s.den))
     except DependentBasis as exc:
         raise DegenerateLambda(
             f"conjugates of the weighted element are dependent for lam = {lam}"
@@ -189,16 +188,14 @@ def to_a3_basis(lattice: TraceLattice, key: tuple | None = None) -> TraceLattice
 
     The new basis spans the same lattice (the transform is unimodular); that
     is checked against key, the lattice's canonical_key (computed when not
-    given).  The new Gram is P G P^T in int."""
+    given).  The new Gram is P G P^T."""
     if lattice.gram != NORMAL_A3_GRAM:
         raise WrongGram(
             "expected the normal A3 Gram [[2,1,1],[1,2,1],[1,1,2]], got "
             f"{lattice.gram!r}"
         )
-    p = _NORMAL_TO_STANDARD.to_int_rows()
-    g = lattice.gram.to_int_rows()
-    pg = [[sum(map(mul, row, col)) for col in zip(*g)] for row in p]
-    gram = Matrix([[sum(map(mul, row, other)) for other in p] for row in pg])
+    p = _NORMAL_TO_STANDARD
+    gram = p * lattice.gram * p.transpose()
     out = TraceLattice(
         lattice.ambient, _NORMAL_TO_STANDARD * lattice.basis, gram, "A3"
     )

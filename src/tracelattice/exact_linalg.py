@@ -2,8 +2,11 @@
 
 Scalars are arbitrary-precision rationals (`Rational`, an alias of
 `fractions.Fraction`: canonical lowest terms, positive denominator, and
-`str()` prints the "p/q" wire form). Matrices are immutable row-major grids
-of rationals. Every operation here is exact; no floating point anywhere.
+`str()` prints the "p/q" wire form). A Matrix is immutable and stores
+integer rows over one positive denominator in lowest terms, the scaled-integer
+form every kernel here runs on; Matrix.scaled(ints, den) builds one from
+integers without a Fraction, and entries become Fractions only when read.
+Every operation here is exact; no floating point anywhere.
 
 Conventions fixed for the whole library:
   - vectors are rows; a basis matrix has one basis vector per row,
@@ -17,7 +20,7 @@ Conventions fixed for the whole library:
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -38,20 +41,38 @@ def rat(value: int | str | Fraction) -> Fraction:
 
 
 class Matrix:
-    """Immutable matrix of Rationals, row-major."""
+    """Immutable rational matrix, row-major, stored as integer rows `ints`
+    over one denominator `den` > 0 in lowest terms: the gcd of den and all
+    entries is 1.  That pair is unique, so equality and hashing compare it
+    directly; Fraction entries are built only on access."""
 
-    __slots__ = ("rows", "cols", "data")
+    __slots__ = ("rows", "cols", "ints", "den")
 
-    def __init__(self, data: Sequence[Sequence[Fraction]]):
-        body = tuple(tuple(rat(x) for x in row) for row in data)
+    def __init__(self, data: Sequence[Sequence[int | str | Fraction]]):
+        body = [[rat(x) for x in row] for row in data]
+        den = lcm(*[x.denominator for row in body for x in row])
+        self._freeze([[x.numerator * (den // x.denominator) for x in row] for row in body], den)
+
+    @classmethod
+    def scaled(cls, ints: Iterable[Sequence[int]], den: int = 1) -> "Matrix":
+        """The matrix ints / den, for integer rows and a nonzero integer den."""
+        ints = [list(row) for row in ints]
+        g = gcd(den, *[x for row in ints for x in row])
+        if den < 0:
+            g = -g
+        m = cls.__new__(cls)
+        m._freeze([[x // g for x in row] for row in ints] if g != 1 else ints, den // g)
+        return m
+
+    def _freeze(self, ints: list[list[int]], den: int) -> None:
+        body = tuple(map(tuple, ints))
         if not body or not body[0]:
             raise ValueError("matrix needs at least one row and one column")
         width = len(body[0])
         if any(len(row) != width for row in body):
             raise ValueError("ragged rows")
-        object.__setattr__(self, "data", body)
-        object.__setattr__(self, "rows", len(body))
-        object.__setattr__(self, "cols", width)
+        for name, value in (("ints", body), ("den", den), ("rows", len(body)), ("cols", width)):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError("Matrix is immutable")
@@ -62,90 +83,84 @@ class Matrix:
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        return cls([[Fraction(int(i == j)) for j in range(n)] for i in range(n)])
+        return cls.scaled([[int(i == j) for j in range(n)] for i in range(n)])
 
     def __getitem__(self, key: tuple[int, int]) -> Fraction:
         i, j = key
-        return self.data[i][j]
+        return Fraction(self.ints[i][j], self.den)
 
     def row(self, i: int) -> tuple[Fraction, ...]:
-        return self.data[i]
+        den = self.den
+        return tuple(Fraction(x, den) for x in self.ints[i])
+
+    @property
+    def data(self) -> tuple[tuple[Fraction, ...], ...]:
+        return tuple(self.row(i) for i in range(self.rows))
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Matrix) and self.data == other.data
+        return isinstance(other, Matrix) and self.den == other.den and self.ints == other.ints
 
     def __hash__(self) -> int:
-        return hash(self.data)
+        return hash((self.ints, self.den))
 
     def __repr__(self) -> str:
         body = "; ".join(" ".join(str(x) for x in row) for row in self.data)
         return f"Matrix[{body}]"
 
-    def __add__(self, other: "Matrix") -> "Matrix":
+    def _combine(self, other: "Matrix", sign: int) -> "Matrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
-        return Matrix(
-            [
-                [a + b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.data, other.data)
-            ]
+        den = lcm(self.den, other.den)
+        fa, fb = den // self.den, sign * (den // other.den)
+        return Matrix.scaled(
+            [[fa * a + fb * b for a, b in zip(ra, rb)] for ra, rb in zip(self.ints, other.ints)],
+            den,
         )
 
+    def __add__(self, other: "Matrix") -> "Matrix":
+        return self._combine(other, 1)
+
     def __sub__(self, other: "Matrix") -> "Matrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
-        return Matrix(
-            [
-                [a - b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.data, other.data)
-            ]
-        )
+        return self._combine(other, -1)
 
     def __mul__(self, other: "Matrix | int | Fraction") -> "Matrix":
         if isinstance(other, (int, Fraction)):
-            s = rat(other)
-            return Matrix([[x * s for x in row] for row in self.data])
+            return Matrix.scaled(
+                [[x * other.numerator for x in row] for row in self.ints],
+                self.den * other.denominator,
+            )
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
-        # integer product of the cleared matrices, one division per entry
-        a, sa = self.cleared()
-        b, sb = other.cleared()
-        den = sa * sb
-        cols = list(zip(*b))
-        return Matrix(
-            [[Fraction(sum(map(mul, row, col)), den) for col in cols] for row in a]
+        cols = list(zip(*other.ints))
+        return Matrix.scaled(
+            [[sum(map(mul, row, col)) for col in cols] for row in self.ints],
+            self.den * other.den,
         )
 
     def __rmul__(self, other: "int | Fraction") -> "Matrix":
         return self.__mul__(other)
 
     def __neg__(self) -> "Matrix":
-        return self * Fraction(-1)
+        return self * -1
 
     def transpose(self) -> "Matrix":
-        return Matrix(list(zip(*self.data)))
+        return Matrix.scaled(zip(*self.ints), self.den)
 
     def is_square(self) -> bool:
         return self.rows == self.cols
 
     def is_integer(self) -> bool:
-        return all(x.denominator == 1 for row in self.data for x in row)
-
-    def denominator_lcm(self) -> int:
-        return lcm(*[x.denominator for row in self.data for x in row])
+        return self.den == 1
 
     def cleared(self) -> tuple[list[list[int]], int]:
-        """(m', s) with m'/s = self, s the least common denominator."""
-        scale = self.denominator_lcm()
-        return (
-            [[x.numerator * (scale // x.denominator) for x in row] for row in self.data],
-            scale,
-        )
+        """(m', s) with m'/s = self, s the least common denominator; m' is a
+        fresh list of lists, free for the caller to change."""
+        return [list(row) for row in self.ints], self.den
 
     def to_int_rows(self) -> list[list[int]]:
-        if not self.is_integer():
+        if self.den != 1:
             raise NotInteger("integer entries required")
-        return [[int(x) for x in row] for row in self.data]
+        return [list(row) for row in self.ints]
 
 
 def _bareiss_det(a: list[list[int]]) -> int:
@@ -173,9 +188,8 @@ def det(m: Matrix) -> Fraction:
     """Exact determinant via Bareiss elimination on the cleared matrix."""
     if not m.is_square():
         raise NonSquareMatrix(f"{m.rows}x{m.cols}")
-    ints, scale = m.cleared()
-    d = _bareiss_det(ints)
-    return Fraction(d, scale**m.rows)
+    d = _bareiss_det([list(row) for row in m.ints])
+    return Fraction(d, m.den**m.rows)
 
 
 def inverse(m: Matrix) -> Matrix:
@@ -276,8 +290,8 @@ def hnf(m: Matrix) -> tuple[Matrix, Matrix]:
     ]
     h = hnf_rows(aug, m.cols)
     return (
-        Matrix([row[: m.cols] for row in h]),
-        Matrix([row[m.cols :] for row in h]),
+        Matrix.scaled(row[: m.cols] for row in h),
+        Matrix.scaled(row[m.cols :] for row in h),
     )
 
 

@@ -5,22 +5,18 @@ rows are element coordinates in the ambient power basis, together with its
 cached Gram matrix gram[i][j] = Tr(b_i * conj(b_j)). The ambient is any
 object implementing the small protocol used here:
 
-    degree           -- rank of the field over Q
-    mul_coords(a, b) -- product in power-basis coordinates; Q-bilinear
-    conj_coords(a)   -- complex conjugation (identity when totally real);
-                        Q-linear
-    trace_coords(a)  -- trace of the multiplication operator
-    galois_maps()    -- Q-linear coordinate maps generating the automorphism
-                        group
-    descriptor()     -- JSON-friendly identity, used for ambient equality
+    degree            -- rank of the field over Q
+    trace_form()      -- the Matrix T, T[i][j] = Tr(e_i * conj(e_j)) on the
+                         power basis
+    galois_matrices() -- one Matrix S per generator of the automorphism
+                         group; a row x maps to x S
+    descriptor()      -- JSON-friendly identity, used for ambient equality
 
-Because the pairing Tr(x * conj(y)) is then Q-bilinear, the Gram of a basis
-B is B T B^T with T[i][j] = Tr(e_i * conj(e_j)) on the power basis.  T is
-derived from the protocol once per ambient (ambients are hashable and equal
-ambients share it), and each Gram costs two integer matrix products.  The
-same holds for each Galois generator: its matrix S (row x maps to x S) is
-derived once per ambient, and Galois stability is a membership test of the
-images H S against the lattice's own integer HNF H, with no inverse.
+The pairing Tr(x * conj(y)) is Q-bilinear, so the Gram of a basis B is
+B T B^T: two integer matrix products on the scaled-integer form.  Galois
+stability is a membership test of the images H S against the lattice's own
+integer HNF H, with no inverse.  The ambient holds T and S already; nothing
+here derives them again.
 
 Short vectors are enumerated by Fincke-Pohst on the LLL-reduced Gram (an
 exact integral LLL on the Gram alone, Cohen GTM 138 Alg. 2.6.7), so the
@@ -106,62 +102,23 @@ class TraceLattice:
         return f"TraceLattice(ambient={self.ambient.descriptor()}{tag})"
 
 
-def _unit_vectors(n: int) -> list[tuple[Fraction, ...]]:
-    return [tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n)]
-
-
-@lru_cache(maxsize=256)
-def _trace_form(ambient) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """(T', s) with T'/s = T, T[i][j] = Tr(e_i * conj(e_j)) on the power basis.
-
-    Derived once per ambient through the protocol; the Gram of any basis B
-    is then B T B^T, because mul_coords is bilinear and conj_coords linear."""
-    unit = _unit_vectors(ambient.degree)
-    conj = [ambient.conj_coords(e) for e in unit]
-    form, scale = Matrix(
-        [[ambient.trace_coords(ambient.mul_coords(e, ce)) for ce in conj] for e in unit]
-    ).cleared()
-    return tuple(map(tuple, form)), scale
-
-
-@lru_cache(maxsize=256)
-def galois_matrices(ambient) -> tuple[tuple[tuple[tuple[int, ...], ...], int], ...]:
-    """(S', s) per generator in galois_maps() order, with S'/s = S the
-    matrix of the map on row coordinates: the image of a row x is x S.
-
-    Derived once per ambient through the protocol (the maps are Q-linear,
-    so row i of S is the image of the i-th power-basis vector)."""
-    unit = _unit_vectors(ambient.degree)
-    out = []
-    for gmap in ambient.galois_maps():
-        rows, scale = Matrix([gmap(e) for e in unit]).cleared()
-        out.append((tuple(map(tuple, rows)), scale))
-    return tuple(out)
-
-
 def gram_of(basis: Matrix | Sequence[Sequence], ambient) -> Matrix:
     """Exact Gram matrix Tr(b_i * conj(b_j)) = (B T B^T)[i][j]; raises
     DependentBasis if the rows are linearly dependent and NotPositiveDefinite
-    if the form is not definite on them.
-
-    B and T are cleared to integers, so the two products run in int and each
-    entry pays one Fraction division."""
+    if the form is not definite on them."""
     if not isinstance(basis, Matrix):
         basis = Matrix.from_rows(basis)
-    form, form_scale = _trace_form(ambient)
-    b, scale = basis.cleared()
-    bt = [[sum(map(mul, row, col)) for col in zip(*form)] for row in b]
-    g = [[sum(map(mul, row, other)) for other in b] for row in bt]
+    gram = basis * ambient.trace_form() * basis.transpose()
+    g = gram.ints
     n = len(g)
     assert all(
         g[i][j] == g[j][i] for i in range(n) for j in range(i)
     ), "trace pairing must be symmetric"
     _check_positive_definite(g)
-    den = scale * scale * form_scale
-    return Matrix([[Fraction(x, den) for x in row] for row in g])
+    return gram
 
 
-def _check_positive_definite(g: list[list[int]]) -> None:
+def _check_positive_definite(g: Sequence[Sequence[int]]) -> None:
     """Sylvester's criterion in one fraction-free Bareiss pass without
     pivoting: the k-th pivot is the k-th leading minor of g.
 
@@ -174,7 +131,7 @@ def _check_positive_definite(g: list[list[int]]) -> None:
     for k in range(n):
         pivot = a[k][k]
         if pivot <= 0:
-            if det(Matrix(g)) == 0:
+            if det(Matrix.scaled(g)) == 0:
                 raise DependentBasis("Gram matrix is singular")
             raise NotPositiveDefinite("form is not positive definite")
         for i in range(k + 1, n):
@@ -385,9 +342,8 @@ def short_vectors_gram(
     if bound < 0:
         return []
     _check_symmetric(gram)
-    ints, scale = gram.cleared()
-    reduced, u = _lll_gram(ints)
-    red = Matrix([[Fraction(x, scale) for x in row] for row in reduced])
+    reduced, u = _lll_gram(gram.ints)
+    red = Matrix.scaled(reduced, gram.den)
     cols = list(zip(*u))
     found = {
         _sign_rep(tuple(sum(map(mul, x, col)) for col in cols)): norm
@@ -406,12 +362,6 @@ def short_vectors(
 # ---------------------------------------------------------------------------
 # root-type recognition
 # ---------------------------------------------------------------------------
-
-def _iprod(g: list[list[int]], u: Sequence[int], v: Sequence[int]) -> int:
-    return sum(
-        u[i] * sum(g[i][j] * v[j] for j in range(len(v))) for i in range(len(u))
-    )
-
 
 def _roots_generate(vectors: list[tuple[int, ...]], n: int) -> bool:
     h = hnf_rows([list(v) for v in vectors])
@@ -499,8 +449,8 @@ def classify_gram(gram: Matrix) -> str:
     check_enumeration_rank(n)
     _check_symmetric(gram)
     # _lll_gram raises NotPositiveDefinite on the first leading minor <= 0
-    g, _ = _lll_gram(gram.to_int_rows())
-    reduced = Matrix(g)
+    g, _ = _lll_gram(gram.ints)
+    reduced = Matrix.scaled(g)
     dt = int(det(reduced))
     even = all(g[i][i] % 2 == 0 for i in range(n))
     if even:
@@ -546,7 +496,7 @@ def classify_gram(gram: Matrix) -> str:
         kind = "diag114"
     else:
         return "other"
-    assert abs(det(Matrix.from_rows(frame))) == 1
+    assert abs(det(Matrix.scaled(frame))) == 1
     return kind
 
 
@@ -557,20 +507,17 @@ def classify_root_type(L: TraceLattice) -> str:
 
 
 def odd_trace_witness(L: TraceLattice) -> Optional[tuple[int, ...]]:
-    """Exhaustive parity scan over L/2L (well-defined: <x+2y, x+2y> is
-    congruent to <x,x> mod 4); returns the first class with odd norm in a
-    fixed binary counting order (first coordinate least significant), or
-    None exactly when the lattice is even."""
+    """The first class of L/2L with odd norm in the binary counting order
+    (first coordinate least significant), or None exactly when the lattice
+    is even.  For an integral Gram g, <x,x> = sum x_i g_ii mod 2, so that
+    class is e_i for the least i with g_ii odd."""
     if not is_integral(L):
         raise NotIntegral("parity needs an integral lattice")
-    n = L.rank()
-    if n > 20:
-        raise RankTooLarge("parity scan capped at rank 20")
-    g = L.gram.to_int_rows()
-    for mask in range(1, 1 << n):
-        x = tuple((mask >> i) & 1 for i in range(n))
-        if _iprod(g, x, x) % 2 == 1:
-            return x
+    g = L.gram.ints
+    n = len(g)
+    for i in range(n):
+        if g[i][i] % 2:
+            return tuple(int(j == i) for j in range(n))
     return None
 
 
@@ -600,17 +547,14 @@ def galois_stable(L: TraceLattice, key: tuple | None = None) -> bool:
     lattice into itself.
 
     With (k, H) = canonical_key(L) (pass it as key when it is already
-    known), H is an integer basis of kL and each generator acts by S'/s
-    (galois_matrices).  The lattice is stable iff every image h S'/s of an
-    HNF row is integral and lies in the span of H.  All of it is int
+    known), H is an integer basis of kL and each generator acts by its
+    matrix S (galois_matrices).  The lattice is stable iff H S is integral
+    and each of its rows lies in the span of H.  All of it is int
     arithmetic; no inverse of the basis is formed."""
     _, h = canonical_key(L) if key is None else key
-    for gen, scale in galois_matrices(L.ambient):
-        cols = list(zip(*gen))
-        for row in h:
-            image = [sum(map(mul, row, col)) for col in cols]
-            if any(x % scale for x in image):
-                return False
-            if hnf_coords(h, [x // scale for x in image]) is None:
-                return False
+    rows = Matrix.scaled(h)
+    for s in L.ambient.galois_matrices():
+        image = rows * s
+        if image.den != 1 or any(hnf_coords(h, v) is None for v in image.ints):
+            return False
     return True

@@ -5,7 +5,9 @@ PowerBasisField of degree n, kept in canonical Hermite form.  Its integer
 structure constants c_ijk, o_i o_j = sum_k c_ijk o_k, are computed once:
 their integrality certifies closure, and all arithmetic of O/pO reads them.
 Every "is this row in the Z-span of that basis, and with which
-coefficients?" is hnf_coords against the basis's integer HNF, no inverse.
+coefficients?" is hnf_coords against the basis's integer HNF, no inverse;
+a canonical basis is a Matrix whose integer rows are that HNF, and the
+products of two bases come from PowerBasisField.products, in int.
 
 The maximal order is reached by repeated p-enlargement (Pohst-Zassenhaus;
 Cohen, GTM 138, Sec. 6.1): the p-radical of O/pO is the kernel of the
@@ -47,24 +49,25 @@ from .shanks_field import new_field
 F = Fraction
 
 
-def _hnf_span(rows, rank: int) -> Matrix:
-    """Canonical basis of the Z-span of possibly redundant rational rows:
-    clear denominators, row-reduce to Hermite form, drop zero rows, rescale."""
-    ints, scale = Matrix(rows).cleared()
+def _hnf_span(rows: Matrix | Sequence, rank: int) -> Matrix:
+    """Canonical basis of the Z-span of possibly redundant rows: the Hermite
+    form of their integer rows, without its zero rows, over their
+    denominator.  Its integer rows are that Hermite form."""
+    ints, scale = (rows if isinstance(rows, Matrix) else Matrix(rows)).cleared()
     kept = [r for r in hnf_rows(ints) if any(r)]
     if len(kept) != rank:
         raise ValueError(f"span has rank {len(kept)}, expected {rank}")
-    return Matrix([[F(x, scale) for x in r] for r in kept])
+    return Matrix.scaled(kept, scale)
 
 
-def _coords(span: tuple[list[list[int]], int], row) -> list[int] | None:
-    """Integer coordinates of a rational row against a canonical basis B,
-    span = B.cleared(), or None when the row is not in the Z-span of B."""
-    h, scale = span
-    v = [F(x) * scale for x in row]
-    if any(x.denominator != 1 for x in v):
+def _coords(basis: Matrix, rows: Matrix) -> list[list[int]] | None:
+    """Integer coordinates of every row of rows against a canonical basis,
+    or None when some row is not in its Z-span."""
+    v = rows * basis.den
+    if v.den != 1:
         return None
-    return hnf_coords(h, [x.numerator for x in v])
+    out = [hnf_coords(basis.ints, row) for row in v.ints]
+    return None if None in out else out
 
 
 class Order:
@@ -76,14 +79,12 @@ class Order:
     __slots__ = ("ambient", "basis", "gram", "disc", "table")
 
     def __init__(self, ambient: PowerBasisField, basis: Matrix | Sequence):
-        rows = _hnf_span(basis.data if isinstance(basis, Matrix) else basis, ambient.degree)
-        span = rows.cleared()
-        if _coords(span, ambient.reduce([1])) is None:
+        n = ambient.degree
+        rows = _hnf_span(basis, n)
+        if _coords(rows, Matrix.scaled([[int(j == 0) for j in range(n)]])) is None:
             raise ValueError("order must contain 1")
-        table = [
-            [_coords(span, ambient.mul_coords(a, b)) for b in rows.data] for a in rows.data
-        ]
-        if any(c is None for r in table for c in r):
+        table = _coords(rows, ambient.products(rows, rows))
+        if table is None:
             raise ValueError("order basis is not multiplication-closed")
         gram = gram_of(rows, ambient)
         d = det(gram)
@@ -92,7 +93,9 @@ class Order:
         object.__setattr__(self, "basis", rows)
         object.__setattr__(self, "gram", gram)
         object.__setattr__(self, "disc", int(d))
-        object.__setattr__(self, "table", tuple(tuple(map(tuple, r)) for r in table))
+        object.__setattr__(
+            self, "table", tuple(tuple(map(tuple, table[i : i + n])) for i in range(0, n * n, n))
+        )
 
     def __setattr__(self, name, value):
         raise AttributeError("Order is immutable")
@@ -124,22 +127,16 @@ class IdealLattice(NamedTuple):
         return TraceLattice(self.order.ambient, self.basis)
 
 
-def _make_ideal(order: Order, rows) -> IdealLattice:
+def _make_ideal(order: Order, rows: Matrix | Sequence) -> IdealLattice:
     basis = _hnf_span(rows, order.ambient.degree)
-    span = basis.cleared()
-    products = (
-        order.ambient.mul_coords(b, o) for b in basis.data for o in order.basis.data
-    )
-    if any(_coords(span, row) is None for row in products):
+    if _coords(basis, order.ambient.products(basis, order.basis)) is None:
         raise ValueError("module is not stable under the order")
     return IdealLattice(order, basis)
 
 
 def module_product(a: IdealLattice, b: IdealLattice) -> IdealLattice:
     """The ideal generated by all pairwise basis products."""
-    ambient = a.order.ambient
-    rows = [ambient.mul_coords(x, y) for x in a.basis.data for y in b.basis.data]
-    return _make_ideal(a.order, rows)
+    return _make_ideal(a.order, a.order.ambient.products(a.basis, b.basis))
 
 
 def equation_order(t) -> Order:
@@ -149,6 +146,11 @@ def equation_order(t) -> Order:
     q = F(t).denominator
     basis = Matrix.from_rows([[1, 0, 0], [0, q, 0], [0, 0, q * q]])
     return Order(field, basis)
+
+
+def _scalar_rows(n: int, p: int) -> list[list[int]]:
+    """The rows of p I_n."""
+    return [[p * int(i == j) for j in range(n)] for i in range(n)]
 
 
 def _nullspace_mod(rows: list[list[int]], p: int, width: int) -> list[list[int]]:
@@ -206,7 +208,7 @@ def _p_radical(o: Order, p: int) -> Matrix:
             power = _mul_mod(o.table, power, v, p)
         columns.append(power)
     kernel = _nullspace_mod(list(zip(*columns)), p, n)
-    return _hnf_span([[p * int(i == j) for j in range(n)] for i in range(n)] + kernel, n)
+    return _hnf_span(Matrix.scaled(_scalar_rows(n, p) + kernel), n)
 
 
 def _enlarge_at(o: Order, p: int) -> Order:
@@ -215,15 +217,15 @@ def _enlarge_at(o: Order, p: int) -> Order:
     With H the integer HNF of J in O-coordinates, o_m * j_k = sum_l H_kl c_ml
     is read against H; x = sum_m y_m o_m maps J into pJ exactly when those
     J-coordinates, weighted by y, vanish mod p, and then x / p is in O'."""
-    h = _p_radical(o, p).to_int_rows()
+    h = _p_radical(o, p).ints
     stacked = []
     for hk in h:
         block = [hnf_coords(h, [sum(map(mul, hk, c)) for c in zip(*cm)]) for cm in o.table]
         assert None not in block  # J is an O-ideal
         stacked.extend(zip(*block))
-    lifts = [[F(c, p) for c in y] for y in _nullspace_mod(stacked, p, len(h))]
-    rows = list(o.basis.data) + [(Matrix([y]) * o.basis).row(0) for y in lifts]
-    return Order(o.ambient, rows)
+    ys = _nullspace_mod(stacked, p, len(h))
+    # O' is spanned by the rows of (p I; Y) / p in O-coordinates
+    return Order(o.ambient, Matrix.scaled(_scalar_rows(len(h), p) + ys, p) * o.basis)
 
 
 def dedekind_maximalize(o: Order, p: int) -> Order:
@@ -270,7 +272,7 @@ def different_inverse(o: Order) -> IdealLattice:
     d = dual(o.lattice())
     index = det(o.basis) / det(d.basis)
     assert abs(index) == o.disc
-    return _make_ideal(o, d.basis.data)
+    return _make_ideal(o, d.basis)
 
 
 def sqrt_different_inverse(
@@ -298,8 +300,7 @@ def sqrt_different_inverse(
         root = module_product(root, IdealLattice(o, power.basis * F(1, p)))
     if module_product(root, root).basis != dinv.basis:
         raise NotFound("the closed-form root does not square to the trace dual")
-    span = root.basis.cleared()
-    if any(_coords(span, row) is None for row in o.basis.data):
+    if _coords(root.basis, o.basis) is None:
         raise NotFound("the closed-form root does not contain the order")
     return root
 
@@ -310,7 +311,8 @@ def primes_above_2(o: Order) -> list[IdealLattice]:
     w in F_2^n with w(o_i o_j) = w(o_i) w(o_j), among 2^n - 1 candidates.
     In a Galois field where 2 is unramified there are n of them or none;
     none makes 2 inert only at prime n (residue degree 1 or n), so at
-    composite n it raises NotFound: Q(zeta_7) has two primes of degree 3."""
+    composite n it raises NotFound: Q(zeta_7) has two primes of degree 3.
+    Any other count means 2 ramifies (Z[i]: one map), and raises NotFound."""
     n = o.ambient.degree
     kernels = []
     for m in range(1, 2**n):
@@ -321,14 +323,15 @@ def primes_above_2(o: Order) -> list[IdealLattice]:
             for j, c in enumerate(row)
         ):
             kernels.append(_nullspace_mod([w], 2, n))
-    assert len(kernels) in (0, n)
+    if len(kernels) not in (0, n):
+        raise NotFound(f"2 ramifies: {len(kernels)} ring maps to F_2 in degree {n}")
     if not kernels:
         if not is_probable_prime(n):
             raise NotFound(f"2 has no prime of residue degree 1 in degree {n}, not a prime")
-        return [_make_ideal(o, (o.basis * 2).data)]
-    two = [[2 * int(i == j) for j in range(n)] for i in range(n)]
-    primes = sorted((_hnf_span(two + k, n) for k in kernels), key=lambda h: h.data)
-    return [_make_ideal(o, (h * o.basis).data) for h in primes]
+        return [_make_ideal(o, o.basis * 2)]
+    two = _scalar_rows(n, 2)
+    primes = sorted((_hnf_span(Matrix.scaled(two + k), n) for k in kernels), key=lambda h: h.ints)
+    return [_make_ideal(o, h * o.basis) for h in primes]
 
 
 def fake_a3(o: Order, root: IdealLattice | None = None) -> TraceLattice:

@@ -6,23 +6,26 @@ conjugation (None when the field is totally real), and the images of x under
 generators of the Galois group, each as a polynomial in x.  Everything else is
 derived from them once, in cleared integers (Cohen, GTM 138, Sec. 4.2):
 
-  - x^m mod f for n <= m <= 2n-2, an (n-1) x n integer table over one
-    denominator, so a product is the integer convolution of the two cleared
-    factors folded through the table, and costs one Fraction per coordinate;
+  - x^m mod f for n <= m <= 2n-2, an (n-1) x n Matrix, so a product is the
+    integer convolution of the two cleared factors folded through its
+    integer rows, and costs one Fraction per coordinate;
   - the trace vector Tr(x^k), k < n, from Newton's power sums of f;
-  - the conjugation and Galois matrices, whose row i is the image of x^i
-    (the Galois matrices on first use).
+  - the conjugation matrix C and the Galois matrices S, whose row i is the
+    image of x^i;
+  - the trace form T[i][j] = Tr(x^i conj(x^j)) = (H C^T)[i][j], with
+    H[i][k] = Tr(x^(i+k)) read from the trace vector and the x^m table
+    (T and the Galois matrices on first use).
 
 The inverse of a is e_0 M_a^-1 and its norm det M_a, with M_a the matrix of
 multiplication by a.  The class implements the lattice_core ambient protocol
-(degree, mul_coords, conj_coords, trace_coords, galois_maps, descriptor);
-ShanksField, CycField and QuadAmbient supply its data, and FieldElement is
-the element type of any such field.
+(degree, trace_form, galois_matrices, descriptor), so a lattice's Gram and
+its Galois stability read T and S as they are; ShanksField, CycField and
+QuadAmbient supply the data, and FieldElement is the element type of any
+such field.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import partial
 from math import lcm
 from operator import mul
 from typing import Optional, Sequence
@@ -68,7 +71,8 @@ class PowerBasisField:
     symbol = "x"
 
     __slots__ = (
-        "degree", "minpoly", "_descriptor", "_xpow", "_trace", "_conj", "_galois_x", "_galois"
+        "degree", "minpoly", "_descriptor", "_xpow", "_trace", "_conj", "_galois_x",
+        "_galois", "_form",
     )
 
     def __init__(
@@ -85,7 +89,6 @@ class PowerBasisField:
             rows.append(
                 [top * rows[0][0]] + [a + top * b for a, b in zip(rows[-1], rows[0][1:])]
             )
-        xpow, xpow_den = Matrix(rows).cleared()
         # Newton: p_k = -(k f_{n-k} + sum_{i<k} f_{n-i} p_{k-i})
         sums = [Fraction(n)]
         for k in range(1, n):
@@ -94,10 +97,11 @@ class PowerBasisField:
             degree=n,
             minpoly=f,
             _descriptor=dict(descriptor),
-            _xpow=(tuple(map(tuple, xpow)), xpow_den),
-            _trace=_cleared(sums),
+            _xpow=Matrix(rows),
+            _trace=Matrix([sums]),
             _galois_x=tuple(galois_x),
             _galois=None,
+            _form=None,
         )
         self._freeze(_conj=None if conj_x is None else self._image_matrix(conj_x))
 
@@ -136,42 +140,46 @@ class PowerBasisField:
             rows.append(self.mul_coords(rows[-1], y))
         return Matrix(rows)
 
-    def _image_matrix(self, image_x: Sequence) -> tuple[tuple[tuple[int, ...], ...], int]:
-        """(columns, denominator) of the Q-linear map x^i -> y^i, y the image
-        of x; row i of its matrix is y^i."""
-        ints, den = self._powers(self.reduce([1]), self.reduce(image_x)).cleared()
-        return tuple(zip(*ints)), den
+    def _image_matrix(self, image_x: Sequence) -> Matrix:
+        """The matrix of the Q-linear map x^i -> y^i, y the image of x: row i
+        is y^i."""
+        return self._powers(self.reduce([1]), self.reduce(image_x))
 
-    def _apply(self, matrix, a: Sequence[Fraction]) -> Coords:
-        cols, den = matrix
+    def _apply(self, m: Matrix, a: Sequence[Fraction]) -> Coords:
+        """The row a times m."""
         ints, s = _cleared(a)
-        den *= s
-        return tuple(Fraction(sum(map(mul, ints, col)), den) for col in cols)
+        den = m.den * s
+        return tuple(Fraction(sum(map(mul, ints, col)), den) for col in zip(*m.ints))
 
-    def _galois_matrices(self) -> tuple:
-        cached = self._galois
-        if cached is None:
-            cached = tuple(self._image_matrix(y) for y in self._galois_x)
-            self._freeze(_galois=cached)
-        return cached
-
-    # --- the ambient protocol -------------------------------------------
-    def mul_coords(self, a: Sequence[Fraction], b: Sequence[Fraction]) -> Coords:
+    # --- arithmetic and the lattice_core protocol -----------------------
+    def _mul_ints(self, a: Sequence[int], b: Sequence[int]) -> list[int]:
+        """The product of integer rows a and b times the denominator of the
+        x^m table: their convolution folded through its integer rows."""
         n = self.degree
-        ai, da = _cleared(a)
-        bi, db = _cleared(b)
         conv = [0] * (2 * n - 1)
-        for i, x in enumerate(ai):
+        for i, x in enumerate(a):
             if x:
-                for j, y in enumerate(bi):
+                for j, y in enumerate(b):
                     conv[i + j] += x * y
-        xpow, den = self._xpow
-        out = conv[:n] if den == 1 else [c * den for c in conv[:n]]
-        for c, row in zip(conv[n:], xpow):
+        xpow = self._xpow
+        out = conv[:n] if xpow.den == 1 else [c * xpow.den for c in conv[:n]]
+        for c, row in zip(conv[n:], xpow.ints):
             if c:
                 out = [o + c * r for o, r in zip(out, row)]
-        den *= da * db
-        return tuple(Fraction(c, den) for c in out)
+        return out
+
+    def mul_coords(self, a: Sequence[Fraction], b: Sequence[Fraction]) -> Coords:
+        ai, da = _cleared(a)
+        bi, db = _cleared(b)
+        den = self._xpow.den * da * db
+        return tuple(Fraction(c, den) for c in self._mul_ints(ai, bi))
+
+    def products(self, a: Matrix, b: Matrix) -> Matrix:
+        """The products a_i b_j of the rows of a and b, in row i * b.rows + j,
+        all in int."""
+        return Matrix.scaled(
+            (self._mul_ints(x, y) for x in a.ints for y in b.ints), self._xpow.den * a.den * b.den
+        )
 
     def conj_coords(self, a: Sequence[Fraction]) -> Coords:
         """Complex conjugation; the identity on a totally real field."""
@@ -179,18 +187,39 @@ class PowerBasisField:
 
     def trace_coords(self, a: Sequence[Fraction]) -> Fraction:
         ints, s = _cleared(a)
-        trace, den = self._trace
-        return Fraction(sum(map(mul, ints, trace)), s * den)
+        trace = self._trace
+        return Fraction(sum(map(mul, ints, trace.ints[0])), s * trace.den)
 
-    def galois_maps(self):
-        """Q-linear coordinate maps of the Galois generators, in the order
-        given; stability under them is stability under the whole group."""
-        return tuple(partial(self._apply, m) for m in self._galois_matrices())
+    def trace_form(self) -> Matrix:
+        """T = H C^T, T[i][j] = Tr(x^i conj(x^j)) on the power basis; the
+        Gram of a basis B is B T B^T."""
+        form = self._form
+        if form is None:
+            n = self.degree
+            trace, xpow = self._trace, self._xpow
+            t = trace.ints[0]
+            # Tr(x^m) for m <= 2n-2, over the product of the two denominators
+            tr = [c * xpow.den for c in t] + [sum(map(mul, row, t)) for row in xpow.ints]
+            form = Matrix.scaled((tr[i : i + n] for i in range(n)), trace.den * xpow.den)
+            if self._conj is not None:
+                form = form * self._conj.transpose()
+            self._freeze(_form=form)
+        return form
+
+    def galois_matrices(self) -> tuple[Matrix, ...]:
+        """The matrix S of each Galois generator, in the order given: row i
+        is the image of x^i, so a row a maps to a S.  Stability under them is
+        stability under the whole group."""
+        cached = self._galois
+        if cached is None:
+            cached = tuple(self._image_matrix(y) for y in self._galois_x)
+            self._freeze(_galois=cached)
+        return cached
 
     # --- derived operations ---------------------------------------------
     def galois_coords(self, a: Sequence[Fraction]) -> Coords:
         """Image of a under the first Galois generator."""
-        return self._apply(self._galois_matrices()[0], a)
+        return self._apply(self.galois_matrices()[0], a)
 
     def pair_coords(self, a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
         """The Hermitian trace pairing Tr(a * conj(b))."""

@@ -8,7 +8,9 @@ right index, trace Grams from polynomial products and Newton sums, Hermite
 forms by extended-gcd row pairs, the A2 falsification as a Fraction
 pair search over a box of points, and Galois stability as integrality of
 B S B^-1 by Gauss-Jordan, with each field's automorphisms written out from
-their definitions.  None of it shares code with the package under test.
+their definitions, the parity witness by a scan of all 2^n - 1 classes of
+L/2L, and matrix arithmetic by loops over Fraction grids.  None of it
+shares code with the package under test.
 """
 from __future__ import annotations
 
@@ -595,3 +597,41 @@ def galois_stable_by_inverse(automorphisms, rows) -> bool:
         if any(x.denominator != 1 for row in coords for x in row):
             return False
     return True
+
+
+def odd_witness_by_scan(gram) -> tuple[int, ...] | None:
+    """The exhaustive parity scan over L/2L (well defined: <x+2y, x+2y> is
+    congruent to <x,x> mod 4): the first 0/1 vector with odd norm in the
+    binary counting order, first coordinate least significant, or None."""
+    n = len(gram)
+    for mask in range(1, 1 << n):
+        x = [(mask >> i) & 1 for i in range(n)]
+        if sum(x[i] * gram[i][j] * x[j] for i in range(n) for j in range(n)) % 2:
+            return tuple(x)
+    return None
+
+
+def fraction_grid(rows) -> list[list[Fraction]]:
+    return [[Fraction(x) for x in row] for row in rows]
+
+
+def grid_product(a, b) -> list[list[Fraction]]:
+    """a b by the triple loop over Fraction entries."""
+    return [
+        [sum((a[i][k] * b[k][j] for k in range(len(b))), Fraction(0)) for j in range(len(b[0]))]
+        for i in range(len(a))
+    ]
+
+
+def grid_sum(a, b, sign: int = 1) -> list[list[Fraction]]:
+    return [[x + sign * y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def grid_transpose(a) -> list[list[Fraction]]:
+    return [[a[i][j] for i in range(len(a))] for j in range(len(a[0]))]
+
+
+def grid_cleared(a) -> tuple[list[list[int]], int]:
+    """(a', s) with a'/s = a, s the least common denominator of the entries."""
+    s = math.lcm(*(x.denominator for row in a for x in row))
+    return [[int(x * s) for x in row] for row in a], s

@@ -223,6 +223,26 @@ PINNED_STDOUT_SHA256 = [
         ["order", "--t=13", "--different", "--sqrt-different", "--primes2"],
         "1f7e5b15960a1a164db98f5a30d7ac10c34a18e28994d38265e2ed29c91c7a53",
     ),
+    (
+        ["quad-a2", "--d", "3", "--height", "4", "--falsify"],
+        "39b44808c9f661b9d4f1433e2a5ee5bb98d5d691ab237ddfb7b8627d6d03a2d5",
+    ),
+    (
+        ["gen-a3", "--t=1/3", "--height", "3"],
+        "8cd9805a5059baed012c66440ac0d3053f0d33592eb507ae8d60168a51e7e2ea",
+    ),
+    (
+        ["gen-selfdual", "--t=-5/2", "--height", "4"],
+        "81ee0dbca8c9239cd5a49fd6dd3987bc601b15dca60a9f9482c4a83d713099d9",
+    ),
+    (
+        ["cyclotomic", "--n", "9", "--generator", "(1-z)^-1"],
+        "e448c928c2efbc29a3d08ea97e43e92415c574a7a340609d2ccc58de8aafa784",
+    ),
+    (
+        ["cyclotomic", "--n", "5", "--generator", "(2+z)/(1-z)"],
+        "427b5a11083912c68b0af6dada81c4ae5e48a79363f6b6d42e1b6a0d7b6e2003",
+    ),
 ]
 
 

@@ -11,7 +11,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tracelattice.errors import NonSquareMatrix, NotInteger, SingularMatrix
-from oracles import _inverse, fraction_det
+from oracles import (
+    _inverse,
+    fraction_det,
+    fraction_grid,
+    grid_cleared,
+    grid_product,
+    grid_sum,
+    grid_transpose,
+)
 from tracelattice.exact_linalg import Matrix, det, hnf, hnf_coords, hnf_rows, inverse, rat, snf
 
 A3_GRAM = Matrix.from_rows([[2, -1, 0], [-1, 2, -1], [0, -1, 2]])
@@ -73,6 +81,60 @@ def test_matrix_immutable_and_hashable():
     with pytest.raises(AttributeError):
         m.rows = 3
     assert hash(m) == hash(Matrix.from_rows([[1, 2], [3, 4]]))
+
+
+entries = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+
+
+def _grid(h: int, w: int):
+    return st.lists(st.lists(entries, min_size=w, max_size=w), min_size=h, max_size=h)
+
+
+rational_grids = st.tuples(st.integers(1, 4), st.integers(1, 4)).flatmap(lambda s: _grid(*s))
+
+
+@settings(max_examples=100, deadline=None)
+@given(rational_grids, st.integers(-6, 6).filter(bool))
+def test_scaled_form_is_canonical(rows, k):
+    m = Matrix(rows)
+    ints, den = grid_cleared(fraction_grid(rows))
+    # the stored pair is the cleared one, in lowest terms
+    assert (m.ints, m.den) == (tuple(map(tuple, ints)), den)
+    other = Matrix.scaled([[k * x for x in row] for row in ints], k * den)
+    assert other == m
+    assert hash(other) == hash(m)
+    assert Matrix([[str(x) for x in row] for row in rows]) == m
+
+
+@st.composite
+def _operands(draw):
+    r, c, k = (draw(st.integers(1, 4)) for _ in range(3))
+    return draw(_grid(r, c)), draw(_grid(r, c)), draw(_grid(c, k)), draw(entries)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_operands())
+def test_matrix_operations_match_fraction_loops(case):
+    a, b, c, s = case
+    ma, mb, mc = Matrix(a), Matrix(b), Matrix(c)
+    fa, fb, fc = fraction_grid(a), fraction_grid(b), fraction_grid(c)
+
+    def grid(m):
+        return [[m[i, j] for j in range(m.cols)] for i in range(m.rows)]
+
+    assert grid(ma) == fa
+    assert [list(ma.row(i)) for i in range(ma.rows)] == fa
+    assert [list(r) for r in ma.data] == fa
+    assert ma.cleared() == grid_cleared(fa)
+    assert ma.is_integer() == all(x.denominator == 1 for row in fa for x in row)
+    assert grid(ma * mc) == grid_product(fa, fc)
+    assert grid(ma + mb) == grid_sum(fa, fb)
+    assert grid(ma - mb) == grid_sum(fa, fb, -1)
+    assert grid(ma.transpose()) == grid_transpose(fa)
+    scaled = [[x * s for x in row] for row in fa]
+    assert grid(ma * s) == grid(s * ma) == scaled
+    assert grid(ma * 3) == [[3 * x for x in row] for row in fa]
+    assert grid(-ma) == [[-x for x in row] for row in fa]
 
 
 def test_matrix_mul_identity():

@@ -1,7 +1,8 @@
 """Lattice invariants, enumeration, and recognition against naive oracles.
 
-FormAmbient wraps a fixed symmetric form as the minimal ambient protocol, so
-pure-Gram lattices can exercise dual/classify/equality without field data.
+FormAmbient hands a fixed symmetric form over as its trace form, the minimal
+ambient protocol, so pure-Gram lattices can exercise dual/classify/equality
+without field data.
 """
 from __future__ import annotations
 
@@ -28,6 +29,7 @@ from oracles import (
     gram_equivalent,
     gram_schmidt,
     hermite_form,
+    odd_witness_by_scan,
     quadratic_automorphisms,
     random_equivalent_gram,
     random_unimodular,
@@ -78,28 +80,17 @@ F = Fraction
 
 
 class FormAmbient:
-    """Ambient carrying an explicit symmetric form: trace(mul(a, conj(b)))
-    evaluates to a·form·b without any ring structure behind it."""
+    """Ambient carrying an explicit symmetric form as its trace form, with no
+    ring structure and no automorphisms behind it."""
 
     def __init__(self, form_rows):
         self.form = Matrix.from_rows(form_rows)
         self.degree = self.form.rows
 
-    def mul_coords(self, a, b):
-        value = sum(
-            F(a[i]) * self.form[i, j] * F(b[j])
-            for i in range(self.degree)
-            for j in range(self.degree)
-        )
-        return (value,) + (F(0),) * (self.degree - 1)
+    def trace_form(self):
+        return self.form
 
-    def conj_coords(self, a):
-        return tuple(F(x) for x in a)
-
-    def trace_coords(self, a):
-        return F(a[0])
-
-    def galois_maps(self):
+    def galois_matrices(self):
         return ()
 
     def descriptor(self):
@@ -183,6 +174,9 @@ def _ambient_id(ambient) -> str:
     "ambient, minpoly, conj", TRACE_CASES, ids=[_ambient_id(c[0]) for c in TRACE_CASES]
 )
 def test_gram_of_matches_trace_definition(ambient, minpoly, conj):
+    n = ambient.degree
+    identity = [[int(i == j) for j in range(n)] for i in range(n)]
+    assert ambient.trace_form() == Matrix.from_rows(trace_gram(minpoly, conj, identity))
     rng = random.Random(_ambient_id(ambient))
     for _ in range(3):
         rows = _random_rational_basis(rng, ambient.degree)
@@ -529,11 +523,30 @@ def test_odd_witness_examples():
     ) == (1, 0, 0)
 
 
-def test_odd_witness_rank_cap():
-    with pytest.raises(RankTooLarge):
-        odd_trace_witness(lattice_from_gram(
-            [[2 if i == j else 0 for j in range(21)] for i in range(21)]
-        ))
+def test_odd_witness_has_no_rank_cap():
+    # the 2^n scan stopped at rank 20; the closed form has no cap
+    assert odd_trace_witness(lattice_from_gram(
+        [[2 if i == j else 0 for j in range(21)] for i in range(21)]
+    )) is None
+    gram = [[(1 if i == 30 else 2) if i == j else 0 for j in range(40)] for i in range(40)]
+    assert odd_trace_witness(lattice_from_gram(gram)) == tuple(int(i == 30) for i in range(40))
+
+
+def _diagonally_dominant_gram(rng, n):
+    g = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i):
+            g[i][j] = g[j][i] = rng.randint(-3, 3)
+    for i in range(n):
+        g[i][i] = sum(abs(x) for x in g[i]) + rng.randint(1, 3)
+    return g
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=1, max_value=10), st.integers(min_value=0, max_value=10_000))
+def test_odd_witness_matches_scan(n, seed):
+    gram = _diagonally_dominant_gram(random.Random(seed), n)
+    assert odd_trace_witness(lattice_from_gram(gram)) == odd_witness_by_scan(gram)
 
 
 @settings(max_examples=40, deadline=None)

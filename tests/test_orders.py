@@ -327,9 +327,17 @@ def test_p_radical_of_wild_prime_at_rank_six():
 
 
 def test_primes_above_2_needs_prime_degree_to_call_2_inert():
-    # 2 has order 3 mod 7: two primes of degree 3, no hyperplane ideal
-    with pytest.raises(NotFound):
-        primes_above_2(Order(cyc_field(7), Matrix.identity(6)))
+    cases = [
+        # 2 has order 3 mod 7: two primes of degree 3, no hyperplane ideal
+        (7, 6, "not a prime"),
+        # 2 ramifies in Z[i]: one ring map to F_2, with kernel (1 + i)
+        (4, 2, "ramifies"),
+        # 2 ramifies totally in Z[zeta_8]: one ring map to F_2
+        (8, 4, "ramifies"),
+    ]
+    for n, phi, reason in cases:
+        with pytest.raises(NotFound, match=reason):
+            primes_above_2(Order(cyc_field(n), Matrix.identity(phi)))
 
 
 def test_rank_four_constructor_enforces_closure():

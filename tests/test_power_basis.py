@@ -4,7 +4,7 @@ ShanksField, CycField and QuadAmbient share one arithmetic; each is checked
 here against the oracles' own definitions of its field: products are
 polynomial products reduced by long division modulo the minimal polynomial,
 traces are coordinate sums against Newton's power sums, and conjugation and
-the Galois generators are the oracles' substitutions (zeta -> zeta^k, the
+the matrices of the Galois generators are the oracles' substitutions (zeta -> zeta^k, the
 sigma of the Shanks family solved from (1 + eps) sigma(eps) = -1, and the
 sign flip of the radical).  The inverse is checked by the oracle product.
 """
@@ -92,10 +92,11 @@ def test_field_matches_polynomial_oracle(kind, data):
     sums = _newton_sums(minpoly)
     assert field.trace_coords(a) == sum(x * s for x, s in zip(a, sums))
     assert list(field.conj_coords(a)) == conj(a)
-    maps = field.galois_maps()
-    assert len(maps) == len(automorphisms)
-    for gmap, oracle in zip(maps, automorphisms):
-        assert list(gmap(a)) == oracle(a)
+    matrices = field.galois_matrices()
+    assert len(matrices) == len(automorphisms)
+    for s, oracle in zip(matrices, automorphisms):
+        # row i of S is the image of x^i, so a maps to a S
+        assert [sum(x * s[i, j] for i, x in enumerate(a)) for j in range(n)] == oracle(a)
     one = [F(1)] + [F(0)] * (n - 1)
     times_a = [_product(a, [F(int(i == j)) for j in range(n)], minpoly) for i in range(n)]
     if fraction_det(times_a) == 0:
