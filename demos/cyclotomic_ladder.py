@@ -1,6 +1,6 @@
 """The A_{p-1} ladder in cyclotomic fields.
 
-For the odd primes p from 3 to 19, the fractional ideal generated by
+For the odd primes p from 3 to 31, the fractional ideal generated by
 (1 - zeta_p)^(-(p-3)/2) carries the Hermitian trace form Tr(x conj(y)),
 and the resulting lattice is a root lattice of type A_{p-1}. The same
 machinery accepts arbitrary generators written as expressions in z.
@@ -23,7 +23,7 @@ def ladder():
     print("=" * 64)
     print("Preset ideals (1 - zeta_p)^(-(p-3)/2)")
     print("=" * 64)
-    for p in (3, 5, 7, 11, 13, 17, 19):
+    for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
         start = time.monotonic()
         L = ap_lattice(p)
         label = classify_root_type(L)

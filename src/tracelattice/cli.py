@@ -116,7 +116,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add("cyclotomic", "ideal lattices in cyclotomic fields under the trace form")
     p.add_argument(
-        "--p", type=int, default=None, help="odd prime up to 23, preset generator"
+        "--p", type=int, default=None, help="odd prime up to 31, preset generator"
     )
     p.add_argument("--n", type=int, default=None, help="root-of-unity order")
     p.add_argument(

@@ -116,8 +116,8 @@ def ap_lattice(p: int) -> TraceLattice:
         raise NotPrime(f"p must be an odd prime, got {p}")
     if p - 1 > ENUMERATION_RANK_CAP:
         raise TooLarge(
-            f"rank {p - 1} is past the classifier's rank cap, "
-            f"cap is p = {ENUMERATION_RANK_CAP + 1}"
+            f"rank {p - 1} is past the classifier's rank cap of "
+            f"{ENUMERATION_RANK_CAP}"
         )
     field = cyc_field(p)
     one_minus_zeta = field.element([1, -1])

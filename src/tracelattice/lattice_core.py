@@ -20,8 +20,10 @@ here derives them again.
 
 Short vectors are enumerated by Fincke-Pohst on the LLL-reduced Gram (an
 exact integral LLL on the Gram alone, Cohen GTM 138 Alg. 2.6.7), so the
-enumeration tree stays small however skewed the caller's basis is; results
-come back as coefficient vectors in the caller's basis.
+enumeration tree stays small however skewed the caller's basis is.  It
+runs in int on the Gram-Schmidt data that LLL pass already holds (leading
+minors d and lam = d * mu), scaled to one integer budget, and builds no
+Fraction.  Results come back as coefficient vectors in the caller's basis.
 
 Root-type recognition is certificate-based and exact: an even lattice is
 reported as type X iff its norm-2 vectors generate it (HNF index 1), their
@@ -35,7 +37,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import floor, ceil, isqrt, prod
+from math import isqrt, lcm, prod
 from operator import mul
 from typing import Optional, Sequence
 
@@ -50,7 +52,7 @@ from .errors import (
 from .exact_linalg import Matrix, det, hnf_coords, hnf_rows, inverse, rat, snf
 
 #: the largest rank classify_gram enumerates
-ENUMERATION_RANK_CAP = 22
+ENUMERATION_RANK_CAP = 32
 
 #: doubled root counts of the simply-laced types, used as a cross-check only
 _ROOT_COUNTS = {
@@ -175,19 +177,22 @@ def disc_group(L: TraceLattice) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# exact integral LLL on the Gram, then Fincke-Pohst over a rational LDL split
+# exact integral LLL on the Gram, then integer Fincke-Pohst on the LLL data
 # ---------------------------------------------------------------------------
 
-def _lll_gram(g: list[list[int]]) -> tuple[list[list[int]], list[list[int]]]:
+def _lll_gram(
+    g: Sequence[Sequence[int]],
+) -> tuple[list[list[int]], list[list[int]], list[int], list[list[int]]]:
     """LLL reduction (delta = 3/4) of a positive definite integer Gram.
 
     Integral LLL after Cohen, GTM 138, Alg. 2.6.7, driven by the Gram alone:
     d[k] is the leading k x k minor of the current Gram and lam[k][j] =
     d[j+1] * mu[k][j], so every quantity is an integer and every division is
-    exact.  Returns (U G U^T, U) with U unimodular.  Every leading minor of
-    the input is computed once, when its last row is first reached (the
-    transform never mixes in later rows), so this is also the definiteness
-    check: a minor <= 0 raises NotPositiveDefinite."""
+    exact.  Returns (U G U^T, U, d, lam) with U unimodular; d and lam are
+    the Gram-Schmidt data of the reduced Gram, ready for enumeration.  Every
+    leading minor of the input is computed once, when its last row is first
+    reached (the transform never mixes in later rows), so this is also the
+    definiteness check: a minor <= 0 raises NotPositiveDefinite."""
     n = len(g)
     g = [list(row) for row in g]
     u = [[int(i == j) for j in range(n)] for i in range(n)]
@@ -250,46 +255,7 @@ def _lll_gram(g: list[list[int]]) -> tuple[list[list[int]], list[list[int]]]:
             for l in range(k - 2, -1, -1):
                 size_reduce(k, l)
             k += 1
-    return g, u
-
-
-def _fp_decompose(gram: Matrix) -> list[list[Fraction]]:
-    """Return q with Q(x) = sum_i q[i][i]*(x_i + sum_{j>i} q[i][j] x_j)^2."""
-    n = gram.rows
-    q = [[gram[i, j] for j in range(n)] for i in range(n)]
-    for i in range(n):
-        if q[i][i] <= 0:
-            raise NotPositiveDefinite("form is not positive definite")
-        for j in range(i + 1, n):
-            q[j][i] = q[i][j]
-            q[i][j] = q[i][j] / q[i][i]
-        for k in range(i + 1, n):
-            for l in range(k, n):
-                q[k][l] = q[k][l] - q[k][i] * q[i][l]
-    return q
-
-
-def _int_interval(rad: Fraction, shift: Fraction) -> tuple[int, int]:
-    """Integers x with (x + shift)^2 <= rad, via exact isqrt sandwiching.
-
-    The interval [-shift - sqrt(rad), -shift + sqrt(rad)] can contain no
-    integer at all (width < 1); the crossing guards detect that instead of
-    walking past the vertex of the parabola."""
-    if rad < 0:
-        return (0, -1)
-    s = isqrt(rad.numerator * rad.denominator)
-    outer = Fraction(s + 1, rad.denominator)  # sqrt(rad) <= outer
-    hi = floor(outer - shift)
-    while (hi + shift) * (hi + shift) > rad:
-        if hi + shift < 0:
-            return (0, -1)
-        hi -= 1
-    lo = ceil(-outer - shift)
-    while (lo + shift) * (lo + shift) > rad:
-        if lo + shift > 0:
-            return (0, -1)
-        lo += 1
-    return (lo, hi)
+    return g, u, d, lam
 
 
 def _sign_rep(vec: tuple[int, ...]) -> tuple[int, ...]:
@@ -300,31 +266,48 @@ def _sign_rep(vec: tuple[int, ...]) -> tuple[int, ...]:
     return vec
 
 
-def _fincke_pohst(gram: Matrix, bound: Fraction) -> dict[tuple[int, ...], Fraction]:
-    """Every nonzero x with x*gram*x^T <= bound, one sign-rep per +-pair,
-    mapped to its norm; coefficients are in gram's own basis."""
-    n = gram.rows
-    q = _fp_decompose(gram)
-    x = [0] * n
-    found: dict[tuple[int, ...], Fraction] = {}
+def _by_norm(pairs) -> list[tuple[tuple[int, ...], int]]:
+    """(vector, norm) pairs sorted by (norm, coefficients)."""
+    return sorted(pairs, key=lambda kv: (kv[1], kv[0]))
 
-    def descend(i: int, acc: Fraction) -> None:
-        shift = sum((q[i][j] * x[j] for j in range(i + 1, n)), Fraction(0))
-        lo, hi = _int_interval((bound - acc) / q[i][i], shift)
-        for xi in range(lo, hi + 1):
+
+def _fincke_pohst(
+    d: list[int], lam: list[list[int]], budget: int
+) -> dict[tuple[int, ...], int]:
+    """Every nonzero x with x*G*x^T <= budget, one sign-rep per +-pair,
+    mapped to its norm, for the integer Gram G with Gram-Schmidt data
+    (d, lam) from _lll_gram; coefficients are in G's own basis.
+
+    Level i adds (d[i+1]*x_i + S_i)^2 / (d[i]*d[i+1]) to the norm, with the
+    integer center S_i = sum_{j>i} lam[j][i]*x_j.  Scaled by M, the lcm of
+    the d[i]*d[i+1], every level weight w_i and the whole budget are
+    integers, so each interval is exact (one isqrt) and the norm of a leaf
+    is read off the remaining budget."""
+    n = len(d) - 1
+    dd = [d[i] * d[i + 1] for i in range(n)]
+    m = lcm(*dd)
+    w = [m // v for v in dd]
+    cols = [[lam[j][i] for j in range(i + 1, n)] for i in range(n)]
+    top = budget * m
+    x = [0] * n
+    found: dict[tuple[int, ...], int] = {}
+
+    def descend(i: int, r: int) -> None:
+        di, wi = d[i + 1], w[i]
+        c = sum(map(mul, cols[i], x[i + 1:]))
+        s = isqrt(r // wi)
+        # |di*xi + c| <= s
+        for xi in range(-((s + c) // di), (s - c) // di + 1):
             x[i] = xi
-            term = q[i][i] * (xi + shift) * (xi + shift)
-            total = acc + term
-            if total > bound:
-                continue
-            if i == 0:
-                if any(x):
-                    found[_sign_rep(tuple(x))] = total
-            else:
-                descend(i - 1, total)
+            t = di * xi + c
+            rest = r - wi * t * t
+            if i:
+                descend(i - 1, rest)
+            elif any(x):
+                found[_sign_rep(tuple(x))] = (top - rest) // m
         x[i] = 0
 
-    descend(n - 1, Fraction(0))
+    descend(n - 1, top)
     return found
 
 
@@ -334,22 +317,23 @@ def short_vectors_gram(
     """All nonzero x with x*gram*x^T <= bound, one representative per +-pair
     (first nonzero coefficient positive), sorted by (norm, coefficients).
 
-    The enumeration runs on the LLL-reduced Gram (a rational Gram is scaled
-    by the lcm of its denominators first) and every vector is mapped back
-    through the unimodular transform, so coefficients are in the caller's
-    basis."""
+    The enumeration runs on the LLL-reduced integer rows of the Gram (a
+    rational Gram is ints / den, so the budget is floor(bound * den)) and
+    every vector is mapped back through the unimodular transform, so
+    coefficients are in the caller's basis."""
     bound = rat(bound)
     if bound < 0:
         return []
     _check_symmetric(gram)
-    reduced, u = _lll_gram(gram.ints)
-    red = Matrix.scaled(reduced, gram.den)
+    _, u, d, lam = _lll_gram(gram.ints)
+    den = gram.den
     cols = list(zip(*u))
-    found = {
-        _sign_rep(tuple(sum(map(mul, x, col)) for col in cols)): norm
-        for x, norm in _fincke_pohst(red, bound).items()
-    }
-    return sorted(found.items(), key=lambda kv: (kv[1], kv[0]))
+    found = _fincke_pohst(d, lam, bound.numerator * den // bound.denominator)
+    mapped = (
+        (_sign_rep(tuple(sum(map(mul, x, col)) for col in cols)), norm)
+        for x, norm in found.items()
+    )
+    return [(v, Fraction(norm, den)) for v, norm in _by_norm(mapped)]
 
 
 def short_vectors(
@@ -363,7 +347,8 @@ def short_vectors(
 # root-type recognition
 # ---------------------------------------------------------------------------
 
-def _roots_generate(vectors: list[tuple[int, ...]], n: int) -> bool:
+def _generates(vectors: list[tuple[int, ...]], n: int) -> bool:
+    """True iff the vectors span Z^n: the pivots of their HNF multiply to 1."""
     h = hnf_rows([list(v) for v in vectors])
     pivots = []
     for row in h:
@@ -442,23 +427,26 @@ def classify_gram(gram: Matrix) -> str:
     unimodular_odd, other}; see the module docstring for the exact criteria.
 
     The Gram is LLL-reduced once; enumeration and every certificate run on
-    the reduced Gram.  Results are memoized on the exact Gram."""
+    the reduced Gram and the Gram-Schmidt data of that one pass.  Results
+    are memoized on the exact Gram."""
     if not gram.is_integer():
         raise NotIntegral("classification needs an integral Gram matrix")
     n = gram.rows
     check_enumeration_rank(n)
     _check_symmetric(gram)
     # _lll_gram raises NotPositiveDefinite on the first leading minor <= 0
-    g, _ = _lll_gram(gram.ints)
-    reduced = Matrix.scaled(g)
-    dt = int(det(reduced))
+    g, _, d, lam = _lll_gram(gram.ints)
+    dt = d[n]
+
+    def short(budget: int) -> list[tuple[tuple[int, ...], int]]:
+        return _by_norm(_fincke_pohst(d, lam, budget).items())
+
     even = all(g[i][i] % 2 == 0 for i in range(n))
     if even:
-        pairs = short_vectors_gram(reduced, 2)
-        roots = [v for v, nrm in pairs if nrm == 2]
+        roots = [v for v, nrm in short(2) if nrm == 2]
         if not roots:
             return "other"
-        if not _roots_generate(roots, n):
+        if not _generates(roots, n):
             return "other"
         if not _connected(g, roots):
             return "other"
@@ -484,19 +472,18 @@ def classify_gram(gram: Matrix) -> str:
     if dt == 1:
         # norm-1 vectors of an integral lattice that are not +-each other
         # are orthogonal (Cauchy-Schwarz), so n sign-reps are the frame
-        frame = [v for v, _ in short_vectors_gram(reduced, 1)]
+        frame = [v for v, _ in short(1)]
         if len(frame) != n:
             return "other"
         kind = "unimodular_odd"
     elif n == 3 and dt == 4:
-        pool = [(v, int(nrm)) for v, nrm in short_vectors_gram(reduced, 4)]
-        frame = _orthogonal_set(g, pool, [1, 1, 4])
+        frame = _orthogonal_set(g, short(4), [1, 1, 4])
         if frame is None:
             return "other"
         kind = "diag114"
     else:
         return "other"
-    assert abs(det(Matrix.scaled(frame))) == 1
+    assert _generates(frame, n), "the frame must be a basis"
     return kind
 
 

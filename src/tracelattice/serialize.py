@@ -23,7 +23,12 @@ def rational_str(x) -> str:
 
 
 def matrix_json(m: Matrix) -> list[list[str]]:
-    return [[rational_str(x) for x in m.row(i)] for i in range(m.rows)]
+    """Entries as rational strings, read off the integer rows: an integer
+    matrix needs only str(int), so a Fraction is built only over den > 1."""
+    den = m.den
+    if den == 1:
+        return [[str(x) for x in row] for row in m.ints]
+    return [[str(Fraction(x, den)) for x in row] for row in m.ints]
 
 
 def point_json(p: ConicPoint) -> dict:

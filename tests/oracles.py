@@ -141,6 +141,27 @@ def reduced_box_short_vectors(gram, bound: int):
     return sorted(out)
 
 
+def roots_by_reflection(gram) -> list[tuple[int, ...]]:
+    """The roots of a simply-laced root system from its Dynkin-diagram Gram
+    (the basis is the simple roots): the orbit of the simple roots under the
+    simple reflections s_i(v) = v - <v, a_i> a_i, one sign-representative
+    (first nonzero entry positive) per +-pair, sorted."""
+    n = len(gram)
+    simple = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    seen = set(simple)
+    todo = list(simple)
+    while todo:
+        v = todo.pop()
+        for i in range(n):
+            c = sum(v[k] * gram[k][i] for k in range(n))
+            if c:
+                w = tuple(v[k] - c * (k == i) for k in range(n))
+                if w not in seen:
+                    seen.add(w)
+                    todo.append(w)
+    return sorted(v for v in seen if next(x for x in v if x) > 0)
+
+
 def vectors_of_norm(gram, value: int):
     """Both signs of every vector with x G x^T == value."""
     result = []

@@ -103,6 +103,13 @@ def test_cyclotomic_p23_is_a22():
     assert r.stdout == '{"type":"A22"}\n'
 
 
+def test_cyclotomic_p31_is_a30():
+    # p = 31 is the largest prime under the rank cap of 32
+    r = run_proc(["cyclotomic", "--p", "31"])
+    assert r.returncode == 0
+    assert r.stdout == '{"type":"A30"}\n'
+
+
 def test_cyclotomic_not_prime_is_exit_1(capsys):
     code, doc = run_cli(["cyclotomic", "--p", "9"], capsys)
     assert code == 1 and doc["error"]["kind"] == "NotPrime"
@@ -115,7 +122,7 @@ def test_cyclotomic_past_the_rank_cap_is_exit_1(n, rank):
     r = run_proc(["cyclotomic", "--n", str(n), "--generator", "z"], timeout=30)
     assert r.returncode == 1
     assert r.stdout == (
-        '{"error":{"detail":"rank %d exceeds the enumeration cap of 22",'
+        '{"error":{"detail":"rank %d exceeds the enumeration cap of 32",'
         '"kind":"RankTooLarge"}}\n' % rank
     )
 

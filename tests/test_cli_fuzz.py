@@ -74,7 +74,7 @@ cyclotomic = st.one_of(
     st.builds(
         lambda n, g: ["cyclotomic", *n, *g],
         # 21 and 25 (phi 12 and 20) build the field; 47, 100 and 1000
-        # (phi 46, 40 and 400) stop at the classifier's rank cap of 22
+        # (phi 46, 40 and 400) stop at the classifier's rank cap of 32
         _optional(
             "--n", (st.integers(-1, 12) | st.sampled_from([21, 25, 47, 100, 1000])).map(str)
         ),

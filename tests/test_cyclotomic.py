@@ -289,4 +289,4 @@ def test_large_prime_ideal_lattice_classification(p, label):
 
 def test_large_primes_rejected():
     with pytest.raises(TooLarge):
-        verify_cyclotomic_ap(29)
+        verify_cyclotomic_ap(37)

@@ -33,6 +33,8 @@ from oracles import (
     quadratic_automorphisms,
     random_equivalent_gram,
     random_unimodular,
+    reduced_box_short_vectors,
+    roots_by_reflection,
     shanks_automorphisms,
     shanks_minpoly,
     trace_gram,
@@ -297,13 +299,14 @@ def test_short_vectors_match_box_on_random_pd_grams(seed):
     assert _impl_pairs(gram, bound) == box_short_vectors(gram, bound)
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=40, deadline=None)
 @given(st.integers(min_value=0, max_value=10_000))
 def test_short_vectors_rational_grams_match_box_in_order(seed):
-    # a rational Gram is reduced after scaling by its denominators; the
-    # result must be the box oracle's list, in the same order
+    # a rational Gram is ints / den and enumerated to floor(bound * den); the
+    # result must be the box oracle's list, in the same order.  Bounds need
+    # not be multiples of 1/den.
     rng = random.Random(seed)
-    n = rng.choice([2, 3, 4])
+    n = rng.randint(1, 6)
     while True:
         w = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
         if det(Matrix.from_rows(w)) != 0:
@@ -312,9 +315,56 @@ def test_short_vectors_rational_grams_match_box_in_order(seed):
     ints = [[sum(w[i][k] * w[j][k] for k in range(n)) for j in range(n)]
             for i in range(n)]
     gram = Matrix.from_rows([[F(x, scale) for x in row] for row in ints])
-    bound = F(rng.choice([2, 4, 6, 12]), scale)
+    q = rng.choice([1, 2, 3, 5])
+    bound = F(rng.randrange(13 * q), scale * q)
     got = [(norm * scale, v) for v, norm in short_vectors_gram(gram, bound)]
-    assert got == box_short_vectors(ints, int(bound * scale))
+    assert got == reduced_box_short_vectors(ints, math.floor(bound * scale))
+
+
+def test_short_vectors_bound_between_multiples_of_one_over_den():
+    # over den 2, bound 7/3 is the integer budget floor(14/3) = 4: the
+    # norm-5/2 vector stays out, the norm-3/2 ones are in
+    ints = [[2, 1, 0], [1, 3, 1], [0, 1, 5]]
+    gram = Matrix.from_rows([[F(x, 2) for x in row] for row in ints])
+    assert gram.den == 2
+    assert box_short_vectors(ints, 4) != box_short_vectors(ints, 5)
+    got = [(norm * 2, v) for v, norm in short_vectors_gram(gram, F(7, 3))]
+    assert got == box_short_vectors(ints, 4)
+
+
+def _in_base_coords(u, pairs):
+    """(norm, x U) for each (x, norm) found on U G U^T: the same vectors in
+    G's coordinates, sign-canonical and sorted."""
+    n = len(u)
+    out = []
+    for v, norm in pairs:
+        w = tuple(sum(v[i] * u[i][k] for i in range(n)) for k in range(n))
+        if next(c for c in w if c) < 0:
+            w = tuple(-c for c in w)
+        out.append((int(norm), w))
+    return sorted(out)
+
+
+@pytest.mark.parametrize("n", [9, 8], ids=["A9", "Z8"])
+def test_short_vectors_on_disguised_grams_match_the_reduced_box(n):
+    # a light disguise, which pair reduction undoes far enough for the box
+    base = gram_A(n) if n == 9 else [[int(i == j) for j in range(n)] for i in range(n)]
+    gram = conjugate_gram(random_unimodular(random.Random(n), n, 2 * n), base)
+    pairs = short_vectors_gram(Matrix.from_rows(gram), 2)
+    assert [(int(norm), v) for v, norm in pairs] == reduced_box_short_vectors(gram, 2)
+
+
+@pytest.mark.parametrize("family, n", [("A", 9), ("A", 12), ("D", 12), ("E", 8)])
+def test_short_vectors_on_disguised_root_lattices_are_their_roots(family, n):
+    # a heavy disguise, checked in the Dynkin basis against the orbit of
+    # the simple roots under the simple reflections
+    base = {"A": gram_A, "D": gram_D, "E": gram_E}[family](n)
+    roots = roots_by_reflection(base)
+    assert 2 * len(roots) == {"A": n * (n + 1), "D": 2 * n * (n - 1), "E": 240}[family]
+    u = random_unimodular(random.Random(n), n, 8 * n)
+    pairs = short_vectors_gram(Matrix.from_rows(conjugate_gram(u, base)), 2)
+    assert pairs == sorted(pairs, key=lambda kv: (kv[1], kv[0]))
+    assert _in_base_coords(u, pairs) == [(2, v) for v in roots]
 
 
 def test_short_vectors_rejects_asymmetric_and_indefinite_grams():
@@ -338,19 +388,37 @@ def _assert_lll_certificate(gram, reduced, u):
         assert big_b[i] >= (F(3, 4) - mu[i][i - 1] ** 2) * big_b[i - 1], i
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.integers(min_value=0, max_value=10_000))
-def test_lll_gram_output_is_a_certificate(seed):
-    rng = random.Random(seed)
+def _random_gram(rng) -> list[list[int]]:
+    """W W^T for a random nonsingular integer W of rank 1-8."""
     n = rng.randint(1, 8)
     while True:
         w = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
         if fraction_det(w) != 0:
             break
-    gram = [[sum(w[i][k] * w[j][k] for k in range(n)) for j in range(n)]
+    return [[sum(w[i][k] * w[j][k] for k in range(n)) for j in range(n)]
             for i in range(n)]
-    reduced, u = _lll_gram(gram)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000))
+def test_lll_gram_output_is_a_certificate(seed):
+    gram = _random_gram(random.Random(seed))
+    reduced, u, _, _ = _lll_gram(gram)
     _assert_lll_certificate(gram, reduced, u)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000))
+def test_lll_gram_hands_over_the_gram_schmidt_data_of_its_output(seed):
+    # d[k] is the k-th leading minor of the reduced Gram and lam[k][j] =
+    # d[j+1] * mu[k][j], both read against Fraction Gram-Schmidt
+    reduced, _, d, lam = _lll_gram(_random_gram(random.Random(seed)))
+    mu, big_b = gram_schmidt(reduced)
+    assert d[0] == 1
+    for k in range(len(reduced)):
+        assert d[k + 1] == d[k] * big_b[k], k
+        for j in range(k):
+            assert lam[k][j] == d[j + 1] * mu[k][j], (k, j)
 
 
 def test_lll_gram_takes_disguised_root_lattices_to_small_diagonals():
@@ -358,7 +426,7 @@ def test_lll_gram_takes_disguised_root_lattices_to_small_diagonals():
     for base in (gram_A(12), gram_D(10), gram_E(8)):
         u = random_unimodular(rng, len(base), 60)
         gram = conjugate_gram(u, base)
-        reduced, v = _lll_gram(gram)
+        reduced, v, _, _ = _lll_gram(gram)
         _assert_lll_certificate(gram, reduced, v)
         assert max(reduced[i][i] for i in range(len(base))) == 2
 
@@ -408,11 +476,15 @@ def test_classify_rejects_nonintegral_and_big_rank():
     with pytest.raises(NotIntegral):
         classify_gram(Matrix.from_rows([[F(1, 2)]]))
     with pytest.raises(RankTooLarge):
-        classify_gram(Matrix.identity(23))
+        classify_gram(Matrix.identity(33))
 
 
 def test_classify_at_the_rank_cap():
-    assert classify_gram(Matrix.identity(22)) == "unimodular_odd"
+    assert classify_gram(Matrix.identity(32)) == "unimodular_odd"
+    assert classify_gram(Matrix.from_rows(gram_A(32))) == "A32"
+    assert classify_gram(Matrix.from_rows(gram_D(32))) == "D32"
+    u = random_unimodular(random.Random(32), 32, 8 * 32)
+    assert classify_gram(Matrix.from_rows(conjugate_gram(u, gram_D(32)))) == "D32"
 
 
 def test_classify_odd_unimodular_with_too_few_unit_vectors_is_other():
