@@ -6,6 +6,9 @@ Scalars are arbitrary-precision rationals (`Rational`, an alias of
 integer rows over one positive denominator in lowest terms, the scaled-integer
 form every kernel here runs on; Matrix.scaled(ints, den) builds one from
 integers without a Fraction, and entries become Fractions only when read.
+`det` and `inverse` are fraction-free eliminations (Bareiss, Math. Comp.
+1968) on those integer rows: `inverse` runs Gauss-Jordan on [A | I] with
+exact division by the previous pivot and scales the result once.
 Every operation here is exact; no floating point anywhere.
 
 Conventions fixed for the whole library:
@@ -193,27 +196,33 @@ def det(m: Matrix) -> Fraction:
 
 
 def inverse(m: Matrix) -> Matrix:
-    """Exact inverse by Gauss-Jordan elimination."""
+    """Exact inverse by fraction-free Gauss-Jordan elimination (Bareiss,
+    Math. Comp. 1968) on [A | I], A the integer rows of m = A / den.
+
+    Step k brings the pivot row into every other row and divides each
+    updated row exactly by the previous pivot, so every entry stays an
+    integer minor of [A | I].  The left block ends as d*I with d = +-det A,
+    and the right block R then has A^-1 = R / d, so m^-1 = den * R / d."""
     if not m.is_square():
         raise NonSquareMatrix(f"{m.rows}x{m.cols}")
     n = m.rows
-    a = [list(row) for row in m.data]
-    b = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = next((i for i in range(col, n) if a[i][col] != 0), None)
+    a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m.ints)]
+    prev = 1
+    for k in range(n):
+        piv = next((i for i in range(k, n) if a[i][k] != 0), None)
         if piv is None:
             raise SingularMatrix("no pivot")
-        a[col], a[piv] = a[piv], a[col]
-        b[col], b[piv] = b[piv], b[col]
-        inv_p = 1 / a[col][col]
-        a[col] = [x * inv_p for x in a[col]]
-        b[col] = [x * inv_p for x in b[col]]
+        a[k], a[piv] = a[piv], a[k]
+        row_k = a[k]
+        p = row_k[k]
         for i in range(n):
-            if i != col and a[i][col] != 0:
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[col])]
-                b[i] = [x - f * y for x, y in zip(b[i], b[col])]
-    return Matrix(b)
+            if i != k:
+                row_i = a[i]
+                f = row_i[k]
+                a[i] = [(p * x - f * y) // prev for x, y in zip(row_i, row_k)]
+        prev = p
+    den = m.den
+    return Matrix.scaled([[den * x for x in row[n:]] for row in a], prev)
 
 
 def _row_op_sub(rows: list[list[int]], i: int, j: int, q: int) -> None:

@@ -35,6 +35,7 @@ certificate runs on the reduced Gram.
 """
 from __future__ import annotations
 
+from collections import deque
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt, lcm, prod
@@ -365,26 +366,25 @@ def _gram_images(g: list[list[int]], vectors) -> list[list[int]]:
 
 
 def _connected(g: list[list[int]], vectors: list[tuple[int, ...]]) -> bool:
-    m = len(vectors)
+    """True iff the non-orthogonality graph on the vectors is connected.
+
+    Breadth-first search from the first vector over a shrinking list of the
+    unvisited ones: each visited vector is paired, by one dot product with
+    the precomputed images G*v, only with the vectors still unvisited, and
+    the graph is connected iff that list empties."""
     images = _gram_images(g, vectors)
-    parent = list(range(m))
-    components = m
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for i in range(m):
-        for j in range(i + 1, m):
-            ri, rj = find(i), find(j)
-            if ri != rj and sum(map(mul, vectors[i], images[j])) != 0:
-                parent[ri] = rj
-                components -= 1
-                if components == 1:
-                    return True
-    return components == 1
+    unvisited = list(range(1, len(vectors)))
+    queue = deque([0])
+    while queue and unvisited:
+        gv = images[queue.popleft()]
+        rest = []
+        for j in unvisited:
+            if sum(map(mul, vectors[j], gv)):
+                queue.append(j)
+            else:
+                rest.append(j)
+        unvisited = rest
+    return not unvisited
 
 
 def _orthogonal_set(
@@ -512,13 +512,19 @@ def odd_trace_witness(L: TraceLattice) -> Optional[tuple[int, ...]]:
 # lattice identity
 # ---------------------------------------------------------------------------
 
-def canonical_key(L: TraceLattice) -> tuple:
-    """(clearing denominator, HNF rows) -- equal iff the lattices are equal.
+def basis_key(basis: Matrix) -> tuple:
+    """(clearing denominator, HNF rows) of the lattice spanned by the rows of
+    a square basis matrix -- equal iff the spanned lattices are equal.
 
     The minimal k with k*L inside Z^n is basis-independent, and the row HNF
     of the cleared basis is the unique canonical basis of k*L."""
-    rows, scale = L.basis.cleared()
+    rows, scale = basis.cleared()
     return (scale, tuple(map(tuple, hnf_rows(rows))))
+
+
+def canonical_key(L: TraceLattice) -> tuple:
+    """basis_key of the lattice's basis: equal iff the lattices are equal."""
+    return basis_key(L.basis)
 
 
 def lattice_equal(L1: TraceLattice, L2: TraceLattice) -> bool:

@@ -8,6 +8,12 @@ pair of points on x^2 + d y^2 = 1 whose pairing is -1, which exists exactly
 when d = 3.  The d = 3 family is parametrized by integer slope pairs through
 the unit conic; for other d a bounded exhaustive search certifies emptiness
 up to a height.
+
+The family sweep runs a per-pair integer check, certified build per distinct
+key: every slope pair and branch has its basis as integer rows over one
+denominator, its two norm equations and its pairing asserted in int, and its
+lattice keyed by the HNF of those rows; gram_of and the A2 Gram certificate
+run once per distinct lattice, on the basis that is emitted.
 """
 from __future__ import annotations
 
@@ -17,10 +23,9 @@ from math import gcd, isqrt
 from typing import NamedTuple, Optional
 
 from ._intfactor import squarefree_kernel
-from .conic_points import unit_conic_point
 from .errors import ZeroSlopePair
 from .exact_linalg import Matrix
-from .lattice_core import TraceLattice, canonical_key
+from .lattice_core import TraceLattice, basis_key, canonical_key
 from .power_basis import PowerBasisField
 
 F = Fraction
@@ -65,23 +70,45 @@ def pairing(a, b, ambient: QuadAmbient) -> Fraction:
     return ambient.pair_coords(a, b)
 
 
-def _second_point(s0: int, s1: int, branch) -> tuple[Fraction, Fraction]:
-    """The completing point (x2, y2) for the slope pair, on either branch.
+def _slope_basis(s0: int, s1: int, branch) -> Matrix:
+    """The A2 basis of the slope pair, checked in integers.
 
-    y2 solves 12 n^2 y2^2 - 24 n s0 s1 y2 + (n^2 - 4(s0^2-3s1^2)^2) = 0,
-    the elimination of x2 from the norm equation and the pairing value; the
-    discriminant is a perfect square, 144 n^2 (s0^2-3s1^2)^2, so the two
-    roots are (2 s0 s1 +- (s0^2 - 3 s1^2)) / (2n) and both branches are
-    always rational."""
-    n = s0 * s0 + 3 * s1 * s1
+    With n = s0^2 + 3 s1^2 and c = s0^2 - 3 s1^2, the first row is the unit
+    conic section point (X1, Y1)/n = (-c, -2 s0 s1)/n.  The second row's y
+    solves 12 n^2 y^2 - 24 n s0 s1 y + (n^2 - 4c^2) = 0, the elimination of x
+    from the norm equation and the pairing value; the discriminant is the
+    perfect square 144 n^2 c^2, so the two roots are (2 s0 s1 -+ c)/(2n) =
+    Y/(2n) and both branches are always rational.  The pairing then gives
+    (X2, Y2)/(2cn) = (n^2 - 6 s0 s1 Y, c Y)/(2cn).
+
+    X1^2 + 3 Y1^2 = n^2, X2^2 + 3 Y2^2 = (2cn)^2 and 2(X1 X2 + 3 Y1 Y2) =
+    -n (2cn) are asserted in int: for either sign the pairing is
+    2(x x' + 3 y y'), so together they fix the Gram at [[2,-1],[-1,2]]."""
+    if s0 == 0 and s1 == 0:
+        raise ZeroSlopePair("need a nonzero slope pair")
     if branch in ("-", -1):
-        y2 = F((s0 + 3 * s1) * (s0 - s1), 2 * n)
+        y = (s0 + 3 * s1) * (s0 - s1)
     elif branch in ("+", 1):
-        y2 = F(-(s0 - 3 * s1) * (s0 + s1), 2 * n)
+        y = -(s0 - 3 * s1) * (s0 + s1)
     else:
         raise ValueError(f"branch must be '+' or '-', got {branch!r}")
-    x2 = -(12 * s0 * s1 * y2 - n) / (2 * (s0 * s0 - 3 * s1 * s1))
-    return (x2, y2)
+    n = s0 * s0 + 3 * s1 * s1
+    c = s0 * s0 - 3 * s1 * s1
+    x1, y1 = -c, -2 * s0 * s1
+    x2, y2 = n * n - 6 * s0 * s1 * y, c * y
+    den = 2 * c * n
+    assert x1 * x1 + 3 * y1 * y1 == n * n
+    assert x2 * x2 + 3 * y2 * y2 == den * den
+    assert 2 * (x1 * x2 + 3 * y1 * y2) == -n * den
+    return Matrix.scaled([[2 * c * x1, 2 * c * y1], [x2, y2]], den)
+
+
+def _certified_a2(basis: Matrix, sign: int) -> TraceLattice:
+    """The lattice of the basis in Q(sqrt(+-3)), its Gram built by gram_of
+    and required to be [[2,-1],[-1,2]]."""
+    lattice = TraceLattice(_quad_ambient(3, sign), basis)
+    assert lattice.gram == A2_GRAM
+    return lattice.with_type("A2")
 
 
 def a2_from_slopes(s0: int, s1: int, branch="+", sign: int = -1) -> TraceLattice:
@@ -89,18 +116,9 @@ def a2_from_slopes(s0: int, s1: int, branch="+", sign: int = -1) -> TraceLattice
     conic section, second from the chosen branch of the completing quadratic.
 
     The two equations x_i^2 + 3 y_i^2 = 1 and the pairing value -1 are
-    re-verified exactly, and the Gram must come out [[2,-1],[-1,2]]."""
-    if s0 == 0 and s1 == 0:
-        raise ZeroSlopePair("need a nonzero slope pair")
-    p1 = unit_conic_point(s0, s1)
-    x1, y1 = p1.as_pair()
-    x2, y2 = _second_point(s0, s1, branch)
-    assert x2 * x2 + 3 * y2 * y2 == 1
-    ambient = _quad_ambient(3, sign)
-    assert pairing((x1, y1), (x2, y2), ambient) == -1
-    lattice = TraceLattice.from_rows(ambient, [(x1, y1), (x2, y2)])
-    assert lattice.gram == A2_GRAM
-    return lattice.with_type("A2")
+    verified exactly in integers, and the Gram must come out
+    [[2,-1],[-1,2]]."""
+    return _certified_a2(_slope_basis(s0, s1, branch), sign)
 
 
 def normal_a2(sign: int = -1) -> TraceLattice:
@@ -207,16 +225,24 @@ class FamilyCount(NamedTuple):
 
 def family_distinctness(height: int, sign: int = -1) -> FamilyCount:
     """Pairwise-distinct A2 lattices over all slope pairs and both branches
-    with |s0|, |s1| <= height."""
+    with |s0|, |s1| <= height, in first-seen order.
+
+    Per-pair integer check, certified build per distinct key: every slope
+    pair and branch passes the integer conic and pairing checks of
+    a2_from_slopes and is keyed by basis_key on its integer rows; only the
+    first pair of each new key builds the certified lattice (gram_of, the A2
+    Gram), whose canonical_key must equal that key."""
     seen = {}
     for s0 in range(-height, height + 1):
         for s1 in range(-height, height + 1):
             if (s0, s1) == (0, 0):
                 continue
             for branch in ("+", "-"):
-                lattice = a2_from_slopes(s0, s1, branch, sign)
-                key = canonical_key(lattice)
+                basis = _slope_basis(s0, s1, branch)
+                key = basis_key(basis)
                 if key not in seen:
+                    lattice = _certified_a2(basis, sign)
+                    assert canonical_key(lattice) == key
                     seen[key] = lattice
     members = list(seen.values())
     return FamilyCount(len(members), members)

@@ -6,7 +6,9 @@ GL(n, Z), Gram matrices built straight from Dynkin diagram adjacency, the
 square root of a cubic trace dual by search over all sublattices of the
 right index, trace Grams from polynomial products and Newton sums, Hermite
 forms by extended-gcd row pairs, the A2 falsification as a Fraction
-pair search over a box of points, and Galois stability as integrality of
+pair search over a box of points, the d = 3 A2 family by a Fraction build
+and Hermite key of every slope pair, root-graph connectivity by label
+propagation over every pair of roots, and Galois stability as integrality of
 B S B^-1 by Gauss-Jordan, with each field's automorphisms written out from
 their definitions, the parity witness by a scan of all 2^n - 1 classes of
 L/2L, and matrix arithmetic by loops over Fraction grids.  None of it
@@ -571,6 +573,71 @@ def a2_witness_by_search(d: int, height: int):
             if 2 * (p[0] * q[0] + d * p[1] * q[1]) == -1 and p[0] * q[1] != p[1] * q[0]:
                 return p, q
     return None
+
+
+# --- the d = 3 slope family by a certified build of every pair ---------------
+
+def a2_family_by_full_build(height: int, sign: int):
+    """The distinct A2 lattices of the slope family in Q(sqrt(3 sign)), as
+    (basis rows, Gram) Fraction tuples in first-seen order over s0, then s1,
+    in [-height, height] and the branches "+", "-".
+
+    Every pair is built in full: the section point (-c, -2 s0 s1)/n with
+    n = s0^2 + 3 s1^2, c = s0^2 - 3 s1^2, the second y = (2 s0 s1 -+ c)/(2n),
+    the second x solved from the pairing -1, both points checked on
+    x^2 + 3 y^2 = 1, the Gram as twice the rational part of a * conj(b)
+    (conj flips the radical only when sign = -1), and the lattice keyed by
+    its clearing denominator and hermite_form."""
+    r = 3 * sign
+    seen = {}
+    for s0 in range(-height, height + 1):
+        for s1 in range(-height, height + 1):
+            if (s0, s1) == (0, 0):
+                continue
+            n = s0 * s0 + 3 * s1 * s1
+            c = s0 * s0 - 3 * s1 * s1
+            x1, y1 = Fraction(-c, n), Fraction(-2 * s0 * s1, n)
+            for branch in ("+", "-"):
+                y2 = Fraction(2 * s0 * s1 - c if branch == "+" else 2 * s0 * s1 + c, 2 * n)
+                x2 = (Fraction(-1, 2) - 3 * y1 * y2) / x1
+                rows = ((x1, y1), (x2, y2))
+                assert all(x * x + 3 * y * y == 1 for x, y in rows)
+                conj = [(x, y if sign > 0 else -y) for x, y in rows]
+                gram = tuple(
+                    tuple(2 * (a[0] * b[0] + r * a[1] * b[1]) for b in conj) for a in rows
+                )
+                assert gram == ((2, -1), (-1, 2))
+                cleared, scale = grid_cleared(rows)
+                key = (scale, tuple(map(tuple, hermite_form(cleared))))
+                seen.setdefault(key, (rows, gram))
+    return list(seen.values())
+
+
+# --- connectivity of the root graph by labels over every pair ----------------
+
+def connected_by_pairwise_graph(gram, vectors) -> bool:
+    """Is the graph on the vectors, with an edge where <u, v> != 0, connected?
+    Every pair's inner product is summed out in full, and each vertex's
+    label falls to the least label among its neighbours until nothing
+    changes; the graph is connected iff one label is left."""
+    m = len(vectors)
+    n = len(gram)
+    edges = [
+        (i, j)
+        for i in range(m)
+        for j in range(i + 1, m)
+        if sum(vectors[i][a] * gram[a][b] * vectors[j][b] for a in range(n) for b in range(n))
+    ]
+    label = list(range(m))
+    changed = True
+    while changed:
+        changed = False
+        for i, j in edges:
+            low = min(label[i], label[j])
+            if label[i] != low or label[j] != low:
+                label[i] = label[j] = low
+                changed = True
+    return len(set(label)) <= 1
 
 
 # --- Galois stability as integrality of B S B^-1 -----------------------------

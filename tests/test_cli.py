@@ -199,6 +199,10 @@ PINNED_STDOUT_SHA256 = [
         "330ba99ab1d3672162611cca37cc3c961015caa00f7b3637ec83d601f1bcdd7d",
     ),
     (
+        ["quad-a2", "--d", "3", "--height", "12"],
+        "18135f774f9a141bbee715f668fb6769bb1d8e65629fe095b93e8cf5c7514c36",
+    ),
+    (
         ["cyclotomic", "--p", "11"],
         "2304b13eb52f3f8dbb48aa15de79d56ea0ae851c5027762a3b13aaef3740f0bc",
     ),

@@ -220,6 +220,31 @@ def test_inverse_round_trip(m):
     assert inverse(inv) == m
 
 
+rational_squares = st.integers(min_value=1, max_value=8).flatmap(
+    lambda n: st.lists(
+        st.fractions(min_value=-6, max_value=6, max_denominator=5),
+        min_size=n * n,
+        max_size=n * n,
+    ).map(lambda xs: [xs[i * n : (i + 1) * n] for i in range(n)])
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rational_squares, st.integers(min_value=-1, max_value=7), st.integers(-3, 3))
+def test_inverse_matches_fraction_gauss_jordan(rows, dependent, k):
+    # dependent >= 0 overwrites the last row with k times another row plus
+    # the first, so singular inputs come up often
+    n = len(rows)
+    if 0 <= dependent < n - 1:
+        rows[-1] = [k * x + y for x, y in zip(rows[dependent], rows[0])]
+    m = Matrix(rows)
+    if fraction_det(rows) == 0:
+        with pytest.raises(SingularMatrix):
+            inverse(m)
+        return
+    assert [list(r) for r in inverse(m).data] == _inverse(rows)
+
+
 # --- hnf ----------------------------------------------------------------------
 
 def _assert_hnf_shape(h: Matrix) -> None:

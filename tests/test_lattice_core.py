@@ -18,6 +18,7 @@ from oracles import (
     CYCLOTOMIC_MINPOLY,
     ROOT_COUNTS,
     box_short_vectors,
+    connected_by_pairwise_graph,
     conjugate_gram,
     cyclotomic_automorphisms,
     cyclotomic_conj,
@@ -52,6 +53,7 @@ from tracelattice.errors import (
 from tracelattice.exact_linalg import Matrix, det, hnf, inverse
 from tracelattice.lattice_core import (
     TraceLattice,
+    _connected,
     _lll_gram,
     canonical_key,
     classify_gram,
@@ -470,6 +472,35 @@ def test_classify_reducible_det4_rank12_is_not_d12():
             rows[4 + i][4 + j] = E8[i][j]
     assert classify_gram(Matrix.from_rows(rows)) == "other"
     assert classify_gram(Matrix.from_rows(gram_D(12))) == "D12"
+
+
+def _block_sum(*grams) -> list[list[int]]:
+    n = sum(len(g) for g in grams)
+    rows = [[0] * n for _ in range(n)]
+    at = 0
+    for g in grams:
+        for i, row in enumerate(g):
+            rows[at + i][at : at + len(g)] = row
+        at += len(g)
+    return rows
+
+
+@pytest.mark.parametrize(
+    "gram, irreducible",
+    [(gram_A(n), True) for n in range(1, 9)]
+    + [(gram_D(n), True) for n in range(4, 9)]
+    + [(gram_E(n), True) for n in (6, 7, 8)]
+    + [
+        (_block_sum(gram_A(3), gram_A(3)), False),
+        (_block_sum(gram_D(4), gram_A(1)), False),
+        (_block_sum(gram_E(8), gram_A(2)), False),
+    ],
+)
+def test_connected_matches_pairwise_graph_oracle(gram, irreducible):
+    roots = roots_by_reflection(gram)
+    assert _connected(gram, roots) == connected_by_pairwise_graph(gram, roots) == irreducible
+    if not irreducible:
+        assert classify_gram(Matrix.from_rows(gram)) == "other"
 
 
 def test_classify_rejects_nonintegral_and_big_rank():

@@ -15,7 +15,8 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import a2_witness_by_search
+from oracles import a2_family_by_full_build, a2_witness_by_search
+from tracelattice import lattice_core, quadratic_a2
 from tracelattice.errors import ZeroSlopePair
 from tracelattice.exact_linalg import Matrix
 from tracelattice.lattice_core import (
@@ -211,6 +212,35 @@ def test_family_counts_frozen_and_increasing():
     c6 = family_distinctness(6).count
     assert (c3, c6) == (7, 25)
     assert all(classify_root_type(m) == "A2" for m in family_distinctness(3).lattices)
+
+
+@pytest.mark.parametrize("sign", [-1, 1])
+@pytest.mark.parametrize("height", range(7))
+def test_family_matches_full_build_oracle(height, sign):
+    fam = family_distinctness(height, sign)
+    expected = a2_family_by_full_build(height, sign)
+    assert fam.count == len(fam.lattices) == len(expected)
+    assert [(L.basis.data, L.gram.data) for L in fam.lattices] == expected
+    assert all(L.type_tag == "A2" for L in fam.lattices)
+
+
+def test_family_checks_every_pair_and_builds_each_lattice_once(monkeypatch):
+    calls = {"pairs": 0, "grams": 0}
+    slope_basis, gram_of = quadratic_a2._slope_basis, lattice_core.gram_of
+
+    def counted_slope_basis(*args):
+        calls["pairs"] += 1
+        return slope_basis(*args)
+
+    def counted_gram_of(*args):
+        calls["grams"] += 1
+        return gram_of(*args)
+
+    monkeypatch.setattr(quadratic_a2, "_slope_basis", counted_slope_basis)
+    monkeypatch.setattr(lattice_core, "gram_of", counted_gram_of)
+    fam = family_distinctness(12)
+    assert calls["pairs"] == 2 * (25 * 25 - 1) == 1248
+    assert calls["grams"] == fam.count == 93
 
 
 def test_family_height_10_meets_threshold():
