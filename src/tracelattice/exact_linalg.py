@@ -9,6 +9,9 @@ integers without a Fraction, and entries become Fractions only when read.
 `det` and `inverse` are fraction-free eliminations (Bareiss, Math. Comp.
 1968) on those integer rows: `inverse` runs Gauss-Jordan on [A | I] with
 exact division by the previous pivot and scales the result once.
+`hnf_rows` clears each column below its pivot with one unimodular 2x2
+extended-gcd step per row, or a single subtraction when the pivot divides
+the entry (Cohen, GTM 138, Sec. 2.4.2).
 Every operation here is exact; no floating point anywhere.
 
 Conventions fixed for the whole library:
@@ -16,8 +19,11 @@ Conventions fixed for the whole library:
   - `hnf` is row-style: h = u*m with u unimodular, pivots positive, zeros
     below pivots, entries above a pivot reduced into [0, pivot), zero rows
     at the bottom; this form is unique, so it doubles as a lattice-equality
-    key; `hnf_rows` is the same elimination on bare integer rows, without
-    the transform, and `hnf_coords` the membership test against it,
+    key; `hnf` runs `hnf_rows` on [m | I], and the transform u it reads
+    off is unique only when m has full row rank (otherwise the rows of u
+    beside the zero rows of h are some basis of the left kernel); `hnf_rows`
+    on bare integer rows gives h without it, and `hnf_coords` is the
+    membership test against h,
   - `snf` returns the invariant-factor chain d1 | d2 | ... | dn.
 """
 from __future__ import annotations
@@ -230,8 +236,26 @@ def _row_op_sub(rows: list[list[int]], i: int, j: int, q: int) -> None:
         rows[i] = [x - q * y for x, y in zip(rows[i], rows[j])]
 
 
+def _xgcd(x: int, y: int) -> tuple[int, int, int]:
+    """(g, s, t) with s*x + t*y = g = +-gcd(x, y)."""
+    s0, t0, s1, t1 = 1, 0, 0, 1
+    while y:
+        q, r = divmod(x, y)
+        x, y = y, r
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    return x, s0, t0
+
+
 def hnf_rows(a: list[list[int]], ncols: int | None = None) -> list[list[int]]:
     """Row-style Hermite normal form of integer rows, computed in place.
+
+    Column c is cleared below the pivot row r one row at a time (Cohen, GTM
+    138, Sec. 2.4.2): a zero pivot x swaps with the row of the entry y
+    below it; when x divides y, one subtraction clears y; otherwise the 2x2
+    step [[s, t], [-y/g, x/g]] with s*x + t*y = g = +-gcd(x, y), which has
+    determinant 1, turns the pair into (g, 0).  The pivot is then made
+    positive and reduces the entries above it into [0, pivot).
 
     Pivots are taken in the first ncols columns only (default: all); every
     row operation acts on whole rows, so columns past ncols ride along.
@@ -244,27 +268,36 @@ def hnf_rows(a: list[list[int]], ncols: int | None = None) -> list[list[int]]:
     for c in range(ncols):
         if r == nrows:
             break
-        # clear column c below row r by Euclidean steps on the least pivot
-        while True:
-            nz = [i for i in range(r, nrows) if a[i][c] != 0]
-            if not nz:
-                break
-            i0 = min(nz, key=lambda i: abs(a[i][c]))
-            a[r], a[i0] = a[i0], a[r]
-            clean = True
-            for i in range(r + 1, nrows):
-                if a[i][c] != 0:
-                    _row_op_sub(a, i, r, a[i][c] // a[r][c])
-                    if a[i][c] != 0:
-                        clean = False
-            if clean:
-                break
-        if a[r][c] != 0:
-            if a[r][c] < 0:
-                a[r] = [-x for x in a[r]]
-            for i in range(r):
-                _row_op_sub(a, i, r, a[i][c] // a[r][c])
-            r += 1
+        top = a[r]
+        for i in range(r + 1, nrows):
+            row = a[i]
+            y = row[c]
+            if not y:
+                continue
+            x = top[c]
+            if not x:
+                a[r], a[i] = row, top
+                top = row
+            elif y % x == 0:
+                q = y // x
+                a[i] = [v - q * u for u, v in zip(top, row)]
+            else:
+                g, s, t = _xgcd(x, y)
+                p, q = x // g, y // g
+                a[r] = [s * u + t * v for u, v in zip(top, row)]
+                a[i] = [p * v - q * u for u, v in zip(top, row)]
+                top = a[r]
+        x = top[c]
+        if not x:
+            continue
+        if x < 0:
+            a[r] = top = [-u for u in top]
+            x = -x
+        for i in range(r):
+            q = a[i][c] // x
+            if q:
+                a[i] = [v - q * u for u, v in zip(top, a[i])]
+        r += 1
     return a
 
 

@@ -387,34 +387,6 @@ def _connected(g: list[list[int]], vectors: list[tuple[int, ...]]) -> bool:
     return not unvisited
 
 
-def _orthogonal_set(
-    g: list[list[int]], pool: list[tuple[tuple[int, ...], int]], norms: list[int]
-) -> Optional[list[tuple[int, ...]]]:
-    """Backtracking search for pairwise-orthogonal vectors with the given
-    non-decreasing norms; the pool holds (vector, norm) canonical sign-reps
-    sorted by norm, so each level only looks past the previous pick."""
-    images = _gram_images(g, [v for v, _ in pool])
-    entries = [(v, nv, gv) for (v, nv), gv in zip(pool, images)]
-
-    def extend(
-        start: int, chosen: tuple, want: list[int]
-    ) -> Optional[list[tuple[int, ...]]]:
-        if not want:
-            return [v for v, _ in chosen]
-        for idx in range(start, len(entries)):
-            v, nv, gv = entries[idx]
-            if nv != want[0]:
-                continue
-            if any(sum(map(mul, u, gv)) != 0 for u, _ in chosen):
-                continue
-            res = extend(idx + 1, chosen + ((v, gv),), want[1:])
-            if res is not None:
-                return res
-        return None
-
-    return extend(0, (), norms)
-
-
 def check_enumeration_rank(n: int) -> None:
     """Raise RankTooLarge when classify_gram would refuse rank n."""
     if n > ENUMERATION_RANK_CAP:
@@ -477,9 +449,17 @@ def classify_gram(gram: Matrix) -> str:
             return "other"
         kind = "unimodular_odd"
     elif n == 3 and dt == 4:
-        frame = _orthogonal_set(g, short(4), [1, 1, 4])
-        if frame is None:
+        # by the same argument two norm-1 sign-reps split off Z^2, and its
+        # complement has rank 1 and det 4: one norm-4 vector up to sign
+        pool = short(4)
+        ones = [v for v, nrm in pool if nrm == 1]
+        if len(ones) != 2:
             return "other"
+        images = _gram_images(g, ones)
+        frame = ones + [
+            v for v, nrm in pool
+            if nrm == 4 and not any(sum(map(mul, v, gv)) for gv in images)
+        ]
         kind = "diag114"
     else:
         return "other"

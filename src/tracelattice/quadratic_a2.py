@@ -149,27 +149,41 @@ def normal_a2(sign: int = -1) -> TraceLattice:
 
 
 def norm_one_points(d: int, height: int) -> list[tuple[Fraction, Fraction]]:
-    """All rational (x, y) with x^2 + d y^2 = 1 and both heights <= height.
+    """All rational (x, y) with x^2 + d y^2 = 1 and both heights <= height,
+    sorted.
 
-    Complete: x = a/m in lowest terms has |a| <= m <= height, and y is then
-    determined up to sign with denominator dividing m, so scanning the (a, m)
-    grid covers every solution of bounded height."""
+    From the rational parametrization of the conic through (-1, 0): every
+    other point lies on the line of slope u/v through it, so it is
+
+        x = (v^2 - d u^2) / n,  y = 2 u v / n,  n = v^2 + d u^2
+
+    for coprime u, v, and v = 0 gives (-1, 0) itself.  Flipping the sign of
+    u flips y alone, so u, v >= 0 and both signs of y cover the conic.  The
+    height of a point is the reduced denominator m of x (d y^2 = 1 - x^2
+    with d squarefree makes y's denominator divide m), and m = n / g with
+    g = gcd(v^2 - d u^2, n).  g divides 2 v^2 and 2 d u^2, so with u, v
+    coprime and d squarefree it divides 2 gcd(v, d), a divisor of 2d: every
+    point of height <= height has n <= 2 d height, and the pairs (u, v)
+    inside that ellipse, O(sqrt(d) height) of them, are all there is to
+    enumerate."""
     if d < 1 or squarefree_kernel(d) != d:
         raise ValueError(f"d must be a squarefree positive integer, got {d}")
+    bound = 2 * d * height
     out = set()
-    for m in range(1, height + 1):
-        for a in range(-m, m + 1):
-            if gcd(a, m) != 1:
+    for u in range(isqrt(bound // d) + 1):
+        du2 = d * u * u
+        for v in range(isqrt(bound - du2) + 1):
+            if gcd(u, v) != 1:
                 continue
-            num = m * m - a * a
-            if num % d != 0:
+            n = v * v + du2
+            a = v * v - du2
+            g = gcd(a, n)
+            m = n // g
+            if m > height:
                 continue
-            k2 = num // d
-            k = isqrt(k2)
-            if k * k != k2:
-                continue
-            out.add((F(a, m), F(k, m)))
-            out.add((F(a, m), F(-k, m)))
+            x, k = F(a // g, m), 2 * u * v // g
+            out.add((x, F(k, m)))
+            out.add((x, F(-k, m)))
     return sorted(out)
 
 

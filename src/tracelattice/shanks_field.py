@@ -9,6 +9,8 @@ generator sigma of the Galois group acts by eps^sigma = -1/(1+eps).
 ShanksField is the PowerBasisField of f_t with sigma as its Galois generator;
 elements live in the power basis (1, eps, eps^2), and the normal basis
 (eps, eps^sigma, eps^{sigma^2}) is a derived view that exists iff t != 0.
+Each field builds the matrix of that orbit once, and `bracket` is one
+product with it.
 """
 from __future__ import annotations
 
@@ -42,7 +44,7 @@ class ShanksField(PowerBasisField):
     """Q[x]/(f_t) as a PowerBasisField; construct via new_field(t)."""
 
     symbol = "eps"
-    __slots__ = ("t", "delta", "_orbit", "_normal_inv")
+    __slots__ = ("t", "delta", "_orbit", "_orbit_matrix", "_normal_inv")
 
     def __init__(self, t: int | str | Fraction):
         t = rat(t)
@@ -55,10 +57,12 @@ class ShanksField(PowerBasisField):
         )
         eps = (Fraction(0), Fraction(1), Fraction(0))
         s = self.galois_coords(eps)
+        orbit = (eps, s, self.galois_coords(s))
         self._freeze(
             t=t,
             delta=t * t + 3 * t + 9,
-            _orbit=(eps, s, self.galois_coords(s)),
+            _orbit=orbit,
+            _orbit_matrix=Matrix(orbit),
             _normal_inv=None,
         )
 
@@ -83,7 +87,7 @@ class ShanksField(PowerBasisField):
     def _normal_matrix_inverse(self) -> Matrix:
         cached = self._normal_inv
         if cached is None:
-            cached = inverse(Matrix(self._orbit))
+            cached = inverse(self._orbit_matrix)
             self._freeze(_normal_inv=cached)
         return cached
 
@@ -145,7 +149,7 @@ def bracket(field: ShanksField, lam: Sequence[int | str | Fraction]) -> FieldEle
     """
     if field.t == 0:
         raise ZeroParameter()
-    product = Matrix([list(lam)]) * Matrix(field.orbit_coords())
+    product = Matrix([list(lam)]) * field._orbit_matrix
     return FieldElement(field, product.row(0))
 
 

@@ -5,9 +5,11 @@ enumeration with numpy, lattice equivalence by brute-force row search over
 GL(n, Z), Gram matrices built straight from Dynkin diagram adjacency, the
 square root of a cubic trace dual by search over all sublattices of the
 right index, trace Grams from polynomial products and Newton sums, Hermite
-forms by extended-gcd row pairs, the A2 falsification as a Fraction
-pair search over a box of points, the d = 3 A2 family by a Fraction build
-and Hermite key of every slope pair, root-graph connectivity by label
+forms by extended-gcd row pairs and by Euclidean steps on the least pivot,
+the norm-one points of x^2 + d y^2 = 1 by a scan of every x = a/m of
+bounded height, the A2 falsification as a Fraction pair search over a box
+of points, the d = 3 A2 family by a Fraction build and Hermite key of
+every slope pair, root-graph connectivity by label
 propagation over every pair of roots, and Galois stability as integrality of
 B S B^-1 by Gauss-Jordan, with each field's automorphisms written out from
 their definitions, the parity witness by a scan of all 2^n - 1 classes of
@@ -552,6 +554,65 @@ def hermite_form(rows) -> list[list[int]]:
             a[i] = [u - f * v for u, v in zip(a[i], a[r])]
         r += 1
     return a
+
+
+# --- Hermite normal form by Euclidean steps on the least pivot --------------
+
+def hnf_by_euclid(rows, ncols: int | None = None) -> list[list[int]]:
+    """Row-style HNF of integer rows with pivots in the first ncols columns
+    (default: all) and whole-row operations, so later columns ride along.
+    Each column is cleared by repeated division steps: the row with the
+    least nonzero entry becomes the pivot, every row below is reduced by
+    it, and that repeats until the column below the pivot is zero."""
+    a = [[int(x) for x in row] for row in rows]
+    m = len(a)
+    if ncols is None:
+        ncols = len(a[0])
+    r = 0
+    for c in range(ncols):
+        if r == m:
+            break
+        while True:
+            nz = [i for i in range(r, m) if a[i][c] != 0]
+            if not nz:
+                break
+            i0 = min(nz, key=lambda i: abs(a[i][c]))
+            a[r], a[i0] = a[i0], a[r]
+            clean = True
+            for i in range(r + 1, m):
+                f = a[i][c] // a[r][c]
+                a[i] = [u - f * v for u, v in zip(a[i], a[r])]
+                if a[i][c] != 0:
+                    clean = False
+            if clean:
+                break
+        if a[r][c] == 0:
+            continue
+        if a[r][c] < 0:
+            a[r] = [-u for u in a[r]]
+        for i in range(r):
+            f = a[i][c] // a[r][c]
+            a[i] = [u - f * v for u, v in zip(a[i], a[r])]
+        r += 1
+    return a
+
+
+# --- rational points on x^2 + d y^2 = 1 by a grid scan -----------------------
+
+def norm_one_points_by_scan(d: int, height: int) -> list[tuple[Fraction, Fraction]]:
+    """Sorted rational (a/m, y) on x^2 + d y^2 = 1 with gcd(a, m) = 1 and
+    |a| <= m <= height: for each such x, y = +-k/m with d k^2 = m^2 - a^2."""
+    out = set()
+    for m in range(1, height + 1):
+        for a in range(-m, m + 1):
+            if math.gcd(a, m) != 1 or (m * m - a * a) % d:
+                continue
+            k2 = (m * m - a * a) // d
+            k = math.isqrt(k2)
+            if k * k == k2:
+                out.add((Fraction(a, m), Fraction(k, m)))
+                out.add((Fraction(a, m), Fraction(-k, m)))
+    return sorted(out)
 
 
 # --- A2 falsification by Fraction pair search --------------------------------

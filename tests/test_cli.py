@@ -254,6 +254,14 @@ PINNED_STDOUT_SHA256 = [
         ["cyclotomic", "--n", "5", "--generator", "(2+z)/(1-z)"],
         "427b5a11083912c68b0af6dada81c4ae5e48a79363f6b6d42e1b6a0d7b6e2003",
     ),
+    (
+        ["quad-a2", "--d", "11", "--height", "300", "--falsify"],
+        "f9ad8ab63fc2517aa3493b23f6eddf7102eb5807fb246bfb295c860ac9173a86",
+    ),
+    (
+        ["gen-selfdual", "--t=-5/2", "--height", "16"],
+        "4c4d1c178404b8b9bba6145a63c03bf775dad71394f7f54946bec655b5f06c67",
+    ),
 ]
 
 

@@ -19,6 +19,7 @@ from oracles import (
     grid_product,
     grid_sum,
     grid_transpose,
+    hnf_by_euclid,
 )
 from tracelattice.exact_linalg import Matrix, det, hnf, hnf_coords, hnf_rows, inverse, rat, snf
 
@@ -372,6 +373,49 @@ def test_hnf_coords_matches_inverse_oracle(case):
                 assert [sum(xi * row[j] for xi, row in zip(x, h)) for j in range(len(w))] == w
             else:
                 assert x is None
+
+
+@st.composite
+def _hnf_inputs(draw):
+    """Integer rows (1-6 of them, 1-6 columns, entries up to 1, 9 or 1000 in
+    absolute value), square or not; rows may be replaced by zero or by a
+    small integer combination of the rows above, so the rank often falls
+    short of the row count."""
+    r = draw(st.integers(min_value=1, max_value=6))
+    c = draw(st.integers(min_value=1, max_value=6))
+    size = draw(st.sampled_from([1, 9, 1000]))
+    entry = st.integers(min_value=-size, max_value=size)
+    rows = draw(st.lists(st.lists(entry, min_size=c, max_size=c), min_size=r, max_size=r))
+    for i in range(r):
+        kind = draw(st.sampled_from(["keep", "keep", "zero", "combination"]))
+        if kind == "zero":
+            rows[i] = [0] * c
+        elif kind == "combination" and i:
+            k = draw(st.lists(st.integers(min_value=-3, max_value=3), min_size=i, max_size=i))
+            rows[i] = [sum(kj * rows[j][col] for j, kj in enumerate(k)) for col in range(c)]
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(_hnf_inputs())
+def test_hnf_rows_matches_euclidean_oracle(rows):
+    assert hnf_rows([row[:] for row in rows]) == hnf_by_euclid(rows)
+    # [m | I] with pivots in m's columns only, the way hnf carries u
+    n, c = len(rows), len(rows[0])
+    aug = [row + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
+    got = hnf_rows([row[:] for row in aug], c)
+    want = hnf_by_euclid(aug, c)
+    h = [row[:c] for row in got]
+    assert h == [row[:c] for row in want]
+    if all(any(row) for row in h):
+        # no left kernel: u = h m^-1 is unique too
+        assert got == want
+    else:
+        # the rows of u beside the zero rows of h span the left kernel of m,
+        # which has many bases; any unimodular u with u m = h is right
+        u = [row[c:] for row in got]
+        assert [[sum(a * row[j] for a, row in zip(ur, rows)) for j in range(c)] for ur in u] == h
+        assert abs(fraction_det(u)) == 1
 
 
 # --- snf ----------------------------------------------------------------------

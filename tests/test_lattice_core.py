@@ -39,6 +39,7 @@ from oracles import (
     shanks_automorphisms,
     shanks_minpoly,
     trace_gram,
+    vectors_of_norm,
 )
 from tracelattice.a3_factory import TARGET_A3, TARGET_SELF_DUAL, scan_family
 from tracelattice.cyclotomic_ideals import ap_lattice, cyc_field, principal_ideal_lattice
@@ -610,6 +611,25 @@ def test_classify_agrees_with_gl3_box_oracle():
         seen[got] += 1
     # the sweep must actually exercise every label
     assert all(v > 0 for v in seen.values()), seen
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=10**9), st.sampled_from(["diag114", "diag122"]))
+def test_classify_odd_det4_rank3_by_its_norm_one_vectors(seed, base):
+    # an odd integral rank-3 lattice of det 4 has a norm-1 vector (a reduced
+    # Gram has g11 g22 g33 <= 2 det = 8, and all-2 diagonals are even), which
+    # splits off; the complement is Z + <4> or <2> + <2>, so there are two
+    # classes: diag(1,1,4) with 2 norm-1 sign-reps and diag(1,2,2) with 1
+    diagonal = {"diag114": (1, 1, 4), "diag122": (1, 2, 2)}[base]
+    g = conjugate_gram(
+        random_unimodular(random.Random(seed), 3, 12),
+        [[diagonal[i] * (i == j) for j in range(3)] for i in range(3)],
+    )
+    ones = len(vectors_of_norm(g, 1)) // 2
+    assert ones == (2 if base == "diag114" else 1)
+    expect = "diag114" if gram_equivalent(g, [[1, 0, 0], [0, 1, 0], [0, 0, 4]]) else "other"
+    assert (expect == "diag114") == (base == "diag114")
+    assert classify_gram(Matrix.from_rows(g)) == expect
 
 
 def test_classify_root_type_on_lattice():

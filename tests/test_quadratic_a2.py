@@ -15,7 +15,7 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import a2_family_by_full_build, a2_witness_by_search
+from oracles import a2_family_by_full_build, a2_witness_by_search, norm_one_points_by_scan
 from tracelattice import lattice_core, quadratic_a2
 from tracelattice.errors import ZeroSlopePair
 from tracelattice.exact_linalg import Matrix
@@ -294,6 +294,14 @@ def test_normal_basis_search_empty_below_half_integers():
 @pytest.mark.parametrize("d", [1, 2, 3, 5])
 def test_norm_one_points_match_quartic_oracle(d):
     assert norm_one_points(d, 8) == _norm_one_oracle(d, 8)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5, 6, 7, 11, 101])
+def test_norm_one_points_match_grid_scan(d):
+    # every height up to 40, then the falsify workload's 300 and a few
+    # heights between, so each bound n <= 2 d height is crossed many times
+    for height in [*range(1, 41), 97, 150, 299, 300]:
+        assert norm_one_points(d, height) == norm_one_points_by_scan(d, height), height
 
 
 def test_norm_one_points_always_contain_units():

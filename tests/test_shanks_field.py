@@ -11,6 +11,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import shanks_automorphisms
 from tracelattice.errors import (
     NonzeroTrace,
     RationalInput,
@@ -275,6 +276,19 @@ def test_bracket_linear(t, lam, mu):
     k = new_field(t)
     s = tuple(Fraction(a) + Fraction(b) for a, b in zip(lam, mu))
     assert bracket(k, s) == bracket(k, lam) + bracket(k, mu)
+
+
+@settings(max_examples=30, deadline=None)
+@given(rational_t, coords3)
+def test_bracket_is_the_weighted_orbit_of_eps(t, lam):
+    # lam0 eps + lam1 eps^sigma + lam2 eps^(sigma^2), with sigma written out
+    # from its definition; round trips and linearity cannot see an orbit
+    # matrix with its rows permuted, this can
+    sig, sig2 = shanks_automorphisms(t)
+    eps = [0, 1, 0]
+    orbit = [[Fraction(x) for x in eps], sig(eps), sig2(eps)]
+    want = tuple(sum(Fraction(c) * row[j] for c, row in zip(lam, orbit)) for j in range(3))
+    assert bracket(new_field(t), lam).coords == want
 
 
 def test_bracket_of_ones_is_trace_of_eps():
