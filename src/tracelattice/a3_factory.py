@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from operator import mul
 from typing import NamedTuple, Optional
 
 from .conic_points import (
@@ -45,7 +44,7 @@ from .lattice_core import (
     dual,
     galois_stable,
 )
-from .shanks_field import bracket, new_field
+from .shanks_field import new_field
 
 LambdaVector = tuple[Fraction, Fraction, Fraction]
 
@@ -153,33 +152,33 @@ def lambda_from_point(t, target: TraceTarget, point: ConicPoint) -> LambdaVector
     return (Fraction(q * n0, big_r), Fraction(q * n1, big_r), Fraction(q * n2, big_r))
 
 
+def _circulant(a, b, c) -> Matrix:
+    """The circulant with first row (a, b, c), each row shifted right."""
+    return Matrix([[a, b, c], [c, a, b], [b, c, a]])
+
+
 def normal_basis_lattice(t, lam, targets=None) -> TraceLattice:
     """Lattice spanned by the sigma-orbit of beta = <lam, eps-orbit>.
 
-    Gram is the circulant of (d, e) by the Galois symmetry; raises
-    DegenerateLambda when the three conjugates are linearly dependent.
-    targets is (d, e) when the caller has already certified it for lam
-    (lambda_from_point); by default it is recomputed by trace_targets_of.
-    The conjugates beta S and beta S^2 are computed in int on the cleared
-    beta, with S the matrix of sigma (galois_matrices), and the three rows
-    are put over one denominator."""
+    sigma shifts the weights, beta^sigma = <(lam2, lam0, lam1), eps-orbit>,
+    so the basis (beta, beta^sigma, beta^sigma2) is one product: the
+    circulant of lam times the field's orbit_matrix.  The Gram is the
+    circulant of (d, e, e) by the Galois symmetry; raises DegenerateLambda
+    when the three conjugates are linearly dependent and ZeroParameter at
+    t = 0, where the eps-orbit is no basis.  targets is (d, e) when the
+    caller has already certified it for lam (lambda_from_point); by default
+    it is recomputed by trace_targets_of."""
     field = new_field(t)
-    beta = Matrix([bracket(field, lam).coords])
-    (s,) = field.galois_matrices()
-    cols = list(zip(*s.ints))
-    rows = [beta.ints[0]]
-    for _ in range(2):
-        image = [sum(map(mul, rows[-1], col)) for col in cols]
-        rows = [[x * s.den for x in row] for row in rows] + [image]
+    if field.t == 0:
+        raise ZeroParameter()
     try:
-        lattice = TraceLattice(field, Matrix.scaled(rows, beta.den * s.den * s.den))
+        lattice = TraceLattice(field, _circulant(*lam) * field.orbit_matrix)
     except DependentBasis as exc:
         raise DegenerateLambda(
             f"conjugates of the weighted element are dependent for lam = {lam}"
         ) from exc
     d, e = trace_targets_of(t, lam) if targets is None else targets
-    expected = Matrix.from_rows([[d, e, e], [e, d, e], [e, e, d]])
-    assert lattice.gram == expected, "orbit Gram must be circulant in (d, e)"
+    assert lattice.gram == _circulant(d, e, e), "orbit Gram must be circulant in (d, e)"
     return lattice
 
 

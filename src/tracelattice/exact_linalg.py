@@ -24,7 +24,9 @@ Conventions fixed for the whole library:
     beside the zero rows of h are some basis of the left kernel); `hnf_rows`
     on bare integer rows gives h without it, and `hnf_coords` is the
     membership test against h,
-  - `snf` returns the invariant-factor chain d1 | d2 | ... | dn.
+  - `snf` returns the invariant-factor chain d1 | d2 | ... | dn; it runs
+    `hnf_rows` on the rows and on the transpose until the matrix is
+    diagonal, so the Hermite and Smith forms share one kernel.
 """
 from __future__ import annotations
 
@@ -231,11 +233,6 @@ def inverse(m: Matrix) -> Matrix:
     return Matrix.scaled([[den * x for x in row[n:]] for row in a], prev)
 
 
-def _row_op_sub(rows: list[list[int]], i: int, j: int, q: int) -> None:
-    if q:
-        rows[i] = [x - q * y for x, y in zip(rows[i], rows[j])]
-
-
 def _xgcd(x: int, y: int) -> tuple[int, int, int]:
     """(g, s, t) with s*x + t*y = g = +-gcd(x, y)."""
     s0, t0, s1, t1 = 1, 0, 0, 1
@@ -338,60 +335,29 @@ def hnf(m: Matrix) -> tuple[Matrix, Matrix]:
 
 
 def snf(m: Matrix) -> tuple[int, ...]:
-    """Invariant factors d1 | d2 | ... | dn of a nonsingular integer matrix."""
+    """Invariant factors d1 | d2 | ... | dn of a nonsingular integer matrix.
+
+    Kannan-Bachem (SIAM J. Comput. 8, 1979): hnf_rows on the rows and then
+    on the transpose, alternately, until the matrix is diagonal.  Each pass
+    replaces the first pivot by a divisor of it, a proper one until it
+    divides the rest of its row; from then on the first row and column stay
+    cleared, and the argument repeats on the remaining block.
+    Pairwise (gcd, lcm) steps, which keep the diagonal's class, then turn
+    the diagonal into the invariant-factor chain."""
     if not m.is_square():
         raise NonSquareMatrix(f"{m.rows}x{m.cols}")
     a = m.to_int_rows()
     n = m.rows
     if _bareiss_det([row[:] for row in a]) == 0:
         raise SingularMatrix("singular matrix has no invariant-factor chain")
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-
-    def swap_cols(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-
-    factors: list[int] = []
-    for t in range(n):
-        while True:
-            best = None
-            for i in range(t, n):
-                for j in range(t, n):
-                    if a[i][j] != 0 and (best is None or abs(a[i][j]) < best[0]):
-                        best = (abs(a[i][j]), i, j)
-            _, bi, bj = best
-            if bi != t:
-                swap_rows(t, bi)
-            if bj != t:
-                swap_cols(t, bj)
-            if a[t][t] < 0:
-                a[t] = [-x for x in a[t]]
-            dirty = False
-            for i in range(t + 1, n):
-                q = a[i][t] // a[t][t]
-                _row_op_sub(a, i, t, q)
-                if a[i][t] != 0:
-                    dirty = True
-            for j in range(t + 1, n):
-                q = a[t][j] // a[t][t]
-                if q:
-                    for row in a:
-                        row[j] -= q * row[t]
-                if a[t][j] != 0:
-                    dirty = True
-            if dirty:
-                continue
-            # pivot now alone in its row and column; force divisibility
-            offender = None
-            for i in range(t + 1, n):
-                if any(x % a[t][t] != 0 for x in a[i][t + 1 :]):
-                    offender = i
-                    break
-            if offender is not None:
-                a[t] = [x + y for x, y in zip(a[t], a[offender])]
-                continue
+    while True:
+        a = hnf_rows(a)
+        if not any(a[i][j] for i in range(n) for j in range(i + 1, n)):
             break
-        factors.append(a[t][t])
+        a = [list(col) for col in zip(*a)]
+    factors = [a[i][i] for i in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            g = gcd(factors[i], factors[j])
+            factors[i], factors[j] = g, factors[i] * factors[j] // g
     return tuple(factors)

@@ -24,6 +24,9 @@ enumeration tree stays small however skewed the caller's basis is.  It
 runs in int on the Gram-Schmidt data that LLL pass already holds (leading
 minors d and lam = d * mu), scaled to one integer budget, and builds no
 Fraction.  Results come back as coefficient vectors in the caller's basis.
+The integral Gram-Schmidt pass the LLL starts from is also the one
+definiteness check (Sylvester's criterion on its leading minors), and
+gram_of runs the same pass.
 
 Root-type recognition is certificate-based and exact: an even lattice is
 reported as type X iff its norm-2 vectors generate it (HNF index 1), their
@@ -108,7 +111,11 @@ class TraceLattice:
 def gram_of(basis: Matrix | Sequence[Sequence], ambient) -> Matrix:
     """Exact Gram matrix Tr(b_i * conj(b_j)) = (B T B^T)[i][j]; raises
     DependentBasis if the rows are linearly dependent and NotPositiveDefinite
-    if the form is not definite on them."""
+    if the form is not definite on them.
+
+    Definiteness is Sylvester's criterion, read off the leading minors of
+    _gram_schmidt; only when a minor fails is det computed, to tell a
+    singular Gram (dependent rows) from an indefinite one."""
     if not isinstance(basis, Matrix):
         basis = Matrix.from_rows(basis)
     gram = basis * ambient.trace_form() * basis.transpose()
@@ -117,32 +124,13 @@ def gram_of(basis: Matrix | Sequence[Sequence], ambient) -> Matrix:
     assert all(
         g[i][j] == g[j][i] for i in range(n) for j in range(i)
     ), "trace pairing must be symmetric"
-    _check_positive_definite(g)
+    try:
+        _gram_schmidt(g)
+    except NotPositiveDefinite:
+        if det(gram) == 0:
+            raise DependentBasis("Gram matrix is singular") from None
+        raise
     return gram
-
-
-def _check_positive_definite(g: Sequence[Sequence[int]]) -> None:
-    """Sylvester's criterion in one fraction-free Bareiss pass without
-    pivoting: the k-th pivot is the k-th leading minor of g.
-
-    A failed pass means dependent rows (singular Gram, DependentBasis) or an
-    indefinite form (NotPositiveDefinite); only then is det computed, to
-    tell the two apart."""
-    a = [list(row) for row in g]
-    n = len(a)
-    prev = 1
-    for k in range(n):
-        pivot = a[k][k]
-        if pivot <= 0:
-            if det(Matrix.scaled(g)) == 0:
-                raise DependentBasis("Gram matrix is singular")
-            raise NotPositiveDefinite("form is not positive definite")
-        for i in range(k + 1, n):
-            aik = a[i][k]
-            row_i, row_k = a[i], a[k]
-            for j in range(k + 1, n):
-                row_i[j] = (row_i[j] * pivot - aik * row_k[j]) // prev
-        prev = pivot
 
 
 def _check_symmetric(gram: Matrix) -> None:
@@ -181,27 +169,46 @@ def disc_group(L: TraceLattice) -> tuple[int, ...]:
 # exact integral LLL on the Gram, then integer Fincke-Pohst on the LLL data
 # ---------------------------------------------------------------------------
 
+def _gram_schmidt(g: Sequence[Sequence[int]]) -> tuple[list[int], list[list[int]]]:
+    """Integral Gram-Schmidt data (d, lam) of an integer Gram, after Cohen,
+    GTM 138, Alg. 2.6.7: d[k] is the leading k x k minor and lam[k][j] =
+    d[j+1] * mu[k][j], so every quantity is an integer and every division
+    is exact.  This is also the definiteness check (Sylvester's criterion):
+    the first leading minor <= 0 raises NotPositiveDefinite, before any
+    division by it."""
+    n = len(g)
+    d = [1] * (n + 1)
+    lam = [[0] * n for _ in range(n)]
+    for k in range(n):
+        for j in range(k + 1):
+            acc = g[k][j]
+            for i in range(j):
+                acc = (d[i + 1] * acc - lam[k][i] * lam[j][i]) // d[i]
+            if j < k:
+                lam[k][j] = acc
+            else:
+                d[k + 1] = acc
+        if d[k + 1] <= 0:
+            raise NotPositiveDefinite("form is not positive definite")
+    return d, lam
+
+
 def _lll_gram(
     g: Sequence[Sequence[int]],
 ) -> tuple[list[list[int]], list[list[int]], list[int], list[list[int]]]:
     """LLL reduction (delta = 3/4) of a positive definite integer Gram.
 
-    Integral LLL after Cohen, GTM 138, Alg. 2.6.7, driven by the Gram alone:
-    d[k] is the leading k x k minor of the current Gram and lam[k][j] =
-    d[j+1] * mu[k][j], so every quantity is an integer and every division is
-    exact.  Returns (U G U^T, U, d, lam) with U unimodular; d and lam are
-    the Gram-Schmidt data of the reduced Gram, ready for enumeration.  Every
-    leading minor of the input is computed once, when its last row is first
-    reached (the transform never mixes in later rows), so this is also the
-    definiteness check: a minor <= 0 raises NotPositiveDefinite."""
+    Integral LLL after Cohen, GTM 138, Alg. 2.6.7, driven by the Gram alone
+    and started from its _gram_schmidt data (which raises
+    NotPositiveDefinite on an indefinite input).  Returns (U G U^T, U, d,
+    lam) with U unimodular; d and lam are the Gram-Schmidt data of the
+    reduced Gram, ready for enumeration.  The data of every row exist from
+    the start and stay exact, as size reduction never changes any b*_j; a
+    swap at k updates lam[i][k-1] and lam[i][k] for every i > k."""
+    d, lam = _gram_schmidt(g)
     n = len(g)
     g = [list(row) for row in g]
     u = [[int(i == j) for j in range(n)] for i in range(n)]
-    d = [1] * (n + 1)
-    lam = [[0] * n for _ in range(n)]
-    d[1] = g[0][0]
-    if d[1] <= 0:
-        raise NotPositiveDefinite("form is not positive definite")
 
     def size_reduce(k: int, l: int) -> None:
         # b_k -= q b_l with q the integer nearest mu[k][l]
@@ -216,7 +223,7 @@ def _lll_gram(
         for i in range(l):
             lam[k][i] -= q * lam[l][i]
 
-    def swap(k: int, kmax: int) -> None:
+    def swap(k: int) -> None:
         # exchange b_{k-1} and b_k, updating d and lam in place
         u[k - 1], u[k] = u[k], u[k - 1]
         g[k - 1], g[k] = g[k], g[k - 1]
@@ -226,31 +233,18 @@ def _lll_gram(
             lam[k - 1][j], lam[k][j] = lam[k][j], lam[k - 1][j]
         lk = lam[k][k - 1]
         b = (d[k - 1] * d[k + 1] + lk * lk) // d[k]
-        for i in range(k + 1, kmax + 1):
+        for i in range(k + 1, n):
             t = lam[i][k]
             lam[i][k] = (d[k + 1] * lam[i][k - 1] - lk * t) // d[k]
             lam[i][k - 1] = (b * t + lk * lam[i][k]) // d[k + 1]
         d[k] = b
 
-    k, kmax = 1, 0
+    k = 1
     while k < n:
-        if k > kmax:
-            # incremental Gram-Schmidt data of the new vector b_k
-            kmax = k
-            for j in range(k + 1):
-                acc = g[k][j]
-                for i in range(j):
-                    acc = (d[i + 1] * acc - lam[k][i] * lam[j][i]) // d[i]
-                if j < k:
-                    lam[k][j] = acc
-                else:
-                    d[k + 1] = acc
-            if d[k + 1] <= 0:
-                raise NotPositiveDefinite("form is not positive definite")
         size_reduce(k, k - 1)
         lk = lam[k][k - 1]
         if 4 * d[k + 1] * d[k - 1] < 3 * d[k] * d[k] - 4 * lk * lk:
-            swap(k, kmax)
+            swap(k)
             k = max(1, k - 1)
         else:
             for l in range(k - 2, -1, -1):

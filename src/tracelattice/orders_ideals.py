@@ -11,7 +11,8 @@ products of two bases come from PowerBasisField.products, in int.
 
 The maximal order is reached by repeated p-enlargement (Pohst-Zassenhaus;
 Cohen, GTM 138, Sec. 6.1): the p-radical of O/pO is the kernel of the
-linearized Frobenius iterate x -> x^(p^e) with p^e >= n, its preimage J is
+linearized Frobenius iterate x -> x^(p^e) with p^e >= n (square-and-multiply,
+so a large p costs O(log p) products), its preimage J is
 an O-ideal, and the idealizer {x : xJ <= J} strictly contains O exactly
 when O is not p-maximal.  Each step is a mod-p nullspace computation, so
 the whole climb is exact integer linear algebra.  The trace dual D^-1 and
@@ -31,7 +32,7 @@ from math import isqrt
 from operator import mul
 from typing import NamedTuple, Sequence
 
-from ._intfactor import factor, is_probable_prime, is_square, squarefree_kernel
+from ._intfactor import factor, is_probable_prime, is_square
 from .errors import NotFound, NotMaximal, TwoInert
 from .exact_linalg import Matrix, det, hnf_coords, hnf_rows
 from .lattice_core import (
@@ -189,6 +190,18 @@ def _mul_mod(table, u, v, p: int) -> list[int]:
     return [sum(s * c[k] for s, c in terms) % p for k in range(len(u))]
 
 
+def _pow_mod(table, v, e: int, p: int) -> list[int]:
+    """v^e in O/pO for e >= 1, by square-and-multiply with _mul_mod."""
+    power = None
+    while True:
+        if e & 1:
+            power = v if power is None else _mul_mod(table, power, v, p)
+        e >>= 1
+        if not e:
+            return power
+        v = _mul_mod(table, v, v, p)
+
+
 def _p_radical(o: Order, p: int) -> Matrix:
     """The radical of O/pO lifted to O, as the integer HNF rows of the
     p-radical in O-coordinates, worked out in O/pO on the structure table.
@@ -196,17 +209,13 @@ def _p_radical(o: Order, p: int) -> Matrix:
     O/pO has dimension n, so its radical is nilpotent of index at most n and
     is the kernel of x -> x^q as soon as q = p^e >= n.  That map is the
     Frobenius iterated e times, linear over the p-element field, so its
-    values on the basis vectors determine it."""
+    values on the basis vectors determine it; each is formed by
+    square-and-multiply, O(log q) products however large p is."""
     n = len(o.table)
     q = p
     while q < n:
         q *= p
-    columns = []
-    for k in range(n):
-        power = v = [int(i == k) for i in range(n)]
-        for _ in range(q - 1):
-            power = _mul_mod(o.table, power, v, p)
-        columns.append(power)
+    columns = [_pow_mod(o.table, [int(i == k) for i in range(n)], q, p) for k in range(n)]
     kernel = _nullspace_mod(list(zip(*columns)), p, n)
     return _hnf_span(Matrix.scaled(_scalar_rows(n, p) + kernel), n)
 
@@ -369,6 +378,9 @@ def an_exclusion(d_f: int, disc_order: int) -> str:
     inside a field of discriminant d_f needs the two to agree up to squares."""
     if d_f == 0:
         raise ValueError("field discriminant must be nonzero")
-    if squarefree_kernel(d_f) != squarefree_kernel(disc_order):
+    if disc_order == 0:
+        raise ValueError("0 has no square class")
+    # nonzero a and b share a square class iff a*b is a square: no factoring
+    if not is_square(d_f * disc_order):
         return "excluded"
     return "not excluded by this criterion"

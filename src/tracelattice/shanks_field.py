@@ -9,7 +9,8 @@ generator sigma of the Galois group acts by eps^sigma = -1/(1+eps).
 ShanksField is the PowerBasisField of f_t with sigma as its Galois generator;
 elements live in the power basis (1, eps, eps^2), and the normal basis
 (eps, eps^sigma, eps^{sigma^2}) is a derived view that exists iff t != 0.
-Each field builds the matrix of that orbit once, and `bracket` is one
+Each field builds the matrix of that orbit once (`orbit_matrix`, rows the
+power-basis coordinates of the three conjugates), and `bracket` is one
 product with it.
 """
 from __future__ import annotations
@@ -44,7 +45,7 @@ class ShanksField(PowerBasisField):
     """Q[x]/(f_t) as a PowerBasisField; construct via new_field(t)."""
 
     symbol = "eps"
-    __slots__ = ("t", "delta", "_orbit", "_orbit_matrix", "_normal_inv")
+    __slots__ = ("t", "delta", "orbit_matrix", "_normal_inv")
 
     def __init__(self, t: int | str | Fraction):
         t = rat(t)
@@ -57,12 +58,10 @@ class ShanksField(PowerBasisField):
         )
         eps = (Fraction(0), Fraction(1), Fraction(0))
         s = self.galois_coords(eps)
-        orbit = (eps, s, self.galois_coords(s))
         self._freeze(
             t=t,
             delta=t * t + 3 * t + 9,
-            _orbit=orbit,
-            _orbit_matrix=Matrix(orbit),
+            orbit_matrix=Matrix((eps, s, self.galois_coords(s))),
             _normal_inv=None,
         )
 
@@ -81,13 +80,13 @@ class ShanksField(PowerBasisField):
 
     # --- normal-basis view ----------------------------------------------
     def orbit_coords(self) -> tuple[Coords, Coords, Coords]:
-        """coords of (eps, eps^sigma, eps^{sigma^2})."""
-        return self._orbit
+        """coords of (eps, eps^sigma, eps^{sigma^2}): the rows of orbit_matrix."""
+        return self.orbit_matrix.data
 
     def _normal_matrix_inverse(self) -> Matrix:
         cached = self._normal_inv
         if cached is None:
-            cached = inverse(self._orbit_matrix)
+            cached = inverse(self.orbit_matrix)
             self._freeze(_normal_inv=cached)
         return cached
 
@@ -149,7 +148,7 @@ def bracket(field: ShanksField, lam: Sequence[int | str | Fraction]) -> FieldEle
     """
     if field.t == 0:
         raise ZeroParameter()
-    product = Matrix([list(lam)]) * field._orbit_matrix
+    product = Matrix([list(lam)]) * field.orbit_matrix
     return FieldElement(field, product.row(0))
 
 

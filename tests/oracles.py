@@ -13,8 +13,9 @@ every slope pair, root-graph connectivity by label
 propagation over every pair of roots, and Galois stability as integrality of
 B S B^-1 by Gauss-Jordan, with each field's automorphisms written out from
 their definitions, the parity witness by a scan of all 2^n - 1 classes of
-L/2L, and matrix arithmetic by loops over Fraction grids.  None of it
-shares code with the package under test.
+L/2L, matrix arithmetic by loops over Fraction grids, and the Smith form
+from the gcds of all k x k minors.  None of it shares code with the
+package under test.
 """
 from __future__ import annotations
 
@@ -303,6 +304,22 @@ def fraction_det(rows) -> Fraction:
             if f:
                 a[r] = [x - f * y for x, y in zip(a[r], a[col])]
     return out
+
+
+def snf_by_minors(rows) -> tuple[int, ...]:
+    """Invariant factors of a nonsingular integer matrix from its
+    determinantal divisors: D_k is the gcd of every k x k minor, and the
+    k-th invariant factor is D_k / D_(k-1)."""
+    n = len(rows)
+    divisors = [1]
+    for k in range(1, n + 1):
+        g = 0
+        for r in itertools.combinations(range(n), k):
+            for c in itertools.combinations(range(n), k):
+                minor = fraction_det([[rows[i][j] for j in c] for i in r])
+                g = math.gcd(g, int(minor))
+        divisors.append(g)
+    return tuple(b // a for a, b in zip(divisors, divisors[1:]))
 
 
 def gram_schmidt(gram):

@@ -10,6 +10,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import shanks_automorphisms
 from tracelattice.a3_factory import (
     NORMAL_A3_GRAM,
     STANDARD_A3_GRAM,
@@ -160,6 +161,28 @@ def test_normal_basis_lattice_degenerate_weights():
     # conjugates coincide
     with pytest.raises(DegenerateLambda):
         normal_basis_lattice(1, (1, 1, 1))
+
+
+def test_normal_basis_lattice_zero_parameter():
+    # f_0 is irreducible, but at t = 0 the eps-orbit is no basis
+    with pytest.raises(ZeroParameter):
+        normal_basis_lattice(0, (1, 2, 3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(good_t, lam3)
+def test_normal_basis_lattice_rows_are_the_sigma_orbit_of_beta(t, lam):
+    # beta and its conjugates from the oracle's sigma, written out from
+    # eps^sigma = -1/(1+eps), independently of the field's orbit matrix
+    sig, sig2 = shanks_automorphisms(t)
+    eps = [F(0), F(1), F(0)]
+    orbit = (eps, sig(eps), sig2(eps))
+    beta = [sum(F(w) * v[i] for w, v in zip(lam, orbit)) for i in range(3)]
+    try:
+        L = normal_basis_lattice(t, lam)
+    except DegenerateLambda:
+        return
+    assert [list(row) for row in L.basis.data] == [beta, sig(beta), sig2(beta)]
 
 
 def test_to_a3_basis_round_trip():

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -386,6 +387,20 @@ def test_order_large_conductor_is_exit_0(capsys):
     assert doc["sqrt_different_inverse"]["type"] == "unimodular_odd"
 
 
+def test_order_at_a_13_digit_prime_conductor_finishes():
+    # t = 1000001: delta = t^2 + 3t + 9 is the prime 1000005000013, so the
+    # p-radical needs x^p with p of 13 digits; the timeout turns a linear
+    # Frobenius loop into a failure
+    proc = run_proc(
+        ["order", "--t=1000001", "--different", "--sqrt-different", "--primes2"],
+        timeout=30,
+    )
+    assert proc.returncode == 0
+    disc = json.loads(proc.stdout)["maximal_order"]["disc"]
+    assert math.isqrt(disc) ** 2 == disc
+    assert disc % 1000005000013 == 0
+
+
 def test_order_takes_the_inverse_different_once(capsys, monkeypatch):
     import tracelattice.cli as cli_module
     import tracelattice.orders_ideals as orders_module
@@ -435,6 +450,15 @@ def test_obstruction_verdicts(capsys):
 
 def test_obstruction_zero_disc_is_exit_2():
     assert run_proc(["obstruction", "--dF", "0", "--disc-order", "4"]).returncode == 2
+    assert run_proc(["obstruction", "--dF", "5", "--disc-order", "0"]).returncode == 2
+
+
+def test_obstruction_on_a_37_digit_semiprime_finishes():
+    # (10^18 + 3)(10^18 + 9); the timeout turns a factoring hang into a failure
+    dF = str((10**18 + 3) * (10**18 + 9))
+    proc = run_proc(["obstruction", "--dF", dF, "--disc-order", "5"], timeout=30)
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout) == {"verdict": "excluded"}
 
 
 def test_reparam_frozen_value(capsys):

@@ -4,7 +4,9 @@ Every argv drawn here, valid or not, must end in one of the documented
 outcomes: exit 0 or 1 with one canonical JSON document on stdout, or exit 2
 (usage) with empty stdout, and never a Python traceback.  Heights, ranks
 and primes stay small so that a run of the whole grammar takes seconds;
-cyclotomic orders also reach past the rank cap.
+cyclotomic orders also reach past the rank cap, and `order` parameters and
+`obstruction` discriminants include a few with large prime factors, where
+an algorithm that counts up to a prime or factors a semiprime would hang.
 """
 from __future__ import annotations
 
@@ -91,16 +93,27 @@ quad = st.builds(
 )
 
 ORDER_FLAGS = ["--different", "--sqrt-different", "--primes2", "--fake-a3"]
+# conductors with a 10-13 digit prime factor: the p-radical's Frobenius must
+# cost O(log p) products there, not p
+large_conductor_t = st.sampled_from(["1000001", "1000003/2", "1/100000"])
 order = st.builds(
     lambda t, joined, flags: ["order", *(_t_flag(t, joined) if t else []), *flags],
-    st.one_of(st.none(), rationals),
+    st.one_of(st.none(), rationals, large_conductor_t),
     st.booleans(),
     st.lists(st.sampled_from(ORDER_FLAGS), unique=True, max_size=4),
 )
 
+# 31-39 digit semiprimes and squares of 16-19 digit primes: comparing square
+# classes must not factor them
+_PRIMES = (1000000000000037, 10**18 + 3, 10**18 + 9, 10000000000000000051)
+large_discs = st.sampled_from(
+    [str(p * q) for p in _PRIMES for q in _PRIMES if p < q]
+    + [str(p * p) for p in _PRIMES]
+    + [f"-{_PRIMES[0] * _PRIMES[3]}"]
+)
 obstruction = st.builds(
     lambda d, o: ["obstruction", *d, *o],
-    _optional("--dF", small_ints),
+    _optional("--dF", small_ints | large_discs),
     _optional("--disc-order", small_ints),
 )
 

@@ -1,7 +1,8 @@
 """Exact linear algebra: frozen small cases plus randomized properties.
 
 Oracles here are written independently of the implementation: cofactor
-expansion for determinants, and direct shape/uniqueness axioms for HNF/SNF.
+expansion for determinants, direct shape/uniqueness axioms for HNF/SNF, and
+the determinantal divisors (gcds of minors) for SNF.
 """
 from __future__ import annotations
 
@@ -20,6 +21,7 @@ from oracles import (
     grid_sum,
     grid_transpose,
     hnf_by_euclid,
+    snf_by_minors,
 )
 from tracelattice.exact_linalg import Matrix, det, hnf, hnf_coords, hnf_rows, inverse, rat, snf
 
@@ -440,6 +442,33 @@ def test_snf_rejects_singular():
 def test_snf_rejects_nonsquare():
     with pytest.raises(NonSquareMatrix):
         snf(Matrix.from_rows([[1, 1, 0], [0, 1, 1]]))
+
+
+wide_square_ints = st.integers(min_value=1, max_value=4).flatmap(
+    lambda n: st.lists(
+        st.lists(st.integers(min_value=-1000, max_value=1000), min_size=n, max_size=n),
+        min_size=n,
+        max_size=n,
+    )
+).filter(lambda rows: fraction_det(rows) != 0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(wide_square_ints)
+def test_snf_matches_the_determinantal_divisors(rows):
+    assert snf(Matrix.scaled(rows)) == snf_by_minors(rows)
+
+
+def test_snf_matches_the_determinantal_divisors_on_structured_cases():
+    # a nontrivial chain hidden by unimodular mixing, and a prime-power mix
+    cases = (
+        [[2, 4, 4], [-6, 6, 12], [10, -4, -16]],
+        [[12, 0, 0], [0, 18, 0], [0, 0, 8]],
+        [[0, 1], [1, 0]],
+    )
+    for rows in cases:
+        assert snf(Matrix.scaled(rows)) == snf_by_minors(rows)
+    assert snf(Matrix.scaled(cases[1])) == (2, 12, 72)
 
 
 @settings(max_examples=60)

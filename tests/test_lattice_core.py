@@ -55,6 +55,7 @@ from tracelattice.exact_linalg import Matrix, det, hnf, inverse
 from tracelattice.lattice_core import (
     TraceLattice,
     _connected,
+    _gram_schmidt,
     _lll_gram,
     canonical_key,
     classify_gram,
@@ -203,8 +204,11 @@ def test_gram_of_dependent_rows_raise(ambient):
 
 
 def test_gram_of_indefinite_form_raises():
-    # each form fails Sylvester's criterion at a different leading minor
-    for form in ([[-1]], [[1, 2], [2, 1]], [[2, 1, 0], [1, 2, 3], [0, 3, 1]]):
+    # each form fails Sylvester's criterion at a different leading minor;
+    # [[0, 1], [1, 0]] is nonsingular with a zero first minor
+    for form in (
+        [[-1]], [[1, 2], [2, 1]], [[2, 1, 0], [1, 2, 3], [0, 3, 1]], [[0, 1], [1, 0]]
+    ):
         with pytest.raises(NotPositiveDefinite):
             lattice_from_gram(form)
     # a singular form is a dependent basis, as the Gram is singular
@@ -424,6 +428,21 @@ def test_lll_gram_hands_over_the_gram_schmidt_data_of_its_output(seed):
             assert lam[k][j] == d[j + 1] * mu[k][j], (k, j)
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000))
+def test_gram_schmidt_reads_the_leading_minors_and_mu(seed):
+    # d[k] is the determinant of the leading k x k block and lam = d * mu,
+    # against Fraction determinants and Fraction Gram-Schmidt
+    gram = _random_gram(random.Random(seed))
+    d, lam = _gram_schmidt(gram)
+    mu, _ = gram_schmidt(gram)
+    assert d[0] == 1
+    for k in range(len(gram)):
+        assert d[k + 1] == fraction_det([row[: k + 1] for row in gram[: k + 1]]), k
+        for j in range(k):
+            assert lam[k][j] == d[j + 1] * mu[k][j], (k, j)
+
+
 def test_lll_gram_takes_disguised_root_lattices_to_small_diagonals():
     rng = random.Random(314)
     for base in (gram_A(12), gram_D(10), gram_E(8)):
@@ -435,7 +454,11 @@ def test_lll_gram_takes_disguised_root_lattices_to_small_diagonals():
 
 
 def test_lll_gram_rejects_indefinite_forms():
-    for rows in ([[1, 2], [2, 1]], [[0]], [[1, 0], [0, 0]], [[-3]]):
+    # a zero leading minor stops the pass before anything is divided by it
+    for rows in (
+        [[1, 2], [2, 1]], [[0]], [[1, 0], [0, 0]], [[-3]], [[0, 1], [1, 0]],
+        [[1, 1, 0], [1, 1, 0], [0, 0, 1]],
+    ):
         with pytest.raises(NotPositiveDefinite):
             _lll_gram(rows)
 

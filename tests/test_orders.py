@@ -18,7 +18,7 @@ from sympy.abc import x as _x
 from sympy.polys.numberfields.basis import round_two
 
 from oracles import same_lattice, sqrt_dual_by_search
-from tracelattice._intfactor import is_square
+from tracelattice._intfactor import is_square, squarefree_kernel
 from tracelattice.cyclotomic_ideals import cyc_field
 from tracelattice.errors import (
     NotFound,
@@ -404,8 +404,25 @@ def test_an_exclusion_verdicts():
     assert an_exclusion(49, 4) == "not excluded by this criterion"
     assert an_exclusion(12, 3) == "not excluded by this criterion"
     assert an_exclusion(229, 229) == "not excluded by this criterion"
+    # (10^18 + 3)(10^18 + 9): compared without factoring
+    p, q = 10**18 + 3, 10**18 + 9
+    assert an_exclusion(p * q, 5) == "excluded"
+    assert an_exclusion(-p * q, p * q) == "excluded"
+    assert an_exclusion(5 * p * p, 20) == "not excluded by this criterion"
 
 
 def test_an_exclusion_rejects_zero():
     with pytest.raises(ValueError):
         an_exclusion(0, 4)
+    with pytest.raises(ValueError):
+        an_exclusion(5, 0)
+
+
+nonzero = st.integers(-10**4, 10**4).filter(bool)
+
+
+@settings(max_examples=300, deadline=None)
+@given(nonzero, nonzero)
+def test_an_exclusion_compares_squarefree_kernels(a, b):
+    same = squarefree_kernel(a) == squarefree_kernel(b)
+    assert an_exclusion(a, b) == ("not excluded by this criterion" if same else "excluded")
