@@ -51,8 +51,13 @@ LambdaVector = tuple[Fraction, Fraction, Fraction]
 #: Gram of the normal A3 basis and the standard A3 Gram it base-changes to
 NORMAL_A3_GRAM = Matrix.from_rows([[2, 1, 1], [1, 2, 1], [1, 1, 2]])
 STANDARD_A3_GRAM = Matrix.from_rows([[2, -1, 0], [-1, 2, -1], [0, -1, 2]])
-#: unimodular P with P * NORMAL_A3_GRAM * P^T = STANDARD_A3_GRAM
+#: unimodular P with P * NORMAL_A3_GRAM * P^T = STANDARD_A3_GRAM, checked
+#: once here: a basis with the normal Gram goes to one with the standard Gram
 _NORMAL_TO_STANDARD = Matrix.from_rows([[1, 0, 0], [-1, 1, 0], [0, -1, 1]])
+assert (
+    _NORMAL_TO_STANDARD * NORMAL_A3_GRAM * _NORMAL_TO_STANDARD.transpose()
+    == STANDARD_A3_GRAM
+)
 _IDENTITY_3 = Matrix.identity(3)
 
 
@@ -152,9 +157,10 @@ def lambda_from_point(t, target: TraceTarget, point: ConicPoint) -> LambdaVector
     return (Fraction(q * n0, big_r), Fraction(q * n1, big_r), Fraction(q * n2, big_r))
 
 
-def _circulant(a, b, c) -> Matrix:
-    """The circulant with first row (a, b, c), each row shifted right."""
-    return Matrix([[a, b, c], [c, a, b], [b, c, a]])
+def _circulant(a, b, c) -> list[list]:
+    """The rows of the circulant with first row (a, b, c), each row shifted
+    right."""
+    return [[a, b, c], [c, a, b], [b, c, a]]
 
 
 def normal_basis_lattice(t, lam, targets=None) -> TraceLattice:
@@ -162,8 +168,10 @@ def normal_basis_lattice(t, lam, targets=None) -> TraceLattice:
 
     sigma shifts the weights, beta^sigma = <(lam2, lam0, lam1), eps-orbit>,
     so the basis (beta, beta^sigma, beta^sigma2) is one product: the
-    circulant of lam times the field's orbit_matrix.  The Gram is the
-    circulant of (d, e, e) by the Galois symmetry; raises DegenerateLambda
+    circulant of lam, as integer rows over lam's common denominator, times
+    the field's orbit_matrix.  The Gram is the circulant of (d, e, e) by the
+    Galois symmetry, compared as integer rows over one denominator with
+    (d, e); raises DegenerateLambda
     when the three conjugates are linearly dependent and ZeroParameter at
     t = 0, where the eps-orbit is no basis.  targets is (d, e) when the
     caller has already certified it for lam (lambda_from_point); by default
@@ -171,14 +179,21 @@ def normal_basis_lattice(t, lam, targets=None) -> TraceLattice:
     field = new_field(t)
     if field.t == 0:
         raise ZeroParameter()
+    weights = Matrix([lam])
     try:
-        lattice = TraceLattice(field, _circulant(*lam) * field.orbit_matrix)
+        lattice = TraceLattice(
+            field,
+            Matrix.scaled(_circulant(*weights.ints[0]), weights.den) * field.orbit_matrix,
+        )
     except DependentBasis as exc:
         raise DegenerateLambda(
             f"conjugates of the weighted element are dependent for lam = {lam}"
         ) from exc
-    d, e = trace_targets_of(t, lam) if targets is None else targets
-    assert lattice.gram == _circulant(d, e, e), "orbit Gram must be circulant in (d, e)"
+    expected = Matrix([trace_targets_of(t, lam) if targets is None else targets])
+    (d, e), = expected.ints
+    assert lattice.gram.den == expected.den and lattice.gram.ints == (
+        (d, e, e), (e, d, e), (e, e, d)
+    ), "orbit Gram must be circulant in (d, e)"
     return lattice
 
 
@@ -187,18 +202,16 @@ def to_a3_basis(lattice: TraceLattice, key: tuple | None = None) -> TraceLattice
 
     The new basis spans the same lattice (the transform is unimodular); that
     is checked against key, the lattice's canonical_key (computed when not
-    given).  The new Gram is P G P^T."""
+    given).  The new Gram is P G P^T, which for the normal A3 Gram G is the
+    standard A3 Gram (checked once, where P is defined)."""
     if lattice.gram != NORMAL_A3_GRAM:
         raise WrongGram(
             "expected the normal A3 Gram [[2,1,1],[1,2,1],[1,1,2]], got "
             f"{lattice.gram!r}"
         )
-    p = _NORMAL_TO_STANDARD
-    gram = p * lattice.gram * p.transpose()
     out = TraceLattice(
-        lattice.ambient, _NORMAL_TO_STANDARD * lattice.basis, gram, "A3"
+        lattice.ambient, _NORMAL_TO_STANDARD * lattice.basis, STANDARD_A3_GRAM, "A3"
     )
-    assert out.gram == STANDARD_A3_GRAM
     assert canonical_key(out) == (canonical_key(lattice) if key is None else key)
     return out
 
@@ -231,8 +244,18 @@ def scan_family(t, height: int, target: TraceTarget = TARGET_A3) -> FamilyScan:
     """Sweep chords up to the slope height and collect the pairwise-distinct
     certified lattices for a preset target.
 
+    Each slope gives its own chord point (two lines through p0 meet the
+    conic again in two points) and lambda_from_point runs on every one.
+    sigma shifts the weights, so lam and its two cyclic shifts span one
+    sigma-orbit lattice with the rows rotated: a point whose lam is a shift
+    of an earlier lattice's lam is passed over before its basis, Gram or
+    key is built, and about a third of the points are.  Every lattice built
+    is still keyed by its HNF, and only a new key becomes a member, with
+    its certificates.
+
     Degenerate weights are skipped with a log note and counted, never raised:
-    the family stays infinite after finitely many exclusions."""
+    the family stays infinite after finitely many exclusions.  A shift of
+    degenerate weights is degenerate too, so each such point counts."""
     t = rat(t)
     if t == 0:
         raise ZeroParameter("the family needs t != 0")
@@ -240,16 +263,16 @@ def scan_family(t, height: int, target: TraceTarget = TARGET_A3) -> FamilyScan:
     field = new_field(t)  # raises Reducible for the bad parameters
     conic = delta_conic(t)
     p0 = base_point_delta(t)
-    seen_points: set[ConicPoint] = set()
+    built: set[LambdaVector] = set()  # least cyclic shift of each lam built
     seen_keys: set = set()
     members: list[FamilyMember] = []
     skipped = 0
     for slope in slopes_up_to(height):
         point = second_intersection(conic, p0, slope)
-        if point in seen_points:
-            continue
-        seen_points.add(point)
         lam = lambda_from_point(t, target, point)
+        rotation = min(lam, lam[1:] + lam[:1], lam[2:] + lam[:2])
+        if rotation in built:
+            continue
         try:
             lattice = normal_basis_lattice(t, lam, (target.d, target.e))
         except DegenerateLambda:
@@ -262,6 +285,7 @@ def scan_family(t, height: int, target: TraceTarget = TARGET_A3) -> FamilyScan:
             )
             skipped += 1
             continue
+        built.add(rotation)
         key = canonical_key(lattice)
         if key in seen_keys:
             continue

@@ -8,7 +8,7 @@ returned point satisfies its conic equation with zero residual.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterator, Optional
 
 from .errors import PointNotOnConic, ZeroSlopePair
@@ -88,15 +88,33 @@ def second_intersection(
     c: Conic, p0: ConicPoint, slope: Optional[int | str | Fraction]
 ) -> ConicPoint:
     """The other intersection of the conic with the line through p0 of the
-    given slope (None = vertical); the tangent line returns p0 itself."""
-    if not c.contains(p0):
+    given slope (None = vertical); the tangent line returns p0 itself.
+
+    The point, and the check that p0 is on the conic, are computed in int.
+    With p0 = (X, Y)/m, D = Dn/Dd and the slope a/b in lowest terms, the
+    line is p0 + tau (b, a), and tau ((b^2 + D a^2) tau + 2(b x0 + D a y0))
+    = 0 gives the other root, so the point is (X w - 2 b u, Y w - 2 a u) /
+    (m w) with u = Dd b X + Dn a Y and w = Dd b^2 + Dn a^2 (w > 0 as
+    D > 0).  Two lines through p0 meet the conic again in two different
+    points, so distinct slopes give distinct points."""
+    x0, y0 = p0.x, p0.y
+    m = lcm(x0.denominator, y0.denominator)
+    big_x = x0.numerator * (m // x0.denominator)
+    big_y = y0.numerator * (m // y0.denominator)
+    dn, dd = c.D.numerator, c.D.denominator
+    lhs = c.m.denominator * (dd * big_x * big_x + dn * big_y * big_y)
+    if lhs != c.m.numerator * dd * m * m:
         raise PointNotOnConic(f"{p0} not on {c}")
     if slope is None:
-        return ConicPoint(p0.x, -p0.y)
+        return ConicPoint(x0, -y0)
     s = rat(slope)
-    # (x0+tau)^2 + D(y0+s*tau)^2 = m  =>  tau*((1+D s^2) tau + 2(x0 + D s y0)) = 0
-    tau = -2 * (p0.x + c.D * s * p0.y) / (1 + c.D * s * s)
-    return ConicPoint(p0.x + tau, p0.y + s * tau)
+    a, b = s.numerator, s.denominator
+    u = dd * b * big_x + dn * a * big_y
+    w = dd * b * b + dn * a * a
+    den = m * w
+    return ConicPoint(
+        Fraction(big_x * w - 2 * b * u, den), Fraction(big_y * w - 2 * a * u, den)
+    )
 
 
 def slopes_up_to(height: int) -> Iterator[Optional[Fraction]]:

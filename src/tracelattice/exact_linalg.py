@@ -25,8 +25,8 @@ Conventions fixed for the whole library:
     on bare integer rows gives h without it, and `hnf_coords` is the
     membership test against h,
   - `snf` returns the invariant-factor chain d1 | d2 | ... | dn; it runs
-    `hnf_rows` on the rows and on the transpose until the matrix is
-    diagonal, so the Hermite and Smith forms share one kernel.
+    `hnf_rows` modulo |det| on the rows and on the transpose until the
+    matrix is diagonal, so the Hermite and Smith forms share one kernel.
 """
 from __future__ import annotations
 
@@ -244,7 +244,9 @@ def _xgcd(x: int, y: int) -> tuple[int, int, int]:
     return x, s0, t0
 
 
-def hnf_rows(a: list[list[int]], ncols: int | None = None) -> list[list[int]]:
+def hnf_rows(
+    a: list[list[int]], ncols: int | None = None, modulus: int = 0
+) -> list[list[int]]:
     """Row-style Hermite normal form of integer rows, computed in place.
 
     Column c is cleared below the pivot row r one row at a time (Cohen, GTM
@@ -257,10 +259,26 @@ def hnf_rows(a: list[list[int]], ncols: int | None = None) -> list[list[int]]:
     Pivots are taken in the first ncols columns only (default: all); every
     row operation acts on whole rows, so columns past ncols ride along.
     That is how hnf carries its transform: it reduces [m | I] with ncols =
-    m.cols.  Callers that need only h pass the bare rows."""
+    m.cols.  Callers that need only h pass the bare rows.
+
+    A modulus D > 0 runs the pass modulo D (Domich-Kannan-Trotter, Math.
+    OR 12, 1987; Cohen, GTM 138, Alg. 2.4.8).  It is for rows whose lattice
+    L contains D*Z^n, n = ncols = the row length: for a nonsingular square,
+    any multiple of |det|.
+    The rows still in play lie in the part of L that is zero before column
+    c, which contains R*Z^(n-c) with R = D / (the pivots so far); so the
+    rows changed there are reduced mod R, and the pivot row takes in R*e_c
+    by one more 2x2 step (none when x divides R), its pivot becoming
+    gcd(x, R).  The row that step leaves is R/gcd times a vector of the
+    next block, which contains R/gcd * Z^(n-c-1), so it is dropped, and R
+    becomes R/gcd.  A row above the pivot that the pivot reduces is reduced
+    mod R right of the pivot as well.  Entries then stay within a few D^2
+    (or the input's size), and since the Hermite form is unique the result
+    is the one the plain pass gives."""
     nrows = len(a)
     if ncols is None:
         ncols = len(a[0])
+    big_r = modulus
     r = 0
     for c in range(ncols):
         if r == nrows:
@@ -278,12 +296,26 @@ def hnf_rows(a: list[list[int]], ncols: int | None = None) -> list[list[int]]:
             elif y % x == 0:
                 q = y // x
                 a[i] = [v - q * u for u, v in zip(top, row)]
+                if big_r:
+                    a[i] = [v % big_r for v in a[i]]
             else:
                 g, s, t = _xgcd(x, y)
                 p, q = x // g, y // g
                 a[r] = [s * u + t * v for u, v in zip(top, row)]
                 a[i] = [p * v - q * u for u, v in zip(top, row)]
+                if big_r:
+                    a[r] = [v % big_r for v in a[r]]
+                    a[i] = [v % big_r for v in a[i]]
                 top = a[r]
+        if big_r:
+            x = top[c] % big_r
+            if not x or big_r % x:
+                x, s, _ = _xgcd(x, big_r)
+                a[r] = top = [s * u % big_r for u in top]
+                top[c] = x
+            elif x != top[c]:
+                a[r] = top = top[:c] + [x] + top[c + 1 :]
+            big_r //= x
         x = top[c]
         if not x:
             continue
@@ -293,7 +325,9 @@ def hnf_rows(a: list[list[int]], ncols: int | None = None) -> list[list[int]]:
         for i in range(r):
             q = a[i][c] // x
             if q:
-                a[i] = [v - q * u for u, v in zip(top, a[i])]
+                a[i] = row = [v - q * u for u, v in zip(top, a[i])]
+                if big_r:
+                    row[c + 1 :] = [v % big_r for v in row[c + 1 :]]
         r += 1
     return a
 
@@ -342,16 +376,22 @@ def snf(m: Matrix) -> tuple[int, ...]:
     replaces the first pivot by a divisor of it, a proper one until it
     divides the rest of its row; from then on the first row and column stay
     cleared, and the argument repeats on the remaining block.
+    Every pass runs modulo D = |det|: the row and the column lattice both
+    contain D*Z^n, and D stays |det| from pass to pass.  The matrices are
+    the ones unreduced passes give, but the entries stay within a few D^2,
+    where unreduced ones grow on dense Grams (tens of seconds on the rank-18 Gram
+    of ap_lattice(19)).
     Pairwise (gcd, lcm) steps, which keep the diagonal's class, then turn
     the diagonal into the invariant-factor chain."""
     if not m.is_square():
         raise NonSquareMatrix(f"{m.rows}x{m.cols}")
     a = m.to_int_rows()
     n = m.rows
-    if _bareiss_det([row[:] for row in a]) == 0:
+    big_d = abs(_bareiss_det([row[:] for row in a]))
+    if big_d == 0:
         raise SingularMatrix("singular matrix has no invariant-factor chain")
     while True:
-        a = hnf_rows(a)
+        a = hnf_rows(a, modulus=big_d)
         if not any(a[i][j] for i in range(n) for j in range(i + 1, n)):
             break
         a = [list(col) for col in zip(*a)]

@@ -9,7 +9,8 @@ forms by extended-gcd row pairs and by Euclidean steps on the least pivot,
 the norm-one points of x^2 + d y^2 = 1 by a scan of every x = a/m of
 bounded height, the A2 falsification as a Fraction pair search over a box
 of points, the d = 3 A2 family by a Fraction build and Hermite key of
-every slope pair, root-graph connectivity by label
+every slope pair, the Shanks chord family by a Fraction build and Hermite
+key of every chord point, root-graph connectivity by label
 propagation over every pair of roots, and Galois stability as integrality of
 B S B^-1 by Gauss-Jordan, with each field's automorphisms written out from
 their definitions, the parity witness by a scan of all 2^n - 1 classes of
@@ -689,6 +690,65 @@ def a2_family_by_full_build(height: int, sign: int):
                 key = (scale, tuple(map(tuple, hermite_form(cleared))))
                 seen.setdefault(key, (rows, gram))
     return list(seen.values())
+
+
+# --- the Shanks chord family by a Fraction build of every point --------------
+
+def family_by_full_build(t, height: int, target):
+    """The distinct lattices of the chord family at t for the target
+    (d, e, f), as (lam, (x, y), slope, key) in first-seen order over the
+    slopes, None (vertical) first, then a/b in lowest terms for b = 1 ..
+    height and a = -height .. height; and the number of degenerate points.
+
+    Every point is built in full from Fractions.  The line of slope s
+    through (x0, y0) = (t + 3/2, 3/2) meets x^2 + 3 y^2 = delta = t^2 + 3t
+    + 9 again at (x0 + tau, y0 + s tau), tau = -2 (x0 + 3 s y0) / (1 + 3
+    s^2), and the vertical line at (x0, -y0).  The weights are lam0 = f/3t
+    + 2x / 3 delta and lam1, lam2 = f/3t - x / 3 delta +- y / delta, beta is
+    sum lam_i eps^(sigma^i) with sigma from shanks_automorphisms, and the
+    rows beta, beta^sigma, beta^sigma^2 are the basis.  A singular basis
+    counts as degenerate; otherwise its trace_gram must be the circulant of
+    (d, e, e), and the lattice is keyed by its clearing denominator and
+    hnf_by_euclid."""
+    t = Fraction(t)
+    d, e, f = (Fraction(v) for v in target)
+    delta = t * t + 3 * t + 9
+    x0, y0 = t + Fraction(3, 2), Fraction(3, 2)
+    sig, sig2 = shanks_automorphisms(t)
+    eps = [Fraction(0), Fraction(1), Fraction(0)]
+    orbit = (eps, sig(eps), sig2(eps))
+    minpoly = shanks_minpoly(t)
+    slopes = [None] + [
+        Fraction(a, b)
+        for b in range(1, height + 1)
+        for a in range(-height, height + 1)
+        if math.gcd(a, b) == 1
+    ]
+    seen = {}
+    degenerate = 0
+    for s in slopes:
+        if s is None:
+            x, y = x0, -y0
+        else:
+            tau = -2 * (x0 + 3 * s * y0) / (1 + 3 * s * s)
+            x, y = x0 + tau, y0 + s * tau
+        assert x * x + 3 * y * y == delta
+        lam = (
+            f / (3 * t) + 2 * x / (3 * delta),
+            f / (3 * t) - x / (3 * delta) + y / delta,
+            f / (3 * t) - x / (3 * delta) - y / delta,
+        )
+        beta = [sum(w * v[i] for w, v in zip(lam, orbit)) for i in range(3)]
+        rows = [beta, sig(beta), sig2(beta)]
+        if fraction_det(rows) == 0:
+            degenerate += 1
+            continue
+        gram = trace_gram(minpoly, lambda v: v, rows)
+        assert gram == [[d, e, e], [e, d, e], [e, e, d]]
+        cleared, scale = grid_cleared(rows)
+        key = (scale, tuple(map(tuple, hnf_by_euclid(cleared))))
+        seen.setdefault(key, (lam, (x, y), s, key))
+    return list(seen.values()), degenerate
 
 
 # --- connectivity of the root graph by labels over every pair ----------------

@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import shanks_automorphisms
+from oracles import family_by_full_build, shanks_automorphisms
 from tracelattice.a3_factory import (
     NORMAL_A3_GRAM,
     STANDARD_A3_GRAM,
@@ -37,6 +37,7 @@ from tracelattice.errors import (
 )
 from tracelattice.exact_linalg import Matrix
 from tracelattice.lattice_core import (
+    canonical_key,
     disc_group,
     dual,
     galois_stable,
@@ -185,6 +186,27 @@ def test_normal_basis_lattice_rows_are_the_sigma_orbit_of_beta(t, lam):
     assert [list(row) for row in L.basis.data] == [beta, sig(beta), sig2(beta)]
 
 
+@settings(max_examples=60, deadline=None)
+@given(good_t, lam3)
+def test_cyclic_shifts_of_lam_rotate_the_basis_rows(t, lam):
+    # sigma shifts the weights, so each shift of lam spans the same lattice
+    # with the rows rotated: scan_family builds one lattice per shift class
+    try:
+        L = normal_basis_lattice(t, lam)
+    except DegenerateLambda:
+        for shifted in (lam[2:] + lam[:2], lam[1:] + lam[:1]):
+            with pytest.raises(DegenerateLambda):
+                normal_basis_lattice(t, shifted)
+        return
+    rows = list(L.basis.data)
+    key = canonical_key(L)
+    for k, shifted in ((1, lam[2:] + lam[:2]), (2, lam[1:] + lam[:1])):
+        M = normal_basis_lattice(t, shifted)
+        assert list(M.basis.data) == rows[k:] + rows[:k]
+        assert M.gram == L.gram
+        assert canonical_key(M) == key
+
+
 def test_to_a3_basis_round_trip():
     lam = lambda_from_point(2, TARGET_A3, base_point_delta(2))
     L = normal_basis_lattice(2, lam)
@@ -260,6 +282,17 @@ def test_scan_family_records_carry_slope_and_point():
         assert c.residual(m.point) == 0
         assert m.lam0_denominator == m.lam[0].denominator
         assert lambda_from_point(1, TARGET_A3, m.point) == m.lam
+
+
+@pytest.mark.parametrize("target", [TARGET_A3, TARGET_SELF_DUAL], ids=["A3", "self-dual"])
+@pytest.mark.parametrize("t", [F(1), F(-1, 2), F(2), F(-5, 2), F(1, 3), F(7)], ids=str)
+def test_scan_family_matches_full_build_oracle(t, target):
+    for height in range(9):
+        scan = scan_family(t, height, target)
+        members, degenerate = family_by_full_build(t, height, target)
+        got = [(m.lam, m.point.as_pair(), m.slope, m.key) for m in scan.members]
+        assert got == members, height
+        assert scan.skipped == degenerate, height
 
 
 def test_self_dual_family_members():

@@ -263,6 +263,18 @@ PINNED_STDOUT_SHA256 = [
         ["gen-selfdual", "--t=-5/2", "--height", "16"],
         "4c4d1c178404b8b9bba6145a63c03bf775dad71394f7f54946bec655b5f06c67",
     ),
+    (
+        ["gen-a3", "--t=1", "--height", "16"],
+        "b6bb05b595c9ce9b43711727c548ecd478fb9de3e455c217ae1cd74a69e44ade",
+    ),
+    (
+        ["gen-a3", "--t=-1/2", "--height", "16"],
+        "86152dd3f9f10638f412792beba7fab401c970cc980b4ef0ba14458f2d4db24d",
+    ),
+    (
+        ["gen-selfdual", "--t=2", "--height", "16"],
+        "5b0556787c86c73c6fa60b5649cf76988643ca25a89fd845271f9eddfbc63c16",
+    ),
 ]
 
 
@@ -326,6 +338,37 @@ def test_quad_a2_falsify_d3_finds_witness(capsys):
     code, doc = run_cli(["quad-a2", "--d", "3", "--height", "5", "--falsify"], capsys)
     assert code == 0
     assert doc["witness"]["type"] == "A2"
+
+
+#: 9999999967 * 9999999943, a product of the two largest primes below 10^10
+#: and the costliest kind of radicand to test for squarefreeness under the cap
+NEAR_CAP_SEMIPRIME = 99999999100000001881
+
+
+def test_quad_a2_falsify_just_under_the_cap():
+    proc = run_proc(
+        ["quad-a2", "--d", str(NEAR_CAP_SEMIPRIME), "--height", "1", "--falsify"],
+        timeout=30,
+    )
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout) == {
+        "d": NEAR_CAP_SEMIPRIME, "height": 1, "witness": None
+    }
+
+
+@pytest.mark.parametrize(
+    "d",
+    [
+        str(10**20 + 1),
+        # (10^18 + 3)(10^18 + 9): factoring it to test squarefreeness hung
+        str((10**18 + 3) * (10**18 + 9)),
+    ],
+)
+def test_quad_a2_radicand_above_the_cap_is_exit_2(d):
+    proc = run_proc(["quad-a2", "--d", d, "--height", "1", "--falsify"], timeout=30)
+    assert proc.returncode == 2
+    assert proc.stdout == "" and "at most 10^20" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_quad_a2_non_squarefree_is_exit_2():

@@ -4,9 +4,10 @@ Every argv drawn here, valid or not, must end in one of the documented
 outcomes: exit 0 or 1 with one canonical JSON document on stdout, or exit 2
 (usage) with empty stdout, and never a Python traceback.  Heights, ranks
 and primes stay small so that a run of the whole grammar takes seconds;
-cyclotomic orders also reach past the rank cap, and `order` parameters and
-`obstruction` discriminants include a few with large prime factors, where
-an algorithm that counts up to a prime or factors a semiprime would hang.
+cyclotomic orders also reach past the rank cap, and `order` parameters,
+`obstruction` discriminants and `quad-a2` radicands include a few with
+large prime factors, where an algorithm that counts up to a prime or
+factors a semiprime would hang.
 """
 from __future__ import annotations
 
@@ -85,9 +86,20 @@ cyclotomic = st.one_of(
     st.just(["cyclotomic", "--p", "5", "--n", "5", "--generator", "z"]),
 )
 
+# radicands around the cap of 10^20: a semiprime of two 10-digit primes
+# just under it, the cap and the next integer, and a 37-digit semiprime
+# whose squarefree test would hang
+large_radicands = st.sampled_from(
+    [
+        str(9999999967 * 9999999943),
+        str(10**20),
+        str(10**20 + 1),
+        str((10**18 + 3) * (10**18 + 9)),
+    ]
+)
 quad = st.builds(
     lambda d, h, falsify: ["quad-a2", *d, *h, *(["--falsify"] if falsify else [])],
-    _optional("--d", st.integers(-4, 12).map(str) | JUNK),
+    _optional("--d", st.integers(-4, 12).map(str) | large_radicands | JUNK),
     _optional("--height", heights),
     st.booleans(),
 )

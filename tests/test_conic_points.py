@@ -132,6 +132,39 @@ def test_slopes_up_to_order_and_reduction():
     assert all(abs(s.numerator) <= 2 and s.denominator <= 2 for s in rest)
 
 
+@pytest.mark.parametrize("t", [F(1), F(-1, 2), F(2), F(-5, 2), F(0), F(7, 3)], ids=str)
+def test_slopes_give_pairwise_distinct_chord_points(t):
+    # two lines through p0 meet the conic again in two different points
+    c = delta_conic(t)
+    p0 = base_point_delta(t)
+    for height in (1, 4, 12):
+        points = [second_intersection(c, p0, s) for s in slopes_up_to(height)]
+        assert len(set(points)) == len(points)
+
+
+@settings(max_examples=100)
+@given(
+    st.fractions(min_value=F(1, 7), max_value=9, max_denominator=7),
+    st.fractions(min_value=-5, max_value=5, max_denominator=6),
+    st.fractions(min_value=-5, max_value=5, max_denominator=6),
+    small_slopes,
+)
+def test_second_intersection_on_any_ellipse(big_d, x0, y0, s):
+    # a rational D and a base point of mixed denominators, against the
+    # Fraction chord formula
+    if x0 == 0 and y0 == 0:
+        return
+    c = Conic(big_d, x0 * x0 + big_d * y0 * y0)
+    p0 = ConicPoint(x0, y0)
+    q = second_intersection(c, p0, s)
+    if s is None:
+        assert q == ConicPoint(x0, -y0)
+    else:
+        tau = -2 * (x0 + big_d * s * y0) / (1 + big_d * s * s)
+        assert q == ConicPoint(x0 + tau, y0 + s * tau)
+    assert c.residual(q) == 0
+
+
 def test_enumerate_points_dedups_first_seen():
     pts = enumerate_points(delta_conic(0), base_point_delta(0), 1)
     assert pts[0] == ConicPoint(F(3, 2), F(-3, 2))

@@ -8,6 +8,7 @@ multiplication-operator traces).
 """
 from __future__ import annotations
 
+import time
 from fractions import Fraction
 from math import gcd
 
@@ -270,6 +271,16 @@ def test_prime_ideal_lattice_det_is_p(p):
 
 def test_prime_ideal_lattice_disc_group():
     assert disc_group(ap_lattice(5)) == (1, 1, 1, 5)
+
+
+@pytest.mark.parametrize("p", [19, 23, 29, 31])
+def test_prime_ideal_lattice_disc_group_on_dense_grams(p):
+    # Hermite passes without reduction mod det took 41 s at p = 19: their
+    # entries grow without bound on these dense Grams
+    L = ap_lattice(p)
+    start = time.perf_counter()
+    assert disc_group(L) == (1,) * (p - 2) + (p,)
+    assert time.perf_counter() - start < 2
 
 
 def test_prime_ideal_lattice_galois_stable():

@@ -420,6 +420,26 @@ def test_hnf_rows_matches_euclidean_oracle(rows):
         assert abs(fraction_det(u)) == 1
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=6).flatmap(
+        lambda n: st.lists(
+            st.lists(st.sampled_from([1, 9, 1000]).flatmap(
+                lambda b: st.integers(min_value=-b, max_value=b)
+            ), min_size=n, max_size=n),
+            min_size=n,
+            max_size=n,
+        )
+    ).filter(lambda rows: fraction_det(rows) != 0),
+    st.sampled_from([1, 2, 6]),
+)
+def test_hnf_rows_modulo_a_multiple_of_det_matches_euclidean_oracle(rows, k):
+    # the row lattice of a nonsingular square contains |det| Z^n, so the pass
+    # modulo any multiple of |det| must give the one Hermite form
+    modulus = k * abs(int(fraction_det(rows)))
+    assert hnf_rows([row[:] for row in rows], modulus=modulus) == hnf_by_euclid(rows)
+
+
 # --- snf ----------------------------------------------------------------------
 
 def test_snf_a3_gram():

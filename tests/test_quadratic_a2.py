@@ -28,6 +28,7 @@ from tracelattice.lattice_core import (
 )
 from tracelattice.quadratic_a2 import (
     A2_GRAM,
+    D_CAP,
     QuadAmbient,
     a2_from_slopes,
     falsify_a2,
@@ -296,11 +297,13 @@ def test_norm_one_points_match_quartic_oracle(d):
     assert norm_one_points(d, 8) == _norm_one_oracle(d, 8)
 
 
-@pytest.mark.parametrize("d", [1, 2, 3, 5, 6, 7, 11, 101])
+@pytest.mark.parametrize("d", [1, 2, 3, 5, 6, 7, 11, 101, 1009, 10007])
 def test_norm_one_points_match_grid_scan(d):
     # every height up to 40, then the falsify workload's 300 and a few
-    # heights between, so each bound n <= 2 d height is crossed many times
-    for height in [*range(1, 41), 97, 150, 299, 300]:
+    # heights between, so each bound n <= 2 d height is crossed many times;
+    # at d = 1009 and 10007 height^2 < d up to 31 and 100, where only
+    # (+-1, 0) is left, and the second bound v <= 2 height decides
+    for height in [*range(0, 41), 97, 150, 299, 300]:
         assert norm_one_points(d, height) == norm_one_points_by_scan(d, height), height
 
 
@@ -314,6 +317,22 @@ def test_norm_one_points_always_contain_units():
 def test_norm_one_points_rejects_non_squarefree():
     with pytest.raises(ValueError):
         norm_one_points(4, 5)
+
+
+def test_radicands_are_capped_at_10_to_the_20():
+    # 9999999967 * 9999999943: the squarefree test factors it within the cap
+    near_cap = 99999999100000001881
+    assert near_cap <= D_CAP == 10**20
+    assert QuadAmbient(near_cap).d == near_cap
+    assert norm_one_points(near_cap, 5) == [(F(-1), F(0)), (F(1), F(0))]
+    assert norm_one_points(near_cap, 5) == norm_one_points_by_scan(near_cap, 5)
+    for too_large in (D_CAP + 1, (10**18 + 3) * (10**18 + 9)):
+        with pytest.raises(ValueError, match="at most 10"):
+            QuadAmbient(too_large)
+        with pytest.raises(ValueError, match="at most 10"):
+            norm_one_points(too_large, 1)
+        with pytest.raises(ValueError, match="at most 10"):
+            falsify_a2(too_large, 1)
 
 
 def test_norm_one_points_monotone_in_height():
