@@ -197,13 +197,13 @@ def normal_basis_lattice(t, lam, targets=None) -> TraceLattice:
     return lattice
 
 
-def to_a3_basis(lattice: TraceLattice, key: tuple | None = None) -> TraceLattice:
+def to_a3_basis(lattice: TraceLattice) -> TraceLattice:
     """Base change from the normal-basis Gram to the standard A3 Gram.
 
     The new basis spans the same lattice (the transform is unimodular); that
-    is checked against key, the lattice's canonical_key (computed when not
-    given).  The new Gram is P G P^T, which for the normal A3 Gram G is the
-    standard A3 Gram (checked once, where P is defined)."""
+    is checked against the lattice's canonical_key, kept on the lattice once
+    computed.  The new Gram is P G P^T, which for the normal A3 Gram G is
+    the standard A3 Gram (checked once, where P is defined)."""
     if lattice.gram != NORMAL_A3_GRAM:
         raise WrongGram(
             "expected the normal A3 Gram [[2,1,1],[1,2,1],[1,1,2]], got "
@@ -212,7 +212,7 @@ def to_a3_basis(lattice: TraceLattice, key: tuple | None = None) -> TraceLattice
     out = TraceLattice(
         lattice.ambient, _NORMAL_TO_STANDARD * lattice.basis, STANDARD_A3_GRAM, "A3"
     )
-    assert canonical_key(out) == (canonical_key(lattice) if key is None else key)
+    assert canonical_key(out) == canonical_key(lattice)
     return out
 
 
@@ -231,8 +231,6 @@ class FamilyMember(NamedTuple):
     point: ConicPoint
     slope: Optional[Fraction]
     lam0_denominator: int
-    #: canonical_key of the lattice, when the producer already computed it
-    key: Optional[tuple] = None
 
 
 class FamilyScan(NamedTuple):
@@ -251,7 +249,7 @@ def scan_family(t, height: int, target: TraceTarget = TARGET_A3) -> FamilyScan:
     of an earlier lattice's lam is passed over before its basis, Gram or
     key is built, and about a third of the points are.  Every lattice built
     is still keyed by its HNF, and only a new key becomes a member, with
-    its certificates.
+    its certificates; the member keeps its key for member_json.
 
     Degenerate weights are skipped with a log note and counted, never raised:
     the family stays infinite after finitely many exclusions.  A shift of
@@ -291,7 +289,7 @@ def scan_family(t, height: int, target: TraceTarget = TARGET_A3) -> FamilyScan:
             continue
         seen_keys.add(key)
         if target == TARGET_A3:
-            to_a3_basis(lattice, key)  # exact Gram + same-lattice certificates
+            to_a3_basis(lattice)  # exact Gram + same-lattice certificates
             label = classify_root_type(lattice)
             assert label == "A3"
         else:
@@ -299,16 +297,9 @@ def scan_family(t, height: int, target: TraceTarget = TARGET_A3) -> FamilyScan:
             assert canonical_key(dual(lattice)) == key, "L must equal its dual"
             label = classify_root_type(lattice)
             assert label == "unimodular_odd"
-        assert galois_stable(lattice, key)
+        assert galois_stable(lattice)
         members.append(
-            FamilyMember(
-                lattice.with_type(label),
-                lam,
-                point,
-                slope,
-                lam[0].denominator,
-                key,
-            )
+            FamilyMember(lattice.with_type(label), lam, point, slope, lam[0].denominator)
         )
     return FamilyScan(members, skipped)
 

@@ -34,7 +34,7 @@ from .orders_ideals import (
     primes_above_2,
     sqrt_different_inverse,
 )
-from .quadratic_a2 import falsify_a2, family_distinctness, normal_a2
+from .quadratic_a2 import falsify_a2, family_distinctness
 from .serialize import (
     dumps_canonical,
     hnf_json,
@@ -225,13 +225,10 @@ def _run_order(args):
         "equation_order": {"basis": matrix_json(eq.basis), "disc": eq.disc},
         "maximal_order": {"basis": matrix_json(mx.basis), "disc": mx.disc},
     }
-    need_root = args.sqrt_different or args.fake_a3
-    dinv = different_inverse(mx) if args.different or need_root else None
     if args.different:
-        doc["different_inverse"] = lattice_json(dinv.lattice())
-    root = sqrt_different_inverse(mx, dinv) if need_root else None
+        doc["different_inverse"] = lattice_json(different_inverse(mx).lattice())
     if args.sqrt_different:
-        L = root.lattice()
+        L = sqrt_different_inverse(mx).lattice()
         entry = lattice_json(L)
         entry["type"] = classify_root_type(L)
         doc["sqrt_different_inverse"] = entry
@@ -242,7 +239,7 @@ def _run_order(args):
             "ideals": [matrix_json(ideal.basis) for ideal in ideals],
         }
     if args.fake_a3:
-        L = fake_a3(mx, root)
+        L = fake_a3(mx)
         entry = lattice_json(L)
         entry["hnf"] = hnf_json(L)
         witness = odd_trace_witness(L)

@@ -128,22 +128,11 @@ def slopes_up_to(height: int) -> Iterator[Optional[Fraction]]:
 
 
 def enumerate_points(c: Conic, p0: ConicPoint, height: int) -> list[ConicPoint]:
-    """Deduplicated chord points for all slopes up to the given height.
-
-    The output keeps first-seen order over the deterministic slope sweep, so
-    identical inputs give identical lists.
-    """
+    """The chord point of every slope up to the given height, in the order
+    of slopes_up_to; distinct slopes give distinct points."""
     if height < 1:
         raise ValueError("height >= 1 required")
-    seen: set[tuple[Fraction, Fraction]] = set()
-    out: list[ConicPoint] = []
-    for s in slopes_up_to(height):
-        p = second_intersection(c, p0, s)
-        key = p.as_pair()
-        if key not in seen:
-            seen.add(key)
-            out.append(p)
-    return out
+    return [second_intersection(c, p0, s) for s in slopes_up_to(height)]
 
 
 def unit_conic_point(s0: int, s1: int) -> ConicPoint:

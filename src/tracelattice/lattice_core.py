@@ -41,7 +41,7 @@ from __future__ import annotations
 from collections import deque
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt, lcm, prod
+from math import isqrt, lcm
 from operator import mul
 from typing import Optional, Sequence
 
@@ -67,9 +67,10 @@ _ROOT_COUNTS = {
 
 
 class TraceLattice:
-    """Immutable full-rank lattice with cached trace-form Gram matrix."""
+    """Immutable full-rank lattice with cached trace-form Gram matrix; its
+    canonical_key is computed on first use and kept."""
 
-    __slots__ = ("ambient", "basis", "gram", "type_tag")
+    __slots__ = ("ambient", "basis", "gram", "type_tag", "_key")
 
     def __init__(
         self,
@@ -89,6 +90,7 @@ class TraceLattice:
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "gram", gram)
         object.__setattr__(self, "type_tag", type_tag)
+        object.__setattr__(self, "_key", None)
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError("TraceLattice is immutable")
@@ -98,7 +100,9 @@ class TraceLattice:
         return cls(ambient, Matrix.from_rows(rows))
 
     def with_type(self, tag: str) -> "TraceLattice":
-        return TraceLattice(self.ambient, self.basis, self.gram, tag)
+        out = TraceLattice(self.ambient, self.basis, self.gram, tag)
+        object.__setattr__(out, "_key", self._key)
+        return out
 
     def rank(self) -> int:
         return self.basis.rows
@@ -343,15 +347,8 @@ def short_vectors(
 # ---------------------------------------------------------------------------
 
 def _generates(vectors: list[tuple[int, ...]], n: int) -> bool:
-    """True iff the vectors span Z^n: the pivots of their HNF multiply to 1."""
-    h = hnf_rows([list(v) for v in vectors])
-    pivots = []
-    for row in h:
-        nz = [x for x in row if x != 0]
-        if not nz:
-            break
-        pivots.append(nz[0])
-    return len(pivots) >= n and prod(pivots) == 1
+    """True iff the vectors span Z^n: their hnf_span is the identity."""
+    return hnf_span(Matrix.scaled(vectors)) == (1, Matrix.identity(n).ints)
 
 
 def _gram_images(g: list[list[int]], vectors) -> list[list[int]]:
@@ -486,19 +483,39 @@ def odd_trace_witness(L: TraceLattice) -> Optional[tuple[int, ...]]:
 # lattice identity
 # ---------------------------------------------------------------------------
 
-def basis_key(basis: Matrix) -> tuple:
-    """(clearing denominator, HNF rows) of the lattice spanned by the rows of
-    a square basis matrix -- equal iff the spanned lattices are equal.
+def hnf_span(rows: Matrix | Sequence[Sequence]) -> tuple:
+    """(k, H) for the Z-span of rows, which may be redundant: k their common
+    denominator and H the row HNF of the integer rows k * rows, zero rows
+    dropped, so that H / k is the canonical basis of the span.  Two row sets
+    span the same lattice iff their hnf_spans are equal (Cohen, GTM 138,
+    Sec. 2.4.3)."""
+    if not isinstance(rows, Matrix):
+        rows = Matrix.from_rows(rows)
+    ints, scale = rows.cleared()
+    return scale, tuple(map(tuple, filter(any, hnf_rows(ints))))
 
-    The minimal k with k*L inside Z^n is basis-independent, and the row HNF
-    of the cleared basis is the unique canonical basis of k*L."""
-    rows, scale = basis.cleared()
-    return (scale, tuple(map(tuple, hnf_rows(rows))))
+
+def span_coords(span: Matrix, rows: Matrix) -> list[list[int]] | None:
+    """Integer coordinates of every row of rows against a canonical basis
+    H / k from hnf_span, or None when some row is not in its Z-span.  Each
+    row is read as k times itself; a Matrix is in lowest terms, so those
+    are integers exactly when rows.den divides k."""
+    scale, rem = divmod(span.den, rows.den)
+    if rem:
+        return None
+    ints = rows.ints if scale == 1 else [[x * scale for x in row] for row in rows.ints]
+    out = [hnf_coords(span.ints, row) for row in ints]
+    return None if None in out else out
 
 
 def canonical_key(L: TraceLattice) -> tuple:
-    """basis_key of the lattice's basis: equal iff the lattices are equal."""
-    return basis_key(L.basis)
+    """hnf_span of the lattice's basis: equal iff the lattices are equal.
+    Computed on first use and kept on L."""
+    key = L._key
+    if key is None:
+        key = hnf_span(L.basis)
+        object.__setattr__(L, "_key", key)
+    return key
 
 
 def lattice_equal(L1: TraceLattice, L2: TraceLattice) -> bool:
@@ -509,19 +526,13 @@ def lattice_equal(L1: TraceLattice, L2: TraceLattice) -> bool:
     return canonical_key(L1) == canonical_key(L2)
 
 
-def galois_stable(L: TraceLattice, key: tuple | None = None) -> bool:
+def galois_stable(L: TraceLattice) -> bool:
     """True iff every generator of the ambient automorphism group maps the
     lattice into itself.
 
-    With (k, H) = canonical_key(L) (pass it as key when it is already
-    known), H is an integer basis of kL and each generator acts by its
-    matrix S (galois_matrices).  The lattice is stable iff H S is integral
-    and each of its rows lies in the span of H.  All of it is int
-    arithmetic; no inverse of the basis is formed."""
-    _, h = canonical_key(L) if key is None else key
-    rows = Matrix.scaled(h)
-    for s in L.ambient.galois_matrices():
-        image = rows * s
-        if image.den != 1 or any(hnf_coords(h, v) is None for v in image.ints):
-            return False
-    return True
+    With (k, H) = canonical_key(L), H is an integer basis of kL and each
+    generator acts by its matrix S (galois_matrices).  The lattice is
+    stable iff every row of H S lies in the span of H (span_coords).  All
+    of it is int arithmetic; no inverse of the basis is formed."""
+    h = Matrix.scaled(canonical_key(L)[1])
+    return all(span_coords(h, h * s) is not None for s in L.ambient.galois_matrices())

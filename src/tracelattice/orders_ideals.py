@@ -5,7 +5,7 @@ PowerBasisField of degree n, kept in canonical Hermite form.  Its integer
 structure constants c_ijk, o_i o_j = sum_k c_ijk o_k, are computed once:
 their integrality certifies closure, and all arithmetic of O/pO reads them.
 Every "is this row in the Z-span of that basis, and with which
-coefficients?" is hnf_coords against the basis's integer HNF, no inverse;
+coefficients?" is span_coords against the basis's hnf_span, no inverse;
 a canonical basis is a Matrix whose integer rows are that HNF, and the
 products of two bases come from PowerBasisField.products, in int.
 
@@ -34,7 +34,7 @@ from typing import NamedTuple, Sequence
 
 from ._intfactor import factor, is_probable_prime, is_square
 from .errors import NotFound, NotMaximal, TwoInert
-from .exact_linalg import Matrix, det, hnf_coords, hnf_rows
+from .exact_linalg import Matrix, det, hnf_coords
 from .lattice_core import (
     TraceLattice,
     classify_root_type,
@@ -42,7 +42,9 @@ from .lattice_core import (
     dual,
     galois_stable,
     gram_of,
+    hnf_span,
     odd_trace_witness,
+    span_coords,
 )
 from .power_basis import PowerBasisField
 from .shanks_field import new_field
@@ -50,41 +52,27 @@ from .shanks_field import new_field
 F = Fraction
 
 
-def _hnf_span(rows: Matrix | Sequence, rank: int) -> Matrix:
-    """Canonical basis of the Z-span of possibly redundant rows: the Hermite
-    form of their integer rows, without its zero rows, over their
-    denominator.  Its integer rows are that Hermite form."""
-    ints, scale = (rows if isinstance(rows, Matrix) else Matrix(rows)).cleared()
-    kept = [r for r in hnf_rows(ints) if any(r)]
-    if len(kept) != rank:
-        raise ValueError(f"span has rank {len(kept)}, expected {rank}")
-    return Matrix.scaled(kept, scale)
-
-
-def _coords(basis: Matrix, rows: Matrix) -> list[list[int]] | None:
-    """Integer coordinates of every row of rows against a canonical basis,
-    or None when some row is not in its Z-span."""
-    v = rows * basis.den
-    if v.den != 1:
-        return None
-    out = [hnf_coords(basis.ints, row) for row in v.ints]
-    return None if None in out else out
-
-
 class Order:
     """A multiplication-closed rank-n lattice containing 1 in a
     PowerBasisField of degree n, with its trace Gram, its discriminant and
     its structure constants: table[i][j] holds the integer coordinates of
-    o_i * o_j.  The basis is kept in canonical Hermite form."""
+    o_i * o_j.  The basis is kept in canonical Hermite form.  The ideals
+    derived from it (different_inverse, sqrt_different_inverse,
+    primes_above_2) are computed on first use and kept."""
 
-    __slots__ = ("ambient", "basis", "gram", "disc", "table")
+    __slots__ = (
+        "ambient", "basis", "gram", "disc", "table", "_dinv", "_root", "_primes2",
+    )
 
     def __init__(self, ambient: PowerBasisField, basis: Matrix | Sequence):
         n = ambient.degree
-        rows = _hnf_span(basis, n)
-        if _coords(rows, Matrix.scaled([[int(j == 0) for j in range(n)]])) is None:
+        scale, h = hnf_span(basis)
+        if len(h) != n:
+            raise ValueError(f"span has rank {len(h)}, expected {n}")
+        rows = Matrix.scaled(h, scale)
+        if span_coords(rows, Matrix.scaled([[int(j == 0) for j in range(n)]])) is None:
             raise ValueError("order must contain 1")
-        table = _coords(rows, ambient.products(rows, rows))
+        table = span_coords(rows, ambient.products(rows, rows))
         if table is None:
             raise ValueError("order basis is not multiplication-closed")
         gram = gram_of(rows, ambient)
@@ -97,6 +85,8 @@ class Order:
         object.__setattr__(
             self, "table", tuple(tuple(map(tuple, table[i : i + n])) for i in range(0, n * n, n))
         )
+        for slot in ("_dinv", "_root", "_primes2"):
+            object.__setattr__(self, slot, None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Order is immutable")
@@ -114,8 +104,13 @@ class Order:
     def lattice(self) -> TraceLattice:
         return TraceLattice(self.ambient, self.basis, gram=self.gram)
 
-
-CubicOrder = Order  # the rank-3 name, kept while it is public
+    def _first_use(self, slot: str, compute):
+        """The value kept in slot, filled with compute(self) on first use."""
+        value = getattr(self, slot)
+        if value is None:
+            value = compute(self)
+            object.__setattr__(self, slot, value)
+        return value
 
 
 class IdealLattice(NamedTuple):
@@ -129,8 +124,10 @@ class IdealLattice(NamedTuple):
 
 
 def _make_ideal(order: Order, rows: Matrix | Sequence) -> IdealLattice:
-    basis = _hnf_span(rows, order.ambient.degree)
-    if _coords(basis, order.ambient.products(basis, order.basis)) is None:
+    scale, h = hnf_span(rows)
+    assert len(h) == order.ambient.degree, "an ideal has full rank"
+    basis = Matrix.scaled(h, scale)
+    if span_coords(basis, order.ambient.products(basis, order.basis)) is None:
         raise ValueError("module is not stable under the order")
     return IdealLattice(order, basis)
 
@@ -217,7 +214,8 @@ def _p_radical(o: Order, p: int) -> Matrix:
         q *= p
     columns = [_pow_mod(o.table, [int(i == k) for i in range(n)], q, p) for k in range(n)]
     kernel = _nullspace_mod(list(zip(*columns)), p, n)
-    return _hnf_span(Matrix.scaled(_scalar_rows(n, p) + kernel), n)
+    _, h = hnf_span(Matrix.scaled(_scalar_rows(n, p) + kernel))
+    return Matrix.scaled(h)
 
 
 def _enlarge_at(o: Order, p: int) -> Order:
@@ -271,11 +269,16 @@ def is_maximal(o: Order) -> bool:
 
 
 def different_inverse(o: Order) -> IdealLattice:
-    """The trace-dual of the maximal order, {x : Tr(x y) in Z for y in Z_F}.
+    """The trace-dual of the maximal order, {x : Tr(x y) in Z for y in Z_F},
+    computed on first use and kept on the order.
 
     The dual of any order is a module over it, so stability cannot witness
     maximality; non-maximal input is caught by an explicit fixed-point
     check before the dual is taken."""
+    return o._first_use("_dinv", _trace_dual)
+
+
+def _trace_dual(o: Order) -> IdealLattice:
     if not is_maximal(o):
         raise NotMaximal(f"order of discriminant {o.disc} is not maximal")
     d = dual(o.lattice())
@@ -284,23 +287,25 @@ def different_inverse(o: Order) -> IdealLattice:
     return _make_ideal(o, d.basis)
 
 
-def sqrt_different_inverse(
-    o: Order, dinv: IdealLattice | None = None
-) -> IdealLattice:
-    """The ideal C with C^2 = D^-1, the trace dual of the maximal order.
+def sqrt_different_inverse(o: Order) -> IdealLattice:
+    """The ideal C with C^2 = D^-1, the trace dual of the maximal order,
+    computed on first use and kept on the order.
 
     Every ramified prime of a cyclic cubic field is totally ramified,
     pZ_F = P_p^3, and the different is prod P_p^2 over the tame p with P_3^4
     at 3 (Erez, Math. Z. 208, 1991).  Hence C = prod p^-1 P_p^2 (tame p | m)
     * 3^-1 P_3 (if 3 | m), m the conductor, with P_p the p-radical.  C is
     unique by ideal factorization; the result is certified by squaring it
-    back to the trace dual exactly and by checking that it contains Z_F.
-    A caller that already holds different_inverse(o) passes it as dinv."""
+    back to different_inverse(o) exactly and by checking that it contains
+    Z_F."""
+    return o._first_use("_root", _closed_form_root)
+
+
+def _closed_form_root(o: Order) -> IdealLattice:
     m = isqrt(o.disc)
     if m * m != o.disc:
         raise NotFound(f"discriminant {o.disc} is not a square")
-    if dinv is None:
-        dinv = different_inverse(o)
+    dinv = o._first_use("_dinv", _trace_dual)  # different_inverse(o), from its slot
     root = IdealLattice(o, o.basis)
     for p in factor(m):
         rad = IdealLattice(o, _p_radical(o, p) * o.basis)
@@ -309,19 +314,24 @@ def sqrt_different_inverse(
         root = module_product(root, IdealLattice(o, power.basis * F(1, p)))
     if module_product(root, root).basis != dinv.basis:
         raise NotFound("the closed-form root does not square to the trace dual")
-    if _coords(root.basis, o.basis) is None:
+    if span_coords(root.basis, o.basis) is None:
         raise NotFound("the closed-form root does not contain the order")
     return root
 
 
 def primes_above_2(o: Order) -> list[IdealLattice]:
     """The primes of residue degree 1 above 2 in HNF order, or [2 O] when 2
-    is inert.  They are the kernels of the ring maps O -> F_2: the nonzero
+    is inert, found on first use and kept on the order; each call returns a
+    new list.  They are the kernels of the ring maps O -> F_2: the nonzero
     w in F_2^n with w(o_i o_j) = w(o_i) w(o_j), among 2^n - 1 candidates.
     In a Galois field where 2 is unramified there are n of them or none;
     none makes 2 inert only at prime n (residue degree 1 or n), so at
     composite n it raises NotFound: Q(zeta_7) has two primes of degree 3.
     Any other count means 2 ramifies (Z[i]: one map), and raises NotFound."""
+    return list(o._first_use("_primes2", _ring_map_primes))
+
+
+def _ring_map_primes(o: Order) -> tuple[IdealLattice, ...]:
     n = o.ambient.degree
     kernels = []
     for m in range(1, 2**n):
@@ -337,16 +347,16 @@ def primes_above_2(o: Order) -> list[IdealLattice]:
     if not kernels:
         if not is_probable_prime(n):
             raise NotFound(f"2 has no prime of residue degree 1 in degree {n}, not a prime")
-        return [_make_ideal(o, o.basis * 2)]
+        return (_make_ideal(o, o.basis * 2),)
     two = _scalar_rows(n, 2)
-    primes = sorted((_hnf_span(Matrix.scaled(two + k), n) for k in kernels), key=lambda h: h.ints)
-    return [_make_ideal(o, h * o.basis) for h in primes]
+    primes = sorted(hnf_span(Matrix.scaled(two + k))[1] for k in kernels)
+    return tuple(_make_ideal(o, Matrix.scaled(h) * o.basis) for h in primes)
 
 
-def fake_a3(o: Order, root: IdealLattice | None = None) -> TraceLattice:
+def fake_a3(o: Order) -> TraceLattice:
     """The odd determinant-4 lattice: (prime above 2) * (square root of the
-    trace dual), built from the lexicographically least prime.  A caller
-    that already holds sqrt_different_inverse(o) passes it as root.
+    trace dual), built from the lexicographically least prime; both factors
+    are the ones kept on the order.
 
     Every call re-certifies the four defining properties: odd, discriminant
     group Z/4, classified as the diagonal (1,1,4) form, and not stable under
@@ -354,9 +364,7 @@ def fake_a3(o: Order, root: IdealLattice | None = None) -> TraceLattice:
     primes = primes_above_2(o)
     if len(primes) == 1:
         raise TwoInert("2 is inert here; the construction needs a split prime")
-    if root is None:
-        root = sqrt_different_inverse(o)
-    lattice = module_product(primes[0], root).lattice()
+    lattice = module_product(primes[0], sqrt_different_inverse(o)).lattice()
     assert odd_trace_witness(lattice) is not None
     assert disc_group(lattice) == (1, 1, 4)
     assert classify_root_type(lattice) == "diag114"

@@ -25,7 +25,7 @@ from typing import NamedTuple, Optional
 from ._intfactor import squarefree_kernel
 from .errors import ZeroSlopePair
 from .exact_linalg import Matrix
-from .lattice_core import TraceLattice, basis_key, canonical_key
+from .lattice_core import TraceLattice, canonical_key, hnf_span
 from .power_basis import PowerBasisField
 
 F = Fraction
@@ -182,6 +182,11 @@ def norm_one_points(d: int, height: int) -> list[tuple[Fraction, Fraction]]:
     ellipses, O(min(sqrt(d), height / sqrt(d)) height) of them, are all
     there is to enumerate; v = 0 leaves u = 1 alone, the point (-1, 0)."""
     _check_radicand(d)
+    return _norm_one_points(d, height)
+
+
+def _norm_one_points(d: int, height: int) -> list[tuple[Fraction, Fraction]]:
+    """norm_one_points for a radicand its caller has checked."""
     bound = 2 * d * height
     h2 = height * height
     out = {(F(-1), F(0))} if height else set()
@@ -229,9 +234,10 @@ def falsify_a2(d: int, height: int, sign: int = -1) -> Optional[TraceLattice]:
 
     Returns the witness lattice when one exists (so d = 3 yields the normal
     basis at height 2 already), or None when the sweep is empty; by the
-    classification that is the expected outcome for every squarefree d != 3."""
-    points = norm_one_points(d, height)
+    classification that is the expected outcome for every squarefree d != 3.
+    d is factored once, by the ambient's radicand check."""
     ambient = _quad_ambient(d, sign)
+    points = _norm_one_points(d, height)
     scaled = [
         (x.numerator, y.numerator * (x.denominator // y.denominator), x.denominator)
         for x, y in points
@@ -259,7 +265,7 @@ def family_distinctness(height: int, sign: int = -1) -> FamilyCount:
 
     Per-pair integer check, certified build per distinct key: every slope
     pair and branch passes the integer conic and pairing checks of
-    a2_from_slopes and is keyed by basis_key on its integer rows; only the
+    a2_from_slopes and is keyed by the hnf_span of its basis; only the
     first pair of each new key builds the certified lattice (gram_of, the A2
     Gram), whose canonical_key must equal that key."""
     seen = {}
@@ -269,7 +275,7 @@ def family_distinctness(height: int, sign: int = -1) -> FamilyCount:
                 continue
             for branch in ("+", "-"):
                 basis = _slope_basis(s0, s1, branch)
-                key = basis_key(basis)
+                key = hnf_span(basis)
                 if key not in seen:
                     lattice = _certified_a2(basis, sign)
                     assert canonical_key(lattice) == key

@@ -46,18 +46,16 @@ def lattice_json(L: TraceLattice) -> dict:
     return doc
 
 
-def hnf_json(L: TraceLattice, key: tuple | None = None) -> dict:
-    """Canonical identity of the lattice: clearing scale plus integer HNF rows.
-
-    key is canonical_key(L) when the caller already holds it."""
-    scale, rows = canonical_key(L) if key is None else key
+def hnf_json(L: TraceLattice) -> dict:
+    """Canonical identity of the lattice: clearing scale plus integer HNF rows."""
+    scale, rows = canonical_key(L)
     return {"scale": int(scale), "rows": [list(r) for r in rows]}
 
 
 def member_json(member) -> dict:
     """One family member: the lattice fields plus its provenance in the sweep."""
     doc = lattice_json(member.lattice)
-    doc["hnf"] = hnf_json(member.lattice, member.key)
+    doc["hnf"] = hnf_json(member.lattice)
     doc["lambda"] = [rational_str(c) for c in member.lam]
     doc["point"] = point_json(member.point)
     doc["slope"] = "inf" if member.slope is None else rational_str(member.slope)

@@ -10,6 +10,7 @@ import sys
 import pytest
 
 import tracelattice
+from tracelattice import orders_ideals
 from tracelattice.cli import main
 
 # the directory holding the package under test, for child interpreters
@@ -285,6 +286,30 @@ def test_stdout_bytes_are_pinned(args, digest, capsys):
     assert main(args) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_order_command_derives_each_ideal_once(monkeypatch, capsys):
+    # --primes2 and --fake-a3 both read the primes above 2, and
+    # --different, --sqrt-different and --fake-a3 all read D^-1: the order
+    # computes each once and keeps it
+    calls = {"dual": 0, "primes": 0}
+    trace_dual, ring_map_primes = orders_ideals._trace_dual, orders_ideals._ring_map_primes
+
+    def counted_dual(o):
+        calls["dual"] += 1
+        return trace_dual(o)
+
+    def counted_primes(o):
+        calls["primes"] += 1
+        return ring_map_primes(o)
+
+    monkeypatch.setattr(orders_ideals, "_trace_dual", counted_dual)
+    monkeypatch.setattr(orders_ideals, "_ring_map_primes", counted_primes)
+    args = ["order", "--t=-1/2", "--different", "--sqrt-different", "--primes2", "--fake-a3"]
+    assert main(args) == 0
+    out = capsys.readouterr().out
+    assert calls == {"dual": 1, "primes": 1}
+    assert (args, hashlib.sha256(out.encode()).hexdigest()) in PINNED_STDOUT_SHA256
 
 
 def test_gen_a3_classify_round_trip(capsys):

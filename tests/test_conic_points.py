@@ -165,16 +165,19 @@ def test_second_intersection_on_any_ellipse(big_d, x0, y0, s):
     assert c.residual(q) == 0
 
 
-def test_enumerate_points_dedups_first_seen():
-    pts = enumerate_points(delta_conic(0), base_point_delta(0), 1)
-    assert pts[0] == ConicPoint(F(3, 2), F(-3, 2))
-    assert len(pts) == len(set(pts))
-    assert set(pts) == {
+def test_enumerate_points_is_one_chord_point_per_slope():
+    # the frozen height-1 sweep at t = 0: slopes inf, -1, 0, 1 in turn
+    assert enumerate_points(delta_conic(0), base_point_delta(0), 1) == [
         ConicPoint(F(3, 2), F(-3, 2)),
+        ConicPoint(F(3), F(0)),
         ConicPoint(F(-3, 2), F(3, 2)),
         ConicPoint(F(-3, 2), F(-3, 2)),
-        ConicPoint(F(3), F(0)),
-    }
+    ]
+    for t, height in ((1, 4), (-2, 4), (F(1, 3), 16)):
+        c, p0 = delta_conic(t), base_point_delta(t)
+        pts = enumerate_points(c, p0, height)
+        assert pts == [second_intersection(c, p0, s) for s in slopes_up_to(height)]
+        assert len(set(pts)) == len(pts)
 
 
 def test_enumerate_points_grows_with_height():

@@ -41,6 +41,7 @@ from oracles import (
     trace_gram,
     vectors_of_norm,
 )
+from tracelattice import lattice_core
 from tracelattice.a3_factory import TARGET_A3, TARGET_SELF_DUAL, scan_family
 from tracelattice.cyclotomic_ideals import ap_lattice, cyc_field, principal_ideal_lattice
 from tracelattice.errors import (
@@ -744,6 +745,28 @@ def test_canonical_key_is_the_hnf_of_the_cleared_basis(rows):
     assert [list(r) for r in key_rows] == hermite_form(cleared)
 
 
+def test_canonical_key_is_computed_once_and_kept_by_with_type(monkeypatch):
+    spans = []
+    hnf_span = lattice_core.hnf_span
+
+    def counted_hnf_span(rows):
+        spans.append(rows)
+        return hnf_span(rows)
+
+    monkeypatch.setattr(lattice_core, "hnf_span", counted_hnf_span)
+    L = TraceLattice.from_rows(new_field(1), [[1, 0, 0], [1, 2, 0], [0, 1, 3]])
+    key = canonical_key(L)
+    assert len(spans) == 1
+    tagged = L.with_type("other")
+    assert canonical_key(L) == key
+    assert canonical_key(tagged) == key
+    assert galois_stable(tagged) is False
+    assert len(spans) == 1
+    # a fresh lattice on the same basis computes its own
+    assert canonical_key(TraceLattice(L.ambient, L.basis)) == key
+    assert len(spans) == 2
+
+
 def test_lattice_equal_under_basis_permutation():
     amb = FormAmbient(A3)
     L1 = TraceLattice(amb, Matrix.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]]))
@@ -812,23 +835,20 @@ def _oracle_maps(ambient):
 
 
 def _assert_stability(L, expected):
-    """galois_stable, with and without the precomputed key, against the
-    B S B^-1 oracle and the value theory gives."""
+    """galois_stable against the B S B^-1 oracle and the value theory
+    gives."""
     rows = [L.basis.row(i) for i in range(L.rank())]
     assert galois_stable_by_inverse(_oracle_maps(L.ambient), rows) is expected
     assert galois_stable(L) is expected
-    assert galois_stable(L, canonical_key(L)) is expected
 
 
 @pytest.mark.parametrize("t", [1, 2, F(-1, 2), F(-5, 2), F(1, 3)])
 def test_galois_stable_on_family_members(t):
-    # normal bases: every member is sigma-stable by construction; the key
-    # the sweep hands on is the member's own
+    # normal bases: every member is sigma-stable by construction
     for target in (TARGET_A3, TARGET_SELF_DUAL):
         members = scan_family(t, 2, target).members
         assert members
         for m in members:
-            assert m.key == canonical_key(m.lattice)
             _assert_stability(m.lattice, True)
 
 
@@ -842,8 +862,7 @@ def test_galois_stable_on_orders_and_ideals(t):
     _assert_stability(power_basis, False)
     _assert_stability(equation_order(t).lattice(), False)
     o = maximal_order(t)
-    dinv = different_inverse(o)
-    for L in (o.lattice(), dinv.lattice(), sqrt_different_inverse(o, dinv).lattice()):
+    for L in (o.lattice(), different_inverse(o).lattice(), sqrt_different_inverse(o).lattice()):
         _assert_stability(L, True)
     for ideal in primes_above_2(o):
         _assert_stability(ideal.lattice(), False)
@@ -925,7 +944,6 @@ def test_galois_stable_on_random_sublattices(which, orbit, entries):
     )
     assert oracle or not orbit
     assert galois_stable(L) is oracle
-    assert galois_stable(L, canonical_key(L)) is oracle
 
 
 def test_trace_pair_matches_gram_entries():

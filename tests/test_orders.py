@@ -36,7 +36,6 @@ from tracelattice.lattice_core import (
     odd_trace_witness,
 )
 from tracelattice.orders_ideals import (
-    CubicOrder,
     IdealLattice,
     Order,
     an_exclusion,
@@ -119,9 +118,9 @@ def test_equation_order_disc_formula(t):
 def test_order_constructor_enforces_closure():
     field = new_field(1)
     with pytest.raises(ValueError):
-        CubicOrder(field, [[1, 0, 0], [0, F(1, 2), 0], [0, 0, 1]])
+        Order(field, [[1, 0, 0], [0, F(1, 2), 0], [0, 0, 1]])
     with pytest.raises(ValueError):
-        CubicOrder(field, [[2, 0, 0], [0, 2, 0], [0, 0, 2]])
+        Order(field, [[2, 0, 0], [0, 2, 0], [0, 0, 2]])
 
 
 # ---------------------------------------------------------------------------
@@ -284,6 +283,17 @@ def test_primes_above_2_deterministic_order():
     a = [p.basis for p in primes_above_2(mo)]
     b = [p.basis for p in primes_above_2(mo)]
     assert a == b
+
+
+def test_primes_above_2_cannot_be_changed_through_the_returned_list():
+    mo = maximal_order(F(1, 2))
+    first = primes_above_2(mo)
+    expected = list(first)
+    first.reverse()
+    first.pop()
+    first.append(sqrt_different_inverse(mo))
+    assert primes_above_2(mo) == expected
+    assert primes_above_2(mo) is not primes_above_2(mo)
 
 
 # ---------------------------------------------------------------------------

@@ -374,3 +374,39 @@ def test_falsifier_matches_fraction_pair_search(d, height, sign):
 def test_falsifier_rejects_non_squarefree():
     with pytest.raises(ValueError):
         falsify_a2(8, 5)
+
+
+def test_falsifier_factors_the_radicand_once(monkeypatch):
+    # the near-cap semiprime: factoring it is most of a height-1 search
+    calls = []
+    kernel = quadratic_a2.squarefree_kernel
+
+    def counted_kernel(n):
+        calls.append(n)
+        return kernel(n)
+
+    monkeypatch.setattr(quadratic_a2, "squarefree_kernel", counted_kernel)
+    d = 9999999967 * 9999999943
+    quadratic_a2._quad_ambient.cache_clear()
+    assert falsify_a2(d, 1) is None
+    assert calls == [d]
+
+
+@pytest.mark.parametrize(
+    "d, sign, message",
+    [
+        (0, -1, "d must be a squarefree positive integer, got 0"),
+        (12, 1, "d must be a squarefree positive integer, got 12"),
+        (12, 0, "d must be a squarefree positive integer, got 12"),
+        (D_CAP + 1, -1, "d must be at most 10^20, got 100000000000000000001"),
+        (1, 1, "x^2 - 1 is reducible, so d = 1 needs sign -1"),
+        (5, 0, "sign must be +1 (real) or -1 (imaginary)"),
+    ],
+    ids=["zero", "square-factor", "square-factor-bad-sign", "above-cap", "real-one", "bad-sign"],
+)
+def test_falsifier_rejects_bad_radicand_or_sign(d, sign, message):
+    # the radicand is checked before the sign, as norm_one_points and
+    # QuadAmbient order their checks
+    with pytest.raises(ValueError) as exc:
+        falsify_a2(d, 3, sign)
+    assert str(exc.value) == message
