@@ -1,202 +1,131 @@
 """Exact-arithmetic construction, classification, and falsification of root
-lattices realized by trace forms of number fields."""
+lattices realized by trace forms of number fields.
 
-from .a3_factory import (
-    TARGET_A3,
-    TARGET_SELF_DUAL,
-    FamilyMember,
-    FamilyScan,
-    TraceTarget,
-    generate_family,
-    identity_to_a3_transform,
-    lambda_from_point,
-    normal_basis_lattice,
-    scan_family,
-    self_dual_family,
-    to_a3_basis,
-    trace_targets_of,
-)
-from .conic_points import (
-    Conic,
-    ConicPoint,
-    base_point_delta,
-    delta_conic,
-    enumerate_points,
-    second_intersection,
-    slopes_up_to,
-    unit_conic_point,
-)
-from .cyclotomic_ideals import (
-    CycField,
-    ap_lattice,
-    cyc_field,
-    cyclotomic_polynomial,
-    hermitian_pair,
-    principal_ideal_lattice,
-    verify_cyclotomic_ap,
-)
-from .errors import (
-    NonzeroTrace,
-    RankTooLarge,
-    Reducible,
-    TraceLatticeError,
-    TwoInert,
-)
-from .exact_linalg import Matrix, det, hnf, inverse, snf
-from .lattice_core import (
-    TraceLattice,
-    canonical_key,
-    classify_gram,
-    classify_root_type,
-    disc_group,
-    dual,
-    galois_stable,
-    is_even,
-    is_integral,
-    lattice_equal,
-    odd_trace_witness,
-    short_vectors,
-    short_vectors_gram,
-)
-from .orders_ideals import (
-    IdealLattice,
-    Order,
-    an_exclusion,
-    dedekind_maximalize,
-    different_inverse,
-    equation_order,
-    fake_a3,
-    fake_a3_variants,
-    is_maximal,
-    maximal_order,
-    module_product,
-    primes_above_2,
-    sqrt_different_inverse,
-)
-from .power_basis import PowerBasisField
-from .quadratic_a2 import (
-    FamilyCount,
-    QuadAmbient,
-    a2_from_slopes,
-    falsify_a2,
-    family_distinctness,
-    norm_one_points,
-    normal_a2,
-    normal_basis_search,
-    pairing,
-)
-from .serialize import (
-    dumps_canonical,
-    lattice_json,
-    member_json,
-    parse_generator,
-    parse_gram,
-    parse_rational,
-)
-from .shanks_field import (
-    FieldElement,
-    ShanksField,
-    new_field,
-    norm,
-    normal_coords,
-    remap_t0,
-    reparametrize,
-    sigma,
-    trace,
-    trace_pair,
-)
+Importing the package loads none of its modules: each public name is
+imported from its home module the first time it is read (PEP 562)."""
+
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Conic",
-    "ConicPoint",
-    "CycField",
-    "FamilyCount",
-    "FamilyMember",
-    "FamilyScan",
-    "FieldElement",
-    "IdealLattice",
-    "Matrix",
-    "NonzeroTrace",
-    "Order",
-    "PowerBasisField",
-    "QuadAmbient",
-    "RankTooLarge",
-    "Reducible",
-    "ShanksField",
-    "TARGET_A3",
-    "TARGET_SELF_DUAL",
-    "TraceLattice",
-    "TraceLatticeError",
-    "TraceTarget",
-    "TwoInert",
-    "a2_from_slopes",
-    "an_exclusion",
-    "ap_lattice",
-    "base_point_delta",
-    "canonical_key",
-    "classify_gram",
-    "classify_root_type",
-    "cyc_field",
-    "cyclotomic_polynomial",
-    "dedekind_maximalize",
-    "delta_conic",
-    "det",
-    "different_inverse",
-    "disc_group",
-    "dual",
-    "dumps_canonical",
-    "enumerate_points",
-    "equation_order",
-    "fake_a3",
-    "fake_a3_variants",
-    "falsify_a2",
-    "family_distinctness",
-    "galois_stable",
-    "generate_family",
-    "hermitian_pair",
-    "hnf",
-    "identity_to_a3_transform",
-    "inverse",
-    "is_even",
-    "is_integral",
-    "is_maximal",
-    "lambda_from_point",
-    "lattice_equal",
-    "lattice_json",
-    "maximal_order",
-    "member_json",
-    "module_product",
-    "new_field",
-    "norm",
-    "norm_one_points",
-    "normal_a2",
-    "normal_basis_lattice",
-    "normal_basis_search",
-    "normal_coords",
-    "odd_trace_witness",
-    "pairing",
-    "parse_generator",
-    "parse_gram",
-    "parse_rational",
-    "primes_above_2",
-    "principal_ideal_lattice",
-    "remap_t0",
-    "reparametrize",
-    "scan_family",
-    "second_intersection",
-    "self_dual_family",
-    "short_vectors",
-    "short_vectors_gram",
-    "sigma",
-    "slopes_up_to",
-    "snf",
-    "sqrt_different_inverse",
-    "to_a3_basis",
-    "trace",
-    "trace_pair",
-    "trace_targets_of",
-    "unit_conic_point",
-    "verify_cyclotomic_ap",
-]
+#: home module of every public name
+_EXPORTS = {
+    "_intfactor": ("an_exclusion",),
+    "a3_factory": (
+        "TARGET_A3",
+        "TARGET_SELF_DUAL",
+        "FamilyMember",
+        "FamilyScan",
+        "TraceTarget",
+        "generate_family",
+        "identity_to_a3_transform",
+        "lambda_from_point",
+        "normal_basis_lattice",
+        "scan_family",
+        "self_dual_family",
+        "to_a3_basis",
+        "trace_targets_of",
+    ),
+    "conic_points": (
+        "Conic",
+        "ConicPoint",
+        "base_point_delta",
+        "delta_conic",
+        "enumerate_points",
+        "second_intersection",
+        "slopes_up_to",
+        "unit_conic_point",
+    ),
+    "cyclotomic_ideals": (
+        "CycField",
+        "ap_lattice",
+        "cyc_field",
+        "cyclotomic_polynomial",
+        "hermitian_pair",
+        "principal_ideal_lattice",
+        "verify_cyclotomic_ap",
+    ),
+    "errors": (
+        "NonzeroTrace",
+        "RankTooLarge",
+        "Reducible",
+        "TraceLatticeError",
+        "TwoInert",
+    ),
+    "exact_linalg": ("Matrix", "det", "hnf", "inverse", "snf"),
+    "lattice_core": (
+        "TraceLattice",
+        "canonical_key",
+        "classify_gram",
+        "classify_root_type",
+        "disc_group",
+        "dual",
+        "galois_stable",
+        "is_even",
+        "is_integral",
+        "lattice_equal",
+        "odd_trace_witness",
+        "short_vectors",
+        "short_vectors_gram",
+    ),
+    "orders_ideals": (
+        "IdealLattice",
+        "Order",
+        "dedekind_maximalize",
+        "different_inverse",
+        "equation_order",
+        "fake_a3",
+        "fake_a3_variants",
+        "is_maximal",
+        "maximal_order",
+        "module_product",
+        "primes_above_2",
+        "sqrt_different_inverse",
+    ),
+    "power_basis": ("FieldElement", "PowerBasisField"),
+    "quadratic_a2": (
+        "FamilyCount",
+        "QuadAmbient",
+        "a2_from_slopes",
+        "falsify_a2",
+        "family_distinctness",
+        "norm_one_points",
+        "normal_a2",
+        "normal_basis_search",
+        "pairing",
+    ),
+    "serialize": (
+        "dumps_canonical",
+        "lattice_json",
+        "member_json",
+        "parse_generator",
+        "parse_gram",
+        "parse_rational",
+    ),
+    "shanks_field": (
+        "ShanksField",
+        "new_field",
+        "norm",
+        "normal_coords",
+        "remap_t0",
+        "reparametrize",
+        "sigma",
+        "trace",
+        "trace_pair",
+    ),
+}
+
+__all__ = sorted(name for names in _EXPORTS.values() for name in names)
+
+
+def __getattr__(name: str):
+    for module, names in _EXPORTS.items():
+        if name in names:
+            value = getattr(import_module(f"{__name__}.{module}"), name)
+            globals()[name] = value
+            return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -112,3 +112,16 @@ def squarefree_kernel(n: int) -> int:
         if e % 2 == 1:
             k *= p
     return sign * k
+
+
+def an_exclusion(d_f: int, disc_order: int) -> str:
+    """Square-class obstruction: a root lattice of discriminant disc_order
+    inside a field of discriminant d_f needs the two to agree up to squares."""
+    if d_f == 0:
+        raise ValueError("field discriminant must be nonzero")
+    if disc_order == 0:
+        raise ValueError("0 has no square class")
+    # nonzero a and b share a square class iff a*b is a square: no factoring
+    if not is_square(d_f * disc_order):
+        return "excluded"
+    return "not excluded by this criterion"

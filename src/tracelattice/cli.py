@@ -11,41 +11,9 @@ import argparse
 import re
 import sys
 from fractions import Fraction
-from math import prod
 
-from ._intfactor import factor
-from .a3_factory import TARGET_A3, TARGET_SELF_DUAL, scan_family
-from .cyclotomic_ideals import cyc_field, principal_ideal_lattice, verify_cyclotomic_ap
 from .errors import TraceLatticeError
-from .lattice_core import (
-    check_enumeration_rank,
-    classify_gram,
-    classify_root_type,
-    disc_group,
-    galois_stable,
-    odd_trace_witness,
-)
-from .orders_ideals import (
-    an_exclusion,
-    different_inverse,
-    equation_order,
-    fake_a3,
-    maximal_order,
-    primes_above_2,
-    sqrt_different_inverse,
-)
-from .quadratic_a2 import falsify_a2, family_distinctness
-from .serialize import (
-    dumps_canonical,
-    hnf_json,
-    lattice_json,
-    matrix_json,
-    member_json,
-    parse_generator,
-    parse_gram,
-    parse_rational,
-)
-from .shanks_field import new_field, reparametrize
+from .serialize import dumps_canonical, parse_rational
 
 
 def _rational_flag(text: str) -> Fraction:
@@ -158,15 +126,23 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 # ---------------------------------------------------------------------------
-# subcommand bodies: each returns (document, exit_code)
+# subcommand bodies: each returns (document, exit_code) and imports its own
+# modules, so that a process loads only what its subcommand runs
 # ---------------------------------------------------------------------------
 
-def _run_family(args, target):
+def _run_family(args):
+    from .a3_factory import TARGET_A3, TARGET_SELF_DUAL, scan_family
+    from .serialize import member_json
+
+    target = TARGET_A3 if args.subcommand == "gen-a3" else TARGET_SELF_DUAL
     scan = scan_family(args.t, args.height, target)
     return [member_json(m) for m in scan.members], 0
 
 
 def _run_classify(args, parser):
+    from .lattice_core import classify_gram
+    from .serialize import parse_gram
+
     try:
         gram = parse_gram(args.gram)
     except ValueError as exc:
@@ -175,6 +151,13 @@ def _run_classify(args, parser):
 
 
 def _run_cyclotomic(args, parser):
+    from math import prod
+
+    from ._intfactor import factor
+    from .cyclotomic_ideals import cyc_field, principal_ideal_lattice, verify_cyclotomic_ap
+    from .lattice_core import check_enumeration_rank, classify_root_type
+    from .serialize import lattice_json, parse_generator
+
     if args.p is not None:
         if args.n is not None or args.generator is not None:
             parser.error("--p and --n/--generator are mutually exclusive")
@@ -197,6 +180,9 @@ def _run_cyclotomic(args, parser):
 
 
 def _run_quad_a2(args, parser):
+    from .quadratic_a2 import falsify_a2, family_distinctness
+    from .serialize import lattice_json
+
     if args.falsify:
         try:
             witness = falsify_a2(args.d, args.height)
@@ -218,6 +204,17 @@ def _run_quad_a2(args, parser):
 
 
 def _run_order(args):
+    from .lattice_core import classify_root_type, disc_group, galois_stable, odd_trace_witness
+    from .orders_ideals import (
+        different_inverse,
+        equation_order,
+        fake_a3,
+        maximal_order,
+        primes_above_2,
+        sqrt_different_inverse,
+    )
+    from .serialize import hnf_json, lattice_json, matrix_json
+
     eq = equation_order(args.t)
     mx = maximal_order(args.t)
     doc = {
@@ -253,7 +250,19 @@ def _run_order(args):
     return doc, 0
 
 
+def _run_obstruction(args, parser):
+    from ._intfactor import an_exclusion
+
+    try:
+        verdict = an_exclusion(args.dF, args.disc_order)
+    except ValueError as exc:
+        parser.error(str(exc))
+    return {"verdict": verdict}, 0
+
+
 def _run_reparam(args, parser):
+    from .shanks_field import new_field, reparametrize
+
     parts = args.element.split(",")
     if len(parts) != 3:
         parser.error(
@@ -276,10 +285,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(_join_negative_values(argv))
 
     try:
-        if args.subcommand == "gen-a3":
-            doc, code = _run_family(args, TARGET_A3)
-        elif args.subcommand == "gen-selfdual":
-            doc, code = _run_family(args, TARGET_SELF_DUAL)
+        if args.subcommand in ("gen-a3", "gen-selfdual"):
+            doc, code = _run_family(args)
         elif args.subcommand == "classify":
             doc, code = _run_classify(args, parser)
         elif args.subcommand == "cyclotomic":
@@ -289,11 +296,7 @@ def main(argv=None) -> int:
         elif args.subcommand == "order":
             doc, code = _run_order(args)
         elif args.subcommand == "obstruction":
-            try:
-                verdict = an_exclusion(args.dF, args.disc_order)
-            except ValueError as exc:
-                parser.error(str(exc))
-            doc, code = {"verdict": verdict}, 0
+            doc, code = _run_obstruction(args, parser)
         elif args.subcommand == "reparam":
             doc, code = _run_reparam(args, parser)
         else:  # pragma: no cover - argparse enforces the subcommand set

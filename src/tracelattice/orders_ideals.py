@@ -23,7 +23,6 @@ take the Shanks parameter; sqrt_different_inverse is the cyclic-cubic closed
 form prod p^-1 P_p^2 over the tame primes p of the conductor times 3^-1 P_3
 when 3 ramifies (P_p the p-radical), certified by squaring it back to D^-1,
 so elsewhere it raises NotFound; fake_a3 multiplies a prime above 2 into it.
-The square-class exclusion test for root lattices is an_exclusion.
 """
 from __future__ import annotations
 
@@ -379,16 +378,3 @@ def fake_a3_variants(o: Order) -> list[TraceLattice]:
         raise TwoInert("2 is inert here; the construction needs a split prime")
     root = sqrt_different_inverse(o)
     return [module_product(p, root).lattice() for p in primes]
-
-
-def an_exclusion(d_f: int, disc_order: int) -> str:
-    """Square-class obstruction: a root lattice of discriminant disc_order
-    inside a field of discriminant d_f needs the two to agree up to squares."""
-    if d_f == 0:
-        raise ValueError("field discriminant must be nonzero")
-    if disc_order == 0:
-        raise ValueError("0 has no square class")
-    # nonzero a and b share a square class iff a*b is a square: no factoring
-    if not is_square(d_f * disc_order):
-        return "excluded"
-    return "not excluded by this criterion"

@@ -267,7 +267,7 @@ def family_distinctness(height: int, sign: int = -1) -> FamilyCount:
     pair and branch passes the integer conic and pairing checks of
     a2_from_slopes and is keyed by the hnf_span of its basis; only the
     first pair of each new key builds the certified lattice (gram_of, the A2
-    Gram), whose canonical_key must equal that key."""
+    Gram)."""
     seen = {}
     for s0 in range(-height, height + 1):
         for s1 in range(-height, height + 1):
@@ -277,8 +277,6 @@ def family_distinctness(height: int, sign: int = -1) -> FamilyCount:
                 basis = _slope_basis(s0, s1, branch)
                 key = hnf_span(basis)
                 if key not in seen:
-                    lattice = _certified_a2(basis, sign)
-                    assert canonical_key(lattice) == key
-                    seen[key] = lattice
+                    seen[key] = _certified_a2(basis, sign)
     members = list(seen.values())
     return FamilyCount(len(members), members)

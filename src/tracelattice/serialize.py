@@ -10,12 +10,14 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from .conic_points import ConicPoint
 from .errors import DivisionByZero
 from .exact_linalg import Matrix
 from .lattice_core import TraceLattice, canonical_key
+
+if TYPE_CHECKING:
+    from .conic_points import ConicPoint
 
 
 def rational_str(x) -> str:

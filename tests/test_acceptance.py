@@ -19,6 +19,7 @@ from oracles import (
     reduced_box_short_vectors,
     vectors_of_norm,
 )
+from tracelattice._intfactor import an_exclusion
 from tracelattice.a3_factory import identity_to_a3_transform, scan_family, self_dual_family
 from tracelattice.cli import main
 from tracelattice.cyclotomic_ideals import ap_lattice, verify_cyclotomic_ap
@@ -34,7 +35,7 @@ from tracelattice.lattice_core import (
     odd_trace_witness,
     short_vectors,
 )
-from tracelattice.orders_ideals import an_exclusion, fake_a3, maximal_order
+from tracelattice.orders_ideals import fake_a3, maximal_order
 from tracelattice.quadratic_a2 import (
     falsify_a2,
     family_distinctness,

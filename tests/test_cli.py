@@ -24,18 +24,22 @@ def run_cli(args, capsys):
     return code, (json.loads(out) if out else None)
 
 
-def run_proc(args, env_extra=None, timeout=None):
+def run_python(argv, env_extra=None, timeout=None):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     if env_extra:
         env.update(env_extra)
     return subprocess.run(
-        [sys.executable, "-m", "tracelattice", *args],
+        [sys.executable, *argv],
         capture_output=True,
         text=True,
         env=env,
         timeout=timeout,
     )
+
+
+def run_proc(args, env_extra=None, timeout=None):
+    return run_python(["-m", "tracelattice", *args], env_extra, timeout)
 
 
 # ---------------------------------------------------------------------------
@@ -288,6 +292,34 @@ def test_stdout_bytes_are_pinned(args, digest, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+#: sha256 of the --help stdout at 80 columns, of the top level and of each
+#: subcommand: the usage text must not move when the command line is rebuilt
+PINNED_HELP_SHA256 = [
+    ([], "b06346ee2b7aa6d7fa266684d9afc81b437e456be38bf6684e7b158b4239496e"),
+    (["gen-a3"], "367fa5710b4d7e08b4c63ba28f7467373b3b551dea205e22357a804b36338b0c"),
+    (["gen-selfdual"], "cd31c04a75f334aaa84794a520affcc075fd8bd06d8bfe70c0ce2ca71524882b"),
+    (["classify"], "06794824d53a4993bf35a056c8f93be048cf9c544638365a370481cbc34f3af4"),
+    (["cyclotomic"], "0f595505ce05a39b940d788b63a706e08a2622b96926f84c76a9aa454825d089"),
+    (["quad-a2"], "fdfaec613c46203d39b756c28bf83eab2a5af014963008c8373544c79e4dbb62"),
+    (["order"], "ace2ceab5be1870d1d7e218e4dc17b77106737bb7f5f250f5aed95bae2933132"),
+    (["obstruction"], "3cdd8526153af08aa848b746cd088b73bbba1f7047689a84096a5daabc97f960"),
+    (["reparam"], "f088135d80b3b48725b22a47ec6102fbb4c86d4897b18f836ec0c609d30aa170"),
+]
+
+
+@pytest.mark.parametrize(
+    "sub, digest", PINNED_HELP_SHA256, ids=[s[0] if s else "top" for s, _ in PINNED_HELP_SHA256]
+)
+def test_help_bytes_are_pinned(sub, digest, capsys, monkeypatch):
+    # argparse wraps the help text to the terminal width, read from COLUMNS
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main([*sub, "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_order_command_derives_each_ideal_once(monkeypatch, capsys):
     # --primes2 and --fake-a3 both read the primes above 2, and
     # --different, --sqrt-different and --fake-a3 all read D^-1: the order
@@ -470,18 +502,15 @@ def test_order_at_a_13_digit_prime_conductor_finishes():
 
 
 def test_order_takes_the_inverse_different_once(capsys, monkeypatch):
-    import tracelattice.cli as cli_module
-    import tracelattice.orders_ideals as orders_module
-
     calls = []
-    real = orders_module.different_inverse
+    real = orders_ideals.different_inverse
 
     def counting(o):
         calls.append(o)
         return real(o)
 
-    monkeypatch.setattr(orders_module, "different_inverse", counting)
-    monkeypatch.setattr(cli_module, "different_inverse", counting)
+    # the order command imports its names when it runs, so it reads this one
+    monkeypatch.setattr(orders_ideals, "different_inverse", counting)
     code, doc = run_cli(
         ["order", "--t=3/2", "--different", "--sqrt-different", "--fake-a3"], capsys
     )
@@ -543,6 +572,58 @@ def test_reparam_flag_shape_errors():
     assert run_proc(["reparam", "--t", "1", "--element", "1,2"]).returncode == 2
     r = run_proc(["reparam", "--t", "1", "--element", "1,q,0"])
     assert r.returncode == 2 and "position" in r.stderr
+
+
+# ---------------------------------------------------------------------------
+# import footprint
+# ---------------------------------------------------------------------------
+
+#: prints, as the last line of stdout, the package modules imported so far
+PRINT_LOADED = 'print(" ".join(m for m in sys.modules if m.startswith("tracelattice.")))\n'
+
+#: runs `python -m tracelattice ARGS` in the child interpreter
+RUN_MODULE = """
+import runpy, sys
+try:
+    runpy.run_module("tracelattice", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    assert exc.code in (None, 0), exc.code
+"""
+
+#: the modules of the field constructions, which only their subcommands use
+FIELD_MODULES = {
+    "tracelattice.a3_factory",
+    "tracelattice.conic_points",
+    "tracelattice.cyclotomic_ideals",
+    "tracelattice.orders_ideals",
+    "tracelattice.quadratic_a2",
+    "tracelattice.shanks_field",
+}
+
+
+def loaded_modules(code, *args):
+    proc = run_python(["-c", code, *args])
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.splitlines()[-1].split())
+
+
+def test_import_tracelattice_loads_no_submodule():
+    assert loaded_modules("import sys, tracelattice\n" + PRINT_LOADED) == set()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--help"],
+        ["classify", "--gram", "[[2,-1],[-1,2]]"],
+        ["obstruction", "--dF", "229", "--disc-order", "4"],
+    ],
+    ids=["help", "classify", "obstruction"],
+)
+def test_light_subcommands_load_no_field_module(args):
+    loaded = loaded_modules(RUN_MODULE + PRINT_LOADED, *args)
+    assert "tracelattice.cli" in loaded
+    assert not loaded & FIELD_MODULES
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from sympy.abc import x as _x
 from sympy.polys.numberfields.basis import round_two
 
 from oracles import same_lattice, sqrt_dual_by_search
-from tracelattice._intfactor import is_square, squarefree_kernel
+from tracelattice._intfactor import an_exclusion, is_square, squarefree_kernel
 from tracelattice.cyclotomic_ideals import cyc_field
 from tracelattice.errors import (
     NotFound,
@@ -38,7 +38,6 @@ from tracelattice.lattice_core import (
 from tracelattice.orders_ideals import (
     IdealLattice,
     Order,
-    an_exclusion,
     dedekind_maximalize,
     different_inverse,
     equation_order,

@@ -244,6 +244,22 @@ def test_family_checks_every_pair_and_builds_each_lattice_once(monkeypatch):
     assert calls["grams"] == fam.count == 93
 
 
+def test_family_takes_one_hnf_per_slope_pair(monkeypatch):
+    # each of the 1,248 slope-pair bases is keyed by one HNF, and building
+    # the certified lattice of a new key takes none
+    calls = []
+    hnf_rows = lattice_core.hnf_rows
+
+    def counted_hnf_rows(*args, **kwargs):
+        calls.append(1)
+        return hnf_rows(*args, **kwargs)
+
+    monkeypatch.setattr(lattice_core, "hnf_rows", counted_hnf_rows)
+    fam = family_distinctness(12)
+    assert fam.count == 93
+    assert len(calls) == 1248
+
+
 def test_family_height_10_meets_threshold():
     fc = family_distinctness(10)
     assert fc.count >= 10
