@@ -17,7 +17,6 @@ _EXPORTS = {
         "FamilyMember",
         "FamilyScan",
         "TraceTarget",
-        "generate_family",
         "identity_to_a3_transform",
         "lambda_from_point",
         "normal_basis_lattice",
@@ -31,17 +30,14 @@ _EXPORTS = {
         "ConicPoint",
         "base_point_delta",
         "delta_conic",
-        "enumerate_points",
         "second_intersection",
         "slopes_up_to",
-        "unit_conic_point",
     ),
     "cyclotomic_ideals": (
         "CycField",
         "ap_lattice",
         "cyc_field",
         "cyclotomic_polynomial",
-        "hermitian_pair",
         "principal_ideal_lattice",
         "verify_cyclotomic_ap",
     ),
@@ -52,7 +48,7 @@ _EXPORTS = {
         "TraceLatticeError",
         "TwoInert",
     ),
-    "exact_linalg": ("Matrix", "det", "hnf", "inverse", "snf"),
+    "exact_linalg": ("Matrix", "det", "inverse", "snf"),
     "lattice_core": (
         "TraceLattice",
         "canonical_key",
@@ -61,11 +57,8 @@ _EXPORTS = {
         "disc_group",
         "dual",
         "galois_stable",
-        "is_even",
         "is_integral",
-        "lattice_equal",
         "odd_trace_witness",
-        "short_vectors",
         "short_vectors_gram",
     ),
     "orders_ideals": (
@@ -92,7 +85,6 @@ _EXPORTS = {
         "norm_one_points",
         "normal_a2",
         "normal_basis_search",
-        "pairing",
     ),
     "serialize": (
         "dumps_canonical",
@@ -106,12 +98,10 @@ _EXPORTS = {
         "ShanksField",
         "new_field",
         "norm",
-        "normal_coords",
         "remap_t0",
         "reparametrize",
         "sigma",
         "trace",
-        "trace_pair",
     ),
 }
 

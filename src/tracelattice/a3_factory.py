@@ -304,13 +304,6 @@ def scan_family(t, height: int, target: TraceTarget = TARGET_A3) -> FamilyScan:
     return FamilyScan(members, skipped)
 
 
-def generate_family(t, height: int) -> list[tuple[TraceLattice, int]]:
-    """The distinct A3 lattices up to the slope height, each annotated with
-    the denominator of its lam0 (these grow without bound along the family)."""
-    scan = scan_family(t, height, TARGET_A3)
-    return [(m.lattice, m.lam0_denominator) for m in scan.members]
-
-
 def self_dual_family(t, height: int) -> list[TraceLattice]:
     """The distinct self-dual (identity Gram) lattices up to the slope height."""
     identity_to_a3_transform()

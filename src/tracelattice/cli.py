@@ -54,83 +54,13 @@ def _reject_joined_double_dash(parser: argparse.ArgumentParser, argv: list[str])
             parser.error(f"argument {flag}: expected one argument")
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="tracelattice",
-        description="Exact root lattices from trace forms of number fields.",
-    )
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def add(name: str, help_text: str) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument(
-            "--json",
-            metavar="PATH",
-            default=None,
-            help="write the JSON document to PATH instead of standard output",
-        )
-        return p
-
-    p = add("gen-a3", "sweep conic chords into distinct A3 lattices")
-    p.add_argument("--t", type=_rational_flag, required=True, help='parameter "p/q"')
-    p.add_argument("--height", type=_height_flag, required=True, help="slope height bound")
-
-    p = add("gen-selfdual", "sweep conic chords into unimodular lattices")
-    p.add_argument("--t", type=_rational_flag, required=True, help='parameter "p/q"')
-    p.add_argument("--height", type=_height_flag, required=True, help="slope height bound")
-
-    p = add("classify", "name the root-lattice type of a Gram matrix")
-    p.add_argument("--gram", required=True, help="square matrix as a JSON array")
-
-    p = add("cyclotomic", "ideal lattices in cyclotomic fields under the trace form")
-    p.add_argument(
-        "--p", type=int, default=None, help="odd prime up to 31, preset generator"
-    )
-    p.add_argument("--n", type=int, default=None, help="root-of-unity order")
-    p.add_argument(
-        "--generator",
-        default=None,
-        help='expression in z, e.g. "(1-z)^-2"; requires --n',
-    )
-
-    p = add("quad-a2", "A2 lattices in quadratic fields, or bounded falsification")
-    p.add_argument("--d", type=int, required=True, help="squarefree radicand")
-    p.add_argument("--height", type=_height_flag, required=True, help="search height bound")
-    p.add_argument(
-        "--falsify",
-        action="store_true",
-        help="search for any A2 lattice instead of sweeping the d=3 family",
-    )
-
-    p = add("order", "equation and maximal orders of a Shanks field")
-    p.add_argument("--t", type=_rational_flag, required=True, help='parameter "p/q"')
-    p.add_argument("--different", action="store_true", help="inverse different")
-    p.add_argument(
-        "--sqrt-different", action="store_true", help="square root of the inverse different"
-    )
-    p.add_argument("--primes2", action="store_true", help="primes above 2")
-    p.add_argument("--fake-a3", action="store_true", help="odd diag(1,1,4) ideal lattice")
-
-    p = add("obstruction", "squarefree-kernel test excluding A_n realizations")
-    p.add_argument("--dF", type=int, required=True, help="field discriminant")
-    p.add_argument("--disc-order", type=int, required=True, help="lattice determinant")
-
-    p = add("reparam", "Shanks parameter of the unit attached to a trace-zero element")
-    p.add_argument("--t", type=_rational_flag, required=True, help='parameter "p/q"')
-    p.add_argument(
-        "--element",
-        required=True,
-        help='power-basis coordinates "a0,a1,a2", each an integer or "p/q"',
-    )
-    return parser
-
-
 # ---------------------------------------------------------------------------
-# subcommand bodies: each returns (document, exit_code) and imports its own
-# modules, so that a process loads only what its subcommand runs
+# subcommand bodies: each takes the parsed flags and its own subparser, for
+# usage errors, returns (document, exit_code) and imports its own modules, so
+# that a process loads only what its subcommand runs
 # ---------------------------------------------------------------------------
 
-def _run_family(args):
+def _run_family(args, parser):
     from .a3_factory import TARGET_A3, TARGET_SELF_DUAL, scan_family
     from .serialize import member_json
 
@@ -203,7 +133,7 @@ def _run_quad_a2(args, parser):
     return [lattice_json(L) for L in fam.lattices], 0
 
 
-def _run_order(args):
+def _run_order(args, parser):
     from .lattice_core import classify_root_type, disc_group, galois_stable, odd_trace_witness
     from .orders_ideals import (
         different_inverse,
@@ -277,30 +207,110 @@ def _run_reparam(args, parser):
     return {"t": str(args.t), "t_prime": str(t_prime)}, 0
 
 
+def _flag(name: str, help_text: str, **keywords) -> tuple[str, dict]:
+    return name, {"help": help_text, **keywords}
+
+
+_T = _flag("--t", 'parameter "p/q"', type=_rational_flag, required=True)
+_SLOPE_HEIGHT = _flag("--height", "slope height bound", type=_height_flag, required=True)
+
+#: every subcommand, in --help order: its help text, its flags as
+#: (name, keywords of add_argument), and its body
+_SUBCOMMANDS = {
+    "gen-a3": (
+        "sweep conic chords into distinct A3 lattices", [_T, _SLOPE_HEIGHT], _run_family
+    ),
+    "gen-selfdual": (
+        "sweep conic chords into unimodular lattices", [_T, _SLOPE_HEIGHT], _run_family
+    ),
+    "classify": (
+        "name the root-lattice type of a Gram matrix",
+        [_flag("--gram", "square matrix as a JSON array", required=True)],
+        _run_classify,
+    ),
+    "cyclotomic": (
+        "ideal lattices in cyclotomic fields under the trace form",
+        [
+            _flag("--p", "odd prime up to 31, preset generator", type=int),
+            _flag("--n", "root-of-unity order", type=int),
+            _flag("--generator", 'expression in z, e.g. "(1-z)^-2"; requires --n'),
+        ],
+        _run_cyclotomic,
+    ),
+    "quad-a2": (
+        "A2 lattices in quadratic fields, or bounded falsification",
+        [
+            _flag("--d", "squarefree radicand", type=int, required=True),
+            _flag("--height", "search height bound", type=_height_flag, required=True),
+            _flag(
+                "--falsify",
+                "search for any A2 lattice instead of sweeping the d=3 family",
+                action="store_true",
+            ),
+        ],
+        _run_quad_a2,
+    ),
+    "order": (
+        "equation and maximal orders of a Shanks field",
+        [
+            _T,
+            _flag("--different", "inverse different", action="store_true"),
+            _flag("--sqrt-different", "square root of the inverse different", action="store_true"),
+            _flag("--primes2", "primes above 2", action="store_true"),
+            _flag("--fake-a3", "odd diag(1,1,4) ideal lattice", action="store_true"),
+        ],
+        _run_order,
+    ),
+    "obstruction": (
+        "squarefree-kernel test excluding A_n realizations",
+        [
+            _flag("--dF", "field discriminant", type=int, required=True),
+            _flag("--disc-order", "lattice determinant", type=int, required=True),
+        ],
+        _run_obstruction,
+    ),
+    "reparam": (
+        "Shanks parameter of the unit attached to a trace-zero element",
+        [
+            _T,
+            _flag(
+                "--element",
+                'power-basis coordinates "a0,a1,a2", each an integer or "p/q"',
+                required=True,
+            ),
+        ],
+        _run_reparam,
+    ),
+}
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
     if argv is None:
         argv = sys.argv[1:]
-    _reject_joined_double_dash(parser, argv)
+    parser = argparse.ArgumentParser(
+        prog="tracelattice",
+        description="Exact root lattices from trace forms of number fields.",
+    )
+    sub = parser.add_subparsers(dest="subcommand", required=True)
+    # the top level has no flag that takes a value, so argparse reads the
+    # first token without a leading "-" as the subcommand: only that one
+    # parses flags, and only that one gets them
+    chosen = next((a for a in argv if not a.startswith("-")), None)
+    for name, (help_text, flags, _) in _SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        if name == chosen:
+            p.add_argument(
+                "--json",
+                metavar="PATH",
+                help="write the JSON document to PATH instead of standard output",
+            )
+            for flag, keywords in flags:
+                p.add_argument(flag, **keywords)
+    _reject_joined_double_dash(sub.choices.get(chosen, parser), argv)
     args = parser.parse_args(_join_negative_values(argv))
 
     try:
-        if args.subcommand in ("gen-a3", "gen-selfdual"):
-            doc, code = _run_family(args)
-        elif args.subcommand == "classify":
-            doc, code = _run_classify(args, parser)
-        elif args.subcommand == "cyclotomic":
-            doc, code = _run_cyclotomic(args, parser)
-        elif args.subcommand == "quad-a2":
-            doc, code = _run_quad_a2(args, parser)
-        elif args.subcommand == "order":
-            doc, code = _run_order(args)
-        elif args.subcommand == "obstruction":
-            doc, code = _run_obstruction(args, parser)
-        elif args.subcommand == "reparam":
-            doc, code = _run_reparam(args, parser)
-        else:  # pragma: no cover - argparse enforces the subcommand set
-            parser.error(f"unknown subcommand {args.subcommand!r}")
+        doc, code = _SUBCOMMANDS[args.subcommand][2](args, sub.choices[args.subcommand])
     except TraceLatticeError as exc:
         doc = {"error": {"kind": type(exc).__name__, "detail": str(exc)}}
         code = 1

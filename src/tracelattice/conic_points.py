@@ -11,7 +11,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterator, Optional
 
-from .errors import PointNotOnConic, ZeroSlopePair
+from .errors import PointNotOnConic
 from .exact_linalg import rat
 
 INFINITY_SLOPE: Optional[Fraction] = None  # `None` plays the role of s = infinity
@@ -65,9 +65,6 @@ class Conic:
 
     def contains(self, p: ConicPoint) -> bool:
         return p.x * p.x + self.D * p.y * p.y == self.m
-
-    def residual(self, p: ConicPoint) -> Fraction:
-        return p.x * p.x + self.D * p.y * p.y - self.m
 
 
 def delta_conic(t: int | str | Fraction) -> Conic:
@@ -125,25 +122,3 @@ def slopes_up_to(height: int) -> Iterator[Optional[Fraction]]:
         for a in range(-height, height + 1):
             if gcd(abs(a), b) == 1:
                 yield Fraction(a, b)
-
-
-def enumerate_points(c: Conic, p0: ConicPoint, height: int) -> list[ConicPoint]:
-    """The chord point of every slope up to the given height, in the order
-    of slopes_up_to; distinct slopes give distinct points."""
-    if height < 1:
-        raise ValueError("height >= 1 required")
-    return [second_intersection(c, p0, s) for s in slopes_up_to(height)]
-
-
-def unit_conic_point(s0: int, s1: int) -> ConicPoint:
-    """First basis coordinate pair for the d = 3 quadratic A2 family:
-    (x1, y1) = (-(s0^2-3s1^2), -2 s0 s1) / (s0^2+3s1^2), on x^2 + 3y^2 = 1.
-
-    s0 = 0 (slope infinity) lands on the base point (1, 0).
-    """
-    if s0 == 0 and s1 == 0:
-        raise ZeroSlopePair("(0, 0) is not a slope")
-    den = s0 * s0 + 3 * s1 * s1
-    p = ConicPoint(Fraction(-(s0 * s0 - 3 * s1 * s1), den), Fraction(-2 * s0 * s1, den))
-    assert Conic(3, 1).contains(p)
-    return p

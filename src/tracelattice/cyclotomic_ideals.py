@@ -79,20 +79,6 @@ def cyc_field(n: int) -> CycField:
     return CycField(n)
 
 
-def conj(field: CycField, a) -> Coords:
-    return field.conj_coords(field.element(a))
-
-
-def hermitian_pair(field: CycField, a, b) -> Fraction:
-    """Tr(a * conj(b)), the pairing every lattice Gram entry comes from."""
-    return field.pair_coords(field.element(a), field.element(b))
-
-
-def inv(field: CycField, a) -> Coords:
-    """Inverse mod Phi_n; raises DivisionByZero on 0."""
-    return field.inv_coords(field.element(a))
-
-
 def power(field: CycField, a, k: int) -> Coords:
     """a^k with exact field inversion for negative k."""
     return field.pow_coords(field.element(a), k)

@@ -69,10 +69,6 @@ class RankTooLarge(TraceLatticeError):
     """The operation is capped at a small rank."""
 
 
-class AmbientMismatch(TraceLatticeError):
-    """Both lattices must live in the same ambient field."""
-
-
 class ZeroSlopePair(TraceLatticeError):
     """(s0, s1) = (0, 0) does not define a slope."""
 

@@ -16,14 +16,10 @@ Every operation here is exact; no floating point anywhere.
 
 Conventions fixed for the whole library:
   - vectors are rows; a basis matrix has one basis vector per row,
-  - `hnf` is row-style: h = u*m with u unimodular, pivots positive, zeros
-    below pivots, entries above a pivot reduced into [0, pivot), zero rows
-    at the bottom; this form is unique, so it doubles as a lattice-equality
-    key; `hnf` runs `hnf_rows` on [m | I], and the transform u it reads
-    off is unique only when m has full row rank (otherwise the rows of u
-    beside the zero rows of h are some basis of the left kernel); `hnf_rows`
-    on bare integer rows gives h without it, and `hnf_coords` is the
-    membership test against h,
+  - `hnf_rows` is the one Hermite kernel, row-style: pivots positive,
+    zeros below pivots, entries above a pivot reduced into [0, pivot), zero
+    rows at the bottom; this form is unique, so it doubles as a
+    lattice-equality key, and `hnf_coords` is the membership test against it,
   - `snf` returns the invariant-factor chain d1 | d2 | ... | dn; it runs
     `hnf_rows` modulo |det| on the rows and on the transpose until the
     matrix is diagonal, so the Hermite and Smith forms share one kernel.
@@ -96,10 +92,6 @@ class Matrix:
     def identity(cls, n: int) -> "Matrix":
         return cls.scaled([[int(i == j) for j in range(n)] for i in range(n)])
 
-    def __getitem__(self, key: tuple[int, int]) -> Fraction:
-        i, j = key
-        return Fraction(self.ints[i][j], self.den)
-
     def row(self, i: int) -> tuple[Fraction, ...]:
         den = self.den
         return tuple(Fraction(x, den) for x in self.ints[i])
@@ -118,22 +110,6 @@ class Matrix:
         body = "; ".join(" ".join(str(x) for x in row) for row in self.data)
         return f"Matrix[{body}]"
 
-    def _combine(self, other: "Matrix", sign: int) -> "Matrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
-        den = lcm(self.den, other.den)
-        fa, fb = den // self.den, sign * (den // other.den)
-        return Matrix.scaled(
-            [[fa * a + fb * b for a, b in zip(ra, rb)] for ra, rb in zip(self.ints, other.ints)],
-            den,
-        )
-
-    def __add__(self, other: "Matrix") -> "Matrix":
-        return self._combine(other, 1)
-
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        return self._combine(other, -1)
-
     def __mul__(self, other: "Matrix | int | Fraction") -> "Matrix":
         if isinstance(other, (int, Fraction)):
             return Matrix.scaled(
@@ -147,12 +123,6 @@ class Matrix:
             [[sum(map(mul, row, col)) for col in cols] for row in self.ints],
             self.den * other.den,
         )
-
-    def __rmul__(self, other: "int | Fraction") -> "Matrix":
-        return self.__mul__(other)
-
-    def __neg__(self) -> "Matrix":
-        return self * -1
 
     def transpose(self) -> "Matrix":
         return Matrix.scaled(zip(*self.ints), self.den)
@@ -244,9 +214,7 @@ def _xgcd(x: int, y: int) -> tuple[int, int, int]:
     return x, s0, t0
 
 
-def hnf_rows(
-    a: list[list[int]], ncols: int | None = None, modulus: int = 0
-) -> list[list[int]]:
+def hnf_rows(a: list[list[int]], modulus: int = 0) -> list[list[int]]:
     """Row-style Hermite normal form of integer rows, computed in place.
 
     Column c is cleared below the pivot row r one row at a time (Cohen, GTM
@@ -256,14 +224,9 @@ def hnf_rows(
     determinant 1, turns the pair into (g, 0).  The pivot is then made
     positive and reduces the entries above it into [0, pivot).
 
-    Pivots are taken in the first ncols columns only (default: all); every
-    row operation acts on whole rows, so columns past ncols ride along.
-    That is how hnf carries its transform: it reduces [m | I] with ncols =
-    m.cols.  Callers that need only h pass the bare rows.
-
     A modulus D > 0 runs the pass modulo D (Domich-Kannan-Trotter, Math.
     OR 12, 1987; Cohen, GTM 138, Alg. 2.4.8).  It is for rows whose lattice
-    L contains D*Z^n, n = ncols = the row length: for a nonsingular square,
+    L contains D*Z^n, n the row length: for a nonsingular square,
     any multiple of |det|.
     The rows still in play lie in the part of L that is zero before column
     c, which contains R*Z^(n-c) with R = D / (the pivots so far); so the
@@ -276,11 +239,9 @@ def hnf_rows(
     (or the input's size), and since the Hermite form is unique the result
     is the one the plain pass gives."""
     nrows = len(a)
-    if ncols is None:
-        ncols = len(a[0])
     big_r = modulus
     r = 0
-    for c in range(ncols):
+    for c in range(len(a[0])):
         if r == nrows:
             break
         top = a[r]
@@ -348,24 +309,6 @@ def hnf_coords(h: Sequence[Sequence[int]], v: Sequence[int]) -> list[int] | None
             v = [a - q * b for a, b in zip(v, row)]
         x.append(q)
     return None if any(v) else x
-
-
-def hnf(m: Matrix) -> tuple[Matrix, Matrix]:
-    """Row-style Hermite normal form: returns (h, u) with h = u*m, u unimodular.
-
-    Canonical shape: pivots positive and strictly right-down, zeros below each
-    pivot, entries above a pivot reduced into [0, pivot), zero rows last.
-    """
-    n = m.rows
-    aug = [
-        row + [int(i == j) for j in range(n)]
-        for i, row in enumerate(m.to_int_rows())
-    ]
-    h = hnf_rows(aug, m.cols)
-    return (
-        Matrix.scaled(row[: m.cols] for row in h),
-        Matrix.scaled(row[m.cols :] for row in h),
-    )
 
 
 def snf(m: Matrix) -> tuple[int, ...]:

@@ -46,7 +46,6 @@ from operator import mul
 from typing import Optional, Sequence
 
 from .errors import (
-    AmbientMismatch,
     DependentBasis,
     NotIntegral,
     NotPositiveDefinite,
@@ -144,12 +143,6 @@ def _check_symmetric(gram: Matrix) -> None:
 
 def is_integral(L: TraceLattice) -> bool:
     return L.gram.is_integer()
-
-
-def is_even(L: TraceLattice) -> bool:
-    if not is_integral(L):
-        return False
-    return all(L.gram[i, i] % 2 == 0 for i in range(L.gram.rows))
 
 
 def dual(L: TraceLattice) -> TraceLattice:
@@ -335,13 +328,6 @@ def short_vectors_gram(
     return [(v, Fraction(norm, den)) for v, norm in _by_norm(mapped)]
 
 
-def short_vectors(
-    L: TraceLattice, bound: int | str | Fraction
-) -> list[tuple[tuple[int, ...], Fraction]]:
-    """Short vectors of the lattice, as basis-coefficient vectors with norms."""
-    return short_vectors_gram(L.gram, bound)
-
-
 # ---------------------------------------------------------------------------
 # root-type recognition
 # ---------------------------------------------------------------------------
@@ -516,14 +502,6 @@ def canonical_key(L: TraceLattice) -> tuple:
         key = hnf_span(L.basis)
         object.__setattr__(L, "_key", key)
     return key
-
-
-def lattice_equal(L1: TraceLattice, L2: TraceLattice) -> bool:
-    if L1.ambient.descriptor() != L2.ambient.descriptor():
-        raise AmbientMismatch(
-            f"{L1.ambient.descriptor()} vs {L2.ambient.descriptor()}"
-        )
-    return canonical_key(L1) == canonical_key(L2)
 
 
 def galois_stable(L: TraceLattice) -> bool:

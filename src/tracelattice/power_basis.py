@@ -221,10 +221,6 @@ class PowerBasisField:
         """Image of a under the first Galois generator."""
         return self._apply(self.galois_matrices()[0], a)
 
-    def pair_coords(self, a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
-        """The Hermitian trace pairing Tr(a * conj(b))."""
-        return self.trace_coords(self.mul_coords(a, self.conj_coords(b)))
-
     def inv_coords(self, a: Sequence[Fraction]) -> Coords:
         """a^-1 = e_0 M_a^-1, M_a the matrix of multiplication by a (row i
         is a x^i): the row y with y M_a = 1.  Raises DivisionByZero

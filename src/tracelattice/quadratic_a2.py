@@ -77,11 +77,6 @@ def _quad_ambient(d: int, sign: int) -> QuadAmbient:
     return QuadAmbient(d, sign)
 
 
-def pairing(a, b, ambient: QuadAmbient) -> Fraction:
-    """2(a_x b_x + d a_y b_y), the trace of a * conj(b) for either sign."""
-    return ambient.pair_coords(a, b)
-
-
 def _slope_basis(s0: int, s1: int, branch) -> Matrix:
     """The A2 basis of the slope pair, checked in integers.
 

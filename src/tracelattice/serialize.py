@@ -14,10 +14,10 @@ from typing import TYPE_CHECKING, Optional
 
 from .errors import DivisionByZero
 from .exact_linalg import Matrix
-from .lattice_core import TraceLattice, canonical_key
 
 if TYPE_CHECKING:
     from .conic_points import ConicPoint
+    from .lattice_core import TraceLattice
 
 
 def rational_str(x) -> str:
@@ -50,6 +50,8 @@ def lattice_json(L: TraceLattice) -> dict:
 
 def hnf_json(L: TraceLattice) -> dict:
     """Canonical identity of the lattice: clearing scale plus integer HNF rows."""
+    from .lattice_core import canonical_key
+
     scale, rows = canonical_key(L)
     return {"scale": int(scale), "rows": [list(r) for r in rows]}
 

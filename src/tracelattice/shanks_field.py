@@ -7,11 +7,10 @@ cubic field, delta_t = t^2 + 3t + 9 satisfies disc(f_t) = delta_t^2, and a
 generator sigma of the Galois group acts by eps^sigma = -1/(1+eps).
 
 ShanksField is the PowerBasisField of f_t with sigma as its Galois generator;
-elements live in the power basis (1, eps, eps^2), and the normal basis
-(eps, eps^sigma, eps^{sigma^2}) is a derived view that exists iff t != 0.
-Each field builds the matrix of that orbit once (`orbit_matrix`, rows the
-power-basis coordinates of the three conjugates), and `bracket` is one
-product with it.
+elements live in the power basis (1, eps, eps^2).  The orbit
+(eps, eps^sigma, eps^{sigma^2}) is a normal basis iff t != 0.  Each field
+builds the matrix of that orbit once (`orbit_matrix`, rows the power-basis
+coordinates of the three conjugates), and `bracket` is one product with it.
 """
 from __future__ import annotations
 
@@ -27,8 +26,8 @@ from .errors import (
     Reducible,
     ZeroParameter,
 )
-from .exact_linalg import Matrix, inverse, rat
-from .power_basis import Coords, FieldElement, PowerBasisField
+from .exact_linalg import Matrix, rat
+from .power_basis import FieldElement, PowerBasisField
 
 
 def f_t_at(t: Fraction, x: Fraction) -> Fraction:
@@ -45,7 +44,7 @@ class ShanksField(PowerBasisField):
     """Q[x]/(f_t) as a PowerBasisField; construct via new_field(t)."""
 
     symbol = "eps"
-    __slots__ = ("t", "delta", "orbit_matrix", "_normal_inv")
+    __slots__ = ("t", "delta", "orbit_matrix")
 
     def __init__(self, t: int | str | Fraction):
         t = rat(t)
@@ -62,7 +61,6 @@ class ShanksField(PowerBasisField):
             t=t,
             delta=t * t + 3 * t + 9,
             orbit_matrix=Matrix((eps, s, self.galois_coords(s))),
-            _normal_inv=None,
         )
 
     # --- element constructors -------------------------------------------
@@ -77,18 +75,6 @@ class ShanksField(PowerBasisField):
 
     def rational(self, c: int | str | Fraction) -> FieldElement:
         return FieldElement(self, (rat(c), 0, 0))
-
-    # --- normal-basis view ----------------------------------------------
-    def orbit_coords(self) -> tuple[Coords, Coords, Coords]:
-        """coords of (eps, eps^sigma, eps^{sigma^2}): the rows of orbit_matrix."""
-        return self.orbit_matrix.data
-
-    def _normal_matrix_inverse(self) -> Matrix:
-        cached = self._normal_inv
-        if cached is None:
-            cached = inverse(self.orbit_matrix)
-            self._freeze(_normal_inv=cached)
-        return cached
 
 
 def _check_irreducible(t: Fraction) -> None:
@@ -113,10 +99,6 @@ def new_field(t: int | str | Fraction) -> ShanksField:
     return ShanksField(t)
 
 
-def mul(a: FieldElement, b: FieldElement) -> FieldElement:
-    return a * b
-
-
 def inv(a: FieldElement) -> FieldElement:
     """Inverse in Q[x]/(f_t); raises DivisionByZero on 0."""
     return FieldElement(a.field, a.field.inv_coords(a.coords))
@@ -130,10 +112,6 @@ def sigma(a: FieldElement) -> FieldElement:
 def trace(a: FieldElement) -> Fraction:
     """Trace of multiplication by a (= a + a^sigma + a^{sigma^2})."""
     return a.field.trace_coords(a.coords)
-
-
-def trace_pair(a: FieldElement, b: FieldElement) -> Fraction:
-    return trace(a * b)
 
 
 def norm(a: FieldElement) -> Fraction:
@@ -150,15 +128,6 @@ def bracket(field: ShanksField, lam: Sequence[int | str | Fraction]) -> FieldEle
         raise ZeroParameter()
     product = Matrix([list(lam)]) * field.orbit_matrix
     return FieldElement(field, product.row(0))
-
-
-def normal_coords(field: ShanksField, a: FieldElement) -> Coords:
-    """Coordinates of a in the normal basis: the inverse of bracket."""
-    if field.t == 0:
-        raise ZeroParameter()
-    ninv = field._normal_matrix_inverse()
-    row = Matrix([list(a.coords)]) * ninv
-    return row.row(0)
 
 
 def reparametrize(field: ShanksField, alpha: FieldElement) -> Fraction:

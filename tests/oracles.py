@@ -576,18 +576,15 @@ def hermite_form(rows) -> list[list[int]]:
 
 # --- Hermite normal form by Euclidean steps on the least pivot --------------
 
-def hnf_by_euclid(rows, ncols: int | None = None) -> list[list[int]]:
-    """Row-style HNF of integer rows with pivots in the first ncols columns
-    (default: all) and whole-row operations, so later columns ride along.
-    Each column is cleared by repeated division steps: the row with the
-    least nonzero entry becomes the pivot, every row below is reduced by
-    it, and that repeats until the column below the pivot is zero."""
+def hnf_by_euclid(rows) -> list[list[int]]:
+    """Row-style HNF of integer rows.  Each column is cleared by repeated
+    division steps: the row with the least nonzero entry becomes the pivot,
+    every row below is reduced by it, and that repeats until the column
+    below the pivot is zero."""
     a = [[int(x) for x in row] for row in rows]
     m = len(a)
-    if ncols is None:
-        ncols = len(a[0])
     r = 0
-    for c in range(ncols):
+    for c in range(len(a[0])):
         if r == m:
             break
         while True:
@@ -847,10 +844,6 @@ def grid_product(a, b) -> list[list[Fraction]]:
         [sum((a[i][k] * b[k][j] for k in range(len(b))), Fraction(0)) for j in range(len(b[0]))]
         for i in range(len(a))
     ]
-
-
-def grid_sum(a, b, sign: int = 1) -> list[list[Fraction]]:
-    return [[x + sign * y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
 def grid_transpose(a) -> list[list[Fraction]]:

@@ -17,7 +17,6 @@ from tracelattice.a3_factory import (
     TARGET_A3,
     TARGET_SELF_DUAL,
     TraceTarget,
-    generate_family,
     identity_to_a3_transform,
     lambda_from_point,
     lq,
@@ -27,7 +26,13 @@ from tracelattice.a3_factory import (
     to_a3_basis,
     trace_targets_of,
 )
-from tracelattice.conic_points import ConicPoint, base_point_delta, delta_conic, enumerate_points
+from tracelattice.conic_points import (
+    ConicPoint,
+    base_point_delta,
+    delta_conic,
+    second_intersection,
+    slopes_up_to,
+)
 from tracelattice.errors import (
     DegenerateLambda,
     PointNotOnConic,
@@ -41,12 +46,11 @@ from tracelattice.lattice_core import (
     disc_group,
     dual,
     galois_stable,
-    is_even,
-    lattice_equal,
-    short_vectors,
+    odd_trace_witness,
+    short_vectors_gram,
 )
 from tracelattice.shanks_field import Reducible as _Reducible  # same class
-from tracelattice.shanks_field import bracket, mul, new_field, sigma, trace
+from tracelattice.shanks_field import bracket, new_field, sigma, trace
 
 F = Fraction
 
@@ -73,7 +77,7 @@ def _field_trace_targets(t, lam):
     """Independent oracle: d and e by direct trace evaluation."""
     k = new_field(t)
     beta = bracket(k, lam)
-    return (trace(mul(beta, beta)), trace(mul(beta, sigma(beta))))
+    return (trace(beta * beta), trace(beta * sigma(beta)))
 
 
 # --- symmetric functions and closed forms ---------------------------------------
@@ -114,7 +118,8 @@ def test_lambda0_closed_forms_for_both_presets():
     for t in (F(1), F(2), F(-4), F(1, 2)):
         delta = t * t + 3 * t + 9
         c = delta_conic(t)
-        for p in enumerate_points(c, base_point_delta(t), 3):
+        for s in slopes_up_to(3):
+            p = second_intersection(c, base_point_delta(t), s)
             x = p.as_pair()[0]
             lam = lambda_from_point(t, TARGET_A3, p)
             assert lam[0] == F(2, 3) * (x / delta + 1 / t)
@@ -127,7 +132,9 @@ def test_lambda_split_consistency():
     # discriminant (2ty/delta)^2, i.e. lam1 - lam2 = 2y/delta exactly
     for t in (F(1), F(3), F(-2)):
         delta = t * t + 3 * t + 9
-        for p in enumerate_points(delta_conic(t), base_point_delta(t), 4):
+        c = delta_conic(t)
+        for s in slopes_up_to(4):
+            p = second_intersection(c, base_point_delta(t), s)
             lam = lambda_from_point(t, TARGET_A3, p)
             y = p.as_pair()[1]
             assert lam[1] - lam[2] == 2 * y / delta
@@ -212,7 +219,7 @@ def test_to_a3_basis_round_trip():
     L = normal_basis_lattice(2, lam)
     out = to_a3_basis(L)
     assert out.gram == STANDARD_A3_GRAM
-    assert lattice_equal(out, L)
+    assert canonical_key(out) == canonical_key(L)
     assert out.type_tag == "A3"
 
 
@@ -231,41 +238,43 @@ def test_identity_to_a3_transform():
 
 # --- family sweeps -----------------------------------------------------------------
 
+def a3_members(t, height: int):
+    return scan_family(t, height, TARGET_A3).members
+
+
 def test_generate_family_counts_at_t1():
-    fam5 = generate_family(1, 5)
+    fam5 = a3_members(1, 5)
     assert len(fam5) >= 8
-    fam10 = generate_family(1, 10)
+    fam10 = a3_members(1, 10)
     assert len(fam10) > len(fam5)
 
 
 def test_family_members_certified():
-    for L, lam0_den in generate_family(1, 4):
+    for m in a3_members(1, 4):
+        L = m.lattice
         assert L.type_tag == "A3"
-        assert is_even(L)
+        assert odd_trace_witness(L) is None
         assert disc_group(L) == (1, 1, 4)
         assert galois_stable(L)
-        roots = [v for v, n in short_vectors(L, 2) if n == 2]
+        roots = [v for v, n in short_vectors_gram(L.gram, 2) if n == 2]
         assert 2 * len(roots) == 12
-        assert lam0_den >= 1
+        assert m.lam0_denominator >= 1
 
 
 def test_family_pairwise_distinct():
-    fam = generate_family(2, 5)
-    lattices = [L for L, _ in fam]
-    for i in range(len(lattices)):
-        for j in range(i + 1, len(lattices)):
-            assert not lattice_equal(lattices[i], lattices[j])
+    keys = [canonical_key(m.lattice) for m in a3_members(2, 5)]
+    assert len(set(keys)) == len(keys)
 
 
 def test_family_counts_strictly_increase():
     for t in (1, 2, 3):
-        counts = [len(generate_family(t, h)) for h in (2, 5, 10)]
+        counts = [len(a3_members(t, h)) for h in (2, 5, 10)]
         assert counts[0] < counts[1] < counts[2], (t, counts)
 
 
 def test_lam0_denominators_unbounded():
-    den5 = max(d for _, d in generate_family(1, 5))
-    den20 = max(d for _, d in generate_family(1, 20))
+    den5 = max(m.lam0_denominator for m in a3_members(1, 5))
+    den20 = max(m.lam0_denominator for m in a3_members(1, 20))
     assert den20 > den5
 
 
@@ -279,7 +288,7 @@ def test_scan_family_records_carry_slope_and_point():
     scan = scan_family(1, 3, TARGET_A3)
     c = delta_conic(1)
     for m in scan.members:
-        assert c.residual(m.point) == 0
+        assert c.contains(m.point)
         assert m.lam0_denominator == m.lam[0].denominator
         assert lambda_from_point(1, TARGET_A3, m.point) == m.lam
 
@@ -303,13 +312,13 @@ def test_self_dual_family_members():
     assert len(sd) >= 8
     for L in sd[:6]:
         assert L.gram == Matrix.identity(3)
-        assert lattice_equal(dual(L), L)
+        assert canonical_key(dual(L)) == canonical_key(L)
         assert galois_stable(L)
         assert L.type_tag == "unimodular_odd"
 
 
 def test_family_error_paths():
     with pytest.raises(ZeroParameter):
-        generate_family(0, 3)
+        a3_members(0, 3)
     with pytest.raises(Reducible):
-        generate_family(F(-3, 2), 3)
+        a3_members(F(-3, 2), 3)

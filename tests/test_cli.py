@@ -1,5 +1,6 @@
 """Command-line contract: JSON shapes, exit codes, determinism, round-trips."""
 
+import argparse
 import hashlib
 import json
 import math
@@ -612,18 +613,20 @@ def test_import_tracelattice_loads_no_submodule():
 
 
 @pytest.mark.parametrize(
-    "args",
+    "args, lattices",
     [
-        ["--help"],
-        ["classify", "--gram", "[[2,-1],[-1,2]]"],
-        ["obstruction", "--dF", "229", "--disc-order", "4"],
+        (["--help"], False),
+        (["classify", "--gram", "[[2,-1],[-1,2]]"], True),
+        (["obstruction", "--dF", "229", "--disc-order", "4"], False),
     ],
     ids=["help", "classify", "obstruction"],
 )
-def test_light_subcommands_load_no_field_module(args):
+def test_light_subcommands_load_no_field_module(args, lattices):
     loaded = loaded_modules(RUN_MODULE + PRINT_LOADED, *args)
     assert "tracelattice.cli" in loaded
     assert not loaded & FIELD_MODULES
+    # only a subcommand that builds a lattice loads the lattice layer
+    assert ("tracelattice.lattice_core" in loaded) == lattices
 
 
 # ---------------------------------------------------------------------------
@@ -664,6 +667,43 @@ def test_bad_input_is_a_usage_error_without_traceback(args):
 def test_height_zero_is_valid(args, capsys):
     code, doc = run_cli(args, capsys)
     assert code == 0 and doc is not None
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["classify", "--gram", "[[2,1]"],
+        ["cyclotomic", "--n", "4", "--generator", "1/0"],
+        ["quad-a2", "--d", "5", "--height", "2"],
+        ["obstruction", "--dF", "0", "--disc-order", "4"],
+        ["reparam", "--t", "1", "--element", "1,2"],
+        ["order", "--t=--"],
+    ],
+    ids=lambda args: args[0],
+)
+def test_usage_error_names_its_subcommand(args, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: tracelattice {args[0]} ")
+    assert f"\ntracelattice {args[0]}: error: " in err
+
+
+def test_only_the_chosen_subcommand_gets_its_flags(monkeypatch, capsys):
+    added = []
+    add_argument = argparse.ArgumentParser.add_argument
+
+    def recording(parser, *names, **keywords):
+        added.append((parser.prog, names[0]))
+        return add_argument(parser, *names, **keywords)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "add_argument", recording)
+    assert main(["classify", "--gram", "[[2]]"]) == 0
+    assert {(prog, name) for prog, name in added if name != "-h"} == {
+        ("tracelattice classify", "--json"),
+        ("tracelattice classify", "--gram"),
+    }
 
 
 def test_unknown_subcommand_is_exit_2():

@@ -16,12 +16,11 @@ from tracelattice.conic_points import (
     ConicPoint,
     base_point_delta,
     delta_conic,
-    enumerate_points,
     second_intersection,
-    unit_conic_point,
     slopes_up_to,
 )
 from tracelattice.errors import PointNotOnConic, ZeroSlopePair
+from tracelattice.quadratic_a2 import a2_from_slopes
 
 F = Fraction
 
@@ -43,7 +42,6 @@ def test_contains_and_residual():
     c = Conic(3, 9)
     assert c.contains(ConicPoint(3, 0))
     assert not c.contains(ConicPoint(1, 1))
-    assert c.residual(ConicPoint(1, 1)) == 4 - 9
 
 
 def test_second_intersection_infinity_is_vertical_flip():
@@ -94,7 +92,7 @@ def test_second_intersection_stays_on_conic(t, s):
     c = delta_conic(t)
     p0 = base_point_delta(t)
     q = second_intersection(c, p0, s)
-    assert c.residual(q) == 0
+    assert c.contains(q)
 
 
 @settings(max_examples=60)
@@ -162,35 +160,40 @@ def test_second_intersection_on_any_ellipse(big_d, x0, y0, s):
     else:
         tau = -2 * (x0 + big_d * s * y0) / (1 + big_d * s * s)
         assert q == ConicPoint(x0 + tau, y0 + s * tau)
-    assert c.residual(q) == 0
+    assert c.contains(q)
+
+
+def _chord_points(c, p0, height):
+    return [second_intersection(c, p0, s) for s in slopes_up_to(height)]
 
 
 def test_enumerate_points_is_one_chord_point_per_slope():
     # the frozen height-1 sweep at t = 0: slopes inf, -1, 0, 1 in turn
-    assert enumerate_points(delta_conic(0), base_point_delta(0), 1) == [
+    assert _chord_points(delta_conic(0), base_point_delta(0), 1) == [
         ConicPoint(F(3, 2), F(-3, 2)),
         ConicPoint(F(3), F(0)),
         ConicPoint(F(-3, 2), F(3, 2)),
         ConicPoint(F(-3, 2), F(-3, 2)),
     ]
-    for t, height in ((1, 4), (-2, 4), (F(1, 3), 16)):
-        c, p0 = delta_conic(t), base_point_delta(t)
-        pts = enumerate_points(c, p0, height)
-        assert pts == [second_intersection(c, p0, s) for s in slopes_up_to(height)]
-        assert len(set(pts)) == len(pts)
 
 
 def test_enumerate_points_grows_with_height():
     c = delta_conic(1)
     p0 = base_point_delta(1)
-    few = enumerate_points(c, p0, 5)
-    many = enumerate_points(c, p0, 20)
+    few = _chord_points(c, p0, 5)
+    many = _chord_points(c, p0, 20)
     assert len(many) > len(few)
     assert set(few) <= set(many)
-    assert all(c.residual(p) == 0 for p in many)
+    assert all(c.contains(p) for p in many)
 
 
 # --- unit-circle sections -------------------------------------------------------
+
+def unit_conic_point(s0: int, s1: int) -> ConicPoint:
+    """The first basis row of the slope pair's A2 lattice: the second
+    intersection of x^2 + 3y^2 = 1 with a line through (1, 0)."""
+    return ConicPoint(*a2_from_slopes(s0, s1).basis.row(0))
+
 
 def test_unit_conic_zero_pair_rejected():
     with pytest.raises(ZeroSlopePair):

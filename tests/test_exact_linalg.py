@@ -18,12 +18,11 @@ from oracles import (
     fraction_grid,
     grid_cleared,
     grid_product,
-    grid_sum,
     grid_transpose,
     hnf_by_euclid,
     snf_by_minors,
 )
-from tracelattice.exact_linalg import Matrix, det, hnf, hnf_coords, hnf_rows, inverse, rat, snf
+from tracelattice.exact_linalg import Matrix, det, hnf_coords, hnf_rows, inverse, rat, snf
 
 A3_GRAM = Matrix.from_rows([[2, -1, 0], [-1, 2, -1], [0, -1, 2]])
 A2_GRAM = Matrix.from_rows([[2, -1], [-1, 2]])
@@ -40,14 +39,15 @@ D4_GRAM = Matrix.from_rows(
 def _cofactor_det(m: Matrix) -> Fraction:
     """Independent determinant oracle by first-row cofactor expansion."""
     n = m.rows
+    a = m.data
     if n == 1:
-        return m[0, 0]
+        return a[0][0]
     total = Fraction(0)
     for j in range(n):
         minor = Matrix(
-            [[m[i, k] for k in range(n) if k != j] for i in range(1, n)]
+            [[a[i][k] for k in range(n) if k != j] for i in range(1, n)]
         )
-        total += (-1) ** j * m[0, j] * _cofactor_det(minor)
+        total += (-1) ** j * a[0][j] * _cofactor_det(minor)
     return total
 
 
@@ -112,32 +112,27 @@ def test_scaled_form_is_canonical(rows, k):
 @st.composite
 def _operands(draw):
     r, c, k = (draw(st.integers(1, 4)) for _ in range(3))
-    return draw(_grid(r, c)), draw(_grid(r, c)), draw(_grid(c, k)), draw(entries)
+    return draw(_grid(r, c)), draw(_grid(c, k)), draw(entries)
 
 
 @settings(max_examples=100, deadline=None)
 @given(_operands())
 def test_matrix_operations_match_fraction_loops(case):
-    a, b, c, s = case
-    ma, mb, mc = Matrix(a), Matrix(b), Matrix(c)
-    fa, fb, fc = fraction_grid(a), fraction_grid(b), fraction_grid(c)
+    a, c, s = case
+    ma, mc = Matrix(a), Matrix(c)
+    fa, fc = fraction_grid(a), fraction_grid(c)
 
     def grid(m):
-        return [[m[i, j] for j in range(m.cols)] for i in range(m.rows)]
+        return [list(r) for r in m.data]
 
     assert grid(ma) == fa
     assert [list(ma.row(i)) for i in range(ma.rows)] == fa
-    assert [list(r) for r in ma.data] == fa
     assert ma.cleared() == grid_cleared(fa)
     assert ma.is_integer() == all(x.denominator == 1 for row in fa for x in row)
     assert grid(ma * mc) == grid_product(fa, fc)
-    assert grid(ma + mb) == grid_sum(fa, fb)
-    assert grid(ma - mb) == grid_sum(fa, fb, -1)
     assert grid(ma.transpose()) == grid_transpose(fa)
-    scaled = [[x * s for x in row] for row in fa]
-    assert grid(ma * s) == grid(s * ma) == scaled
+    assert grid(ma * s) == [[x * s for x in row] for row in fa]
     assert grid(ma * 3) == [[3 * x for x in row] for row in fa]
-    assert grid(-ma) == [[-x for x in row] for row in fa]
 
 
 def test_matrix_mul_identity():
@@ -202,10 +197,9 @@ def test_inverse_diagonal():
 
 
 def test_inverse_a3_gram_denominators_divide_4():
-    inv = inverse(A3_GRAM)
-    for i in range(3):
-        for j in range(3):
-            assert 4 % inv[i, j].denominator == 0
+    for row in inverse(A3_GRAM).data:
+        for x in row:
+            assert 4 % x.denominator == 0
 
 
 def test_inverse_singular_raises():
@@ -250,6 +244,11 @@ def test_inverse_matches_fraction_gauss_jordan(rows, dependent, k):
 
 # --- hnf ----------------------------------------------------------------------
 
+def _hnf(m: Matrix) -> Matrix:
+    """hnf_rows on the integer rows of m, as a Matrix."""
+    return Matrix.scaled(hnf_rows(m.to_int_rows()))
+
+
 def _assert_hnf_shape(h: Matrix) -> None:
     """Shape axioms of row-style HNF: pivots positive and strictly right-down,
     zeros below pivots, entries above a pivot in [0, pivot), zero rows last."""
@@ -268,34 +267,27 @@ def _assert_hnf_shape(h: Matrix) -> None:
         last_col = j
         assert row[j] > 0, "pivot must be positive"
         pivots.append((i, j))
+    a = h.data
     for i, j in pivots:
         for k in range(i):
-            assert 0 <= h[k, j] < h[i, j], "entry above pivot not reduced"
+            assert 0 <= a[k][j] < a[i][j], "entry above pivot not reduced"
         for k in range(i + 1, h.rows):
-            assert h[k, j] == 0, "entry below pivot not cleared"
+            assert a[k][j] == 0, "entry below pivot not cleared"
 
 
 def test_hnf_identity():
-    h, u = hnf(Matrix.identity(3))
-    assert h == Matrix.identity(3)
-    assert u == Matrix.identity(3)
+    assert _hnf(Matrix.identity(3)) == Matrix.identity(3)
 
 
 def test_hnf_frozen_example():
-    h, u = hnf(Matrix.from_rows([[1, 2], [3, 4]]))
-    assert h == Matrix.from_rows([[1, 0], [0, 2]])
-    assert u * Matrix.from_rows([[1, 2], [3, 4]]) == h
+    rows = [[1, 2], [3, 4]]
+    assert hnf_rows([row[:] for row in rows]) == [[1, 0], [0, 2]] == hnf_by_euclid(rows)
 
 
 def test_hnf_permutation_invariance():
     m = Matrix.from_rows([[2, 0], [0, 2]])
     p = Matrix.from_rows([[0, 2], [2, 0]])
-    assert hnf(m)[0] == hnf(p)[0]
-
-
-def test_hnf_rejects_rational_entries():
-    with pytest.raises(NotInteger):
-        hnf(Matrix.from_rows([["1/2", 0], [0, 1]]))
+    assert _hnf(m) == _hnf(p)
 
 
 rect_ints = st.tuples(
@@ -319,12 +311,11 @@ rect_ints = st.tuples(
 @settings(max_examples=80)
 @given(rect_ints)
 def test_hnf_properties(m):
-    h, u = hnf(m)
-    assert u * m == h
-    assert abs(det(u)) == 1
+    h = _hnf(m)
+    assert h == Matrix.scaled(hnf_by_euclid(m.to_int_rows()))
     _assert_hnf_shape(h)
     # canonical: HNF is a fixed point
-    assert hnf(h)[0] == h
+    assert _hnf(h) == h
 
 
 @settings(max_examples=40)
@@ -333,7 +324,7 @@ def test_hnf_row_permutation_invariant(m, rng):
     order = list(range(m.rows))
     rng.shuffle(order)
     p = Matrix([[m.row(i)[j] for j in range(m.cols)] for i in order])
-    assert hnf(m)[0] == hnf(p)[0]
+    assert _hnf(m) == _hnf(p)
 
 
 @st.composite
@@ -402,22 +393,6 @@ def _hnf_inputs(draw):
 @given(_hnf_inputs())
 def test_hnf_rows_matches_euclidean_oracle(rows):
     assert hnf_rows([row[:] for row in rows]) == hnf_by_euclid(rows)
-    # [m | I] with pivots in m's columns only, the way hnf carries u
-    n, c = len(rows), len(rows[0])
-    aug = [row + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
-    got = hnf_rows([row[:] for row in aug], c)
-    want = hnf_by_euclid(aug, c)
-    h = [row[:c] for row in got]
-    assert h == [row[:c] for row in want]
-    if all(any(row) for row in h):
-        # no left kernel: u = h m^-1 is unique too
-        assert got == want
-    else:
-        # the rows of u beside the zero rows of h span the left kernel of m,
-        # which has many bases; any unimodular u with u m = h is right
-        u = [row[c:] for row in got]
-        assert [[sum(a * row[j] for a, row in zip(ur, rows)) for j in range(c)] for ur in u] == h
-        assert abs(fraction_det(u)) == 1
 
 
 @settings(max_examples=300, deadline=None)
@@ -457,6 +432,11 @@ def test_snf_d4_gram():
 def test_snf_rejects_singular():
     with pytest.raises(SingularMatrix):
         snf(Matrix.from_rows([[1, 1], [1, 1]]))
+
+
+def test_snf_rejects_rational_entries():
+    with pytest.raises(NotInteger):
+        snf(Matrix.from_rows([["1/2", 0], [0, 1]]))
 
 
 def test_snf_rejects_nonsquare():

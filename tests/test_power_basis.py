@@ -96,7 +96,7 @@ def test_field_matches_polynomial_oracle(kind, data):
     assert len(matrices) == len(automorphisms)
     for s, oracle in zip(matrices, automorphisms):
         # row i of S is the image of x^i, so a maps to a S
-        assert [sum(x * s[i, j] for i, x in enumerate(a)) for j in range(n)] == oracle(a)
+        assert [sum(x * row[j] for x, row in zip(a, s.data)) for j in range(n)] == oracle(a)
     one = [F(1)] + [F(0)] * (n - 1)
     times_a = [_product(a, [F(int(i == j)) for j in range(n)], minpoly) for i in range(n)]
     if fraction_det(times_a) == 0:
