@@ -3,7 +3,8 @@
 Starts from the classical t = 0 lattice with its normal basis, then sweeps
 conic points at t = 1 to print an infinite-family sample, and closes with a
 reparametrization round trip showing different t values can present the
-same field.
+same field.  Field elements are their coordinates in the power basis
+(1, eps, eps^2), and the field's *_coords methods act on them.
 """
 
 from fractions import Fraction as F
@@ -17,14 +18,16 @@ from tracelattice import (
     new_field,
     reparametrize,
     scan_family,
-    sigma,
-    trace,
 )
 
 
 def show_matrix(m: Matrix, indent="    "):
     for i in range(m.rows):
-        print(indent + "[" + "  ".join(str(x) for x in m.row(i)) + "]")
+        print(indent + show_coords(m.row(i)))
+
+
+def show_coords(coords) -> str:
+    return "[" + "  ".join(str(x) for x in coords) + "]"
 
 
 def classic_t0():
@@ -33,9 +36,11 @@ def classic_t0():
     print("=" * 64)
     k = new_field(0)
     beta0 = k.element(("2/3", "-1/3", "0"))
-    beta1 = sigma(beta0)
-    beta2 = sigma(beta1)
-    L = TraceLattice.from_rows(k, [beta0.coords, beta1.coords, beta2.coords])
+    beta1 = k.galois_coords(beta0)
+    beta2 = k.galois_coords(beta1)
+    for name, beta in (("beta0", beta0), ("beta1", beta1), ("beta2", beta2)):
+        print(f"{name} = {show_coords(beta)} in (1, eps, eps^2)")
+    L = TraceLattice.from_rows(k, [beta0, beta1, beta2])
     print("Gram of the normal basis (beta0, beta1, beta2):")
     show_matrix(L.gram)
     transform = Matrix([[1, 0, 0], [-1, 1, 0], [0, -1, 1]])
@@ -68,7 +73,7 @@ def reparametrize_round_trip():
     print("=" * 64)
     k = new_field(1)
     alpha = k.element((-3, 9, 0))  # 9*eps - 3 has trace 3*(-3) + 9*Tr(eps) = 0
-    print(f"alpha = {alpha}, trace {trace(alpha)}")
+    print(f"alpha = {show_coords(alpha)} in (1, eps, eps^2), trace {k.trace_coords(alpha)}")
     t_new = reparametrize(k, alpha)
     print(f"t' = {t_new}; the unit u = alpha^(sigma-1) satisfies f_t'(u) = 0")
     k2 = new_field(t_new)

@@ -43,7 +43,7 @@ def quadratic_frontier():
     print("A2 in imaginary quadratic fields: radicand 3 and nothing else")
     print("=" * 64)
     fam = family_distinctness(6)
-    print(f"  d = 3: {fam.count} distinct A2 lattices at height 6")
+    print(f"  d = 3: {len(fam)} distinct A2 lattices at height 6")
     for d in (1, 2, 5, 6, 7):
         found = falsify_a2(d, 30)
         status = "no A2 lattice" if found is None else "FOUND (unexpected)"

@@ -75,9 +75,8 @@ _EXPORTS = {
         "primes_above_2",
         "sqrt_different_inverse",
     ),
-    "power_basis": ("FieldElement", "PowerBasisField"),
+    "power_basis": ("PowerBasisField",),
     "quadratic_a2": (
-        "FamilyCount",
         "QuadAmbient",
         "a2_from_slopes",
         "falsify_a2",
@@ -94,15 +93,7 @@ _EXPORTS = {
         "parse_gram",
         "parse_rational",
     ),
-    "shanks_field": (
-        "ShanksField",
-        "new_field",
-        "norm",
-        "remap_t0",
-        "reparametrize",
-        "sigma",
-        "trace",
-    ),
+    "shanks_field": ("ShanksField", "new_field", "remap_t0", "reparametrize"),
 }
 
 __all__ = sorted(name for names in _EXPORTS.values() for name in names)

@@ -70,20 +70,20 @@ def factor(n: int) -> dict[int, int]:
         while n % p == 0:
             out[p] = out.get(p, 0) + 1
             n //= p
-    stack = [n] if n > 1 else []
+    # (cofactor, multiplicity): a perfect square is split into its root
+    # once, with the multiplicity doubled, not into two roots to factor
+    stack = [(n, 1)] if n > 1 else []
     while stack:
-        m = stack.pop()
-        if m == 1:
-            continue
+        m, k = stack.pop()
         if is_probable_prime(m):
-            out[m] = out.get(m, 0) + 1
+            out[m] = out.get(m, 0) + k
             continue
         root = isqrt(m)
         if root * root == m:
-            stack.extend((root, root))
+            stack.append((root, 2 * k))
             continue
         d = _pollard_rho(m)
-        stack.extend((d, m // d))
+        stack.extend(((d, k), (m // d, k)))
     return dict(sorted(out.items()))
 
 

@@ -230,7 +230,6 @@ class FamilyMember(NamedTuple):
     lam: LambdaVector
     point: ConicPoint
     slope: Optional[Fraction]
-    lam0_denominator: int
 
 
 class FamilyScan(NamedTuple):
@@ -298,9 +297,7 @@ def scan_family(t, height: int, target: TraceTarget = TARGET_A3) -> FamilyScan:
             label = classify_root_type(lattice)
             assert label == "unimodular_odd"
         assert galois_stable(lattice)
-        members.append(
-            FamilyMember(lattice.with_type(label), lam, point, slope, lam[0].denominator)
-        )
+        members.append(FamilyMember(lattice.with_type(label), lam, point, slope))
     return FamilyScan(members, skipped)
 
 

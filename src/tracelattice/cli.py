@@ -13,7 +13,7 @@ import sys
 from fractions import Fraction
 
 from .errors import TraceLatticeError
-from .serialize import dumps_canonical, parse_rational
+from .serialize import dumps_canonical, parse_rational, rational_str
 
 
 def _rational_flag(text: str) -> Fraction:
@@ -129,8 +129,7 @@ def _run_quad_a2(args, parser):
         return doc, code
     if args.d != 3:
         parser.error("the parametrized family needs --d 3; use --falsify otherwise")
-    fam = family_distinctness(args.height)
-    return [lattice_json(L) for L in fam.lattices], 0
+    return [lattice_json(L) for L in family_distinctness(args.height)], 0
 
 
 def _run_order(args, parser):
@@ -148,7 +147,7 @@ def _run_order(args, parser):
     eq = equation_order(args.t)
     mx = maximal_order(args.t)
     doc = {
-        "t": str(args.t),
+        "t": rational_str(args.t),
         "equation_order": {"basis": matrix_json(eq.basis), "disc": eq.disc},
         "maximal_order": {"basis": matrix_json(mx.basis), "disc": mx.disc},
     }
@@ -203,8 +202,8 @@ def _run_reparam(args, parser):
     except ValueError as exc:
         parser.error(str(exc))
     field = new_field(args.t)
-    t_prime = reparametrize(field, field.element(coords))
-    return {"t": str(args.t), "t_prime": str(t_prime)}, 0
+    t_prime = reparametrize(field, coords)
+    return {"t": rational_str(args.t), "t_prime": rational_str(t_prime)}, 0
 
 
 def _flag(name: str, help_text: str, **keywords) -> tuple[str, dict]:
@@ -311,14 +310,14 @@ def main(argv=None) -> int:
 
     try:
         doc, code = _SUBCOMMANDS[args.subcommand][2](args, sub.choices[args.subcommand])
+        payload = dumps_canonical(doc)
     except TraceLatticeError as exc:
-        doc = {"error": {"kind": type(exc).__name__, "detail": str(exc)}}
+        payload = dumps_canonical({"error": {"kind": type(exc).__name__, "detail": str(exc)}})
         code = 1
     except AssertionError as exc:
-        doc = {"error": {"kind": "CertificateFailure", "detail": str(exc)}}
+        payload = dumps_canonical({"error": {"kind": "CertificateFailure", "detail": str(exc)}})
         code = 1
 
-    payload = dumps_canonical(doc)
     if args.json is not None:
         try:
             with open(args.json, "w", encoding="utf-8") as fh:

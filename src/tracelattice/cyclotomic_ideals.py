@@ -49,7 +49,6 @@ class CycField(PowerBasisField):
     """Q(zeta_n) as a PowerBasisField: conjugation zeta -> zeta^{n-1}, and
     Galois generators zeta -> zeta^j for every unit j != 1 mod n."""
 
-    symbol = "zeta"
     __slots__ = ("n", "phi")
 
     def __init__(self, n: int):
@@ -64,12 +63,6 @@ class CycField(PowerBasisField):
         )
         self._freeze(n=n, phi=len(minpoly) - 1)
 
-    #: power-basis coordinates of a polynomial in zeta of any degree
-    element = PowerBasisField.reduce
-
-    def one(self) -> Coords:
-        return self.reduce([1])
-
     def zeta(self) -> Coords:
         return self.reduce([0, 1])
 
@@ -77,11 +70,6 @@ class CycField(PowerBasisField):
 @lru_cache(maxsize=None)
 def cyc_field(n: int) -> CycField:
     return CycField(n)
-
-
-def power(field: CycField, a, k: int) -> Coords:
-    """a^k with exact field inversion for negative k."""
-    return field.pow_coords(field.element(a), k)
 
 
 def principal_ideal_lattice(field: CycField, generator) -> TraceLattice:
@@ -107,7 +95,7 @@ def ap_lattice(p: int) -> TraceLattice:
         )
     field = cyc_field(p)
     one_minus_zeta = field.element([1, -1])
-    generator = power(field, one_minus_zeta, -((p - 3) // 2))
+    generator = field.pow_coords(one_minus_zeta, -((p - 3) // 2))
     return principal_ideal_lattice(field, generator)
 
 

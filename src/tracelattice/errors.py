@@ -78,7 +78,7 @@ class PointNotOnConic(TraceLatticeError):
 
 
 class DegenerateLambda(TraceLatticeError):
-    """The three bracket vectors are linearly dependent."""
+    """The weighted element's three conjugates are linearly dependent."""
 
 
 class WrongGram(TraceLatticeError):

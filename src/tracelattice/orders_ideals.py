@@ -55,12 +55,13 @@ class Order:
     """A multiplication-closed rank-n lattice containing 1 in a
     PowerBasisField of degree n, with its trace Gram, its discriminant and
     its structure constants: table[i][j] holds the integer coordinates of
-    o_i * o_j.  The basis is kept in canonical Hermite form.  The ideals
-    derived from it (different_inverse, sqrt_different_inverse,
-    primes_above_2) are computed on first use and kept."""
+    o_i * o_j.  The basis is kept in canonical Hermite form.  The
+    factorization of the discriminant and the ideals derived from the order
+    (different_inverse, sqrt_different_inverse, primes_above_2) are
+    computed on first use and kept."""
 
     __slots__ = (
-        "ambient", "basis", "gram", "disc", "table", "_dinv", "_root", "_primes2",
+        "ambient", "basis", "gram", "disc", "table", "_factors", "_dinv", "_root", "_primes2",
     )
 
     def __init__(self, ambient: PowerBasisField, basis: Matrix | Sequence):
@@ -69,7 +70,7 @@ class Order:
         if len(h) != n:
             raise ValueError(f"span has rank {len(h)}, expected {n}")
         rows = Matrix.scaled(h, scale)
-        if span_coords(rows, Matrix.scaled([[int(j == 0) for j in range(n)]])) is None:
+        if span_coords(rows, Matrix([ambient.one()])) is None:
             raise ValueError("order must contain 1")
         table = span_coords(rows, ambient.products(rows, rows))
         if table is None:
@@ -84,7 +85,7 @@ class Order:
         object.__setattr__(
             self, "table", tuple(tuple(map(tuple, table[i : i + n])) for i in range(0, n * n, n))
         )
-        for slot in ("_dinv", "_root", "_primes2"):
+        for slot in ("_factors", "_dinv", "_root", "_primes2"):
             object.__setattr__(self, slot, None)
 
     def __setattr__(self, name, value):
@@ -246,22 +247,47 @@ def dedekind_maximalize(o: Order, p: int) -> Order:
         o = bigger
 
 
+def _disc_factors(o: Order) -> dict[int, int]:
+    """The prime factorization of disc(O), in increasing primes, computed on
+    first use and kept on the order."""
+    return o._first_use("_factors", lambda o: factor(o.disc))
+
+
+def _factor_over(n: int, primes) -> dict[int, int]:
+    """The factorization of n, whose prime factors are all among primes."""
+    out = {}
+    for p in primes:
+        e = 0
+        while n % p == 0:
+            n //= p
+            e += 1
+        if e:
+            out[p] = e
+    assert n == 1, "a prime factor outside the given primes"
+    return out
+
+
 def maximal_order(t) -> Order:
     """The ring of integers: enlarge the equation order at every prime whose
     square divides its discriminant.  The result's discriminant is a perfect
-    square, as it must be for a cyclic cubic field."""
+    square, as it must be for a cyclic cubic field.  The equation order's
+    discriminant is the only number factored: each step divides it by a
+    power of a known prime, so the result's factorization is read off those
+    primes and kept on it."""
     o = equation_order(t)
-    for p, e in sorted(factor(o.disc).items()):
+    primes = _disc_factors(o)
+    for p, e in primes.items():
         if e >= 2:
             o = dedekind_maximalize(o, p)
     assert is_square(o.disc)
+    o._first_use("_factors", lambda o: _factor_over(o.disc, primes))
     return o
 
 
 def is_maximal(o: Order) -> bool:
     """True iff every idealizer step at a square-dividing prime is a fixed
     point."""
-    for p, e in factor(o.disc).items():
+    for p, e in _disc_factors(o).items():
         if e >= 2 and _enlarge_at(o, p).disc != o.disc:
             return False
     return True
@@ -306,7 +332,7 @@ def _closed_form_root(o: Order) -> IdealLattice:
         raise NotFound(f"discriminant {o.disc} is not a square")
     dinv = o._first_use("_dinv", _trace_dual)  # different_inverse(o), from its slot
     root = IdealLattice(o, o.basis)
-    for p in factor(m):
+    for p in _disc_factors(o):  # the primes of m, as m^2 = disc
         rad = IdealLattice(o, _p_radical(o, p) * o.basis)
         # pZ_F = P_p^3, so P_p^-1 = p^-1 P_p^2 and P_3^-2 = 3^-1 P_3
         power = rad if p == 3 else module_product(rad, rad)

@@ -1,10 +1,13 @@
 """Number fields Q[x]/(f) in the power basis (1, x, ..., x^{n-1}).
 
-A PowerBasisField is built from three pieces of data: the monic minimal
-polynomial f (ascending rational coefficients), the image of x under complex
-conjugation (None when the field is totally real), and the images of x under
-generators of the Galois group, each as a polynomial in x.  Everything else is
-derived from them once, in cleared integers (Cohen, GTM 138, Sec. 4.2):
+An element is the tuple of its power-basis coordinates, a_0 + a_1 x + ...
++ a_{n-1} x^{n-1}; that is the only element form, and every operation
+below takes and returns such tuples.  A PowerBasisField is built from three
+pieces of data: the monic minimal polynomial f (ascending rational
+coefficients), the image of x under complex conjugation (None when the
+field is totally real), and the images of x under generators of the Galois
+group, each as a polynomial in x.  Everything else is derived from them
+once, in cleared integers (Cohen, GTM 138, Sec. 4.2):
 
   - x^m mod f for n <= m <= 2n-2, an (n-1) x n Matrix, so a product is the
     integer convolution of the two cleared factors folded through its
@@ -17,11 +20,11 @@ derived from them once, in cleared integers (Cohen, GTM 138, Sec. 4.2):
     (T and the Galois matrices on first use).
 
 The inverse of a is e_0 M_a^-1 and its norm det M_a, with M_a the matrix of
-multiplication by a.  The class implements the lattice_core ambient protocol
-(degree, trace_form, galois_matrices, descriptor), so a lattice's Gram and
-its Galois stability read T and S as they are; ShanksField, CycField and
-QuadAmbient supply the data, and FieldElement is the element type of any
-such field.
+multiplication by a.  The class implements the ambient protocol of
+lattice_core and orders_ideals (degree, one, trace_form, galois_matrices,
+descriptor), so a lattice's Gram and its Galois stability read T and S as
+they are, and an order tests that it contains one(); ShanksField, CycField
+and QuadAmbient supply the data.
 """
 from __future__ import annotations
 
@@ -66,9 +69,6 @@ def _cleared(a: Sequence[Fraction]) -> tuple[list[int], int]:
 class PowerBasisField:
     """Immutable Q[x]/(f) with exact power-basis arithmetic; equal fields have
     equal descriptors."""
-
-    #: the name of the generator x in printed elements
-    symbol = "x"
 
     __slots__ = (
         "degree", "minpoly", "_descriptor", "_xpow", "_trace", "_conj", "_galois_x",
@@ -119,10 +119,8 @@ class PowerBasisField:
         return hash(tuple(self._descriptor.items()))
 
     def __repr__(self) -> str:
-        return f"{type(self).__name__}({self._params()})"
-
-    def _params(self) -> str:
-        return ", ".join(f"{k}={v}" for k, v in self._descriptor.items() if k != "kind")
+        params = ", ".join(f"{k}={v}" for k, v in self._descriptor.items() if k != "kind")
+        return f"{type(self).__name__}({params})"
 
     def descriptor(self) -> dict:
         return dict(self._descriptor)
@@ -132,6 +130,13 @@ class PowerBasisField:
         """Power-basis coordinates of a polynomial in x of any degree."""
         _, rem = poly_divmod(poly, self.minpoly)
         return tuple(rem) + (Fraction(0),) * (self.degree - len(rem))
+
+    #: the element of a polynomial in x: its coefficients, padded and reduced
+    element = reduce
+
+    def one(self) -> Coords:
+        """The coordinates of 1, (1, 0, ..., 0)."""
+        return self.reduce([1])
 
     def _powers(self, a: Sequence, y: Sequence) -> Matrix:
         """The rows a, a y, ..., a y^{n-1}."""
@@ -143,7 +148,7 @@ class PowerBasisField:
     def _image_matrix(self, image_x: Sequence) -> Matrix:
         """The matrix of the Q-linear map x^i -> y^i, y the image of x: row i
         is y^i."""
-        return self._powers(self.reduce([1]), self.reduce(image_x))
+        return self._powers(self.one(), self.reduce(image_x))
 
     def _apply(self, m: Matrix, a: Sequence[Fraction]) -> Coords:
         """The row a times m."""
@@ -180,10 +185,6 @@ class PowerBasisField:
         return Matrix.scaled(
             (self._mul_ints(x, y) for x in a.ints for y in b.ints), self._xpow.den * a.den * b.den
         )
-
-    def conj_coords(self, a: Sequence[Fraction]) -> Coords:
-        """Complex conjugation; the identity on a totally real field."""
-        return tuple(a) if self._conj is None else self._apply(self._conj, a)
 
     def trace_coords(self, a: Sequence[Fraction]) -> Fraction:
         ints, s = _cleared(a)
@@ -238,7 +239,7 @@ class PowerBasisField:
         """a^k by repeated squaring, through the inverse for k < 0."""
         if k < 0:
             return self.pow_coords(self.inv_coords(a), -k)
-        out = self.reduce([1])
+        out = self.one()
         base = tuple(a)
         while k:
             if k & 1:
@@ -248,75 +249,3 @@ class PowerBasisField:
                 base = self.mul_coords(base, base)
         return out
 
-
-class FieldElement:
-    """a_0 + a_1 x + ... + a_{n-1} x^{n-1} in a fixed PowerBasisField."""
-
-    __slots__ = ("field", "coords")
-
-    def __init__(self, field: PowerBasisField, coords: Sequence[int | str | Fraction]):
-        cs = tuple(rat(c) for c in coords)
-        if len(cs) != field.degree:
-            raise ValueError(f"{field.degree} power-basis coordinates required")
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "coords", cs)
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError("FieldElement is immutable")
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, FieldElement):
-            return self.field == other.field and self.coords == other.coords
-        if isinstance(other, (int, Fraction)):
-            return self.is_rational() and self.coords[0] == other
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.field, self.coords))
-
-    def __repr__(self) -> str:
-        x = self.field.symbol
-        powers = ["", f"*{x}"] + [f"*{x}^{i}" for i in range(2, len(self.coords))]
-        terms = " + ".join(f"({c}){p}" for c, p in zip(self.coords, powers))
-        return f"{terms}  [{self.field._params()}]"
-
-    def is_zero(self) -> bool:
-        return not any(self.coords)
-
-    def is_rational(self) -> bool:
-        return not any(self.coords[1:])
-
-    def _coerce(self, other) -> "FieldElement":
-        if isinstance(other, FieldElement):
-            if other.field != self.field:
-                raise ValueError("elements of different fields")
-            return other
-        return FieldElement(self.field, self.field.reduce([rat(other)]))
-
-    def __add__(self, other) -> "FieldElement":
-        o = self._coerce(other)
-        return FieldElement(self.field, tuple(a + b for a, b in zip(self.coords, o.coords)))
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "FieldElement":
-        o = self._coerce(other)
-        return FieldElement(self.field, tuple(a - b for a, b in zip(self.coords, o.coords)))
-
-    def __rsub__(self, other) -> "FieldElement":
-        return self._coerce(other).__sub__(self)
-
-    def __neg__(self) -> "FieldElement":
-        return FieldElement(self.field, tuple(-a for a in self.coords))
-
-    def __mul__(self, other) -> "FieldElement":
-        if isinstance(other, (int, Fraction)):
-            s = rat(other)
-            return FieldElement(self.field, tuple(a * s for a in self.coords))
-        o = self._coerce(other)
-        return FieldElement(self.field, self.field.mul_coords(self.coords, o.coords))
-
-    __rmul__ = __mul__
-
-    def __pow__(self, k: int) -> "FieldElement":
-        return FieldElement(self.field, self.field.pow_coords(self.coords, k))

@@ -20,7 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
-from typing import NamedTuple, Optional
+from typing import Optional
 
 from ._intfactor import squarefree_kernel
 from .errors import ZeroSlopePair
@@ -249,12 +249,7 @@ def falsify_a2(d: int, height: int, sign: int = -1) -> Optional[TraceLattice]:
     return None
 
 
-class FamilyCount(NamedTuple):
-    count: int
-    lattices: list[TraceLattice]
-
-
-def family_distinctness(height: int, sign: int = -1) -> FamilyCount:
+def family_distinctness(height: int, sign: int = -1) -> list[TraceLattice]:
     """Pairwise-distinct A2 lattices over all slope pairs and both branches
     with |s0|, |s1| <= height, in first-seen order.
 
@@ -273,5 +268,4 @@ def family_distinctness(height: int, sign: int = -1) -> FamilyCount:
                 key = hnf_span(basis)
                 if key not in seen:
                     seen[key] = _certified_a2(basis, sign)
-    members = list(seen.values())
-    return FamilyCount(len(members), members)
+    return list(seen.values())

@@ -3,16 +3,19 @@
 Rationals travel as strings "p/q" ("p" when the denominator is 1), matrices
 as row-major nested arrays of those strings, and canonical dumps sort keys
 with fixed separators so the same document always produces the same bytes.
+A number past the interpreter's limit on int-to-str conversion (4,300
+digits by default) is not written: its conversion raises TooLarge.
 """
 
 from __future__ import annotations
 
 import json
 import re
+import sys
 from fractions import Fraction
 from typing import TYPE_CHECKING, Optional
 
-from .errors import DivisionByZero
+from .errors import DivisionByZero, TooLarge
 from .exact_linalg import Matrix
 
 if TYPE_CHECKING:
@@ -20,17 +23,32 @@ if TYPE_CHECKING:
     from .lattice_core import TraceLattice
 
 
+def _too_large() -> TooLarge:
+    """Raised in place of the ValueError of str(int) past the interpreter's
+    digit limit, which stays as it is: it is a safety check."""
+    return TooLarge(
+        f"an output number has more than {sys.get_int_max_str_digits()} digits"
+    )
+
+
 def rational_str(x) -> str:
-    return str(Fraction(x))
+    x = Fraction(x)
+    try:
+        return str(x)
+    except ValueError:
+        raise _too_large() from None
 
 
 def matrix_json(m: Matrix) -> list[list[str]]:
     """Entries as rational strings, read off the integer rows: an integer
     matrix needs only str(int), so a Fraction is built only over den > 1."""
     den = m.den
-    if den == 1:
-        return [[str(x) for x in row] for row in m.ints]
-    return [[str(Fraction(x, den)) for x in row] for row in m.ints]
+    try:
+        if den == 1:
+            return [[str(x) for x in row] for row in m.ints]
+        return [[str(Fraction(x, den)) for x in row] for row in m.ints]
+    except ValueError:
+        raise _too_large() from None
 
 
 def point_json(p: ConicPoint) -> dict:
@@ -67,7 +85,10 @@ def member_json(member) -> dict:
 
 
 def dumps_canonical(doc) -> str:
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+    try:
+        return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+    except ValueError:  # an int in the document, such as a discriminant
+        raise _too_large() from None
 
 
 # ---------------------------------------------------------------------------

@@ -7,27 +7,24 @@ cubic field, delta_t = t^2 + 3t + 9 satisfies disc(f_t) = delta_t^2, and a
 generator sigma of the Galois group acts by eps^sigma = -1/(1+eps).
 
 ShanksField is the PowerBasisField of f_t with sigma as its Galois generator;
-elements live in the power basis (1, eps, eps^2).  The orbit
-(eps, eps^sigma, eps^{sigma^2}) is a normal basis iff t != 0.  Each field
-builds the matrix of that orbit once (`orbit_matrix`, rows the power-basis
-coordinates of the three conjugates), and `bracket` is one product with it.
+an element is its coordinate tuple in the power basis (1, eps, eps^2), and
+its product, inverse, conjugates, trace and norm are the field's *_coords
+methods.  The orbit (eps, eps^sigma, eps^{sigma^2}) is a normal basis iff
+t != 0.  Each field builds the matrix of that orbit once (`orbit_matrix`,
+rows the power-basis coordinates of the three conjugates), so the element
+lam0 eps + lam1 eps^sigma + lam2 eps^{sigma^2} is the row lam times it.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from ._intfactor import divisors
-from .errors import (
-    NonzeroTrace,
-    RationalInput,
-    Reducible,
-    ZeroParameter,
-)
+from .errors import NonzeroTrace, RationalInput, Reducible
 from .exact_linalg import Matrix, rat
-from .power_basis import FieldElement, PowerBasisField
+from .power_basis import PowerBasisField
 
 
 def f_t_at(t: Fraction, x: Fraction) -> Fraction:
@@ -43,7 +40,6 @@ def remap_t0() -> Fraction:
 class ShanksField(PowerBasisField):
     """Q[x]/(f_t) as a PowerBasisField; construct via new_field(t)."""
 
-    symbol = "eps"
     __slots__ = ("t", "delta", "orbit_matrix")
 
     def __init__(self, t: int | str | Fraction):
@@ -62,19 +58,6 @@ class ShanksField(PowerBasisField):
             delta=t * t + 3 * t + 9,
             orbit_matrix=Matrix((eps, s, self.galois_coords(s))),
         )
-
-    # --- element constructors -------------------------------------------
-    def element(self, coords: Iterable[int | str | Fraction]) -> FieldElement:
-        return FieldElement(self, tuple(coords))
-
-    def one(self) -> FieldElement:
-        return FieldElement(self, (1, 0, 0))
-
-    def eps(self) -> FieldElement:
-        return FieldElement(self, (0, 1, 0))
-
-    def rational(self, c: int | str | Fraction) -> FieldElement:
-        return FieldElement(self, (rat(c), 0, 0))
 
 
 def _check_irreducible(t: Fraction) -> None:
@@ -99,50 +82,28 @@ def new_field(t: int | str | Fraction) -> ShanksField:
     return ShanksField(t)
 
 
-def inv(a: FieldElement) -> FieldElement:
-    """Inverse in Q[x]/(f_t); raises DivisionByZero on 0."""
-    return FieldElement(a.field, a.field.inv_coords(a.coords))
-
-
-def sigma(a: FieldElement) -> FieldElement:
-    """Image under the fixed Galois generator eps^sigma = -1/(1+eps)."""
-    return FieldElement(a.field, a.field.galois_coords(a.coords))
-
-
-def trace(a: FieldElement) -> Fraction:
-    """Trace of multiplication by a (= a + a^sigma + a^{sigma^2})."""
-    return a.field.trace_coords(a.coords)
-
-
-def norm(a: FieldElement) -> Fraction:
-    """N(a) = a * a^sigma * a^{sigma^2}, a rational."""
-    return a.field.norm_coords(a.coords)
-
-
-def bracket(field: ShanksField, lam: Sequence[int | str | Fraction]) -> FieldElement:
-    """<lam, eps> = lam0*eps + lam1*eps^sigma + lam2*eps^{sigma^2}.
-
-    Requires t != 0: only then is the eps-orbit a (normal) basis.
-    """
-    if field.t == 0:
-        raise ZeroParameter()
-    product = Matrix([list(lam)]) * field.orbit_matrix
-    return FieldElement(field, product.row(0))
-
-
-def reparametrize(field: ShanksField, alpha: FieldElement) -> Fraction:
-    """For trace-zero irrational alpha: t' = Tr(u) with u = alpha^{sigma-1},
-    and f_{t'}(u) = 0 with Q(u) = F (both checked here)."""
-    if trace(alpha) != 0:
-        raise NonzeroTrace(f"Tr(alpha) = {trace(alpha)} != 0")
-    if alpha.is_rational():
+def reparametrize(field: ShanksField, alpha: Sequence) -> Fraction:
+    """For trace-zero irrational alpha (power-basis coordinates): t' = Tr(u)
+    with u = alpha^{sigma-1}, and f_{t'}(u) = 0 with Q(u) = F (both checked
+    here)."""
+    alpha = field.element(alpha)
+    trace = field.trace_coords(alpha)
+    if trace != 0:
+        raise NonzeroTrace(f"Tr(alpha) = {trace} != 0")
+    if not any(alpha[1:]):
         raise RationalInput("alpha must generate the field")
-    u = sigma(alpha) * inv(alpha)
-    t_new = trace(u)
+    mul = field.mul_coords
+    u = mul(field.galois_coords(alpha), field.inv_coords(alpha))
+    t_new = field.trace_coords(u)
     # identities from the construction: N(u) = 1 and 1 + u + u^{1+sigma} = 0
-    assert norm(u) == 1
-    assert (field.one() + u + u * sigma(u)).is_zero()
-    residual = u * u * u - t_new * u * u - (t_new + 3) * u - field.one()
-    assert residual.is_zero(), "f_{t'}(u) != 0"
-    assert not u.is_rational(), "u must generate a degree-3 field"
+    assert field.norm_coords(u) == 1
+    one = field.one()
+    assert not any(map(sum, zip(one, u, mul(u, field.galois_coords(u)))))
+    u2 = mul(u, u)
+    residual = (
+        c3 - t_new * c2 - (t_new + 3) * c1 - c0
+        for c3, c2, c1, c0 in zip(mul(u2, u), u2, u, one)
+    )
+    assert not any(residual), "f_{t'}(u) != 0"
+    assert any(u[1:]), "u must generate a degree-3 field"
     return t_new

@@ -13,10 +13,11 @@ every slope pair, the Shanks chord family by a Fraction build and Hermite
 key of every chord point, root-graph connectivity by label
 propagation over every pair of roots, and Galois stability as integrality of
 B S B^-1 by Gauss-Jordan, with each field's automorphisms written out from
-their definitions, the parity witness by a scan of all 2^n - 1 classes of
-L/2L, matrix arithmetic by loops over Fraction grids, and the Smith form
-from the gcds of all k x k minors.  None of it shares code with the
-package under test.
+their definitions, the Shanks normal-basis element lam0 eps + lam1
+eps^sigma + lam2 eps^(sigma^2) from that sigma, the parity witness by a
+scan of all 2^n - 1 classes of L/2L, matrix arithmetic by loops over
+Fraction grids, and the Smith form from the gcds of all k x k minors.  None
+of it shares code with the package under test.
 """
 from __future__ import annotations
 
@@ -794,6 +795,15 @@ def shanks_automorphisms(t) -> list:
     sigma = [[1, 0, 0], u, _shanks_mul(t, u, u)]
     sigma2 = [_vecmat(row, sigma) for row in sigma]
     return [power_map(sigma), power_map(sigma2)]
+
+
+def bracket(t, lam) -> tuple[Fraction, ...]:
+    """lam0 eps + lam1 eps^sigma + lam2 eps^(sigma^2) in power-basis
+    coordinates, with sigma from shanks_automorphisms."""
+    sig, sig2 = shanks_automorphisms(t)
+    eps = [0, 1, 0]
+    orbit = [[Fraction(x) for x in eps], sig(eps), sig2(eps)]
+    return tuple(sum(Fraction(c) * row[j] for c, row in zip(lam, orbit)) for j in range(3))
 
 
 def cyclotomic_automorphisms(n: int) -> list:

@@ -10,7 +10,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import family_by_full_build, shanks_automorphisms
+from oracles import (
+    bracket,
+    family_by_full_build,
+    shanks_automorphisms,
+    shanks_minpoly,
+    trace_gram,
+)
 from tracelattice.a3_factory import (
     NORMAL_A3_GRAM,
     STANDARD_A3_GRAM,
@@ -50,7 +56,7 @@ from tracelattice.lattice_core import (
     short_vectors_gram,
 )
 from tracelattice.shanks_field import Reducible as _Reducible  # same class
-from tracelattice.shanks_field import bracket, new_field, sigma, trace
+from tracelattice.shanks_field import new_field
 
 F = Fraction
 
@@ -74,10 +80,12 @@ def _constructs(t) -> bool:
 
 
 def _field_trace_targets(t, lam):
-    """Independent oracle: d and e by direct trace evaluation."""
-    k = new_field(t)
-    beta = bracket(k, lam)
-    return (trace(beta * beta), trace(beta * sigma(beta)))
+    """Independent oracle: d = Tr(beta^2) and e = Tr(beta beta^sigma) from
+    the oracles' beta, sigma and trace Gram."""
+    beta = bracket(t, lam)
+    rows = [beta, shanks_automorphisms(t)[0](beta)]
+    gram = trace_gram(shanks_minpoly(t), lambda a: a, rows)
+    return (gram[0][0], gram[0][1])
 
 
 # --- symmetric functions and closed forms ---------------------------------------
@@ -258,7 +266,6 @@ def test_family_members_certified():
         assert galois_stable(L)
         roots = [v for v, n in short_vectors_gram(L.gram, 2) if n == 2]
         assert 2 * len(roots) == 12
-        assert m.lam0_denominator >= 1
 
 
 def test_family_pairwise_distinct():
@@ -273,8 +280,8 @@ def test_family_counts_strictly_increase():
 
 
 def test_lam0_denominators_unbounded():
-    den5 = max(m.lam0_denominator for m in a3_members(1, 5))
-    den20 = max(m.lam0_denominator for m in a3_members(1, 20))
+    den5 = max(m.lam[0].denominator for m in a3_members(1, 5))
+    den20 = max(m.lam[0].denominator for m in a3_members(1, 20))
     assert den20 > den5
 
 
@@ -289,7 +296,6 @@ def test_scan_family_records_carry_slope_and_point():
     c = delta_conic(1)
     for m in scan.members:
         assert c.contains(m.point)
-        assert m.lam0_denominator == m.lam[0].denominator
         assert lambda_from_point(1, TARGET_A3, m.point) == m.lam
 
 

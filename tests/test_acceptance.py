@@ -42,14 +42,7 @@ from tracelattice.quadratic_a2 import (
     normal_a2,
     normal_basis_search,
 )
-from tracelattice.shanks_field import (
-    bracket,
-    inv,
-    new_field,
-    reparametrize,
-    sigma,
-    trace,
-)
+from tracelattice.shanks_field import new_field, reparametrize
 
 FAMILY_TS = (F(1), F(2), F(3), F(-1), F(1, 3))
 
@@ -91,9 +84,9 @@ def example_t0_lattices():
     """The t=0 lattice of the worked example, in both displayed bases."""
     k = new_field(0)
     beta0 = k.element(("2/3", "-1/3", "0"))
-    beta1 = sigma(beta0)
-    beta2 = sigma(beta1)
-    normal = TraceLattice.from_rows(k, [beta0.coords, beta1.coords, beta2.coords])
+    beta1 = k.galois_coords(beta0)
+    beta2 = k.galois_coords(beta1)
+    normal = TraceLattice.from_rows(k, [beta0, beta1, beta2])
     transform = Matrix([[1, 0, 0], [-1, 1, 0], [0, -1, 1]])
     primed = TraceLattice(k, transform * normal.basis)
     return normal, primed
@@ -142,14 +135,14 @@ def test_criterion_3_closed_form_trace_targets():
             continue
         lam = tuple(_rand_rational(rng, 6, 6) for _ in range(3))
         k = new_field(t)
-        beta = bracket(k, lam)
+        beta = (Matrix([lam]) * k.orbit_matrix).row(0)
         lsum = sum(lam)
         q = lam[0] * lam[1] + lam[1] * lam[2] + lam[2] * lam[0]
         delta = t * t + 3 * t + 9
         closed_d = (t * t + 2 * t + 6) * lsum * lsum - 2 * delta * q
         closed_e = -(t + 3) * lsum * lsum + delta * q
-        assert trace(beta * beta) == closed_d
-        assert trace(beta * sigma(beta)) == closed_e
+        assert k.trace_coords(k.mul_coords(beta, beta)) == closed_d
+        assert k.trace_coords(k.mul_coords(beta, k.galois_coords(beta))) == closed_e
         checked += 1
 
 
@@ -186,9 +179,9 @@ def test_criterion_6_quadratic_a2(capsys, quad_family):
     assert all(doc["gram"] == A2_GRAM for doc in docs)
     hnfs = {json.dumps(doc["basis"]) for doc in docs}
     assert len(hnfs) == len(docs)
-    assert quad_family.count >= 10
-    keys = {canonical_key(L) for L in quad_family.lattices}
-    assert len(keys) == quad_family.count
+    assert len(quad_family) >= 10
+    keys = {canonical_key(L) for L in quad_family}
+    assert len(keys) == len(quad_family)
 
     for d in (1, 2, 5, 6, 7):
         assert falsify_a2(d, 50) is None, f"unexpected A2 witness at d={d}"
@@ -197,10 +190,8 @@ def test_criterion_6_quadratic_a2(capsys, quad_family):
     found = normal_basis_search(4)
     assert found, "constrained search found nothing"
     k = unique.ambient
-    lattices = {
-        canonical_key(TraceLattice.from_rows(k, [(x, y), k.conj_coords((x, y))]))
-        for x, y in found
-    }
+    # (x, -y) is the complex conjugate of (x, y) in Q(sqrt(-3))
+    lattices = {canonical_key(TraceLattice.from_rows(k, [(x, y), (x, -y)])) for x, y in found}
     assert lattices == {canonical_key(unique)}
 
 
@@ -277,13 +268,17 @@ def test_criterion_9_reparametrization():
             if a1 == 0 and a2 == 0:
                 continue
             a0 = -(a1 * tr_eps + a2 * tr_eps2) / 3
-            alpha = k.element((a0, a1, a2))
-            assert trace(alpha) == 0
+            alpha = (a0, a1, a2)
+            assert k.trace_coords(alpha) == 0
             t_new = reparametrize(k, alpha)
-            u = sigma(alpha) * inv(alpha)
-            residual = u * u * u - t_new * (u * u) - (t_new + 3) * u - k.one()
-            assert residual.is_zero(), f"f_t'(u) != 0 at t={t}, t'={t_new}"
-            assert not u.is_rational(), "u must generate the cubic field"
+            u = k.mul_coords(k.galois_coords(alpha), k.inv_coords(alpha))
+            u2 = k.mul_coords(u, u)
+            residual = [
+                c3 - t_new * c2 - (t_new + 3) * c1 - c0
+                for c3, c2, c1, c0 in zip(k.mul_coords(u2, u), u2, u, k.one())
+            ]
+            assert not any(residual), f"f_t'(u) != 0 at t={t}, t'={t_new}"
+            assert any(u[1:]), "u must generate the cubic field"
             done += 1
 
 
@@ -352,7 +347,7 @@ def _criteria_lattices(example_t0, a3_scans, selfdual, ap_suite, quad_family):
             yield m.lattice
     yield from selfdual
     yield from ap_suite.values()
-    yield from quad_family.lattices
+    yield from quad_family
     yield normal_a2()
     witness = falsify_a2(3, 5)
     assert witness is not None

@@ -144,6 +144,29 @@ def test_cyclotomic_generator_mode(capsys):
     assert len(doc["basis"]) == 4
 
 
+#: the document of an output number past the interpreter's int-to-str
+#: limit, which the program leaves at its default of 4300 digits
+TOO_LARGE = (
+    '{"error":{"detail":"an output number has more than 4300 digits",'
+    '"kind":"TooLarge"}}\n'
+)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        # 2^100000 has 30103 digits, in matrix_json
+        ["cyclotomic", "--n", "5", "--generator", "2^100000"],
+        # lambda and the basis have rationals of over 4300 digits
+        ["gen-a3", f"--t={10**1500 + 1}", "--height", "1"],
+    ],
+    ids=["cyclotomic", "gen-a3"],
+)
+def test_output_past_the_digit_limit_is_too_large(args):
+    r = run_proc(args, timeout=60)
+    assert (r.returncode, r.stdout, r.stderr) == (1, TOO_LARGE, "")
+
+
 def test_cyclotomic_flag_conflicts_are_usage_errors():
     assert run_proc(["cyclotomic", "--p", "5", "--n", "3"]).returncode == 2
     assert run_proc(["cyclotomic", "--n", "5"]).returncode == 2
@@ -500,6 +523,25 @@ def test_order_at_a_13_digit_prime_conductor_finishes():
     disc = json.loads(proc.stdout)["maximal_order"]["disc"]
     assert math.isqrt(disc) ** 2 == disc
     assert disc % 1000005000013 == 0
+
+
+@pytest.mark.parametrize("t", ["3/2", "-1/2", "9/2"])
+def test_order_factors_one_number(t, monkeypatch, capsys):
+    # maximal_order factors the equation order's discriminant; the maximal
+    # order's discriminant and its square root are read off those primes
+    calls = []
+    real = orders_ideals.factor
+
+    def counting(n):
+        calls.append(n)
+        return real(n)
+
+    monkeypatch.setattr(orders_ideals, "factor", counting)
+    args = ["order", f"--t={t}", "--different", "--sqrt-different", "--primes2", "--fake-a3"]
+    assert main(args) == 0
+    out = capsys.readouterr().out
+    assert calls == [json.loads(out)["equation_order"]["disc"]]
+    assert (args, hashlib.sha256(out.encode()).hexdigest()) in PINNED_STDOUT_SHA256
 
 
 def test_order_takes_the_inverse_different_once(capsys, monkeypatch):

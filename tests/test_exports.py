@@ -11,26 +11,26 @@ import tracelattice
 #: the public names: those any src/ module, the README Library block or a
 #: demo reads, and the few in KEPT_UNREAD
 PUBLIC_NAMES = [
-    "Conic", "ConicPoint", "CycField", "FamilyCount", "FamilyMember",
-    "FamilyScan", "FieldElement", "IdealLattice", "Matrix", "NonzeroTrace",
-    "Order", "PowerBasisField", "QuadAmbient", "RankTooLarge", "Reducible",
-    "ShanksField", "TARGET_A3", "TARGET_SELF_DUAL", "TraceLattice",
-    "TraceLatticeError", "TraceTarget", "TwoInert", "a2_from_slopes",
-    "an_exclusion", "ap_lattice", "base_point_delta", "canonical_key",
-    "classify_gram", "classify_root_type", "cyc_field",
-    "cyclotomic_polynomial", "dedekind_maximalize", "delta_conic", "det",
-    "different_inverse", "disc_group", "dual", "dumps_canonical",
-    "equation_order", "fake_a3", "fake_a3_variants", "falsify_a2",
-    "family_distinctness", "galois_stable", "identity_to_a3_transform",
-    "inverse", "is_integral", "is_maximal", "lambda_from_point",
-    "lattice_json", "maximal_order", "member_json", "module_product",
-    "new_field", "norm", "norm_one_points", "normal_a2",
-    "normal_basis_lattice", "normal_basis_search", "odd_trace_witness",
-    "parse_generator", "parse_gram", "parse_rational", "primes_above_2",
-    "principal_ideal_lattice", "remap_t0", "reparametrize", "scan_family",
-    "second_intersection", "self_dual_family", "short_vectors_gram",
-    "sigma", "slopes_up_to", "snf", "sqrt_different_inverse", "to_a3_basis",
-    "trace", "trace_targets_of", "verify_cyclotomic_ap",
+    "Conic", "ConicPoint", "CycField", "FamilyMember", "FamilyScan",
+    "IdealLattice", "Matrix", "NonzeroTrace", "Order", "PowerBasisField",
+    "QuadAmbient", "RankTooLarge", "Reducible", "ShanksField", "TARGET_A3",
+    "TARGET_SELF_DUAL", "TraceLattice", "TraceLatticeError", "TraceTarget",
+    "TwoInert", "a2_from_slopes", "an_exclusion", "ap_lattice",
+    "base_point_delta", "canonical_key", "classify_gram",
+    "classify_root_type", "cyc_field", "cyclotomic_polynomial",
+    "dedekind_maximalize", "delta_conic", "det", "different_inverse",
+    "disc_group", "dual", "dumps_canonical", "equation_order", "fake_a3",
+    "fake_a3_variants", "falsify_a2", "family_distinctness",
+    "galois_stable", "identity_to_a3_transform", "inverse", "is_integral",
+    "is_maximal", "lambda_from_point", "lattice_json", "maximal_order",
+    "member_json", "module_product", "new_field", "norm_one_points",
+    "normal_a2", "normal_basis_lattice", "normal_basis_search",
+    "odd_trace_witness", "parse_generator", "parse_gram", "parse_rational",
+    "primes_above_2", "principal_ideal_lattice", "remap_t0",
+    "reparametrize", "scan_family", "second_intersection",
+    "self_dual_family", "short_vectors_gram", "slopes_up_to", "snf",
+    "sqrt_different_inverse", "to_a3_basis", "trace_targets_of",
+    "verify_cyclotomic_ap",
 ]
 
 #: public names that no program file reads, each kept for a stated reason

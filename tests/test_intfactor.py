@@ -6,6 +6,7 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
+from tracelattice import _intfactor
 from tracelattice._intfactor import (
     divisors,
     factor,
@@ -42,6 +43,22 @@ def test_factor_reconstructs(n):
         assert is_probable_prime(p)
         prod *= p ** e
     assert prod == n
+
+
+def test_factor_splits_a_square_once(monkeypatch):
+    # a discriminant delta^2 costs one factorization of delta, not two
+    calls = []
+    rho = _intfactor._pollard_rho
+
+    def counting(n):
+        calls.append(n)
+        return rho(n)
+
+    monkeypatch.setattr(_intfactor, "_pollard_rho", counting)
+    p, q = 1000003, 1000033
+    assert factor((p * q) ** 2) == {p: 2, q: 2}
+    assert factor((p * q) ** 4 * 3) == {3: 1, p: 4, q: 4}
+    assert calls == [p * q, p * q]
 
 
 def test_divisors():

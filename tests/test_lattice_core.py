@@ -78,7 +78,7 @@ from tracelattice.orders_ideals import (
     sqrt_different_inverse,
 )
 from tracelattice.quadratic_a2 import QuadAmbient, a2_from_slopes
-from tracelattice.shanks_field import new_field, sigma, trace
+from tracelattice.shanks_field import new_field
 
 F = Fraction
 
@@ -934,4 +934,4 @@ def test_trace_pair_matches_gram_entries():
     L = TraceLattice.from_rows(k, rows)
     for i in range(3):
         for j in range(3):
-            assert L.gram.data[i][j] == trace(k.element(rows[i]) * k.element(rows[j]))
+            assert L.gram.data[i][j] == k.trace_coords(k.mul_coords(rows[i], rows[j]))

@@ -1,12 +1,16 @@
 """Every PowerBasisField constructor against independent polynomial oracles.
 
-ShanksField, CycField and QuadAmbient share one arithmetic; each is checked
-here against the oracles' own definitions of its field: products are
-polynomial products reduced by long division modulo the minimal polynomial,
-traces are coordinate sums against Newton's power sums, and conjugation and
-the matrices of the Galois generators are the oracles' substitutions (zeta -> zeta^k, the
-sigma of the Shanks family solved from (1 + eps) sigma(eps) = -1, and the
-sign flip of the radical).  The inverse is checked by the oracle product.
+ShanksField, CycField and QuadAmbient share one arithmetic on power-basis
+coordinate tuples; each is checked here against the oracles' own
+definitions of its field: products are polynomial products reduced by long
+division modulo the minimal polynomial, traces are coordinate sums against
+Newton's power sums, the trace form is the oracles' trace Gram of the power
+basis under their conjugation, and the matrices of the Galois generators are
+the oracles' substitutions (zeta -> zeta^k, the sigma of the Shanks family
+solved from (1 + eps) sigma(eps) = -1, and the sign flip of the radical).
+The inverse is checked by the oracle product.  The unit of every field is
+checked against the protocol the orders read: one() is neutral and has
+trace n.
 """
 from __future__ import annotations
 
@@ -25,9 +29,12 @@ from oracles import (
     quadratic_automorphisms,
     shanks_automorphisms,
     shanks_minpoly,
+    trace_gram,
 )
 from tracelattice.cyclotomic_ideals import cyc_field
 from tracelattice.errors import DivisionByZero
+from tracelattice.exact_linalg import Matrix
+from tracelattice.orders_ideals import Order, equation_order
 from tracelattice.quadratic_a2 import QuadAmbient
 from tracelattice.shanks_field import new_field
 
@@ -91,7 +98,9 @@ def test_field_matches_polynomial_oracle(kind, data):
     assert list(field.mul_coords(a, b)) == _product(a, b, minpoly)
     sums = _newton_sums(minpoly)
     assert field.trace_coords(a) == sum(x * s for x, s in zip(a, sums))
-    assert list(field.conj_coords(a)) == conj(a)
+    # the trace form carries the conjugation: a T b^T = Tr(a conj(b))
+    pairing = Matrix([a]) * field.trace_form() * Matrix([b]).transpose()
+    assert pairing.data[0][0] == trace_gram(minpoly, conj, [a, b])[0][1]
     matrices = field.galois_matrices()
     assert len(matrices) == len(automorphisms)
     for s, oracle in zip(matrices, automorphisms):
@@ -104,3 +113,33 @@ def test_field_matches_polynomial_oracle(kind, data):
             field.inv_coords(a)
     else:
         assert _product(a, field.inv_coords(a), minpoly) == one
+
+
+#: one field of each constructor, with its degree
+PROTOCOL_FIELDS = [
+    pytest.param(lambda: new_field(F(1, 2)), 3, id="shanks"),
+    pytest.param(lambda: cyc_field(9), 6, id="cyclotomic"),
+    pytest.param(lambda: QuadAmbient(7, -1), 2, id="quadratic"),
+]
+
+
+@pytest.mark.parametrize("make, degree", PROTOCOL_FIELDS)
+@settings(max_examples=20, deadline=None)
+@given(coords=st.lists(coordinate, min_size=1, max_size=12))
+def test_one_and_element_are_the_ambient_protocol(make, degree, coords):
+    field = make()
+    one = field.one()
+    assert one == (1,) + (0,) * (degree - 1)
+    assert field.trace_coords(one) == degree
+    a = field.element(coords)
+    assert len(a) == degree
+    # element pads a short polynomial and reduces a long one mod f
+    assert list(a) == _poly_mod(coords, field.minpoly)
+    assert field.mul_coords(a, one) == a == field.mul_coords(one, a)
+
+
+def test_order_must_contain_one():
+    o = equation_order(F(1, 2))
+    # 2O has rank n and is closed under products, but 1 is not in it
+    with pytest.raises(ValueError, match="order must contain 1"):
+        Order(o.ambient, o.basis * 2)

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from tracelattice.a3_factory import scan_family
 from tracelattice.conic_points import ConicPoint
-from tracelattice.cyclotomic_ideals import cyc_field, power
+from tracelattice.cyclotomic_ideals import cyc_field
+from tracelattice.errors import TooLarge
 from tracelattice.exact_linalg import Matrix
 from tracelattice.quadratic_a2 import normal_a2
 from tracelattice.serialize import (
@@ -90,6 +91,22 @@ def test_dumps_canonical_is_sorted_and_compact():
     payload = dumps_canonical({"b": 1, "a": [2, 3]})
     assert payload == '{"a":[2,3],"b":1}\n'
     assert dumps_canonical({"a": [2, 3], "b": 1}) == payload
+
+
+def test_numbers_past_the_digit_limit_are_too_large():
+    # every writer of a number raises TooLarge, never the ValueError of
+    # int-to-str: an int in the document, a rational, and matrix entries
+    # over denominator 1 and over a larger one
+    big = 10**4300
+    assert len(rational_str(big - 1)) == 4300
+    for write, value in (
+        (dumps_canonical, {"disc": big}),
+        (rational_str, F(1, big)),
+        (matrix_json, Matrix([[big]])),
+        (matrix_json, Matrix([[big, F(1, 2)]])),
+    ):
+        with pytest.raises(TooLarge, match="more than 4300 digits"):
+            write(value)
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +191,7 @@ def test_generator_negative_power_is_field_inverse():
     k = cyc_field(5)
     one_minus_z = tuple(a - b for a, b in zip(k.one(), k.zeta()))
     assert parse_generator(k, "(1-z)^-1") == k.inv_coords(one_minus_z)
-    assert parse_generator(k, "(1-z)^-2") == power(k, one_minus_z, -2)
+    assert parse_generator(k, "(1-z)^-2") == k.pow_coords(one_minus_z, -2)
     assert parse_generator(k, "1/(1-z)") == k.inv_coords(one_minus_z)
 
 

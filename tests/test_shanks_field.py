@@ -2,7 +2,9 @@
 
 The independent oracle for multiplication and traces is plain polynomial
 arithmetic modulo the minimal polynomial, done from scratch here; the
-implementation's closed-form reduction vectors must agree with it.
+implementation's closed-form reduction vectors must agree with it.  Elements
+are power-basis coordinate tuples, and the ring axioms, the Galois action,
+traces and norms are checked on the field's *_coords methods.
 """
 from __future__ import annotations
 
@@ -11,25 +13,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import shanks_automorphisms
-from tracelattice.errors import (
-    NonzeroTrace,
-    RationalInput,
-    Reducible,
-    ZeroParameter,
-)
-from tracelattice.exact_linalg import Matrix, inverse
+from oracles import bracket, shanks_automorphisms
+from tracelattice.errors import NonzeroTrace, RationalInput, Reducible
+from tracelattice.exact_linalg import Matrix, det, inverse
 from tracelattice.shanks_field import (
     ShanksField,
-    bracket,
     f_t_at,
-    inv,
     new_field,
-    norm,
     remap_t0,
     reparametrize,
-    sigma,
-    trace,
 )
 
 def _in_family(t: Fraction) -> bool:
@@ -114,54 +106,72 @@ def test_field_equality_and_descriptor():
 
 # --- arithmetic against the polynomial oracle ---------------------------------
 
+EPS = (0, 1, 0)
+
+
+def _add(*elements):
+    return tuple(sum(cs) for cs in zip(*elements))
+
+
+def _scale(c, a):
+    return tuple(c * x for x in a)
+
+
+def _rational(c):
+    return (Fraction(c), Fraction(0), Fraction(0))
+
+
+def _f_t(k, t, x):
+    """f_t(x) = x^3 - t x^2 - (t+3) x - 1 on coordinates."""
+    x2 = k.mul_coords(x, x)
+    return _add(k.mul_coords(x2, x), _scale(-t, x2), _scale(-(t + 3), x), _rational(-1))
+
+
 @settings(max_examples=80)
 @given(rational_t, coords3, coords3)
 def test_mul_matches_polynomial_oracle(t, a, b):
     k = new_field(t)
-    got = k.element(a) * k.element(b)
-    assert got.coords == _poly_mulmod(a, b, t)
+    assert k.mul_coords(a, b) == _poly_mulmod(a, b, t)
 
 
 @settings(max_examples=80)
 @given(rational_t, coords3)
 def test_trace_matches_newton_oracle(t, a):
     k = new_field(t)
-    assert trace(k.element(a)) == _oracle_trace(a, t)
+    assert k.trace_coords(a) == _oracle_trace(a, t)
 
 
 @settings(max_examples=40)
 @given(rational_t, coords3, coords3, coords3)
 def test_mul_associative(t, a, b, c):
     k = new_field(t)
-    x, y, z = k.element(a), k.element(b), k.element(c)
-    assert (x * y) * z == x * (y * z)
+    mul = k.mul_coords
+    assert mul(mul(a, b), c) == mul(a, mul(b, c))
 
 
 @settings(max_examples=60)
 @given(rational_t, coords3)
 def test_inverse_round_trip(t, a):
     k = new_field(t)
-    x = k.element(a)
-    if x.is_zero():
+    if not any(a):
         return
-    assert x * inv(x) == k.one()
+    assert k.mul_coords(a, k.inv_coords(a)) == k.one()
 
 
 def test_eps_unit_with_norm_one():
-    for t in (0, 1, 2, Fraction(1, 2), -5):
-        k = new_field(t if t != 0 else remap_t0()) if t == 0 else new_field(t)
-        assert norm(k.eps()) == 1
-        assert k.eps() * inv(k.eps()) == k.one()
+    for t in (remap_t0(), 1, 2, Fraction(1, 2), -5):
+        k = new_field(t)
+        assert k.norm_coords(EPS) == 1
+        assert k.mul_coords(EPS, k.inv_coords(EPS)) == k.one()
 
 
 def test_power_reduction_eps3_eps4():
     # eps^3 = 1 + (t+3) eps + t eps^2 and the derived eps^4 line
     for t in (1, -2, Fraction(5, 3)):
         k = new_field(t)
-        eps = k.eps()
         t = Fraction(t)
-        assert (eps ** 3).coords == (1, t + 3, t)
-        assert (eps ** 4).coords == (t, 1 + t * (t + 3), (t + 3) + t * t)
+        assert k.pow_coords(EPS, 3) == (1, t + 3, t)
+        assert k.pow_coords(EPS, 4) == (t, 1 + t * (t + 3), (t + 3) + t * t)
 
 
 # --- Galois action -------------------------------------------------------------
@@ -169,65 +179,67 @@ def test_power_reduction_eps3_eps4():
 def test_sigma_eps_closed_form():
     for t in (1, 2, Fraction(1, 2), -4):
         k = new_field(t)
-        s = sigma(k.eps())
-        assert s.coords == (-2, -(Fraction(t) + 1), 1)
+        s = k.galois_coords(EPS)
+        assert s == (-2, -(Fraction(t) + 1), 1)
         # sigma(eps) is again a root of the minimal polynomial
-        t_ = Fraction(t)
-        x = s
-        assert (x ** 3 - t_ * x ** 2 - (t_ + 3) * x - k.one()).is_zero()
+        assert not any(_f_t(k, Fraction(t), s))
 
 
 def test_sigma_eps_is_minus_inverse_of_one_plus_eps():
     for t in (1, -5, Fraction(2, 7)):
         k = new_field(t)
-        lhs = sigma(k.eps()) * (k.one() + k.eps())
-        assert lhs == k.element((-1, 0, 0))
+        lhs = k.mul_coords(k.galois_coords(EPS), _add(k.one(), EPS))
+        assert lhs == (-1, 0, 0)
 
 
 @settings(max_examples=60)
 @given(rational_t, coords3)
 def test_sigma_order_three(t, a):
     k = new_field(t)
-    x = k.element(a)
-    assert sigma(sigma(sigma(x))) == x
+    sigma = k.galois_coords
+    assert sigma(sigma(sigma(a))) == a
 
 
 @settings(max_examples=40)
 @given(rational_t, coords3, coords3)
 def test_sigma_is_ring_map(t, a, b):
     k = new_field(t)
-    x, y = k.element(a), k.element(b)
-    assert sigma(x * y) == sigma(x) * sigma(y)
-    assert sigma(x + y) == sigma(x) + sigma(y)
+    sigma, mul = k.galois_coords, k.mul_coords
+    assert sigma(mul(a, b)) == mul(sigma(a), sigma(b))
+    assert sigma(_add(a, b)) == _add(sigma(a), sigma(b))
 
 
 @settings(max_examples=40)
 @given(rational_t, coords3)
 def test_trace_is_sum_over_orbit(t, a):
     k = new_field(t)
-    x = k.element(a)
-    orbit_sum = x + sigma(x) + sigma(sigma(x))
-    assert orbit_sum.is_rational()
-    assert orbit_sum.coords[0] == trace(x)
+    s = k.galois_coords(a)
+    assert _add(a, s, k.galois_coords(s)) == _rational(k.trace_coords(a))
 
 
 @settings(max_examples=40)
 @given(rational_t, coords3)
 def test_norm_is_product_over_orbit(t, a):
     k = new_field(t)
-    x = k.element(a)
-    prod = x * sigma(x) * sigma(sigma(x))
-    assert prod == k.rational(norm(x))
+    s = k.galois_coords(a)
+    prod = k.mul_coords(k.mul_coords(a, s), k.galois_coords(s))
+    assert prod == _rational(k.norm_coords(a))
 
 
 def test_trace_pair_is_symmetric_bilinear():
     k = new_field(3)
-    x, y = k.element((1, 2, 0)), k.element((0, 1, 1))
-    assert trace(x * y) == trace(y * x)
-    assert trace((x + y) * y) == trace(x * y) + trace(y * y)
+    tr, mul = k.trace_coords, k.mul_coords
+    x, y = (1, 2, 0), (0, 1, 1)
+    assert tr(mul(x, y)) == tr(mul(y, x))
+    assert tr(mul(_add(x, y), y)) == tr(mul(x, y)) + tr(mul(y, y))
 
 
 # --- discriminant --------------------------------------------------------------
+
+def _derivative_at_eps(k, t):
+    """f_t'(eps) = 3 eps^2 - 2t eps - (t+3)."""
+    return _add(_scale(3, k.pow_coords(EPS, 2)), _scale(-2 * t, EPS), _rational(-(t + 3)))
+
 
 @settings(max_examples=40)
 @given(rational_t)
@@ -235,66 +247,44 @@ def test_discriminant_is_delta_squared(t):
     # disc of a monic cubic is -N(f'(eps)); for this family it must be the
     # perfect square delta^2 (the Galois-cubic signature)
     k = new_field(t)
-    eps = k.eps()
-    t_ = Fraction(t)
-    fprime = 3 * eps ** 2 - 2 * t_ * eps - k.rational(t_ + 3)
-    assert -norm(fprime) == k.delta ** 2
+    assert -k.norm_coords(_derivative_at_eps(k, Fraction(t))) == k.delta ** 2
 
 
 def test_disc_t1_is_169():
     k = new_field(1)
-    eps = k.eps()
-    fprime = 3 * eps ** 2 - 2 * eps - k.rational(4)
-    assert -norm(fprime) == 169  # delta^2 with delta = 13
+    assert -k.norm_coords(_derivative_at_eps(k, Fraction(1))) == 169  # delta = 13
 
 
-# --- brackets and normal coordinates -------------------------------------------
+# --- the eps-orbit matrix --------------------------------------------------------
 
-def test_bracket_zero_parameter():
-    with pytest.raises(ZeroParameter):
-        bracket(new_field_t0_placeholder(), (1, 0, 0))
-
-
-def new_field_t0_placeholder():
-    # build the t=0 field through the constructor for the error-path test
-    return ShanksField(0)
+def test_orbit_matrix_is_singular_at_zero_parameter():
+    # at t = 0 the eps-orbit is no basis, so no weights lam name an element
+    assert det(ShanksField(0).orbit_matrix) == 0
 
 
 @settings(max_examples=40)
 @given(rational_t, coords3)
 def test_bracket_round_trip(t, lam):
     k = new_field(t)
-    x = bracket(k, lam)
+    x = bracket(t, lam)
     # the orbit is a basis: solving against it gives the weights back
-    row = Matrix([list(x.coords)]) * inverse(k.orbit_matrix)
+    row = Matrix([list(x)]) * inverse(k.orbit_matrix)
     assert row.row(0) == tuple(Fraction(v) for v in lam)
-
-
-@settings(max_examples=30)
-@given(rational_t, coords3, coords3)
-def test_bracket_linear(t, lam, mu):
-    k = new_field(t)
-    s = tuple(Fraction(a) + Fraction(b) for a, b in zip(lam, mu))
-    assert bracket(k, s) == bracket(k, lam) + bracket(k, mu)
 
 
 @settings(max_examples=30, deadline=None)
 @given(rational_t, coords3)
 def test_bracket_is_the_weighted_orbit_of_eps(t, lam):
     # lam0 eps + lam1 eps^sigma + lam2 eps^(sigma^2), with sigma written out
-    # from its definition; round trips and linearity cannot see an orbit
-    # matrix with its rows permuted, this can
-    sig, sig2 = shanks_automorphisms(t)
-    eps = [0, 1, 0]
-    orbit = [[Fraction(x) for x in eps], sig(eps), sig2(eps)]
-    want = tuple(sum(Fraction(c) * row[j] for c, row in zip(lam, orbit)) for j in range(3))
-    assert bracket(new_field(t), lam).coords == want
+    # from its definition; a round trip cannot see an orbit matrix with its
+    # rows permuted, this can
+    assert (Matrix([list(lam)]) * new_field(t).orbit_matrix).row(0) == bracket(t, lam)
 
 
 def test_bracket_of_ones_is_trace_of_eps():
     # lambda = (1,1,1) gives eps + eps^sigma + eps^sigma^2 = Tr(eps) = t
     k = new_field(5)
-    assert bracket(k, (1, 1, 1)) == k.rational(5)
+    assert (Matrix([[1, 1, 1]]) * k.orbit_matrix).row(0) == (5, 0, 0)
 
 
 # --- reparametrization ----------------------------------------------------------
@@ -302,34 +292,36 @@ def test_bracket_of_ones_is_trace_of_eps():
 def test_reparametrize_rejects_nonzero_trace():
     k = new_field(1)
     with pytest.raises(NonzeroTrace):
-        reparametrize(k, k.eps())  # Tr(eps) = t = 1
+        reparametrize(k, EPS)  # Tr(eps) = t = 1
 
 
 def test_reparametrize_rejects_rational():
     k = new_field(1)
     with pytest.raises(RationalInput):
-        reparametrize(k, k.rational(0))
+        reparametrize(k, _rational(0))
     with pytest.raises(RationalInput):
-        # zero trace but rational: the zero element
-        reparametrize(k, k.element((0, 0, 0)))
+        # zero trace but rational: the zero element, as a short polynomial
+        reparametrize(k, (0,))
 
 
 @settings(max_examples=30, deadline=None)
 @given(rational_t, coords3)
 def test_reparametrize_lands_in_family(t, a):
     k = new_field(t)
-    x = k.element(a)
-    # project to trace zero: x - Tr(x)/3
-    x = x - k.rational(trace(x) / 3)
-    if x.is_rational():
+    # project to trace zero: a - Tr(a)/3
+    x = _add(a, _rational(-k.trace_coords(a) / 3))
+    if not any(x[1:]):
         return
     t2 = reparametrize(k, x)
     assert t2 != 0
-    # the defining check: some unit u in the same field satisfies f_{t2}(u) = 0
-    # reparametrize already asserts this internally; re-verify the discriminant
-    # relation that both parameters present the same field: delta ratio is a
-    # rational square times a cube-free part match is implied by construction.
-    assert f_t_at(t2, Fraction(0)) == -1  # constant term is -1 for every member
+    # the unit u = x^(sigma-1) is a root of f_{t2}: reparametrize asserts
+    # it, and the oracle's arithmetic and sigma check it again here
+    u = k.mul_coords(k.galois_coords(x), k.inv_coords(x))
+    assert _poly_mulmod(u, x, t) == tuple(shanks_automorphisms(t)[0](x))
+    u2 = _poly_mulmod(u, u, t)
+    u3 = _poly_mulmod(u2, u, t)
+    residual = [c3 - t2 * c2 - (t2 + 3) * c1 for c3, c2, c1 in zip(u3, u2, u)]
+    assert residual == [1, 0, 0]
 
 
 def test_f_t_at_values():
