@@ -18,6 +18,7 @@ from tracelattice import (
     new_field,
     reparametrize,
     scan_family,
+    to_a3_basis,
 )
 
 
@@ -43,8 +44,7 @@ def classic_t0():
     L = TraceLattice.from_rows(k, [beta0, beta1, beta2])
     print("Gram of the normal basis (beta0, beta1, beta2):")
     show_matrix(L.gram)
-    transform = Matrix([[1, 0, 0], [-1, 1, 0], [0, -1, 1]])
-    Lp = TraceLattice(k, transform * L.basis)
+    Lp = to_a3_basis(L)
     print("Gram after the unimodular base change diag-differencing:")
     show_matrix(Lp.gram)
     print(f"classified: {classify_root_type(Lp)}")

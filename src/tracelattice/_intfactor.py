@@ -41,23 +41,45 @@ def is_probable_prime(n: int) -> bool:
     return True
 
 
+#: how many x - y factors Brent's rho multiplies together between gcds
+_RHO_BATCH = 128
+
+
 def _pollard_rho(n: int) -> int:
-    """A nontrivial factor of composite odd n (Brent's cycle variant)."""
+    """A nontrivial factor of composite odd n (Brent, BIT 20, 1980).
+
+    The walk y -> y^2 + c mod n is compared against x, its value at the
+    last power of two, which finds the cycle with one squaring per step
+    where Floyd's needs three.  The x - y are multiplied mod n and one
+    gcd is taken per batch of _RHO_BATCH steps; a batch whose product
+    shares all of n backtracks from its start one gcd per step, and a walk
+    that still meets only n retries with the next c."""
     if n % 2 == 0:
         return 2
-    seed = 1
+    c = 1
     while True:
-        seed += 1
-        x = y = 2
-        c = seed
-        d = 1
-        while d == 1:
-            x = (x * x + c) % n
-            y = (y * y + c) % n
-            y = (y * y + c) % n
-            d = gcd(abs(x - y), n)
-        if d != n:
-            return d
+        c += 1
+        y, r, prod, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                start = y
+                for _ in range(min(_RHO_BATCH, r - k)):
+                    y = (y * y + c) % n
+                    prod = prod * (x - y) % n
+                g = gcd(prod, n)
+                k += _RHO_BATCH
+            r *= 2
+        if g == n:
+            g = 1
+            while g == 1:
+                start = (start * start + c) % n
+                g = gcd(x - start, n)
+        if g != n:
+            return g
 
 
 def factor(n: int) -> dict[int, int]:

@@ -35,13 +35,13 @@ from .errors import (
     PointNotOnConic,
     WrongGram,
     ZeroParameter,
+    number_text,
 )
-from .exact_linalg import Matrix, rat
+from .exact_linalg import Matrix, det, rat
 from .lattice_core import (
     TraceLattice,
     canonical_key,
     classify_root_type,
-    dual,
     galois_stable,
 )
 from .shanks_field import new_field
@@ -52,12 +52,14 @@ LambdaVector = tuple[Fraction, Fraction, Fraction]
 NORMAL_A3_GRAM = Matrix.from_rows([[2, 1, 1], [1, 2, 1], [1, 1, 2]])
 STANDARD_A3_GRAM = Matrix.from_rows([[2, -1, 0], [-1, 2, -1], [0, -1, 2]])
 #: unimodular P with P * NORMAL_A3_GRAM * P^T = STANDARD_A3_GRAM, checked
-#: once here: a basis with the normal Gram goes to one with the standard Gram
+#: once here: a basis with the normal Gram goes to one with the standard Gram,
+#: and since P is integral with det 1, P B spans the same lattice as B
 _NORMAL_TO_STANDARD = Matrix.from_rows([[1, 0, 0], [-1, 1, 0], [0, -1, 1]])
 assert (
     _NORMAL_TO_STANDARD * NORMAL_A3_GRAM * _NORMAL_TO_STANDARD.transpose()
     == STANDARD_A3_GRAM
 )
+assert _NORMAL_TO_STANDARD.is_integer() and det(_NORMAL_TO_STANDARD) == 1
 _IDENTITY_3 = Matrix.identity(3)
 
 
@@ -129,7 +131,8 @@ def lambda_from_point(t, target: TraceTarget, point: ConicPoint) -> LambdaVector
         c.numerator * big_d * m * m
     ):
         raise PointNotOnConic(
-            f"({x}, {y}) is not on x^2 + 3y^2 = {c * (t * t + 3 * t + 9)}"
+            f"({number_text(x)}, {number_text(y)}) is not on x^2 + 3y^2 = "
+            f"{number_text(c * (t * t + 3 * t + 9))}"
         )
     pq = p * q
     fd = big_f * big_d
@@ -163,19 +166,23 @@ def _circulant(a, b, c) -> list[list]:
     return [[a, b, c], [c, a, b], [b, c, a]]
 
 
-def normal_basis_lattice(t, lam, targets=None) -> TraceLattice:
+def _circulant_gram(d, e) -> Matrix:
+    """The circulant Gram [[d,e,e],[e,d,e],[e,e,d]] of a normal basis."""
+    return Matrix(_circulant(d, e, e))
+
+
+def normal_basis_lattice(t, lam, gram: Matrix | None = None) -> TraceLattice:
     """Lattice spanned by the sigma-orbit of beta = <lam, eps-orbit>.
 
     sigma shifts the weights, beta^sigma = <(lam2, lam0, lam1), eps-orbit>,
     so the basis (beta, beta^sigma, beta^sigma2) is one product: the
     circulant of lam, as integer rows over lam's common denominator, times
     the field's orbit_matrix.  The Gram is the circulant of (d, e, e) by the
-    Galois symmetry, compared as integer rows over one denominator with
-    (d, e); raises DegenerateLambda
-    when the three conjugates are linearly dependent and ZeroParameter at
-    t = 0, where the eps-orbit is no basis.  targets is (d, e) when the
-    caller has already certified it for lam (lambda_from_point); by default
-    it is recomputed by trace_targets_of."""
+    Galois symmetry, and the computed Gram must equal it exactly; raises
+    DegenerateLambda when the three conjugates are linearly dependent and
+    ZeroParameter at t = 0, where the eps-orbit is no basis.  gram is that
+    circulant when the caller has already certified (d, e) for lam
+    (lambda_from_point); by default it is built from trace_targets_of."""
     field = new_field(t)
     if field.t == 0:
         raise ZeroParameter()
@@ -187,13 +194,12 @@ def normal_basis_lattice(t, lam, targets=None) -> TraceLattice:
         )
     except DependentBasis as exc:
         raise DegenerateLambda(
-            f"conjugates of the weighted element are dependent for lam = {lam}"
+            "conjugates of the weighted element are dependent for lam = "
+            f"({', '.join(map(number_text, weights.row(0)))})"
         ) from exc
-    expected = Matrix([trace_targets_of(t, lam) if targets is None else targets])
-    (d, e), = expected.ints
-    assert lattice.gram.den == expected.den and lattice.gram.ints == (
-        (d, e, e), (e, d, e), (e, e, d)
-    ), "orbit Gram must be circulant in (d, e)"
+    if gram is None:
+        gram = _circulant_gram(*trace_targets_of(t, lam))
+    assert lattice.gram == gram, "orbit Gram must be circulant in (d, e)"
     return lattice
 
 
@@ -250,6 +256,16 @@ def scan_family(t, height: int, target: TraceTarget = TARGET_A3) -> FamilyScan:
     is still keyed by its HNF, and only a new key becomes a member, with
     its certificates; the member keeps its key for member_json.
 
+    Certificates per member: the integer conic and target checks of
+    lambda_from_point; the exact Gram against the target's circulant Gram,
+    which the sweep builds once (normal_basis_lattice); the HNF key; the
+    root type by classify_root_type; Galois stability.  The self-dual target
+    also asserts the identity Gram, which is self-duality itself: with
+    G = I the dual basis G^-1 B is B.  Once per import: P G P^T equals the
+    standard A3 Gram and P is integral with det 1, so to_a3_basis of an A3
+    member has the standard Gram and the member's key by construction, and
+    the sweep does not build it.
+
     Degenerate weights are skipped with a log note and counted, never raised:
     the family stays infinite after finitely many exclusions.  A shift of
     degenerate weights is degenerate too, so each such point counts."""
@@ -260,6 +276,7 @@ def scan_family(t, height: int, target: TraceTarget = TARGET_A3) -> FamilyScan:
     field = new_field(t)  # raises Reducible for the bad parameters
     conic = delta_conic(t)
     p0 = base_point_delta(t)
+    gram = _circulant_gram(target.d, target.e)
     built: set[LambdaVector] = set()  # least cyclic shift of each lam built
     seen_keys: set = set()
     members: list[FamilyMember] = []
@@ -271,7 +288,7 @@ def scan_family(t, height: int, target: TraceTarget = TARGET_A3) -> FamilyScan:
         if rotation in built:
             continue
         try:
-            lattice = normal_basis_lattice(t, lam, (target.d, target.e))
+            lattice = normal_basis_lattice(t, lam, gram)
         except DegenerateLambda:
             # imported here: no other path logs, and start-up pays for it
             import logging
@@ -287,14 +304,11 @@ def scan_family(t, height: int, target: TraceTarget = TARGET_A3) -> FamilyScan:
         if key in seen_keys:
             continue
         seen_keys.add(key)
+        label = classify_root_type(lattice)
         if target == TARGET_A3:
-            to_a3_basis(lattice)  # exact Gram + same-lattice certificates
-            label = classify_root_type(lattice)
             assert label == "A3"
         else:
-            assert lattice.gram == _IDENTITY_3
-            assert canonical_key(dual(lattice)) == key, "L must equal its dual"
-            label = classify_root_type(lattice)
+            assert lattice.gram == _IDENTITY_3, "L must equal its dual"
             assert label == "unimodular_odd"
         assert galois_stable(lattice)
         members.append(FamilyMember(lattice.with_type(label), lam, point, slope))

@@ -10,6 +10,32 @@ class TraceLatticeError(Exception):
     """Base class for every error raised by this library."""
 
 
+def number_text(x) -> str:
+    """str(x) of an int or Fraction for an error message.  An integer part
+    past the interpreter's limit on int-to-str conversion (4,300 digits by
+    default) is written as its digit count, so building a message about a
+    huge number cannot itself fail."""
+    try:
+        return str(x)
+    except ValueError:
+        pass
+    if isinstance(x, int):
+        return f"-<{_digits(-x)} digits>" if x < 0 else f"<{_digits(x)} digits>"
+    if x.denominator == 1:
+        return number_text(x.numerator)
+    return f"{number_text(x.numerator)}/{number_text(x.denominator)}"
+
+
+def _digits(n: int) -> int:
+    """The number of decimal digits of n > 0, with no int-to-str conversion:
+    the bit length gives a lower bound to within one, raised to the exact
+    count by comparing against powers of ten."""
+    k = max(0, (n.bit_length() - 1) * 30103 // 100000 - 1)
+    while 10**k <= n:
+        k += 1
+    return k
+
+
 class NonSquareMatrix(TraceLatticeError):
     """A square matrix was required."""
 

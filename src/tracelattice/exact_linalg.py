@@ -6,6 +6,10 @@ Scalars are arbitrary-precision rationals (`Rational`, an alias of
 integer rows over one positive denominator in lowest terms, the scaled-integer
 form every kernel here runs on; Matrix.scaled(ints, den) builds one from
 integers without a Fraction, and entries become Fractions only when read.
+Products and transposes, whose results are already equal-width int tuples
+over den > 0, go through the trusted internal constructor Matrix._trusted,
+which checks nothing: a product is brought to lowest terms by one gcd, and
+a transpose is in lowest terms already.  The public constructors validate.
 `det` and `inverse` are fraction-free eliminations (Bareiss, Math. Comp.
 1968) on those integer rows: `inverse` runs Gauss-Jordan on [A | I] with
 exact division by the previous pivot and scales the result once.
@@ -27,6 +31,7 @@ Conventions fixed for the whole library:
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Sequence
@@ -71,6 +76,15 @@ class Matrix:
         m._freeze([[x // g for x in row] for row in ints] if g != 1 else ints, den // g)
         return m
 
+    @classmethod
+    def _trusted(cls, ints: tuple[tuple[int, ...], ...], den: int) -> "Matrix":
+        """ints / den with no check, for callers that guarantee the invariant:
+        ints is a nonempty tuple of equal-width, nonempty int tuples over
+        den > 0, in lowest terms."""
+        m = cls.__new__(cls)
+        m._store(ints, den)
+        return m
+
     def _freeze(self, ints: list[list[int]], den: int) -> None:
         body = tuple(map(tuple, ints))
         if not body or not body[0]:
@@ -78,8 +92,14 @@ class Matrix:
         width = len(body[0])
         if any(len(row) != width for row in body):
             raise ValueError("ragged rows")
-        for name, value in (("ints", body), ("den", den), ("rows", len(body)), ("cols", width)):
-            object.__setattr__(self, name, value)
+        self._store(body, den)
+
+    def _store(self, ints: tuple[tuple[int, ...], ...], den: int) -> None:
+        setter = object.__setattr__
+        setter(self, "ints", ints)
+        setter(self, "den", den)
+        setter(self, "rows", len(ints))
+        setter(self, "cols", len(ints[0]))
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError("Matrix is immutable")
@@ -119,13 +139,13 @@ class Matrix:
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
         cols = list(zip(*other.ints))
-        return Matrix.scaled(
-            [[sum(map(mul, row, col)) for col in cols] for row in self.ints],
+        return _reduced(
+            tuple(tuple([sum(map(mul, row, col)) for col in cols]) for row in self.ints),
             self.den * other.den,
         )
 
     def transpose(self) -> "Matrix":
-        return Matrix.scaled(zip(*self.ints), self.den)
+        return Matrix._trusted(tuple(zip(*self.ints)), self.den)
 
     def is_square(self) -> bool:
         return self.rows == self.cols
@@ -142,6 +162,17 @@ class Matrix:
         if self.den != 1:
             raise NotInteger("integer entries required")
         return [list(row) for row in self.ints]
+
+
+def _reduced(ints: tuple[tuple[int, ...], ...], den: int) -> Matrix:
+    """The trusted Matrix ints / den for equal-width int tuples over den > 0,
+    brought to lowest terms by one gcd."""
+    if den != 1:
+        g = gcd(den, *chain.from_iterable(ints))
+        if g != 1:
+            ints = tuple(tuple([x // g for x in row]) for row in ints)
+            den //= g
+    return Matrix._trusted(ints, den)
 
 
 def _bareiss_det(a: list[list[int]]) -> int:

@@ -13,7 +13,7 @@ object implementing the small protocol used here:
     descriptor()      -- JSON-friendly identity, used for ambient equality
 
 The pairing Tr(x * conj(y)) is Q-bilinear, so the Gram of a basis B is
-B T B^T: two integer matrix products on the scaled-integer form.  Galois
+B T B^T: one integer triple product on the scaled-integer form.  Galois
 stability is a membership test of the images H S against the lattice's own
 integer HNF H, with no inverse.  The ambient holds T and S already; nothing
 here derives them again.
@@ -52,7 +52,7 @@ from .errors import (
     NotSymmetric,
     RankTooLarge,
 )
-from .exact_linalg import Matrix, det, hnf_coords, hnf_rows, inverse, rat, snf
+from .exact_linalg import Matrix, _reduced, det, hnf_coords, hnf_rows, inverse, rat, snf
 
 #: the largest rank classify_gram enumerates
 ENUMERATION_RANK_CAP = 32
@@ -112,7 +112,8 @@ class TraceLattice:
 
 
 def gram_of(basis: Matrix | Sequence[Sequence], ambient) -> Matrix:
-    """Exact Gram matrix Tr(b_i * conj(b_j)) = (B T B^T)[i][j]; raises
+    """Exact Gram matrix Tr(b_i * conj(b_j)) = (B T B^T)[i][j], one integer
+    triple product on the scaled rows brought to lowest terms once; raises
     DependentBasis if the rows are linearly dependent and NotPositiveDefinite
     if the form is not definite on them.
 
@@ -121,7 +122,12 @@ def gram_of(basis: Matrix | Sequence[Sequence], ambient) -> Matrix:
     singular Gram (dependent rows) from an indefinite one."""
     if not isinstance(basis, Matrix):
         basis = Matrix.from_rows(basis)
-    gram = basis * ambient.trace_form() * basis.transpose()
+    form = ambient.trace_form()
+    b = basis.ints
+    cols = list(zip(*form.ints))
+    bt = [[sum(map(mul, row, col)) for col in cols] for row in b]
+    g = tuple(tuple([sum(map(mul, u, v)) for v in b]) for u in bt)
+    gram = _reduced(g, basis.den * basis.den * form.den)
     g = gram.ints
     n = len(g)
     assert all(
@@ -509,8 +515,21 @@ def galois_stable(L: TraceLattice) -> bool:
     lattice into itself.
 
     With (k, H) = canonical_key(L), H is an integer basis of kL and each
-    generator acts by its matrix S (galois_matrices).  The lattice is
-    stable iff every row of H S lies in the span of H (span_coords).  All
-    of it is int arithmetic; no inverse of the basis is formed."""
-    h = Matrix.scaled(canonical_key(L)[1])
-    return all(span_coords(h, h * s) is not None for s in L.ambient.galois_matrices())
+    generator acts by its matrix S = S'/s (galois_matrices).  The lattice is
+    stable iff every row of H S lies in the span of H: each row of H S' must
+    be divisible by s, and the quotient must have hnf_coords against H.  All
+    of it is int arithmetic on the HNF rows; no inverse of the basis and no
+    Matrix is formed."""
+    h = canonical_key(L)[1]
+    for s in L.ambient.galois_matrices():
+        den = s.den
+        cols = list(zip(*s.ints))
+        for row in h:
+            image = [sum(map(mul, row, col)) for col in cols]
+            if den != 1:
+                if any(x % den for x in image):
+                    return False
+                image = [x // den for x in image]
+            if hnf_coords(h, image) is None:
+                return False
+    return True

@@ -32,7 +32,7 @@ from operator import mul
 from typing import NamedTuple, Sequence
 
 from ._intfactor import factor, is_probable_prime, is_square
-from .errors import NotFound, NotMaximal, TwoInert
+from .errors import NotFound, NotMaximal, TwoInert, number_text
 from .exact_linalg import Matrix, det, hnf_coords
 from .lattice_core import (
     TraceLattice,
@@ -305,7 +305,7 @@ def different_inverse(o: Order) -> IdealLattice:
 
 def _trace_dual(o: Order) -> IdealLattice:
     if not is_maximal(o):
-        raise NotMaximal(f"order of discriminant {o.disc} is not maximal")
+        raise NotMaximal(f"order of discriminant {number_text(o.disc)} is not maximal")
     d = dual(o.lattice())
     index = det(o.basis) / det(d.basis)
     assert abs(index) == o.disc
@@ -329,7 +329,7 @@ def sqrt_different_inverse(o: Order) -> IdealLattice:
 def _closed_form_root(o: Order) -> IdealLattice:
     m = isqrt(o.disc)
     if m * m != o.disc:
-        raise NotFound(f"discriminant {o.disc} is not a square")
+        raise NotFound(f"discriminant {number_text(o.disc)} is not a square")
     dinv = o._first_use("_dinv", _trace_dual)  # different_inverse(o), from its slot
     root = IdealLattice(o, o.basis)
     for p in _disc_factors(o):  # the primes of m, as m^2 = disc

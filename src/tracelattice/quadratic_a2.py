@@ -253,18 +253,23 @@ def family_distinctness(height: int, sign: int = -1) -> list[TraceLattice]:
     """Pairwise-distinct A2 lattices over all slope pairs and both branches
     with |s0|, |s1| <= height, in first-seen order.
 
-    Per-pair integer check, certified build per distinct key: every slope
-    pair and branch passes the integer conic and pairing checks of
-    a2_from_slopes and is keyed by the hnf_span of its basis; only the
-    first pair of each new key builds the certified lattice (gram_of, the A2
-    Gram)."""
+    Per-pair integer check, one key per distinct basis, certified build per
+    distinct key: every slope pair and branch passes the integer conic and
+    pairing checks of a2_from_slopes.  A Matrix is canonical and equal bases
+    span one lattice, so a basis met before is passed over, and each new
+    basis is keyed by its hnf_span; only the first basis of each new key
+    builds the certified lattice (gram_of, the A2 Gram)."""
     seen = {}
+    bases = set()
     for s0 in range(-height, height + 1):
         for s1 in range(-height, height + 1):
             if (s0, s1) == (0, 0):
                 continue
             for branch in ("+", "-"):
                 basis = _slope_basis(s0, s1, branch)
+                if basis in bases:
+                    continue
+                bases.add(basis)
                 key = hnf_span(basis)
                 if key not in seen:
                     seen[key] = _certified_a2(basis, sign)

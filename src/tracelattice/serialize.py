@@ -13,6 +13,7 @@ import json
 import re
 import sys
 from fractions import Fraction
+from math import gcd
 from typing import TYPE_CHECKING, Optional
 
 from .errors import DivisionByZero, TooLarge
@@ -40,15 +41,21 @@ def rational_str(x) -> str:
 
 
 def matrix_json(m: Matrix) -> list[list[str]]:
-    """Entries as rational strings, read off the integer rows: an integer
-    matrix needs only str(int), so a Fraction is built only over den > 1."""
+    """Entries as rational strings, read off the integer rows with no
+    Fraction: entry x / den is written "p/q" with g = gcd(x, den), p = x/g
+    and q = den/g, or "p" when q is 1, the bytes str(Fraction) gives."""
     den = m.den
     try:
         if den == 1:
             return [[str(x) for x in row] for row in m.ints]
-        return [[str(Fraction(x, den)) for x in row] for row in m.ints]
+        return [[_ratio_str(x, den) for x in row] for row in m.ints]
     except ValueError:
         raise _too_large() from None
+
+
+def _ratio_str(x: int, den: int) -> str:
+    g = gcd(x, den)
+    return str(x // g) if g == den else f"{x // g}/{den // g}"
 
 
 def point_json(p: ConicPoint) -> dict:

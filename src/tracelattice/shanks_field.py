@@ -18,11 +18,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
 from typing import Sequence
 
-from ._intfactor import divisors
-from .errors import NonzeroTrace, RationalInput, Reducible
+from ._intfactor import factor
+from .errors import NonzeroTrace, RationalInput, Reducible, number_text
 from .exact_linalg import Matrix, rat
 from .power_basis import PowerBasisField
 
@@ -61,16 +60,29 @@ class ShanksField(PowerBasisField):
 
 
 def _check_irreducible(t: Fraction) -> None:
-    """Degree 3: reducible over Q iff f_t has a rational root a/b with
-    a, b dividing den(t) (after clearing: q x^3 - p x^2 - (p+3q) x - q)."""
-    q = t.denominator
-    for b in divisors(q):
-        for a in divisors(q):
-            if gcd(a, b) != 1:
-                continue
-            for r in (Fraction(a, b), Fraction(-a, b)):
-                if f_t_at(t, r) == 0:
-                    raise Reducible(f"f_t has rational root {r} at t = {t}")
+    """Degree 3: reducible over Q iff f_t has a rational root.
+
+    With t = p/q, a root a/b in lowest terms of q x^3 - p x^2 - (p+3q) x - q
+    gives q (a^3 - 3ab^2 - b^3) = p ab (a + b); since gcd(a, b) = 1, ab is
+    coprime to a^3 - 3ab^2 - b^3, so ab divides q.  Only those pairs are
+    tried: for each prime power p^e exactly dividing q, p^i goes to a or to
+    b, never both, with i <= e, which makes prod (2e + 1) pairs.  They are
+    tried in order of (b, a), + before -, and each test is one integer
+    polynomial value."""
+    p, q = t.numerator, t.denominator
+    pairs = [(1, 1)]
+    for prime, e in factor(q).items():
+        powers = [prime**i for i in range(1, e + 1)]
+        pairs += [(a * w, b) for a, b in pairs for w in powers] + [
+            (a, b * w) for a, b in pairs for w in powers
+        ]
+    for b, a in sorted((b, a) for a, b in pairs):
+        for r in (a, -a):
+            if q * r**3 - p * r * r * b - (p + 3 * q) * r * b * b - q * b**3 == 0:
+                raise Reducible(
+                    f"f_t has rational root {number_text(Fraction(r, b))} "
+                    f"at t = {number_text(t)}"
+                )
 
 
 @lru_cache(maxsize=256)
@@ -89,7 +101,7 @@ def reparametrize(field: ShanksField, alpha: Sequence) -> Fraction:
     alpha = field.element(alpha)
     trace = field.trace_coords(alpha)
     if trace != 0:
-        raise NonzeroTrace(f"Tr(alpha) = {trace} != 0")
+        raise NonzeroTrace(f"Tr(alpha) = {number_text(trace)} != 0")
     if not any(alpha[1:]):
         raise RationalInput("alpha must generate the field")
     mul = field.mul_coords

@@ -15,9 +15,11 @@ propagation over every pair of roots, and Galois stability as integrality of
 B S B^-1 by Gauss-Jordan, with each field's automorphisms written out from
 their definitions, the Shanks normal-basis element lam0 eps + lam1
 eps^sigma + lam2 eps^(sigma^2) from that sigma, the parity witness by a
-scan of all 2^n - 1 classes of L/2L, matrix arithmetic by loops over
-Fraction grids, and the Smith form from the gcds of all k x k minors.  None
-of it shares code with the package under test.
+scan of all 2^n - 1 classes of L/2L, matrix arithmetic and the Gram
+B T B^T by loops over Fraction grids, the Smith form from the gcds of all
+k x k minors, the rational roots of f_t by a Fraction scan of every coprime
+pair of divisors of den(t), and factorization by trial division.  None of
+it shares code with the package under test.
 """
 from __future__ import annotations
 
@@ -864,3 +866,49 @@ def grid_cleared(a) -> tuple[list[list[int]], int]:
     """(a', s) with a'/s = a, s the least common denominator of the entries."""
     s = math.lcm(*(x.denominator for row in a for x in row))
     return [[int(x * s) for x in row] for row in a], s
+
+
+def gram_by_fraction_products(basis_rows, form_rows) -> tuple[list[list[int]], int]:
+    """B T B^T as the pair (ints, den) in lowest terms: the Fraction product
+    B T, its product with the transpose of B, and the least common
+    denominator cleared."""
+    b = fraction_grid(basis_rows)
+    return grid_cleared(grid_product(grid_product(b, fraction_grid(form_rows)), grid_transpose(b)))
+
+
+def _divisors_by_trial(n: int) -> list[int]:
+    small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+    return sorted(set(small + [n // d for d in small]))
+
+
+def rational_root_by_divisor_scan(t) -> Fraction | None:
+    """The first rational root of f_t(x) = x^3 - t x^2 - (t+3) x - 1, or None.
+
+    By the rational root theorem on q x^3 - p x^2 - (p+3q) x - q (t = p/q),
+    a root is +-a/b with a and b coprime divisors of q.  Every such pair is
+    evaluated in Fractions, d(q)^2 candidates, in the order of b, then a,
+    + before -."""
+    t = Fraction(t)
+    divisors = _divisors_by_trial(t.denominator)
+    for b in divisors:
+        for a in divisors:
+            if math.gcd(a, b) != 1:
+                continue
+            for r in (Fraction(a, b), Fraction(-a, b)):
+                if r**3 - t * r**2 - (t + 3) * r - 1 == 0:
+                    return r
+    return None
+
+
+def factor_by_trial_division(n: int) -> dict[int, int]:
+    """{prime: exponent} of n > 1 by division by every d up to sqrt(n)."""
+    out: dict[int, int] = {}
+    d = 2
+    while d * d <= n:
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
+        d += 1
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out

@@ -46,6 +46,7 @@ from tracelattice.errors import (
     WrongGram,
     ZeroParameter,
 )
+from tracelattice import a3_factory, lattice_core
 from tracelattice.exact_linalg import Matrix
 from tracelattice.lattice_core import (
     canonical_key,
@@ -152,6 +153,9 @@ def test_lambda_split_consistency():
 def test_lambda_rejects_off_conic_point():
     with pytest.raises(PointNotOnConic):
         lambda_from_point(1, TARGET_A3, ConicPoint(1, 1))
+    # the conic's right side has 4,401 digits, past the int-to-str limit
+    with pytest.raises(PointNotOnConic, match="= <4401 digits>$"):
+        lambda_from_point(10**2200, TARGET_A3, ConicPoint(1, 1))
 
 
 def test_lambda_rejects_zero_parameter():
@@ -175,8 +179,12 @@ def test_normal_basis_lattice_gram_is_circulant():
 def test_normal_basis_lattice_degenerate_weights():
     # equal weights make the element rational (it equals t), so the three
     # conjugates coincide
-    with pytest.raises(DegenerateLambda):
+    with pytest.raises(DegenerateLambda, match=r"lam = \(1, 1, 1\)$"):
         normal_basis_lattice(1, (1, 1, 1))
+    # numerators past the int-to-str limit are written as digit counts
+    big = 10**5000 + F(1, 2)
+    with pytest.raises(DegenerateLambda, match=r"lam = \((<5001 digits>/2, ){2}<5001 digits>/2\)$"):
+        normal_basis_lattice(1, (big, big, big))
 
 
 def test_normal_basis_lattice_zero_parameter():
@@ -311,6 +319,43 @@ def test_scan_family_matches_full_build_oracle(t, target):
         ]
         assert got == members, height
         assert scan.skipped == degenerate, height
+
+
+def test_to_a3_basis_keeps_the_key_of_every_member():
+    # the sweep leaves the base change out: P is integral with det 1, so
+    # P B spans the lattice of B, and P G P^T is the standard Gram
+    for m in a3_members(1, 5):
+        out = to_a3_basis(m.lattice)
+        assert out.gram == STANDARD_A3_GRAM
+        assert canonical_key(out) == canonical_key(m.lattice)
+
+
+@pytest.mark.parametrize(
+    "t, target", [(F(1), TARGET_A3), (F(-5, 2), TARGET_SELF_DUAL)], ids=["A3", "self-dual"]
+)
+def test_scan_family_takes_one_hnf_per_built_lattice(t, target, monkeypatch):
+    # every lattice built is keyed by one HNF; the classifier's certificate
+    # adds one for the one Gram a sweep classifies, and no member needs an
+    # inverse (the self-dual certificate is the identity Gram itself)
+    calls = {"hnf_rows": 0, "inverse": 0, "built": 0}
+
+    def counted(module, name, key):
+        inner = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(lattice_core, "hnf_rows", "hnf_rows")
+    counted(lattice_core, "inverse", "inverse")
+    counted(a3_factory, "normal_basis_lattice", "built")
+    lattice_core.classify_gram.cache_clear()
+    scan = scan_family(t, 16, target)
+    assert len(scan.members) == calls["built"] == 222
+    assert calls["hnf_rows"] == calls["built"] + 1
+    assert calls["inverse"] == 0
 
 
 def test_self_dual_family_members():

@@ -7,12 +7,14 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 import tracelattice
 from tracelattice import orders_ideals
 from tracelattice.cli import main
+from tracelattice.errors import number_text
 
 # the directory holding the package under test, for child interpreters
 SRC = os.path.dirname(os.path.dirname(tracelattice.__file__))
@@ -167,6 +169,30 @@ def test_output_past_the_digit_limit_is_too_large(args):
     assert (r.returncode, r.stdout, r.stderr) == (1, TOO_LARGE, "")
 
 
+def test_error_detail_past_the_digit_limit_is_a_digit_count():
+    # Tr(alpha) = 3 + 10^3999 (3 + t) has 7,999 digits, past the int-to-str
+    # limit: the message gives its digit count, and the run exits 1
+    zeros = "0" * 3999
+    r = run_proc(["reparam", f"--t=1{zeros}", f"--element=1,1{zeros},0"], timeout=60)
+    assert (r.returncode, r.stderr) == (1, "")
+    assert r.stdout == (
+        '{"error":{"detail":"Tr(alpha) = <7999 digits> != 0","kind":"NonzeroTrace"}}\n'
+    )
+
+
+def test_number_text_counts_digits_past_the_limit():
+    limit = sys.get_int_max_str_digits()
+    big = 10**limit
+    assert number_text(12) == "12"
+    assert number_text(Fraction(-3, 4)) == "-3/4"
+    assert number_text(big) == f"<{limit + 1} digits>"
+    assert number_text(-7 * big) == f"-<{limit + 1} digits>"
+    assert len(number_text(big - 1)) == limit
+    assert number_text(Fraction(7, big)) == f"7/<{limit + 1} digits>"
+    assert number_text(Fraction(big * 3 + 1, 2)) == f"<{limit + 1} digits>/2"
+    assert number_text(Fraction(big)) == f"<{limit + 1} digits>"
+
+
 def test_cyclotomic_flag_conflicts_are_usage_errors():
     assert run_proc(["cyclotomic", "--p", "5", "--n", "3"]).returncode == 2
     assert run_proc(["cyclotomic", "--n", "5"]).returncode == 2
@@ -231,6 +257,19 @@ PINNED_STDOUT_SHA256 = [
     (
         ["quad-a2", "--d", "3", "--height", "12"],
         "18135f774f9a141bbee715f668fb6769bb1d8e65629fe095b93e8cf5c7514c36",
+    ),
+    # the benchmark's family sweeps at their full size
+    (
+        ["gen-a3", "--t=1", "--height", "16"],
+        "b6bb05b595c9ce9b43711727c548ecd478fb9de3e455c217ae1cd74a69e44ade",
+    ),
+    (
+        ["gen-selfdual", "--t=-5/2", "--height", "16"],
+        "4c4d1c178404b8b9bba6145a63c03bf775dad71394f7f54946bec655b5f06c67",
+    ),
+    (
+        ["quad-a2", "--d", "2", "--height", "300", "--falsify"],
+        "d463381689b8aff53c82d6758f8a6ca3dc8f3acde410df9a4e361b2a9dd4adbc",
     ),
     (
         ["cyclotomic", "--p", "11"],

@@ -117,6 +117,24 @@ def _operands(draw):
 
 @settings(max_examples=100, deadline=None)
 @given(_operands())
+def test_products_and_transposes_are_stored_in_lowest_terms(case):
+    # both are built without validation; the pair must still be the cleared
+    # one, as int tuples of one width
+    a, c, _ = case
+    fa = fraction_grid(a)
+    for m, grid in (
+        (Matrix(a) * Matrix(c), grid_product(fa, fraction_grid(c))),
+        (Matrix(a).transpose(), grid_transpose(fa)),
+    ):
+        ints, den = grid_cleared(grid)
+        assert (m.ints, m.den) == (tuple(map(tuple, ints)), den)
+        assert (m.rows, m.cols) == (len(ints), len(ints[0]))
+        assert all(type(row) is tuple for row in m.ints)
+        assert all(type(x) is int for row in m.ints for x in row)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_operands())
 def test_matrix_operations_match_fraction_loops(case):
     a, c, s = case
     ma, mc = Matrix(a), Matrix(c)

@@ -6,6 +6,7 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
+from oracles import factor_by_trial_division
 from tracelattice import _intfactor
 from tracelattice._intfactor import (
     divisors,
@@ -59,6 +60,26 @@ def test_factor_splits_a_square_once(monkeypatch):
     assert factor((p * q) ** 2) == {p: 2, q: 2}
     assert factor((p * q) ** 4 * 3) == {3: 1, p: 4, q: 4}
     assert calls == [p * q, p * q]
+
+
+#: primes past the trial-division table, so that factor needs the rho step
+RHO_PRIMES = [p for p in range(101, 40_000) if is_probable_prime(p)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(RHO_PRIMES), st.sampled_from(RHO_PRIMES), st.integers(1, 2))
+def test_factor_matches_trial_division_on_semiprimes(p, q, k):
+    n = p * q * k
+    assert factor(n) == factor_by_trial_division(n)
+    if p != q:
+        assert _intfactor._pollard_rho(p * q) in (p, q)
+
+
+def test_pollard_rho_splits_larger_semiprimes():
+    # factors of 10 to 19 digits take thousands of batched steps
+    for p, q in ((2**31 - 1, 2**61 - 1), (1000003, 999999000001), (10**9 + 7, 10**9 + 9)):
+        assert _intfactor._pollard_rho(p * q) in (p, q)
+        assert factor(p * q) == {min(p, q): 1, max(p, q): 1}
 
 
 def test_divisors():

@@ -27,6 +27,7 @@ from oracles import (
     gram_A,
     gram_D,
     gram_E,
+    gram_by_fraction_products,
     gram_equivalent,
     gram_schmidt,
     hermite_form,
@@ -185,6 +186,30 @@ def test_gram_of_matches_trace_definition(ambient, minpoly, conj):
     for _ in range(3):
         rows = _random_rational_basis(rng, ambient.degree)
         assert gram_of(rows, ambient) == Matrix.from_rows(trace_gram(minpoly, conj, rows))
+
+
+@st.composite
+def _ambient_and_basis(draw):
+    ambient = draw(st.sampled_from([case[0] for case in TRACE_CASES]))
+    entry = st.fractions(min_value=-9, max_value=9, max_denominator=6)
+    rows = [[draw(entry) for _ in range(ambient.degree)] for _ in range(ambient.degree)]
+    assume(fraction_det(rows) != 0)
+    return ambient, rows
+
+
+@settings(max_examples=60, deadline=None)
+@given(_ambient_and_basis())
+def test_gram_of_is_the_fraction_triple_product(case):
+    # one integer triple product, against two Fraction products and a
+    # transpose; the Matrix path B * T * B^T gives the same pair
+    ambient, rows = case
+    form = ambient.trace_form()
+    ints, den = gram_by_fraction_products(rows, form.data)
+    gram = gram_of(rows, ambient)
+    assert (gram.ints, gram.den) == (tuple(map(tuple, ints)), den)
+    basis = Matrix.from_rows(rows)
+    product = basis * form * basis.transpose()
+    assert (product.ints, product.den) == (gram.ints, gram.den)
 
 
 @pytest.mark.parametrize(

@@ -248,9 +248,10 @@ def test_family_checks_every_pair_and_builds_each_lattice_once(monkeypatch):
     assert calls["grams"] == len(fam) == 93
 
 
-def test_family_takes_one_hnf_per_slope_pair(monkeypatch):
-    # each of the 1,248 slope-pair bases is keyed by one HNF, and building
-    # the certified lattice of a new key takes none
+def test_family_takes_one_hnf_per_distinct_basis(monkeypatch):
+    # the 1,248 slope pairs and branches give 368 distinct bases; each is
+    # keyed by one HNF, and building the certified lattice of a new key
+    # takes none
     calls = []
     hnf_rows = lattice_core.hnf_rows
 
@@ -261,7 +262,7 @@ def test_family_takes_one_hnf_per_slope_pair(monkeypatch):
     monkeypatch.setattr(lattice_core, "hnf_rows", counted_hnf_rows)
     fam = family_distinctness(12)
     assert len(fam) == 93
-    assert len(calls) == 1248
+    assert len(calls) == 368
 
 
 def test_family_height_10_meets_threshold():

@@ -8,16 +8,18 @@ traces and norms are checked on the field's *_coords methods.
 """
 from __future__ import annotations
 
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import bracket, shanks_automorphisms
+from oracles import bracket, rational_root_by_divisor_scan, shanks_automorphisms
 from tracelattice.errors import NonzeroTrace, RationalInput, Reducible
 from tracelattice.exact_linalg import Matrix, det, inverse
 from tracelattice.shanks_field import (
     ShanksField,
+    _check_irreducible,
     f_t_at,
     new_field,
     remap_t0,
@@ -89,6 +91,50 @@ def test_delta_values():
 def test_reducible_parameter_rejected():
     with pytest.raises(Reducible):
         new_field(Fraction(-3, 2))
+
+
+def _reducible_message(t):
+    try:
+        _check_irreducible(t)
+    except Reducible as exc:
+        return str(exc)
+    return None
+
+
+# t = p/q with q a product of small prime powers, so that q has many divisors
+smooth_t = st.builds(
+    lambda p, e2, e3, e5, e7: Fraction(p, 2**e2 * 3**e3 * 5**e5 * 7**e7),
+    st.integers(-10**6, 10**6),
+    *(st.integers(0, 3) for _ in range(4)),
+)
+# t with the rational root r: f_t(r) = 0 gives t = (r^3 - 3r - 1) / (r^2 + r)
+root_t = st.fractions(min_value=-50, max_value=50, max_denominator=60).filter(
+    lambda r: r not in (0, -1)
+).map(lambda r: (r**3 - 3 * r - 1) / (r * r + r))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(smooth_t, root_t))
+def test_irreducibility_check_matches_the_divisor_scan(t):
+    root = rational_root_by_divisor_scan(t)
+    expected = None if root is None else f"f_t has rational root {root} at t = {t}"
+    assert _reducible_message(t) == expected
+
+
+def test_irreducibility_check_on_known_parameters():
+    assert _reducible_message(Fraction(-3, 2)) == "f_t has rational root 1 at t = -3/2"
+    # r = 2 gives t = (8 - 6 - 1) / 6
+    assert _reducible_message(Fraction(1, 6)) == "f_t has rational root 2 at t = 1/6"
+    for t in (1, Fraction(1, 2), Fraction(-5, 2), Fraction(1, 10**6)):
+        assert _reducible_message(t) is None
+
+
+def test_irreducibility_check_is_fast_on_many_divisors():
+    # q = 10^40 has 41^2 = 1,681 divisors, so d(q)^2 is 2.8 million candidate
+    # roots; the pairs with ab | q number 81^2 = 6,561
+    start = time.perf_counter()
+    ShanksField(Fraction(1, 10**40))
+    assert time.perf_counter() - start < 0.1
 
 
 def test_remap_t0():
