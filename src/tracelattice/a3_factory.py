@@ -19,15 +19,16 @@ of either kind, every one carrying a normal basis by construction.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import NamedTuple, Optional
 
 from .conic_points import (
     ConicPoint,
+    _chord_base,
+    _chord_ints,
+    _slope_pairs,
     base_point_delta,
     delta_conic,
-    second_intersection,
-    slopes_up_to,
 )
 from .errors import (
     DegenerateLambda,
@@ -37,14 +38,13 @@ from .errors import (
     ZeroParameter,
     number_text,
 )
-from .exact_linalg import Matrix, det, rat
+from .exact_linalg import Matrix, _reduced, det, rat
 from .lattice_core import (
     TraceLattice,
     canonical_key,
     classify_root_type,
-    galois_stable,
 )
-from .shanks_field import new_field
+from .shanks_field import ShanksField, new_field
 
 LambdaVector = tuple[Fraction, Fraction, Fraction]
 
@@ -106,33 +106,52 @@ def lambda_from_point(t, target: TraceTarget, point: ConicPoint) -> LambdaVector
 
     lam0 = (2tx/delta + f) / 3t, and lam1, lam2 split off y; lam1 always
     takes the + branch so output is deterministic (the - choice relabels
-    the same normal basis).
-
-    With t = p/q, D = q^2 delta = p^2 + 3pq + 9q^2 and x, y, f = X/m, Y/m,
-    F/m over their common denominator m, the three weights share one
-    denominator: lam_i = q n_i / (3pDm) with
-
-        n0 = FD + 2pqX,   n1 = FD - pqX + 3pqY,   n2 = FD - pqX - 3pqY,
-
-    so the conic check, the residual discriminant and the final target
-    check all run in int on (X, Y, F) and the n_i."""
+    the same normal basis).  The arithmetic is _lambda_ints on the point's
+    integer coordinates over their common denominator."""
     t = rat(t)
     if t == 0:
         raise ZeroParameter("the weight recovery divides by t")
     d, e, f = (rat(v) for v in target)
     assert f * f == d + 2 * e, "inconsistent target: f^2 != d + 2e"
-    p, q = t.numerator, t.denominator
-    big_d = p * p + 3 * p * q + 9 * q * q
     x, y = point.as_pair()
-    m = lcm(x.denominator, y.denominator, f.denominator)
-    big_x, big_y, big_f = (v.numerator * (m // v.denominator) for v in (x, y, f))
-    c = d - e
-    if c.denominator * q * q * (big_x * big_x + 3 * big_y * big_y) != (
-        c.numerator * big_d * m * m
-    ):
+    m = lcm(x.denominator, y.denominator)
+    big_x, big_y = (v.numerator * (m // v.denominator) for v in (x, y))
+    *nums, big_r = _lambda_ints(t.numerator, t.denominator, (d, e, f), big_x, big_y, m)
+    return tuple(Fraction(n, big_r) for n in nums)
+
+
+def _lambda_ints(
+    p: int, q: int, target: TraceTarget, big_x: int, big_y: int, m: int
+) -> tuple[int, int, int, int]:
+    """(N0, N1, N2, R) with lam = (N0, N1, N2) / R the weights of
+    lambda_from_point at t = p/q (p != 0, q > 0) for the point (X, Y)/m,
+    m > 0 and not necessarily in lowest terms; R > 0 and the four are
+    coprime, so equal weight vectors give equal tuples.
+
+    With D = q^2 delta = p^2 + 3pq + 9q^2 and f = F/m (m scaled first so
+    that it clears f), the three weights share one denominator:
+    lam_i = q n_i / (3pDm) with
+
+        n0 = FD + 2pqX,   n1 = FD - pqX + 3pqY,   n2 = FD - pqX - 3pqY,
+
+    so the conic check, the residual discriminant and the final target
+    check all run in int on (X, Y, F) and the n_i.  3pDm has the sign of
+    p, which the reduction to R > 0 takes out."""
+    d, e, f = target
+    big_d = p * p + 3 * p * q + 9 * q * q
+    f_den = f.denominator
+    if m % f_den:
+        k = f_den // gcd(m, f_den)
+        big_x, big_y, m = big_x * k, big_y * k, m * k
+    big_f = f.numerator * (m // f_den)
+    # c = d - e as cn / cd, not in lowest terms: the check is homogeneous
+    cn = d.numerator * e.denominator - e.numerator * d.denominator
+    cd = d.denominator * e.denominator
+    if cd * q * q * (big_x * big_x + 3 * big_y * big_y) != cn * big_d * m * m:
+        t = Fraction(p, q)
         raise PointNotOnConic(
-            f"({number_text(x)}, {number_text(y)}) is not on x^2 + 3y^2 = "
-            f"{number_text(c * (t * t + 3 * t + 9))}"
+            f"({number_text(Fraction(big_x, m))}, {number_text(Fraction(big_y, m))}) "
+            f"is not on x^2 + 3y^2 = {number_text((d - e) * (t * t + 3 * t + 9))}"
         )
     pq = p * q
     fd = big_f * big_d
@@ -157,7 +176,11 @@ def lambda_from_point(t, target: TraceTarget, point: ConicPoint) -> LambdaVector
     assert e.denominator * (
         big_d * big_q - q * (p + 3 * q) * big_l * big_l
     ) == e.numerator * r2
-    return (Fraction(q * n0, big_r), Fraction(q * n1, big_r), Fraction(q * n2, big_r))
+    n0, n1, n2 = q * n0, q * n1, q * n2
+    g = gcd(n0, n1, n2, big_r)
+    if big_r < 0:
+        g = -g
+    return n0 // g, n1 // g, n2 // g, big_r // g
 
 
 def _circulant(a, b, c) -> list[list]:
@@ -171,36 +194,69 @@ def _circulant_gram(d, e) -> Matrix:
     return Matrix(_circulant(d, e, e))
 
 
-def normal_basis_lattice(t, lam, gram: Matrix | None = None) -> TraceLattice:
-    """Lattice spanned by the sigma-orbit of beta = <lam, eps-orbit>.
+def normal_basis_lattice(
+    t, lam, gram: Matrix | None = None, den: int = 1
+) -> TraceLattice:
+    """Lattice spanned by the sigma-orbit of beta = <lam, eps-orbit>, with
+    lam the weights over den > 0 and t the parameter or its ShanksField.
 
     sigma shifts the weights, beta^sigma = <(lam2, lam0, lam1), eps-orbit>,
-    so the basis (beta, beta^sigma, beta^sigma2) is one product: the
-    circulant of lam, as integer rows over lam's common denominator, times
-    the field's orbit_matrix.  The Gram is the circulant of (d, e, e) by the
+    so the basis (beta, beta^sigma, beta^sigma2) is one integer product,
+    the circulant of lam's integer numerators times the integer rows of the
+    field's orbit_matrix, over den times its denominator, brought to lowest
+    terms once.  Integer weights are taken as they are, as scan_family
+    passes them; rational ones are first cleared to integers over their
+    common denominator.  The Gram is the circulant of (d, e, e) by the
     Galois symmetry, and the computed Gram must equal it exactly; raises
     DegenerateLambda when the three conjugates are linearly dependent and
     ZeroParameter at t = 0, where the eps-orbit is no basis.  gram is that
     circulant when the caller has already certified (d, e) for lam
-    (lambda_from_point); by default it is built from trace_targets_of."""
-    field = new_field(t)
+    (_lambda_ints); by default it is built from trace_targets_of."""
+    field = t if isinstance(t, ShanksField) else new_field(t)
     if field.t == 0:
         raise ZeroParameter()
-    weights = Matrix([lam])
+    if den < 1:
+        raise ValueError(f"den must be a positive integer, got {den}")
+    if not all(type(v) is int for v in lam):
+        weights = Matrix([lam])
+        lam, den = weights.ints[0], weights.den * den
+    orbit = field.orbit_matrix
+    o0, o1, o2 = orbit.ints
+    basis = _reduced(
+        tuple(
+            tuple([u * x + v * y + w * z for x, y, z in zip(o0, o1, o2)])
+            for u, v, w in _circulant(*lam)
+        ),
+        den * orbit.den,
+    )
     try:
-        lattice = TraceLattice(
-            field,
-            Matrix.scaled(_circulant(*weights.ints[0]), weights.den) * field.orbit_matrix,
-        )
+        lattice = TraceLattice(field, basis)
     except DependentBasis as exc:
         raise DegenerateLambda(
             "conjugates of the weighted element are dependent for lam = "
-            f"({', '.join(map(number_text, weights.row(0)))})"
+            f"({', '.join(number_text(Fraction(v, den)) for v in lam)})"
         ) from exc
     if gram is None:
-        gram = _circulant_gram(*trace_targets_of(t, lam))
+        gram = _circulant_gram(*trace_targets_of(field.t, [Fraction(v, den) for v in lam]))
     assert lattice.gram == gram, "orbit Gram must be circulant in (d, e)"
     return lattice
+
+
+def sigma_permutes_basis(lattice: TraceLattice) -> bool:
+    """True iff the Galois generator sigma maps basis row i to row i + 1
+    (mod 3): the basis is (beta, beta^sigma, beta^sigma2), a normal Z-basis
+    of the lattice.  With B = B'/b and sigma's matrix S = S'/s, that is the
+    integer identity B' S' = s (rows 1, 2, 0 of B').  It implies Galois
+    stability, since sigma generates the group and carries the basis onto
+    itself."""
+    s = lattice.ambient.galois_matrices()[0]
+    s0, s1, s2 = s.ints
+    scale = s.den
+    b = lattice.basis.ints
+    return all(
+        [u * x + v * y + w * z for x, y, z in zip(s0, s1, s2)] == [scale * c for c in image]
+        for (u, v, w), image in zip(b, b[1:] + b[:1])
+    )
 
 
 def to_a3_basis(lattice: TraceLattice) -> TraceLattice:
@@ -248,23 +304,29 @@ def scan_family(t, height: int, target: TraceTarget = TARGET_A3) -> FamilyScan:
     certified lattices for a preset target.
 
     Each slope gives its own chord point (two lines through p0 meet the
-    conic again in two points) and lambda_from_point runs on every one.
-    sigma shifts the weights, so lam and its two cyclic shifts span one
-    sigma-orbit lattice with the rows rotated: a point whose lam is a shift
-    of an earlier lattice's lam is passed over before its basis, Gram or
-    key is built, and about a third of the points are.  Every lattice built
-    is still keyed by its HNF, and only a new key becomes a member, with
-    its certificates; the member keeps its key for member_json.
+    conic again in two points).  From slope to basis the sweep runs in int:
+    p0 is checked on the conic once, each point is (X, Y)/M from
+    _chord_ints, and its weights are (N0, N1, N2)/R from _lambda_ints, with
+    its conic and target checks, in lowest terms with R > 0.  sigma shifts
+    the weights, so lam and its two cyclic shifts span one sigma-orbit
+    lattice with the rows rotated: a point whose (N, R) is a shift of an
+    earlier lattice's is passed over before its basis, Gram or key is
+    built, and about a third of the points are (98 of 320 at height 16).
+    Every lattice built is still keyed by its HNF, and only a new key
+    becomes a member, with its certificates; the member keeps its key for
+    member_json.  The slope, the point and lam become Fractions for members
+    only.
 
-    Certificates per member: the integer conic and target checks of
-    lambda_from_point; the exact Gram against the target's circulant Gram,
-    which the sweep builds once (normal_basis_lattice); the HNF key; the
-    root type by classify_root_type; Galois stability.  The self-dual target
-    also asserts the identity Gram, which is self-duality itself: with
-    G = I the dual basis G^-1 B is B.  Once per import: P G P^T equals the
-    standard A3 Gram and P is integral with det 1, so to_a3_basis of an A3
-    member has the standard Gram and the member's key by construction, and
-    the sweep does not build it.
+    Certificates per member: the integer conic check and the three target
+    asserts of _lambda_ints; the exact Gram against the target's circulant
+    Gram, which the sweep builds once (normal_basis_lattice); the HNF key;
+    the root type by classify_root_type; sigma permuting the basis
+    (sigma_permutes_basis), the normal Z-basis itself, which implies Galois
+    stability.  The self-dual target also asserts the identity Gram, which
+    is self-duality itself: with G = I the dual basis G^-1 B is B.  Once per
+    import: P G P^T equals the standard A3 Gram and P is integral with det
+    1, so to_a3_basis of an A3 member has the standard Gram and the member's
+    key by construction, and the sweep does not build it.
 
     Degenerate weights are skipped with a log note and counted, never raised:
     the family stays infinite after finitely many exclusions.  A shift of
@@ -272,30 +334,32 @@ def scan_family(t, height: int, target: TraceTarget = TARGET_A3) -> FamilyScan:
     t = rat(t)
     if t == 0:
         raise ZeroParameter("the family needs t != 0")
+    assert target.is_consistent(), "inconsistent target: f^2 != d + 2e"
     assert target.d - target.e == 1, "preset targets live on the delta conic"
     field = new_field(t)  # raises Reducible for the bad parameters
-    conic = delta_conic(t)
-    p0 = base_point_delta(t)
+    p, q = t.numerator, t.denominator
+    base = _chord_base(delta_conic(t), base_point_delta(t))
     gram = _circulant_gram(target.d, target.e)
-    built: set[LambdaVector] = set()  # least cyclic shift of each lam built
+    built: set = set()  # (least cyclic shift of N, R) of each lam built
     seen_keys: set = set()
     members: list[FamilyMember] = []
     skipped = 0
-    for slope in slopes_up_to(height):
-        point = second_intersection(conic, p0, slope)
-        lam = lambda_from_point(t, target, point)
-        rotation = min(lam, lam[1:] + lam[:1], lam[2:] + lam[:2])
+    for slope in _slope_pairs(height):
+        x, y, m = _chord_ints(base, slope)
+        n0, n1, n2, r = _lambda_ints(p, q, target, x, y, m)
+        rotation = (min((n0, n1, n2), (n1, n2, n0), (n2, n0, n1)), r)
         if rotation in built:
             continue
         try:
-            lattice = normal_basis_lattice(t, lam, gram)
+            lattice = normal_basis_lattice(field, (n0, n1, n2), gram, r)
         except DegenerateLambda:
             # imported here: no other path logs, and start-up pays for it
             import logging
 
             logging.getLogger(__name__).info(
                 "skipping degenerate weights lam=%s at point %s (t=%s)",
-                lam, point, t,
+                tuple(Fraction(n, r) for n in (n0, n1, n2)),
+                ConicPoint(Fraction(x, m), Fraction(y, m)), t,
             )
             skipped += 1
             continue
@@ -310,8 +374,15 @@ def scan_family(t, height: int, target: TraceTarget = TARGET_A3) -> FamilyScan:
         else:
             assert lattice.gram == _IDENTITY_3, "L must equal its dual"
             assert label == "unimodular_odd"
-        assert galois_stable(lattice)
-        members.append(FamilyMember(lattice.with_type(label), lam, point, slope))
+        assert sigma_permutes_basis(lattice)
+        members.append(
+            FamilyMember(
+                lattice.with_type(label),
+                (Fraction(n0, r), Fraction(n1, r), Fraction(n2, r)),
+                ConicPoint(Fraction(x, m), Fraction(y, m)),
+                None if slope is None else Fraction(*slope),
+            )
+        )
     return FamilyScan(members, skipped)
 
 

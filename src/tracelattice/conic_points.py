@@ -81,6 +81,35 @@ def base_point_delta(t: int | str | Fraction) -> ConicPoint:
     return p
 
 
+def _chord_base(c: Conic, p0: ConicPoint) -> tuple[int, int, int, int, int]:
+    """(X, Y, m, Dn, Dd) with p0 = (X, Y)/m and D = Dn/Dd, after checking in
+    int that p0 is on the conic; raises PointNotOnConic when it is not."""
+    x0, y0 = p0.x, p0.y
+    m = lcm(x0.denominator, y0.denominator)
+    big_x = x0.numerator * (m // x0.denominator)
+    big_y = y0.numerator * (m // y0.denominator)
+    dn, dd = c.D.numerator, c.D.denominator
+    lhs = c.m.denominator * (dd * big_x * big_x + dn * big_y * big_y)
+    if lhs != c.m.numerator * dd * m * m:
+        raise PointNotOnConic(f"{p0} not on {c}")
+    return big_x, big_y, m, dn, dd
+
+
+def _chord_ints(
+    base: tuple[int, int, int, int, int], slope: Optional[tuple[int, int]]
+) -> tuple[int, int, int]:
+    """(X', Y', M) with X'/M, Y'/M the second intersection through the base
+    point of _chord_base along the slope a/b (None = vertical), M > 0 and not
+    necessarily in lowest terms."""
+    big_x, big_y, m, dn, dd = base
+    if slope is None:
+        return big_x, -big_y, m
+    a, b = slope
+    u = dd * b * big_x + dn * a * big_y
+    w = dd * b * b + dn * a * a
+    return big_x * w - 2 * b * u, big_y * w - 2 * a * u, m * w
+
+
 def second_intersection(
     c: Conic, p0: ConicPoint, slope: Optional[int | str | Fraction]
 ) -> ConicPoint:
@@ -93,32 +122,27 @@ def second_intersection(
     = 0 gives the other root, so the point is (X w - 2 b u, Y w - 2 a u) /
     (m w) with u = Dd b X + Dn a Y and w = Dd b^2 + Dn a^2 (w > 0 as
     D > 0).  Two lines through p0 meet the conic again in two different
-    points, so distinct slopes give distinct points."""
-    x0, y0 = p0.x, p0.y
-    m = lcm(x0.denominator, y0.denominator)
-    big_x = x0.numerator * (m // x0.denominator)
-    big_y = y0.numerator * (m // y0.denominator)
-    dn, dd = c.D.numerator, c.D.denominator
-    lhs = c.m.denominator * (dd * big_x * big_x + dn * big_y * big_y)
-    if lhs != c.m.numerator * dd * m * m:
-        raise PointNotOnConic(f"{p0} not on {c}")
-    if slope is None:
-        return ConicPoint(x0, -y0)
-    s = rat(slope)
-    a, b = s.numerator, s.denominator
-    u = dd * b * big_x + dn * a * big_y
-    w = dd * b * b + dn * a * a
-    den = m * w
-    return ConicPoint(
-        Fraction(big_x * w - 2 * b * u, den), Fraction(big_y * w - 2 * a * u, den)
-    )
+    points, so distinct slopes give distinct points.  A sweep checks p0
+    once (_chord_base) and takes each point as integers (_chord_ints)."""
+    base = _chord_base(c, p0)
+    if slope is not None:
+        s = rat(slope)
+        slope = (s.numerator, s.denominator)
+    big_x, big_y, m = _chord_ints(base, slope)
+    return ConicPoint(Fraction(big_x, m), Fraction(big_y, m))
+
+
+def _slope_pairs(height: int) -> Iterator[Optional[tuple[int, int]]]:
+    """slopes_up_to as None, then the pairs (a, b) of a/b in lowest terms."""
+    yield INFINITY_SLOPE
+    for b in range(1, height + 1):
+        for a in range(-height, height + 1):
+            if gcd(abs(a), b) == 1:
+                yield (a, b)
 
 
 def slopes_up_to(height: int) -> Iterator[Optional[Fraction]]:
     """infinity, then all a/b in lowest terms with |a| <= height, 1 <= b <= height,
     in a fixed deterministic order."""
-    yield INFINITY_SLOPE
-    for b in range(1, height + 1):
-        for a in range(-height, height + 1):
-            if gcd(abs(a), b) == 1:
-                yield Fraction(a, b)
+    for pair in _slope_pairs(height):
+        yield pair if pair is None else Fraction(*pair)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 from typing import Optional
 
 from ._intfactor import squarefree_kernel
@@ -77,8 +77,10 @@ def _quad_ambient(d: int, sign: int) -> QuadAmbient:
     return QuadAmbient(d, sign)
 
 
-def _slope_basis(s0: int, s1: int, branch) -> Matrix:
-    """The A2 basis of the slope pair, checked in integers.
+def _slope_basis(s0: int, s1: int, branch) -> tuple[tuple, int]:
+    """The A2 basis of the slope pair, checked in integers, as its integer
+    rows over one denominator > 0, in lowest terms: equal bases give equal
+    pairs, and Matrix.scaled builds the basis from the pair.
 
     With n = s0^2 + 3 s1^2 and c = s0^2 - 3 s1^2, the first row is the unit
     conic section point (X1, Y1)/n = (-c, -2 s0 s1)/n.  The second row's y
@@ -107,7 +109,11 @@ def _slope_basis(s0: int, s1: int, branch) -> Matrix:
     assert x1 * x1 + 3 * y1 * y1 == n * n
     assert x2 * x2 + 3 * y2 * y2 == den * den
     assert 2 * (x1 * x2 + 3 * y1 * y2) == -n * den
-    return Matrix.scaled([[2 * c * x1, 2 * c * y1], [x2, y2]], den)
+    u1, v1 = 2 * c * x1, 2 * c * y1  # the first row over den
+    g = gcd(den, u1, v1, x2, y2)
+    if den < 0:
+        g = -g
+    return ((u1 // g, v1 // g), (x2 // g, y2 // g)), den // g
 
 
 def _certified_a2(basis: Matrix, sign: int) -> TraceLattice:
@@ -125,7 +131,7 @@ def a2_from_slopes(s0: int, s1: int, branch="+", sign: int = -1) -> TraceLattice
     The two equations x_i^2 + 3 y_i^2 = 1 and the pairing value -1 are
     verified exactly in integers, and the Gram must come out
     [[2,-1],[-1,2]]."""
-    return _certified_a2(_slope_basis(s0, s1, branch), sign)
+    return _certified_a2(Matrix.scaled(*_slope_basis(s0, s1, branch)), sign)
 
 
 def normal_a2(sign: int = -1) -> TraceLattice:
@@ -177,14 +183,17 @@ def norm_one_points(d: int, height: int) -> list[tuple[Fraction, Fraction]]:
     ellipses, O(min(sqrt(d), height / sqrt(d)) height) of them, are all
     there is to enumerate; v = 0 leaves u = 1 alone, the point (-1, 0)."""
     _check_radicand(d)
-    return _norm_one_points(d, height)
+    return [(F(a, m), F(k, m)) for a, k, m in _norm_one_points(d, height)]
 
 
-def _norm_one_points(d: int, height: int) -> list[tuple[Fraction, Fraction]]:
-    """norm_one_points for a radicand its caller has checked."""
+def _norm_one_points(d: int, height: int) -> list[tuple[int, int, int]]:
+    """norm_one_points for a radicand its caller has checked, as integer
+    triples (a, k, m) for the point (a/m, k/m), m the reduced denominator of
+    x.  With L the lcm of the m's, x L and y L are integers, and sorting by
+    them is sorting by (x, y)."""
     bound = 2 * d * height
     h2 = height * height
-    out = {(F(-1), F(0))} if height else set()
+    out = [(-1, 0, 1)] if height else []
     for u in range(min(isqrt(bound // d), isqrt(h2 // d)) + 1):
         du2 = d * u * u
         s = isqrt(h2 - du2)
@@ -197,10 +206,15 @@ def _norm_one_points(d: int, height: int) -> list[tuple[Fraction, Fraction]]:
             m = n // g
             if m > height:
                 continue
-            x, k = F(a // g, m), 2 * u * v // g
-            out.add((x, F(k, m)))
-            out.add((x, F(-k, m)))
-    return sorted(out)
+            # each coprime (u, v) is its own slope, so only y = 0 (u = 0,
+            # the point (1, 0)) would repeat a point
+            k = 2 * u * v // g
+            out.append((a // g, k, m))
+            if k:
+                out.append((a // g, -k, m))
+    big_l = lcm(*[m for _, _, m in out])
+    out.sort(key=lambda p: (p[0] * (big_l // p[2]), p[1] * (big_l // p[2])))
+    return out
 
 
 def normal_basis_search(height: int) -> list[tuple[Fraction, Fraction]]:
@@ -218,14 +232,16 @@ def falsify_a2(d: int, height: int, sign: int = -1) -> Optional[TraceLattice]:
     """Bounded exhaustive search for an A2 basis in Q(sqrt(+-d)): two
     norm-one points of height <= height with pairing -1.
 
-    The search runs in integers.  Every point from norm_one_points is
-    (a/m, k/m) with one denominator m, so for two points (a/m, k/m) and
-    (a'/m', k'/m') the pairing 2(x x' + d y y') = -1 is the integer identity
+    The search runs in integers.  _norm_one_points gives each point as the
+    triple (a, k, m) of (a/m, k/m), one denominator m, so for two points
+    (a/m, k/m) and (a'/m', k'/m') the pairing 2(x x' + d y y') = -1 is the
+    integer identity
 
         2(a a' + d k k') = -m m',
 
     and the points are proportional exactly when a k' = k a'.  The pairs are
-    visited in the order of the sorted point list.
+    visited in the order of the sorted point list, and Fractions are built
+    for a witness only.
 
     Returns the witness lattice when one exists (so d = 3 yields the normal
     basis at height 2 already), or None when the sweep is empty; by the
@@ -233,17 +249,15 @@ def falsify_a2(d: int, height: int, sign: int = -1) -> Optional[TraceLattice]:
     d is factored once, by the ambient's radicand check."""
     ambient = _quad_ambient(d, sign)
     points = _norm_one_points(d, height)
-    scaled = [
-        (x.numerator, y.numerator * (x.denominator // y.denominator), x.denominator)
-        for x, y in points
-    ]
-    for i, (a, k, m) in enumerate(scaled):
-        for j, (a2, k2, m2) in enumerate(scaled[i:], i):
+    for i, (a, k, m) in enumerate(points):
+        for a2, k2, m2 in points[i:]:
             if 2 * (a * a2 + d * k * k2) != -m * m2:
                 continue
             if a * k2 == k * a2:
                 continue  # proportional points never span
-            lattice = TraceLattice.from_rows(ambient, [points[i], points[j]])
+            lattice = TraceLattice.from_rows(
+                ambient, [(F(a, m), F(k, m)), (F(a2, m2), F(k2, m2))]
+            )
             assert lattice.gram == A2_GRAM
             return lattice.with_type("A2")
     return None
@@ -255,10 +269,11 @@ def family_distinctness(height: int, sign: int = -1) -> list[TraceLattice]:
 
     Per-pair integer check, one key per distinct basis, certified build per
     distinct key: every slope pair and branch passes the integer conic and
-    pairing checks of a2_from_slopes.  A Matrix is canonical and equal bases
-    span one lattice, so a basis met before is passed over, and each new
-    basis is keyed by its hnf_span; only the first basis of each new key
-    builds the certified lattice (gram_of, the A2 Gram)."""
+    pairing checks of _slope_basis, whose integer rows over one denominator
+    in lowest terms are canonical.  Equal bases span one lattice, so a
+    basis met before is passed over on those integers, and only a new basis
+    becomes a Matrix, keyed by its hnf_span; only the first basis of each
+    new key builds the certified lattice (gram_of, the A2 Gram)."""
     seen = {}
     bases = set()
     for s0 in range(-height, height + 1):
@@ -266,10 +281,11 @@ def family_distinctness(height: int, sign: int = -1) -> list[TraceLattice]:
             if (s0, s1) == (0, 0):
                 continue
             for branch in ("+", "-"):
-                basis = _slope_basis(s0, s1, branch)
-                if basis in bases:
+                scaled = _slope_basis(s0, s1, branch)
+                if scaled in bases:
                     continue
-                bases.add(basis)
+                bases.add(scaled)
+                basis = Matrix.scaled(*scaled)
                 key = hnf_span(basis)
                 if key not in seen:
                     seen[key] = _certified_a2(basis, sign)

@@ -33,7 +33,8 @@ def _too_large() -> TooLarge:
 
 
 def rational_str(x) -> str:
-    x = Fraction(x)
+    if not isinstance(x, Fraction):
+        x = Fraction(x)
     try:
         return str(x)
     except ValueError:

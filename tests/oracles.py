@@ -700,20 +700,17 @@ def family_by_full_build(t, height: int, target):
     slopes, None (vertical) first, then a/b in lowest terms for b = 1 ..
     height and a = -height .. height; and the number of degenerate points.
 
-    Every point is built in full from Fractions.  The line of slope s
-    through (x0, y0) = (t + 3/2, 3/2) meets x^2 + 3 y^2 = delta = t^2 + 3t
-    + 9 again at (x0 + tau, y0 + s tau), tau = -2 (x0 + 3 s y0) / (1 + 3
-    s^2), and the vertical line at (x0, -y0).  The weights are lam0 = f/3t
-    + 2x / 3 delta and lam1, lam2 = f/3t - x / 3 delta +- y / delta, beta is
-    sum lam_i eps^(sigma^i) with sigma from shanks_automorphisms, and the
-    rows beta, beta^sigma, beta^sigma^2 are the basis.  A singular basis
+    Every point is built in full from Fractions: the chord point by
+    chord_point_by_fractions, on x^2 + 3 y^2 = delta = t^2 + 3t + 9, and
+    the weights by weights_by_fractions.  beta is sum lam_i eps^(sigma^i)
+    with sigma from shanks_automorphisms, and the rows beta, beta^sigma,
+    beta^sigma^2 are the basis.  A singular basis
     counts as degenerate; otherwise its trace_gram must be the circulant of
     (d, e, e), and the lattice is keyed by its clearing denominator and
     hnf_by_euclid."""
     t = Fraction(t)
-    d, e, f = (Fraction(v) for v in target)
+    d, e = Fraction(target[0]), Fraction(target[1])
     delta = t * t + 3 * t + 9
-    x0, y0 = t + Fraction(3, 2), Fraction(3, 2)
     sig, sig2 = shanks_automorphisms(t)
     eps = [Fraction(0), Fraction(1), Fraction(0)]
     orbit = (eps, sig(eps), sig2(eps))
@@ -727,17 +724,9 @@ def family_by_full_build(t, height: int, target):
     seen = {}
     degenerate = 0
     for s in slopes:
-        if s is None:
-            x, y = x0, -y0
-        else:
-            tau = -2 * (x0 + 3 * s * y0) / (1 + 3 * s * s)
-            x, y = x0 + tau, y0 + s * tau
+        x, y = chord_point_by_fractions(t, s)
         assert x * x + 3 * y * y == delta
-        lam = (
-            f / (3 * t) + 2 * x / (3 * delta),
-            f / (3 * t) - x / (3 * delta) + y / delta,
-            f / (3 * t) - x / (3 * delta) - y / delta,
-        )
+        lam = weights_by_fractions(t, target, x, y)
         beta = [sum(w * v[i] for w, v in zip(lam, orbit)) for i in range(3)]
         rows = [beta, sig(beta), sig2(beta)]
         if fraction_det(rows) == 0:
@@ -749,6 +738,33 @@ def family_by_full_build(t, height: int, target):
         key = (scale, tuple(map(tuple, hnf_by_euclid(cleared))))
         seen.setdefault(key, (lam, (x, y), s, key))
     return list(seen.values()), degenerate
+
+
+def chord_point_by_fractions(t, s) -> tuple[Fraction, Fraction]:
+    """The second intersection of x^2 + 3 y^2 = t^2 + 3t + 9 with the line
+    of slope s (None = vertical) through (x0, y0) = (t + 3/2, 3/2):
+    (x0 + tau, y0 + s tau) with tau = -2 (x0 + 3 s y0) / (1 + 3 s^2), and
+    (x0, -y0) on the vertical line."""
+    t = Fraction(t)
+    x0, y0 = t + Fraction(3, 2), Fraction(3, 2)
+    if s is None:
+        return x0, -y0
+    s = Fraction(s)
+    tau = -2 * (x0 + 3 * s * y0) / (1 + 3 * s * s)
+    return x0 + tau, y0 + s * tau
+
+
+def weights_by_fractions(t, target, x, y) -> tuple[Fraction, Fraction, Fraction]:
+    """lam0 = f/3t + 2x / 3 delta and lam1, lam2 = f/3t - x / 3 delta +- y /
+    delta, delta = t^2 + 3t + 9, for the target (d, e, f)."""
+    t = Fraction(t)
+    f = Fraction(target[2])
+    delta = t * t + 3 * t + 9
+    return (
+        f / (3 * t) + 2 * x / (3 * delta),
+        f / (3 * t) - x / (3 * delta) + y / delta,
+        f / (3 * t) - x / (3 * delta) - y / delta,
+    )
 
 
 # --- connectivity of the root graph by labels over every pair ----------------

@@ -5,6 +5,7 @@ elements; the polynomial layer underneath was itself oracle-tested.
 """
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -12,10 +13,12 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import (
     bracket,
+    chord_point_by_fractions,
     family_by_full_build,
     shanks_automorphisms,
     shanks_minpoly,
     trace_gram,
+    weights_by_fractions,
 )
 from tracelattice.a3_factory import (
     NORMAL_A3_GRAM,
@@ -29,11 +32,15 @@ from tracelattice.a3_factory import (
     normal_basis_lattice,
     scan_family,
     self_dual_family,
+    sigma_permutes_basis,
     to_a3_basis,
     trace_targets_of,
 )
 from tracelattice.conic_points import (
     ConicPoint,
+    _chord_base,
+    _chord_ints,
+    _slope_pairs,
     base_point_delta,
     delta_conic,
     second_intersection,
@@ -49,6 +56,7 @@ from tracelattice.errors import (
 from tracelattice import a3_factory, lattice_core
 from tracelattice.exact_linalg import Matrix
 from tracelattice.lattice_core import (
+    TraceLattice,
     canonical_key,
     disc_group,
     dual,
@@ -337,7 +345,7 @@ def test_scan_family_takes_one_hnf_per_built_lattice(t, target, monkeypatch):
     # every lattice built is keyed by one HNF; the classifier's certificate
     # adds one for the one Gram a sweep classifies, and no member needs an
     # inverse (the self-dual certificate is the identity Gram itself)
-    calls = {"hnf_rows": 0, "inverse": 0, "built": 0}
+    calls = {"hnf_rows": 0, "hnf_coords": 0, "inverse": 0, "built": 0, "points": 0}
 
     def counted(module, name, key):
         inner = getattr(module, name)
@@ -349,13 +357,128 @@ def test_scan_family_takes_one_hnf_per_built_lattice(t, target, monkeypatch):
         monkeypatch.setattr(module, name, wrapper)
 
     counted(lattice_core, "hnf_rows", "hnf_rows")
+    counted(lattice_core, "hnf_coords", "hnf_coords")
     counted(lattice_core, "inverse", "inverse")
     counted(a3_factory, "normal_basis_lattice", "built")
+    counted(a3_factory, "_lambda_ints", "points")
     lattice_core.classify_gram.cache_clear()
     scan = scan_family(t, 16, target)
     assert len(scan.members) == calls["built"] == 222
     assert calls["hnf_rows"] == calls["built"] + 1
     assert calls["inverse"] == 0
+    # the per-member Galois certificate is sigma permuting the basis, with
+    # no membership test against the HNF
+    assert calls["hnf_coords"] == 0
+    # 98 of the 320 chord points repeat a built sigma-orbit class
+    assert calls["points"] == 320
+    assert calls["points"] - calls["built"] == 98
+
+
+# --- the integer sweep kernels ---------------------------------------------------
+
+slopes = st.one_of(
+    st.none(),
+    st.fractions(min_value=-40, max_value=40, max_denominator=40),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(good_t, slopes, st.sampled_from([TARGET_A3, TARGET_SELF_DUAL]))
+def test_integer_kernels_match_fraction_formulas(t, s, target):
+    # the chord point and the weights in int against the oracle's Fraction
+    # formulas, over negative t too (R = 3pDm is negative there before the
+    # reduction); (N, R) is in lowest terms with R > 0
+    base = _chord_base(delta_conic(t), base_point_delta(t))
+    x, y, m = _chord_ints(base, None if s is None else (s.numerator, s.denominator))
+    assert m > 0
+    point = chord_point_by_fractions(t, s)
+    assert (F(x, m), F(y, m)) == point
+    n0, n1, n2, r = a3_factory._lambda_ints(t.numerator, t.denominator, target, x, y, m)
+    assert r > 0 and math.gcd(n0, n1, n2, r) == 1
+    lam = (F(n0, r), F(n1, r), F(n2, r))
+    assert lam == weights_by_fractions(t, target, *point)
+    assert lambda_from_point(t, target, ConicPoint(*point)) == lam
+
+
+def test_lambda_kernel_takes_any_common_denominator():
+    # the point need not be in lowest terms, and its denominator 6 * 37
+    # does not clear f = 5/7, so the kernel scales it first
+    target = TraceTarget(F(41, 49), F(-8, 49), F(5, 7))
+    assert target.is_consistent() and target.d - target.e == 1
+    t = F(-7, 3)
+    x, y, m = _chord_ints(_chord_base(delta_conic(t), base_point_delta(t)), (2, 5))
+    assert m == 6 * 37
+    *nums, r = a3_factory._lambda_ints(-7, 3, target, x, y, m)
+    assert tuple(F(n, r) for n in nums) == weights_by_fractions(t, target, F(x, m), F(y, m))
+    assert a3_factory._lambda_ints(-7, 3, target, 5 * x, 5 * y, 5 * m) == (*nums, r)
+
+
+@pytest.mark.parametrize("target", [TARGET_A3, TARGET_SELF_DUAL], ids=["A3", "self-dual"])
+@pytest.mark.parametrize("t", [F(1), F(-1, 2), F(2), F(-5, 2), F(1, 3), F(7)], ids=str)
+def test_integer_orbit_key_dedups_as_the_fraction_key(t, target):
+    # the least rotation of (N0, N1, N2) over R against the least rotation
+    # of the Fraction triple: the two keys split the points alike
+    base = _chord_base(delta_conic(t), base_point_delta(t))
+    old, new = [], []
+    for slope in _slope_pairs(16):
+        x, y, m = _chord_ints(base, slope)
+        n0, n1, n2, r = a3_factory._lambda_ints(t.numerator, t.denominator, target, x, y, m)
+        lam = (F(n0, r), F(n1, r), F(n2, r))
+        old.append(min(lam, lam[1:] + lam[:1], lam[2:] + lam[:2]))
+        new.append((min((n0, n1, n2), (n1, n2, n0), (n2, n0, n1)), r))
+    assert len(set(old)) == len(set(new)) == len(set(zip(old, new)))
+    assert len(old) - len(set(old)) == 98
+
+
+# --- sigma permuting the basis ---------------------------------------------------
+
+@pytest.mark.parametrize("target", [TARGET_A3, TARGET_SELF_DUAL], ids=["A3", "self-dual"])
+@pytest.mark.parametrize("t", [F(1), F(-1, 2), F(2), F(-5, 2), F(1, 3), F(7)], ids=str)
+def test_sigma_permutation_agrees_with_galois_stable_on_members(t, target):
+    members = scan_family(t, 8, target).members
+    assert members
+    for m in members:
+        assert sigma_permutes_basis(m.lattice)
+        assert galois_stable(m.lattice)
+
+
+def _member_with_rows(t, rows):
+    member = scan_family(t, 3, TARGET_A3).members[1]
+    basis = member.lattice.basis
+    return member.lattice, TraceLattice(
+        member.lattice.ambient, Matrix.scaled(rows(basis.ints), basis.den)
+    )
+
+
+@pytest.mark.parametrize("t", [F(1), F(-5, 2), F(7)], ids=str)
+def test_sigma_permutation_rejects_swapped_rows(t):
+    # the same lattice, so Galois stable, but the basis is no sigma-orbit
+    lattice, swapped = _member_with_rows(t, lambda b: [b[0], b[2], b[1]])
+    assert canonical_key(swapped) == canonical_key(lattice)
+    assert galois_stable(swapped)
+    assert not sigma_permutes_basis(swapped)
+
+
+@pytest.mark.parametrize("t", [F(1), F(-5, 2), F(7)], ids=str)
+def test_sigma_permutation_rejects_a_doubled_row(t):
+    lattice, doubled = _member_with_rows(
+        t, lambda b: [[2 * x for x in b[0]], b[1], b[2]]
+    )
+    assert canonical_key(doubled) != canonical_key(lattice)
+    assert not sigma_permutes_basis(doubled)
+
+
+def test_normal_basis_lattice_takes_integer_weights_over_den():
+    # the sweep's form, (N, R) with the field, against the Fraction weights
+    t = F(-5, 2)
+    lam = lambda_from_point(t, TARGET_SELF_DUAL, base_point_delta(t))
+    r = math.lcm(*(v.denominator for v in lam))
+    ints = tuple(int(v * r) for v in lam)
+    L = normal_basis_lattice(new_field(t), ints, den=r)
+    assert L.basis == normal_basis_lattice(t, lam).basis
+    assert L.gram == Matrix.identity(3)
+    with pytest.raises(ValueError):
+        normal_basis_lattice(t, ints, den=0)
 
 
 def test_self_dual_family_members():

@@ -265,6 +265,33 @@ def test_family_takes_one_hnf_per_distinct_basis(monkeypatch):
     assert len(calls) == 368
 
 
+def test_family_builds_a_matrix_per_distinct_basis(monkeypatch):
+    # a repeated basis is met as _slope_basis's integer rows over their
+    # denominator: only the 368 distinct ones of the 1,248 pairs and
+    # branches become a Matrix
+    calls = []
+    scaled = Matrix.scaled.__func__
+
+    def counted_scaled(cls, *args, **kwargs):
+        calls.append(1)
+        return scaled(cls, *args, **kwargs)
+
+    quadratic_a2._quad_ambient(3, -1)
+    monkeypatch.setattr(Matrix, "scaled", classmethod(counted_scaled))
+    fam = family_distinctness(12)
+    assert len(fam) == 93
+    assert len(calls) == 368
+
+
+def test_slope_basis_is_in_lowest_terms():
+    for s0, s1, branch in [(1, 0, "+"), (2, -3, "-"), (-5, 4, "+"), (6, 6, "-")]:
+        rows, den = quadratic_a2._slope_basis(s0, s1, branch)
+        assert den > 0 and gcd(den, *rows[0], *rows[1]) == 1
+        basis = Matrix.scaled(rows, den)
+        assert (basis.ints, basis.den) == (rows, den)
+        assert a2_from_slopes(s0, s1, branch).basis == basis
+
+
 def test_family_height_10_meets_threshold():
     fc = family_distinctness(10)
     assert len(fc) >= 10
@@ -326,6 +353,17 @@ def test_norm_one_points_match_grid_scan(d):
     # (+-1, 0) is left, and the second bound v <= 2 height decides
     for height in [*range(0, 41), 97, 150, 299, 300]:
         assert norm_one_points(d, height) == norm_one_points_by_scan(d, height), height
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 11])
+def test_integer_point_order_is_the_fraction_order(d):
+    # _norm_one_points sorts its integer triples by x L and y L, L the lcm
+    # of the denominators: the order sorted() gives the Fraction points
+    triples = quadratic_a2._norm_one_points(d, 300)
+    points = [(F(a, m), F(k, m)) for a, k, m in triples]
+    assert points == sorted(points)
+    assert len(set(points)) == len(points)
+    assert all(F(a, m).denominator == m for a, _, m in triples)
 
 
 def test_norm_one_points_always_contain_units():

@@ -12,7 +12,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from oracles import bracket, rational_root_by_divisor_scan, shanks_automorphisms
 from tracelattice.errors import NonzeroTrace, RationalInput, Reducible
@@ -352,6 +352,8 @@ def test_reparametrize_rejects_rational():
 
 @settings(max_examples=30, deadline=None)
 @given(rational_t, coords3)
+# t2 = 0 is reachable: f_0 is irreducible and folds onto f_{-3} (remap_t0)
+@example(Fraction(-3), (Fraction(0), Fraction(1), Fraction(1)))
 def test_reparametrize_lands_in_family(t, a):
     k = new_field(t)
     # project to trace zero: a - Tr(a)/3
@@ -359,7 +361,8 @@ def test_reparametrize_lands_in_family(t, a):
     if not any(x[1:]):
         return
     t2 = reparametrize(k, x)
-    assert t2 != 0
+    # f_{t2} is irreducible: t2 is a Shanks parameter of the same field
+    new_field(t2)
     # the unit u = x^(sigma-1) is a root of f_{t2}: reparametrize asserts
     # it, and the oracle's arithmetic and sigma check it again here
     u = k.mul_coords(k.galois_coords(x), k.inv_coords(x))
