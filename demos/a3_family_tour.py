@@ -10,21 +10,14 @@ same field.  Field elements are their coordinates in the power basis
 from fractions import Fraction as F
 
 from tracelattice import (
-    TARGET_A3,
     Matrix,
     TraceLattice,
-    base_point_delta,
     canonical_key,
     classify_root_type,
-    delta_conic,
     galois_stable,
-    lambda_from_point,
     new_field,
-    normal_basis_lattice,
     reparametrize,
     scan_family,
-    second_intersection,
-    slopes_up_to,
     to_a3_basis,
 )
 
@@ -64,27 +57,13 @@ def family_sweep(t=F(1), height=5):
     print(f"Sweeping chords of x^2 + 3y^2 = delta_t at t = {t}, height {height}")
     print("=" * 64)
     scan = scan_family(t, height)
-    points = sum(1 for _ in slopes_up_to(height))
-    print(
-        f"{points} chord points, {len(scan.members)} pairwise-distinct lattices "
-        f"({scan.skipped} degenerate points skipped)"
-    )
+    print(f"{len(scan.members)} pairwise-distinct lattices ({scan.skipped} degenerate points skipped)")
     for m in scan.members[:4]:
         slope = "inf" if m.slope is None else m.slope
         print(f"  slope {slope}: point ({m.point.x}, {m.point.y})")
         print(f"    lambda = {tuple(str(c) for c in m.lam)}")
         print(f"    type {m.lattice.type_tag}, galois stable: {galois_stable(m.lattice)}")
     print("  ...")
-    # the sweep runs in integers; the public steps rebuild a member from its slope
-    m = scan.members[1]
-    point = second_intersection(delta_conic(t), base_point_delta(t), m.slope)
-    lam = lambda_from_point(t, TARGET_A3, point)
-    lattice = normal_basis_lattice(t, lam)
-    print(
-        f"  rebuilt from slope {m.slope} step by step: same point {point == m.point}, "
-        f"same lambda {lam == m.lam}, "
-        f"same lattice {canonical_key(lattice) == canonical_key(m.lattice)}"
-    )
     print()
 
 

@@ -194,38 +194,41 @@ def _circulant_gram(d, e) -> Matrix:
     return Matrix(_circulant(d, e, e))
 
 
-def normal_basis_lattice(
-    t, lam, gram: Matrix | None = None, den: int = 1
-) -> TraceLattice:
-    """Lattice spanned by the sigma-orbit of beta = <lam, eps-orbit>, with
-    lam the weights over den > 0 and t the parameter or its ShanksField.
+def normal_basis_lattice(t, lam, gram: Matrix | None = None) -> TraceLattice:
+    """Lattice spanned by the sigma-orbit of beta = <lam, eps-orbit>.
 
     sigma shifts the weights, beta^sigma = <(lam2, lam0, lam1), eps-orbit>,
-    so the basis (beta, beta^sigma, beta^sigma2) is one integer product,
-    the circulant of lam's integer numerators times the integer rows of the
-    field's orbit_matrix, over den times its denominator, brought to lowest
-    terms once.  Integer weights are taken as they are, as scan_family
-    passes them; rational ones are first cleared to integers over their
-    common denominator.  The Gram is the circulant of (d, e, e) by the
-    Galois symmetry, and the computed Gram must equal it exactly; raises
-    DegenerateLambda when the three conjugates are linearly dependent and
-    ZeroParameter at t = 0, where the eps-orbit is no basis.  gram is that
-    circulant when the caller has already certified (d, e) for lam
-    (_lambda_ints); by default it is built from trace_targets_of."""
-    field = t if isinstance(t, ShanksField) else new_field(t)
+    so the basis (beta, beta^sigma, beta^sigma2) is one product: the
+    circulant of lam, as integer rows over lam's common denominator, times
+    the field's orbit_matrix (_orbit_lattice).  The Gram is the circulant of
+    (d, e, e) by the Galois symmetry, and the computed Gram must equal it
+    exactly; raises DegenerateLambda when the three conjugates are linearly
+    dependent and ZeroParameter at t = 0, where the eps-orbit is no basis.
+    gram is that circulant when the caller has already certified (d, e) for
+    lam (lambda_from_point); by default it is built from trace_targets_of."""
+    field = new_field(t)
     if field.t == 0:
         raise ZeroParameter()
-    if den < 1:
-        raise ValueError(f"den must be a positive integer, got {den}")
-    if not all(type(v) is int for v in lam):
-        weights = Matrix([lam])
-        lam, den = weights.ints[0], weights.den * den
+    if gram is None:
+        gram = _circulant_gram(*trace_targets_of(t, lam))
+    weights = Matrix([lam])
+    return _orbit_lattice(field, weights.ints[0], weights.den, gram)
+
+
+def _orbit_lattice(
+    field: ShanksField, nums: tuple[int, int, int], den: int, gram: Matrix
+) -> TraceLattice:
+    """normal_basis_lattice for lam = nums / den (ints, den > 0) in the field
+    at t != 0, with gram the circulant certified for lam: the circulant of
+    nums times the integer rows of orbit_matrix, over den times its
+    denominator, brought to lowest terms once.  scan_family calls it on the
+    (N, R) of _lambda_ints."""
     orbit = field.orbit_matrix
     o0, o1, o2 = orbit.ints
     basis = _reduced(
         tuple(
             tuple([u * x + v * y + w * z for x, y, z in zip(o0, o1, o2)])
-            for u, v, w in _circulant(*lam)
+            for u, v, w in _circulant(*nums)
         ),
         den * orbit.den,
     )
@@ -234,10 +237,8 @@ def normal_basis_lattice(
     except DependentBasis as exc:
         raise DegenerateLambda(
             "conjugates of the weighted element are dependent for lam = "
-            f"({', '.join(number_text(Fraction(v, den)) for v in lam)})"
+            f"({', '.join(number_text(Fraction(v, den)) for v in nums)})"
         ) from exc
-    if gram is None:
-        gram = _circulant_gram(*trace_targets_of(field.t, [Fraction(v, den) for v in lam]))
     assert lattice.gram == gram, "orbit Gram must be circulant in (d, e)"
     return lattice
 
@@ -319,7 +320,7 @@ def scan_family(t, height: int, target: TraceTarget = TARGET_A3) -> FamilyScan:
 
     Certificates per member: the integer conic check and the three target
     asserts of _lambda_ints; the exact Gram against the target's circulant
-    Gram, which the sweep builds once (normal_basis_lattice); the HNF key;
+    Gram, which the sweep builds once (_orbit_lattice); the HNF key;
     the root type by classify_root_type; sigma permuting the basis
     (sigma_permutes_basis), the normal Z-basis itself, which implies Galois
     stability.  The self-dual target also asserts the identity Gram, which
@@ -351,7 +352,7 @@ def scan_family(t, height: int, target: TraceTarget = TARGET_A3) -> FamilyScan:
         if rotation in built:
             continue
         try:
-            lattice = normal_basis_lattice(field, (n0, n1, n2), gram, r)
+            lattice = _orbit_lattice(field, (n0, n1, n2), r, gram)
         except DegenerateLambda:
             # imported here: no other path logs, and start-up pays for it
             import logging

@@ -359,7 +359,7 @@ def test_scan_family_takes_one_hnf_per_built_lattice(t, target, monkeypatch):
     counted(lattice_core, "hnf_rows", "hnf_rows")
     counted(lattice_core, "hnf_coords", "hnf_coords")
     counted(lattice_core, "inverse", "inverse")
-    counted(a3_factory, "normal_basis_lattice", "built")
+    counted(a3_factory, "_orbit_lattice", "built")
     counted(a3_factory, "_lambda_ints", "points")
     lattice_core.classify_gram.cache_clear()
     scan = scan_family(t, 16, target)
@@ -468,17 +468,15 @@ def test_sigma_permutation_rejects_a_doubled_row(t):
     assert not sigma_permutes_basis(doubled)
 
 
-def test_normal_basis_lattice_takes_integer_weights_over_den():
+def test_orbit_lattice_takes_integer_weights_over_den():
     # the sweep's form, (N, R) with the field, against the Fraction weights
     t = F(-5, 2)
     lam = lambda_from_point(t, TARGET_SELF_DUAL, base_point_delta(t))
     r = math.lcm(*(v.denominator for v in lam))
     ints = tuple(int(v * r) for v in lam)
-    L = normal_basis_lattice(new_field(t), ints, den=r)
+    L = a3_factory._orbit_lattice(new_field(t), ints, r, Matrix.identity(3))
     assert L.basis == normal_basis_lattice(t, lam).basis
     assert L.gram == Matrix.identity(3)
-    with pytest.raises(ValueError):
-        normal_basis_lattice(t, ints, den=0)
 
 
 def test_self_dual_family_members():

@@ -350,9 +350,18 @@ def test_reparametrize_rejects_rational():
         reparametrize(k, (0,))
 
 
+def _f_residual(v, s, t):
+    """Oracle: v^3 - s v^2 - (s + 3) v in Q(eps_t), which is 1 exactly when
+    v is a root of f_s."""
+    v2 = _poly_mulmod(v, v, t)
+    v3 = _poly_mulmod(v2, v, t)
+    return [c3 - s * c2 - (s + 3) * c1 for c3, c2, c1 in zip(v3, v2, v)]
+
+
 @settings(max_examples=30, deadline=None)
 @given(rational_t, coords3)
-# t2 = 0 is reachable: f_0 is irreducible and folds onto f_{-3} (remap_t0)
+# t2 = 0 is reached here (x = (-2, 1, 1)): f_0 = x^3 - 3x - 1 is irreducible,
+# and the family takes it at remap_t0() since f_0(x) = -x^3 f_{-3}(1/x)
 @example(Fraction(-3), (Fraction(0), Fraction(1), Fraction(1)))
 def test_reparametrize_lands_in_family(t, a):
     k = new_field(t)
@@ -361,16 +370,18 @@ def test_reparametrize_lands_in_family(t, a):
     if not any(x[1:]):
         return
     t2 = reparametrize(k, x)
-    # f_{t2} is irreducible: t2 is a Shanks parameter of the same field
-    new_field(t2)
     # the unit u = x^(sigma-1) is a root of f_{t2}: reparametrize asserts
-    # it, and the oracle's arithmetic and sigma check it again here
+    # it, and the oracle's arithmetic and sigma check it again here.  That
+    # pins t2: f_s(u) = 0 is linear in s with the coefficient u^2 + u != 0
     u = k.mul_coords(k.galois_coords(x), k.inv_coords(x))
     assert _poly_mulmod(u, x, t) == tuple(shanks_automorphisms(t)[0](x))
-    u2 = _poly_mulmod(u, u, t)
-    u3 = _poly_mulmod(u2, u, t)
-    residual = [c3 - t2 * c2 - (t2 + 3) * c1 for c3, c2, c1 in zip(u3, u2, u)]
-    assert residual == [1, 0, 0]
+    assert _f_residual(u, t2, t) == [1, 0, 0]
+    # a family parameter (t != 0) of the same field: t2 with the root u, or
+    # at t2 = 0 remap_t0() with the root 1/u
+    if t2 == 0:
+        t2, u = remap_t0(), k.inv_coords(u)
+        assert _f_residual(u, t2, t) == [1, 0, 0]
+    assert _in_family(t2)
 
 
 def test_f_t_at_values():
