@@ -17,21 +17,14 @@ _EXPORTS = {
         "FamilyMember",
         "FamilyScan",
         "TraceTarget",
-        "identity_to_a3_transform",
-        "lambda_from_point",
-        "normal_basis_lattice",
         "scan_family",
-        "self_dual_family",
         "to_a3_basis",
-        "trace_targets_of",
     ),
     "conic_points": (
         "Conic",
         "ConicPoint",
         "base_point_delta",
         "delta_conic",
-        "second_intersection",
-        "slopes_up_to",
     ),
     "cyclotomic_ideals": (
         "CycField",
@@ -78,10 +71,8 @@ _EXPORTS = {
     "power_basis": ("PowerBasisField",),
     "quadratic_a2": (
         "QuadAmbient",
-        "a2_from_slopes",
         "falsify_a2",
         "family_distinctness",
-        "norm_one_points",
         "normal_a2",
         "normal_basis_search",
     ),

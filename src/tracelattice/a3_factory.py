@@ -19,7 +19,7 @@ of either kind, every one carrying a normal basis by construction.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import NamedTuple, Optional
 
 from .conic_points import (
@@ -79,54 +79,18 @@ TARGET_A3 = TraceTarget(Fraction(2), Fraction(1), Fraction(2))
 TARGET_SELF_DUAL = TraceTarget(Fraction(1), Fraction(0), Fraction(1))
 
 
-def lq(lam) -> tuple[Fraction, Fraction]:
-    """The two symmetric functions L = sum, Q = sum of pairwise products."""
-    l0, l1, l2 = (rat(v) for v in lam)
-    return (l0 + l1 + l2, l0 * l1 + l0 * l2 + l1 * l2)
-
-
-def trace_targets_of(t, lam) -> tuple[Fraction, Fraction]:
-    """(d, e) of the normal-basis element with weights lam, in closed form."""
-    t = rat(t)
-    if t == 0:
-        raise ZeroParameter(
-            "t = 0 divides the weight formulas; rebuild the field at the "
-            "remapped parameter"
-        )
-    delta = t * t + 3 * t + 9
-    big_l, big_q = lq(lam)
-    d = (t * t + 2 * t + 6) * big_l * big_l - 2 * delta * big_q
-    e = -(t + 3) * big_l * big_l + delta * big_q
-    return (d, e)
-
-
-def lambda_from_point(t, target: TraceTarget, point: ConicPoint) -> LambdaVector:
-    """Weights lam realizing the target, from a rational point (x, y) on
-    x^2 + 3y^2 = (d - e) delta_t.
-
-    lam0 = (2tx/delta + f) / 3t, and lam1, lam2 split off y; lam1 always
-    takes the + branch so output is deterministic (the - choice relabels
-    the same normal basis).  The arithmetic is _lambda_ints on the point's
-    integer coordinates over their common denominator."""
-    t = rat(t)
-    if t == 0:
-        raise ZeroParameter("the weight recovery divides by t")
-    d, e, f = (rat(v) for v in target)
-    assert f * f == d + 2 * e, "inconsistent target: f^2 != d + 2e"
-    x, y = point.as_pair()
-    m = lcm(x.denominator, y.denominator)
-    big_x, big_y = (v.numerator * (m // v.denominator) for v in (x, y))
-    *nums, big_r = _lambda_ints(t.numerator, t.denominator, (d, e, f), big_x, big_y, m)
-    return tuple(Fraction(n, big_r) for n in nums)
-
-
 def _lambda_ints(
     p: int, q: int, target: TraceTarget, big_x: int, big_y: int, m: int
 ) -> tuple[int, int, int, int]:
-    """(N0, N1, N2, R) with lam = (N0, N1, N2) / R the weights of
-    lambda_from_point at t = p/q (p != 0, q > 0) for the point (X, Y)/m,
-    m > 0 and not necessarily in lowest terms; R > 0 and the four are
-    coprime, so equal weight vectors give equal tuples.
+    """(N0, N1, N2, R) with lam = (N0, N1, N2) / R the weights realizing
+    the target at t = p/q (p != 0, q > 0), from the point (X, Y)/m on
+    x^2 + 3y^2 = (d - e) delta_t, m > 0 and not necessarily in lowest terms;
+    R > 0 and the four are coprime, so equal weight vectors give equal
+    tuples.  Raises PointNotOnConic for a point off that conic.
+
+    lam0 = (2tx/delta + f) / 3t, and lam1, lam2 split off y; lam1 always
+    takes the + branch so output is deterministic (the - choice relabels
+    the same normal basis).
 
     With D = q^2 delta = p^2 + 3pq + 9q^2 and f = F/m (m scaled first so
     that it clears f), the three weights share one denominator:
@@ -165,7 +129,7 @@ def _lambda_ints(
     assert e.denominator * (
         4 * p * p * big_d * big_f * big_f - r * r - 12 * pq * pq * big_y * big_y
     ) == 12 * p * p * big_d * e.numerator * m * m
-    # trace_targets_of on lam = q n / R: both sides over R^2
+    # the closed forms of d and e on lam = q n / R: both sides over R^2
     big_r = 3 * p * big_d * m
     big_l = n0 + n1 + n2
     big_q = n0 * n1 + n0 * n2 + n1 * n2
@@ -194,35 +158,21 @@ def _circulant_gram(d, e) -> Matrix:
     return Matrix(_circulant(d, e, e))
 
 
-def normal_basis_lattice(t, lam, gram: Matrix | None = None) -> TraceLattice:
-    """Lattice spanned by the sigma-orbit of beta = <lam, eps-orbit>.
-
-    sigma shifts the weights, beta^sigma = <(lam2, lam0, lam1), eps-orbit>,
-    so the basis (beta, beta^sigma, beta^sigma2) is one product: the
-    circulant of lam, as integer rows over lam's common denominator, times
-    the field's orbit_matrix (_orbit_lattice).  The Gram is the circulant of
-    (d, e, e) by the Galois symmetry, and the computed Gram must equal it
-    exactly; raises DegenerateLambda when the three conjugates are linearly
-    dependent and ZeroParameter at t = 0, where the eps-orbit is no basis.
-    gram is that circulant when the caller has already certified (d, e) for
-    lam (lambda_from_point); by default it is built from trace_targets_of."""
-    field = new_field(t)
-    if field.t == 0:
-        raise ZeroParameter()
-    if gram is None:
-        gram = _circulant_gram(*trace_targets_of(t, lam))
-    weights = Matrix([lam])
-    return _orbit_lattice(field, weights.ints[0], weights.den, gram)
-
-
 def _orbit_lattice(
     field: ShanksField, nums: tuple[int, int, int], den: int, gram: Matrix
 ) -> TraceLattice:
-    """normal_basis_lattice for lam = nums / den (ints, den > 0) in the field
-    at t != 0, with gram the circulant certified for lam: the circulant of
-    nums times the integer rows of orbit_matrix, over den times its
-    denominator, brought to lowest terms once.  scan_family calls it on the
-    (N, R) of _lambda_ints."""
+    """Lattice spanned by the sigma-orbit of beta = <lam, eps-orbit> for
+    lam = nums / den (ints, den > 0) in the field at t != 0, where the
+    eps-orbit is a basis.
+
+    sigma shifts the weights, beta^sigma = <(lam2, lam0, lam1), eps-orbit>,
+    so the basis (beta, beta^sigma, beta^sigma2) is one product: the
+    circulant of nums times the integer rows of orbit_matrix, over den
+    times its denominator, brought to lowest terms once.  gram is the
+    circulant of (d, e, e) certified for lam (the Galois symmetry makes the
+    Gram circulant), and the computed Gram must equal it exactly; raises
+    DegenerateLambda when the three conjugates are linearly dependent.
+    scan_family calls it on the (N, R) of _lambda_ints."""
     orbit = field.orbit_matrix
     o0, o1, o2 = orbit.ints
     basis = _reduced(
@@ -279,15 +229,6 @@ def to_a3_basis(lattice: TraceLattice) -> TraceLattice:
     return out
 
 
-def identity_to_a3_transform() -> Matrix:
-    """The 0/1 circulant with zero diagonal carries the identity Gram to the
-    normal A3 Gram: M I M^T = [[2,1,1],[1,2,1],[1,1,2]] exactly.  So every
-    self-dual member doubles into an A3 member over the same field."""
-    m = Matrix.from_rows([[0, 1, 1], [1, 0, 1], [1, 1, 0]])
-    assert m * m.transpose() == NORMAL_A3_GRAM
-    return m
-
-
 class FamilyMember(NamedTuple):
     lattice: TraceLattice
     lam: LambdaVector
@@ -334,7 +275,7 @@ def scan_family(t, height: int, target: TraceTarget = TARGET_A3) -> FamilyScan:
     degenerate weights is degenerate too, so each such point counts."""
     t = rat(t)
     if t == 0:
-        raise ZeroParameter("the family needs t != 0")
+        raise ZeroParameter()
     assert target.is_consistent(), "inconsistent target: f^2 != d + 2e"
     assert target.d - target.e == 1, "preset targets live on the delta conic"
     field = new_field(t)  # raises Reducible for the bad parameters
@@ -386,9 +327,3 @@ def scan_family(t, height: int, target: TraceTarget = TARGET_A3) -> FamilyScan:
         )
     return FamilyScan(members, skipped)
 
-
-def self_dual_family(t, height: int) -> list[TraceLattice]:
-    """The distinct self-dual (identity Gram) lattices up to the slope height."""
-    identity_to_a3_transform()
-    scan = scan_family(t, height, TARGET_SELF_DUAL)
-    return [m.lattice for m in scan.members]

@@ -2,8 +2,10 @@
 
 Given one rational base point, every other rational point is the second
 intersection of a rational-slope line through it; enumerating slopes in
-lowest terms therefore enumerates points. All arithmetic is exact and every
-returned point satisfies its conic equation with zero residual.
+lowest terms therefore enumerates points. A sweep checks the base point on
+the conic once, in integers (_chord_base), and takes the chord point of each
+slope (_slope_pairs) as integers over one denominator (_chord_ints); all
+arithmetic is exact.
 """
 from __future__ import annotations
 
@@ -14,7 +16,7 @@ from typing import Iterator, Optional
 from .errors import PointNotOnConic
 from .exact_linalg import rat
 
-INFINITY_SLOPE: Optional[Fraction] = None  # `None` plays the role of s = infinity
+INFINITY_SLOPE: Optional[tuple[int, int]] = None  # `None` plays the role of s = infinity
 
 
 class ConicPoint:
@@ -98,9 +100,17 @@ def _chord_base(c: Conic, p0: ConicPoint) -> tuple[int, int, int, int, int]:
 def _chord_ints(
     base: tuple[int, int, int, int, int], slope: Optional[tuple[int, int]]
 ) -> tuple[int, int, int]:
-    """(X', Y', M) with X'/M, Y'/M the second intersection through the base
-    point of _chord_base along the slope a/b (None = vertical), M > 0 and not
-    necessarily in lowest terms."""
+    """(X', Y', M) with (X', Y')/M the other intersection of the conic with
+    the line through the base point of _chord_base along the slope a/b
+    (None = vertical), M > 0 and not necessarily in lowest terms; the
+    tangent line gives the base point itself.
+
+    With p0 = (X, Y)/m, D = Dn/Dd and a/b in lowest terms, the line is
+    p0 + tau (b, a), and tau ((b^2 + D a^2) tau + 2(b x0 + D a y0)) = 0
+    gives the other root, so the point is (X w - 2 b u, Y w - 2 a u) / (m w)
+    with u = Dd b X + Dn a Y and w = Dd b^2 + Dn a^2 (w > 0 as D > 0).  Two
+    lines through p0 meet the conic again in two different points, so
+    distinct slopes give distinct points."""
     big_x, big_y, m, dn, dd = base
     if slope is None:
         return big_x, -big_y, m
@@ -110,39 +120,12 @@ def _chord_ints(
     return big_x * w - 2 * b * u, big_y * w - 2 * a * u, m * w
 
 
-def second_intersection(
-    c: Conic, p0: ConicPoint, slope: Optional[int | str | Fraction]
-) -> ConicPoint:
-    """The other intersection of the conic with the line through p0 of the
-    given slope (None = vertical); the tangent line returns p0 itself.
-
-    The point, and the check that p0 is on the conic, are computed in int.
-    With p0 = (X, Y)/m, D = Dn/Dd and the slope a/b in lowest terms, the
-    line is p0 + tau (b, a), and tau ((b^2 + D a^2) tau + 2(b x0 + D a y0))
-    = 0 gives the other root, so the point is (X w - 2 b u, Y w - 2 a u) /
-    (m w) with u = Dd b X + Dn a Y and w = Dd b^2 + Dn a^2 (w > 0 as
-    D > 0).  Two lines through p0 meet the conic again in two different
-    points, so distinct slopes give distinct points.  A sweep checks p0
-    once (_chord_base) and takes each point as integers (_chord_ints)."""
-    base = _chord_base(c, p0)
-    if slope is not None:
-        s = rat(slope)
-        slope = (s.numerator, s.denominator)
-    big_x, big_y, m = _chord_ints(base, slope)
-    return ConicPoint(Fraction(big_x, m), Fraction(big_y, m))
-
-
 def _slope_pairs(height: int) -> Iterator[Optional[tuple[int, int]]]:
-    """slopes_up_to as None, then the pairs (a, b) of a/b in lowest terms."""
+    """INFINITY_SLOPE (None, the vertical line), then the pairs (a, b) of
+    all a/b in lowest terms with |a| <= height, 1 <= b <= height, in a fixed
+    deterministic order."""
     yield INFINITY_SLOPE
     for b in range(1, height + 1):
         for a in range(-height, height + 1):
             if gcd(abs(a), b) == 1:
                 yield (a, b)
-
-
-def slopes_up_to(height: int) -> Iterator[Optional[Fraction]]:
-    """infinity, then all a/b in lowest terms with |a| <= height, 1 <= b <= height,
-    in a fixed deterministic order."""
-    for pair in _slope_pairs(height):
-        yield pair if pair is None else Fraction(*pair)

@@ -59,10 +59,9 @@ class DivisionByZero(TraceLatticeError):
 class ZeroParameter(TraceLatticeError):
     """t = 0 rejected by a normal-basis operation."""
 
-    def __init__(self, message: str | None = None) -> None:
+    def __init__(self) -> None:
         super().__init__(
-            message
-            or "t = 0 has no normal basis of this shape; remap to t = -3 "
+            "t = 0 has no normal basis of this shape; remap to t = -3 "
             "(f_0(x) = -x^3 f_{-3}(1/x)), see remap_t0()"
         )
 

@@ -1,11 +1,9 @@
 """Exact rational and integer linear algebra underlying every other module.
 
-Scalars are arbitrary-precision rationals (`Rational`, an alias of
-`fractions.Fraction`: canonical lowest terms, positive denominator, and
-`str()` prints the "p/q" wire form). A Matrix is immutable and stores
-integer rows over one positive denominator in lowest terms, the scaled-integer
-form every kernel here runs on; Matrix.scaled(ints, den) builds one from
-integers without a Fraction, and entries become Fractions only when read.
+A Matrix is immutable and stores integer rows over one positive denominator
+in lowest terms, the scaled-integer form every kernel here runs on;
+Matrix.scaled(ints, den) builds one from integers without a Fraction, and
+entries become Fractions only when read.
 Products and transposes, whose results are already equal-width int tuples
 over den > 0, go through the trusted internal constructor Matrix._trusted,
 which checks nothing: a product is brought to lowest terms by one gcd, and
@@ -38,11 +36,9 @@ from typing import Iterable, Sequence
 
 from .errors import NonSquareMatrix, NotInteger, SingularMatrix
 
-Rational = Fraction
-
 
 def rat(value: int | str | Fraction) -> Fraction:
-    """Coerce ints, Fractions, or "p/q" strings to a canonical Rational."""
+    """Coerce ints, Fractions, or "p/q" strings to a Fraction."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):

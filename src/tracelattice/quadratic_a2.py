@@ -124,16 +124,6 @@ def _certified_a2(basis: Matrix, sign: int) -> TraceLattice:
     return lattice.with_type("A2")
 
 
-def a2_from_slopes(s0: int, s1: int, branch="+", sign: int = -1) -> TraceLattice:
-    """The A2 lattice of the slope pair: first basis vector from the unit
-    conic section, second from the chosen branch of the completing quadratic.
-
-    The two equations x_i^2 + 3 y_i^2 = 1 and the pairing value -1 are
-    verified exactly in integers, and the Gram must come out
-    [[2,-1],[-1,2]]."""
-    return _certified_a2(Matrix.scaled(*_slope_basis(s0, s1, branch)), sign)
-
-
 def normal_a2(sign: int = -1) -> TraceLattice:
     """The unique A2 lattice with a conjugation-orbit basis: rows
     (1/2, 1/2) and (1/2, -1/2) in Q(sqrt(+-3)).
@@ -161,9 +151,12 @@ def normal_a2(sign: int = -1) -> TraceLattice:
     return lattice.with_type("A2")
 
 
-def norm_one_points(d: int, height: int) -> list[tuple[Fraction, Fraction]]:
+def _norm_one_points(d: int, height: int) -> list[tuple[int, int, int]]:
     """All rational (x, y) with x^2 + d y^2 = 1 and both heights <= height,
-    sorted.
+    sorted, for a squarefree d its caller has checked, as integer triples
+    (a, k, m) for the point (a/m, k/m), m the reduced denominator of x.
+    With L the lcm of the m's, x L and y L are integers, and sorting by
+    them is sorting by (x, y).
 
     From the rational parametrization of the conic through (-1, 0): every
     other point lies on the line of slope u/v through it, so it is
@@ -182,15 +175,6 @@ def norm_one_points(d: int, height: int) -> list[tuple[Fraction, Fraction]]:
     within sqrt(height^2 - d u^2) of height.  The pairs (u, v) inside both
     ellipses, O(min(sqrt(d), height / sqrt(d)) height) of them, are all
     there is to enumerate; v = 0 leaves u = 1 alone, the point (-1, 0)."""
-    _check_radicand(d)
-    return [(F(a, m), F(k, m)) for a, k, m in _norm_one_points(d, height)]
-
-
-def _norm_one_points(d: int, height: int) -> list[tuple[int, int, int]]:
-    """norm_one_points for a radicand its caller has checked, as integer
-    triples (a, k, m) for the point (a/m, k/m), m the reduced denominator of
-    x.  With L the lcm of the m's, x L and y L are integers, and sorting by
-    them is sorting by (x, y)."""
     bound = 2 * d * height
     h2 = height * height
     out = [(-1, 0, 1)] if height else []
@@ -220,12 +204,13 @@ def _norm_one_points(d: int, height: int) -> list[tuple[int, int, int]]:
 def normal_basis_search(height: int) -> list[tuple[Fraction, Fraction]]:
     """Norm-one points (x, y) of height <= height whose pairing with their
     own conjugate (x, -y) equals -1, i.e. candidates for a conjugation-orbit
-    A2 basis in Q(sqrt(+-3))."""
-    found = []
-    for x, y in norm_one_points(3, height):
-        if 2 * (x * x - 3 * y * y) == -1:
-            found.append((x, y))
-    return found
+    A2 basis in Q(sqrt(+-3)).  For the point (a/m, k/m) of _norm_one_points
+    that pairing is the integer identity 2(a^2 - 3k^2) = -m^2."""
+    return [
+        (F(a, m), F(k, m))
+        for a, k, m in _norm_one_points(3, height)
+        if 2 * (a * a - 3 * k * k) == -m * m
+    ]
 
 
 def falsify_a2(d: int, height: int, sign: int = -1) -> Optional[TraceLattice]:

@@ -26,11 +26,6 @@ from .exact_linalg import Matrix, rat
 from .power_basis import PowerBasisField
 
 
-def f_t_at(t: Fraction, x: Fraction) -> Fraction:
-    """Evaluate f_t(x) = x^3 - t x^2 - (t+3) x - 1."""
-    return x**3 - t * x**2 - (t + 3) * x - 1
-
-
 def remap_t0() -> Fraction:
     """The parameter that t = 0 folds onto: f_0(x) = -x^3 f_{-3}(1/x)."""
     return Fraction(-3)

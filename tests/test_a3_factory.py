@@ -26,15 +26,12 @@ from tracelattice.a3_factory import (
     TARGET_A3,
     TARGET_SELF_DUAL,
     TraceTarget,
-    identity_to_a3_transform,
-    lambda_from_point,
-    lq,
-    normal_basis_lattice,
+    _circulant_gram,
+    _lambda_ints,
+    _orbit_lattice,
     scan_family,
-    self_dual_family,
     sigma_permutes_basis,
     to_a3_basis,
-    trace_targets_of,
 )
 from tracelattice.conic_points import (
     ConicPoint,
@@ -43,8 +40,6 @@ from tracelattice.conic_points import (
     _slope_pairs,
     base_point_delta,
     delta_conic,
-    second_intersection,
-    slopes_up_to,
 )
 from tracelattice.errors import (
     DegenerateLambda,
@@ -58,6 +53,7 @@ from tracelattice.exact_linalg import Matrix
 from tracelattice.lattice_core import (
     TraceLattice,
     canonical_key,
+    classify_root_type,
     disc_group,
     dual,
     galois_stable,
@@ -97,51 +93,83 @@ def _field_trace_targets(t, lam):
     return (gram[0][0], gram[0][1])
 
 
-# --- symmetric functions and closed forms ---------------------------------------
+def weights(t, target, point):
+    """_lambda_ints on a point given as Fractions, its weights as Fractions."""
+    t = F(t)
+    x, y = point.as_pair()
+    m = math.lcm(x.denominator, y.denominator)
+    *nums, r = _lambda_ints(
+        t.numerator, t.denominator, target, int(x * m), int(y * m), m
+    )
+    return tuple(F(n, r) for n in nums)
 
-def test_lq_frozen():
-    assert lq((1, 1, 1)) == (3, 3)
-    assert lq((1, 0, 0)) == (1, 0)
-    assert lq((1, 2, 3)) == (6, 11)
 
+def orbit_lattice(t, lam, gram=None):
+    """_orbit_lattice on Fraction weights, as integers over their least
+    common denominator; gram is by default the circulant of the oracle's
+    (d, e), which _orbit_lattice checks against the Gram it computes."""
+    lam = tuple(F(v) for v in lam)
+    den = math.lcm(*(v.denominator for v in lam))
+    nums = tuple(int(v * den) for v in lam)
+    if gram is None:
+        gram = _circulant_gram(*_field_trace_targets(t, lam))
+    return _orbit_lattice(new_field(t), nums, den, gram)
+
+
+# --- closed forms of the trace targets -------------------------------------------
 
 def test_trace_targets_frozen_at_t1():
-    # L = 3, Q = 3: d = 9*(t^2+2t+6) - 6 delta, e = -9(t+3) + 3 delta
-    assert trace_targets_of(1, (1, 1, 1)) == (3, 3)
-    assert trace_targets_of(1, (0, 0, 0)) == (0, 0)
+    # d = (t^2+2t+6) L^2 - 2 delta Q and e = -(t+3) L^2 + delta Q at t = 1
+    # (delta = 13): L = 1, Q = 0 gives (9, -4), L = 6, Q = 11 gives (38, -1)
+    assert orbit_lattice(1, (1, 0, 0), _circulant_gram(9, -4)).gram == _circulant_gram(9, -4)
+    assert orbit_lattice(1, (1, 2, 3), _circulant_gram(38, -1)).gram == _circulant_gram(38, -1)
 
 
 def test_trace_targets_zero_parameter():
-    with pytest.raises(ZeroParameter):
-        trace_targets_of(0, (1, 2, 3))
+    # the one ZeroParameter message, for both presets, sends the caller to
+    # the same field at t = -3
+    for target in (TARGET_A3, TARGET_SELF_DUAL):
+        with pytest.raises(ZeroParameter, match=r"see remap_t0\(\)$"):
+            scan_family(0, 3, target)
 
 
 @settings(max_examples=100, deadline=None)
 @given(good_t, lam3)
 def test_trace_targets_match_field_arithmetic(t, lam):
-    assert trace_targets_of(t, lam) == _field_trace_targets(t, lam)
+    # the Gram of the sigma-orbit lattice is the circulant of (d, e, e),
+    # with d and e from the oracle's field arithmetic
+    try:
+        L = orbit_lattice(t, lam)
+    except DegenerateLambda:
+        return
+    assert L.gram == _circulant_gram(*_field_trace_targets(t, lam))
 
 
 # --- weight recovery from conic points -------------------------------------------
 
 def test_lambda_at_base_point_t1():
-    lam = lambda_from_point(1, TARGET_A3, base_point_delta(1))
+    lam = weights(1, TARGET_A3, base_point_delta(1))
     assert lam == (F(31, 39), F(28, 39), F(19, 39))
-    assert trace_targets_of(1, lam) == (2, 1)
+    assert _field_trace_targets(1, lam) == (2, 1)
+
+
+def _sweep_points(t, height):
+    """Every chord point of the sweep at t as (X, Y, M), and as Fractions."""
+    base = _chord_base(delta_conic(t), base_point_delta(t))
+    for slope in _slope_pairs(height):
+        x, y, m = _chord_ints(base, slope)
+        yield (x, y, m), (F(x, m), F(y, m))
 
 
 def test_lambda0_closed_forms_for_both_presets():
     # f = 2: lam0 = (2/3)(x/delta + 1/t);  f = 1: lam0 = (2/3)(x/delta + 1/2t)
     for t in (F(1), F(2), F(-4), F(1, 2)):
         delta = t * t + 3 * t + 9
-        c = delta_conic(t)
-        for s in slopes_up_to(3):
-            p = second_intersection(c, base_point_delta(t), s)
-            x = p.as_pair()[0]
-            lam = lambda_from_point(t, TARGET_A3, p)
-            assert lam[0] == F(2, 3) * (x / delta + 1 / t)
-            lam_sd = lambda_from_point(t, TARGET_SELF_DUAL, p)
-            assert lam_sd[0] == F(2, 3) * (x / delta + 1 / (2 * t))
+        for ints, (x, _) in _sweep_points(t, 3):
+            n0, _, _, r = _lambda_ints(t.numerator, t.denominator, TARGET_A3, *ints)
+            assert F(n0, r) == F(2, 3) * (x / delta + 1 / t)
+            n0, _, _, r = _lambda_ints(t.numerator, t.denominator, TARGET_SELF_DUAL, *ints)
+            assert F(n0, r) == F(2, 3) * (x / delta + 1 / (2 * t))
 
 
 def test_lambda_split_consistency():
@@ -149,56 +177,71 @@ def test_lambda_split_consistency():
     # discriminant (2ty/delta)^2, i.e. lam1 - lam2 = 2y/delta exactly
     for t in (F(1), F(3), F(-2)):
         delta = t * t + 3 * t + 9
-        c = delta_conic(t)
-        for s in slopes_up_to(4):
-            p = second_intersection(c, base_point_delta(t), s)
-            lam = lambda_from_point(t, TARGET_A3, p)
-            y = p.as_pair()[1]
-            assert lam[1] - lam[2] == 2 * y / delta
-            assert t * t * (lam[1] - lam[2]) ** 2 == (2 * t * y / delta) ** 2
+        for ints, (_, y) in _sweep_points(t, 4):
+            _, n1, n2, r = _lambda_ints(t.numerator, t.denominator, TARGET_A3, *ints)
+            split = F(n1 - n2, r)
+            assert split == 2 * y / delta
+            assert t * t * split**2 == (2 * t * y / delta) ** 2
 
 
 def test_lambda_rejects_off_conic_point():
     with pytest.raises(PointNotOnConic):
-        lambda_from_point(1, TARGET_A3, ConicPoint(1, 1))
+        _lambda_ints(1, 1, TARGET_A3, 1, 1, 1)
     # the conic's right side has 4,401 digits, past the int-to-str limit
     with pytest.raises(PointNotOnConic, match="= <4401 digits>$"):
-        lambda_from_point(10**2200, TARGET_A3, ConicPoint(1, 1))
+        _lambda_ints(10**2200, 1, TARGET_A3, 1, 1, 1)
 
 
-def test_lambda_rejects_zero_parameter():
+def test_lambda_rejects_zero_parameter(monkeypatch):
+    # the weights divide by t: a sweep at t = 0 stops before it takes any
+    calls = []
+    kernel = a3_factory._lambda_ints
+
+    def counted(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(a3_factory, "_lambda_ints", counted)
     with pytest.raises(ZeroParameter):
-        lambda_from_point(0, TARGET_A3, ConicPoint(3, 0))
+        scan_family(0, 3, TARGET_A3)
+    assert calls == []
 
 
 def test_inconsistent_target_asserts():
+    bad = TraceTarget(F(2), F(1), F(5))
     with pytest.raises(AssertionError):
-        lambda_from_point(1, TraceTarget(F(2), F(1), F(5)), base_point_delta(1))
+        scan_family(1, 1, bad)
+    # on the delta conic (d - e = 1) the kernel's own checks catch it
+    base = _chord_base(delta_conic(1), base_point_delta(1))
+    with pytest.raises(AssertionError):
+        _lambda_ints(1, 1, bad, *_chord_ints(base, None))
 
 
 # --- lattice construction ----------------------------------------------------------
 
 def test_normal_basis_lattice_gram_is_circulant():
-    lam = lambda_from_point(1, TARGET_A3, base_point_delta(1))
-    L = normal_basis_lattice(1, lam)
+    lam = weights(1, TARGET_A3, base_point_delta(1))
+    L = orbit_lattice(1, lam, NORMAL_A3_GRAM)
     assert L.gram == NORMAL_A3_GRAM
 
 
 def test_normal_basis_lattice_degenerate_weights():
     # equal weights make the element rational (it equals t), so the three
     # conjugates coincide
+    field = new_field(1)
     with pytest.raises(DegenerateLambda, match=r"lam = \(1, 1, 1\)$"):
-        normal_basis_lattice(1, (1, 1, 1))
+        _orbit_lattice(field, (1, 1, 1), 1, NORMAL_A3_GRAM)
     # numerators past the int-to-str limit are written as digit counts
-    big = 10**5000 + F(1, 2)
+    big = 2 * 10**5000 + 1
     with pytest.raises(DegenerateLambda, match=r"lam = \((<5001 digits>/2, ){2}<5001 digits>/2\)$"):
-        normal_basis_lattice(1, (big, big, big))
+        _orbit_lattice(field, (big, big, big), 2, NORMAL_A3_GRAM)
 
 
 def test_normal_basis_lattice_zero_parameter():
-    # f_0 is irreducible, but at t = 0 the eps-orbit is no basis
-    with pytest.raises(ZeroParameter):
-        normal_basis_lattice(0, (1, 2, 3))
+    # f_0 is irreducible, but Tr(eps) = t = 0 makes the eps-orbit dependent,
+    # so no weights give a basis at t = 0
+    with pytest.raises(DegenerateLambda):
+        _orbit_lattice(new_field(0), (1, 2, 3), 1, NORMAL_A3_GRAM)
 
 
 @settings(max_examples=60, deadline=None)
@@ -211,7 +254,7 @@ def test_normal_basis_lattice_rows_are_the_sigma_orbit_of_beta(t, lam):
     orbit = (eps, sig(eps), sig2(eps))
     beta = [sum(F(w) * v[i] for w, v in zip(lam, orbit)) for i in range(3)]
     try:
-        L = normal_basis_lattice(t, lam)
+        L = orbit_lattice(t, lam)
     except DegenerateLambda:
         return
     assert [list(row) for row in L.basis.data] == [beta, sig(beta), sig2(beta)]
@@ -223,24 +266,24 @@ def test_cyclic_shifts_of_lam_rotate_the_basis_rows(t, lam):
     # sigma shifts the weights, so each shift of lam spans the same lattice
     # with the rows rotated: scan_family builds one lattice per shift class
     try:
-        L = normal_basis_lattice(t, lam)
+        L = orbit_lattice(t, lam)
     except DegenerateLambda:
         for shifted in (lam[2:] + lam[:2], lam[1:] + lam[:1]):
             with pytest.raises(DegenerateLambda):
-                normal_basis_lattice(t, shifted)
+                orbit_lattice(t, shifted)
         return
     rows = list(L.basis.data)
     key = canonical_key(L)
     for k, shifted in ((1, lam[2:] + lam[:2]), (2, lam[1:] + lam[:1])):
-        M = normal_basis_lattice(t, shifted)
+        M = orbit_lattice(t, shifted, L.gram)
         assert list(M.basis.data) == rows[k:] + rows[:k]
         assert M.gram == L.gram
         assert canonical_key(M) == key
 
 
 def test_to_a3_basis_round_trip():
-    lam = lambda_from_point(2, TARGET_A3, base_point_delta(2))
-    L = normal_basis_lattice(2, lam)
+    lam = weights(2, TARGET_A3, base_point_delta(2))
+    L = orbit_lattice(2, lam, NORMAL_A3_GRAM)
     out = to_a3_basis(L)
     assert out.gram == STANDARD_A3_GRAM
     assert canonical_key(out) == canonical_key(L)
@@ -248,16 +291,23 @@ def test_to_a3_basis_round_trip():
 
 
 def test_to_a3_basis_rejects_wrong_gram():
-    lam = lambda_from_point(1, TARGET_SELF_DUAL, base_point_delta(1))
-    L = normal_basis_lattice(1, lam)
+    lam = weights(1, TARGET_SELF_DUAL, base_point_delta(1))
+    L = orbit_lattice(1, lam, Matrix.identity(3))
     with pytest.raises(WrongGram):
         to_a3_basis(L)
 
 
 def test_identity_to_a3_transform():
-    m = identity_to_a3_transform()
-    assert m == Matrix.from_rows([[0, 1, 1], [1, 0, 1], [1, 1, 0]])
+    # the 0/1 circulant with zero diagonal carries the identity Gram to the
+    # normal A3 Gram, so every self-dual member doubles into an A3 lattice
+    # over the same field, still with a sigma-orbit basis
+    m = Matrix.from_rows([[0, 1, 1], [1, 0, 1], [1, 1, 0]])
     assert m * m.transpose() == NORMAL_A3_GRAM
+    for member in scan_family(1, 3, TARGET_SELF_DUAL).members:
+        doubled = TraceLattice(member.lattice.ambient, m * member.lattice.basis)
+        assert doubled.gram == NORMAL_A3_GRAM
+        assert classify_root_type(doubled) == "A3"
+        assert sigma_permutes_basis(doubled)
 
 
 # --- family sweeps -----------------------------------------------------------------
@@ -310,9 +360,13 @@ def test_scan_family_skip_count_zero_for_presets():
 def test_scan_family_records_carry_slope_and_point():
     scan = scan_family(1, 3, TARGET_A3)
     c = delta_conic(1)
+    base = _chord_base(c, base_point_delta(1))
     for m in scan.members:
         assert c.contains(m.point)
-        assert lambda_from_point(1, TARGET_A3, m.point) == m.lam
+        slope = None if m.slope is None else (m.slope.numerator, m.slope.denominator)
+        x, y, big_m = _chord_ints(base, slope)
+        assert m.point == ConicPoint(F(x, big_m), F(y, big_m))
+        assert weights(1, TARGET_A3, m.point) == m.lam
 
 
 @pytest.mark.parametrize("target", [TARGET_A3, TARGET_SELF_DUAL], ids=["A3", "self-dual"])
@@ -393,11 +447,10 @@ def test_integer_kernels_match_fraction_formulas(t, s, target):
     assert m > 0
     point = chord_point_by_fractions(t, s)
     assert (F(x, m), F(y, m)) == point
-    n0, n1, n2, r = a3_factory._lambda_ints(t.numerator, t.denominator, target, x, y, m)
+    n0, n1, n2, r = _lambda_ints(t.numerator, t.denominator, target, x, y, m)
     assert r > 0 and math.gcd(n0, n1, n2, r) == 1
     lam = (F(n0, r), F(n1, r), F(n2, r))
     assert lam == weights_by_fractions(t, target, *point)
-    assert lambda_from_point(t, target, ConicPoint(*point)) == lam
 
 
 def test_lambda_kernel_takes_any_common_denominator():
@@ -408,9 +461,9 @@ def test_lambda_kernel_takes_any_common_denominator():
     t = F(-7, 3)
     x, y, m = _chord_ints(_chord_base(delta_conic(t), base_point_delta(t)), (2, 5))
     assert m == 6 * 37
-    *nums, r = a3_factory._lambda_ints(-7, 3, target, x, y, m)
+    *nums, r = _lambda_ints(-7, 3, target, x, y, m)
     assert tuple(F(n, r) for n in nums) == weights_by_fractions(t, target, F(x, m), F(y, m))
-    assert a3_factory._lambda_ints(-7, 3, target, 5 * x, 5 * y, 5 * m) == (*nums, r)
+    assert _lambda_ints(-7, 3, target, 5 * x, 5 * y, 5 * m) == (*nums, r)
 
 
 @pytest.mark.parametrize("target", [TARGET_A3, TARGET_SELF_DUAL], ids=["A3", "self-dual"])
@@ -422,7 +475,7 @@ def test_integer_orbit_key_dedups_as_the_fraction_key(t, target):
     old, new = [], []
     for slope in _slope_pairs(16):
         x, y, m = _chord_ints(base, slope)
-        n0, n1, n2, r = a3_factory._lambda_ints(t.numerator, t.denominator, target, x, y, m)
+        n0, n1, n2, r = _lambda_ints(t.numerator, t.denominator, target, x, y, m)
         lam = (F(n0, r), F(n1, r), F(n2, r))
         old.append(min(lam, lam[1:] + lam[:1], lam[2:] + lam[:2]))
         new.append((min((n0, n1, n2), (n1, n2, n0), (n2, n0, n1)), r))
@@ -469,18 +522,23 @@ def test_sigma_permutation_rejects_a_doubled_row(t):
 
 
 def test_orbit_lattice_takes_integer_weights_over_den():
-    # the sweep's form, (N, R) with the field, against the Fraction weights
+    # the sweep's form, (N, R) with the field, in lowest terms or not,
+    # against the oracle's rows beta, beta^sigma, beta^sigma2
     t = F(-5, 2)
-    lam = lambda_from_point(t, TARGET_SELF_DUAL, base_point_delta(t))
-    r = math.lcm(*(v.denominator for v in lam))
-    ints = tuple(int(v * r) for v in lam)
-    L = a3_factory._orbit_lattice(new_field(t), ints, r, Matrix.identity(3))
-    assert L.basis == normal_basis_lattice(t, lam).basis
+    x, y, m = _chord_ints(_chord_base(delta_conic(t), base_point_delta(t)), None)
+    *ints, r = _lambda_ints(-5, 2, TARGET_SELF_DUAL, x, y, m)
+    field = new_field(t)
+    L = _orbit_lattice(field, tuple(ints), r, Matrix.identity(3))
     assert L.gram == Matrix.identity(3)
+    scaled = _orbit_lattice(field, tuple(7 * n for n in ints), 7 * r, Matrix.identity(3))
+    assert scaled.basis == L.basis
+    beta = list(bracket(t, [F(n, r) for n in ints]))
+    sig, sig2 = shanks_automorphisms(t)
+    assert [list(row) for row in L.basis.data] == [beta, sig(beta), sig2(beta)]
 
 
 def test_self_dual_family_members():
-    sd = self_dual_family(1, 5)
+    sd = [m.lattice for m in scan_family(1, 5, TARGET_SELF_DUAL).members]
     assert len(sd) >= 8
     for L in sd[:6]:
         assert L.gram == Matrix.identity(3)

@@ -20,7 +20,7 @@ from oracles import (
     vectors_of_norm,
 )
 from tracelattice._intfactor import an_exclusion
-from tracelattice.a3_factory import identity_to_a3_transform, scan_family, self_dual_family
+from tracelattice.a3_factory import TARGET_SELF_DUAL, scan_family
 from tracelattice.cli import main
 from tracelattice.cyclotomic_ideals import ap_lattice, verify_cyclotomic_ap
 from tracelattice.exact_linalg import Matrix, det
@@ -66,7 +66,7 @@ def a3_scans():
 
 @pytest.fixture(scope="module")
 def selfdual_members():
-    return self_dual_family(F(1), 5)
+    return [m.lattice for m in scan_family(F(1), 5, TARGET_SELF_DUAL).members]
 
 
 @pytest.fixture(scope="module")
@@ -154,7 +154,9 @@ def test_criterion_4_selfdual_family_and_identity(selfdual_members):
         assert L.gram == eye
         keys.add(canonical_key(L))
     assert len(keys) == len(selfdual_members)
-    m = identity_to_a3_transform()
+    # the 0/1 circulant with zero diagonal carries the identity Gram to the
+    # normal A3 Gram, so every self-dual member doubles into an A3 member
+    m = Matrix([[0, 1, 1], [1, 0, 1], [1, 1, 0]])
     assert m * eye * m.transpose() == NORMAL_A3
 
 

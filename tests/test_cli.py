@@ -420,6 +420,15 @@ def test_gen_a3_reducible_t_is_exit_1(capsys):
     assert code == 1 and doc["error"]["kind"] == "Reducible"
 
 
+@pytest.mark.parametrize("sub", ["gen-a3", "gen-selfdual"])
+def test_family_at_t0_is_exit_1_naming_the_remap(sub, capsys):
+    # f_0 is irreducible, but its eps-orbit is no basis: the detail sends
+    # the caller to the same field at t = -3
+    code, doc = run_cli([sub, "--t=0", "--height", "2"], capsys)
+    assert code == 1 and doc["error"]["kind"] == "ZeroParameter"
+    assert "remap_t0()" in doc["error"]["detail"]
+
+
 def test_gen_a3_bad_rational_flag_is_exit_2():
     r = run_proc(["gen-a3", "--t", "1.5", "--height", "3"])
     assert r.returncode == 2 and "position 1" in r.stderr

@@ -5,6 +5,7 @@ construction at the base point (t + 3/2, 3/2).
 """
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -14,15 +15,27 @@ from tracelattice.conic_points import (
     INFINITY_SLOPE,
     Conic,
     ConicPoint,
+    _chord_base,
+    _chord_ints,
+    _slope_pairs,
     base_point_delta,
     delta_conic,
-    second_intersection,
-    slopes_up_to,
 )
 from tracelattice.errors import PointNotOnConic, ZeroSlopePair
-from tracelattice.quadratic_a2 import a2_from_slopes
+from tracelattice.quadratic_a2 import _slope_basis
 
 F = Fraction
+
+
+def chord_point(c, p0, s):
+    """The chord kernels' point as a ConicPoint: _chord_base checks p0 on the
+    conic, and _chord_ints takes the point of the rational slope s (None =
+    vertical) as the pair (a, b) of s = a/b in lowest terms."""
+    s = None if s is None else F(s)
+    x, y, m = _chord_ints(
+        _chord_base(c, p0), None if s is None else (s.numerator, s.denominator)
+    )
+    return ConicPoint(F(x, m), F(y, m))
 
 
 def test_delta_conic_t0():
@@ -47,14 +60,14 @@ def test_contains_and_residual():
 def test_second_intersection_infinity_is_vertical_flip():
     c = delta_conic(0)
     p0 = base_point_delta(0)
-    q = second_intersection(c, p0, INFINITY_SLOPE)
+    q = chord_point(c, p0, INFINITY_SLOPE)
     assert q == ConicPoint(F(3, 2), F(-3, 2))
 
 
 def test_second_intersection_requires_point_on_conic():
     c = delta_conic(0)
     with pytest.raises(PointNotOnConic):
-        second_intersection(c, ConicPoint(1, 1), INFINITY_SLOPE)
+        _chord_base(c, ConicPoint(1, 1))
 
 
 def test_height_one_sweep_at_t0():
@@ -62,7 +75,7 @@ def test_height_one_sweep_at_t0():
     c = delta_conic(0)
     p0 = base_point_delta(0)
     got = {
-        s if s is None else F(s): second_intersection(c, p0, s).as_pair()
+        s if s is None else F(s): chord_point(c, p0, s).as_pair()
         for s in (None, 0, 1, -1)
     }
     assert got == {
@@ -77,7 +90,7 @@ def test_tangent_slope_returns_base_point():
     # slope of the tangent at (3/2, 3/2) on x^2+3y^2=9: dy/dx = -x/(3y) = -1/3
     c = delta_conic(0)
     p0 = base_point_delta(0)
-    assert second_intersection(c, p0, F(-1, 3)) == p0
+    assert chord_point(c, p0, F(-1, 3)) == p0
 
 
 small_slopes = st.one_of(
@@ -91,7 +104,7 @@ family_t = st.fractions(min_value=-10, max_value=10, max_denominator=6)
 def test_second_intersection_stays_on_conic(t, s):
     c = delta_conic(t)
     p0 = base_point_delta(t)
-    q = second_intersection(c, p0, s)
+    q = chord_point(c, p0, s)
     assert c.contains(q)
 
 
@@ -101,10 +114,10 @@ def test_chord_involution(t, s):
     # drawing the same slope from the second point recovers the base point
     c = delta_conic(t)
     p0 = base_point_delta(t)
-    q = second_intersection(c, p0, s)
+    q = chord_point(c, p0, s)
     if q == p0:
         return
-    assert second_intersection(c, q, s) == p0
+    assert chord_point(c, q, s) == p0
 
 
 def test_closed_formula_crosscheck():
@@ -116,18 +129,20 @@ def test_closed_formula_crosscheck():
         for s in (F(0), F(1), F(-2), F(3, 4), F(-7, 5)):
             x = -((1 - 3 * s * s) * (t + F(3, 2)) + 9 * s) / (1 + 3 * s * s)
             y = F(3, 2) + s * (x - t - F(3, 2))
-            assert second_intersection(c, p0, s) == ConicPoint(x, y)
+            assert chord_point(c, p0, s) == ConicPoint(x, y)
 
 
 def test_slopes_up_to_order_and_reduction():
-    got = list(slopes_up_to(2))
+    got = list(_slope_pairs(2))
     assert got[0] is INFINITY_SLOPE
     rest = got[1:]
-    assert all(isinstance(s, Fraction) for s in rest)
-    assert len(set(rest)) == len(rest)
-    assert F(0) in rest and F(1, 2) in rest and F(-2) in rest
+    # each a/b once, in lowest terms with b > 0, by b and then by a
+    assert all(b > 0 and math.gcd(a, b) == 1 for a, b in rest)
+    assert rest == sorted(rest, key=lambda ab: (ab[1], ab[0]))
+    assert len({F(a, b) for a, b in rest}) == len(rest)
+    assert (0, 1) in rest and (1, 2) in rest and (-2, 1) in rest
     # height cap: numerator and denominator bounded by 2
-    assert all(abs(s.numerator) <= 2 and s.denominator <= 2 for s in rest)
+    assert all(abs(a) <= 2 and b <= 2 for a, b in rest)
 
 
 @pytest.mark.parametrize("t", [F(1), F(-1, 2), F(2), F(-5, 2), F(0), F(7, 3)], ids=str)
@@ -136,7 +151,7 @@ def test_slopes_give_pairwise_distinct_chord_points(t):
     c = delta_conic(t)
     p0 = base_point_delta(t)
     for height in (1, 4, 12):
-        points = [second_intersection(c, p0, s) for s in slopes_up_to(height)]
+        points = _chord_points(c, p0, height)
         assert len(set(points)) == len(points)
 
 
@@ -154,7 +169,7 @@ def test_second_intersection_on_any_ellipse(big_d, x0, y0, s):
         return
     c = Conic(big_d, x0 * x0 + big_d * y0 * y0)
     p0 = ConicPoint(x0, y0)
-    q = second_intersection(c, p0, s)
+    q = chord_point(c, p0, s)
     if s is None:
         assert q == ConicPoint(x0, -y0)
     else:
@@ -164,7 +179,12 @@ def test_second_intersection_on_any_ellipse(big_d, x0, y0, s):
 
 
 def _chord_points(c, p0, height):
-    return [second_intersection(c, p0, s) for s in slopes_up_to(height)]
+    # the sweep's form: p0 checked once, then each slope pair in turn
+    base = _chord_base(c, p0)
+    return [
+        ConicPoint(F(x, m), F(y, m))
+        for x, y, m in (_chord_ints(base, slope) for slope in _slope_pairs(height))
+    ]
 
 
 def test_enumerate_points_is_one_chord_point_per_slope():
@@ -190,9 +210,10 @@ def test_enumerate_points_grows_with_height():
 # --- unit-circle sections -------------------------------------------------------
 
 def unit_conic_point(s0: int, s1: int) -> ConicPoint:
-    """The first basis row of the slope pair's A2 lattice: the second
-    intersection of x^2 + 3y^2 = 1 with a line through (1, 0)."""
-    return ConicPoint(*a2_from_slopes(s0, s1).basis.row(0))
+    """The first basis row of the slope pair's A2 basis (_slope_basis): the
+    second intersection of x^2 + 3y^2 = 1 with a line through (1, 0)."""
+    (row, _), den = _slope_basis(s0, s1, "+")
+    return ConicPoint(F(row[0], den), F(row[1], den))
 
 
 def test_unit_conic_zero_pair_rejected():

@@ -78,7 +78,7 @@ from tracelattice.orders_ideals import (
     primes_above_2,
     sqrt_different_inverse,
 )
-from tracelattice.quadratic_a2 import QuadAmbient, a2_from_slopes
+from tracelattice.quadratic_a2 import QuadAmbient, _certified_a2, _slope_basis
 from tracelattice.shanks_field import new_field
 
 F = Fraction
@@ -904,7 +904,7 @@ def test_galois_stable_on_quadratic_lattices(sign):
     _assert_stability(TraceLattice.from_rows(amb, [[2, 1], [0, 3]]), False)
     _assert_stability(TraceLattice.from_rows(amb, [[1, 0], [F(1, 3), F(1, 3)]]), False)
     for s0, s1 in ((1, 0), (1, 1), (2, 1), (1, 3)):
-        L = a2_from_slopes(s0, s1, sign=sign)
+        L = _certified_a2(Matrix.scaled(*_slope_basis(s0, s1, "+")), sign)
         rows = [L.basis.row(i) for i in range(2)]
         expected = galois_stable_by_inverse(quadratic_automorphisms(), rows)
         _assert_stability(L, expected)

@@ -29,16 +29,29 @@ from tracelattice.quadratic_a2 import (
     A2_GRAM,
     D_CAP,
     QuadAmbient,
-    a2_from_slopes,
+    _certified_a2,
+    _norm_one_points,
+    _slope_basis,
     falsify_a2,
     family_distinctness,
-    norm_one_points,
     normal_a2,
     normal_basis_search,
 )
 from tracelattice.serialize import lattice_json
 
 F = Fraction
+
+
+def slope_lattice(s0, s1, branch="+", sign=-1):
+    """The A2 lattice of the slope pair: _slope_basis's integer rows over
+    their denominator, certified by _certified_a2."""
+    return _certified_a2(Matrix.scaled(*_slope_basis(s0, s1, branch)), sign)
+
+
+def fraction_points(d, height):
+    """_norm_one_points' triples (a, k, m) as the points (a/m, k/m)."""
+    return [(F(a, m), F(k, m)) for a, k, m in _norm_one_points(d, height)]
+
 
 def _pair(field, a, b):
     """Tr(a conj(b)) read off the trace form T as a T b^T, the way gram_of
@@ -154,14 +167,14 @@ def test_pairing_is_symmetric_bilinear(a, b, sign):
 
 
 def test_example_slopes_1_1_branch_minus_exact_basis():
-    lattice = a2_from_slopes(1, 1, "-")
+    lattice = slope_lattice(1, 1, "-")
     assert lattice.basis.data == ((F(1, 2), F(-1, 2)), (F(-1), F(0)))
     assert lattice.gram == A2_GRAM
     assert lattice.type_tag == "A2"
 
 
 def test_example_slopes_1_0_branch_plus_same_lattice():
-    lattice = a2_from_slopes(1, 0, "+")
+    lattice = slope_lattice(1, 0, "+")
     assert lattice.basis.data[0] == (F(-1), F(0))
     # second row is the mirror of ((1/2, 1/2)); the span is unchanged
     assert lattice.basis.data[1] == (F(1, 2), F(-1, 2))
@@ -176,8 +189,8 @@ def test_branches_span_the_same_lattice():
     # Vieta on the completing quadratic: the two second points sum to the
     # negated section point, so either branch presents the same lattice.
     for s0, s1 in ((2, 1), (1, 1), (3, -2), (5, 4)):
-        plus = a2_from_slopes(s0, s1, "+")
-        minus = a2_from_slopes(s0, s1, "-")
+        plus = slope_lattice(s0, s1, "+")
+        minus = slope_lattice(s0, s1, "-")
         assert classify_root_type(plus) == "A2"
         assert canonical_key(plus) == canonical_key(minus)
         p1 = plus.basis.data[0]
@@ -187,12 +200,12 @@ def test_branches_span_the_same_lattice():
 
 def test_zero_slope_pair_rejected():
     with pytest.raises(ZeroSlopePair):
-        a2_from_slopes(0, 0, "+")
+        slope_lattice(0, 0, "+")
 
 
 def test_bad_branch_rejected():
     with pytest.raises(ValueError):
-        a2_from_slopes(1, 0, "x")
+        slope_lattice(1, 0, "x")
 
 
 @given(
@@ -206,9 +219,9 @@ def test_every_slope_pair_gives_a2(s0, s1, branch, sign):
     # the constructor re-verifies both norm equations and the pairing
     if (s0, s1) == (0, 0):
         with pytest.raises(ZeroSlopePair):
-            a2_from_slopes(s0, s1, branch, sign)
+            slope_lattice(s0, s1, branch, sign)
         return
-    lattice = a2_from_slopes(s0, s1, branch, sign)
+    lattice = slope_lattice(s0, s1, branch, sign)
     assert lattice.gram == A2_GRAM
     assert lattice.type_tag == "A2"
 
@@ -285,11 +298,11 @@ def test_family_builds_a_matrix_per_distinct_basis(monkeypatch):
 
 def test_slope_basis_is_in_lowest_terms():
     for s0, s1, branch in [(1, 0, "+"), (2, -3, "-"), (-5, 4, "+"), (6, 6, "-")]:
-        rows, den = quadratic_a2._slope_basis(s0, s1, branch)
+        rows, den = _slope_basis(s0, s1, branch)
         assert den > 0 and gcd(den, *rows[0], *rows[1]) == 1
         basis = Matrix.scaled(rows, den)
         assert (basis.ints, basis.den) == (rows, den)
-        assert a2_from_slopes(s0, s1, branch).basis == basis
+        assert slope_lattice(s0, s1, branch).basis == basis
 
 
 def test_family_height_10_meets_threshold():
@@ -342,7 +355,7 @@ def test_normal_basis_search_empty_below_half_integers():
 
 @pytest.mark.parametrize("d", [1, 2, 3, 5])
 def test_norm_one_points_match_quartic_oracle(d):
-    assert norm_one_points(d, 8) == _norm_one_oracle(d, 8)
+    assert fraction_points(d, 8) == _norm_one_oracle(d, 8)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 5, 6, 7, 11, 101, 1009, 10007])
@@ -352,14 +365,14 @@ def test_norm_one_points_match_grid_scan(d):
     # at d = 1009 and 10007 height^2 < d up to 31 and 100, where only
     # (+-1, 0) is left, and the second bound v <= 2 height decides
     for height in [*range(0, 41), 97, 150, 299, 300]:
-        assert norm_one_points(d, height) == norm_one_points_by_scan(d, height), height
+        assert fraction_points(d, height) == norm_one_points_by_scan(d, height), height
 
 
 @pytest.mark.parametrize("d", [2, 3, 5, 11])
 def test_integer_point_order_is_the_fraction_order(d):
     # _norm_one_points sorts its integer triples by x L and y L, L the lcm
     # of the denominators: the order sorted() gives the Fraction points
-    triples = quadratic_a2._norm_one_points(d, 300)
+    triples = _norm_one_points(d, 300)
     points = [(F(a, m), F(k, m)) for a, k, m in triples]
     assert points == sorted(points)
     assert len(set(points)) == len(points)
@@ -368,14 +381,17 @@ def test_integer_point_order_is_the_fraction_order(d):
 
 def test_norm_one_points_always_contain_units():
     for d in (1, 2, 3, 5, 6, 7):
-        pts = norm_one_points(d, 1)
+        pts = fraction_points(d, 1)
         assert (F(1), F(0)) in pts
         assert (F(-1), F(0)) in pts
 
 
 def test_norm_one_points_rejects_non_squarefree():
+    # the radicand is checked where a search starts, by the ambient
     with pytest.raises(ValueError):
-        norm_one_points(4, 5)
+        QuadAmbient(4)
+    with pytest.raises(ValueError):
+        falsify_a2(4, 5)
 
 
 def test_radicands_are_capped_at_10_to_the_20():
@@ -383,20 +399,18 @@ def test_radicands_are_capped_at_10_to_the_20():
     near_cap = 99999999100000001881
     assert near_cap <= D_CAP == 10**20
     assert QuadAmbient(near_cap).d == near_cap
-    assert norm_one_points(near_cap, 5) == [(F(-1), F(0)), (F(1), F(0))]
-    assert norm_one_points(near_cap, 5) == norm_one_points_by_scan(near_cap, 5)
+    assert fraction_points(near_cap, 5) == [(F(-1), F(0)), (F(1), F(0))]
+    assert fraction_points(near_cap, 5) == norm_one_points_by_scan(near_cap, 5)
     for too_large in (D_CAP + 1, (10**18 + 3) * (10**18 + 9)):
         with pytest.raises(ValueError, match="at most 10"):
             QuadAmbient(too_large)
-        with pytest.raises(ValueError, match="at most 10"):
-            norm_one_points(too_large, 1)
         with pytest.raises(ValueError, match="at most 10"):
             falsify_a2(too_large, 1)
 
 
 def test_norm_one_points_monotone_in_height():
-    small = set(norm_one_points(3, 4))
-    large = set(norm_one_points(3, 9))
+    small = set(fraction_points(3, 4))
+    large = set(fraction_points(3, 9))
     assert small <= large
 
 
@@ -464,8 +478,8 @@ def test_falsifier_factors_the_radicand_once(monkeypatch):
     ids=["zero", "square-factor", "square-factor-bad-sign", "above-cap", "real-one", "bad-sign"],
 )
 def test_falsifier_rejects_bad_radicand_or_sign(d, sign, message):
-    # the radicand is checked before the sign, as norm_one_points and
-    # QuadAmbient order their checks
+    # the radicand is checked before the sign, as QuadAmbient orders its
+    # checks
     with pytest.raises(ValueError) as exc:
         falsify_a2(d, 3, sign)
     assert str(exc.value) == message

@@ -14,13 +14,17 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oracles import bracket, rational_root_by_divisor_scan, shanks_automorphisms
+from oracles import (
+    bracket,
+    rational_root_by_divisor_scan,
+    shanks_automorphisms,
+    shanks_minpoly,
+)
 from tracelattice.errors import NonzeroTrace, RationalInput, Reducible
 from tracelattice.exact_linalg import Matrix, det, inverse
 from tracelattice.shanks_field import (
     ShanksField,
     _check_irreducible,
-    f_t_at,
     new_field,
     remap_t0,
     reparametrize,
@@ -385,5 +389,10 @@ def test_reparametrize_lands_in_family(t, a):
 
 
 def test_f_t_at_values():
-    assert f_t_at(1, 2) == 2 ** 3 - 1 * 4 - 4 * 2 - 1
-    assert f_t_at(0, 0) == -1
+    # the field's defining polynomial is f_t(x) = x^3 - t x^2 - (t+3) x - 1
+    def f_t(t, x):
+        return sum(c * x**i for i, c in enumerate(new_field(t).minpoly))
+
+    assert f_t(1, 2) == 2 ** 3 - 1 * 4 - 4 * 2 - 1
+    assert f_t(0, 0) == -1
+    assert list(new_field(Fraction(-7, 3)).minpoly) == shanks_minpoly(Fraction(-7, 3))
