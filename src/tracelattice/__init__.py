@@ -12,6 +12,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "_intfactor": ("an_exclusion",),
     "a3_factory": (
+        "ConicPoint",
         "TARGET_A3",
         "TARGET_SELF_DUAL",
         "FamilyMember",
@@ -19,12 +20,6 @@ _EXPORTS = {
         "TraceTarget",
         "scan_family",
         "to_a3_basis",
-    ),
-    "conic_points": (
-        "Conic",
-        "ConicPoint",
-        "base_point_delta",
-        "delta_conic",
     ),
     "cyclotomic_ideals": (
         "CycField",

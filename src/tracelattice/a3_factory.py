@@ -15,21 +15,18 @@ targets matter here: (2, 1, 2) makes the circulant the base-change image of
 the standard A3 Gram, and (1, 0, 1) makes it the identity, so sweeping chords
 through the fixed base point manufactures infinitely many distinct lattices
 of either kind, every one carrying a normal basis by construction.
+
+Both presets have d - e = 1, so their one conic is x^2 + 3y^2 = delta_t with
+the base point (t + 3/2, 3/2): (t + 3/2)^2 + 27/4 = t^2 + 3t + 9.  The chord
+of every slope a/b in lowest terms up to a height meets it again in one
+rational point, computed in integers over one denominator.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import NamedTuple, Optional
+from typing import Iterator, NamedTuple, Optional
 
-from .conic_points import (
-    ConicPoint,
-    _chord_base,
-    _chord_ints,
-    _slope_pairs,
-    base_point_delta,
-    delta_conic,
-)
 from .errors import (
     DegenerateLambda,
     DependentBasis,
@@ -39,11 +36,7 @@ from .errors import (
     number_text,
 )
 from .exact_linalg import Matrix, _reduced, det, rat
-from .lattice_core import (
-    TraceLattice,
-    canonical_key,
-    classify_root_type,
-)
+from .lattice_core import TraceLattice, canonical_key, classify_gram
 from .shanks_field import ShanksField, new_field
 
 LambdaVector = tuple[Fraction, Fraction, Fraction]
@@ -77,6 +70,57 @@ class TraceTarget(NamedTuple):
 
 TARGET_A3 = TraceTarget(Fraction(2), Fraction(1), Fraction(2))
 TARGET_SELF_DUAL = TraceTarget(Fraction(1), Fraction(0), Fraction(1))
+
+
+class ConicPoint(NamedTuple):
+    """A rational point (x, y) of x^2 + 3y^2 = delta_t."""
+
+    x: Fraction
+    y: Fraction
+
+
+def _base_point(p: int, q: int) -> tuple[int, int, int]:
+    """(X, Y, m) with (X, Y)/m = (t + 3/2, 3/2) at t = p/q (q > 0), the
+    base point of every chord, checked on x^2 + 3y^2 = delta_t in int."""
+    g = gcd(2, q)
+    big_x, big_y, m = (2 * p + 3 * q) // g, 3 * q // g, 2 * q // g
+    assert q * q * (big_x * big_x + 3 * big_y * big_y) == (
+        p * p + 3 * p * q + 9 * q * q
+    ) * m * m
+    return big_x, big_y, m
+
+
+def _chord_ints(
+    base: tuple[int, int, int], slope: Optional[tuple[int, int]]
+) -> tuple[int, int, int]:
+    """(X', Y', M) with (X', Y')/M the other intersection of x^2 + 3y^2 =
+    delta_t with the line through its point (X, Y)/m along the slope a/b
+    (None = vertical), M > 0 and not necessarily in lowest terms; the
+    tangent line gives (X, Y)/m itself.
+
+    With p0 = (X, Y)/m and a/b in lowest terms, the line is p0 + tau (b, a),
+    and tau ((b^2 + 3a^2) tau + 2(b x0 + 3a y0)) = 0 gives the other root,
+    so the point is (X w - 2 b u, Y w - 2 a u) / (m w) with u = bX + 3aY
+    and w = b^2 + 3a^2 > 0.  Two lines through p0 meet the conic again in
+    two different points, so distinct slopes give distinct points."""
+    big_x, big_y, m = base
+    if slope is None:
+        return big_x, -big_y, m
+    a, b = slope
+    u = b * big_x + 3 * a * big_y
+    w = b * b + 3 * a * a
+    return big_x * w - 2 * b * u, big_y * w - 2 * a * u, m * w
+
+
+def _slope_pairs(height: int) -> Iterator[Optional[tuple[int, int]]]:
+    """None (the vertical line), then the pairs (a, b) of all a/b in lowest
+    terms with |a| <= height, 1 <= b <= height, in a fixed deterministic
+    order."""
+    yield None
+    for b in range(1, height + 1):
+        for a in range(-height, height + 1):
+            if gcd(abs(a), b) == 1:
+                yield (a, b)
 
 
 def _lambda_ints(
@@ -247,28 +291,31 @@ def scan_family(t, height: int, target: TraceTarget = TARGET_A3) -> FamilyScan:
 
     Each slope gives its own chord point (two lines through p0 meet the
     conic again in two points).  From slope to basis the sweep runs in int:
-    p0 is checked on the conic once, each point is (X, Y)/M from
-    _chord_ints, and its weights are (N0, N1, N2)/R from _lambda_ints, with
-    its conic and target checks, in lowest terms with R > 0.  sigma shifts
-    the weights, so lam and its two cyclic shifts span one sigma-orbit
-    lattice with the rows rotated: a point whose (N, R) is a shift of an
-    earlier lattice's is passed over before its basis, Gram or key is
-    built, and about a third of the points are (98 of 320 at height 16).
+    p0 = (t + 3/2, 3/2) is checked on the conic once (_base_point), each
+    point is (X, Y)/M from _chord_ints, and its weights are (N0, N1, N2)/R
+    from _lambda_ints, with its conic and target checks, in lowest terms
+    with R > 0.  sigma shifts the weights, so lam and its two cyclic shifts
+    span one sigma-orbit lattice with the rows rotated: a point whose
+    (N, R) is a shift of an earlier lattice's is passed over before its
+    basis, Gram or key is built, and about a third of the points are (98 of
+    320 at height 16).
     Every lattice built is still keyed by its HNF, and only a new key
     becomes a member, with its certificates; the member keeps its key for
     member_json.  The slope, the point and lam become Fractions for members
     only.
 
-    Certificates per member: the integer conic check and the three target
-    asserts of _lambda_ints; the exact Gram against the target's circulant
-    Gram, which the sweep builds once (_orbit_lattice); the HNF key;
-    the root type by classify_root_type; sigma permuting the basis
-    (sigma_permutes_basis), the normal Z-basis itself, which implies Galois
-    stability.  The self-dual target also asserts the identity Gram, which
-    is self-duality itself: with G = I the dual basis G^-1 B is B.  Once per
-    import: P G P^T equals the standard A3 Gram and P is integral with det
-    1, so to_a3_basis of an A3 member has the standard Gram and the member's
-    key by construction, and the sweep does not build it.
+    Once per sweep: the target's circulant Gram is built and its root type
+    classified (classify_gram); every member carries that Gram, checked
+    exactly by _orbit_lattice, so it carries that type too.  For the
+    self-dual target the Gram is the identity, which is self-duality
+    itself: with G = I the dual basis G^-1 B is B.  Certificates per
+    member: the integer conic check and the three target asserts of
+    _lambda_ints; the exact Gram (_orbit_lattice); the HNF key; sigma
+    permuting the basis (sigma_permutes_basis), the normal Z-basis itself,
+    which implies Galois stability.  Once per import: P G P^T equals the
+    standard A3 Gram and P is integral with det 1, so to_a3_basis of an A3
+    member has the standard Gram and the member's key by construction, and
+    the sweep does not build it.
 
     Degenerate weights are skipped with a log note and counted, never raised:
     the family stays infinite after finitely many exclusions.  A shift of
@@ -280,8 +327,14 @@ def scan_family(t, height: int, target: TraceTarget = TARGET_A3) -> FamilyScan:
     assert target.d - target.e == 1, "preset targets live on the delta conic"
     field = new_field(t)  # raises Reducible for the bad parameters
     p, q = t.numerator, t.denominator
-    base = _chord_base(delta_conic(t), base_point_delta(t))
+    base = _base_point(p, q)
     gram = _circulant_gram(target.d, target.e)
+    label = classify_gram(gram)
+    if target == TARGET_A3:
+        assert label == "A3"
+    else:
+        assert gram == _IDENTITY_3, "L must equal its dual"
+        assert label == "unimodular_odd"
     built: set = set()  # (least cyclic shift of N, R) of each lam built
     seen_keys: set = set()
     members: list[FamilyMember] = []
@@ -310,12 +363,6 @@ def scan_family(t, height: int, target: TraceTarget = TARGET_A3) -> FamilyScan:
         if key in seen_keys:
             continue
         seen_keys.add(key)
-        label = classify_root_type(lattice)
-        if target == TARGET_A3:
-            assert label == "A3"
-        else:
-            assert lattice.gram == _IDENTITY_3, "L must equal its dual"
-            assert label == "unimodular_odd"
         assert sigma_permutes_basis(lattice)
         members.append(
             FamilyMember(

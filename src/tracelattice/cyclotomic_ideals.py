@@ -22,8 +22,8 @@ from functools import lru_cache
 from math import gcd
 
 from ._intfactor import divisors, is_probable_prime
-from .errors import NotPrime, TooLarge, ZeroGenerator
-from .lattice_core import ENUMERATION_RANK_CAP, TraceLattice, classify_root_type
+from .errors import NotPrime, ZeroGenerator
+from .lattice_core import TraceLattice, check_enumeration_rank, classify_root_type
 from .power_basis import Coords, PowerBasisField, poly_divmod
 
 F = Fraction
@@ -78,21 +78,14 @@ def principal_ideal_lattice(field: CycField, generator) -> TraceLattice:
     g = field.element(generator)
     if all(c == 0 for c in g):
         raise ZeroGenerator("ideal generator must be nonzero")
-    rows = [g]
-    for _ in range(field.phi - 1):
-        rows.append(field.mul_coords(rows[-1], field.zeta()))
-    return TraceLattice.from_rows(field, rows)
+    return TraceLattice(field, field._powers(g, field.zeta()))
 
 
 def ap_lattice(p: int) -> TraceLattice:
     """The ideal lattice of (1 - zeta_p)^{-(p-3)/2} in Q(zeta_p)."""
     if p < 3 or not is_probable_prime(p):
         raise NotPrime(f"p must be an odd prime, got {p}")
-    if p - 1 > ENUMERATION_RANK_CAP:
-        raise TooLarge(
-            f"rank {p - 1} is past the classifier's rank cap of "
-            f"{ENUMERATION_RANK_CAP}"
-        )
+    check_enumeration_rank(p - 1)
     field = cyc_field(p)
     one_minus_zeta = field.element([1, -1])
     generator = field.pow_coords(one_minus_zeta, -((p - 3) // 2))

@@ -252,11 +252,13 @@ def hnf_rows(a: list[list[int]], modulus: int = 0) -> list[list[int]]:
     positive and reduces the entries above it into [0, pivot).
 
     A modulus D > 0 runs the pass modulo D (Domich-Kannan-Trotter, Math.
-    OR 12, 1987; Cohen, GTM 138, Alg. 2.4.8).  It is for rows whose lattice
-    L contains D*Z^n, n the row length: for a nonsingular square,
-    any multiple of |det|.
+    OR 12, 1987; Cohen, GTM 138, Alg. 2.4.8).  It is for a nonsingular
+    square whose row lattice L has |det L| dividing D.  That L contains
+    D*Z^n is not enough: the cleared rows of ap_lattice(5) have det 125 and
+    contain 5*Z^4, yet modulo 5 give a wrong form.
     The rows still in play lie in the part of L that is zero before column
-    c, which contains R*Z^(n-c) with R = D / (the pivots so far); so the
+    c, of determinant |det L| / (the pivots so far), which therefore
+    contains R*Z^(n-c) with R = D / (the pivots so far); so the
     rows changed there are reduced mod R, and the pivot row takes in R*e_c
     by one more 2x2 step (none when x divides R), its pivot becoming
     gcd(x, R).  The row that step leaves is R/gcd times a vector of the

@@ -40,7 +40,6 @@ from __future__ import annotations
 
 from collections import deque
 from fractions import Fraction
-from functools import lru_cache
 from math import isqrt, lcm
 from operator import mul
 from typing import Optional, Sequence
@@ -376,14 +375,12 @@ def check_enumeration_rank(n: int) -> None:
         raise RankTooLarge(f"rank {n} exceeds the enumeration cap of {ENUMERATION_RANK_CAP}")
 
 
-@lru_cache(maxsize=1024)
 def classify_gram(gram: Matrix) -> str:
     """Certificate-based recognition over {A_n, D_n, E6, E7, E8, diag114,
     unimodular_odd, other}; see the module docstring for the exact criteria.
 
     The Gram is LLL-reduced once; enumeration and every certificate run on
-    the reduced Gram and the Gram-Schmidt data of that one pass.  Results
-    are memoized on the exact Gram."""
+    the reduced Gram and the Gram-Schmidt data of that one pass."""
     if not gram.is_integer():
         raise NotIntegral("classification needs an integral Gram matrix")
     n = gram.rows

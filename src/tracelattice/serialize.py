@@ -20,7 +20,7 @@ from .errors import DivisionByZero, TooLarge
 from .exact_linalg import Matrix
 
 if TYPE_CHECKING:
-    from .conic_points import ConicPoint
+    from .a3_factory import ConicPoint
     from .lattice_core import TraceLattice
 
 

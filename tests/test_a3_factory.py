@@ -25,21 +25,17 @@ from tracelattice.a3_factory import (
     STANDARD_A3_GRAM,
     TARGET_A3,
     TARGET_SELF_DUAL,
+    ConicPoint,
     TraceTarget,
+    _base_point,
+    _chord_ints,
     _circulant_gram,
     _lambda_ints,
     _orbit_lattice,
+    _slope_pairs,
     scan_family,
     sigma_permutes_basis,
     to_a3_basis,
-)
-from tracelattice.conic_points import (
-    ConicPoint,
-    _chord_base,
-    _chord_ints,
-    _slope_pairs,
-    base_point_delta,
-    delta_conic,
 )
 from tracelattice.errors import (
     DegenerateLambda,
@@ -93,10 +89,21 @@ def _field_trace_targets(t, lam):
     return (gram[0][0], gram[0][1])
 
 
+def sweep_base(t):
+    """The base point of the sweep at t, as the integer triple of _base_point."""
+    t = F(t)
+    return _base_point(t.numerator, t.denominator)
+
+
+def base_point(t):
+    """(t + 3/2, 3/2), the base point of every chord at t."""
+    return ConicPoint(F(t) + F(3, 2), F(3, 2))
+
+
 def weights(t, target, point):
     """_lambda_ints on a point given as Fractions, its weights as Fractions."""
     t = F(t)
-    x, y = point.as_pair()
+    x, y = point
     m = math.lcm(x.denominator, y.denominator)
     *nums, r = _lambda_ints(
         t.numerator, t.denominator, target, int(x * m), int(y * m), m
@@ -148,14 +155,14 @@ def test_trace_targets_match_field_arithmetic(t, lam):
 # --- weight recovery from conic points -------------------------------------------
 
 def test_lambda_at_base_point_t1():
-    lam = weights(1, TARGET_A3, base_point_delta(1))
+    lam = weights(1, TARGET_A3, base_point(1))
     assert lam == (F(31, 39), F(28, 39), F(19, 39))
     assert _field_trace_targets(1, lam) == (2, 1)
 
 
 def _sweep_points(t, height):
     """Every chord point of the sweep at t as (X, Y, M), and as Fractions."""
-    base = _chord_base(delta_conic(t), base_point_delta(t))
+    base = sweep_base(t)
     for slope in _slope_pairs(height):
         x, y, m = _chord_ints(base, slope)
         yield (x, y, m), (F(x, m), F(y, m))
@@ -212,15 +219,14 @@ def test_inconsistent_target_asserts():
     with pytest.raises(AssertionError):
         scan_family(1, 1, bad)
     # on the delta conic (d - e = 1) the kernel's own checks catch it
-    base = _chord_base(delta_conic(1), base_point_delta(1))
     with pytest.raises(AssertionError):
-        _lambda_ints(1, 1, bad, *_chord_ints(base, None))
+        _lambda_ints(1, 1, bad, *_chord_ints(sweep_base(1), None))
 
 
 # --- lattice construction ----------------------------------------------------------
 
 def test_normal_basis_lattice_gram_is_circulant():
-    lam = weights(1, TARGET_A3, base_point_delta(1))
+    lam = weights(1, TARGET_A3, base_point(1))
     L = orbit_lattice(1, lam, NORMAL_A3_GRAM)
     assert L.gram == NORMAL_A3_GRAM
 
@@ -282,7 +288,7 @@ def test_cyclic_shifts_of_lam_rotate_the_basis_rows(t, lam):
 
 
 def test_to_a3_basis_round_trip():
-    lam = weights(2, TARGET_A3, base_point_delta(2))
+    lam = weights(2, TARGET_A3, base_point(2))
     L = orbit_lattice(2, lam, NORMAL_A3_GRAM)
     out = to_a3_basis(L)
     assert out.gram == STANDARD_A3_GRAM
@@ -291,7 +297,7 @@ def test_to_a3_basis_round_trip():
 
 
 def test_to_a3_basis_rejects_wrong_gram():
-    lam = weights(1, TARGET_SELF_DUAL, base_point_delta(1))
+    lam = weights(1, TARGET_SELF_DUAL, base_point(1))
     L = orbit_lattice(1, lam, Matrix.identity(3))
     with pytest.raises(WrongGram):
         to_a3_basis(L)
@@ -359,10 +365,10 @@ def test_scan_family_skip_count_zero_for_presets():
 
 def test_scan_family_records_carry_slope_and_point():
     scan = scan_family(1, 3, TARGET_A3)
-    c = delta_conic(1)
-    base = _chord_base(c, base_point_delta(1))
+    base = sweep_base(1)
     for m in scan.members:
-        assert c.contains(m.point)
+        # on x^2 + 3y^2 = delta_1 = 13
+        assert m.point.x**2 + 3 * m.point.y**2 == 13
         slope = None if m.slope is None else (m.slope.numerator, m.slope.denominator)
         x, y, big_m = _chord_ints(base, slope)
         assert m.point == ConicPoint(F(x, big_m), F(y, big_m))
@@ -376,7 +382,7 @@ def test_scan_family_matches_full_build_oracle(t, target):
         scan = scan_family(t, height, target)
         members, degenerate = family_by_full_build(t, height, target)
         got = [
-            (m.lam, m.point.as_pair(), m.slope, canonical_key(m.lattice))
+            (m.lam, m.point, m.slope, canonical_key(m.lattice))
             for m in scan.members
         ]
         assert got == members, height
@@ -397,9 +403,13 @@ def test_to_a3_basis_keeps_the_key_of_every_member():
 )
 def test_scan_family_takes_one_hnf_per_built_lattice(t, target, monkeypatch):
     # every lattice built is keyed by one HNF; the classifier's certificate
-    # adds one for the one Gram a sweep classifies, and no member needs an
-    # inverse (the self-dual certificate is the identity Gram itself)
-    calls = {"hnf_rows": 0, "hnf_coords": 0, "inverse": 0, "built": 0, "points": 0}
+    # adds one for the one Gram a sweep classifies, once whatever the
+    # height, and no member needs an inverse (the self-dual certificate is
+    # the identity Gram itself)
+    calls = {
+        "hnf_rows": 0, "hnf_coords": 0, "inverse": 0, "built": 0, "points": 0,
+        "classify": 0,
+    }
 
     def counted(module, name, key):
         inner = getattr(module, name)
@@ -415,10 +425,11 @@ def test_scan_family_takes_one_hnf_per_built_lattice(t, target, monkeypatch):
     counted(lattice_core, "inverse", "inverse")
     counted(a3_factory, "_orbit_lattice", "built")
     counted(a3_factory, "_lambda_ints", "points")
-    lattice_core.classify_gram.cache_clear()
+    counted(a3_factory, "classify_gram", "classify")
     scan = scan_family(t, 16, target)
     assert len(scan.members) == calls["built"] == 222
     assert calls["hnf_rows"] == calls["built"] + 1
+    assert calls["classify"] == 1
     assert calls["inverse"] == 0
     # the per-member Galois certificate is sigma permuting the basis, with
     # no membership test against the HNF
@@ -442,8 +453,7 @@ def test_integer_kernels_match_fraction_formulas(t, s, target):
     # the chord point and the weights in int against the oracle's Fraction
     # formulas, over negative t too (R = 3pDm is negative there before the
     # reduction); (N, R) is in lowest terms with R > 0
-    base = _chord_base(delta_conic(t), base_point_delta(t))
-    x, y, m = _chord_ints(base, None if s is None else (s.numerator, s.denominator))
+    x, y, m = _chord_ints(sweep_base(t), None if s is None else (s.numerator, s.denominator))
     assert m > 0
     point = chord_point_by_fractions(t, s)
     assert (F(x, m), F(y, m)) == point
@@ -459,7 +469,7 @@ def test_lambda_kernel_takes_any_common_denominator():
     target = TraceTarget(F(41, 49), F(-8, 49), F(5, 7))
     assert target.is_consistent() and target.d - target.e == 1
     t = F(-7, 3)
-    x, y, m = _chord_ints(_chord_base(delta_conic(t), base_point_delta(t)), (2, 5))
+    x, y, m = _chord_ints(sweep_base(t), (2, 5))
     assert m == 6 * 37
     *nums, r = _lambda_ints(-7, 3, target, x, y, m)
     assert tuple(F(n, r) for n in nums) == weights_by_fractions(t, target, F(x, m), F(y, m))
@@ -471,7 +481,7 @@ def test_lambda_kernel_takes_any_common_denominator():
 def test_integer_orbit_key_dedups_as_the_fraction_key(t, target):
     # the least rotation of (N0, N1, N2) over R against the least rotation
     # of the Fraction triple: the two keys split the points alike
-    base = _chord_base(delta_conic(t), base_point_delta(t))
+    base = sweep_base(t)
     old, new = [], []
     for slope in _slope_pairs(16):
         x, y, m = _chord_ints(base, slope)
@@ -525,7 +535,7 @@ def test_orbit_lattice_takes_integer_weights_over_den():
     # the sweep's form, (N, R) with the field, in lowest terms or not,
     # against the oracle's rows beta, beta^sigma, beta^sigma2
     t = F(-5, 2)
-    x, y, m = _chord_ints(_chord_base(delta_conic(t), base_point_delta(t)), None)
+    x, y, m = _chord_ints(sweep_base(t), None)
     *ints, r = _lambda_ints(-5, 2, TARGET_SELF_DUAL, x, y, m)
     field = new_field(t)
     L = _orbit_lattice(field, tuple(ints), r, Matrix.identity(3))

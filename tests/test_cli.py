@@ -119,6 +119,17 @@ def test_cyclotomic_p31_is_a30():
     assert r.stdout == '{"type":"A30"}\n'
 
 
+def test_cyclotomic_p37_is_the_rank_cap_of_n37():
+    # --p and --n pass through the one rank-cap check
+    by_p = run_proc(["cyclotomic", "--p", "37"])
+    by_n = run_proc(["cyclotomic", "--n", "37", "--generator", "z"])
+    assert by_p.returncode == by_n.returncode == 1
+    assert by_p.stdout == by_n.stdout == (
+        '{"error":{"detail":"rank 36 exceeds the enumeration cap of 32",'
+        '"kind":"RankTooLarge"}}\n'
+    )
+
+
 def test_cyclotomic_not_prime_is_exit_1(capsys):
     code, doc = run_cli(["cyclotomic", "--p", "9"], capsys)
     assert code == 1 and doc["error"]["kind"] == "NotPrime"
@@ -684,7 +695,6 @@ except SystemExit as exc:
 #: the modules of the field constructions, which only their subcommands use
 FIELD_MODULES = {
     "tracelattice.a3_factory",
-    "tracelattice.conic_points",
     "tracelattice.cyclotomic_ideals",
     "tracelattice.orders_ideals",
     "tracelattice.quadratic_a2",

@@ -28,7 +28,7 @@ from tracelattice.cyclotomic_ideals import (
 from tracelattice.errors import (
     DivisionByZero,
     NotPrime,
-    TooLarge,
+    RankTooLarge,
     ZeroGenerator,
 )
 from tracelattice.exact_linalg import Matrix, det, inverse
@@ -319,5 +319,6 @@ def test_large_prime_ideal_lattice_classification(p, label):
 
 
 def test_large_primes_rejected():
-    with pytest.raises(TooLarge):
+    # the one rank-cap check, before Q(zeta_37) is built
+    with pytest.raises(RankTooLarge, match="^rank 36 exceeds the enumeration cap of 32$"):
         verify_cyclotomic_ap(37)

@@ -9,7 +9,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tracelattice.errors import NonSquareMatrix, NotInteger, SingularMatrix
 from oracles import (
@@ -413,6 +413,9 @@ def test_hnf_rows_matches_euclidean_oracle(rows):
     assert hnf_rows([row[:] for row in rows]) == hnf_by_euclid(rows)
 
 
+AP5_ROWS = [[4, 3, 2, 1], [-1, 3, 2, 1], [-1, -2, 2, 1], [-1, -2, -3, 1]]
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     st.integers(min_value=1, max_value=6).flatmap(
@@ -426,6 +429,10 @@ def test_hnf_rows_matches_euclidean_oracle(rows):
     ).filter(lambda rows: fraction_det(rows) != 0),
     st.sampled_from([1, 2, 6]),
 )
+# the cleared rows of ap_lattice(5), det 125, at D = 125 and D = 250; they
+# contain 5 Z^4 too, but modulo 5 the pass gives a wrong form
+@example(AP5_ROWS, 1)
+@example(AP5_ROWS, 2)
 def test_hnf_rows_modulo_a_multiple_of_det_matches_euclidean_oracle(rows, k):
     # the row lattice of a nonsingular square contains |det| Z^n, so the pass
     # modulo any multiple of |det| must give the one Hermite form

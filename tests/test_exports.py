@@ -12,13 +12,13 @@ import tracelattice
 #: the public names: those any src/ module, the README Library block or a
 #: demo reads, and the few in KEPT_UNREAD
 PUBLIC_NAMES = [
-    "Conic", "ConicPoint", "CycField", "FamilyMember", "FamilyScan",
-    "IdealLattice", "Matrix", "NonzeroTrace", "Order", "PowerBasisField",
-    "QuadAmbient", "RankTooLarge", "Reducible", "ShanksField", "TARGET_A3",
+    "ConicPoint", "CycField", "FamilyMember", "FamilyScan", "IdealLattice",
+    "Matrix", "NonzeroTrace", "Order", "PowerBasisField", "QuadAmbient",
+    "RankTooLarge", "Reducible", "ShanksField", "TARGET_A3",
     "TARGET_SELF_DUAL", "TraceLattice", "TraceLatticeError", "TraceTarget",
-    "TwoInert", "an_exclusion", "ap_lattice", "base_point_delta",
-    "canonical_key", "classify_gram", "classify_root_type", "cyc_field",
-    "cyclotomic_polynomial", "dedekind_maximalize", "delta_conic", "det",
+    "TwoInert", "an_exclusion", "ap_lattice", "canonical_key",
+    "classify_gram", "classify_root_type", "cyc_field",
+    "cyclotomic_polynomial", "dedekind_maximalize", "det",
     "different_inverse", "disc_group", "dual", "dumps_canonical",
     "equation_order", "fake_a3", "fake_a3_variants", "falsify_a2",
     "family_distinctness", "galois_stable", "inverse", "is_integral",

@@ -8,8 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tracelattice.a3_factory import scan_family
-from tracelattice.conic_points import ConicPoint
+from tracelattice.a3_factory import ConicPoint, scan_family
 from tracelattice.cyclotomic_ideals import cyc_field
 from tracelattice.errors import TooLarge
 from tracelattice.exact_linalg import Matrix
@@ -55,7 +54,7 @@ def test_matrix_json_row_major():
 
 
 def test_point_json():
-    assert point_json(ConicPoint("5/2", "-3/2")) == {"x": "5/2", "y": "-3/2"}
+    assert point_json(ConicPoint(F(5, 2), F(-3, 2))) == {"x": "5/2", "y": "-3/2"}
 
 
 def test_lattice_json_type_field_optional():

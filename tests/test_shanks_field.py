@@ -8,7 +8,8 @@ traces and norms are checked on the field's *_coords methods.
 """
 from __future__ import annotations
 
-import time
+import inspect
+import sys
 from fractions import Fraction
 
 import pytest
@@ -135,10 +136,27 @@ def test_irreducibility_check_on_known_parameters():
 
 def test_irreducibility_check_is_fast_on_many_divisors():
     # q = 10^40 has 41^2 = 1,681 divisors, so d(q)^2 is 2.8 million candidate
-    # roots; the pairs with ab | q number 81^2 = 6,561
-    start = time.perf_counter()
-    ShanksField(Fraction(1, 10**40))
-    assert time.perf_counter() - start < 0.1
+    # roots; the pairs with ab | q number 81^2 = 6,561, each tried with both
+    # signs.  The work is counted, as line events on the one test of a
+    # candidate root, so the bound does not depend on the host's load
+    lines, first = inspect.getsourcelines(_check_irreducible)
+    (test_line,) = [first + i for i, line in enumerate(lines) if "q * r**3" in line]
+    code = _check_irreducible.__code__
+    tried = 0
+
+    def count(frame, event, arg):
+        nonlocal tried
+        if event == "line" and frame.f_lineno == test_line:
+            tried += 1
+        return count
+
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: count if frame.f_code is code else None)
+    try:
+        ShanksField(Fraction(1, 10**40))
+    finally:
+        sys.settrace(previous)
+    assert tried == 2 * 81**2 == 13_122
 
 
 def test_remap_t0():
