@@ -16,10 +16,10 @@ the standard A3 Gram, and (1, 0, 1) makes it the identity, so sweeping chords
 through the fixed base point manufactures infinitely many distinct lattices
 of either kind, every one carrying a normal basis by construction.
 
-Both presets have d - e = 1, so their one conic is x^2 + 3y^2 = delta_t with
-the base point (t + 3/2, 3/2): (t + 3/2)^2 + 27/4 = t^2 + 3t + 9.  The chord
-of every slope a/b in lowest terms up to a height meets it again in one
-rational point, computed in integers over one denominator.
+Both presets are integer triples with d - e = 1, so their one conic is
+x^2 + 3y^2 = delta_t, with the base point (t + 3/2, 3/2).  The chord of
+every slope a/b up to a height meets it again in one rational point, and
+point and weights are computed in integers over one denominator.
 """
 from __future__ import annotations
 
@@ -60,16 +60,16 @@ class TraceTarget(NamedTuple):
     """Prescribed values d = Tr(beta^2), e = Tr(beta beta^sigma), and
     f = Tr(beta) up to sign; consistent iff f^2 = d + 2e."""
 
-    d: Fraction
-    e: Fraction
-    f: Fraction
+    d: int
+    e: int
+    f: int
 
     def is_consistent(self) -> bool:
         return self.f * self.f == self.d + 2 * self.e
 
 
-TARGET_A3 = TraceTarget(Fraction(2), Fraction(1), Fraction(2))
-TARGET_SELF_DUAL = TraceTarget(Fraction(1), Fraction(0), Fraction(1))
+TARGET_A3 = TraceTarget(2, 1, 2)
+TARGET_SELF_DUAL = TraceTarget(1, 0, 1)
 
 
 class ConicPoint(NamedTuple):
@@ -127,18 +127,17 @@ def _lambda_ints(
     p: int, q: int, target: TraceTarget, big_x: int, big_y: int, m: int
 ) -> tuple[int, int, int, int]:
     """(N0, N1, N2, R) with lam = (N0, N1, N2) / R the weights realizing
-    the target at t = p/q (p != 0, q > 0), from the point (X, Y)/m on
-    x^2 + 3y^2 = (d - e) delta_t, m > 0 and not necessarily in lowest terms;
-    R > 0 and the four are coprime, so equal weight vectors give equal
-    tuples.  Raises PointNotOnConic for a point off that conic.
+    the integer target (d, e, f) at t = p/q (p != 0, q > 0), from the point
+    (X, Y)/m on x^2 + 3y^2 = (d - e) delta_t, m > 0 and not necessarily in
+    lowest terms; R > 0 and the four are coprime, so equal weight vectors
+    give equal tuples.  Raises PointNotOnConic for a point off that conic.
 
     lam0 = (2tx/delta + f) / 3t, and lam1, lam2 split off y; lam1 always
     takes the + branch so output is deterministic (the - choice relabels
     the same normal basis).
 
-    With D = q^2 delta = p^2 + 3pq + 9q^2 and f = F/m (m scaled first so
-    that it clears f), the three weights share one denominator:
-    lam_i = q n_i / (3pDm) with
+    With D = q^2 delta = p^2 + 3pq + 9q^2 and F = f m, the three weights
+    share one denominator: lam_i = q n_i / (3pDm) with
 
         n0 = FD + 2pqX,   n1 = FD - pqX + 3pqY,   n2 = FD - pqX - 3pqY,
 
@@ -147,43 +146,33 @@ def _lambda_ints(
     p, which the reduction to R > 0 takes out."""
     d, e, f = target
     big_d = p * p + 3 * p * q + 9 * q * q
-    f_den = f.denominator
-    if m % f_den:
-        k = f_den // gcd(m, f_den)
-        big_x, big_y, m = big_x * k, big_y * k, m * k
-    big_f = f.numerator * (m // f_den)
-    # c = d - e as cn / cd, not in lowest terms: the check is homogeneous
-    cn = d.numerator * e.denominator - e.numerator * d.denominator
-    cd = d.denominator * e.denominator
-    if cd * q * q * (big_x * big_x + 3 * big_y * big_y) != cn * big_d * m * m:
+    if q * q * (big_x * big_x + 3 * big_y * big_y) != (d - e) * big_d * m * m:
         t = Fraction(p, q)
         raise PointNotOnConic(
             f"({number_text(Fraction(big_x, m))}, {number_text(Fraction(big_y, m))}) "
             f"is not on x^2 + 3y^2 = {number_text((d - e) * (t * t + 3 * t + 9))}"
         )
     pq = p * q
+    big_f = f * m
     fd = big_f * big_d
     n0 = fd + 2 * pq * big_x
     n1 = fd - pq * big_x + 3 * pq * big_y
     n2 = fd - pq * big_x - 3 * pq * big_y
     # the discriminant of the residual quadratic in lam1, recomputed from
     # lam0 (3t lam0 - f = (n0 - FD)/Dm) and matched against (2ty/delta)^2,
-    # all over 3 D^2 m^2 e.denominator
+    # all over 3 D^2 m^2
     r = n0 - fd
-    assert e.denominator * (
+    assert (
         4 * p * p * big_d * big_f * big_f - r * r - 12 * pq * pq * big_y * big_y
-    ) == 12 * p * p * big_d * e.numerator * m * m
+        == 12 * p * p * big_d * e * m * m
+    )
     # the closed forms of d and e on lam = q n / R: both sides over R^2
     big_r = 3 * p * big_d * m
     big_l = n0 + n1 + n2
     big_q = n0 * n1 + n0 * n2 + n1 * n2
     r2 = big_r * big_r
-    assert d.denominator * (
-        (p * p + 2 * pq + 6 * q * q) * big_l * big_l - 2 * big_d * big_q
-    ) == d.numerator * r2
-    assert e.denominator * (
-        big_d * big_q - q * (p + 3 * q) * big_l * big_l
-    ) == e.numerator * r2
+    assert (p * p + 2 * pq + 6 * q * q) * big_l * big_l - 2 * big_d * big_q == d * r2
+    assert big_d * big_q - q * (p + 3 * q) * big_l * big_l == e * r2
     n0, n1, n2 = q * n0, q * n1, q * n2
     g = gcd(n0, n1, n2, big_r)
     if big_r < 0:
@@ -317,9 +306,10 @@ def scan_family(t, height: int, target: TraceTarget = TARGET_A3) -> FamilyScan:
     member has the standard Gram and the member's key by construction, and
     the sweep does not build it.
 
-    Degenerate weights are skipped with a log note and counted, never raised:
-    the family stays infinite after finitely many exclusions.  A shift of
-    degenerate weights is degenerate too, so each such point counts."""
+    Degenerate weights are skipped with a log note and counted, never
+    raised (a shift of degenerate weights is degenerate too).  The presets
+    have none: the circulant of lam is singular only when sum lam = f/t is
+    0, or when lam0 = lam1 = lam2, which needs the point (0, 0)."""
     t = rat(t)
     if t == 0:
         raise ZeroParameter()
@@ -335,13 +325,14 @@ def scan_family(t, height: int, target: TraceTarget = TARGET_A3) -> FamilyScan:
     else:
         assert gram == _IDENTITY_3, "L must equal its dual"
         assert label == "unimodular_odd"
+    ints = TraceTarget(*map(int, target))  # (2, 1, 2) or (1, 0, +-1)
     built: set = set()  # (least cyclic shift of N, R) of each lam built
     seen_keys: set = set()
     members: list[FamilyMember] = []
     skipped = 0
     for slope in _slope_pairs(height):
         x, y, m = _chord_ints(base, slope)
-        n0, n1, n2, r = _lambda_ints(p, q, target, x, y, m)
+        n0, n1, n2, r = _lambda_ints(p, q, ints, x, y, m)
         rotation = (min((n0, n1, n2), (n1, n2, n0), (n2, n0, n1)), r)
         if rotation in built:
             continue

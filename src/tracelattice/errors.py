@@ -94,10 +94,6 @@ class RankTooLarge(TraceLatticeError):
     """The operation is capped at a small rank."""
 
 
-class ZeroSlopePair(TraceLatticeError):
-    """(s0, s1) = (0, 0) does not define a slope."""
-
-
 class PointNotOnConic(TraceLatticeError):
     """The supplied point must satisfy the conic equation exactly."""
 

@@ -5,25 +5,25 @@ x2 + y2*sqrt(+-d) is 2(x1 x2 + d y1 y2): conjugation is trivial in the real
 field and flips sqrt(-d) in the imaginary one, and the d-term lands with a
 plus sign either way.  A basis pair with Gram [[2,-1],[-1,2]] is therefore a
 pair of points on x^2 + d y^2 = 1 whose pairing is -1, which exists exactly
-when d = 3.  The d = 3 family is parametrized by integer slope pairs through
-the unit conic; for other d a bounded exhaustive search certifies emptiness
-up to a height.
+when d = 3.  The A2 lattice is the Eisenstein integers Z[omega] (Conway-
+Sloane, SPLAG, ch. 4 sec. 6.1), so the d = 3 family is (z, z omega) for the
+norm-one points z, parametrized by integer slope pairs through the unit
+conic; for other d a bounded exhaustive search certifies emptiness up to a
+height.
 
 The family sweep runs a per-pair integer check, certified build per distinct
-key: every slope pair and branch has its basis as integer rows over one
-denominator, its two norm equations and its pairing asserted in int, and its
-lattice keyed by the HNF of those rows; gram_of and the A2 Gram certificate
-run once per distinct lattice, on the basis that is emitted.
+key: every slope pair has its basis as integer rows over one denominator,
+its two norm equations and its pairing asserted in int, and its lattice
+keyed by the HNF of those rows; gram_of and the A2 Gram certificate run
+once per distinct lattice, on the basis that is emitted.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd, isqrt, lcm
 from typing import Optional
 
 from ._intfactor import squarefree_kernel
-from .errors import ZeroSlopePair
 from .exact_linalg import Matrix
 from .lattice_core import TraceLattice, canonical_key, hnf_span
 from .power_basis import PowerBasisField
@@ -70,56 +70,36 @@ class QuadAmbient(PowerBasisField):
         self._freeze(d=d, sign=sign)
 
 
-@lru_cache(maxsize=None)
-def _quad_ambient(d: int, sign: int) -> QuadAmbient:
-    # one handle per field: the slope family builds a lattice per slope pair,
-    # and each new handle would derive its tables again
-    return QuadAmbient(d, sign)
+def _slope_basis(s0: int, s1: int) -> tuple[tuple, int]:
+    """The A2 basis (z, z omega) of the slope pair (s0, s1) != (0, 0),
+    checked in integers, as its integer rows over one denominator > 0, in
+    lowest terms: equal bases give equal pairs, and Matrix.scaled builds the
+    basis from the pair.
 
-
-def _slope_basis(s0: int, s1: int, branch) -> tuple[tuple, int]:
-    """The A2 basis of the slope pair, checked in integers, as its integer
-    rows over one denominator > 0, in lowest terms: equal bases give equal
-    pairs, and Matrix.scaled builds the basis from the pair.
-
-    With n = s0^2 + 3 s1^2 and c = s0^2 - 3 s1^2, the first row is the unit
-    conic section point (X1, Y1)/n = (-c, -2 s0 s1)/n.  The second row's y
-    solves 12 n^2 y^2 - 24 n s0 s1 y + (n^2 - 4c^2) = 0, the elimination of x
-    from the norm equation and the pairing value; the discriminant is the
-    perfect square 144 n^2 c^2, so the two roots are (2 s0 s1 -+ c)/(2n) =
-    Y/(2n) and both branches are always rational.  The pairing then gives
-    (X2, Y2)/(2cn) = (n^2 - 6 s0 s1 Y, c Y)/(2cn).
-
-    X1^2 + 3 Y1^2 = n^2, X2^2 + 3 Y2^2 = (2cn)^2 and 2(X1 X2 + 3 Y1 Y2) =
-    -n (2cn) are asserted in int: for either sign the pairing is
-    2(x x' + 3 y y'), so together they fix the Gram at [[2,-1],[-1,2]]."""
-    if s0 == 0 and s1 == 0:
-        raise ZeroSlopePair("need a nonzero slope pair")
-    if branch in ("-", -1):
-        y = (s0 + 3 * s1) * (s0 - s1)
-    elif branch in ("+", 1):
-        y = -(s0 - 3 * s1) * (s0 + s1)
-    else:
-        raise ValueError(f"branch must be '+' or '-', got {branch!r}")
+    With n = s0^2 + 3 s1^2, z = (X, Y)/n = (3 s1^2 - s0^2, -2 s0 s1)/n is
+    the unit conic section point, and z omega = (X2, Y2)/(2n) =
+    (-X - 3Y, X - Y)/(2n):
+    (x, y) -> (-x - 3y, x - y)/2 is multiplication by omega =
+    (-1 + sqrt(-3))/2, and for either sign of the field an isometry of the
+    pairing 2(x x' + 3 y y').  The lattice is Z[omega] z, the Eisenstein
+    integers through z.  X^2 + 3 Y^2 = n^2, X2^2 + 3 Y2^2 = (2n)^2 and
+    2(X X2 + 3 Y Y2) = -n (2n) are asserted in int, and together they fix
+    the Gram at [[2,-1],[-1,2]]."""
     n = s0 * s0 + 3 * s1 * s1
-    c = s0 * s0 - 3 * s1 * s1
-    x1, y1 = -c, -2 * s0 * s1
-    x2, y2 = n * n - 6 * s0 * s1 * y, c * y
-    den = 2 * c * n
+    x1, y1 = 3 * s1 * s1 - s0 * s0, -2 * s0 * s1
+    x2, y2 = -x1 - 3 * y1, x1 - y1
+    den = 2 * n
     assert x1 * x1 + 3 * y1 * y1 == n * n
     assert x2 * x2 + 3 * y2 * y2 == den * den
     assert 2 * (x1 * x2 + 3 * y1 * y2) == -n * den
-    u1, v1 = 2 * c * x1, 2 * c * y1  # the first row over den
-    g = gcd(den, u1, v1, x2, y2)
-    if den < 0:
-        g = -g
-    return ((u1 // g, v1 // g), (x2 // g, y2 // g)), den // g
+    g = gcd(den, 2 * x1, 2 * y1, x2, y2)
+    return ((2 * x1 // g, 2 * y1 // g), (x2 // g, y2 // g)), den // g
 
 
-def _certified_a2(basis: Matrix, sign: int) -> TraceLattice:
-    """The lattice of the basis in Q(sqrt(+-3)), its Gram built by gram_of
-    and required to be [[2,-1],[-1,2]]."""
-    lattice = TraceLattice(_quad_ambient(3, sign), basis)
+def _certified_a2(basis: Matrix, ambient: QuadAmbient) -> TraceLattice:
+    """The lattice of the basis in the ambient Q(sqrt(+-3)), its Gram built
+    by gram_of and required to be [[2,-1],[-1,2]]."""
+    lattice = TraceLattice(ambient, basis)
     assert lattice.gram == A2_GRAM
     return lattice.with_type("A2")
 
@@ -131,7 +111,7 @@ def normal_a2(sign: int = -1) -> TraceLattice:
     Uniqueness is re-checked by constrained search: among norm-one points of
     height <= 2, only the four sign choices of (1/2, 1/2) pair to -1 with
     their own conjugate, and they all span this one lattice."""
-    ambient = _quad_ambient(3, sign)
+    ambient = QuadAmbient(3, sign)
     solutions = normal_basis_search(2)
     assert solutions == [
         (F(-1, 2), F(-1, 2)),
@@ -232,7 +212,7 @@ def falsify_a2(d: int, height: int, sign: int = -1) -> Optional[TraceLattice]:
     basis at height 2 already), or None when the sweep is empty; by the
     classification that is the expected outcome for every squarefree d != 3.
     d is factored once, by the ambient's radicand check."""
-    ambient = _quad_ambient(d, sign)
+    ambient = QuadAmbient(d, sign)
     points = _norm_one_points(d, height)
     for i, (a, k, m) in enumerate(points):
         for a2, k2, m2 in points[i:]:
@@ -249,29 +229,29 @@ def falsify_a2(d: int, height: int, sign: int = -1) -> Optional[TraceLattice]:
 
 
 def family_distinctness(height: int, sign: int = -1) -> list[TraceLattice]:
-    """Pairwise-distinct A2 lattices over all slope pairs and both branches
-    with |s0|, |s1| <= height, in first-seen order.
+    """Pairwise-distinct A2 lattices over all slope pairs with |s0|, |s1| <=
+    height, in first-seen order.
 
     Per-pair integer check, one key per distinct basis, certified build per
-    distinct key: every slope pair and branch passes the integer conic and
-    pairing checks of _slope_basis, whose integer rows over one denominator
-    in lowest terms are canonical.  Equal bases span one lattice, so a
-    basis met before is passed over on those integers, and only a new basis
+    distinct key: every slope pair passes the integer conic and pairing
+    checks of _slope_basis, whose integer rows over one denominator in
+    lowest terms are canonical.  Equal bases span one lattice, so a basis
+    met before is passed over on those integers, and only a new basis
     becomes a Matrix, keyed by its hnf_span; only the first basis of each
     new key builds the certified lattice (gram_of, the A2 Gram)."""
+    ambient = QuadAmbient(3, sign)
     seen = {}
     bases = set()
     for s0 in range(-height, height + 1):
         for s1 in range(-height, height + 1):
             if (s0, s1) == (0, 0):
                 continue
-            for branch in ("+", "-"):
-                scaled = _slope_basis(s0, s1, branch)
-                if scaled in bases:
-                    continue
-                bases.add(scaled)
-                basis = Matrix.scaled(*scaled)
-                key = hnf_span(basis)
-                if key not in seen:
-                    seen[key] = _certified_a2(basis, sign)
+            scaled = _slope_basis(s0, s1)
+            if scaled in bases:
+                continue
+            bases.add(scaled)
+            basis = Matrix.scaled(*scaled)
+            key = hnf_span(basis)
+            if key not in seen:
+                seen[key] = _certified_a2(basis, ambient)
     return list(seen.values())

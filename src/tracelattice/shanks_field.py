@@ -92,7 +92,8 @@ def new_field(t: int | str | Fraction) -> ShanksField:
 def reparametrize(field: ShanksField, alpha: Sequence) -> Fraction:
     """For trace-zero irrational alpha (power-basis coordinates): t' = Tr(u)
     with u = alpha^{sigma-1}, and f_{t'}(u) = 0 with Q(u) = F (both checked
-    here)."""
+    here).  t' = 0 is a valid answer (f_0 is irreducible); only the
+    normal-basis family rejects t = 0, and its error names remap_t0()."""
     alpha = field.element(alpha)
     trace = field.trace_coords(alpha)
     if trace != 0:

@@ -1,25 +1,26 @@
 """Independent oracles used by the test suite.
 
 Everything here is deliberately naive: short vectors by exhaustive box
-enumeration with numpy, lattice equivalence by brute-force row search over
-GL(n, Z), Gram matrices built straight from Dynkin diagram adjacency, the
-square root of a cubic trace dual by search over all sublattices of the
-right index, trace Grams from polynomial products and Newton sums, Hermite
-forms by extended-gcd row pairs and by Euclidean steps on the least pivot,
-the norm-one points of x^2 + d y^2 = 1 by a scan of every x = a/m of
-bounded height, the A2 falsification as a Fraction pair search over a box
-of points, the d = 3 A2 family by a Fraction build and Hermite key of
-every slope pair, the Shanks chord family by a Fraction build and Hermite
-key of every chord point, root-graph connectivity by label
-propagation over every pair of roots, and Galois stability as integrality of
-B S B^-1 by Gauss-Jordan, with each field's automorphisms written out from
-their definitions, the Shanks normal-basis element lam0 eps + lam1
-eps^sigma + lam2 eps^(sigma^2) from that sigma, the parity witness by a
-scan of all 2^n - 1 classes of L/2L, matrix arithmetic and the Gram
-B T B^T by loops over Fraction grids, the Smith form from the gcds of all
-k x k minors, the rational roots of f_t by a Fraction scan of every coprime
-pair of divisors of den(t), and factorization by trial division.  None of
-it shares code with the package under test.
+enumeration with numpy, or for a Gram W W^T over the ball of images x W,
+lattice equivalence by brute-force row search over GL(n, Z), Gram matrices
+built straight from Dynkin diagram adjacency, the square root of a cubic
+trace dual by search over all sublattices of the right index, trace Grams
+from polynomial products and Newton sums, Hermite forms by extended-gcd row
+pairs and by Euclidean steps on the least pivot, the norm-one points of
+x^2 + d y^2 = 1 by a scan of every x = a/m of bounded height, the A2
+falsification as a Fraction pair search over a box of points, the d = 3 A2
+family by a Fraction build and Hermite key of every slope pair, the Shanks
+chord family by a Fraction build and Hermite key of every chord point,
+root-graph connectivity by label propagation over every pair of roots, and
+Galois stability as integrality of B S B^-1 by Gauss-Jordan, with each
+field's automorphisms written out from their definitions, the Shanks
+normal-basis element lam0 eps + lam1 eps^sigma + lam2 eps^(sigma^2) from
+that sigma, the parity witness by a scan of all 2^n - 1 classes of L/2L,
+matrix arithmetic and the Gram B T B^T by loops over Fraction grids, the
+Smith form from the gcds of all k x k minors, the rational roots of f_t by
+a Fraction scan of every coprime pair of divisors of den(t), and
+factorization by trial division.  None of it shares code with the package
+under test.
 """
 from __future__ import annotations
 
@@ -148,6 +149,37 @@ def reduced_box_short_vectors(gram, bound: int):
                 break
         out.append((norm, w))
     return sorted(out)
+
+
+def image_ball_short_vectors(w, budget: int):
+    """All x != 0 with x G x^T <= budget for G = W W^T, W a nonsingular
+    integer matrix, sign-canonicalized and sorted by (norm, coords) as
+    box_short_vectors gives them.  x G x^T = |x W|^2, so y = x W runs over
+    the integer points of the ball |y|^2 <= budget, and y comes from an
+    integer x exactly when x = y W^-1 = y adj(W) / det W is integral, that
+    is y adj(W) = 0 mod det W.  The ball's size depends on n and the budget
+    alone, however skew W is, where a box about a reduced basis need not."""
+    n = len(w)
+    det = fraction_det(w)
+    adj = [[int(det * c) for c in row] for row in _inverse(w)]
+    det = int(det)
+    out = {}
+
+    def ball(prefix, left):
+        if len(prefix) == n:
+            xs = [sum(y * adj[i][k] for i, y in enumerate(prefix)) for k in range(n)]
+            if any(xs) and all(x % det == 0 for x in xs):
+                x = tuple(c // det for c in xs)
+                if next(c for c in x if c) < 0:
+                    x = tuple(-c for c in x)
+                out[x] = budget - left
+            return
+        r = math.isqrt(left)
+        for y in range(-r, r + 1):
+            ball(prefix + [y], left - y * y)
+
+    ball([], budget)
+    return sorted((norm, x) for x, norm in out.items())
 
 
 def roots_by_reflection(gram) -> list[tuple[int, ...]]:

@@ -215,12 +215,27 @@ def test_lambda_rejects_zero_parameter(monkeypatch):
 
 
 def test_inconsistent_target_asserts():
-    bad = TraceTarget(F(2), F(1), F(5))
+    bad = TraceTarget(2, 1, 5)
     with pytest.raises(AssertionError):
         scan_family(1, 1, bad)
     # on the delta conic (d - e = 1) the kernel's own checks catch it
     with pytest.raises(AssertionError):
         _lambda_ints(1, 1, bad, *_chord_ints(sweep_base(1), None))
+
+
+def test_preset_targets_given_as_fractions_sweep_alike():
+    # the gate takes a preset by value, whatever its number type, and the
+    # kernel gets its integers; (1, 0, -1) is the other self-dual target
+    for target in (TARGET_A3, TARGET_SELF_DUAL, TraceTarget(1, 0, -1)):
+        as_fractions = TraceTarget(*map(F, target))
+        expected = scan_family(F(-1, 2), 4, target)
+        got = scan_family(F(-1, 2), 4, as_fractions)
+        assert [(m.lam, m.point, m.slope) for m in got.members] == [
+            (m.lam, m.point, m.slope) for m in expected.members
+        ]
+        assert [canonical_key(m.lattice) for m in got.members] == [
+            canonical_key(m.lattice) for m in expected.members
+        ]
 
 
 # --- lattice construction ----------------------------------------------------------
@@ -464,16 +479,15 @@ def test_integer_kernels_match_fraction_formulas(t, s, target):
 
 
 def test_lambda_kernel_takes_any_common_denominator():
-    # the point need not be in lowest terms, and its denominator 6 * 37
-    # does not clear f = 5/7, so the kernel scales it first
-    target = TraceTarget(F(41, 49), F(-8, 49), F(5, 7))
-    assert target.is_consistent() and target.d - target.e == 1
+    # the point need not be in lowest terms: (N, R) is the same over the
+    # chord's denominator 6 * 37 and over five times it
     t = F(-7, 3)
     x, y, m = _chord_ints(sweep_base(t), (2, 5))
     assert m == 6 * 37
-    *nums, r = _lambda_ints(-7, 3, target, x, y, m)
-    assert tuple(F(n, r) for n in nums) == weights_by_fractions(t, target, F(x, m), F(y, m))
-    assert _lambda_ints(-7, 3, target, 5 * x, 5 * y, 5 * m) == (*nums, r)
+    for target in (TARGET_A3, TARGET_SELF_DUAL):
+        *nums, r = _lambda_ints(-7, 3, target, x, y, m)
+        assert tuple(F(n, r) for n in nums) == weights_by_fractions(t, target, F(x, m), F(y, m))
+        assert _lambda_ints(-7, 3, target, 5 * x, 5 * y, 5 * m) == (*nums, r)
 
 
 @pytest.mark.parametrize("target", [TARGET_A3, TARGET_SELF_DUAL], ids=["A3", "self-dual"])

@@ -20,7 +20,7 @@ from tracelattice.a3_factory import (
     _lambda_ints,
     _slope_pairs,
 )
-from tracelattice.errors import PointNotOnConic, ZeroSlopePair
+from tracelattice.errors import PointNotOnConic
 from tracelattice.quadratic_a2 import _slope_basis
 
 F = Fraction
@@ -186,13 +186,8 @@ def test_enumerate_points_grows_with_height():
 def unit_conic_point(s0: int, s1: int) -> ConicPoint:
     """The first basis row of the slope pair's A2 basis (_slope_basis): the
     second intersection of x^2 + 3y^2 = 1 with a line through (1, 0)."""
-    (row, _), den = _slope_basis(s0, s1, "+")
+    (row, _), den = _slope_basis(s0, s1)
     return ConicPoint(F(row[0], den), F(row[1], den))
-
-
-def test_unit_conic_zero_pair_rejected():
-    with pytest.raises(ZeroSlopePair):
-        unit_conic_point(0, 0)
 
 
 def test_unit_conic_frozen_values():

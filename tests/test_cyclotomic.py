@@ -8,7 +8,6 @@ multiplication-operator traces).
 """
 from __future__ import annotations
 
-import time
 from fractions import Fraction
 from math import gcd
 
@@ -16,6 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from sympy import Poly, Symbol, cyclotomic_poly
 
+from tracelattice import exact_linalg
 from tracelattice._intfactor import factor
 from tracelattice.cyclotomic_ideals import (
     CycField,
@@ -294,13 +294,24 @@ def test_prime_ideal_lattice_disc_group():
 
 
 @pytest.mark.parametrize("p", [19, 23, 29, 31])
-def test_prime_ideal_lattice_disc_group_on_dense_grams(p):
+def test_prime_ideal_lattice_disc_group_on_dense_grams(p, monkeypatch):
     # Hermite passes without reduction mod det took 41 s at p = 19: their
-    # entries grow without bound on these dense Grams
+    # entries grow without bound on these dense Grams, whose own entries
+    # reach 5.4 * 10^19 at p = 31.  The work is bounded, not the time: snf
+    # makes two passes, each modulo det = p, and each returns entries <= p
     L = ap_lattice(p)
-    start = time.perf_counter()
+    passes = []
+    hnf_rows = exact_linalg.hnf_rows
+
+    def counted(a, modulus=0):
+        out = hnf_rows(a, modulus)
+        passes.append((modulus, max(abs(v) for row in out for v in row)))
+        return out
+
+    monkeypatch.setattr(exact_linalg, "hnf_rows", counted)
     assert disc_group(L) == (1,) * (p - 2) + (p,)
-    assert time.perf_counter() - start < 2
+    assert len(passes) == 2
+    assert all(modulus == p and top <= p for modulus, top in passes), passes
 
 
 def test_prime_ideal_lattice_galois_stable():

@@ -1,11 +1,12 @@
 """A2 lattices in Q(sqrt(+-d)): the d = 3 slope family, the normal-basis
 lattice, and the bounded falsifier for other d.
 
-The second basis vector solves 12 n^2 y2^2 - 24 n s0 s1 y2 +
-(n^2 - 4(s0^2 - 3 s1^2)^2) = 0; both frozen worked examples below were
-checked against that quadratic by hand.  At (1, 0) branch "+" the spanned
-lattice also admits the basis ((-1, 0), (1/2, 1/2)) and the two are
-compared as lattices, not as row tuples.
+The slope family's basis is (z, z omega) for the norm-one point z of the
+slope pair, omega = (-1 + sqrt(-3))/2 acting on coordinates as
+(x, y) -> (-x - 3y, x - y)/2.  At (1, 0) the spanned lattice also admits
+the basis ((-1, 0), (1/2, 1/2)), and the two are compared as lattices, not
+as row tuples; the other root z omega^2 = -z - z omega of the pairing
+equations spans the same lattice.
 """
 from __future__ import annotations
 
@@ -17,7 +18,6 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import a2_family_by_full_build, a2_witness_by_search, norm_one_points_by_scan
 from tracelattice import lattice_core, quadratic_a2
-from tracelattice.errors import ZeroSlopePair
 from tracelattice.exact_linalg import Matrix
 from tracelattice.lattice_core import (
     TraceLattice,
@@ -42,10 +42,16 @@ from tracelattice.serialize import lattice_json
 F = Fraction
 
 
-def slope_lattice(s0, s1, branch="+", sign=-1):
+def slope_lattice(s0, s1, sign=-1):
     """The A2 lattice of the slope pair: _slope_basis's integer rows over
     their denominator, certified by _certified_a2."""
-    return _certified_a2(Matrix.scaled(*_slope_basis(s0, s1, branch)), sign)
+    return _certified_a2(Matrix.scaled(*_slope_basis(s0, s1)), QuadAmbient(3, sign))
+
+
+def times_omega(point):
+    """(x, y) -> (-x - 3y, x - y)/2: x + y sqrt(-3) times (-1 + sqrt(-3))/2."""
+    x, y = point
+    return ((-x - 3 * y) / 2, (x - y) / 2)
 
 
 def fraction_points(d, height):
@@ -166,15 +172,8 @@ def test_pairing_is_symmetric_bilinear(a, b, sign):
 # the d = 3 slope family
 
 
-def test_example_slopes_1_1_branch_minus_exact_basis():
-    lattice = slope_lattice(1, 1, "-")
-    assert lattice.basis.data == ((F(1, 2), F(-1, 2)), (F(-1), F(0)))
-    assert lattice.gram == A2_GRAM
-    assert lattice.type_tag == "A2"
-
-
 def test_example_slopes_1_0_branch_plus_same_lattice():
-    lattice = slope_lattice(1, 0, "+")
+    lattice = slope_lattice(1, 0)
     assert lattice.basis.data[0] == (F(-1), F(0))
     # second row is the mirror of ((1/2, 1/2)); the span is unchanged
     assert lattice.basis.data[1] == (F(1, 2), F(-1, 2))
@@ -186,42 +185,49 @@ def test_example_slopes_1_0_branch_plus_same_lattice():
 
 
 def test_branches_span_the_same_lattice():
-    # Vieta on the completing quadratic: the two second points sum to the
-    # negated section point, so either branch presents the same lattice.
+    # the two second points of norm one pairing -1 with z are z omega and
+    # z omega^2 = -z - z omega (1 + omega + omega^2 = 0), and either one
+    # presents the same lattice, Z[omega] z
     for s0, s1 in ((2, 1), (1, 1), (3, -2), (5, 4)):
-        plus = slope_lattice(s0, s1, "+")
-        minus = slope_lattice(s0, s1, "-")
-        assert classify_root_type(plus) == "A2"
-        assert canonical_key(plus) == canonical_key(minus)
-        p1 = plus.basis.data[0]
-        summed = tuple(a + b for a, b in zip(plus.basis.data[1], minus.basis.data[1]))
-        assert summed == (-p1[0], -p1[1])
+        for sign in (-1, 1):
+            plus = slope_lattice(s0, s1, sign)
+            z, z_omega = plus.basis.data
+            assert times_omega(z) == z_omega
+            z_omega2 = times_omega(z_omega)
+            assert z_omega2 == (-z[0] - z_omega[0], -z[1] - z_omega[1])
+            minus = TraceLattice.from_rows(plus.ambient, [z, z_omega2])
+            assert minus.gram == A2_GRAM
+            assert classify_root_type(plus) == "A2"
+            assert canonical_key(plus) == canonical_key(minus)
 
 
-def test_zero_slope_pair_rejected():
-    with pytest.raises(ZeroSlopePair):
-        slope_lattice(0, 0, "+")
+def test_zero_slope_pair_rejected(monkeypatch):
+    # (0, 0) is no slope; the sweep passes over it and checks every other
+    # pair once
+    pairs = []
+    slope_basis = quadratic_a2._slope_basis
 
+    def recorded(s0, s1):
+        pairs.append((s0, s1))
+        return slope_basis(s0, s1)
 
-def test_bad_branch_rejected():
-    with pytest.raises(ValueError):
-        slope_lattice(1, 0, "x")
+    monkeypatch.setattr(quadratic_a2, "_slope_basis", recorded)
+    family_distinctness(2)
+    grid = [(a, b) for a in range(-2, 3) for b in range(-2, 3)]
+    assert sorted(pairs) == [pair for pair in grid if pair != (0, 0)]
 
 
 @given(
     st.integers(-8, 8),
     st.integers(-8, 8),
-    st.sampled_from(["+", "-"]),
     st.sampled_from([-1, 1]),
 )
 @settings(max_examples=120, deadline=None)
-def test_every_slope_pair_gives_a2(s0, s1, branch, sign):
+def test_every_slope_pair_gives_a2(s0, s1, sign):
     # the constructor re-verifies both norm equations and the pairing
     if (s0, s1) == (0, 0):
-        with pytest.raises(ZeroSlopePair):
-            slope_lattice(s0, s1, branch, sign)
         return
-    lattice = slope_lattice(s0, s1, branch, sign)
+    lattice = slope_lattice(s0, s1, sign)
     assert lattice.gram == A2_GRAM
     assert lattice.type_tag == "A2"
 
@@ -257,14 +263,13 @@ def test_family_checks_every_pair_and_builds_each_lattice_once(monkeypatch):
     monkeypatch.setattr(quadratic_a2, "_slope_basis", counted_slope_basis)
     monkeypatch.setattr(lattice_core, "gram_of", counted_gram_of)
     fam = family_distinctness(12)
-    assert calls["pairs"] == 2 * (25 * 25 - 1) == 1248
+    assert calls["pairs"] == 25 * 25 - 1 == 624
     assert calls["grams"] == len(fam) == 93
 
 
 def test_family_takes_one_hnf_per_distinct_basis(monkeypatch):
-    # the 1,248 slope pairs and branches give 368 distinct bases; each is
-    # keyed by one HNF, and building the certified lattice of a new key
-    # takes none
+    # the 624 slope pairs give 184 distinct bases; each is keyed by one
+    # HNF, and building the certified lattice of a new key takes none
     calls = []
     hnf_rows = lattice_core.hnf_rows
 
@@ -275,34 +280,37 @@ def test_family_takes_one_hnf_per_distinct_basis(monkeypatch):
     monkeypatch.setattr(lattice_core, "hnf_rows", counted_hnf_rows)
     fam = family_distinctness(12)
     assert len(fam) == 93
-    assert len(calls) == 368
+    assert len(calls) == 184
 
 
 def test_family_builds_a_matrix_per_distinct_basis(monkeypatch):
     # a repeated basis is met as _slope_basis's integer rows over their
-    # denominator: only the 368 distinct ones of the 1,248 pairs and
-    # branches become a Matrix
+    # denominator: only the 184 distinct ones of the 624 pairs become a
+    # Matrix.  The sweep's field is built before counting, with its trace
+    # form, the one Matrix a field builds for itself
     calls = []
     scaled = Matrix.scaled.__func__
+    ambient = QuadAmbient(3, -1)
+    ambient.trace_form()
+    monkeypatch.setattr(quadratic_a2, "QuadAmbient", lambda d, sign: ambient)
 
     def counted_scaled(cls, *args, **kwargs):
         calls.append(1)
         return scaled(cls, *args, **kwargs)
 
-    quadratic_a2._quad_ambient(3, -1)
     monkeypatch.setattr(Matrix, "scaled", classmethod(counted_scaled))
     fam = family_distinctness(12)
     assert len(fam) == 93
-    assert len(calls) == 368
+    assert len(calls) == 184
 
 
 def test_slope_basis_is_in_lowest_terms():
-    for s0, s1, branch in [(1, 0, "+"), (2, -3, "-"), (-5, 4, "+"), (6, 6, "-")]:
-        rows, den = _slope_basis(s0, s1, branch)
+    for s0, s1 in [(1, 0), (2, -3), (-5, 4), (6, 6)]:
+        rows, den = _slope_basis(s0, s1)
         assert den > 0 and gcd(den, *rows[0], *rows[1]) == 1
         basis = Matrix.scaled(rows, den)
         assert (basis.ints, basis.den) == (rows, den)
-        assert slope_lattice(s0, s1, branch).basis == basis
+        assert slope_lattice(s0, s1).basis == basis
 
 
 def test_family_height_10_meets_threshold():
@@ -460,7 +468,6 @@ def test_falsifier_factors_the_radicand_once(monkeypatch):
 
     monkeypatch.setattr(quadratic_a2, "squarefree_kernel", counted_kernel)
     d = 9999999967 * 9999999943
-    quadratic_a2._quad_ambient.cache_clear()
     assert falsify_a2(d, 1) is None
     assert calls == [d]
 
