@@ -123,7 +123,9 @@ class NotMaximal(TraceLatticeError):
 
 
 class NotFound(TraceLatticeError):
-    """An object the theory guarantees was not found; indicates a bug upstream."""
+    """The object asked for does not exist for this order: O/2O is not reduced
+    (2 ramifies or divides the index), or disc(O) or a different exponent
+    allows no square root of the trace dual."""
 
 
 class TwoInert(TraceLatticeError):

@@ -102,9 +102,6 @@ class TraceLattice:
         object.__setattr__(out, "_key", self._key)
         return out
 
-    def rank(self) -> int:
-        return self.basis.rows
-
     def __repr__(self) -> str:
         tag = f", type={self.type_tag}" if self.type_tag else ""
         return f"TraceLattice(ambient={self.ambient.descriptor()}{tag})"

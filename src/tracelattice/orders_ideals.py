@@ -15,23 +15,21 @@ linearized Frobenius iterate x -> x^(p^e) with p^e >= n (square-and-multiply,
 so a large p costs O(log p) products), its preimage J is
 an O-ideal, and the idealizer {x : xJ <= J} strictly contains O exactly
 when O is not p-maximal.  Each step is a mod-p nullspace computation, so
-the whole climb is exact integer linear algebra.  The trace dual D^-1 and
-the primes above 2 (the kernels of the ring maps O -> F_2) work at any n.
+the whole climb is exact integer linear algebra.  The trace dual D^-1, the
+primes above 2 (from the primitive idempotents of O/2O) and, in a Galois
+field of odd degree, the square root of D^-1 (D^-1 times powers of
+p-radicals, certified by squaring) work at any n.
 
 Cubic only, as their mathematics is: equation_order(t) and maximal_order(t)
-take the Shanks parameter; sqrt_different_inverse is the cyclic-cubic closed
-form prod p^-1 P_p^2 over the tame primes p of the conductor times 3^-1 P_3
-when 3 ramifies (P_p the p-radical), certified by squaring it back to D^-1,
-so elsewhere it raises NotFound; fake_a3 multiplies a prime above 2 into it.
+take the Shanks parameter; fake_a3 multiplies a prime above 2 into the root.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
 from operator import mul
 from typing import NamedTuple, Sequence
 
-from ._intfactor import factor, is_probable_prime, is_square
+from ._intfactor import factor, is_square
 from .errors import NotFound, NotMaximal, TwoInert, number_text
 from .exact_linalg import Matrix, det, hnf_coords
 from .lattice_core import (
@@ -218,12 +216,15 @@ def _p_radical(o: Order, p: int) -> Matrix:
     return Matrix.scaled(h)
 
 
-def _enlarge_at(o: Order, p: int) -> Order:
-    """One idealizer step: O' = {x : x J <= J} for J the p-radical ideal.
+def _enlarge_at(o: Order, p: int) -> Order | None:
+    """One idealizer step: O' = {x : x J <= J} for J the p-radical ideal, or
+    None when O' = O.
 
     With H the integer HNF of J in O-coordinates, o_m * j_k = sum_l H_kl c_ml
     is read against H; x = sum_m y_m o_m maps J into pJ exactly when those
-    J-coordinates, weighted by y, vanish mod p, and then x / p is in O'."""
+    J-coordinates, weighted by y, vanish mod p, and then x / p is in O'.  The
+    y in pO give O itself, and any y nonzero mod p gives an x / p outside O,
+    so O' = O exactly when that kernel mod p is zero."""
     h = _p_radical(o, p).ints
     stacked = []
     for hk in h:
@@ -231,20 +232,21 @@ def _enlarge_at(o: Order, p: int) -> Order:
         assert None not in block  # J is an O-ideal
         stacked.extend(zip(*block))
     ys = _nullspace_mod(stacked, p, len(h))
+    if not ys:
+        return None
     # O' is spanned by the rows of (p I; Y) / p in O-coordinates
     return Order(o.ambient, Matrix.scaled(_scalar_rows(len(h), p) + ys, p) * o.basis)
 
 
 def dedekind_maximalize(o: Order, p: int) -> Order:
-    """The p-maximal order over o: enlarge until the discriminant stops
-    dropping; each strict step divides it by an even power of p."""
-    while True:
-        bigger = _enlarge_at(o, p)
-        if bigger.disc == o.disc:
-            return o
+    """The p-maximal order over o: enlarge until the idealizer step is a
+    fixed point; each strict step divides the discriminant by an even power
+    of p."""
+    while (bigger := _enlarge_at(o, p)) is not None:
         quot, rem = divmod(o.disc, bigger.disc)
         assert rem == 0 and is_square(quot) and quot % (p * p) == 0
         o = bigger
+    return o
 
 
 def _disc_factors(o: Order) -> dict[int, int]:
@@ -287,10 +289,7 @@ def maximal_order(t) -> Order:
 def is_maximal(o: Order) -> bool:
     """True iff every idealizer step at a square-dividing prime is a fixed
     point."""
-    for p, e in _disc_factors(o).items():
-        if e >= 2 and _enlarge_at(o, p).disc != o.disc:
-            return False
-    return True
+    return all(e < 2 or _enlarge_at(o, p) is None for p, e in _disc_factors(o).items())
 
 
 def different_inverse(o: Order) -> IdealLattice:
@@ -316,66 +315,68 @@ def sqrt_different_inverse(o: Order) -> IdealLattice:
     """The ideal C with C^2 = D^-1, the trace dual of the maximal order,
     computed on first use and kept on the order.
 
-    Every ramified prime of a cyclic cubic field is totally ramified,
-    pZ_F = P_p^3, and the different is prod P_p^2 over the tame p with P_3^4
-    at 3 (Erez, Math. Z. 208, 1991).  Hence C = prod p^-1 P_p^2 (tame p | m)
-    * 3^-1 P_3 (if 3 | m), m the conductor, with P_p the p-radical.  C is
-    unique by ideal factorization; the result is certified by squaring it
-    back to different_inverse(o) exactly and by checking that it contains
-    Z_F."""
-    return o._first_use("_root", _closed_form_root)
+    In a Galois field the primes above p share e, f and the different
+    exponent d_p, so the p-part of the different is R_p^(d_p), R_p the
+    p-radical, and d_p = v_p(disc O) / fg, where p^(fg) = [O : R_p] is the
+    product of R_p's HNF pivots.  By Hilbert's formula d_p is even when the
+    degree is odd (a cyclic cubic has d_p = 2 at tame p and 4 at p = 3), and
+    C = D^-1 prod R_p^(d_p / 2), unique by ideal factorization.  C is
+    certified by squaring it back to different_inverse(o) exactly, which
+    rejects an odd d_p, and by containing O; NotFound when disc(O) is not a
+    square or a certificate fails."""
+    return o._first_use("_root", _radical_root)
 
 
-def _closed_form_root(o: Order) -> IdealLattice:
-    m = isqrt(o.disc)
-    if m * m != o.disc:
+def _radical_root(o: Order) -> IdealLattice:
+    if not is_square(o.disc):
         raise NotFound(f"discriminant {number_text(o.disc)} is not a square")
-    dinv = o._first_use("_dinv", _trace_dual)  # different_inverse(o), from its slot
-    root = IdealLattice(o, o.basis)
-    for p in _disc_factors(o):  # the primes of m, as m^2 = disc
-        rad = IdealLattice(o, _p_radical(o, p) * o.basis)
-        # pZ_F = P_p^3, so P_p^-1 = p^-1 P_p^2 and P_3^-2 = 3^-1 P_3
-        power = rad if p == 3 else module_product(rad, rad)
-        root = module_product(root, IdealLattice(o, power.basis * F(1, p)))
+    root = dinv = o._first_use("_dinv", _trace_dual)  # different_inverse(o), from its slot
+    for p, v in _disc_factors(o).items():
+        h = _p_radical(o, p)
+        fg = sum(row[i] == p for i, row in enumerate(h.ints))
+        rad = IdealLattice(o, h * o.basis)
+        for _ in range(v // (2 * fg)):
+            root = module_product(root, rad)
     if module_product(root, root).basis != dinv.basis:
-        raise NotFound("the closed-form root does not square to the trace dual")
+        raise NotFound("the root does not square to the trace dual")
     if span_coords(root.basis, o.basis) is None:
-        raise NotFound("the closed-form root does not contain the order")
+        raise NotFound("the root does not contain the order")
     return root
 
 
 def primes_above_2(o: Order) -> list[IdealLattice]:
-    """The primes of residue degree 1 above 2 in HNF order, or [2 O] when 2
-    is inert, found on first use and kept on the order; each call returns a
-    new list.  They are the kernels of the ring maps O -> F_2: the nonzero
-    w in F_2^n with w(o_i o_j) = w(o_i) w(o_j), among 2^n - 1 candidates.
-    In a Galois field where 2 is unramified there are n of them or none;
-    none makes 2 inert only at prime n (residue degree 1 or n), so at
-    composite n it raises NotFound: Q(zeta_7) has two primes of degree 3.
-    Any other count means 2 ramifies (Z[i]: one map), and raises NotFound."""
-    return list(o._first_use("_primes2", _ring_map_primes))
+    """The primes above 2 in HNF order, found on first use and kept on the
+    order; each call returns a new list.  Squaring is F_2-linear on O/2O; a
+    nonzero kernel means O/2O is not reduced (2 ramifies or divides the
+    index of O) and raises NotFound.  Otherwise O/2O is a product of g
+    fields F_(2^f), its squaring-fixed elements F_2^g are spanned by the
+    primitive idempotents, and splitting 1 by a basis of them yields those
+    idempotents e (Berlekamp 1967; Cohen, GTM 138, Sec. 6.2).  The prime of
+    e is 2O + {a : ea = 0}, of index 2^f; when 2 is inert that is 2O."""
+    return list(o._first_use("_primes2", _idempotent_primes))
 
 
-def _ring_map_primes(o: Order) -> tuple[IdealLattice, ...]:
-    n = o.ambient.degree
-    kernels = []
-    for m in range(1, 2**n):
-        w = [(m >> i) & 1 for i in range(n)]
-        if all(
-            (sum(map(mul, w, c)) - w[i] * w[j]) % 2 == 0
-            for i, row in enumerate(o.table)
-            for j, c in enumerate(row)
-        ):
-            kernels.append(_nullspace_mod([w], 2, n))
-    if len(kernels) not in (0, n):
-        raise NotFound(f"2 ramifies: {len(kernels)} ring maps to F_2 in degree {n}")
-    if not kernels:
-        if not is_probable_prime(n):
-            raise NotFound(f"2 has no prime of residue degree 1 in degree {n}, not a prime")
-        return (_make_ideal(o, o.basis * 2),)
-    two = _scalar_rows(n, 2)
-    primes = sorted(hnf_span(Matrix.scaled(two + k))[1] for k in kernels)
-    return tuple(_make_ideal(o, Matrix.scaled(h) * o.basis) for h in primes)
+def _idempotent_primes(o: Order) -> tuple[IdealLattice, ...]:
+    table = o.table
+    n = len(table)
+    units = _scalar_rows(n, 1)
+    # the matrix of x -> x^2 on O/2O, whose columns are the squares of the o_k
+    square = list(zip(*(_mul_mod(table, u, u, 2) for u in units)))
+    if _nullspace_mod(square, 2, n):
+        raise NotFound("O/2O is not reduced: 2 ramifies or divides the index of the order")
+    fixed = _nullspace_mod([[a - b for a, b in zip(r, u)] for r, u in zip(square, units)], 2, n)
+    # 1 in O-coordinates may have entries other than 0 and 1; as an element
+    # of O/2O it is reduced mod 2 like every other
+    (one,) = span_coords(o.basis, Matrix([o.ambient.one()]))
+    parts = [[x % 2 for x in one]]
+    for b in fixed:
+        split = [(e, _mul_mod(table, e, b, 2)) for e in parts]
+        parts = [q for e, eb in split for q in (eb, [x ^ y for x, y in zip(e, eb)]) if any(q)]
+    two, primes = _scalar_rows(n, 2), []
+    for e in parts:
+        times_e = list(zip(*(_mul_mod(table, e, u, 2) for u in units)))
+        primes.append(hnf_span(Matrix.scaled(two + _nullspace_mod(times_e, 2, n)))[1])
+    return tuple(_make_ideal(o, Matrix.scaled(h) * o.basis) for h in sorted(primes))
 
 
 def fake_a3(o: Order) -> TraceLattice:

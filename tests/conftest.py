@@ -6,20 +6,15 @@ import pytest
 
 
 @pytest.fixture
-def enumeration_work():
-    """A function that makes one call and returns its result with the
-    number of _fincke_pohst calls and of descend nodes the call made,
-    counted with sys.settrace, so a bound on work does not depend on the
-    host's load."""
-    from tracelattice.lattice_core import _fincke_pohst
+def call_counts():
+    """A function run(targets, fn, *args) that makes one call fn(*args) and
+    returns its result followed by the number of calls made to each target,
+    a function or a code object, counted with sys.settrace, so a bound on
+    work does not depend on the host's load."""
 
-    enumerate_code = _fincke_pohst.__code__
-    (descend_code,) = [
-        c for c in enumerate_code.co_consts if getattr(c, "co_name", None) == "descend"
-    ]
-
-    def run(fn, *args):
-        counts = {enumerate_code: 0, descend_code: 0}
+    def run(targets, fn, *args):
+        codes = [getattr(target, "__code__", target) for target in targets]
+        counts = dict.fromkeys(codes, 0)
 
         def count(frame, event, arg):
             if frame.f_code in counts:
@@ -31,6 +26,19 @@ def enumeration_work():
             result = fn(*args)
         finally:
             sys.settrace(previous)
-        return result, counts[enumerate_code], counts[descend_code]
+        return (result, *(counts[code] for code in codes))
 
     return run
+
+
+@pytest.fixture
+def enumeration_codes():
+    """The code objects of _fincke_pohst and of its nested descend: their
+    calls are the short-vector enumerations and their nodes."""
+    from tracelattice.lattice_core import _fincke_pohst
+
+    enumerate_code = _fincke_pohst.__code__
+    (descend_code,) = [
+        c for c in enumerate_code.co_consts if getattr(c, "co_name", None) == "descend"
+    ]
+    return [enumerate_code, descend_code]

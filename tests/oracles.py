@@ -4,7 +4,9 @@ Everything here is deliberately naive: short vectors by exhaustive box
 enumeration with numpy, or for a Gram W W^T over the ball of images x W,
 lattice equivalence by brute-force row search over GL(n, Z), Gram matrices
 built straight from Dynkin diagram adjacency, the square root of a cubic
-trace dual by search over all sublattices of the right index, trace Grams
+trace dual by search over all sublattices of the right index, the primes
+of index 2 above 2 as the kernels of the ring maps O -> F_2 found by a scan
+of all 2^n - 1 candidates, trace Grams
 from polynomial products and Newton sums, Hermite forms by extended-gcd row
 pairs and by Euclidean steps on the least pivot, the norm-one points of
 x^2 + d y^2 = 1 by a scan of every x = a/m of bounded height, the A2
@@ -472,6 +474,31 @@ def sqrt_dual_by_search(t, order_rows, dual_rows) -> list[list[list[Fraction]]]:
         if math.gcd(*minors) == 1:
             hits.append(c)
     return hits
+
+
+def index_two_primes_by_scan(table, basis) -> list[list[list[Fraction]]]:
+    """The primes of index 2 of the order with structure constants table,
+    o_i o_j = sum_k table[i][j][k] o_k, and basis rows basis: the kernels of
+    the ring maps O -> F_2, each the nonzero w in F_2^n with
+    w(o_i o_j) = w(o_i) w(o_j), among all 2^n - 1 candidates.  The kernel
+    {x : w.x even} has the rows 2 o_k and o_j + w_j o_k (j != k) for the
+    first k with w_k = 1, returned over the basis."""
+    n = len(table)
+    out = []
+    for w in itertools.product((0, 1), repeat=n):
+        if not any(w) or any(
+            (sum(a * c for a, c in zip(w, table[i][j])) - w[i] * w[j]) % 2
+            for i in range(n)
+            for j in range(n)
+        ):
+            continue
+        k = w.index(1)
+        coords = [
+            [2 * int(i == k) if j == k else int(i == j) + w[j] * int(i == k) for i in range(n)]
+            for j in range(n)
+        ]
+        out.append([_vecmat(row, basis) for row in coords])
+    return out
 
 
 def same_lattice(a, b) -> bool:

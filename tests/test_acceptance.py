@@ -159,14 +159,14 @@ def test_criterion_4_selfdual_family_and_identity(selfdual_members):
     assert m * eye * m.transpose() == NORMAL_A3
 
 
-def test_criterion_5_cyclotomic_classifications(capsys, enumeration_work):
+def test_criterion_5_cyclotomic_classifications(capsys, call_counts, enumeration_codes):
     for p in (3, 5, 7):
         code = main(["cyclotomic", "--p", str(p)])
         out = capsys.readouterr().out
         assert code == 0 and json.loads(out) == {"type": f"A{p - 1}"}
     # the work is bounded, not the time: one short-vector enumeration, of
     # 340 nodes
-    code, enumerations, nodes = enumeration_work(main, ["cyclotomic", "--p", "11"])
+    code, enumerations, nodes = call_counts(enumeration_codes, main, ["cyclotomic", "--p", "11"])
     out = capsys.readouterr().out
     assert code == 0 and json.loads(out) == {"type": "A10"}
     assert enumerations == 1 and nodes <= 2000, nodes

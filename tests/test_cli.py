@@ -399,7 +399,7 @@ def test_order_command_derives_each_ideal_once(monkeypatch, capsys):
     # --different, --sqrt-different and --fake-a3 all read D^-1: the order
     # computes each once and keeps it
     calls = {"dual": 0, "primes": 0}
-    trace_dual, ring_map_primes = orders_ideals._trace_dual, orders_ideals._ring_map_primes
+    trace_dual, idempotent_primes = orders_ideals._trace_dual, orders_ideals._idempotent_primes
 
     def counted_dual(o):
         calls["dual"] += 1
@@ -407,10 +407,10 @@ def test_order_command_derives_each_ideal_once(monkeypatch, capsys):
 
     def counted_primes(o):
         calls["primes"] += 1
-        return ring_map_primes(o)
+        return idempotent_primes(o)
 
     monkeypatch.setattr(orders_ideals, "_trace_dual", counted_dual)
-    monkeypatch.setattr(orders_ideals, "_ring_map_primes", counted_primes)
+    monkeypatch.setattr(orders_ideals, "_idempotent_primes", counted_primes)
     args = ["order", "--t=-1/2", "--different", "--sqrt-different", "--primes2", "--fake-a3"]
     assert main(args) == 0
     out = capsys.readouterr().out

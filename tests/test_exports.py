@@ -1,6 +1,7 @@
 """The package's public names: each resolves, on first use, to the object of
-its home module.  Each of them, and every other name a module of the package
-defines at top level, is read by the program, not only by its tests."""
+its home module.  Each of them, every other name a module of the package
+defines at top level and every method of its classes but the dunders is read
+by the program, not only by its tests."""
 
 import ast
 import importlib
@@ -119,7 +120,8 @@ def _program_reads() -> set[str]:
 
 def _module_names() -> set[str]:
     """Every name a module of the package (__init__.py aside) binds at top
-    level by def, class or assignment, private names too."""
+    level by def, class or assignment, private names too, and every method
+    its classes define other than the dunders."""
     out = set()
     for path in (ROOT / "src" / "tracelattice").glob("*.py"):
         if path.name == "__init__.py":
@@ -127,6 +129,12 @@ def _module_names() -> set[str]:
         for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
             if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
                 out.add(stmt.name)
+            if isinstance(stmt, ast.ClassDef):
+                out.update(
+                    node.name
+                    for node in stmt.body
+                    if isinstance(node, ast.FunctionDef) and not node.name.startswith("__")
+                )
             elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
                 targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
                 out.update(
@@ -139,8 +147,8 @@ def _module_names() -> set[str]:
 
 
 def test_every_public_name_has_a_reader_in_the_program():
-    # a public name, or a module-level one, that only the tests read is a
-    # second path through the program
+    # a public name, a module-level one or a method that only the tests read
+    # is a second path through the program
     reads = _program_reads()
     names = {name for names in tracelattice._EXPORTS.values() for name in names}
     assert sorted((names | _module_names()) - KEPT_UNREAD - reads) == []

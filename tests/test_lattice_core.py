@@ -567,7 +567,9 @@ def test_classify_at_the_rank_cap():
     assert classify_gram(Matrix.from_rows(conjugate_gram(u, gram_D(32)))) == "D32"
 
 
-def test_classify_odd_unimodular_with_too_few_unit_vectors_is_other(enumeration_work):
+def test_classify_odd_unimodular_with_too_few_unit_vectors_is_other(
+    call_counts, enumeration_codes
+):
     # E8 + I_14 is odd with det 1 but only 14 norm-1 sign-reps at rank 22;
     # the frame is read off the norm-1 vectors, not searched over orderings.
     # The work is bounded, not the time: one short-vector enumeration per
@@ -579,7 +581,9 @@ def test_classify_odd_unimodular_with_too_few_unit_vectors_is_other(enumeration_
             rows[i][j] = E8[i][j]
     u = random_unimodular(random.Random(22), n, 8 * n)
     for gram in (rows, conjugate_gram(u, rows)):
-        label, enumerations, nodes = enumeration_work(classify_gram, Matrix.from_rows(gram))
+        label, enumerations, nodes = call_counts(
+            enumeration_codes, classify_gram, Matrix.from_rows(gram)
+        )
         assert label == "other"
         assert enumerations == 1 and nodes <= 2000, nodes
 
@@ -839,7 +843,7 @@ def _oracle_maps(ambient):
 def _assert_stability(L, expected):
     """galois_stable against the B S B^-1 oracle and the value theory
     gives."""
-    rows = [L.basis.row(i) for i in range(L.rank())]
+    rows = [L.basis.row(i) for i in range(L.basis.rows)]
     assert galois_stable_by_inverse(_oracle_maps(L.ambient), rows) is expected
     assert galois_stable(L) is expected
 

@@ -1,14 +1,17 @@
 """Orders, duals, primes above 2, and the odd determinant-4 lattices.
 
 sympy's round_two is the independent oracle for maximal-order
-discriminants, and an exhaustive sublattice search (tests/oracles.py) for
-the square root of the trace dual at small conductors; everything else is
+discriminants, an exhaustive sublattice search (tests/oracles.py) for the
+square root of the trace dual at small conductors, and a scan of all 2^n - 1
+candidate ring maps O -> F_2 for the primes of index 2; everything else is
 checked against frozen hand values and the index-discriminant law
 disc(suborder) = index^2 * disc(order).  The rank-n orders are checked on
-Z[zeta_n] against the known |disc Q(zeta_n)| = 5^3, 7^5, 3^9.
+Z[zeta_n] against the known |disc Q(zeta_n)| = 5^3, 7^5, 3^9, and their
+primes above 2 against the Dedekind-Kummer count.
 """
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -17,7 +20,7 @@ from sympy import Poly, QQ
 from sympy.abc import x as _x
 from sympy.polys.numberfields.basis import round_two
 
-from oracles import same_lattice, sqrt_dual_by_search
+from oracles import index_two_primes_by_scan, same_lattice, sqrt_dual_by_search
 from tracelattice._intfactor import an_exclusion, is_square, squarefree_kernel
 from tracelattice.cyclotomic_ideals import cyc_field
 from tracelattice.errors import (
@@ -49,6 +52,8 @@ from tracelattice.orders_ideals import (
     primes_above_2,
     sqrt_different_inverse,
     _make_ideal,
+    _mul_mod,
+    _nullspace_mod,
     _p_radical,
 )
 from tracelattice.shanks_field import new_field
@@ -254,6 +259,22 @@ def test_sqrt_different_inverse_large_conductors(t, m):
     assert classify_root_type(c.lattice()) == "unimodular_odd"
 
 
+@pytest.mark.parametrize(
+    "n,reason",
+    [
+        # disc Z[zeta_5] = 5^3
+        (5, "not a square"),
+        # disc Z[zeta_12] = 2^4 3^2 is a square, but 3 = P^2 with P of index
+        # 9, so the different exponent at 3 is 1, which is odd
+        (12, "does not square to the trace dual"),
+    ],
+)
+def test_sqrt_different_inverse_not_found(n, reason):
+    o = Order(cyc_field(n), Matrix.identity(4))
+    with pytest.raises(NotFound, match=reason):
+        sqrt_different_inverse(o)
+
+
 # ---------------------------------------------------------------------------
 # primes above 2
 
@@ -335,18 +356,75 @@ def test_p_radical_of_wild_prime_at_rank_six():
     assert det(_p_radical(o, 3)) == 3
 
 
-def test_primes_above_2_needs_prime_degree_to_call_2_inert():
-    cases = [
-        # 2 has order 3 mod 7: two primes of degree 3, no hyperplane ideal
-        (7, 6, "not a prime"),
-        # 2 ramifies in Z[i]: one ring map to F_2, with kernel (1 + i)
-        (4, 2, "ramifies"),
-        # 2 ramifies totally in Z[zeta_8]: one ring map to F_2
-        (8, 4, "ramifies"),
-    ]
-    for n, phi, reason in cases:
-        with pytest.raises(NotFound, match=reason):
-            primes_above_2(Order(cyc_field(n), Matrix.identity(phi)))
+def _order_of_2(n: int) -> int:
+    f, power = 1, 2 % n
+    while power != 1:
+        f, power = f + 1, power * 2 % n
+    return f
+
+
+@pytest.mark.parametrize("n", [7, 9, 11, 15, 17, 21, 31])
+def test_primes_above_2_in_cyclotomic_integers(n):
+    # Dedekind-Kummer: for odd n, 2 Z[zeta_n] is a product of phi(n)/f
+    # distinct primes of index 2^f, f the order of 2 mod n; f = phi(n) at
+    # n = 9 and 11, where 2 is inert
+    phi = sum(math.gcd(k, n) == 1 for k in range(1, n))
+    f = _order_of_2(n)
+    o = Order(cyc_field(n), Matrix.identity(phi))
+    primes = primes_above_2(o)
+    assert len(primes) == phi // f
+    assert all(det(p.basis) == 2**f for p in primes)
+    product = primes[0]
+    for p in primes[1:]:
+        product = module_product(product, p)
+    assert product.basis == o.basis * 2
+
+
+def test_primes_above_2_work_at_rank_30(call_counts):
+    # Z[zeta_31], n = 30 and g = 6: the squaring map takes n products, the
+    # split of 1 at most 2g and each prime's multiplication map n; one
+    # nullspace for the kernels of squaring and of squaring - 1, one per prime
+    o = Order(cyc_field(31), Matrix.identity(30))
+    primes, products, nullspaces = call_counts([_mul_mod, _nullspace_mod], primes_above_2, o)
+    assert len(primes) == 6 and all(det(p.basis) == 2**5 for p in primes)
+    assert products <= 30 * (6 + 2) and nullspaces == 6 + 2
+
+
+@pytest.mark.parametrize(
+    "o",
+    [
+        # 2 ramifies in Z[i], (1 + i)^2 = 2i, and totally in Z[zeta_8]
+        Order(cyc_field(4), Matrix.identity(2)),
+        Order(cyc_field(8), Matrix.identity(4)),
+        # 2 divides the index of Z[2 eps] in the maximal order
+        equation_order(F(1, 2)),
+    ],
+    ids=["Z[i]", "Z[zeta_8]", "t=1/2"],
+)
+def test_primes_above_2_needs_o_mod_2_reduced(o):
+    with pytest.raises(NotFound, match="not reduced"):
+        primes_above_2(o)
+
+
+def test_primes_above_2_match_the_ring_map_scan():
+    # where 2 splits its primes are the kernels of the three ring maps
+    # O -> F_2; where it is inert there is none, and the one prime is 2 O
+    split = inert = 0
+    for t in {F(a, b) for a in range(-6, 7) for b in (1, 2, 4)}:
+        if not _in_family(t):
+            continue
+        mo = maximal_order(t)
+        scanned = index_two_primes_by_scan(mo.table, _rows(mo.basis))
+        primes = primes_above_2(mo)
+        if scanned:
+            split += 1
+            assert len(primes) == len(scanned) == 3
+            for p in primes:
+                assert sum(same_lattice(_rows(p.basis), q) for q in scanned) == 1
+        else:
+            inert += 1
+            assert [p.basis for p in primes] == [mo.basis * 2]
+    assert split and inert
 
 
 def test_rank_four_constructor_enforces_closure():
