@@ -14,6 +14,7 @@ from tracelattice import (
     an_exclusion,
     classify_root_type,
     disc_group,
+    equation_order,
     falsify_a2,
     fake_a3_variants,
     family_distinctness,
@@ -28,7 +29,7 @@ def square_discriminants():
     print("Field discriminants of cyclic cubics are perfect squares")
     print("=" * 64)
     for t in (F(1), F(0), F(2), F(5), F(1, 2), F(7, 3)):
-        d = maximal_order(t).disc
+        d = maximal_order(equation_order(t)).disc
         print(f"  t = {str(t):>4}: d_F = {d:>6} = {math.isqrt(d)}^2")
     print()
     print("Squarefree-kernel exclusions:")
@@ -55,7 +56,7 @@ def fake_a3_story():
     print("=" * 64)
     print("The imposter: odd, disc group Z/4, not Galois stable")
     print("=" * 64)
-    order = maximal_order(F(1, 2))
+    order = maximal_order(equation_order(F(1, 2)))
     print(f"  field: splitting field of the t = 1/2 cubic, d_F = {order.disc}")
     for L in fake_a3_variants(order):
         w = odd_trace_witness(L)

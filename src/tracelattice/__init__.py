@@ -52,7 +52,6 @@ _EXPORTS = {
     "orders_ideals": (
         "IdealLattice",
         "Order",
-        "dedekind_maximalize",
         "different_inverse",
         "equation_order",
         "fake_a3",

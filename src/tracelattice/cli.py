@@ -145,7 +145,7 @@ def _run_order(args, parser):
     from .serialize import hnf_json, lattice_json, matrix_json
 
     eq = equation_order(args.t)
-    mx = maximal_order(args.t)
+    mx = maximal_order(eq)
     doc = {
         "t": rational_str(args.t),
         "equation_order": {"basis": matrix_json(eq.basis), "disc": eq.disc},

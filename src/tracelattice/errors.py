@@ -115,11 +115,11 @@ class NotPrime(TraceLatticeError):
 
 
 class TooLarge(TraceLatticeError):
-    """Input exceeds the desk-scale bound this operation guarantees."""
+    """An output number is past the interpreter's int-to-str digit limit."""
 
 
 class NotMaximal(TraceLatticeError):
-    """A maximal order was required (the trace dual is not ring-stable)."""
+    """A maximal order was required: an idealizer step enlarges this one."""
 
 
 class NotFound(TraceLatticeError):

@@ -314,12 +314,13 @@ def short_vectors_gram(
     The enumeration runs on the LLL-reduced integer rows of the Gram (a
     rational Gram is ints / den, so the budget is floor(bound * den)) and
     every vector is mapped back through the unimodular transform, so
-    coefficients are in the caller's basis."""
+    coefficients are in the caller's basis.  The Gram is checked symmetric
+    and positive definite whatever the bound."""
     bound = rat(bound)
-    if bound < 0:
-        return []
     _check_symmetric(gram)
     _, u, d, lam = _lll_gram(gram.ints)
+    if bound < 0:
+        return []
     den = gram.den
     cols = list(zip(*u))
     found = _fincke_pohst(d, lam, bound.numerator * den // bound.denominator)

@@ -9,19 +9,20 @@ coefficients?" is span_coords against the basis's hnf_span, no inverse;
 a canonical basis is a Matrix whose integer rows are that HNF, and the
 products of two bases come from PowerBasisField.products, in int.
 
-The maximal order is reached by repeated p-enlargement (Pohst-Zassenhaus;
-Cohen, GTM 138, Sec. 6.1): the p-radical of O/pO is the kernel of the
-linearized Frobenius iterate x -> x^(p^e) with p^e >= n (square-and-multiply,
-so a large p costs O(log p) products), its preimage J is
-an O-ideal, and the idealizer {x : xJ <= J} strictly contains O exactly
+maximal_order(o) climbs from any order by repeated p-enlargement
+(Pohst-Zassenhaus; Cohen, GTM 138, Sec. 6.1): the p-radical of O/pO is the
+kernel of the linearized Frobenius iterate x -> x^(p^e) with p^e >= n
+(square-and-multiply, so a large p costs O(log p) products), its preimage J
+is an O-ideal, and the idealizer {x : xJ <= J} strictly contains O exactly
 when O is not p-maximal.  Each step is a mod-p nullspace computation, so
-the whole climb is exact integer linear algebra.  The trace dual D^-1, the
-primes above 2 (from the primitive idempotents of O/2O) and, in a Galois
-field of odd degree, the square root of D^-1 (D^-1 times powers of
-p-radicals, certified by squaring) work at any n.
+the whole climb is exact integer linear algebra, and the order it returns
+records that it is maximal.  The trace dual D^-1, the primes above 2 (from
+the primitive idempotents of O/2O) and, in a Galois field of odd degree,
+the square root of D^-1 (D^-1 times powers of p-radicals, certified by
+squaring) work at any n.
 
-Cubic only, as their mathematics is: equation_order(t) and maximal_order(t)
-take the Shanks parameter; fake_a3 multiplies a prime above 2 into the root.
+Cubic only, as their mathematics is: equation_order(t) takes the Shanks
+parameter; fake_a3 multiplies a prime above 2 into the root.
 """
 from __future__ import annotations
 
@@ -54,12 +55,14 @@ class Order:
     PowerBasisField of degree n, with its trace Gram, its discriminant and
     its structure constants: table[i][j] holds the integer coordinates of
     o_i * o_j.  The basis is kept in canonical Hermite form.  The
-    factorization of the discriminant and the ideals derived from the order
-    (different_inverse, sqrt_different_inverse, primes_above_2) are
-    computed on first use and kept."""
+    factorization of the discriminant, whether the order is maximal and the
+    ideals derived from the order (different_inverse, sqrt_different_inverse,
+    primes_above_2) are computed on first use and kept; maximal_order fills
+    the first two on the order it returns."""
 
     __slots__ = (
-        "ambient", "basis", "gram", "disc", "table", "_factors", "_dinv", "_root", "_primes2",
+        "ambient", "basis", "gram", "disc", "table",
+        "_factors", "_maximal", "_dinv", "_root", "_primes2",
     )
 
     def __init__(self, ambient: PowerBasisField, basis: Matrix | Sequence):
@@ -83,7 +86,7 @@ class Order:
         object.__setattr__(
             self, "table", tuple(tuple(map(tuple, table[i : i + n])) for i in range(0, n * n, n))
         )
-        for slot in ("_factors", "_dinv", "_root", "_primes2"):
+        for slot in ("_factors", "_maximal", "_dinv", "_root", "_primes2"):
             object.__setattr__(self, slot, None)
 
     def __setattr__(self, name, value):
@@ -137,11 +140,13 @@ def module_product(a: IdealLattice, b: IdealLattice) -> IdealLattice:
 
 def equation_order(t) -> Order:
     """Z[theta] for theta = q * eps, the least positive multiple of eps with
-    an integral minimal polynomial (q the denominator of t)."""
+    an integral minimal polynomial (q the denominator of t).  Its
+    discriminant is a square, and maximal_order divides it by squares."""
     field = new_field(t)
     q = F(t).denominator
-    basis = Matrix.from_rows([[1, 0, 0], [0, q, 0], [0, 0, q * q]])
-    return Order(field, basis)
+    o = Order(field, Matrix.from_rows([[1, 0, 0], [0, q, 0], [0, 0, q * q]]))
+    assert is_square(o.disc)
+    return o
 
 
 def _scalar_rows(n: int, p: int) -> list[list[int]]:
@@ -238,17 +243,6 @@ def _enlarge_at(o: Order, p: int) -> Order | None:
     return Order(o.ambient, Matrix.scaled(_scalar_rows(len(h), p) + ys, p) * o.basis)
 
 
-def dedekind_maximalize(o: Order, p: int) -> Order:
-    """The p-maximal order over o: enlarge until the idealizer step is a
-    fixed point; each strict step divides the discriminant by an even power
-    of p."""
-    while (bigger := _enlarge_at(o, p)) is not None:
-        quot, rem = divmod(o.disc, bigger.disc)
-        assert rem == 0 and is_square(quot) and quot % (p * p) == 0
-        o = bigger
-    return o
-
-
 def _disc_factors(o: Order) -> dict[int, int]:
     """The prime factorization of disc(O), in increasing primes, computed on
     first use and kept on the order."""
@@ -269,27 +263,31 @@ def _factor_over(n: int, primes) -> dict[int, int]:
     return out
 
 
-def maximal_order(t) -> Order:
-    """The ring of integers: enlarge the equation order at every prime whose
-    square divides its discriminant.  The result's discriminant is a perfect
-    square, as it must be for a cyclic cubic field.  The equation order's
-    discriminant is the only number factored: each step divides it by a
-    power of a known prime, so the result's factorization is read off those
-    primes and kept on it."""
-    o = equation_order(t)
+def maximal_order(o: Order) -> Order:
+    """The maximal order over o: at every prime p whose square divides
+    disc(o), enlarge until the idealizer step is a fixed point; each strict
+    step divides the discriminant by an even power of p.  A step at q != p
+    changes the index by a power of q only, so p-maximality survives it and
+    the result is recorded as maximal.  disc(o) is the one number factored:
+    the result's factorization is read off its primes and kept."""
     primes = _disc_factors(o)
     for p, e in primes.items():
-        if e >= 2:
-            o = dedekind_maximalize(o, p)
-    assert is_square(o.disc)
+        while e >= 2 and (bigger := _enlarge_at(o, p)) is not None:
+            quot, rem = divmod(o.disc, bigger.disc)
+            assert rem == 0 and is_square(quot) and quot % (p * p) == 0
+            o = bigger
     o._first_use("_factors", lambda o: _factor_over(o.disc, primes))
+    o._first_use("_maximal", lambda o: True)
     return o
 
 
 def is_maximal(o: Order) -> bool:
     """True iff every idealizer step at a square-dividing prime is a fixed
-    point."""
-    return all(e < 2 or _enlarge_at(o, p) is None for p, e in _disc_factors(o).items())
+    point; kept on the order, where maximal_order records it."""
+    return o._first_use(
+        "_maximal",
+        lambda o: all(e < 2 or _enlarge_at(o, p) is None for p, e in _disc_factors(o).items()),
+    )
 
 
 def different_inverse(o: Order) -> IdealLattice:
@@ -297,8 +295,8 @@ def different_inverse(o: Order) -> IdealLattice:
     computed on first use and kept on the order.
 
     The dual of any order is a module over it, so stability cannot witness
-    maximality; non-maximal input is caught by an explicit fixed-point
-    check before the dual is taken."""
+    maximality; non-maximal input is caught by is_maximal before the dual
+    is taken."""
     return o._first_use("_dinv", _trace_dual)
 
 
@@ -334,7 +332,7 @@ def _radical_root(o: Order) -> IdealLattice:
     for p, v in _disc_factors(o).items():
         h = _p_radical(o, p)
         fg = sum(row[i] == p for i, row in enumerate(h.ints))
-        rad = IdealLattice(o, h * o.basis)
+        rad = _make_ideal(o, h * o.basis)
         for _ in range(v // (2 * fg)):
             root = module_product(root, rad)
     if module_product(root, root).basis != dinv.basis:

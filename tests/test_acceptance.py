@@ -34,7 +34,7 @@ from tracelattice.lattice_core import (
     odd_trace_witness,
     short_vectors_gram,
 )
-from tracelattice.orders_ideals import fake_a3, maximal_order
+from tracelattice.orders_ideals import equation_order, fake_a3, maximal_order
 from tracelattice.quadratic_a2 import (
     falsify_a2,
     family_distinctness,
@@ -93,7 +93,7 @@ def example_t0_lattices():
 
 @pytest.fixture(scope="module")
 def fake_field():
-    return maximal_order(F(1, 2))
+    return maximal_order(equation_order(F(1, 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +204,7 @@ def test_criterion_7_obstructions(fake_field):
         t = _rand_rational(rng, 7, 5)
         if t == F(-3, 2):
             continue
-        d_f = maximal_order(t).disc
+        d_f = maximal_order(equation_order(t)).disc
         r = math.isqrt(d_f)
         assert r * r == d_f, f"d_F = {d_f} not square at t={t}"
         squares.append(d_f)
@@ -353,4 +353,4 @@ def _criteria_lattices(example_t0, a3_scans, selfdual, ap_suite, quad_family):
     witness = falsify_a2(3, 5)
     assert witness is not None
     yield witness
-    yield fake_a3(maximal_order(F(1, 2)))
+    yield fake_a3(maximal_order(equation_order(F(1, 2))))

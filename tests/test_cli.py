@@ -418,6 +418,24 @@ def test_order_command_derives_each_ideal_once(monkeypatch, capsys):
     assert (args, hashlib.sha256(out.encode()).hexdigest()) in PINNED_STDOUT_SHA256
 
 
+@pytest.mark.parametrize(
+    "args,orders,steps,radicals",
+    [
+        (["--t=-1/2", "--different", "--sqrt-different", "--primes2", "--fake-a3"], 2, 3, 4),
+        (["--t=3/2", "--different", "--sqrt-different", "--primes2", "--fake-a3"], 2, 4, 6),
+        (["--t=1", "--different", "--sqrt-different"], 1, 1, 2),
+    ],
+)
+def test_order_command_builds_each_order_once(args, orders, steps, radicals, call_counts):
+    # the climb starts from the equation order the command prints, so the
+    # orders built are that one and one per strict idealizer step; the order
+    # the climb returns is recorded as maximal, so the trace dual runs no
+    # idealizer step again, and the square root takes one p-radical per
+    # prime of the discriminant
+    targets = [orders_ideals.Order.__init__, orders_ideals._enlarge_at, orders_ideals._p_radical]
+    assert call_counts(targets, main, ["order", *args]) == (0, orders, steps, radicals)
+
+
 def test_gen_a3_classify_round_trip(capsys):
     code, docs = run_cli(["gen-a3", "--t", "2", "--height", "3"], capsys)
     assert code == 0

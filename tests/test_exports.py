@@ -19,8 +19,8 @@ PUBLIC_NAMES = [
     "TARGET_SELF_DUAL", "TraceLattice", "TraceLatticeError", "TraceTarget",
     "TwoInert", "an_exclusion", "ap_lattice", "canonical_key",
     "classify_gram", "classify_root_type", "cyc_field",
-    "cyclotomic_polynomial", "dedekind_maximalize", "det",
-    "different_inverse", "disc_group", "dual", "dumps_canonical",
+    "cyclotomic_polynomial", "det", "different_inverse", "disc_group",
+    "dual", "dumps_canonical",
     "equation_order", "fake_a3", "fake_a3_variants", "falsify_a2",
     "family_distinctness", "galois_stable", "inverse", "is_integral",
     "is_maximal", "lattice_json", "maximal_order", "member_json",

@@ -400,10 +400,14 @@ def test_short_vectors_on_disguised_root_lattices_are_their_roots(family, n):
 
 
 def test_short_vectors_rejects_asymmetric_and_indefinite_grams():
-    with pytest.raises(NotSymmetric):
-        short_vectors_gram(Matrix.from_rows([[2, 1], [0, 2]]), 2)
-    with pytest.raises(NotPositiveDefinite):
-        short_vectors_gram(Matrix.from_rows([[1, 2], [2, 1]]), 2)
+    # the Gram is checked before a negative bound is answered with []
+    for bound in (2, -1):
+        with pytest.raises(NotSymmetric):
+            short_vectors_gram(Matrix.from_rows([[2, 1], [0, 2]]), bound)
+        for indefinite in ([[1, 2], [2, 1]], [[1, 0], [0, -1]]):
+            with pytest.raises(NotPositiveDefinite):
+                short_vectors_gram(Matrix.from_rows(indefinite), bound)
+    assert short_vectors_gram(Matrix.from_rows([[2, 1], [1, 2]]), -1) == []
 
 
 # --- LLL reduction ----------------------------------------------------------------
@@ -866,8 +870,9 @@ def test_galois_stable_on_orders_and_ideals(t):
     # both fail already at the integrality of the images
     power_basis = TraceLattice.from_rows(new_field(t), [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
     _assert_stability(power_basis, False)
-    _assert_stability(equation_order(t).lattice(), False)
-    o = maximal_order(t)
+    eo = equation_order(t)
+    _assert_stability(eo.lattice(), False)
+    o = maximal_order(eo)
     for L in (o.lattice(), different_inverse(o).lattice(), sqrt_different_inverse(o).lattice()):
         _assert_stability(L, True)
     for ideal in primes_above_2(o):

@@ -41,7 +41,6 @@ from tracelattice.lattice_core import (
 from tracelattice.orders_ideals import (
     IdealLattice,
     Order,
-    dedekind_maximalize,
     different_inverse,
     equation_order,
     fake_a3,
@@ -51,6 +50,7 @@ from tracelattice.orders_ideals import (
     module_product,
     primes_above_2,
     sqrt_different_inverse,
+    _enlarge_at,
     _make_ideal,
     _mul_mod,
     _nullspace_mod,
@@ -133,12 +133,12 @@ def test_order_constructor_enforces_closure():
 
 def test_maximalize_fixed_point_at_conductor_nine():
     eo = equation_order(0)
-    assert dedekind_maximalize(eo, 3).disc == 81
+    assert eo.disc == 81 and maximal_order(eo) == eo
 
 
 def test_maximalize_strips_even_index():
     eo = equation_order(F(1, 2))
-    assert dedekind_maximalize(eo, 2).disc == 1849
+    assert eo.disc == 4 * 1849 and maximal_order(eo).disc == 1849
 
 
 @pytest.mark.parametrize(
@@ -153,14 +153,14 @@ def test_maximalize_strips_even_index():
     ],
 )
 def test_maximal_order_frozen_discs(t, dk):
-    assert maximal_order(t).disc == dk
+    assert maximal_order(equation_order(t)).disc == dk
 
 
 @pytest.mark.parametrize(
     "t", [F(1), F(3), F(1, 2), F(2, 3), F(-5, 4), F(7, 3), F(11, 5)]
 )
 def test_maximal_order_matches_round_two(t):
-    assert maximal_order(t).disc == _round_two_disc(t)
+    assert maximal_order(equation_order(t)).disc == _round_two_disc(t)
 
 
 @given(
@@ -171,7 +171,7 @@ def test_maximal_order_matches_round_two(t):
 @settings(max_examples=25, deadline=None)
 def test_field_disc_is_square_and_index_law(t):
     eo = equation_order(t)
-    mo = maximal_order(t)
+    mo = maximal_order(eo)
     assert is_square(mo.disc)
     index = det(eo.basis) / det(mo.basis)
     assert index.denominator == 1
@@ -179,9 +179,13 @@ def test_field_disc_is_square_and_index_law(t):
     assert _contains(mo.basis, eo.basis)
 
 
-def test_is_maximal_predicate():
-    assert is_maximal(maximal_order(F(1, 2)))
-    assert not is_maximal(equation_order(F(1, 2)))
+def test_is_maximal_predicate(call_counts):
+    # the answer is kept on the order, and the climb records it on the order
+    # it returns, so neither runs an idealizer step again
+    eo = equation_order(F(1, 2))
+    assert call_counts([_enlarge_at], is_maximal, eo) == (False, 1)
+    assert call_counts([_enlarge_at], is_maximal, eo) == (False, 0)
+    assert call_counts([_enlarge_at], is_maximal, maximal_order(eo)) == (True, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -190,14 +194,14 @@ def test_is_maximal_predicate():
 
 @pytest.mark.parametrize("t", [F(0), F(1), F(2)])
 def test_different_inverse_index_is_field_disc(t):
-    mo = maximal_order(t)
+    mo = maximal_order(equation_order(t))
     d = different_inverse(mo)
     assert det(mo.basis) / det(d.basis) == mo.disc
     assert _contains(d.basis, mo.basis)
 
 
 def test_different_inverse_trace_pairs_integral():
-    mo = maximal_order(F(1, 2))
+    mo = maximal_order(equation_order(F(1, 2)))
     d = different_inverse(mo)
     for i in range(3):
         for j in range(3):
@@ -215,7 +219,7 @@ def test_different_inverse_requires_maximal():
 
 @pytest.mark.parametrize("t", [F(0), F(1, 2)])
 def test_sqrt_different_inverse_squares_to_the_dual(t):
-    mo = maximal_order(t)
+    mo = maximal_order(equation_order(t))
     d = different_inverse(mo)
     c = sqrt_different_inverse(mo)
     assert module_product(c, c).basis == d.basis
@@ -228,7 +232,7 @@ def test_sqrt_different_inverse_squares_to_the_dual(t):
 
 @pytest.mark.parametrize("t", [F(0), F(1, 2)])
 def test_sqrt_different_inverse_unimodular_odd(t):
-    c = sqrt_different_inverse(maximal_order(t)).lattice()
+    c = sqrt_different_inverse(maximal_order(equation_order(t))).lattice()
     assert det(c.gram) == 1
     assert classify_root_type(c) == "unimodular_odd"
 
@@ -238,7 +242,7 @@ def test_sqrt_different_inverse_unimodular_odd(t):
 )
 def test_sqrt_different_inverse_matches_search_oracle(t):
     # conductors 9, 13, 19, 19, 43, 31, 37, 63: wild only, tame only, both
-    mo = maximal_order(t)
+    mo = maximal_order(equation_order(t))
     d = different_inverse(mo)
     hits = sqrt_dual_by_search(t, _rows(mo.basis), _rows(d.basis))
     assert len(hits) == 1
@@ -248,7 +252,7 @@ def test_sqrt_different_inverse_matches_search_oracle(t):
 @pytest.mark.parametrize("t,m", [(F(13), 217), (F(9, 2), 171)])
 def test_sqrt_different_inverse_large_conductors(t, m):
     # 217 = 7 * 31 and 171 = 9 * 19: conductors an index-m search cannot reach
-    mo = maximal_order(t)
+    mo = maximal_order(equation_order(t))
     assert mo.disc == m * m
     d = different_inverse(mo)
     c = sqrt_different_inverse(mo)
@@ -280,7 +284,7 @@ def test_sqrt_different_inverse_not_found(n, reason):
 
 
 def test_two_splits_with_even_denominator():
-    mo = maximal_order(F(1, 2))
+    mo = maximal_order(equation_order(F(1, 2)))
     primes = primes_above_2(mo)
     assert len(primes) == 3
     keys = {canonical_key(p.lattice()) for p in primes}
@@ -291,7 +295,7 @@ def test_two_splits_with_even_denominator():
 
 @pytest.mark.parametrize("t", [F(1), F(0)])
 def test_two_inert_for_two_adic_integer_t(t):
-    mo = maximal_order(t)
+    mo = maximal_order(equation_order(t))
     primes = primes_above_2(mo)
     assert len(primes) == 1
     doubled = Matrix([[2 * x for x in mo.basis.row(i)] for i in range(3)])
@@ -299,14 +303,14 @@ def test_two_inert_for_two_adic_integer_t(t):
 
 
 def test_primes_above_2_deterministic_order():
-    mo = maximal_order(F(1, 2))
+    mo = maximal_order(equation_order(F(1, 2)))
     a = [p.basis for p in primes_above_2(mo)]
     b = [p.basis for p in primes_above_2(mo)]
     assert a == b
 
 
 def test_primes_above_2_cannot_be_changed_through_the_returned_list():
-    mo = maximal_order(F(1, 2))
+    mo = maximal_order(equation_order(F(1, 2)))
     first = primes_above_2(mo)
     expected = list(first)
     first.reverse()
@@ -346,7 +350,16 @@ def test_suborders_maximalize_to_cyclotomic_integers(n, p):
     ):
         assert o.disc == index**2 * maximal
         assert not is_maximal(o)
-        assert dedekind_maximalize(o, p).basis == identity
+        assert maximal_order(o).basis == identity
+
+
+def test_climb_from_a_maximal_order_returns_an_equal_order(call_counts):
+    # Z[zeta_7] is maximal: the climb's one step, at 7, is a fixed point,
+    # and the order it returns is recorded as maximal
+    o = Order(cyc_field(7), Matrix.identity(6))
+    mo, steps = call_counts([_enlarge_at], maximal_order, Order(cyc_field(7), o.basis))
+    assert mo == o and steps == 1
+    assert call_counts([_enlarge_at], is_maximal, mo) == (True, 0)
 
 
 def test_p_radical_of_wild_prime_at_rank_six():
@@ -413,7 +426,7 @@ def test_primes_above_2_match_the_ring_map_scan():
     for t in {F(a, b) for a in range(-6, 7) for b in (1, 2, 4)}:
         if not _in_family(t):
             continue
-        mo = maximal_order(t)
+        mo = maximal_order(equation_order(t))
         scanned = index_two_primes_by_scan(mo.table, _rows(mo.basis))
         primes = primes_above_2(mo)
         if scanned:
@@ -439,7 +452,7 @@ def test_rank_four_constructor_enforces_closure():
 
 
 def test_fake_a3_certificates():
-    lam = fake_a3(maximal_order(F(1, 2)))
+    lam = fake_a3(maximal_order(equation_order(F(1, 2))))
     assert odd_trace_witness(lam) is not None
     assert disc_group(lam) == (1, 1, 4)
     assert classify_root_type(lam) == "diag114"
@@ -448,12 +461,12 @@ def test_fake_a3_certificates():
 
 
 def test_fake_a3_dual_also_not_stable():
-    lam = fake_a3(maximal_order(F(1, 2)))
+    lam = fake_a3(maximal_order(equation_order(F(1, 2))))
     assert not galois_stable(dual(lam))
 
 
 def test_fake_a3_three_distinct_variants_all_odd():
-    variants = fake_a3_variants(maximal_order(F(1, 2)))
+    variants = fake_a3_variants(maximal_order(equation_order(F(1, 2))))
     assert len({canonical_key(v) for v in variants}) == 3
     for v in variants:
         assert odd_trace_witness(v) is not None
@@ -462,19 +475,19 @@ def test_fake_a3_three_distinct_variants_all_odd():
 
 def test_fake_a3_rejects_inert_two():
     with pytest.raises(TwoInert):
-        fake_a3(maximal_order(1))
+        fake_a3(maximal_order(equation_order(1)))
     with pytest.raises(TwoInert):
-        fake_a3_variants(maximal_order(1))
+        fake_a3_variants(maximal_order(equation_order(1)))
 
 
 def test_ideal_stability_enforced():
-    mo = maximal_order(1)
+    mo = maximal_order(equation_order(1))
     with pytest.raises(ValueError):
         _make_ideal(mo, [[F(1, 3), 0, 0], [0, 1, 0], [0, 0, 1]])
 
 
 def test_module_product_commutes():
-    mo = maximal_order(F(1, 2))
+    mo = maximal_order(equation_order(F(1, 2)))
     a = primes_above_2(mo)[0]
     b = sqrt_different_inverse(mo)
     assert module_product(a, b).basis == module_product(b, a).basis

@@ -1,6 +1,7 @@
 """README.md shows what the package does: each `$ trace-lattice ...` line in
 its "Examples, with their exact output" block prints exactly the lines
-under it, and its Library block runs.
+under it, and its Library block runs.  The `test` extra of pyproject.toml,
+which its Tests section names, installs every package the tests import.
 
 The examples run in a shell, as a reader would type them, with
 `trace-lattice` and `python3` standing for this interpreter and the package
@@ -8,6 +9,7 @@ under test on PYTHONPATH.
 """
 from __future__ import annotations
 
+import ast
 import os
 import pathlib
 import re
@@ -20,9 +22,8 @@ import pytest
 import tracelattice
 
 SRC = os.path.dirname(os.path.dirname(tracelattice.__file__))
-README = (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text(
-    encoding="utf-8"
-)
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+README = (ROOT / "README.md").read_text(encoding="utf-8")
 
 
 def _block(heading: str, fence: str) -> str:
@@ -83,3 +84,19 @@ def test_readme_library_block_runs():
         [sys.executable, "-c", code], capture_output=True, text=True, env=_env(), timeout=60
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_test_extra_installs_what_the_tests_import():
+    pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    extra = ast.literal_eval(re.search(r"^test = (\[.*\])$", pyproject, re.M).group(1))
+    tests = sorted((ROOT / "tests").glob("*.py"))
+    own = {"tracelattice"} | {path.stem for path in tests}
+    imported = set()
+    for path in tests:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                imported.add(node.module.split(".")[0])
+    assert imported - set(sys.stdlib_module_names) - own - set(extra) == set()
+    assert f"# or only {', '.join(extra)}" in _block("## Tests", "sh")
