@@ -81,11 +81,12 @@ def _run_classify(args, parser):
 
 
 def _run_cyclotomic(args, parser):
-    from math import prod
+    from math import isqrt, prod
 
     from ._intfactor import factor
     from .cyclotomic_ideals import cyc_field, principal_ideal_lattice, verify_cyclotomic_ap
-    from .lattice_core import check_enumeration_rank, classify_root_type
+    from .errors import RankTooLarge
+    from .lattice_core import ENUMERATION_RANK_CAP, check_enumeration_rank, classify_root_type
     from .serialize import lattice_json, parse_generator
 
     if args.p is not None:
@@ -95,9 +96,15 @@ def _run_cyclotomic(args, parser):
     if args.n is None or args.generator is None:
         parser.error("either --p, or both --n and --generator, are required")
     if args.n >= 3:
-        # a rank past the classifier's cap fails before the field is built
-        phi = prod((p - 1) * p ** (e - 1) for p, e in factor(args.n).items())
-        check_enumeration_rank(phi)
+        # a rank past the classifier's cap fails before the field is built;
+        # phi(n) >= sqrt(n / 2), so only an n below about 2 * cap^2 is
+        # factored for its exact rank
+        low = isqrt(args.n // 2)
+        if low > ENUMERATION_RANK_CAP:
+            raise RankTooLarge(
+                f"rank at least {low} exceeds the enumeration cap of {ENUMERATION_RANK_CAP}"
+            )
+        check_enumeration_rank(prod((p - 1) * p ** (e - 1) for p, e in factor(args.n).items()))
     try:
         field = cyc_field(args.n)
         gen = parse_generator(field, args.generator)

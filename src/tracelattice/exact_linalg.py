@@ -20,8 +20,13 @@ Conventions fixed for the whole library:
   - vectors are rows; a basis matrix has one basis vector per row,
   - `hnf_rows` is the one Hermite kernel, row-style: pivots positive,
     zeros below pivots, entries above a pivot reduced into [0, pivot), zero
-    rows at the bottom; this form is unique, so it doubles as a
-    lattice-equality key, and `hnf_coords` is the membership test against it,
+    rows at the bottom; this form is unique, and `hnf_coords` is the
+    membership test against it,
+  - `hnf_basis` is the one canonical basis of a span of rational rows: the
+    HNF of the rows cleared by their denominator, zero rows dropped, over
+    that denominator, as a Matrix.  Equal spans have equal hnf_bases, so it
+    is the lattice-equality key, and `span_coords` is the one membership
+    test against it,
   - `snf` returns the invariant-factor chain d1 | d2 | ... | dn; it runs
     `hnf_rows` modulo |det| on the rows and on the transpose until the
     matrix is diagonal, so the Hermite and Smith forms share one kernel.
@@ -148,11 +153,6 @@ class Matrix:
 
     def is_integer(self) -> bool:
         return self.den == 1
-
-    def cleared(self) -> tuple[list[list[int]], int]:
-        """(m', s) with m'/s = self, s the least common denominator; m' is a
-        fresh list of lists, free for the caller to change."""
-        return [list(row) for row in self.ints], self.den
 
     def to_int_rows(self) -> list[list[int]]:
         if self.den != 1:
@@ -338,6 +338,33 @@ def hnf_coords(h: Sequence[Sequence[int]], v: Sequence[int]) -> list[int] | None
             v = [a - q * b for a, b in zip(v, row)]
         x.append(q)
     return None if any(v) else x
+
+
+def hnf_basis(rows: Matrix | Sequence[Sequence]) -> Matrix:
+    """The canonical basis of the Z-span of rows, which may be redundant:
+    the row HNF of the integer rows over their denominator, zero rows
+    dropped.  Two row sets span the same lattice iff their hnf_bases are
+    equal (Cohen, GTM 138, Sec. 2.4.3).  A unimodular step keeps the gcd of
+    the entries, which is prime to the denominator, so the HNF over it is in
+    lowest terms already.  The zero span, which has no basis, gives its one
+    zero row."""
+    if not isinstance(rows, Matrix):
+        rows = Matrix.from_rows(rows)
+    h = tuple(map(tuple, filter(any, hnf_rows([list(row) for row in rows.ints]))))
+    return Matrix._trusted(h or rows.ints[:1], rows.den)
+
+
+def span_coords(span: Matrix, rows: Matrix) -> list[list[int]] | None:
+    """Integer coordinates of every row of rows against a canonical basis
+    H / k from hnf_basis, or None when some row is not in its Z-span.  Each
+    row is read as k times itself; a Matrix is in lowest terms, so those
+    are integers exactly when rows.den divides k."""
+    scale, rem = divmod(span.den, rows.den)
+    if rem:
+        return None
+    ints = rows.ints if scale == 1 else [[x * scale for x in row] for row in rows.ints]
+    out = [hnf_coords(span.ints, row) for row in ints]
+    return None if None in out else out
 
 
 def snf(m: Matrix) -> tuple[int, ...]:

@@ -13,10 +13,10 @@ object implementing the small protocol used here:
     descriptor()      -- JSON-friendly identity, used for ambient equality
 
 The pairing Tr(x * conj(y)) is Q-bilinear, so the Gram of a basis B is
-B T B^T: one integer triple product on the scaled-integer form.  Galois
-stability is a membership test of the images H S against the lattice's own
-integer HNF H, with no inverse.  The ambient holds T and S already; nothing
-here derives them again.
+B T B^T: one integer triple product on the scaled-integer form.  A
+lattice's canonical_key is its hnf_basis, the Matrix H / k, and Galois
+stability is span_coords of the images H S / k against it, with no inverse.
+The ambient holds T and S already; nothing here derives them again.
 
 Short vectors are enumerated by Fincke-Pohst on the LLL-reduced Gram (an
 exact integral LLL on the Gram alone, Cohen GTM 138 Alg. 2.6.7), so the
@@ -51,7 +51,7 @@ from .errors import (
     NotSymmetric,
     RankTooLarge,
 )
-from .exact_linalg import Matrix, _reduced, det, hnf_coords, hnf_rows, inverse, rat, snf
+from .exact_linalg import Matrix, _reduced, det, hnf_basis, inverse, rat, snf, span_coords
 
 #: the largest rank classify_gram enumerates
 ENUMERATION_RANK_CAP = 32
@@ -336,8 +336,8 @@ def short_vectors_gram(
 # ---------------------------------------------------------------------------
 
 def _generates(vectors: list[tuple[int, ...]], n: int) -> bool:
-    """True iff the vectors span Z^n: their hnf_span is the identity."""
-    return hnf_span(Matrix.scaled(vectors)) == (1, Matrix.identity(n).ints)
+    """True iff the vectors span Z^n: their hnf_basis is the identity."""
+    return hnf_basis(Matrix.scaled(vectors)) == Matrix.identity(n)
 
 
 def _gram_images(g: list[list[int]], vectors) -> list[list[int]]:
@@ -470,61 +470,20 @@ def odd_trace_witness(L: TraceLattice) -> Optional[tuple[int, ...]]:
 # lattice identity
 # ---------------------------------------------------------------------------
 
-def hnf_span(rows: Matrix | Sequence[Sequence]) -> tuple:
-    """(k, H) for the Z-span of rows, which may be redundant: k their common
-    denominator and H the row HNF of the integer rows k * rows, zero rows
-    dropped, so that H / k is the canonical basis of the span.  Two row sets
-    span the same lattice iff their hnf_spans are equal (Cohen, GTM 138,
-    Sec. 2.4.3)."""
-    if not isinstance(rows, Matrix):
-        rows = Matrix.from_rows(rows)
-    ints, scale = rows.cleared()
-    return scale, tuple(map(tuple, filter(any, hnf_rows(ints))))
-
-
-def span_coords(span: Matrix, rows: Matrix) -> list[list[int]] | None:
-    """Integer coordinates of every row of rows against a canonical basis
-    H / k from hnf_span, or None when some row is not in its Z-span.  Each
-    row is read as k times itself; a Matrix is in lowest terms, so those
-    are integers exactly when rows.den divides k."""
-    scale, rem = divmod(span.den, rows.den)
-    if rem:
-        return None
-    ints = rows.ints if scale == 1 else [[x * scale for x in row] for row in rows.ints]
-    out = [hnf_coords(span.ints, row) for row in ints]
-    return None if None in out else out
-
-
-def canonical_key(L: TraceLattice) -> tuple:
-    """hnf_span of the lattice's basis: equal iff the lattices are equal.
+def canonical_key(L: TraceLattice) -> Matrix:
+    """hnf_basis of the lattice's basis: equal iff the lattices are equal.
     Computed on first use and kept on L."""
     key = L._key
     if key is None:
-        key = hnf_span(L.basis)
+        key = hnf_basis(L.basis)
         object.__setattr__(L, "_key", key)
     return key
 
 
 def galois_stable(L: TraceLattice) -> bool:
     """True iff every generator of the ambient automorphism group maps the
-    lattice into itself.
-
-    With (k, H) = canonical_key(L), H is an integer basis of kL and each
-    generator acts by its matrix S = S'/s (galois_matrices).  The lattice is
-    stable iff every row of H S lies in the span of H: each row of H S' must
-    be divisible by s, and the quotient must have hnf_coords against H.  All
-    of it is int arithmetic on the HNF rows; no inverse of the basis and no
-    Matrix is formed."""
-    h = canonical_key(L)[1]
-    for s in L.ambient.galois_matrices():
-        den = s.den
-        cols = list(zip(*s.ints))
-        for row in h:
-            image = [sum(map(mul, row, col)) for col in cols]
-            if den != 1:
-                if any(x % den for x in image):
-                    return False
-                image = [x // den for x in image]
-            if hnf_coords(h, image) is None:
-                return False
-    return True
+    lattice into itself: with H / k = canonical_key(L) and S the matrix of
+    a generator (galois_matrices), every row of H S / k has span_coords
+    against H / k.  No inverse of the basis is formed."""
+    key = canonical_key(L)
+    return all(span_coords(key, key * s) is not None for s in L.ambient.galois_matrices())

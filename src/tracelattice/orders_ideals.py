@@ -4,10 +4,10 @@ An Order is a multiplication-closed rank-n lattice containing 1 in a
 PowerBasisField of degree n, kept in canonical Hermite form.  Its integer
 structure constants c_ijk, o_i o_j = sum_k c_ijk o_k, are computed once:
 their integrality certifies closure, and all arithmetic of O/pO reads them.
-Every "is this row in the Z-span of that basis, and with which
-coefficients?" is span_coords against the basis's hnf_span, no inverse;
-a canonical basis is a Matrix whose integer rows are that HNF, and the
-products of two bases come from PowerBasisField.products, in int.
+Every basis is the canonical one hnf_basis gives, and every "is this row
+in the Z-span of that basis, and with which coefficients?" is span_coords
+against it, no inverse; the products of two bases come from
+PowerBasisField.products, in int.
 
 maximal_order(o) climbs from any order by repeated p-enlargement
 (Pohst-Zassenhaus; Cohen, GTM 138, Sec. 6.1): the p-radical of O/pO is the
@@ -32,7 +32,7 @@ from typing import NamedTuple, Sequence
 
 from ._intfactor import factor, is_square
 from .errors import NotFound, NotMaximal, TwoInert, number_text
-from .exact_linalg import Matrix, det, hnf_coords
+from .exact_linalg import Matrix, det, hnf_basis, hnf_coords, span_coords
 from .lattice_core import (
     TraceLattice,
     classify_root_type,
@@ -40,9 +40,7 @@ from .lattice_core import (
     dual,
     galois_stable,
     gram_of,
-    hnf_span,
     odd_trace_witness,
-    span_coords,
 )
 from .power_basis import PowerBasisField
 from .shanks_field import new_field
@@ -67,10 +65,10 @@ class Order:
 
     def __init__(self, ambient: PowerBasisField, basis: Matrix | Sequence):
         n = ambient.degree
-        scale, h = hnf_span(basis)
-        if len(h) != n:
-            raise ValueError(f"span has rank {len(h)}, expected {n}")
-        rows = Matrix.scaled(h, scale)
+        rows = hnf_basis(basis)
+        rank = sum(map(any, rows.ints))
+        if rank != n:
+            raise ValueError(f"span has rank {rank}, expected {n}")
         if span_coords(rows, Matrix([ambient.one()])) is None:
             raise ValueError("order must contain 1")
         table = span_coords(rows, ambient.products(rows, rows))
@@ -125,9 +123,8 @@ class IdealLattice(NamedTuple):
 
 
 def _make_ideal(order: Order, rows: Matrix | Sequence) -> IdealLattice:
-    scale, h = hnf_span(rows)
-    assert len(h) == order.ambient.degree, "an ideal has full rank"
-    basis = Matrix.scaled(h, scale)
+    basis = hnf_basis(rows)
+    assert basis.rows == order.ambient.degree, "an ideal has full rank"
     if span_coords(basis, order.ambient.products(basis, order.basis)) is None:
         raise ValueError("module is not stable under the order")
     return IdealLattice(order, basis)
@@ -217,8 +214,7 @@ def _p_radical(o: Order, p: int) -> Matrix:
         q *= p
     columns = [_pow_mod(o.table, [int(i == k) for i in range(n)], q, p) for k in range(n)]
     kernel = _nullspace_mod(list(zip(*columns)), p, n)
-    _, h = hnf_span(Matrix.scaled(_scalar_rows(n, p) + kernel))
-    return Matrix.scaled(h)
+    return hnf_basis(Matrix.scaled(_scalar_rows(n, p) + kernel))
 
 
 def _enlarge_at(o: Order, p: int) -> Order | None:
@@ -373,8 +369,9 @@ def _idempotent_primes(o: Order) -> tuple[IdealLattice, ...]:
     two, primes = _scalar_rows(n, 2), []
     for e in parts:
         times_e = list(zip(*(_mul_mod(table, e, u, 2) for u in units)))
-        primes.append(hnf_span(Matrix.scaled(two + _nullspace_mod(times_e, 2, n)))[1])
-    return tuple(_make_ideal(o, Matrix.scaled(h) * o.basis) for h in sorted(primes))
+        primes.append(hnf_basis(Matrix.scaled(two + _nullspace_mod(times_e, 2, n))))
+    primes.sort(key=lambda h: h.ints)
+    return tuple(_make_ideal(o, h * o.basis) for h in primes)
 
 
 def fake_a3(o: Order) -> TraceLattice:

@@ -24,8 +24,8 @@ from math import gcd, isqrt, lcm
 from typing import Optional
 
 from ._intfactor import squarefree_kernel
-from .exact_linalg import Matrix
-from .lattice_core import TraceLattice, canonical_key, hnf_span
+from .exact_linalg import Matrix, hnf_basis
+from .lattice_core import TraceLattice, canonical_key
 from .power_basis import PowerBasisField
 
 F = Fraction
@@ -237,7 +237,7 @@ def family_distinctness(height: int, sign: int = -1) -> list[TraceLattice]:
     checks of _slope_basis, whose integer rows over one denominator in
     lowest terms are canonical.  Equal bases span one lattice, so a basis
     met before is passed over on those integers, and only a new basis
-    becomes a Matrix, keyed by its hnf_span; only the first basis of each
+    becomes a Matrix, keyed by its hnf_basis; only the first basis of each
     new key builds the certified lattice (gram_of, the A2 Gram)."""
     ambient = QuadAmbient(3, sign)
     seen = {}
@@ -251,7 +251,7 @@ def family_distinctness(height: int, sign: int = -1) -> list[TraceLattice]:
                 continue
             bases.add(scaled)
             basis = Matrix.scaled(*scaled)
-            key = hnf_span(basis)
+            key = hnf_basis(basis)
             if key not in seen:
                 seen[key] = _certified_a2(basis, ambient)
     return list(seen.values())

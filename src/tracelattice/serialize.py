@@ -78,8 +78,8 @@ def hnf_json(L: TraceLattice) -> dict:
     """Canonical identity of the lattice: clearing scale plus integer HNF rows."""
     from .lattice_core import canonical_key
 
-    scale, rows = canonical_key(L)
-    return {"scale": int(scale), "rows": [list(r) for r in rows]}
+    key = canonical_key(L)
+    return {"scale": key.den, "rows": [list(r) for r in key.ints]}
 
 
 def member_json(member) -> dict:

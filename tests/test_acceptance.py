@@ -22,7 +22,7 @@ from tracelattice._intfactor import an_exclusion
 from tracelattice.a3_factory import TARGET_SELF_DUAL, scan_family
 from tracelattice.cli import main
 from tracelattice.cyclotomic_ideals import ap_lattice, verify_cyclotomic_ap
-from tracelattice.exact_linalg import Matrix, det
+from tracelattice.exact_linalg import Matrix, det, hnf_basis
 from tracelattice.lattice_core import (
     TraceLattice,
     canonical_key,
@@ -30,7 +30,6 @@ from tracelattice.lattice_core import (
     classify_root_type,
     disc_group,
     galois_stable,
-    hnf_span,
     odd_trace_witness,
     short_vectors_gram,
 )
@@ -119,7 +118,7 @@ def test_criterion_2_a3_families_certified(a3_scans):
             roots = [v for v, nrm in short_vectors_gram(L.gram, 2) if nrm == 2]
             assert 2 * len(roots) == 12
             # the roots span a rank-3 sublattice
-            assert len(hnf_span(roots)[1]) == 3
+            assert hnf_basis(roots).rows == 3
             assert galois_stable(L)
             assert classify_root_type(L) == "A3"
         assert len(scan5.members) < len(scan10.members), f"t={t}: no strict increase"

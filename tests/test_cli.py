@@ -147,6 +147,34 @@ def test_cyclotomic_past_the_rank_cap_is_exit_1(n, rank):
     )
 
 
+@pytest.mark.parametrize(
+    "n, detail, factored",
+    [
+        # (10^15 + 37) * 1000001000000017, which factor had not split
+        # after 20 s on a 2-vCPU host
+        (
+            1000001000000054000037000000629,
+            "rank at least 707107134739868 exceeds the enumeration cap of 32",
+            0,
+        ),
+        # the least n with isqrt(n // 2) past the cap, and the one below it
+        (2178, "rank at least 33 exceeds the enumeration cap of 32", 0),
+        (2177, "rank 1860 exceeds the enumeration cap of 32", 1),
+    ],
+    ids=["semiprime-31-digits", "2178", "2177"],
+)
+def test_cyclotomic_rank_cap_factors_only_a_small_n(n, detail, factored, call_counts, capsys):
+    # phi(n) >= sqrt(n / 2), so an n whose bound passes the cap is refused
+    # without factoring it; a smaller one is factored for its exact rank
+    from tracelattice._intfactor import factor
+
+    code, calls = call_counts([factor], main, ["cyclotomic", "--n", str(n), "--generator", "z"])
+    assert code == 1 and calls == factored
+    assert json.loads(capsys.readouterr().out) == {
+        "error": {"detail": detail, "kind": "RankTooLarge"}
+    }
+
+
 def test_cyclotomic_generator_mode(capsys):
     code, doc = run_cli(
         ["cyclotomic", "--n", "5", "--generator", "(1-z)^-1"], capsys

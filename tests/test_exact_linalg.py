@@ -22,7 +22,16 @@ from oracles import (
     hnf_by_euclid,
     snf_by_minors,
 )
-from tracelattice.exact_linalg import Matrix, det, hnf_coords, hnf_rows, inverse, rat, snf
+from tracelattice.exact_linalg import (
+    Matrix,
+    det,
+    hnf_basis,
+    hnf_coords,
+    hnf_rows,
+    inverse,
+    rat,
+    snf,
+)
 
 A3_GRAM = Matrix.from_rows([[2, -1, 0], [-1, 2, -1], [0, -1, 2]])
 A2_GRAM = Matrix.from_rows([[2, -1], [-1, 2]])
@@ -145,7 +154,7 @@ def test_matrix_operations_match_fraction_loops(case):
 
     assert grid(ma) == fa
     assert [list(ma.row(i)) for i in range(ma.rows)] == fa
-    assert ma.cleared() == grid_cleared(fa)
+    assert ([list(r) for r in ma.ints], ma.den) == grid_cleared(fa)
     assert ma.is_integer() == all(x.denominator == 1 for row in fa for x in row)
     assert grid(ma * mc) == grid_product(fa, fc)
     assert grid(ma.transpose()) == grid_transpose(fa)
@@ -411,6 +420,30 @@ def _hnf_inputs(draw):
 @given(_hnf_inputs())
 def test_hnf_rows_matches_euclidean_oracle(rows):
     assert hnf_rows([row[:] for row in rows]) == hnf_by_euclid(rows)
+
+
+@st.composite
+def _rational_span_inputs(draw):
+    """The rows of _hnf_inputs, each over its own denominator: zero rows,
+    integer combinations and more rows than columns keep their rank."""
+    rows = draw(_hnf_inputs())
+    dens = draw(st.lists(st.integers(1, 12), min_size=len(rows), max_size=len(rows)))
+    return [[Fraction(x, d) for x in row] for row, d in zip(rows, dens)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_rational_span_inputs())
+@example([[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 3), Fraction(1, 4)], [1, 1]])
+@example([[Fraction(2, 3), 0, Fraction(4, 3)], [1, 0, 2]])
+@example([[0, 0], [0, 0], [0, 0]])
+def test_hnf_basis_is_the_hermite_form_over_the_denominator(rows):
+    key = hnf_basis(rows)
+    # built trusted, so it must already be in lowest terms
+    assert key == Matrix.scaled(key.ints, key.den)
+    cleared, den = grid_cleared(fraction_grid(rows))
+    form = [row for row in hnf_by_euclid(cleared) if any(row)]
+    # the zero span, which has no basis, gives one zero row
+    assert (key.den, [list(r) for r in key.ints]) == (den, form or [[0] * len(rows[0])])
 
 
 AP5_ROWS = [[4, 3, 2, 1], [-1, 3, 2, 1], [-1, -2, 2, 1], [-1, -2, -3, 1]]

@@ -761,21 +761,22 @@ def test_canonical_key_is_the_hnf_of_the_cleared_basis(rows):
     assume(fraction_det(rows) != 0)
     n = len(rows)
     L = TraceLattice.from_rows(FormAmbient(gram_A(n)), rows)
-    scale, key_rows = canonical_key(L)
+    key = canonical_key(L)
+    scale = key.den
     assert scale == math.lcm(*(x.denominator for row in rows for x in row))
     cleared = [[int(x * scale) for x in row] for row in rows]
-    assert [list(r) for r in key_rows] == hermite_form(cleared) == hnf_by_euclid(cleared)
+    assert [list(r) for r in key.ints] == hermite_form(cleared) == hnf_by_euclid(cleared)
 
 
 def test_canonical_key_is_computed_once_and_kept_by_with_type(monkeypatch):
     spans = []
-    hnf_span = lattice_core.hnf_span
+    hnf_basis = lattice_core.hnf_basis
 
-    def counted_hnf_span(rows):
+    def counted_hnf_basis(rows):
         spans.append(rows)
-        return hnf_span(rows)
+        return hnf_basis(rows)
 
-    monkeypatch.setattr(lattice_core, "hnf_span", counted_hnf_span)
+    monkeypatch.setattr(lattice_core, "hnf_basis", counted_hnf_basis)
     L = TraceLattice.from_rows(new_field(1), [[1, 0, 0], [1, 2, 0], [0, 1, 3]])
     key = canonical_key(L)
     assert len(spans) == 1

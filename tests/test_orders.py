@@ -127,6 +127,19 @@ def test_order_constructor_enforces_closure():
         Order(field, [[2, 0, 0], [0, 2, 0], [0, 0, 2]])
 
 
+@pytest.mark.parametrize(
+    "rows, rank",
+    [
+        ([[0, 0, 0], [0, 0, 0], [0, 0, 0]], 0),
+        ([[F(1, 2), 0, 0], [1, 0, 0], [0, 0, 0]], 1),
+    ],
+    ids=["rank0", "rank1"],
+)
+def test_order_constructor_reports_a_deficient_rank(rows, rank):
+    with pytest.raises(ValueError, match=f"^span has rank {rank}, expected 3$"):
+        Order(new_field(1), rows)
+
+
 # ---------------------------------------------------------------------------
 # maximalization
 

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import a2_family_by_full_build, a2_witness_by_search, norm_one_points_by_scan
-from tracelattice import lattice_core, quadratic_a2
+from tracelattice import exact_linalg, lattice_core, quadratic_a2
 from tracelattice.exact_linalg import Matrix
 from tracelattice.lattice_core import (
     TraceLattice,
@@ -271,13 +271,13 @@ def test_family_takes_one_hnf_per_distinct_basis(monkeypatch):
     # the 624 slope pairs give 184 distinct bases; each is keyed by one
     # HNF, and building the certified lattice of a new key takes none
     calls = []
-    hnf_rows = lattice_core.hnf_rows
+    hnf_rows = exact_linalg.hnf_rows
 
     def counted_hnf_rows(*args, **kwargs):
         calls.append(1)
         return hnf_rows(*args, **kwargs)
 
-    monkeypatch.setattr(lattice_core, "hnf_rows", counted_hnf_rows)
+    monkeypatch.setattr(exact_linalg, "hnf_rows", counted_hnf_rows)
     fam = family_distinctness(12)
     assert len(fam) == 93
     assert len(calls) == 184
