@@ -283,15 +283,17 @@ def scan_family(t, height: int, target: TraceTarget = TARGET_A3) -> FamilyScan:
     p0 = (t + 3/2, 3/2) is checked on the conic once (_base_point), each
     point is (X, Y)/M from _chord_ints, and its weights are (N0, N1, N2)/R
     from _lambda_ints, with its conic and target checks, in lowest terms
-    with R > 0.  sigma shifts the weights, so lam and its two cyclic shifts
-    span one sigma-orbit lattice with the rows rotated: a point whose
-    (N, R) is a shift of an earlier lattice's is passed over before its
-    basis, Gram or key is built, and about a third of the points are (98 of
-    320 at height 16).
-    Every lattice built is still keyed by its HNF, and only a new key
-    becomes a member, with its certificates; the member keeps its key for
-    member_json.  The slope, the point and lam become Fractions for members
+    with R > 0.  The slope, the point and lam become Fractions for members
     only.
+
+    Distinctness is the unit group's.  A member is Z[G] beta, G = <sigma>,
+    free on beta, so Z[G] beta = Z[G] beta' iff beta' = u beta for a unit
+    u, and Z[C3]^x = +-G (Higman, "The units of group-rings", Proc. LMS
+    1940).  -1 would change sum lam = f/t, which the target fixes with
+    f != 0, and sigma^k rotates the weights: a point whose (N, R) is a
+    shift of an earlier lattice's is passed over before its basis or Gram
+    is built (98 of 320 points at height 16), and every lattice built is a
+    new member.  Its HNF is computed only when member_json prints it.
 
     Once per sweep: the target's circulant Gram is built and its root type
     classified (classify_gram); every member carries that Gram, checked
@@ -299,12 +301,10 @@ def scan_family(t, height: int, target: TraceTarget = TARGET_A3) -> FamilyScan:
     self-dual target the Gram is the identity, which is self-duality
     itself: with G = I the dual basis G^-1 B is B.  Certificates per
     member: the integer conic check and the three target asserts of
-    _lambda_ints; the exact Gram (_orbit_lattice); the HNF key; sigma
-    permuting the basis (sigma_permutes_basis), the normal Z-basis itself,
-    which implies Galois stability.  Once per import: P G P^T equals the
-    standard A3 Gram and P is integral with det 1, so to_a3_basis of an A3
-    member has the standard Gram and the member's key by construction, and
-    the sweep does not build it.
+    _lambda_ints; the exact Gram (_orbit_lattice); sigma permuting the
+    basis (sigma_permutes_basis), the normal Z-basis itself, which implies
+    Galois stability.  to_a3_basis is left to the caller: its P is checked
+    once per import.
 
     Degenerate weights are skipped with a log note and counted, never
     raised (a shift of degenerate weights is degenerate too).  The presets
@@ -327,7 +327,6 @@ def scan_family(t, height: int, target: TraceTarget = TARGET_A3) -> FamilyScan:
         assert label == "unimodular_odd"
     ints = TraceTarget(*map(int, target))  # (2, 1, 2) or (1, 0, +-1)
     built: set = set()  # (least cyclic shift of N, R) of each lam built
-    seen_keys: set = set()
     members: list[FamilyMember] = []
     skipped = 0
     for slope in _slope_pairs(height):
@@ -350,10 +349,6 @@ def scan_family(t, height: int, target: TraceTarget = TARGET_A3) -> FamilyScan:
             skipped += 1
             continue
         built.add(rotation)
-        key = canonical_key(lattice)
-        if key in seen_keys:
-            continue
-        seen_keys.add(key)
         assert sigma_permutes_basis(lattice)
         members.append(
             FamilyMember(

@@ -53,14 +53,14 @@ class Order:
     PowerBasisField of degree n, with its trace Gram, its discriminant and
     its structure constants: table[i][j] holds the integer coordinates of
     o_i * o_j.  The basis is kept in canonical Hermite form.  The
-    factorization of the discriminant, whether the order is maximal and the
-    ideals derived from the order (different_inverse, sqrt_different_inverse,
-    primes_above_2) are computed on first use and kept; maximal_order fills
-    the first two on the order it returns."""
+    factorization of the discriminant, whether the order is maximal, its
+    p-radicals and the ideals derived from it (different_inverse,
+    sqrt_different_inverse, primes_above_2) are computed on first use and
+    kept; maximal_order fills the first two on the order it returns."""
 
     __slots__ = (
         "ambient", "basis", "gram", "disc", "table",
-        "_factors", "_maximal", "_dinv", "_root", "_primes2",
+        "_factors", "_maximal", "_radicals", "_dinv", "_root", "_primes2",
     )
 
     def __init__(self, ambient: PowerBasisField, basis: Matrix | Sequence):
@@ -84,7 +84,7 @@ class Order:
         object.__setattr__(
             self, "table", tuple(tuple(map(tuple, table[i : i + n])) for i in range(0, n * n, n))
         )
-        for slot in ("_factors", "_maximal", "_dinv", "_root", "_primes2"):
+        for slot in ("_factors", "_maximal", "_radicals", "_dinv", "_root", "_primes2"):
             object.__setattr__(self, slot, None)
 
     def __setattr__(self, name, value):
@@ -217,6 +217,14 @@ def _p_radical(o: Order, p: int) -> Matrix:
     return hnf_basis(Matrix.scaled(_scalar_rows(n, p) + kernel))
 
 
+def _radical(o: Order, p: int) -> Matrix:
+    """_p_radical(o, p), kept on the order by p for the climb and the root."""
+    radicals = o._first_use("_radicals", lambda o: {})
+    if p not in radicals:
+        radicals[p] = _p_radical(o, p)
+    return radicals[p]
+
+
 def _enlarge_at(o: Order, p: int) -> Order | None:
     """One idealizer step: O' = {x : x J <= J} for J the p-radical ideal, or
     None when O' = O.
@@ -226,7 +234,7 @@ def _enlarge_at(o: Order, p: int) -> Order | None:
     J-coordinates, weighted by y, vanish mod p, and then x / p is in O'.  The
     y in pO give O itself, and any y nonzero mod p gives an x / p outside O,
     so O' = O exactly when that kernel mod p is zero."""
-    h = _p_radical(o, p).ints
+    h = _radical(o, p).ints
     stacked = []
     for hk in h:
         block = [hnf_coords(h, [sum(map(mul, hk, c)) for c in zip(*cm)]) for cm in o.table]
@@ -326,7 +334,7 @@ def _radical_root(o: Order) -> IdealLattice:
         raise NotFound(f"discriminant {number_text(o.disc)} is not a square")
     root = dinv = o._first_use("_dinv", _trace_dual)  # different_inverse(o), from its slot
     for p, v in _disc_factors(o).items():
-        h = _p_radical(o, p)
+        h = _radical(o, p)
         fg = sum(row[i] == p for i, row in enumerate(h.ints))
         rad = _make_ideal(o, h * o.basis)
         for _ in range(v // (2 * fg)):

@@ -11,11 +11,10 @@ norm-one points z, parametrized by integer slope pairs through the unit
 conic; for other d a bounded exhaustive search certifies emptiness up to a
 height.
 
-The family sweep runs a per-pair integer check, certified build per distinct
-key: every slope pair has its basis as integer rows over one denominator,
-its two norm equations and its pairing asserted in int, and its lattice
-keyed by the HNF of those rows; gram_of and the A2 Gram certificate run
-once per distinct lattice, on the basis that is emitted.
+The family sweep checks every slope pair in integers and keys its lattice
+Z[omega] z by the six units of Z[omega], a principal ideal domain, with no
+Hermite form; gram_of and the A2 Gram certificate run once per distinct
+lattice, on the basis that is emitted.
 """
 from __future__ import annotations
 
@@ -24,7 +23,7 @@ from math import gcd, isqrt, lcm
 from typing import Optional
 
 from ._intfactor import squarefree_kernel
-from .exact_linalg import Matrix, hnf_basis
+from .exact_linalg import Matrix
 from .lattice_core import TraceLattice, canonical_key
 from .power_basis import PowerBasisField
 
@@ -73,8 +72,7 @@ class QuadAmbient(PowerBasisField):
 def _slope_basis(s0: int, s1: int) -> tuple[tuple, int]:
     """The A2 basis (z, z omega) of the slope pair (s0, s1) != (0, 0),
     checked in integers, as its integer rows over one denominator > 0, in
-    lowest terms: equal bases give equal pairs, and Matrix.scaled builds the
-    basis from the pair.
+    lowest terms, from which Matrix.scaled builds the basis.
 
     With n = s0^2 + 3 s1^2, z = (X, Y)/n = (3 s1^2 - s0^2, -2 s0 s1)/n is
     the unit conic section point, and z omega = (X2, Y2)/(2n) =
@@ -97,7 +95,7 @@ def _slope_basis(s0: int, s1: int) -> tuple[tuple, int]:
 
 
 def _certified_a2(basis: Matrix, ambient: QuadAmbient) -> TraceLattice:
-    """The lattice of the basis in the ambient Q(sqrt(+-3)), its Gram built
+    """The lattice of the basis in the ambient Q(sqrt(+-d)), its Gram built
     by gram_of and required to be [[2,-1],[-1,2]]."""
     lattice = TraceLattice(ambient, basis)
     assert lattice.gram == A2_GRAM
@@ -119,14 +117,9 @@ def normal_a2(sign: int = -1) -> TraceLattice:
         (F(1, 2), F(-1, 2)),
         (F(1, 2), F(1, 2)),
     ]
-    keys = {
-        canonical_key(
-            TraceLattice.from_rows(ambient, [(x, y), (x, -y)])
-        )
-        for x, y in solutions
-    }
-    assert len(keys) == 1
-    lattice = TraceLattice.from_rows(ambient, [(F(1, 2), F(1, 2)), (F(1, 2), F(-1, 2))])
+    lattices = [TraceLattice.from_rows(ambient, [(x, y), (x, -y)]) for x, y in solutions]
+    assert len({canonical_key(L) for L in lattices}) == 1
+    lattice = lattices[-1]  # the rows (1/2, 1/2), (1/2, -1/2)
     assert lattice.gram == A2_GRAM
     return lattice.with_type("A2")
 
@@ -220,38 +213,41 @@ def falsify_a2(d: int, height: int, sign: int = -1) -> Optional[TraceLattice]:
                 continue
             if a * k2 == k * a2:
                 continue  # proportional points never span
-            lattice = TraceLattice.from_rows(
-                ambient, [(F(a, m), F(k, m)), (F(a2, m2), F(k2, m2))]
-            )
-            assert lattice.gram == A2_GRAM
-            return lattice.with_type("A2")
+            rows = [(F(a, m), F(k, m)), (F(a2, m2), F(k2, m2))]
+            return _certified_a2(Matrix.from_rows(rows), ambient)
     return None
+
+
+def _unit_key(rows: tuple, den: int) -> tuple[int, int, int]:
+    """The least lowest-terms (X, Y, m) of the six (X, Y)/m = +-z, +-z omega,
+    +-z omega^2 = -+(z + z omega), for the rows (z, z omega) over den of
+    _slope_basis.  The units of Z[omega] are +-omega^k, so equal keys are
+    equal lattices Z[omega] z, and conversely."""
+    (x1, y1), (x2, y2) = rows
+    return min(
+        (s * x // g, s * y // g, den // g)
+        for x, y in ((x1, y1), (x2, y2), (-x1 - x2, -y1 - y2))
+        for g in (gcd(x, y, den),)
+        for s in (1, -1)
+    )
 
 
 def family_distinctness(height: int, sign: int = -1) -> list[TraceLattice]:
     """Pairwise-distinct A2 lattices over all slope pairs with |s0|, |s1| <=
     height, in first-seen order.
 
-    Per-pair integer check, one key per distinct basis, certified build per
-    distinct key: every slope pair passes the integer conic and pairing
-    checks of _slope_basis, whose integer rows over one denominator in
-    lowest terms are canonical.  Equal bases span one lattice, so a basis
-    met before is passed over on those integers, and only a new basis
-    becomes a Matrix, keyed by its hnf_basis; only the first basis of each
-    new key builds the certified lattice (gram_of, the A2 Gram)."""
+    Per-pair integer check, certified build per distinct key: every slope
+    pair passes the integer checks of _slope_basis and is keyed by
+    _unit_key on its rows, and only the first pair of each new key becomes
+    a Matrix and builds the certified lattice (gram_of, the A2 Gram)."""
     ambient = QuadAmbient(3, sign)
     seen = {}
-    bases = set()
     for s0 in range(-height, height + 1):
         for s1 in range(-height, height + 1):
             if (s0, s1) == (0, 0):
                 continue
             scaled = _slope_basis(s0, s1)
-            if scaled in bases:
-                continue
-            bases.add(scaled)
-            basis = Matrix.scaled(*scaled)
-            key = hnf_basis(basis)
+            key = _unit_key(*scaled)
             if key not in seen:
-                seen[key] = _certified_a2(basis, ambient)
+                seen[key] = _certified_a2(Matrix.scaled(*scaled), ambient)
     return list(seen.values())

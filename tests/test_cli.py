@@ -11,6 +11,7 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import hermite_form
 import tracelattice
 from tracelattice import orders_ideals
 from tracelattice.cli import main
@@ -394,6 +395,45 @@ def test_stdout_bytes_are_pinned(args, digest, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+def hermite_key(basis) -> tuple:
+    """(scale, rows) of a printed basis by the oracle: the least common
+    denominator of its entries and the hermite_form of the cleared rows."""
+    rows = [[Fraction(x) for x in row] for row in basis]
+    scale = math.lcm(*(x.denominator for row in rows for x in row))
+    return scale, hermite_form([[x * scale for x in row] for row in rows])
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["gen-a3", "--t=1", "--height", "16"],
+        ["gen-a3", "--t=-1/2", "--height", "16"],
+        ["gen-selfdual", "--t=2", "--height", "16"],
+        ["gen-selfdual", "--t=-5/2", "--height", "16"],
+    ],
+    ids=["gen-a3-t=1", "gen-a3-t=-1/2", "gen-selfdual-t=2", "gen-selfdual-t=-5/2"],
+)
+def test_family_hnfs_match_the_oracle_and_are_distinct(args, capsys):
+    # the sweep dedupes by sigma-rotation alone: every printed hnf is the
+    # oracle's Hermite form of the printed basis, and no two are equal
+    code, docs = run_cli(args, capsys)
+    assert code == 0 and docs
+    keys = []
+    for doc in docs:
+        scale, rows = hermite_key(doc["basis"])
+        assert doc["hnf"] == {"scale": scale, "rows": rows}
+        keys.append((scale, str(rows)))
+    assert len(set(keys)) == len(keys)
+
+
+def test_quad_a2_family_bases_span_distinct_lattices(capsys):
+    # the sweep dedupes by the unit key alone; the oracle's Hermite forms
+    # of the printed bases are pairwise distinct
+    code, docs = run_cli(["quad-a2", "--d", "3", "--height", "12"], capsys)
+    assert code == 0 and len(docs) == 93
+    assert len({str(hermite_key(doc["basis"])) for doc in docs}) == 93
+
+
 #: sha256 of the --help stdout at 80 columns, of the top level and of each
 #: subcommand: the usage text must not move when the command line is rebuilt
 PINNED_HELP_SHA256 = [
@@ -449,17 +489,18 @@ def test_order_command_derives_each_ideal_once(monkeypatch, capsys):
 @pytest.mark.parametrize(
     "args,orders,steps,radicals",
     [
-        (["--t=-1/2", "--different", "--sqrt-different", "--primes2", "--fake-a3"], 2, 3, 4),
-        (["--t=3/2", "--different", "--sqrt-different", "--primes2", "--fake-a3"], 2, 4, 6),
-        (["--t=1", "--different", "--sqrt-different"], 1, 1, 2),
+        (["--t=-1/2", "--different", "--sqrt-different", "--primes2", "--fake-a3"], 2, 3, 3),
+        (["--t=3/2", "--different", "--sqrt-different", "--primes2", "--fake-a3"], 2, 4, 4),
+        (["--t=1", "--different", "--sqrt-different"], 1, 1, 1),
     ],
+    ids=["t=-1/2", "t=3/2", "t=1"],
 )
 def test_order_command_builds_each_order_once(args, orders, steps, radicals, call_counts):
     # the climb starts from the equation order the command prints, so the
     # orders built are that one and one per strict idealizer step; the order
     # the climb returns is recorded as maximal, so the trace dual runs no
-    # idealizer step again, and the square root takes one p-radical per
-    # prime of the discriminant
+    # idealizer step again.  Each p-radical is kept on its order, so the
+    # square root reads the ones the climb's last step at each prime built
     targets = [orders_ideals.Order.__init__, orders_ideals._enlarge_at, orders_ideals._p_radical]
     assert call_counts(targets, main, ["order", *args]) == (0, orders, steps, radicals)
 

@@ -16,7 +16,12 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import a2_family_by_full_build, a2_witness_by_search, norm_one_points_by_scan
+from oracles import (
+    a2_family_by_full_build,
+    a2_witness_by_search,
+    hermite_form,
+    norm_one_points_by_scan,
+)
 from tracelattice import exact_linalg, lattice_core, quadratic_a2
 from tracelattice.exact_linalg import Matrix
 from tracelattice.lattice_core import (
@@ -32,6 +37,7 @@ from tracelattice.quadratic_a2 import (
     _certified_a2,
     _norm_one_points,
     _slope_basis,
+    _unit_key,
     falsify_a2,
     family_distinctness,
     normal_a2,
@@ -240,8 +246,9 @@ def test_family_counts_frozen_and_increasing():
 
 
 @pytest.mark.parametrize("sign", [-1, 1])
-@pytest.mark.parametrize("height", range(7))
+@pytest.mark.parametrize("height", range(13))
 def test_family_matches_full_build_oracle(height, sign):
+    # the oracle dedupes by Hermite form and the sweep by the unit key
     fam = family_distinctness(height, sign)
     expected = a2_family_by_full_build(height, sign)
     assert [(L.basis.data, L.gram.data) for L in fam] == expected
@@ -267,9 +274,9 @@ def test_family_checks_every_pair_and_builds_each_lattice_once(monkeypatch):
     assert calls["grams"] == len(fam) == 93
 
 
-def test_family_takes_one_hnf_per_distinct_basis(monkeypatch):
-    # the 624 slope pairs give 184 distinct bases; each is keyed by one
-    # HNF, and building the certified lattice of a new key takes none
+def test_family_takes_no_hnf(monkeypatch):
+    # the 624 slope pairs are keyed by _unit_key in integers, and building
+    # the certified lattice of a new key takes no HNF either
     calls = []
     hnf_rows = exact_linalg.hnf_rows
 
@@ -280,14 +287,15 @@ def test_family_takes_one_hnf_per_distinct_basis(monkeypatch):
     monkeypatch.setattr(exact_linalg, "hnf_rows", counted_hnf_rows)
     fam = family_distinctness(12)
     assert len(fam) == 93
-    assert len(calls) == 184
+    assert len(calls) == 0
 
 
 def test_family_builds_a_matrix_per_distinct_basis(monkeypatch):
-    # a repeated basis is met as _slope_basis's integer rows over their
-    # denominator: only the 184 distinct ones of the 624 pairs become a
-    # Matrix.  The sweep's field is built before counting, with its trace
-    # form, the one Matrix a field builds for itself
+    # a pair is keyed on _slope_basis's integer rows over their
+    # denominator: only the first pair of each of the 93 distinct lattices
+    # becomes a Matrix, the basis that is emitted.  The sweep's field is
+    # built before counting, with its trace form, the one Matrix a field
+    # builds for itself
     calls = []
     scaled = Matrix.scaled.__func__
     ambient = QuadAmbient(3, -1)
@@ -301,7 +309,34 @@ def test_family_builds_a_matrix_per_distinct_basis(monkeypatch):
     monkeypatch.setattr(Matrix, "scaled", classmethod(counted_scaled))
     fam = family_distinctness(12)
     assert len(fam) == 93
-    assert len(calls) == 184
+    assert len(calls) == 93
+
+
+def _slope_pair_image(pair, unit):
+    """A slope pair whose point is a unit multiple of the pair's: with
+    s = s0 + s1 sqrt(-3) the point is z = -s / conj(s), so s sqrt(-3) gives
+    -z and s 2 omega gives omega^2 z (the factor 2 keeps it integral and
+    leaves z alone)."""
+    s0, s1 = pair
+    for _ in range(unit % 3):
+        s0, s1 = -s0 - 3 * s1, s0 - s1
+    return (-3 * s1, s0) if unit >= 3 else (s0, s1)
+
+
+slope_pair = st.tuples(st.integers(-8, 8), st.integers(-8, 8)).filter(lambda p: p != (0, 0))
+
+
+@given(slope_pair, st.one_of(slope_pair, st.integers(0, 5)))
+@settings(max_examples=200, deadline=None)
+def test_unit_key_is_equal_exactly_for_equal_lattices(first, other):
+    # sound and complete: two pairs have equal keys iff their bases have
+    # the same scale and the same Hermite form (the oracle's), for a second
+    # pair drawn freely or, for an int, the first's image under that unit
+    second = _slope_pair_image(first, other) if isinstance(other, int) else other
+    (rows, den), (rows2, den2) = _slope_basis(*first), _slope_basis(*second)
+    same_lattice = (den, hermite_form(rows)) == (den2, hermite_form(rows2))
+    assert (_unit_key(rows, den) == _unit_key(rows2, den2)) == same_lattice
+    assert same_lattice or not isinstance(other, int)
 
 
 def test_slope_basis_is_in_lowest_terms():
