@@ -36,7 +36,7 @@ from .errors import (
     number_text,
 )
 from .exact_linalg import Matrix, _reduced, det, rat
-from .lattice_core import TraceLattice, canonical_key, classify_gram
+from .lattice_core import TraceLattice, canonical_key, classify_gram, gram_of
 from .shanks_field import ShanksField, new_field
 
 LambdaVector = tuple[Fraction, Fraction, Fraction]
@@ -203,7 +203,8 @@ def _orbit_lattice(
     circulant of nums times the integer rows of orbit_matrix, over den
     times its denominator, brought to lowest terms once.  gram is the
     circulant of (d, e, e) certified for lam (the Galois symmetry makes the
-    Gram circulant), and the computed Gram must equal it exactly; raises
+    Gram circulant), and the computed Gram must equal it exactly; the
+    lattice then carries gram itself, not the computed copy.  Raises
     DegenerateLambda when the three conjugates are linearly dependent.
     scan_family calls it on the (N, R) of _lambda_ints."""
     orbit = field.orbit_matrix
@@ -216,14 +217,14 @@ def _orbit_lattice(
         den * orbit.den,
     )
     try:
-        lattice = TraceLattice(field, basis)
+        computed = gram_of(basis, field)
     except DependentBasis as exc:
         raise DegenerateLambda(
             "conjugates of the weighted element are dependent for lam = "
             f"({', '.join(number_text(Fraction(v, den)) for v in nums)})"
         ) from exc
-    assert lattice.gram == gram, "orbit Gram must be circulant in (d, e)"
-    return lattice
+    assert computed == gram, "orbit Gram must be circulant in (d, e)"
+    return TraceLattice(field, basis, gram)
 
 
 def sigma_permutes_basis(lattice: TraceLattice) -> bool:
@@ -296,15 +297,15 @@ def scan_family(t, height: int, target: TraceTarget = TARGET_A3) -> FamilyScan:
     new member.  Its HNF is computed only when member_json prints it.
 
     Once per sweep: the target's circulant Gram is built and its root type
-    classified (classify_gram); every member carries that Gram, checked
-    exactly by _orbit_lattice, so it carries that type too.  For the
-    self-dual target the Gram is the identity, which is self-duality
-    itself: with G = I the dual basis G^-1 B is B.  Certificates per
-    member: the integer conic check and the three target asserts of
-    _lambda_ints; the exact Gram (_orbit_lattice); sigma permuting the
-    basis (sigma_permutes_basis), the normal Z-basis itself, which implies
-    Galois stability.  to_a3_basis is left to the caller: its P is checked
-    once per import.
+    classified (classify_gram); every member carries that one Gram Matrix,
+    checked equal to its computed Gram by _orbit_lattice, so it carries
+    that type too.  For the self-dual target the Gram is the identity,
+    which is self-duality itself: with G = I the dual basis G^-1 B is B.
+    Certificates per member: the integer conic check and the three target
+    asserts of _lambda_ints; the exact Gram (_orbit_lattice); sigma
+    permuting the basis (sigma_permutes_basis), the normal Z-basis itself,
+    which implies Galois stability.  to_a3_basis is left to the caller: its
+    P is checked once per import.
 
     Degenerate weights are skipped with a log note and counted, never
     raised (a shift of degenerate weights is degenerate too).  The presets

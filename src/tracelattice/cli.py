@@ -2,12 +2,15 @@
 
 Every run is deterministic given its flags; results are a single JSON
 document on standard output (or at --json PATH). Exit codes: 0 success,
-1 mathematical falsification or domain error, 2 usage error.
+1 mathematical falsification or domain error, 2 usage error or an output
+(standard output or --json PATH) that cannot be written.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
+import os
 import re
 import sys
 from fractions import Fraction
@@ -33,14 +36,22 @@ def _height_flag(text: str) -> int:
     return value
 
 
+#: the flags whose value may start with "-", and the start of such a value:
+#: a digit, or for a generator expression also z or "("
+_NEGATIVE_VALUE = {"--t": r"-\d", "--element": r"-\d", "--generator": r"-[\dz(]"}
+
+
 def _join_negative_values(argv: list[str]) -> list[str]:
-    """Rewrite "--t -1/2" as "--t=-1/2", and "--element -1/3,1,0" likewise.
-    argparse reads a token that starts with "-" as a flag unless it looks
-    like a plain number such as -1, so a negative fraction or coordinate
-    list after a space would otherwise be a usage error."""
+    """Rewrite "--t -1/2" as "--t=-1/2", and "--element -1/3,1,0" and
+    "--generator -1+z" likewise.  argparse reads a token that starts with
+    "-" as a flag unless it looks like a plain number such as -1, so a
+    negative fraction, coordinate list or expression after a space would
+    otherwise be a usage error.  A following flag such as --json is never
+    joined."""
     out = list(argv)
     for i in range(len(out) - 2, -1, -1):
-        if out[i] in ("--t", "--element") and re.match(r"-\d", out[i + 1]):
+        start = _NEGATIVE_VALUE.get(out[i])
+        if start is not None and re.match(start, out[i + 1]):
             out[i : i + 2] = [f"{out[i]}={out[i + 1]}"]
     return out
 
@@ -57,7 +68,8 @@ def _reject_joined_double_dash(parser: argparse.ArgumentParser, argv: list[str])
 # ---------------------------------------------------------------------------
 # subcommand bodies: each takes the parsed flags and its own subparser, for
 # usage errors, returns (document, exit_code) and imports its own modules, so
-# that a process loads only what its subcommand runs
+# that a process loads only what its subcommand runs; an array document is an
+# iterator of its elements, each built as dumps_canonical encodes it
 # ---------------------------------------------------------------------------
 
 def _run_family(args, parser):
@@ -66,7 +78,7 @@ def _run_family(args, parser):
 
     target = TARGET_A3 if args.subcommand == "gen-a3" else TARGET_SELF_DUAL
     scan = scan_family(args.t, args.height, target)
-    return [member_json(m) for m in scan.members], 0
+    return map(member_json, scan.members), 0
 
 
 def _run_classify(args, parser):
@@ -136,7 +148,7 @@ def _run_quad_a2(args, parser):
         return doc, code
     if args.d != 3:
         parser.error("the parametrized family needs --d 3; use --falsify otherwise")
-    return [lattice_json(L) for L in family_distinctness(args.height)], 0
+    return map(lattice_json, family_distinctness(args.height)), 0
 
 
 def _run_order(args, parser):
@@ -334,5 +346,26 @@ def main(argv=None) -> int:
                 2, f"{parser.prog}: error: cannot write {args.json}: {exc.strerror}\n"
             )
     else:
-        sys.stdout.write(payload)
+        _write_stdout(parser, payload)
     return code
+
+
+def _write_stdout(parser: argparse.ArgumentParser, payload: str) -> None:
+    """Write and flush the payload; a closed, full or broken standard output
+    is a usage error (exit 2), as an unwritable --json PATH is.  After a
+    failed write, fd 1 is pointed at os.devnull, so the interpreter's flush
+    at exit finds nothing left to fail on."""
+    if sys.stdout is None:  # started with fd 1 closed
+        reason = os.strerror(errno.EBADF)
+    else:
+        try:
+            sys.stdout.write(payload)
+            sys.stdout.flush()
+            return
+        except OSError as exc:
+            reason = exc.strerror
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            if devnull != sys.stdout.fileno():  # fd 1 was closed: it is devnull
+                os.dup2(devnull, sys.stdout.fileno())
+                os.close(devnull)
+    parser.exit(2, f"{parser.prog}: error: cannot write standard output: {reason}\n")

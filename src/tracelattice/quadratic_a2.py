@@ -24,7 +24,7 @@ from typing import Optional
 
 from ._intfactor import squarefree_kernel
 from .exact_linalg import Matrix
-from .lattice_core import TraceLattice, canonical_key
+from .lattice_core import TraceLattice, canonical_key, gram_of
 from .power_basis import PowerBasisField
 
 F = Fraction
@@ -96,10 +96,11 @@ def _slope_basis(s0: int, s1: int) -> tuple[tuple, int]:
 
 def _certified_a2(basis: Matrix, ambient: QuadAmbient) -> TraceLattice:
     """The lattice of the basis in the ambient Q(sqrt(+-d)), its Gram built
-    by gram_of and required to be [[2,-1],[-1,2]]."""
-    lattice = TraceLattice(ambient, basis)
-    assert lattice.gram == A2_GRAM
-    return lattice.with_type("A2")
+    by gram_of and required to be [[2,-1],[-1,2]]; the lattice carries the
+    one A2_GRAM, not the computed copy."""
+    gram = gram_of(basis, ambient)
+    assert gram == A2_GRAM
+    return TraceLattice(ambient, basis, A2_GRAM, "A2")
 
 
 def normal_a2(sign: int = -1) -> TraceLattice:

@@ -3,6 +3,10 @@
 Rationals travel as strings "p/q" ("p" when the denominator is 1), matrices
 as row-major nested arrays of those strings, and canonical dumps sort keys
 with fixed separators so the same document always produces the same bytes.
+An array document (a list or an iterator, such as the members of a sweep)
+is written one element at a time, each encoded on its own and joined with
+",": with compact separators these are the bytes of encoding the whole
+array, and at most one element's encoding is being built at a time.
 A number past the interpreter's limit on int-to-str conversion (4,300
 digits by default) is not written: its conversion raises TooLarge.
 """
@@ -12,6 +16,7 @@ from __future__ import annotations
 import json
 import re
 import sys
+from collections.abc import Iterator
 from fractions import Fraction
 from math import gcd
 from typing import TYPE_CHECKING, Optional
@@ -92,11 +97,23 @@ def member_json(member) -> dict:
     return doc
 
 
-def dumps_canonical(doc) -> str:
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
+def _encode(doc) -> str:
     try:
-        return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+        return _ENCODER.encode(doc)
     except ValueError:  # an int in the document, such as a discriminant
         raise _too_large() from None
+
+
+def dumps_canonical(doc) -> str:
+    """The canonical bytes of doc plus a newline.  A list or an iterator is
+    encoded item by item, so an iterator of member documents is never held
+    whole; a dict or a scalar (a str too) is encoded in one call."""
+    if isinstance(doc, (list, Iterator)):
+        return "[" + ",".join(map(_encode, doc)) + "]\n"
+    return _encode(doc) + "\n"
 
 
 # ---------------------------------------------------------------------------

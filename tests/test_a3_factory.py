@@ -391,6 +391,16 @@ def test_scan_family_records_carry_slope_and_point():
 
 
 @pytest.mark.parametrize("target", [TARGET_A3, TARGET_SELF_DUAL], ids=["A3", "self-dual"])
+def test_scan_family_members_share_the_target_gram(target):
+    # each member's computed Gram is checked equal to the target's and
+    # dropped: a sweep holds one Gram Matrix, not one per member
+    members = scan_family(1, 6, target).members
+    gram = members[0].lattice.gram
+    assert gram == _circulant_gram(target.d, target.e)
+    assert all(m.lattice.gram is gram for m in members)
+
+
+@pytest.mark.parametrize("target", [TARGET_A3, TARGET_SELF_DUAL], ids=["A3", "self-dual"])
 @pytest.mark.parametrize("t", [F(1), F(-1, 2), F(2), F(-5, 2), F(1, 3), F(7)], ids=str)
 def test_scan_family_matches_full_build_oracle(t, target):
     # the oracle dedupes by Hermite form and the sweep by sigma-rotation

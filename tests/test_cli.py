@@ -1,6 +1,7 @@
 """Command-line contract: JSON shapes, exit codes, determinism, round-trips."""
 
 import argparse
+import errno
 import hashlib
 import json
 import math
@@ -28,22 +29,23 @@ def run_cli(args, capsys):
     return code, (json.loads(out) if out else None)
 
 
-def run_python(argv, env_extra=None, timeout=None):
+def run_python(argv, env_extra=None, timeout=None, stdout=subprocess.PIPE):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     if env_extra:
         env.update(env_extra)
     return subprocess.run(
         [sys.executable, *argv],
-        capture_output=True,
+        stdout=stdout,
+        stderr=subprocess.PIPE,
         text=True,
         env=env,
         timeout=timeout,
     )
 
 
-def run_proc(args, env_extra=None, timeout=None):
-    return run_python(["-m", "tracelattice", *args], env_extra, timeout)
+def run_proc(args, env_extra=None, timeout=None, stdout=subprocess.PIPE):
+    return run_python(["-m", "tracelattice", *args], env_extra, timeout, stdout)
 
 
 # ---------------------------------------------------------------------------
@@ -383,6 +385,15 @@ PINNED_STDOUT_SHA256 = [
         ["gen-selfdual", "--t=2", "--height", "16"],
         "5b0556787c86c73c6fa60b5649cf76988643ca25a89fd845271f9eddfbc63c16",
     ),
+    # larger arrays, written one member at a time
+    (
+        ["gen-a3", "--t=1", "--height", "64"],
+        "427653e54781e77708dea6cbd9050e2722129da7b9d25e639a920eb777ccaa54",
+    ),
+    (
+        ["quad-a2", "--d", "3", "--height", "40"],
+        "8e68323c121c08a92b5f2af7d6a92457024a4b410ff15856abfaaf1d8bd76486",
+    ),
 ]
 
 
@@ -538,6 +549,48 @@ def test_json_flag_writes_same_bytes(tmp_path):
     r2 = run_proc(["gen-a3", "--t", "1", "--height", "3", "--json", str(out)])
     assert r2.returncode == 0 and r2.stdout == ""
     assert out.read_text() == r1.stdout
+
+
+def stdout_error(code: int) -> str:
+    return f"tracelattice: error: cannot write standard output: {os.strerror(code)}\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_full_stdout_is_exit_2():
+    # the write fails in main, at once or at its flush when stdout is
+    # buffered, so the interpreter's own flush at exit has nothing to fail on
+    with open("/dev/full", "w") as full:
+        r = run_proc(["classify", "--gram", "[[2]]"], stdout=full)
+    assert r.returncode == 2 and r.stderr == stdout_error(errno.ENOSPC)
+
+
+def test_stdout_pipe_closed_before_the_write_is_exit_2():
+    # the 87 KB gen-a3 document is written straight to the pipe, whose read
+    # end is already closed
+    read_fd, write_fd = os.pipe()
+    os.close(read_fd)
+    try:
+        r = run_proc(["gen-a3", "--t=1", "--height", "16"], stdout=write_fd)
+    finally:
+        os.close(write_fd)
+    assert r.returncode == 2 and r.stderr == stdout_error(errno.EPIPE)
+
+
+@pytest.mark.parametrize(
+    "launch",
+    [
+        # fd 1 closed before start-up leaves sys.stdout None
+        "import os, sys; os.close(1); "
+        "os.execv(sys.executable, [sys.executable, '-m', 'tracelattice', *sys.argv[1:]])",
+        # closed after it, the write or its flush fails, and os.devnull is
+        # then opened as fd 1 itself
+        "import os, runpy; os.close(1); runpy.run_module('tracelattice', run_name='__main__')",
+    ],
+    ids=["before-start-up", "after-start-up"],
+)
+def test_closed_stdout_is_exit_2(launch):
+    r = run_python(["-c", launch, "classify", "--gram", "[[2]]"])
+    assert r.returncode == 2 and r.stderr == stdout_error(errno.EBADF)
 
 
 # ---------------------------------------------------------------------------
@@ -721,6 +774,19 @@ def test_negative_rational_t_after_a_space(sub, extra):
     joined = run_proc([sub, "--t=-1/2", *extra])
     assert spaced.returncode == 0 and spaced.stderr == ""
     assert spaced.stdout == joined.stdout
+
+
+@pytest.mark.parametrize("generator", ["-1+z", "-z^2", "-(1-z)"])
+def test_negative_generator_after_a_space(generator):
+    spaced = run_proc(["cyclotomic", "--n", "5", "--generator", generator])
+    joined = run_proc(["cyclotomic", "--n", "5", f"--generator={generator}"])
+    assert spaced.returncode == 0 and spaced.stderr == ""
+    assert spaced.stdout == joined.stdout
+
+
+def test_generator_followed_by_a_flag_is_exit_2(tmp_path):
+    r = run_proc(["cyclotomic", "--n", "5", "--generator", "--json", str(tmp_path / "x")])
+    assert r.returncode == 2 and "--generator: expected one argument" in r.stderr
 
 
 # ---------------------------------------------------------------------------

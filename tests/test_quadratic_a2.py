@@ -257,7 +257,7 @@ def test_family_matches_full_build_oracle(height, sign):
 
 def test_family_checks_every_pair_and_builds_each_lattice_once(monkeypatch):
     calls = {"pairs": 0, "grams": 0}
-    slope_basis, gram_of = quadratic_a2._slope_basis, lattice_core.gram_of
+    slope_basis, gram_of = quadratic_a2._slope_basis, quadratic_a2.gram_of
 
     def counted_slope_basis(*args):
         calls["pairs"] += 1
@@ -268,10 +268,13 @@ def test_family_checks_every_pair_and_builds_each_lattice_once(monkeypatch):
         return gram_of(*args)
 
     monkeypatch.setattr(quadratic_a2, "_slope_basis", counted_slope_basis)
-    monkeypatch.setattr(lattice_core, "gram_of", counted_gram_of)
+    # _certified_a2 looks gram_of up in quadratic_a2
+    monkeypatch.setattr(quadratic_a2, "gram_of", counted_gram_of)
     fam = family_distinctness(12)
     assert calls["pairs"] == 25 * 25 - 1 == 624
     assert calls["grams"] == len(fam) == 93
+    # each computed Gram is checked and dropped: every member holds A2_GRAM
+    assert all(L.gram is A2_GRAM for L in fam)
 
 
 def test_family_takes_no_hnf(monkeypatch):

@@ -2,6 +2,7 @@
 the strict flag parsers."""
 
 import json
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -222,3 +223,70 @@ def test_dumps_are_valid_json():
     for m in scan.members:
         doc = member_json(m)
         assert json.loads(dumps_canonical(doc)) == doc
+
+
+# ---------------------------------------------------------------------------
+# arrays, one element at a time
+# ---------------------------------------------------------------------------
+
+json_docs = st.recursive(
+    st.integers() | st.text(),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+def whole_dumps(doc) -> str:
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+@given(st.lists(json_docs, max_size=6))
+def test_arrays_are_the_bytes_of_the_whole_encoding(items):
+    payload = dumps_canonical(items)
+    assert payload == whole_dumps(items)
+    assert dumps_canonical(iter(items)) == payload
+    assert dumps_canonical(x for x in items) == payload
+
+
+def test_arrays_keep_non_ascii_escaped():
+    items = ["é", {"ζ": "漢字", "a": ["\U0001f600"]}, -7]
+    assert dumps_canonical(iter(items)) == whole_dumps(items)
+    assert "\\u00e9" in dumps_canonical(items)
+
+
+def test_an_empty_iterator_is_an_empty_array():
+    assert dumps_canonical(iter([])) == "[]\n"
+    assert dumps_canonical(map(str, [])) == "[]\n"
+    assert dumps_canonical([]) == "[]\n"
+
+
+@given(json_docs.filter(lambda doc: not isinstance(doc, list)))
+def test_strings_numbers_and_dicts_are_encoded_whole(doc):
+    # a str is one JSON string, never an array of its characters
+    assert dumps_canonical(doc) == whole_dumps(doc)
+
+
+def test_a_number_past_the_digit_limit_in_an_element_is_too_large():
+    items = [{"a": 1}, {"disc": 10**4300}]
+    for doc in (items, iter(items)):
+        with pytest.raises(TooLarge, match="more than 4300 digits"):
+            dumps_canonical(doc)
+
+
+def test_a_sweep_is_written_in_a_small_multiple_of_its_length():
+    # the member documents are built as they are encoded: the peak is the
+    # encoded elements and their join, where json.dumps of the list of
+    # documents peaks near 19 times the payload.  The members' HNF keys are
+    # taken first: they are kept on the lattices, not by the output stage.
+    members = scan_family(F(1), 16).members
+    for m in members:
+        hnf_json(m.lattice)
+    tracemalloc.start()
+    try:
+        payload = dumps_canonical(map(member_json, members))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(members) == 222 and len(payload) > 80_000
+    assert peak < 3 * len(payload)
