@@ -25,18 +25,18 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Iterator, NamedTuple, Optional
+from operator import mul
+from typing import Generator, Iterator, NamedTuple, Optional
 
 from .errors import (
     DegenerateLambda,
-    DependentBasis,
     PointNotOnConic,
     WrongGram,
     ZeroParameter,
     number_text,
 )
 from .exact_linalg import Matrix, _reduced, det, rat
-from .lattice_core import TraceLattice, canonical_key, classify_gram, gram_of
+from .lattice_core import TraceLattice, canonical_key, classify_gram
 from .shanks_field import ShanksField, new_field
 
 LambdaVector = tuple[Fraction, Fraction, Fraction]
@@ -191,6 +191,17 @@ def _circulant_gram(d, e) -> Matrix:
     return Matrix(_circulant(d, e, e))
 
 
+def _check_sigma_isometry(form: Matrix, s: Matrix) -> None:
+    """Assert, once per sweep, that the trace form T is symmetric and that
+    sigma's matrix S is an isometry of it, S T S^T = T.  With sigma
+    permuting a basis B = (b0, b0 S, b0 S^2), these make B T B^T the
+    circulant of its first row b0 T B^T, and symmetric, so that row is
+    (d, e, e) for some d and e: _orbit_lattice certifies a member's Gram by
+    that one row."""
+    assert form == form.transpose(), "the trace form must be symmetric"
+    assert s * form * s.transpose() == form, "sigma must be an isometry of the trace form"
+
+
 def _orbit_lattice(
     field: ShanksField, nums: tuple[int, int, int], den: int, gram: Matrix
 ) -> TraceLattice:
@@ -201,12 +212,20 @@ def _orbit_lattice(
     sigma shifts the weights, beta^sigma = <(lam2, lam0, lam1), eps-orbit>,
     so the basis (beta, beta^sigma, beta^sigma2) is one product: the
     circulant of nums times the integer rows of orbit_matrix, over den
-    times its denominator, brought to lowest terms once.  gram is the
-    circulant of (d, e, e) certified for lam (the Galois symmetry makes the
-    Gram circulant), and the computed Gram must equal it exactly; the
-    lattice then carries gram itself, not the computed copy.  Raises
-    DegenerateLambda when the three conjugates are linearly dependent.
-    scan_family calls it on the (N, R) of _lambda_ints."""
+    times its denominator, brought to lowest terms once.
+
+    gram is the positive definite circulant of (d, e, e) certified for lam,
+    and the field's trace form T is symmetric with sigma an isometry of it
+    (_check_sigma_isometry): scan_family classifies its one target and
+    checks T once per sweep.  The basis's Gram is then certified by its
+    first row alone, the three products v b_j with v = b0 T, which must
+    equal gram's first row exactly, and by sigma permuting the basis
+    (sigma_permutes_basis): with both, the Gram is gram itself, so it is
+    definite and the rows are independent.  The lattice carries gram, not
+    a computed copy.  A row that differs raises DegenerateLambda when the
+    three conjugates are linearly dependent (det of the basis 0), and
+    fails the assertion otherwise.  scan_family calls it on the (N, R) of
+    _lambda_ints."""
     orbit = field.orbit_matrix
     o0, o1, o2 = orbit.ints
     basis = _reduced(
@@ -216,15 +235,23 @@ def _orbit_lattice(
         ),
         den * orbit.den,
     )
-    try:
-        computed = gram_of(basis, field)
-    except DependentBasis as exc:
+    form = field.trace_form()
+    b = basis.ints
+    # T is symmetric, so b0 T is b0 against the rows of T
+    b0t = [sum(map(mul, b[0], row)) for row in form.ints]
+    # both first rows over basis.den^2 * form.den * gram.den
+    scale = basis.den * basis.den * form.den
+    first = [sum(map(mul, b0t, row)) * gram.den for row in b]
+    target = [x * scale for x in gram.ints[0]]
+    if first != target and det(basis) == 0:
         raise DegenerateLambda(
             "conjugates of the weighted element are dependent for lam = "
             f"({', '.join(number_text(Fraction(v, den)) for v in nums)})"
-        ) from exc
-    assert computed == gram, "orbit Gram must be circulant in (d, e)"
-    return TraceLattice(field, basis, gram)
+        )
+    assert first == target, "the orbit Gram's first row must be the target's (d, e, e)"
+    lattice = TraceLattice(field, basis, gram)
+    assert sigma_permutes_basis(lattice)
+    return lattice
 
 
 def sigma_permutes_basis(lattice: TraceLattice) -> bool:
@@ -297,20 +324,42 @@ def scan_family(t, height: int, target: TraceTarget = TARGET_A3) -> FamilyScan:
     new member.  Its HNF is computed only when member_json prints it.
 
     Once per sweep: the target's circulant Gram is built and its root type
-    classified (classify_gram); every member carries that one Gram Matrix,
-    checked equal to its computed Gram by _orbit_lattice, so it carries
-    that type too.  For the self-dual target the Gram is the identity,
-    which is self-duality itself: with G = I the dual basis G^-1 B is B.
-    Certificates per member: the integer conic check and the three target
-    asserts of _lambda_ints; the exact Gram (_orbit_lattice); sigma
-    permuting the basis (sigma_permutes_basis), the normal Z-basis itself,
-    which implies Galois stability.  to_a3_basis is left to the caller: its
-    P is checked once per import.
+    classified (classify_gram), which also proves it positive definite;
+    the field's trace form T is checked symmetric and sigma an isometry of
+    it, S T S^T = T (_check_sigma_isometry).  Every member carries that one
+    Gram Matrix, so it carries that type too.  For the self-dual target the
+    Gram is the identity, which is self-duality itself: with G = I the dual
+    basis G^-1 B is B.  Certificates per member: the integer conic check
+    and the three target asserts of _lambda_ints; the first row of the
+    Gram, b0 T B^T, equal to the target's (_orbit_lattice); sigma permuting
+    the basis (sigma_permutes_basis), the normal Z-basis itself, which
+    implies Galois stability and, with the isometry, makes the Gram the
+    circulant of that row, so exactly the target.  to_a3_basis is left to
+    the caller: its P is checked once per import.
 
     Degenerate weights are skipped with a log note and counted, never
     raised (a shift of degenerate weights is degenerate too).  The presets
     have none: the circulant of lam is singular only when sum lam = f/t is
-    0, or when lam0 = lam1 = lam2, which needs the point (0, 0)."""
+    0, or when lam0 = lam1 = lam2, which needs the point (0, 0).
+
+    The list collects _family_members, the generator the command line
+    writes from one member at a time."""
+    sweep = _family_members(t, height, target)
+    members: list[FamilyMember] = []
+    while True:
+        try:
+            members.append(next(sweep))
+        except StopIteration as end:
+            return FamilyScan(members, end.value)
+
+
+def _family_members(
+    t, height: int, target: TraceTarget
+) -> Generator[FamilyMember, None, int]:
+    """The members of scan_family's sweep, each yielded as soon as it is
+    certified and kept by the caller only; returns the number of
+    degenerate points skipped.  Nothing runs before the first member is
+    asked for, argument checks included."""
     t = rat(t)
     if t == 0:
         raise ZeroParameter()
@@ -326,9 +375,9 @@ def scan_family(t, height: int, target: TraceTarget = TARGET_A3) -> FamilyScan:
     else:
         assert gram == _IDENTITY_3, "L must equal its dual"
         assert label == "unimodular_odd"
+    _check_sigma_isometry(field.trace_form(), field.galois_matrices()[0])
     ints = TraceTarget(*map(int, target))  # (2, 1, 2) or (1, 0, +-1)
     built: set = set()  # (least cyclic shift of N, R) of each lam built
-    members: list[FamilyMember] = []
     skipped = 0
     for slope in _slope_pairs(height):
         x, y, m = _chord_ints(base, slope)
@@ -350,14 +399,10 @@ def scan_family(t, height: int, target: TraceTarget = TARGET_A3) -> FamilyScan:
             skipped += 1
             continue
         built.add(rotation)
-        assert sigma_permutes_basis(lattice)
-        members.append(
-            FamilyMember(
-                lattice.with_type(label),
-                (Fraction(n0, r), Fraction(n1, r), Fraction(n2, r)),
-                ConicPoint(Fraction(x, m), Fraction(y, m)),
-                None if slope is None else Fraction(*slope),
-            )
+        yield FamilyMember(
+            lattice.with_type(label),
+            (Fraction(n0, r), Fraction(n1, r), Fraction(n2, r)),
+            ConicPoint(Fraction(x, m), Fraction(y, m)),
+            None if slope is None else Fraction(*slope),
         )
-    return FamilyScan(members, skipped)
-
+    return skipped

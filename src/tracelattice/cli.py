@@ -4,6 +4,11 @@ Every run is deterministic given its flags; results are a single JSON
 document on standard output (or at --json PATH). Exit codes: 0 success,
 1 mathematical falsification or domain error, 2 usage error or an output
 (standard output or --json PATH) that cannot be written.
+
+A document is encoded whole, as the parts of serialize.canonical_parts,
+before its first byte is written, so an error anywhere in a sweep prints
+the error document alone.  The parts are then written in batches of about
+64 KiB, never joined into one string or encoded to bytes whole.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ import sys
 from fractions import Fraction
 
 from .errors import TraceLatticeError
-from .serialize import dumps_canonical, parse_rational, rational_str
+from .serialize import canonical_parts, parse_rational, rational_str
 
 
 def _rational_flag(text: str) -> Fraction:
@@ -69,16 +74,16 @@ def _reject_joined_double_dash(parser: argparse.ArgumentParser, argv: list[str])
 # subcommand bodies: each takes the parsed flags and its own subparser, for
 # usage errors, returns (document, exit_code) and imports its own modules, so
 # that a process loads only what its subcommand runs; an array document is an
-# iterator of its elements, each built as dumps_canonical encodes it
+# iterator of its elements, each built as canonical_parts encodes it, and a
+# sweep's iterator generates and certifies one member per element
 # ---------------------------------------------------------------------------
 
 def _run_family(args, parser):
-    from .a3_factory import TARGET_A3, TARGET_SELF_DUAL, scan_family
+    from .a3_factory import TARGET_A3, TARGET_SELF_DUAL, _family_members
     from .serialize import member_json
 
     target = TARGET_A3 if args.subcommand == "gen-a3" else TARGET_SELF_DUAL
-    scan = scan_family(args.t, args.height, target)
-    return map(member_json, scan.members), 0
+    return map(member_json, _family_members(args.t, args.height, target)), 0
 
 
 def _run_classify(args, parser):
@@ -129,7 +134,7 @@ def _run_cyclotomic(args, parser):
 
 
 def _run_quad_a2(args, parser):
-    from .quadratic_a2 import falsify_a2, family_distinctness
+    from .quadratic_a2 import _distinct_lattices, falsify_a2
     from .serialize import lattice_json
 
     if args.falsify:
@@ -148,7 +153,7 @@ def _run_quad_a2(args, parser):
         return doc, code
     if args.d != 3:
         parser.error("the parametrized family needs --d 3; use --falsify otherwise")
-    return map(lattice_json, family_distinctness(args.height)), 0
+    return map(lattice_json, _distinct_lattices(args.height)), 0
 
 
 def _run_order(args, parser):
@@ -329,29 +334,50 @@ def main(argv=None) -> int:
 
     try:
         doc, code = _SUBCOMMANDS[args.subcommand][2](args, sub.choices[args.subcommand])
-        payload = dumps_canonical(doc)
+        parts = canonical_parts(doc)
     except TraceLatticeError as exc:
-        payload = dumps_canonical({"error": {"kind": type(exc).__name__, "detail": str(exc)}})
+        parts = canonical_parts({"error": {"kind": type(exc).__name__, "detail": str(exc)}})
         code = 1
     except AssertionError as exc:
-        payload = dumps_canonical({"error": {"kind": "CertificateFailure", "detail": str(exc)}})
+        parts = canonical_parts({"error": {"kind": "CertificateFailure", "detail": str(exc)}})
         code = 1
 
     if args.json is not None:
         try:
             with open(args.json, "w", encoding="utf-8") as fh:
-                fh.write(payload)
+                _write_batches(fh.write, parts)
         except OSError as exc:
             parser.exit(
                 2, f"{parser.prog}: error: cannot write {args.json}: {exc.strerror}\n"
             )
     else:
-        _write_stdout(parser, payload)
+        _write_stdout(parser, parts)
     return code
 
 
-def _write_stdout(parser: argparse.ArgumentParser, payload: str) -> None:
-    """Write and flush the payload; a closed, full or broken standard output
+#: the least length of one write but the last: a document's parts are
+#: joined into batches of about 64 KiB, so a sweep takes few writes (each a
+#: system call when standard output is unbuffered) and is never joined whole
+_BATCH = 1 << 16
+
+
+def _write_batches(write, parts: list[str]) -> None:
+    """Write the parts through write, joined into batches of at least
+    _BATCH characters but the last: a payload of n characters takes at
+    most n // _BATCH + 1 calls."""
+    batch, size = [], 0
+    for part in parts:
+        batch.append(part)
+        size += len(part)
+        if size >= _BATCH:
+            write("".join(batch))
+            batch, size = [], 0
+    if batch:
+        write("".join(batch))
+
+
+def _write_stdout(parser: argparse.ArgumentParser, parts: list[str]) -> None:
+    """Write the parts and flush; a closed, full or broken standard output
     is a usage error (exit 2), as an unwritable --json PATH is.  After a
     failed write, fd 1 is pointed at os.devnull, so the interpreter's flush
     at exit finds nothing left to fail on."""
@@ -359,7 +385,7 @@ def _write_stdout(parser: argparse.ArgumentParser, payload: str) -> None:
         reason = os.strerror(errno.EBADF)
     else:
         try:
-            sys.stdout.write(payload)
+            _write_batches(sys.stdout.write, parts)
             sys.stdout.flush()
             return
         except OSError as exc:

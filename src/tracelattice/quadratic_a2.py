@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, isqrt, lcm
-from typing import Optional
+from typing import Iterator, Optional
 
 from ._intfactor import squarefree_kernel
 from .exact_linalg import Matrix
@@ -240,9 +240,17 @@ def family_distinctness(height: int, sign: int = -1) -> list[TraceLattice]:
     Per-pair integer check, certified build per distinct key: every slope
     pair passes the integer checks of _slope_basis and is keyed by
     _unit_key on its rows, and only the first pair of each new key becomes
-    a Matrix and builds the certified lattice (gram_of, the A2 Gram)."""
+    a Matrix and builds the certified lattice (gram_of, the A2 Gram).  The
+    list collects _distinct_lattices, the generator the command line writes
+    from one lattice at a time."""
+    return list(_distinct_lattices(height, sign))
+
+
+def _distinct_lattices(height: int, sign: int = -1) -> Iterator[TraceLattice]:
+    """The lattices of family_distinctness, each yielded as soon as it is
+    certified; only the keys of those already yielded are kept."""
     ambient = QuadAmbient(3, sign)
-    seen = {}
+    seen = set()
     for s0 in range(-height, height + 1):
         for s1 in range(-height, height + 1):
             if (s0, s1) == (0, 0):
@@ -250,5 +258,5 @@ def family_distinctness(height: int, sign: int = -1) -> list[TraceLattice]:
             scaled = _slope_basis(s0, s1)
             key = _unit_key(*scaled)
             if key not in seen:
-                seen[key] = _certified_a2(Matrix.scaled(*scaled), ambient)
-    return list(seen.values())
+                seen.add(key)
+                yield _certified_a2(Matrix.scaled(*scaled), ambient)

@@ -4,9 +4,11 @@ Rationals travel as strings "p/q" ("p" when the denominator is 1), matrices
 as row-major nested arrays of those strings, and canonical dumps sort keys
 with fixed separators so the same document always produces the same bytes.
 An array document (a list or an iterator, such as the members of a sweep)
-is written one element at a time, each encoded on its own and joined with
-",": with compact separators these are the bytes of encoding the whole
-array, and at most one element's encoding is being built at a time.
+is encoded one element at a time into a list of parts, each element on its
+own between "[", "," and "]\n": with compact separators their join is the
+bytes of encoding the whole array, and at most one element's document is
+being built at a time.  The command line writes those parts in batches
+and never joins them whole; dumps_canonical is their join.
 A number past the interpreter's limit on int-to-str conversion (4,300
 digits by default) is not written: its conversion raises TooLarge.
 """
@@ -107,13 +109,26 @@ def _encode(doc) -> str:
         raise _too_large() from None
 
 
+def canonical_parts(doc) -> list[str]:
+    """The canonical text of doc plus a newline, as parts whose join is
+    dumps_canonical(doc).  A list or an iterator is encoded item by item,
+    each element its own part between "[", "," and "]\n" parts, so an
+    iterator of member documents is never held whole; a dict or a scalar
+    (a str too) is one part, encoded in one call."""
+    if not isinstance(doc, (list, Iterator)):
+        return [_encode(doc) + "\n"]
+    parts = []
+    for item in doc:
+        parts += (",", _encode(item))
+    parts[:1] = ["["]  # the first "," becomes the "[", or "[" is all
+    parts.append("]\n")
+    return parts
+
+
 def dumps_canonical(doc) -> str:
-    """The canonical bytes of doc plus a newline.  A list or an iterator is
-    encoded item by item, so an iterator of member documents is never held
-    whole; a dict or a scalar (a str too) is encoded in one call."""
-    if isinstance(doc, (list, Iterator)):
-        return "[" + ",".join(map(_encode, doc)) + "]\n"
-    return _encode(doc) + "\n"
+    """The canonical bytes of doc plus a newline: the join of
+    canonical_parts(doc)."""
+    return "".join(canonical_parts(doc))
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ elements; the polynomial layer underneath was itself oracle-tested.
 """
 from __future__ import annotations
 
+import json
 import math
 from fractions import Fraction
 
@@ -28,6 +29,7 @@ from tracelattice.a3_factory import (
     ConicPoint,
     TraceTarget,
     _base_point,
+    _check_sigma_isometry,
     _chord_ints,
     _circulant_gram,
     _lambda_ints,
@@ -45,6 +47,7 @@ from tracelattice.errors import (
     ZeroParameter,
 )
 from tracelattice import a3_factory, exact_linalg, lattice_core
+from tracelattice.cli import main
 from tracelattice.exact_linalg import Matrix
 from tracelattice.lattice_core import (
     TraceLattice,
@@ -114,12 +117,18 @@ def weights(t, target, point):
 def orbit_lattice(t, lam, gram=None):
     """_orbit_lattice on Fraction weights, as integers over their least
     common denominator; gram is by default the circulant of the oracle's
-    (d, e), which _orbit_lattice checks against the Gram it computes."""
+    (d, e), whose first row _orbit_lattice checks against the Gram's.
+
+    _orbit_lattice takes a positive definite target, as the sweep's
+    classified one.  Degenerate weights have a singular Gram, (d, e) with
+    d = e or d + 2e = 0, which no definite target matches: they are offered
+    the normal A3 Gram, and must raise DegenerateLambda."""
     lam = tuple(F(v) for v in lam)
     den = math.lcm(*(v.denominator for v in lam))
     nums = tuple(int(v * den) for v in lam)
     if gram is None:
-        gram = _circulant_gram(*_field_trace_targets(t, lam))
+        d, e = _field_trace_targets(t, lam)
+        gram = _circulant_gram(d, e) if d != e and d + 2 * e != 0 else NORMAL_A3_GRAM
     return _orbit_lattice(new_field(t), nums, den, gram)
 
 
@@ -575,6 +584,133 @@ def test_orbit_lattice_takes_integer_weights_over_den():
     beta = list(bracket(t, [F(n, r) for n in ints]))
     sig, sig2 = shanks_automorphisms(t)
     assert [list(row) for row in L.basis.data] == [beta, sig(beta), sig2(beta)]
+
+
+# --- the Gram certified by its first row ------------------------------------------
+
+@pytest.mark.parametrize("target", [TARGET_A3, TARGET_SELF_DUAL], ids=["A3", "self-dual"])
+@pytest.mark.parametrize("t", [F(1), F(-1, 2), F(2), F(-5, 2), F(1, 3), F(7)], ids=str)
+def test_first_row_certificate_is_the_full_gram(t, target):
+    # every member up to height 8 carries the target Gram, certified by its
+    # first row and sigma permuting the basis: gram_of's B T B^T and the
+    # oracle's traces from the definition give that same Gram
+    members = scan_family(t, 8, target).members
+    assert members
+    field = new_field(t)
+    gram = _circulant_gram(target.d, target.e)
+    for m in members:
+        assert m.lattice.gram == gram
+        assert lattice_core.gram_of(m.lattice.basis, field) == gram
+        rows = [list(row) for row in m.lattice.basis.data]
+        assert trace_gram(shanks_minpoly(t), lambda a: a, rows) == [list(r) for r in gram.data]
+
+
+def test_a_sweep_builds_no_gram(monkeypatch):
+    # the member Grams are certified by one row each, not rebuilt
+    calls = []
+    inner = lattice_core.gram_of
+
+    def counted(*args):
+        calls.append(1)
+        return inner(*args)
+
+    monkeypatch.setattr(lattice_core, "gram_of", counted)
+    assert len(scan_family(1, 16).members) == 222
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "tampered",
+    [
+        _circulant_gram(3, 1),  # another definite circulant
+        Matrix.from_rows([[2, 1, 0], [1, 2, 1], [0, 1, 2]]),  # the first row alone differs
+        Matrix.from_rows([[2, 1, 1], [1, 2, 1], [1, 1, 2]]) * 2,  # scaled
+    ],
+    ids=["circulant", "row", "scaled"],
+)
+def test_a_tampered_target_row_is_a_certificate_failure(tampered):
+    t = F(1)
+    x, y, m = _chord_ints(sweep_base(t), (1, 2))
+    *nums, r = _lambda_ints(1, 1, TARGET_A3, x, y, m)
+    field = new_field(t)
+    assert _orbit_lattice(field, tuple(nums), r, NORMAL_A3_GRAM).gram is NORMAL_A3_GRAM
+    with pytest.raises(AssertionError, match="first row"):
+        _orbit_lattice(field, tuple(nums), r, tampered)
+
+
+def test_a_tampered_target_row_fails_the_command(monkeypatch, capsys):
+    orbit = a3_factory._orbit_lattice
+
+    def tampered(field, nums, den, gram):
+        return orbit(field, nums, den, _circulant_gram(3, 1))
+
+    monkeypatch.setattr(a3_factory, "_orbit_lattice", tampered)
+    assert main(["gen-a3", "--t=1", "--height", "3"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["error"]["kind"] == "CertificateFailure"
+    assert "first row" in doc["error"]["detail"]
+
+
+def test_every_member_is_checked_for_sigma_permuting_its_basis(monkeypatch):
+    # the first row stands for the whole Gram only on a sigma-orbit basis,
+    # so each built lattice is checked, and a failed check is a failure
+    checked = []
+    inner = a3_factory.sigma_permutes_basis
+
+    def counted(lattice):
+        checked.append(lattice.basis)
+        return inner(lattice)
+
+    monkeypatch.setattr(a3_factory, "sigma_permutes_basis", counted)
+    members = scan_family(1, 16).members
+    assert [m.lattice.basis for m in members] == checked and len(checked) == 222
+    monkeypatch.setattr(a3_factory, "sigma_permutes_basis", lambda lattice: False)
+    with pytest.raises(AssertionError):
+        scan_family(1, 2)
+
+
+@pytest.mark.parametrize("nums", [(1, -1, 0), (3, -5, 2), (2, 2, 2), (-7, -7, -7)], ids=str)
+@pytest.mark.parametrize("t", [F(1), F(-5, 2), F(7)], ids=str)
+def test_degenerate_weights_still_raise(t, nums):
+    # sum lam = 0 or lam0 = lam1 = lam2 makes the conjugates dependent: the
+    # first row cannot match a definite target, and the basis is singular
+    field = new_field(t)
+    for gram in (NORMAL_A3_GRAM, Matrix.identity(3)):
+        with pytest.raises(DegenerateLambda):
+            _orbit_lattice(field, nums, 3, gram)
+
+
+@pytest.mark.parametrize("t", [F(1), F(-1, 2), F(2), F(-5, 2), F(1, 3), F(7)], ids=str)
+def test_sigma_is_an_isometry_of_the_trace_form(t):
+    field = new_field(t)
+    _check_sigma_isometry(field.trace_form(), field.galois_matrices()[0])
+
+
+def test_a_non_isometric_sigma_fails_the_sweep_check():
+    field = new_field(1)
+    form, s = field.trace_form(), field.galois_matrices()[0]
+    other = new_field(2).galois_matrices()[0]  # sigma of another field
+    for bad in (other, Matrix.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 2]]), s * s * 2):
+        with pytest.raises(AssertionError, match="isometry"):
+            _check_sigma_isometry(form, bad)
+    skewed = Matrix(
+        [[x + ((i, j) == (0, 1)) for j, x in enumerate(row)] for i, row in enumerate(form.data)]
+    )
+    with pytest.raises(AssertionError, match="symmetric"):
+        _check_sigma_isometry(skewed, s)
+
+
+def test_the_sweep_checks_the_isometry_once(monkeypatch):
+    calls = []
+    inner = a3_factory._check_sigma_isometry
+
+    def counted(form, s):
+        calls.append(1)
+        inner(form, s)
+
+    monkeypatch.setattr(a3_factory, "_check_sigma_isometry", counted)
+    assert len(scan_family(F(-5, 2), 16, TARGET_SELF_DUAL).members) == 222
+    assert calls == [1]
 
 
 def test_self_dual_family_members():
