@@ -25,7 +25,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from operator import mul
 from typing import Generator, Iterator, NamedTuple, Optional
 
 from .errors import (
@@ -35,7 +34,7 @@ from .errors import (
     ZeroParameter,
     number_text,
 )
-from .exact_linalg import Matrix, _reduced, det, rat
+from .exact_linalg import Matrix, det, rat
 from .lattice_core import TraceLattice, canonical_key, classify_gram
 from .shanks_field import ShanksField, new_field
 
@@ -210,12 +209,15 @@ def _orbit_lattice(
     eps-orbit is a basis.
 
     sigma shifts the weights, beta^sigma = <(lam2, lam0, lam1), eps-orbit>,
-    so the basis (beta, beta^sigma, beta^sigma2) is one product: the
-    circulant of nums times the integer rows of orbit_matrix, over den
-    times its denominator, brought to lowest terms once.
+    so the basis (beta, beta^sigma, beta^sigma2) is the circulant of nums
+    times the integer rows of orbit_matrix, over den times its
+    denominator.  One integer pass builds it and certifies it: the nine
+    entries are explicit 3-term products, brought to lowest terms by one
+    gcd, and the first Gram row is three more products against the rows
+    of the trace form T.
 
     gram is the positive definite circulant of (d, e, e) certified for lam,
-    and the field's trace form T is symmetric with sigma an isometry of it
+    and T is symmetric with sigma an isometry of it
     (_check_sigma_isometry): scan_family classifies its one target and
     checks T once per sweep.  The basis's Gram is then certified by its
     first row alone, the three products v b_j with v = b0 T, which must
@@ -227,21 +229,26 @@ def _orbit_lattice(
     fails the assertion otherwise.  scan_family calls it on the (N, R) of
     _lambda_ints."""
     orbit = field.orbit_matrix
-    o0, o1, o2 = orbit.ints
-    basis = _reduced(
-        tuple(
-            tuple([u * x + v * y + w * z for x, y, z in zip(o0, o1, o2)])
-            for u, v, w in _circulant(*nums)
-        ),
-        den * orbit.den,
-    )
+    (x0, x1, x2), (y0, y1, y2), (z0, z1, z2) = orbit.ints
+    # row i of circ(N) O: the weights shifted right i times against O
+    b0, b1, b2 = [
+        (u * x0 + v * y0 + w * z0, u * x1 + v * y1 + w * z1, u * x2 + v * y2 + w * z2)
+        for u, v, w in _circulant(*nums)
+    ]
+    # the basis over bden, in lowest terms by one gcd
+    bden = den * orbit.den
+    g = gcd(bden, *b0, *b1, *b2)
+    if g != 1:
+        b0, b1, b2 = [(c0 // g, c1 // g, c2 // g) for c0, c1, c2 in (b0, b1, b2)]
+        bden //= g
+    basis = Matrix._trusted((b0, b1, b2), bden)
     form = field.trace_form()
-    b = basis.ints
+    p, q, r = b0
     # T is symmetric, so b0 T is b0 against the rows of T
-    b0t = [sum(map(mul, b[0], row)) for row in form.ints]
-    # both first rows over basis.den^2 * form.den * gram.den
-    scale = basis.den * basis.den * form.den
-    first = [sum(map(mul, b0t, row)) * gram.den for row in b]
+    v0, v1, v2 = [p * t0 + q * t1 + r * t2 for t0, t1, t2 in form.ints]
+    # both first rows over bden^2 * form.den * gram.den
+    scale = bden * bden * form.den
+    first = [(v0 * c0 + v1 * c1 + v2 * c2) * gram.den for c0, c1, c2 in (b0, b1, b2)]
     target = [x * scale for x in gram.ints[0]]
     if first != target and det(basis) == 0:
         raise DegenerateLambda(
@@ -258,17 +265,22 @@ def sigma_permutes_basis(lattice: TraceLattice) -> bool:
     """True iff the Galois generator sigma maps basis row i to row i + 1
     (mod 3): the basis is (beta, beta^sigma, beta^sigma2), a normal Z-basis
     of the lattice.  With B = B'/b and sigma's matrix S = S'/s, that is the
-    integer identity B' S' = s (rows 1, 2, 0 of B').  It implies Galois
-    stability, since sigma generates the group and carries the basis onto
-    itself."""
+    integer identity B' S' = s (rows 1, 2, 0 of B'), checked row by row in
+    explicit 3-term products on S' unpacked once, stopping at the first
+    row that fails.  It implies Galois stability, since sigma generates the
+    group and carries the basis onto itself."""
     s = lattice.ambient.galois_matrices()[0]
-    s0, s1, s2 = s.ints
+    (x0, x1, x2), (y0, y1, y2), (z0, z1, z2) = s.ints
     scale = s.den
-    b = lattice.basis.ints
-    return all(
-        [u * x + v * y + w * z for x, y, z in zip(s0, s1, s2)] == [scale * c for c in image]
-        for (u, v, w), image in zip(b, b[1:] + b[:1])
-    )
+    b0, b1, b2 = lattice.basis.ints
+    for (u, v, w), (i0, i1, i2) in ((b0, b1), (b1, b2), (b2, b0)):
+        if (
+            u * x0 + v * y0 + w * z0 != scale * i0
+            or u * x1 + v * y1 + w * z1 != scale * i1
+            or u * x2 + v * y2 + w * z2 != scale * i2
+        ):
+            return False
+    return True
 
 
 def to_a3_basis(lattice: TraceLattice) -> TraceLattice:

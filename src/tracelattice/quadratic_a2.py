@@ -8,13 +8,14 @@ pair of points on x^2 + d y^2 = 1 whose pairing is -1, which exists exactly
 when d = 3.  The A2 lattice is the Eisenstein integers Z[omega] (Conway-
 Sloane, SPLAG, ch. 4 sec. 6.1), so the d = 3 family is (z, z omega) for the
 norm-one points z, parametrized by integer slope pairs through the unit
-conic; for other d a bounded exhaustive search certifies emptiness up to a
-height.
+conic; for other d the norm identity of falsify_a2 shows that no pair of
+norm-one points pairs to -1 at any height, since 3d would be a square.
 
 The family sweep checks every slope pair in integers and keys its lattice
 Z[omega] z by the six units of Z[omega], a principal ideal domain, with no
-Hermite form; gram_of and the A2 Gram certificate run once per distinct
-lattice, on the basis that is emitted.
+Hermite form.  The integer identities of _slope_basis fix each Gram at
+[[2,-1],[-1,2]] once the field's trace form is diag(2, 6), which the sweep
+checks once; each distinct lattice is built on the basis that is emitted.
 """
 from __future__ import annotations
 
@@ -30,6 +31,9 @@ from .power_basis import PowerBasisField
 F = Fraction
 
 A2_GRAM = Matrix.from_rows([[2, -1], [-1, 2]])
+#: the trace form of Q(sqrt(+-3)) on the power basis (1, sqrt(+-3)): the
+#: pairing 2(x x' + 3 y y') of either sign
+_FORM_D3 = Matrix.from_rows([[2, 0], [0, 6]])
 
 #: the largest radicand accepted.  Only factoring tells a squarefree d, and
 #: splitting a product of two primes near 10^10 takes Pollard rho up to
@@ -82,7 +86,7 @@ def _slope_basis(s0: int, s1: int) -> tuple[tuple, int]:
     pairing 2(x x' + 3 y y').  The lattice is Z[omega] z, the Eisenstein
     integers through z.  X^2 + 3 Y^2 = n^2, X2^2 + 3 Y2^2 = (2n)^2 and
     2(X X2 + 3 Y Y2) = -n (2n) are asserted in int, and together they fix
-    the Gram at [[2,-1],[-1,2]]."""
+    the Gram at [[2,-1],[-1,2]] on the trace form diag(2, 6)."""
     n = s0 * s0 + 3 * s1 * s1
     x1, y1 = 3 * s1 * s1 - s0 * s0, -2 * s0 * s1
     x2, y2 = -x1 - 3 * y1, x1 - y1
@@ -188,25 +192,41 @@ def normal_basis_search(height: int) -> list[tuple[Fraction, Fraction]]:
 
 
 def falsify_a2(d: int, height: int, sign: int = -1) -> Optional[TraceLattice]:
-    """Bounded exhaustive search for an A2 basis in Q(sqrt(+-d)): two
-    norm-one points of height <= height with pairing -1.
+    """An A2 basis in Q(sqrt(+-d)) of height <= height: two norm-one points
+    of height <= height with pairing -1, or None when there is none.
 
-    The search runs in integers.  _norm_one_points gives each point as the
-    triple (a, k, m) of (a/m, k/m), one denominator m, so for two points
-    (a/m, k/m) and (a'/m', k'/m') the pairing 2(x x' + d y y') = -1 is the
-    integer identity
+    Write a point as the integer triple (a, k, m) of (a/m, k/m), one
+    denominator m, so a^2 + d k^2 = m^2.  For two points the pairing
+    2(x x' + d y y') = -1 is the integer identity
 
         2(a a' + d k k') = -m m',
 
-    and the points are proportional exactly when a k' = k a'.  The pairs are
-    visited in the order of the sorted point list, and Fractions are built
-    for a witness only.
+    and the norm is multiplicative: (a + k sqrt(-d))(a' - k' sqrt(-d))
+    gives
 
-    Returns the witness lattice when one exists (so d = 3 yields the normal
-    basis at height 2 already), or None when the sweep is empty; by the
-    classification that is the expected outcome for every squarefree d != 3.
-    d is factored once, by the ambient's radicand check."""
+        (a a' + d k k')^2 + d (a k' - k a')^2 = (m m')^2.
+
+    With the pairing, (a a' + d k k')^2 = (m m')^2 / 4, so
+    4 d (a k' - k a')^2 = 3 (m m')^2.  The right side is not 0, so
+    a k' != k a' and 3d is the square of 3 m m' / (2 (a k' - k a')): a
+    rational square, so an integer square, and for squarefree d that is
+    d = 3.  Every other d returns None before any point is enumerated, at
+    every height.
+
+    For d = 3 the search runs in integers over the sorted triples of
+    _norm_one_points: the pairs are visited in the order of the sorted
+    point list, proportional points (a k' = k a') are passed over, and
+    Fractions are built for a witness only, whose Gram gram_of computes and
+    checks.  It finds the normal basis at height 2 already, and at height
+    1 there is none.
+
+    The radicand and sign are checked first, by the ambient (d is factored
+    once there), so a bad d or sign raises ValueError whatever the
+    identity says."""
     ambient = QuadAmbient(d, sign)
+    root = isqrt(3 * d)
+    if root * root != 3 * d:
+        return None
     points = _norm_one_points(d, height)
     for i, (a, k, m) in enumerate(points):
         for a2, k2, m2 in points[i:]:
@@ -237,12 +257,13 @@ def family_distinctness(height: int, sign: int = -1) -> list[TraceLattice]:
     """Pairwise-distinct A2 lattices over all slope pairs with |s0|, |s1| <=
     height, in first-seen order.
 
-    Per-pair integer check, certified build per distinct key: every slope
-    pair passes the integer checks of _slope_basis and is keyed by
-    _unit_key on its rows, and only the first pair of each new key becomes
-    a Matrix and builds the certified lattice (gram_of, the A2 Gram).  The
-    list collects _distinct_lattices, the generator the command line writes
-    from one lattice at a time."""
+    Per-pair integer check, one build per distinct key: every slope pair
+    passes the integer checks of _slope_basis, which fix its Gram at A2_GRAM
+    on the trace form diag(2, 6) checked once per sweep, and is keyed by
+    _unit_key on its rows; only the first pair of each new key becomes a
+    Matrix and a lattice carrying A2_GRAM.  The list collects
+    _distinct_lattices, the generator the command line writes from one
+    lattice at a time."""
     return list(_distinct_lattices(height, sign))
 
 
@@ -250,6 +271,8 @@ def _distinct_lattices(height: int, sign: int = -1) -> Iterator[TraceLattice]:
     """The lattices of family_distinctness, each yielded as soon as it is
     certified; only the keys of those already yielded are kept."""
     ambient = QuadAmbient(3, sign)
+    # the pairing of _slope_basis's asserts is the trace form's
+    assert ambient.trace_form() == _FORM_D3
     seen = set()
     for s0 in range(-height, height + 1):
         for s1 in range(-height, height + 1):
@@ -259,4 +282,4 @@ def _distinct_lattices(height: int, sign: int = -1) -> Iterator[TraceLattice]:
             key = _unit_key(*scaled)
             if key not in seen:
                 seen.add(key)
-                yield _certified_a2(Matrix.scaled(*scaled), ambient)
+                yield TraceLattice(ambient, Matrix.scaled(*scaled), A2_GRAM, "A2")

@@ -570,6 +570,49 @@ def test_sigma_permutation_rejects_a_doubled_row(t):
     assert not sigma_permutes_basis(doubled)
 
 
+@pytest.mark.parametrize("t", [F(1), F(-5, 2), F(7)], ids=str)
+def test_sigma_permutation_rejects_a_row_shifted_by_a_rational(t):
+    # sigma fixes 1, so adding 1/den to beta breaks the two equations that
+    # involve it in their first coordinate alone
+    lattice, shifted = _member_with_rows(
+        t, lambda b: [[b[0][0] + 1, *b[0][1:]], b[1], b[2]]
+    )
+    assert sigma_permutes_basis(lattice)
+    assert not sigma_permutes_basis(shifted)
+
+
+class _GaloisStub:
+    """A degree-3 ambient whose first Galois matrix is s, for the
+    sigma_permutes_basis predicate alone."""
+
+    degree = 3
+
+    def __init__(self, s):
+        self.s = s
+
+    def galois_matrices(self):
+        return (self.s,)
+
+
+@pytest.mark.parametrize("coord", range(3))
+@pytest.mark.parametrize("row", range(3))
+def test_sigma_permutation_checks_every_row_and_coordinate(row, coord):
+    # in a cyclic cubic field sigma^3 = 1, so any two row equations imply
+    # the third: only an S of another order has a basis that fails exactly
+    # one of the nine equations, here coordinate coord of row row
+    s = Matrix.from_rows(
+        [[2 if i == j == coord else int(i == j) for j in range(3)] for i in range(3)]
+    )
+    v0 = Matrix.from_rows([[1, 1, 1]])
+    orbit = [v0, v0 * s, v0 * s * s]  # v2 S differs from v0 at coord alone
+    rows = [orbit[(i + 2 - row) % 3].data[0] for i in range(3)]
+    lattice = TraceLattice(_GaloisStub(s), Matrix.from_rows(rows), Matrix.identity(3))
+    assert not sigma_permutes_basis(lattice)
+    fixed = Matrix.from_rows([[1, 1, 1]] * 3)  # each row its own image under I
+    lattice = TraceLattice(_GaloisStub(Matrix.identity(3)), fixed, Matrix.identity(3))
+    assert sigma_permutes_basis(lattice)
+
+
 def test_orbit_lattice_takes_integer_weights_over_den():
     # the sweep's form, (N, R) with the field, in lowest terms or not,
     # against the oracle's rows beta, beta^sigma, beta^sigma2
@@ -624,9 +667,10 @@ def test_a_sweep_builds_no_gram(monkeypatch):
     [
         _circulant_gram(3, 1),  # another definite circulant
         Matrix.from_rows([[2, 1, 0], [1, 2, 1], [0, 1, 2]]),  # the first row alone differs
+        Matrix.from_rows([[2, 0, 1], [0, 2, 1], [1, 1, 2]]),  # in its middle entry alone
         Matrix.from_rows([[2, 1, 1], [1, 2, 1], [1, 1, 2]]) * 2,  # scaled
     ],
-    ids=["circulant", "row", "scaled"],
+    ids=["circulant", "row", "middle", "scaled"],
 )
 def test_a_tampered_target_row_is_a_certificate_failure(tampered):
     t = F(1)

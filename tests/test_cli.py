@@ -387,6 +387,11 @@ PINNED_STDOUT_SHA256 = [
         ["quad-a2", "--d", "3", "--height", "40"],
         "8e68323c121c08a92b5f2af7d6a92457024a4b410ff15856abfaaf1d8bd76486",
     ),
+    # the last falsify search of the benchmark's family sweep
+    (
+        ["quad-a2", "--d", "5", "--height", "300", "--falsify"],
+        "dd76d0c0f89fcade7d129df5adb6b7415cb6997cffc2510aa3d97b2b47213596",
+    ),
 ]
 
 
@@ -743,6 +748,16 @@ def test_quad_a2_falsify_negative(capsys):
     code, doc = run_cli(["quad-a2", "--d", "5", "--height", "10", "--falsify"], capsys)
     assert code == 0
     assert doc == {"d": 5, "height": 10, "witness": None}
+
+
+def test_quad_a2_falsify_decides_any_height_off_d3():
+    # the norm identity answers d = 5 with no point enumerated, so a height
+    # no pair search could cover is answered at once
+    proc = run_proc(
+        ["quad-a2", "--d", "5", "--height", "1000000", "--falsify"], timeout=30
+    )
+    assert proc.returncode == 0
+    assert proc.stdout == '{"d":5,"height":1000000,"witness":null}\n'
 
 
 def test_quad_a2_falsify_d3_finds_witness(capsys):

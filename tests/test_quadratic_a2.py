@@ -11,10 +11,10 @@ equations spans the same lattice.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from oracles import (
     a2_family_by_full_build,
@@ -256,6 +256,8 @@ def test_family_matches_full_build_oracle(height, sign):
 
 
 def test_family_checks_every_pair_and_builds_each_lattice_once(monkeypatch):
+    # the integer asserts of _slope_basis fix every Gram on the trace form
+    # diag(2, 6), checked once per sweep, so no lattice computes its Gram
     calls = {"pairs": 0, "grams": 0}
     slope_basis, gram_of = quadratic_a2._slope_basis, quadratic_a2.gram_of
 
@@ -268,13 +270,36 @@ def test_family_checks_every_pair_and_builds_each_lattice_once(monkeypatch):
         return gram_of(*args)
 
     monkeypatch.setattr(quadratic_a2, "_slope_basis", counted_slope_basis)
-    # _certified_a2 looks gram_of up in quadratic_a2
+    # _certified_a2 looks gram_of up in quadratic_a2, TraceLattice in
+    # lattice_core
     monkeypatch.setattr(quadratic_a2, "gram_of", counted_gram_of)
+    monkeypatch.setattr(lattice_core, "gram_of", counted_gram_of)
     fam = family_distinctness(12)
     assert calls["pairs"] == 25 * 25 - 1 == 624
-    assert calls["grams"] == len(fam) == 93
-    # each computed Gram is checked and dropped: every member holds A2_GRAM
+    assert len(fam) == 93
+    assert calls["grams"] == 0
+    # every member holds the one A2_GRAM, and it is the Gram of its basis
     assert all(L.gram is A2_GRAM for L in fam)
+    assert all(gram_of(L.basis, L.ambient) == A2_GRAM for L in fam)
+
+
+def test_family_checks_the_trace_form_once(monkeypatch):
+    # _slope_basis's pairing 2(x x' + 3 y y') is the Gram only on the trace
+    # form diag(2, 6): the sweep reads it once, and another form fails it
+    calls = []
+    trace_form = QuadAmbient.trace_form
+
+    def counted(self):
+        calls.append(1)
+        return trace_form(self)
+
+    monkeypatch.setattr(QuadAmbient, "trace_form", counted)
+    assert len(family_distinctness(6)) == 25
+    assert len(calls) == 1
+    other = Matrix.from_rows([[2, 0], [0, 2]])
+    monkeypatch.setattr(QuadAmbient, "trace_form", lambda self: other)
+    with pytest.raises(AssertionError):
+        family_distinctness(1)
 
 
 def test_family_takes_no_hnf(monkeypatch):
@@ -488,6 +513,78 @@ def test_falsifier_matches_fraction_pair_search(d, height, sign):
     assert witness is not None
     assert lattice_json(witness)["basis"] == [[str(c) for c in p] for p in expected]
     assert witness.gram == A2_GRAM
+
+
+SQUAREFREE_TO_60 = [d for d in range(1, 61) if all(d % (p * p) for p in range(2, 8))]
+
+
+@given(
+    st.sampled_from(SQUAREFREE_TO_60),
+    st.integers(0, 25),
+    st.sampled_from([-1, 1]),
+)
+@example(1, 0, -1)
+@example(1, 1, -1)
+@example(1, 2, -1)
+@example(3, 0, -1)
+@example(3, 1, -1)
+@example(3, 2, -1)
+@example(3, 0, 1)
+@example(3, 1, 1)
+@example(3, 2, 1)
+@settings(max_examples=80, deadline=None)
+def test_falsifier_agrees_with_the_pair_search(d, height, sign):
+    # the norm identity decides d != 3 with no points; the oracle scans
+    # the whole grid of points up to the height and every pair of them
+    if d == 1 and sign == 1:
+        with pytest.raises(ValueError):
+            falsify_a2(d, height, sign)
+        return
+    expected = a2_witness_by_search(d, height)
+    witness = falsify_a2(d, height, sign)
+    if expected is None:
+        assert witness is None
+        return
+    assert d == 3
+    assert lattice_json(witness)["basis"] == [[str(c) for c in p] for p in expected]
+    assert witness.gram == A2_GRAM
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5, 7])
+def test_norm_identity_on_every_pair_of_points(d):
+    # (a a' + d k k')^2 + d (a k' - k a')^2 = (m m')^2, and a pairing of -1
+    # forces 4 d (a k' - k a')^2 = 3 (m m')^2, so 3d is a square
+    points = _norm_one_points(d, 40)
+    pairing_minus_one = 0
+    for a, k, m in points:
+        for a2, k2, m2 in points:
+            dot, cross, mm = a * a2 + d * k * k2, a * k2 - k * a2, m * m2
+            assert dot * dot + d * cross * cross == mm * mm
+            if 2 * dot == -mm:
+                pairing_minus_one += 1
+                assert 4 * d * cross * cross == 3 * mm * mm
+                assert isqrt(3 * d) ** 2 == 3 * d
+    assert (pairing_minus_one > 0) == (d == 3)
+
+
+@pytest.mark.parametrize("sign", [-1, 1])
+@pytest.mark.parametrize("d", [2, 5, 6, 7, 11, 101, 10**6 + 3])
+def test_falsifier_enumerates_no_point_unless_3d_is_a_square(d, sign, monkeypatch):
+    calls = []
+    points = quadratic_a2._norm_one_points
+
+    def counted(d, height):
+        # fails at once rather than enumerate a height of 10^9
+        calls.append((d, height))
+        assert d == 3, f"points enumerated for d = {d}"
+        return points(d, height)
+
+    monkeypatch.setattr(quadratic_a2, "_norm_one_points", counted)
+    assert falsify_a2(d, 10**9, sign) is None
+    assert falsify_a2(1, 10**9) is None
+    assert calls == []
+    assert falsify_a2(3, 2, sign) is not None
+    assert calls == [(3, 2)]
 
 
 def test_falsifier_rejects_non_squarefree():
