@@ -5,6 +5,14 @@ document on standard output (or at --json PATH). Exit codes: 0 success,
 1 mathematical falsification or domain error, 2 usage error or an output
 (standard output or --json PATH) that cannot be written.
 
+A plain argv, the subcommand first and then each of its flags written in
+full at most once, is read straight from the _SUBCOMMANDS table by
+_read_plain, and argparse is not imported.  Any other argv (--help, an
+abbreviated, repeated or unknown flag, a value that looks like a flag)
+goes to the argparse parser, and so does every usage error, also one that
+a subcommand body reports after a plain read: argparse alone writes help
+and usage text.
+
 A document is encoded whole, as the parts of serialize.canonical_parts,
 before its first byte is written, so an error anywhere in a sweep prints
 the error document alone.  The parts are then written in batches of about
@@ -13,31 +21,39 @@ the error document alone.  The parts are then written in batches of about
 
 from __future__ import annotations
 
-import argparse
 import errno
 import os
 import re
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 from .errors import TraceLatticeError
 from .serialize import canonical_parts, parse_rational, rational_str
+
+
+def _flag_error(message: str) -> Exception:
+    """argparse's ArgumentTypeError, which argparse reports as a usage error
+    naming the flag; argparse is imported here only on a bad value."""
+    from argparse import ArgumentTypeError
+
+    return ArgumentTypeError(message)
 
 
 def _rational_flag(text: str) -> Fraction:
     try:
         return parse_rational(text)
     except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc))
+        raise _flag_error(str(exc))
 
 
 def _height_flag(text: str) -> int:
     try:
         value = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+        raise _flag_error(f"invalid int value: {text!r}")
     if value < 0:
-        raise argparse.ArgumentTypeError(f"height must be >= 0, got {value}")
+        raise _flag_error(f"height must be >= 0, got {value}")
     return value
 
 
@@ -61,7 +77,7 @@ def _join_negative_values(argv: list[str]) -> list[str]:
     return out
 
 
-def _reject_joined_double_dash(parser: argparse.ArgumentParser, argv: list[str]) -> None:
+def _reject_joined_double_dash(parser, argv: list[str]) -> None:
     """argparse drops a "--" value written as "--flag=--" and passes [] on
     as the flag's value; that is a missing argument, so say so."""
     for token in argv:
@@ -234,6 +250,9 @@ def _flag(name: str, help_text: str, **keywords) -> tuple[str, dict]:
     return name, {"help": help_text, **keywords}
 
 
+_JSON = _flag(
+    "--json", "write the JSON document to PATH instead of standard output", metavar="PATH"
+)
 _T = _flag("--t", 'parameter "p/q"', type=_rational_flag, required=True)
 _SLOPE_HEIGHT = _flag("--height", "slope height bound", type=_height_flag, required=True)
 
@@ -307,33 +326,113 @@ _SUBCOMMANDS = {
 }
 
 
-def main(argv=None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
+_PROG = "tracelattice"
+
+
+def _read_plain(argv: list[str]) -> SimpleNamespace | None:
+    """The flags of a plain argv, with argparse's dests and defaults and
+    the subcommand, or None when argv is not plain and argparse must read
+    it.  Plain is: a subcommand of _SUBCOMMANDS, then each of its flags and
+    --json at most once, written in full as --name=value or --name value
+    (bare for a store_true flag), a joined value other than "--", a
+    detached value that does not start with "-" unless it is a plain
+    negative number (which argparse reads as a value too), every required
+    flag, and every value accepted by its type.  Each such argv is one that
+    argparse parses to the same flags."""
+    entry = _SUBCOMMANDS.get(argv[0]) if argv else None
+    if entry is None:
+        return None
+    flags = dict([_JSON, *entry[1]])
+    values = {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        name, joined, value = token.partition("=")
+        keywords = flags.get(name)
+        if keywords is None or name in values:
+            return None
+        if keywords.get("action") == "store_true":
+            if joined:
+                return None
+            values[name] = True
+            continue
+        if not joined:
+            value = next(tokens, None)
+            if value is None or (
+                value.startswith("-") and not re.fullmatch(r"-\d+|-\d*\.\d+", value)
+            ):
+                return None
+        elif value == "--":
+            return None
+        convert = keywords.get("type")
+        if convert is not None:
+            try:
+                value = convert(value)
+            except Exception:  # argparse converts it again and reports the error
+                return None
+        values[name] = value
+    args = SimpleNamespace(subcommand=argv[0])
+    for name, keywords in flags.items():
+        if name not in values and keywords.get("required"):
+            return None
+        default = False if keywords.get("action") == "store_true" else None
+        setattr(args, name[2:].replace("-", "_"), values.get(name, default))
+    return args
+
+
+def _argparser(chosen: str | None):
+    """The argparse parser of the command line and its subparsers by name.
+    Only the chosen subcommand gets its flags: the top level has no flag
+    that takes a value, so argparse reads the first token without a
+    leading "-" as the subcommand, and only that one parses flags."""
+    import argparse
+
     parser = argparse.ArgumentParser(
-        prog="tracelattice",
+        prog=_PROG,
         description="Exact root lattices from trace forms of number fields.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    # the top level has no flag that takes a value, so argparse reads the
-    # first token without a leading "-" as the subcommand: only that one
-    # parses flags, and only that one gets them
-    chosen = next((a for a in argv if not a.startswith("-")), None)
     for name, (help_text, flags, _) in _SUBCOMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         if name == chosen:
-            p.add_argument(
-                "--json",
-                metavar="PATH",
-                help="write the JSON document to PATH instead of standard output",
-            )
-            for flag, keywords in flags:
+            for flag, keywords in [_JSON, *flags]:
                 p.add_argument(flag, **keywords)
-    _reject_joined_double_dash(sub.choices.get(chosen, parser), argv)
-    args = parser.parse_args(_join_negative_values(argv))
+    return parser, sub.choices
+
+
+def _parse(argv: list[str]):
+    """The flags of any argv by argparse, with the subparser that reports
+    the subcommand's usage errors; --help and a usage error exit here."""
+    chosen = next((a for a in argv if not a.startswith("-")), None)
+    parser, subparsers = _argparser(chosen)
+    _reject_joined_double_dash(subparsers.get(chosen, parser), argv)
+    args = parser.parse_args(argv)
+    return args, subparsers[args.subcommand]
+
+
+class _Subparser:
+    """Stands in for the subparser of a plainly read subcommand: a usage
+    error builds the argparse subparser that _parse would have passed, so
+    its usage text is argparse's own."""
+
+    def __init__(self, name: str):
+        self.name = name
+
+    def error(self, message: str):
+        _argparser(self.name)[1][self.name].error(message)
+
+
+def main(argv=None) -> int:
+    if argv is None:
+        argv = sys.argv[1:]
+    argv = _join_negative_values(argv)
+    args = _read_plain(argv)
+    if args is None:
+        args, parser = _parse(argv)
+    else:
+        parser = _Subparser(args.subcommand)
 
     try:
-        doc, code = _SUBCOMMANDS[args.subcommand][2](args, sub.choices[args.subcommand])
+        doc, code = _SUBCOMMANDS[args.subcommand][2](args, parser)
         parts = canonical_parts(doc)
     except TraceLatticeError as exc:
         parts = canonical_parts({"error": {"kind": type(exc).__name__, "detail": str(exc)}})
@@ -347,12 +446,21 @@ def main(argv=None) -> int:
             with open(args.json, "w", encoding="utf-8") as fh:
                 _write_batches(fh.write, parts)
         except OSError as exc:
-            parser.exit(
-                2, f"{parser.prog}: error: cannot write {args.json}: {exc.strerror}\n"
-            )
+            _exit_error(f"cannot write {args.json}: {exc.strerror}")
     else:
-        _write_stdout(parser, parts)
+        _write_stdout(parts)
     return code
+
+
+def _exit_error(reason: str):
+    """Exit 2 with "tracelattice: error: REASON" on standard error, the
+    bytes and status of argparse's parser.exit, which also passes over a
+    standard error that is closed or cannot be written."""
+    try:
+        sys.stderr.write(f"{_PROG}: error: {reason}\n")
+    except (AttributeError, OSError):
+        pass
+    sys.exit(2)
 
 
 #: the least length of one write but the last: a document's parts are
@@ -376,7 +484,7 @@ def _write_batches(write, parts: list[str]) -> None:
         write("".join(batch))
 
 
-def _write_stdout(parser: argparse.ArgumentParser, parts: list[str]) -> None:
+def _write_stdout(parts: list[str]) -> None:
     """Write the parts and flush; a closed, full or broken standard output
     is a usage error (exit 2), as an unwritable --json PATH is.  After a
     failed write, fd 1 is pointed at os.devnull, so the interpreter's flush
@@ -394,4 +502,4 @@ def _write_stdout(parser: argparse.ArgumentParser, parts: list[str]) -> None:
             if devnull != sys.stdout.fileno():  # fd 1 was closed: it is devnull
                 os.dup2(devnull, sys.stdout.fileno())
                 os.close(devnull)
-    parser.exit(2, f"{parser.prog}: error: cannot write standard output: {reason}\n")
+    _exit_error(f"cannot write standard output: {reason}")

@@ -16,17 +16,22 @@ Z[omega] z by the six units of Z[omega], a principal ideal domain, with no
 Hermite form.  The integer identities of _slope_basis fix each Gram at
 [[2,-1],[-1,2]] once the field's trace form is diag(2, 6), which the sweep
 checks once; each distinct lattice is built on the basis that is emitted.
+
+The lattice layer is imported by the functions that build lattices, so
+falsify_a2 off d = 3, which builds none, does not load it.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, isqrt, lcm
-from typing import Iterator, Optional
+from typing import TYPE_CHECKING, Iterator, Optional
 
 from ._intfactor import squarefree_kernel
 from .exact_linalg import Matrix
-from .lattice_core import TraceLattice, canonical_key, gram_of
 from .power_basis import PowerBasisField
+
+if TYPE_CHECKING:
+    from .lattice_core import TraceLattice
 
 F = Fraction
 
@@ -102,6 +107,8 @@ def _certified_a2(basis: Matrix, ambient: QuadAmbient) -> TraceLattice:
     """The lattice of the basis in the ambient Q(sqrt(+-d)), its Gram built
     by gram_of and required to be [[2,-1],[-1,2]]; the lattice carries the
     one A2_GRAM, not the computed copy."""
+    from .lattice_core import TraceLattice, gram_of
+
     gram = gram_of(basis, ambient)
     assert gram == A2_GRAM
     return TraceLattice(ambient, basis, A2_GRAM, "A2")
@@ -114,6 +121,8 @@ def normal_a2(sign: int = -1) -> TraceLattice:
     Uniqueness is re-checked by constrained search: among norm-one points of
     height <= 2, only the four sign choices of (1/2, 1/2) pair to -1 with
     their own conjugate, and they all span this one lattice."""
+    from .lattice_core import TraceLattice, canonical_key
+
     ambient = QuadAmbient(3, sign)
     solutions = normal_basis_search(2)
     assert solutions == [
@@ -215,10 +224,10 @@ def falsify_a2(d: int, height: int, sign: int = -1) -> Optional[TraceLattice]:
 
     For d = 3 the search runs in integers over the sorted triples of
     _norm_one_points: the pairs are visited in the order of the sorted
-    point list, proportional points (a k' = k a') are passed over, and
-    Fractions are built for a witness only, whose Gram gram_of computes and
-    checks.  It finds the normal basis at height 2 already, and at height
-    1 there is none.
+    point list, a pair pairing to -1 is never proportional (a k' != k a'
+    by the identity, and asserted), and Fractions are built for a witness
+    only, whose Gram gram_of computes and checks.  It finds the normal
+    basis at height 2 already, and at height 1 there is none.
 
     The radicand and sign are checked first, by the ambient (d is factored
     once there), so a bad d or sign raises ValueError whatever the
@@ -232,8 +241,7 @@ def falsify_a2(d: int, height: int, sign: int = -1) -> Optional[TraceLattice]:
         for a2, k2, m2 in points[i:]:
             if 2 * (a * a2 + d * k * k2) != -m * m2:
                 continue
-            if a * k2 == k * a2:
-                continue  # proportional points never span
+            assert a * k2 != k * a2, "4d(ak' - ka')^2 = 3(mm')^2 is not 0 at pairing -1"
             rows = [(F(a, m), F(k, m)), (F(a2, m2), F(k2, m2))]
             return _certified_a2(Matrix.from_rows(rows), ambient)
     return None
@@ -270,6 +278,8 @@ def family_distinctness(height: int, sign: int = -1) -> list[TraceLattice]:
 def _distinct_lattices(height: int, sign: int = -1) -> Iterator[TraceLattice]:
     """The lattices of family_distinctness, each yielded as soon as it is
     certified; only the keys of those already yielded are kept."""
+    from .lattice_core import TraceLattice
+
     ambient = QuadAmbient(3, sign)
     # the pairing of _slope_basis's asserts is the trace form's
     assert ambient.trace_form() == _FORM_D3

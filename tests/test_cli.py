@@ -16,7 +16,7 @@ import pytest
 from oracles import hermite_form
 import tracelattice
 from tracelattice import a3_factory, orders_ideals, quadratic_a2, serialize
-from tracelattice.cli import main
+from tracelattice.cli import _join_negative_values, _read_plain, main
 from tracelattice.errors import TooLarge, number_text
 
 # the directory holding the package under test, for child interpreters
@@ -402,6 +402,11 @@ def test_stdout_bytes_are_pinned(args, digest, capsys):
     assert main(args) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("args", [a for a, _ in PINNED_STDOUT_SHA256], ids=lambda a: a[0])
+def test_pinned_commands_are_read_without_argparse(args):
+    assert _read_plain(_join_negative_values(args)) is not None
 
 
 def hermite_key(basis) -> tuple:
@@ -1028,6 +1033,62 @@ def test_light_subcommands_load_no_field_module(args, lattices):
     assert ("tracelattice.lattice_core" in loaded) == lattices
 
 
+def test_quad_a2_falsify_off_d3_loads_no_lattice_layer():
+    # the norm identity answers off d = 3 before any lattice is built
+    loaded = loaded_modules(
+        RUN_MODULE + PRINT_LOADED, "quad-a2", "--d", "5", "--height", "300", "--falsify"
+    )
+    assert "tracelattice.quadratic_a2" in loaded
+    assert "tracelattice.lattice_core" not in loaded
+
+
+#: prints, as the last line of stdout, which of argparse and the modules its
+#: first message loads are imported so far
+PRINT_ARGPARSE = (
+    'print(" ".join(m for m in ("argparse", "gettext", "locale") if m in sys.modules))\n'
+)
+
+#: runs `python -m tracelattice ARGS` in the child interpreter, whatever its
+#: exit code
+RUN_MODULE_ANY_EXIT = """
+import runpy, sys
+try:
+    runpy.run_module("tracelattice", run_name="__main__", alter_sys=True)
+except SystemExit:
+    pass
+"""
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["gen-a3", "--t=1", "--height", "2"],
+        ["classify", "--gram", "[[2,-1],[-1,2]]"],
+        ["cyclotomic", "--p", "5"],
+        ["order", "--t=3/2", "--different", "--fake-a3"],
+        ["quad-a2", "--d", "5", "--height", "300", "--falsify"],
+    ],
+    ids=lambda args: args[0],
+)
+def test_a_plain_argv_loads_no_argparse(args):
+    at_start_up = loaded_modules("import sys\n" + PRINT_ARGPARSE)
+    assert not loaded_modules(RUN_MODULE + PRINT_ARGPARSE, *args) - at_start_up
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--help"],
+        ["classify", "--help"],
+        # a usage error of argparse, and one of the subcommand body
+        ["gen-a3", "--t=x", "--height", "2"],
+        ["classify", "--gram", "[[2,1]"],
+    ],
+)
+def test_help_and_usage_errors_load_argparse(args):
+    assert "argparse" in loaded_modules(RUN_MODULE_ANY_EXIT + PRINT_ARGPARSE, *args)
+
+
 # ---------------------------------------------------------------------------
 # top-level usage
 # ---------------------------------------------------------------------------
@@ -1089,7 +1150,9 @@ def test_usage_error_names_its_subcommand(args, capsys):
     assert f"\ntracelattice {args[0]}: error: " in err
 
 
-def test_only_the_chosen_subcommand_gets_its_flags(monkeypatch, capsys):
+@pytest.fixture
+def added_arguments(monkeypatch):
+    """The (prog, first name) of every add_argument call from here on."""
     added = []
     add_argument = argparse.ArgumentParser.add_argument
 
@@ -1098,11 +1161,109 @@ def test_only_the_chosen_subcommand_gets_its_flags(monkeypatch, capsys):
         return add_argument(parser, *names, **keywords)
 
     monkeypatch.setattr(argparse.ArgumentParser, "add_argument", recording)
-    assert main(["classify", "--gram", "[[2]]"]) == 0
-    assert {(prog, name) for prog, name in added if name != "-h"} == {
+    return added
+
+
+def test_only_the_chosen_subcommand_gets_its_flags(added_arguments, capsys):
+    # an abbreviated flag is not plain, so argparse parses this argv
+    assert main(["classify", "--gr", "[[2]]"]) == 0
+    assert capsys.readouterr().out == '{"type":"A1"}\n'
+    assert {(prog, name) for prog, name in added_arguments if name != "-h"} == {
         ("tracelattice classify", "--json"),
         ("tracelattice classify", "--gram"),
     }
+
+
+def test_a_plain_argv_builds_no_parser(added_arguments, capsys):
+    assert main(["classify", "--gram", "[[2]]"]) == 0
+    assert capsys.readouterr().out == '{"type":"A1"}\n'
+    assert added_arguments == []
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["classify", "--gr", "[[2]]"],  # abbreviated
+        ["classify", "--gram", "[[2]]", "--gram", "[[2]]"],  # repeated
+        ["order", "--t=1", "--fake-a3", "--fake-a3"],
+        ["classify", "--gram", "-x"],  # a detached value read as a flag
+        ["classify", "--gram", "-"],
+        ["classify", "--gram", "--"],
+        ["classify", "--gram=--"],
+        ["classify", "--gram", "[[2]]", "--"],
+        ["classify", "-h"],
+        ["classify", "--help"],
+        ["classify", "--gram", "[[2]]", "x"],
+        ["classify", "--gram", "[[2]]", "--p", "3"],  # another subcommand's flag
+        ["classify", "--gram"],  # no value
+        ["classify"],  # a required flag missing
+        ["quad-a2", "--d", "5", "--height", "3", "--falsify=1"],
+        ["gen-a3", "--t=x", "--height", "2"],  # rejected by its type
+        ["gen-a3", "--t=1", "--height", "-1"],
+        ["cyclotomic", "--p", "-1e3"],
+        ["frobnicate"],
+        ["--json", "x", "classify", "--gram", "[[2]]"],
+        [],
+    ],
+)
+def test_an_argv_that_is_not_plain_goes_to_argparse(args):
+    assert _read_plain(_join_negative_values(args)) is None
+
+
+@pytest.mark.parametrize(
+    "args, expected",
+    [
+        (
+            ["quad-a2", "--d", "-5", "--height=2", "--falsify"],
+            {"subcommand": "quad-a2", "json": None, "d": -5, "height": 2, "falsify": True},
+        ),
+        (
+            ["order", "--t", "-1/2", "--primes2", "--json", "out.json"],
+            {
+                "subcommand": "order",
+                "json": "out.json",
+                "t": Fraction(-1, 2),
+                "different": False,
+                "sqrt_different": False,
+                "primes2": True,
+                "fake_a3": False,
+            },
+        ),
+        (
+            ["cyclotomic", "--n=-3", "--generator", ""],
+            {"subcommand": "cyclotomic", "json": None, "p": None, "n": -3, "generator": ""},
+        ),
+    ],
+    ids=["negative-int", "negative-rational", "empty-value"],
+)
+def test_a_plain_argv_reads_argparse_dests_and_defaults(args, expected):
+    assert vars(_read_plain(_join_negative_values(args))) == expected
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["classify", "--gram", "[[2,1]"],
+        ["cyclotomic", "--n", "4", "--generator", "1/0"],
+        ["cyclotomic", "--p", "5", "--n", "5"],
+        ["quad-a2", "--d", "5", "--height", "2"],
+        ["obstruction", "--dF", "0", "--disc-order", "4"],
+        ["reparam", "--t", "1", "--element", "1,2"],
+    ],
+    ids=lambda args: args[0],
+)
+def test_a_usage_error_after_a_plain_read_is_argparses(args, capsys):
+    # repeating every flag keeps the last, equal values but is not plain:
+    # the two argvs reach the same body through the two paths
+    declined = [args[0], *args[1:], *args[1:]]
+    assert _read_plain(args) is not None and _read_plain(declined) is None
+    errors = []
+    for argv in (args, declined):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        errors.append((exc.value.code, capsys.readouterr()))
+    assert errors[0] == errors[1]
+    assert errors[0][0] == 2 and errors[0][1].err.startswith("usage: ")
 
 
 def test_unknown_subcommand_is_exit_2():

@@ -2,7 +2,10 @@
 
 Every argv drawn here, valid or not, must end in one of the documented
 outcomes: exit 0 or 1 with one canonical JSON document on stdout, or exit 2
-(usage) with empty stdout, and never a Python traceback.  Heights, ranks
+(usage) with empty stdout, and never a Python traceback.  The same grammar,
+with abbreviated, repeated and split flags and values that start with "-"
+mixed in, checks the plain reader against argparse: an argv it reads is
+one that argparse parses to the same flags.  Heights, ranks
 and primes stay small so that a run of the whole grammar takes seconds;
 cyclotomic orders also reach past the rank cap, and `order` parameters,
 `obstruction` discriminants and `quad-a2` radicands include a few with
@@ -15,9 +18,10 @@ import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from tracelattice.cli import main
+from tracelattice.cli import _SUBCOMMANDS, _argparser, _join_negative_values, _read_plain, main
 from tracelattice.serialize import dumps_canonical
 
 JUNK = st.sampled_from(["", "x", "--", "1.5", "1/0", "0/0", "+", "-", "[]", "1,2"])
@@ -170,3 +174,76 @@ def test_every_argv_ends_in_a_documented_outcome(argv):
         if code == 1:
             doc = json.loads(out)
             assert "error" in doc or argv[0] == "quad-a2", argv
+
+
+FLAGS = sorted({"--json", *(name for _, flags, _ in _SUBCOMMANDS.values() for name, _ in flags)})
+#: detached values that start with "-": argparse reads the plain negative
+#: numbers among them as values and the rest as flags, or passes "--" over
+DASH_VALUES = [
+    "-1", "-12", "-1.5", "-.5", "-7.", "-1/2", "-x", "-", "--", "-h", "--help", "-1e3", "- 1",
+    "-1\n", "--t", "--height",
+]
+inserted = st.one_of(
+    st.sampled_from(FLAGS + DASH_VALUES + ["x", "7", "[[2]]", "/dev/null"]),
+    st.builds(
+        lambda flag, value: f"{flag}={value}",
+        st.sampled_from(FLAGS),
+        st.sampled_from(DASH_VALUES + ["", "1", "x"]),
+    ),
+)
+
+
+@st.composite
+def edited_argvs(draw):
+    """An argv of the grammar above after up to four edits: a flag cut to a
+    prefix, flags repeated, a token inserted, "--f=v" split or "--f v"
+    joined, or a flag's value replaced by a detached one that starts with
+    "-"."""
+    argv = list(draw(argvs))
+    for _ in range(draw(st.integers(0, 4))):
+        edit = draw(st.sampled_from(["abbreviate", "repeat", "insert", "split", "join", "dash"]))
+        flags = [i for i, a in enumerate(argv) if a.startswith("--") and len(a) > 2]
+        joined = [i for i in flags if "=" in argv[i]]
+        detached = [i for i in flags if "=" not in argv[i] and i + 1 < len(argv)]
+        long_names = [i for i in flags if len(argv[i].partition("=")[0]) > 3]
+        if edit == "abbreviate" and long_names:
+            i = draw(st.sampled_from(long_names))
+            name, sep, value = argv[i].partition("=")
+            argv[i] = name[: draw(st.integers(3, len(name) - 1))] + sep + value
+        elif edit == "repeat" and len(argv) > 1:
+            i = draw(st.integers(1, len(argv) - 1))
+            argv += argv[i : i + draw(st.integers(1, 2))]
+        elif edit == "insert":
+            argv.insert(draw(st.integers(0, len(argv))), draw(inserted))
+        elif edit == "split" and joined:
+            i = draw(st.sampled_from(joined))
+            argv[i : i + 1] = argv[i].split("=", 1)
+        elif edit == "join" and detached:
+            i = draw(st.sampled_from(detached))
+            argv[i : i + 2] = [f"{argv[i]}={argv[i + 1]}"]
+        elif edit == "dash" and (joined or detached):
+            i = draw(st.sampled_from(joined + detached))
+            value = draw(st.sampled_from(DASH_VALUES))
+            argv[i : i + (1 if i in joined else 2)] = [argv[i].partition("=")[0], value]
+    return argv
+
+
+def _typed(args) -> dict:
+    return {name: (type(value), value) for name, value in vars(args).items()}
+
+
+@settings(max_examples=600, deadline=None)
+@given(edited_argvs())
+def test_a_plainly_read_argv_is_parsed_alike_by_argparse(argv):
+    argv = _join_negative_values(argv)
+    args = _read_plain(argv)
+    if args is None:
+        return
+    parser, _ = _argparser(argv[0])
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        try:
+            expected = parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"{argv} was read plainly, but argparse exits: {err.getvalue()}")
+    assert _typed(args) == _typed(expected), argv
