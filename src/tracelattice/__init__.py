@@ -68,7 +68,6 @@ _EXPORTS = {
         "falsify_a2",
         "family_distinctness",
         "normal_a2",
-        "normal_basis_search",
     ),
     "serialize": (
         "dumps_canonical",

@@ -8,25 +8,30 @@ Products and transposes, whose results are already equal-width int tuples
 over den > 0, go through the trusted internal constructor Matrix._trusted,
 which checks nothing: a product is brought to lowest terms by one gcd, and
 a transpose is in lowest terms already.  The public constructors validate.
-`det` and `inverse` are fraction-free eliminations (Bareiss, Math. Comp.
-1968) on those integer rows: `inverse` runs Gauss-Jordan on [A | I] with
-exact division by the previous pivot and scales the result once.
+`_bareiss` and `inverse` are fraction-free eliminations (Bareiss, Math.
+Comp. 1968) on those integer rows: `inverse` runs Gauss-Jordan on [A | I]
+with exact division by the previous pivot and scales the result once.
 `hnf_rows` clears each column below its pivot with one unimodular 2x2
 extended-gcd step per row, or a single subtraction when the pivot divides
-the entry (Cohen, GTM 138, Sec. 2.4.2).
+the entry (Cohen, GTM 138, Sec. 2.4.2), modulo a multiple of the lattice's
+determinant.
 Every operation here is exact; no floating point anywhere.
 
 Conventions fixed for the whole library:
   - vectors are rows; a basis matrix has one basis vector per row,
-  - `hnf_rows` is the one Hermite kernel, row-style: pivots positive,
-    zeros below pivots, entries above a pivot reduced into [0, pivot), zero
-    rows at the bottom; this form is unique, and `hnf_coords` is the
-    membership test against it,
-  - `hnf_basis` is the one canonical basis of a span of rational rows: the
-    HNF of the rows cleared by their denominator, zero rows dropped, over
-    that denominator, as a Matrix.  Equal spans have equal hnf_bases, so it
-    is the lattice-equality key, and `span_coords` is the one membership
-    test against it,
+  - `_bareiss` is the one determinant pass: over any rows it gives the
+    rank and the last pivot, and `det`, `snf` and `hnf_basis` all read it,
+  - `hnf_rows` is the one Hermite kernel, row-style and always modular:
+    for rows of full column rank whose lattice determinant divides the
+    modulus it gives pivots positive, zeros below pivots, entries above a
+    pivot reduced into [0, pivot), zero rows at the bottom; this form is
+    unique, and `hnf_coords` is the membership test against it,
+  - `hnf_basis` is the one canonical basis of a full-rank span of rational
+    rows: the HNF of the rows cleared by their denominator, run modulo the
+    |det| of n independent rows that `_bareiss` finds, over that
+    denominator, as a Matrix; a span of lower rank raises DependentBasis.
+    Equal spans have equal hnf_bases, so it is the lattice-equality key,
+    and `span_coords` is the one membership test against it,
   - `snf` returns the invariant-factor chain d1 | d2 | ... | dn; it runs
     `hnf_rows` modulo |det| on the rows and on the transpose until the
     matrix is diagonal, so the Hermite and Smith forms share one kernel.
@@ -39,7 +44,7 @@ from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Sequence
 
-from .errors import NonSquareMatrix, NotInteger, SingularMatrix
+from .errors import DependentBasis, NonSquareMatrix, NotInteger, SingularMatrix
 
 
 def rat(value: int | str | Fraction) -> Fraction:
@@ -171,33 +176,62 @@ def _reduced(ints: tuple[tuple[int, ...], ...], den: int) -> Matrix:
     return Matrix._trusted(ints, den)
 
 
-def _bareiss_det(a: list[list[int]]) -> int:
-    """Fraction-free determinant of an integer matrix (mutates its copy)."""
-    n = len(a)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * a[-1][-1]
+def _bareiss(a: Sequence[Sequence[int]]) -> tuple[int, int]:
+    """Fraction-free elimination (Bareiss, Math. Comp. 1968) of m integer
+    rows of width n, which are left as they are: (rank, d).  The rows are
+    taken in order, and each is brought through the pivot rows kept so far;
+    the first nonzero entry of what is left is a new pivot, and a row left
+    zero depends on the pivot rows.  Each pivot is a minor of A with its
+    rows and columns in pivot order, so d, the last pivot signed by the
+    order of the pivot columns, is the determinant of the rank x rank minor
+    on the pivot rows and columns: det A for a square A of full rank, and
+    for rank n the det of n independent rows, a multiple of the det of
+    their span.  The pass stops at rank n, so rows past the first n
+    independent ones cost nothing.
+
+    Bareiss step j replaces a row R by (R p_j - R[c_j] t_j) / p_(j-1), t_j
+    the pivot row, p_j its pivot at column c_j; where R[c_j] = 0 that only
+    scales R by p_j / p_(j-1).  So the row is kept unscaled as r with
+    R = r p_j / q, q the pivot of its last true step (1 before any), and
+    a step with r[c_j] != 0 is r <- (r p_j - r[c_j] t_j) / q, exactly,
+    since it gives the integer minor R."""
+    n = len(a[0])
+    pivots = []
+    last = 1
+    odd = False
+    right = -1
+    for row in a:
+        q = 1
+        for c, top in pivots:
+            f = row[c]
+            if f:
+                p = top[c]
+                row = [(x * p - f * y) // q for x, y in zip(row, top)]
+                q = p
+        for c, x in enumerate(row):
+            if x:
+                break
+        else:
+            continue
+        if q != last:
+            row = [x * last // q for x in row]
+        if c < right:
+            odd ^= sum(k > c for k, _ in pivots) % 2
+        else:
+            right = c
+        pivots.append((c, row))
+        last = row[c]
+        if len(pivots) == n:
+            break
+    return len(pivots), -last if odd else last
 
 
 def det(m: Matrix) -> Fraction:
     """Exact determinant via Bareiss elimination on the cleared matrix."""
     if not m.is_square():
         raise NonSquareMatrix(f"{m.rows}x{m.cols}")
-    d = _bareiss_det([list(row) for row in m.ints])
-    return Fraction(d, m.den**m.rows)
+    rank, d = _bareiss(m.ints)
+    return Fraction(d, m.den**m.rows) if rank == m.rows else Fraction(0)
 
 
 def inverse(m: Matrix) -> Matrix:
@@ -241,84 +275,65 @@ def _xgcd(x: int, y: int) -> tuple[int, int, int]:
     return x, s0, t0
 
 
-def hnf_rows(a: list[list[int]], modulus: int = 0) -> list[list[int]]:
-    """Row-style Hermite normal form of integer rows, computed in place.
+def hnf_rows(a: list[list[int]], modulus: int) -> list[list[int]]:
+    """Row-style Hermite normal form of integer rows, computed in place and
+    modulo D = modulus (Domich-Kannan-Trotter, Math. OR 12, 1987; Cohen, GTM
+    138, Alg. 2.4.8).  The rows may be redundant, but must have full column
+    rank n, and the determinant of their lattice L must divide D > 0.  That
+    L contains D*Z^n is not enough: the cleared rows of ap_lattice(5) have
+    det 125 and contain 5*Z^4, yet modulo 5 give a wrong form.
 
-    Column c is cleared below the pivot row r one row at a time (Cohen, GTM
+    Column c is cleared below its pivot row c one row at a time (Cohen, GTM
     138, Sec. 2.4.2): a zero pivot x swaps with the row of the entry y
     below it; when x divides y, one subtraction clears y; otherwise the 2x2
     step [[s, t], [-y/g, x/g]] with s*x + t*y = g = +-gcd(x, y), which has
-    determinant 1, turns the pair into (g, 0).  The pivot is then made
-    positive and reduces the entries above it into [0, pivot).
-
-    A modulus D > 0 runs the pass modulo D (Domich-Kannan-Trotter, Math.
-    OR 12, 1987; Cohen, GTM 138, Alg. 2.4.8).  It is for a nonsingular
-    square whose row lattice L has |det L| dividing D.  That L contains
-    D*Z^n is not enough: the cleared rows of ap_lattice(5) have det 125 and
-    contain 5*Z^4, yet modulo 5 give a wrong form.
+    determinant 1, turns the pair into (g, 0).
     The rows still in play lie in the part of L that is zero before column
     c, of determinant |det L| / (the pivots so far), which therefore
     contains R*Z^(n-c) with R = D / (the pivots so far); so the
     rows changed there are reduced mod R, and the pivot row takes in R*e_c
     by one more 2x2 step (none when x divides R), its pivot becoming
-    gcd(x, R).  The row that step leaves is R/gcd times a vector of the
+    gcd(x, R) > 0.  The row that step leaves is R/gcd times a vector of the
     next block, which contains R/gcd * Z^(n-c-1), so it is dropped, and R
-    becomes R/gcd.  A row above the pivot that the pivot reduces is reduced
-    mod R right of the pivot as well.  Entries then stay within a few D^2
-    (or the input's size), and since the Hermite form is unique the result
-    is the one the plain pass gives."""
-    nrows = len(a)
+    becomes R/gcd.  The pivot then reduces the entries above it into
+    [0, pivot), and those rows mod R right of the pivot.  Entries stay
+    within a few D^2 (or the input's size), the rows below row n end as
+    zero rows, and since the Hermite form is unique it is the form of L."""
+    if modulus < 1:
+        raise ValueError(f"modulus must be positive, got {modulus}")
     big_r = modulus
-    r = 0
     for c in range(len(a[0])):
-        if r == nrows:
-            break
-        top = a[r]
-        for i in range(r + 1, nrows):
+        top = a[c]
+        for i in range(c + 1, len(a)):
             row = a[i]
             y = row[c]
             if not y:
                 continue
             x = top[c]
             if not x:
-                a[r], a[i] = row, top
+                a[c], a[i] = row, top
                 top = row
             elif y % x == 0:
                 q = y // x
-                a[i] = [v - q * u for u, v in zip(top, row)]
-                if big_r:
-                    a[i] = [v % big_r for v in a[i]]
+                a[i] = [(v - q * u) % big_r for u, v in zip(top, row)]
             else:
                 g, s, t = _xgcd(x, y)
                 p, q = x // g, y // g
-                a[r] = [s * u + t * v for u, v in zip(top, row)]
-                a[i] = [p * v - q * u for u, v in zip(top, row)]
-                if big_r:
-                    a[r] = [v % big_r for v in a[r]]
-                    a[i] = [v % big_r for v in a[i]]
-                top = a[r]
-        if big_r:
-            x = top[c] % big_r
-            if not x or big_r % x:
-                x, s, _ = _xgcd(x, big_r)
-                a[r] = top = [s * u % big_r for u in top]
-                top[c] = x
-            elif x != top[c]:
-                a[r] = top = top[:c] + [x] + top[c + 1 :]
-            big_r //= x
-        x = top[c]
-        if not x:
-            continue
-        if x < 0:
-            a[r] = top = [-u for u in top]
-            x = -x
-        for i in range(r):
+                a[i] = [(p * v - q * u) % big_r for u, v in zip(top, row)]
+                a[c] = top = [(s * u + t * v) % big_r for u, v in zip(top, row)]
+        x = top[c] % big_r
+        if not x or big_r % x:
+            x, s, _ = _xgcd(x, big_r)
+            a[c] = top = [s * u % big_r for u in top]
+            top[c] = x
+        elif x != top[c]:
+            a[c] = top = top[:c] + [x] + top[c + 1 :]
+        big_r //= x
+        for i in range(c):
             q = a[i][c] // x
             if q:
                 a[i] = row = [v - q * u for u, v in zip(top, a[i])]
-                if big_r:
-                    row[c + 1 :] = [v % big_r for v in row[c + 1 :]]
-        r += 1
+                row[c + 1 :] = [v % big_r for v in row[c + 1 :]]
     return a
 
 
@@ -341,17 +356,22 @@ def hnf_coords(h: Sequence[Sequence[int]], v: Sequence[int]) -> list[int] | None
 
 
 def hnf_basis(rows: Matrix | Sequence[Sequence]) -> Matrix:
-    """The canonical basis of the Z-span of rows, which may be redundant:
-    the row HNF of the integer rows over their denominator, zero rows
-    dropped.  Two row sets span the same lattice iff their hnf_bases are
-    equal (Cohen, GTM 138, Sec. 2.4.3).  A unimodular step keeps the gcd of
-    the entries, which is prime to the denominator, so the HNF over it is in
-    lowest terms already.  The zero span, which has no basis, gives its one
-    zero row."""
+    """The canonical basis of the Z-span of rows, which may be redundant but
+    must span a lattice of full rank n: the row HNF of the integer rows over
+    their denominator.  Two row sets span the same lattice iff their
+    hnf_bases are equal (Cohen, GTM 138, Sec. 2.4.3).  The Hermite pass
+    runs modulo the |det| of n independent rows, which one Bareiss pass
+    finds; a span of lower rank raises DependentBasis.  A unimodular step
+    keeps the gcd of the entries, which is prime to the denominator, so the
+    HNF over it is in lowest terms already."""
     if not isinstance(rows, Matrix):
         rows = Matrix.from_rows(rows)
-    h = tuple(map(tuple, filter(any, hnf_rows([list(row) for row in rows.ints]))))
-    return Matrix._trusted(h or rows.ints[:1], rows.den)
+    n = rows.cols
+    rank, d = _bareiss(rows.ints)
+    if rank < n:
+        raise DependentBasis(f"span has rank {rank}, expected {n}")
+    h = hnf_rows([list(row) for row in rows.ints], abs(d))
+    return Matrix._trusted(tuple(map(tuple, h[:n])), rows.den)
 
 
 def span_coords(span: Matrix, rows: Matrix) -> list[list[int]] | None:
@@ -386,11 +406,12 @@ def snf(m: Matrix) -> tuple[int, ...]:
         raise NonSquareMatrix(f"{m.rows}x{m.cols}")
     a = m.to_int_rows()
     n = m.rows
-    big_d = abs(_bareiss_det([row[:] for row in a]))
-    if big_d == 0:
+    rank, big_d = _bareiss(a)
+    if rank < n:
         raise SingularMatrix("singular matrix has no invariant-factor chain")
+    big_d = abs(big_d)
     while True:
-        a = hnf_rows(a, modulus=big_d)
+        a = hnf_rows(a, big_d)
         if not any(a[i][j] for i in range(n) for j in range(i + 1, n)):
             break
         a = [list(col) for col in zip(*a)]

@@ -336,8 +336,12 @@ def short_vectors_gram(
 # ---------------------------------------------------------------------------
 
 def _generates(vectors: list[tuple[int, ...]], n: int) -> bool:
-    """True iff the vectors span Z^n: their hnf_basis is the identity."""
-    return hnf_basis(Matrix.scaled(vectors)) == Matrix.identity(n)
+    """True iff the vectors span Z^n: they have rank n and their hnf_basis is
+    the identity."""
+    try:
+        return hnf_basis(Matrix.scaled(vectors)) == Matrix.identity(n)
+    except DependentBasis:
+        return False
 
 
 def _gram_images(g: list[list[int]], vectors) -> list[list[int]]:

@@ -31,7 +31,7 @@ from operator import mul
 from typing import NamedTuple, Sequence
 
 from ._intfactor import factor, is_square
-from .errors import NotFound, NotMaximal, TwoInert, number_text
+from .errors import DependentBasis, NotFound, NotMaximal, TwoInert, number_text
 from .exact_linalg import Matrix, det, hnf_basis, hnf_coords, span_coords
 from .lattice_core import (
     TraceLattice,
@@ -65,10 +65,10 @@ class Order:
 
     def __init__(self, ambient: PowerBasisField, basis: Matrix | Sequence):
         n = ambient.degree
-        rows = hnf_basis(basis)
-        rank = sum(map(any, rows.ints))
-        if rank != n:
-            raise ValueError(f"span has rank {rank}, expected {n}")
+        try:
+            rows = hnf_basis(basis)
+        except DependentBasis as exc:
+            raise ValueError(str(exc)) from None
         if span_coords(rows, Matrix([ambient.one()])) is None:
             raise ValueError("order must contain 1")
         table = span_coords(rows, ambient.products(rows, rows))
@@ -124,7 +124,6 @@ class IdealLattice(NamedTuple):
 
 def _make_ideal(order: Order, rows: Matrix | Sequence) -> IdealLattice:
     basis = hnf_basis(rows)
-    assert basis.rows == order.ambient.degree, "an ideal has full rank"
     if span_coords(basis, order.ambient.products(basis, order.basis)) is None:
         raise ValueError("module is not stable under the order")
     return IdealLattice(order, basis)

@@ -9,7 +9,8 @@ when d = 3.  The A2 lattice is the Eisenstein integers Z[omega] (Conway-
 Sloane, SPLAG, ch. 4 sec. 6.1), so the d = 3 family is (z, z omega) for the
 norm-one points z, parametrized by integer slope pairs through the unit
 conic; for other d the norm identity of falsify_a2 shows that no pair of
-norm-one points pairs to -1 at any height, since 3d would be a square.
+norm-one points pairs to -1 at any height, since 3d would be a square, and
+for d = 3 the least point (-1, 0) gives its witness in closed form.
 
 The family sweep checks every slope pair in integers and keys its lattice
 Z[omega] z by the six units of Z[omega], a principal ideal domain, with no
@@ -23,7 +24,7 @@ falsify_a2 off d = 3, which builds none, does not load it.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd
 from typing import TYPE_CHECKING, Iterator, Optional
 
 from ._intfactor import squarefree_kernel
@@ -118,91 +119,20 @@ def normal_a2(sign: int = -1) -> TraceLattice:
     """The unique A2 lattice with a conjugation-orbit basis: rows
     (1/2, 1/2) and (1/2, -1/2) in Q(sqrt(+-3)).
 
-    Uniqueness is re-checked by constrained search: among norm-one points of
-    height <= 2, only the four sign choices of (1/2, 1/2) pair to -1 with
-    their own conjugate, and they all span this one lattice."""
-    from .lattice_core import TraceLattice, canonical_key
-
-    ambient = QuadAmbient(3, sign)
-    solutions = normal_basis_search(2)
-    assert solutions == [
-        (F(-1, 2), F(-1, 2)),
-        (F(-1, 2), F(1, 2)),
-        (F(1, 2), F(-1, 2)),
-        (F(1, 2), F(1, 2)),
-    ]
-    lattices = [TraceLattice.from_rows(ambient, [(x, y), (x, -y)]) for x, y in solutions]
-    assert len({canonical_key(L) for L in lattices}) == 1
-    lattice = lattices[-1]  # the rows (1/2, 1/2), (1/2, -1/2)
-    assert lattice.gram == A2_GRAM
-    return lattice.with_type("A2")
-
-
-def _norm_one_points(d: int, height: int) -> list[tuple[int, int, int]]:
-    """All rational (x, y) with x^2 + d y^2 = 1 and both heights <= height,
-    sorted, for a squarefree d its caller has checked, as integer triples
-    (a, k, m) for the point (a/m, k/m), m the reduced denominator of x.
-    With L the lcm of the m's, x L and y L are integers, and sorting by
-    them is sorting by (x, y).
-
-    From the rational parametrization of the conic through (-1, 0): every
-    other point lies on the line of slope u/v through it, so it is
-
-        x = (v^2 - d u^2) / n,  y = 2 u v / n,  n = v^2 + d u^2
-
-    for coprime u, v, and v = 0 gives (-1, 0) itself.  Flipping the sign of
-    u flips y alone, so u, v >= 0 and both signs of y cover the conic.  The
-    height of a point is the reduced denominator m of x (d y^2 = 1 - x^2
-    with d squarefree makes y's denominator divide m), and m = n / g with
-    g = gcd(v^2 - d u^2, n).  g divides 2 v^2 and 2 d u^2, so with u, v
-    coprime and d squarefree it divides 2 gcd(v, d), a divisor of 2d: every
-    point of height <= height has n <= 2 d height.  For v >= 1 the same
-    divisor is at most 2v, so also n <= 2 v height, that is
-    (v - height)^2 + d u^2 <= height^2: u <= height / sqrt(d), and v lies
-    within sqrt(height^2 - d u^2) of height.  The pairs (u, v) inside both
-    ellipses, O(min(sqrt(d), height / sqrt(d)) height) of them, are all
-    there is to enumerate; v = 0 leaves u = 1 alone, the point (-1, 0)."""
-    bound = 2 * d * height
-    h2 = height * height
-    out = [(-1, 0, 1)] if height else []
-    for u in range(min(isqrt(bound // d), isqrt(h2 // d)) + 1):
-        du2 = d * u * u
-        s = isqrt(h2 - du2)
-        for v in range(max(1, height - s), min(height + s, isqrt(bound - du2)) + 1):
-            if gcd(u, v) != 1:
-                continue
-            n = v * v + du2
-            a = v * v - du2
-            g = gcd(a, n)
-            m = n // g
-            if m > height:
-                continue
-            # each coprime (u, v) is its own slope, so only y = 0 (u = 0,
-            # the point (1, 0)) would repeat a point
-            k = 2 * u * v // g
-            out.append((a // g, k, m))
-            if k:
-                out.append((a // g, -k, m))
-    big_l = lcm(*[m for _, _, m in out])
-    out.sort(key=lambda p: (p[0] * (big_l // p[2]), p[1] * (big_l // p[2])))
-    return out
-
-
-def normal_basis_search(height: int) -> list[tuple[Fraction, Fraction]]:
-    """Norm-one points (x, y) of height <= height whose pairing with their
-    own conjugate (x, -y) equals -1, i.e. candidates for a conjugation-orbit
-    A2 basis in Q(sqrt(+-3)).  For the point (a/m, k/m) of _norm_one_points
-    that pairing is the integer identity 2(a^2 - 3k^2) = -m^2."""
-    return [
-        (F(a, m), F(k, m))
-        for a, k, m in _norm_one_points(3, height)
-        if 2 * (a * a - 3 * k * k) == -m * m
-    ]
+    A norm-one point (x, y) pairs to -1 with its own conjugate (x, -y) when
+    2(x^2 - 3y^2) = -1; with x^2 + 3y^2 = 1 that is x^2 = y^2 = 1/4, so the
+    four sign choices of (1/2, 1/2) are all there is, and each presents
+    these two rows up to sign and order.  The Gram is computed by gram_of
+    and checked."""
+    rows = [(F(1, 2), F(1, 2)), (F(1, 2), F(-1, 2))]
+    return _certified_a2(Matrix.from_rows(rows), QuadAmbient(3, sign))
 
 
 def falsify_a2(d: int, height: int, sign: int = -1) -> Optional[TraceLattice]:
     """An A2 basis in Q(sqrt(+-d)) of height <= height: two norm-one points
-    of height <= height with pairing -1, or None when there is none.
+    (x, y) of height <= height, the height being the reduced denominator of
+    x, with pairing -1, the first such pair in the sorted order of the
+    points, or None when there is none.
 
     Write a point as the integer triple (a, k, m) of (a/m, k/m), one
     denominator m, so a^2 + d k^2 = m^2.  For two points the pairing
@@ -219,32 +149,23 @@ def falsify_a2(d: int, height: int, sign: int = -1) -> Optional[TraceLattice]:
     4 d (a k' - k a')^2 = 3 (m m')^2.  The right side is not 0, so
     a k' != k a' and 3d is the square of 3 m m' / (2 (a k' - k a')): a
     rational square, so an integer square, and for squarefree d that is
-    d = 3.  Every other d returns None before any point is enumerated, at
-    every height.
+    d = 3.  Every other d returns None, at every height.
 
-    For d = 3 the search runs in integers over the sorted triples of
-    _norm_one_points: the pairs are visited in the order of the sorted
-    point list, a pair pairing to -1 is never proportional (a k' != k a'
-    by the identity, and asserted), and Fractions are built for a witness
-    only, whose Gram gram_of computes and checks.  It finds the normal
-    basis at height 2 already, and at height 1 there is none.
+    For d = 3 the answer is closed: x >= -1 on the conic, with y = 0 at
+    x = -1, so (-1, 0) is the least point and the first pair starts there.
+    Its pairing with (x, y) is -2x, so its partners at -1 have x = 1/2 and
+    3y^2 = 3/4, and the lesser is (1/2, -1/2), of height 2.  So the witness
+    is ((-1, 0), (1/2, -1/2)) at every height >= 2, its Gram computed by
+    gram_of and checked; at height 1 the only points are (+-1, 0), which
+    pair to +-2, and there is none.
 
     The radicand and sign are checked first, by the ambient (d is factored
     once there), so a bad d or sign raises ValueError whatever the
     identity says."""
     ambient = QuadAmbient(d, sign)
-    root = isqrt(3 * d)
-    if root * root != 3 * d:
+    if d != 3 or height < 2:
         return None
-    points = _norm_one_points(d, height)
-    for i, (a, k, m) in enumerate(points):
-        for a2, k2, m2 in points[i:]:
-            if 2 * (a * a2 + d * k * k2) != -m * m2:
-                continue
-            assert a * k2 != k * a2, "4d(ak' - ka')^2 = 3(mm')^2 is not 0 at pairing -1"
-            rows = [(F(a, m), F(k, m)), (F(a2, m2), F(k2, m2))]
-            return _certified_a2(Matrix.from_rows(rows), ambient)
-    return None
+    return _certified_a2(Matrix.from_rows([(-1, 0), (F(1, 2), F(-1, 2))]), ambient)
 
 
 def _unit_key(rows: tuple, den: int) -> tuple[int, int, int]:

@@ -9,7 +9,8 @@ of index 2 above 2 as the kernels of the ring maps O -> F_2 found by a scan
 of all 2^n - 1 candidates, trace Grams
 from polynomial products and Newton sums, Hermite forms by extended-gcd row
 pairs and by Euclidean steps on the least pivot, the norm-one points of
-x^2 + d y^2 = 1 by a scan of every x = a/m of bounded height, the A2
+x^2 + d y^2 = 1 by a scan of every x = a/m of bounded height and by the
+conic's rational parametrization through (-1, 0), the A2
 falsification as a Fraction pair search over a box of points, the d = 3 A2
 family by a Fraction build and Hermite key of every slope pair, the Shanks
 chord family by a Fraction build and Hermite key of every chord point,
@@ -689,6 +690,33 @@ def norm_one_points_by_scan(d: int, height: int) -> list[tuple[Fraction, Fractio
             if k * k == k2:
                 out.add((Fraction(a, m), Fraction(k, m)))
                 out.add((Fraction(a, m), Fraction(-k, m)))
+    return sorted(out)
+
+
+def norm_one_points_by_slope(d: int, height: int) -> list[tuple[Fraction, Fraction]]:
+    """The points of norm_one_points_by_scan for squarefree d, from the
+    rational parametrization of the conic through (-1, 0): every other point
+    lies on the line of slope u/v through it, so it is
+
+        x = (v^2 - d u^2) / n,  y = 2 u v / n,  n = v^2 + d u^2
+
+    for coprime u >= 0, v >= 1, with both signs of y.  The height of a point
+    is the reduced denominator m of x, and m = n / g with g = gcd of n and
+    v^2 - d u^2, a divisor of 2 gcd(v, d); so m <= height needs n <= 2 d
+    height and n <= 2 v height, two ellipses that bound u and v."""
+    out = {(Fraction(-1), Fraction(0))} if height else set()
+    h2 = height * height
+    for u in range(min(math.isqrt(2 * height), math.isqrt(h2 // d)) + 1):
+        du2 = d * u * u
+        s = math.isqrt(h2 - du2)
+        for v in range(max(1, height - s), height + s + 1):
+            n = v * v + du2
+            if math.gcd(u, v) != 1 or n > 2 * d * height:
+                continue
+            x = Fraction(v * v - du2, n)
+            if x.denominator <= height:
+                out.add((x, Fraction(2 * u * v, n)))
+                out.add((x, Fraction(-2 * u * v, n)))
     return sorted(out)
 
 

@@ -15,6 +15,7 @@ import pytest
 from oracles import (
     box_short_vectors,
     gram_A,
+    norm_one_points_by_scan,
     reduced_box_short_vectors,
     vectors_of_norm,
 )
@@ -38,7 +39,6 @@ from tracelattice.quadratic_a2 import (
     falsify_a2,
     family_distinctness,
     normal_a2,
-    normal_basis_search,
 )
 from tracelattice.shanks_field import new_field, reparametrize
 
@@ -187,7 +187,10 @@ def test_criterion_6_quadratic_a2(capsys, quad_family):
         assert falsify_a2(d, 50) is None, f"unexpected A2 witness at d={d}"
 
     unique = normal_a2()
-    found = normal_basis_search(4)
+    # the norm-one points of height <= 4 pairing to -1 with their conjugate
+    found = [
+        (x, y) for x, y in norm_one_points_by_scan(3, 4) if 2 * (x * x - 3 * y * y) == -1
+    ]
     assert found, "constrained search found nothing"
     k = unique.ambient
     # (x, -y) is the complex conjugate of (x, y) in Q(sqrt(-3))

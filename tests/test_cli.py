@@ -71,6 +71,13 @@ def test_classify_d4(capsys):
     assert code == 0 and doc == {"type": "D4"}
 
 
+def test_classify_roots_of_lower_rank_are_other(capsys):
+    # the roots +-e1 span a rank-1 sublattice, which has no Hermite basis of
+    # rank 2: the root system does not generate, so the type is other
+    code, doc = run_cli(["classify", "--gram", "[[2,0],[0,4]]"], capsys)
+    assert code == 0 and doc == {"type": "other"}
+
+
 def test_classify_usage_error_is_exit_2():
     r = run_proc(["classify", "--gram", "nonsense"])
     assert r.returncode == 2
@@ -763,6 +770,18 @@ def test_quad_a2_falsify_decides_any_height_off_d3():
     )
     assert proc.returncode == 0
     assert proc.stdout == '{"d":5,"height":1000000,"witness":null}\n'
+
+
+def test_quad_a2_falsify_d3_is_closed_at_any_height():
+    # the point search this replaced grew past 7.5 GB at this height
+    proc = run_proc(
+        ["quad-a2", "--d", "3", "--height", "1000000", "--falsify"], timeout=30
+    )
+    assert proc.returncode == 0
+    assert proc.stdout == (
+        '{"d":3,"height":1000000,"witness":{"ambient":{"d":3,"kind":"quad","sign":-1},'
+        '"basis":[["-1","0"],["1/2","-1/2"]],"gram":[["2","-1"],["-1","2"]],"type":"A2"}}\n'
+    )
 
 
 def test_quad_a2_falsify_d3_finds_witness(capsys):

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from sympy import Poly, Symbol, cyclotomic_poly
 
+from oracles import _inverse, fraction_det, hermite_form
 from tracelattice import exact_linalg
 from tracelattice._intfactor import factor
 from tracelattice.cyclotomic_ideals import (
@@ -303,7 +304,7 @@ def test_prime_ideal_lattice_disc_group_on_dense_grams(p, monkeypatch):
     passes = []
     hnf_rows = exact_linalg.hnf_rows
 
-    def counted(a, modulus=0):
+    def counted(a, modulus):
         out = hnf_rows(a, modulus)
         passes.append((modulus, max(abs(v) for row in out for v in row)))
         return out
@@ -312,6 +313,49 @@ def test_prime_ideal_lattice_disc_group_on_dense_grams(p, monkeypatch):
     assert disc_group(L) == (1,) * (p - 2) + (p,)
     assert len(passes) == 2
     assert all(modulus == p and top <= p for modulus, top in passes), passes
+
+
+@pytest.mark.parametrize("p", [23, 29, 31])
+def test_prime_ideal_lattice_key_is_one_pass_modulo_det(p, monkeypatch):
+    # a Hermite pass without reduction took 10.6 s for the key at p = 29,
+    # and the plain oracle hermite_form takes 9.6 s there and 93 s at
+    # p = 31.  The work is bounded, not the time: the key is one pass
+    # modulo |det| of the cleared basis, and it returns entries <= |det|
+    L = ap_lattice(p)
+    cleared = [list(row) for row in L.basis.ints]
+    big_d = abs(fraction_det(cleared))
+    passes = []
+    hnf_rows = exact_linalg.hnf_rows
+
+    def counted(a, modulus):
+        out = hnf_rows(a, modulus)
+        passes.append((modulus, max(abs(v) for row in out for v in row)))
+        return out
+
+    monkeypatch.setattr(exact_linalg, "hnf_rows", counted)
+    key = canonical_key(L)
+    assert passes == [(big_d, passes[0][1])] and passes[0][1] <= big_d, passes
+    h = [list(row) for row in key.ints]
+    assert key.den == L.basis.den
+    if p == 23:
+        assert h == hermite_form(cleared)
+        return
+    # the Hermite form is unique, so where the oracle's pass is too slow the
+    # key is checked to be one: Hermite shape, its rows in the lattice
+    # (integral coordinates against the basis), and |det| equal to the
+    # basis's, so the two lattices are equal
+    n = len(h)
+    assert all(h[i][j] == 0 for i in range(n) for j in range(i))
+    assert all(0 <= h[i][j] < h[j][j] for j in range(n) for i in range(j))
+    inv = _inverse(cleared)
+    assert all(
+        sum(x * inv[k][j] for k, x in enumerate(row)).denominator == 1
+        for row in h for j in range(n)
+    )
+    diagonal = 1
+    for i in range(n):
+        diagonal *= h[i][i]
+    assert diagonal == big_d
 
 
 def test_prime_ideal_lattice_galois_stable():

@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from tracelattice.errors import NonSquareMatrix, NotInteger, SingularMatrix
+from tracelattice.errors import DependentBasis, NonSquareMatrix, NotInteger, SingularMatrix
 from oracles import (
     _inverse,
     fraction_det,
@@ -271,9 +271,23 @@ def test_inverse_matches_fraction_gauss_jordan(rows, dependent, k):
 
 # --- hnf ----------------------------------------------------------------------
 
+def _independent_det(rows) -> int:
+    """|det| of the first n rows, in order, that are linearly independent,
+    n the width: a row is kept when it raises the rank of the oracle's
+    Hermite form of the rows kept so far."""
+    kept = []
+    for row in rows:
+        if sum(map(any, hnf_by_euclid(kept + [row]))) > len(kept):
+            kept.append(row)
+    assert len(kept) == len(rows[0]), "rows of full column rank required"
+    return abs(int(fraction_det(kept)))
+
+
 def _hnf(m: Matrix) -> Matrix:
-    """hnf_rows on the integer rows of m, as a Matrix."""
-    return Matrix.scaled(hnf_rows(m.to_int_rows()))
+    """hnf_rows on the integer rows of m, of full column rank, modulo the
+    det of independent rows among them, as a Matrix."""
+    rows = m.to_int_rows()
+    return Matrix.scaled(hnf_rows(rows, _independent_det(rows)))
 
 
 def _assert_hnf_shape(h: Matrix) -> None:
@@ -308,7 +322,7 @@ def test_hnf_identity():
 
 def test_hnf_frozen_example():
     rows = [[1, 2], [3, 4]]
-    assert hnf_rows([row[:] for row in rows]) == [[1, 0], [0, 2]] == hnf_by_euclid(rows)
+    assert hnf_rows([row[:] for row in rows], 2) == [[1, 0], [0, 2]] == hnf_by_euclid(rows)
 
 
 def test_hnf_permutation_invariance():
@@ -317,8 +331,9 @@ def test_hnf_permutation_invariance():
     assert _hnf(m) == _hnf(p)
 
 
-rect_ints = st.tuples(
-    st.integers(min_value=1, max_value=4), st.integers(min_value=1, max_value=4)
+# integer matrices of full column rank, with at least as many rows as columns
+rect_ints = st.integers(min_value=1, max_value=4).flatmap(
+    lambda c: st.tuples(st.integers(min_value=c, max_value=4), st.just(c))
 ).flatmap(
     lambda rc: st.lists(
         st.integers(min_value=-9, max_value=9),
@@ -332,7 +347,7 @@ rect_ints = st.tuples(
             ]
         )
     )
-)
+).filter(lambda m: sum(map(any, hnf_by_euclid(m.to_int_rows()))) == m.cols)
 
 
 @settings(max_examples=80)
@@ -383,7 +398,7 @@ def test_hnf_coords_matches_inverse_oracle(case):
     for basis in (b, b[:-1]):
         if not basis:
             continue
-        h = hnf_rows([row[:] for row in basis])
+        h = hnf_by_euclid(basis)
         for w in rows:
             y = [sum(wi * binv[i][j] for i, wi in enumerate(w)) for j in range(len(w))]
             inside = all(c.denominator == 1 for c in y) and (basis is b or y[-1] == 0)
@@ -395,38 +410,50 @@ def test_hnf_coords_matches_inverse_oracle(case):
                 assert x is None
 
 
+AP5_ROWS = [[4, 3, 2, 1], [-1, 3, 2, 1], [-1, -2, 2, 1], [-1, -2, -3, 1]]
+
+
 @st.composite
-def _hnf_inputs(draw):
-    """Integer rows (1-6 of them, 1-6 columns, entries up to 1, 9 or 1000 in
-    absolute value), square or not; rows may be replaced by zero or by a
-    small integer combination of the rows above, so the rank often falls
-    short of the row count."""
-    r = draw(st.integers(min_value=1, max_value=6))
+def _full_rank_rows(draw):
+    """Redundant integer rows of full column rank c (1-6 columns, entries up
+    to 1, 9 or 1000 in absolute value): c independent rows and 0-3 more,
+    each zero, random or a small integer combination of the rows before it,
+    shuffled."""
     c = draw(st.integers(min_value=1, max_value=6))
     size = draw(st.sampled_from([1, 9, 1000]))
-    entry = st.integers(min_value=-size, max_value=size)
-    rows = draw(st.lists(st.lists(entry, min_size=c, max_size=c), min_size=r, max_size=r))
-    for i in range(r):
-        kind = draw(st.sampled_from(["keep", "keep", "zero", "combination"]))
-        if kind == "zero":
-            rows[i] = [0] * c
-        elif kind == "combination" and i:
-            k = draw(st.lists(st.integers(min_value=-3, max_value=3), min_size=i, max_size=i))
-            rows[i] = [sum(kj * rows[j][col] for j, kj in enumerate(k)) for col in range(c)]
-    return rows
+    row = st.lists(st.integers(min_value=-size, max_value=size), min_size=c, max_size=c)
+    rows = draw(st.lists(row, min_size=c, max_size=c).filter(lambda r: fraction_det(r) != 0))
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        kind = draw(st.sampled_from(["random", "zero", "combination"]))
+        if kind == "random":
+            rows.append(draw(row))
+        elif kind == "zero":
+            rows.append([0] * c)
+        else:
+            k = draw(st.lists(st.integers(-3, 3), min_size=len(rows), max_size=len(rows)))
+            rows.append([sum(kj * r[col] for kj, r in zip(k, rows)) for col in range(c)])
+    return draw(st.permutations(rows))
 
 
 @settings(max_examples=300, deadline=None)
-@given(_hnf_inputs())
-def test_hnf_rows_matches_euclidean_oracle(rows):
-    assert hnf_rows([row[:] for row in rows]) == hnf_by_euclid(rows)
+@given(_full_rank_rows(), st.sampled_from([1, 2, 6]))
+# the cleared rows of ap_lattice(5), det 125, at D = 125 and D = 250; they
+# contain 5 Z^4 too, but modulo 5 the pass gives a wrong form
+@example(AP5_ROWS, 1)
+@example(AP5_ROWS, 2)
+def test_hnf_rows_matches_euclidean_oracle(rows, k):
+    # the lattice of n independent rows among them is a sublattice, so its
+    # det, and any multiple, is a multiple of the span's det: the pass
+    # modulo it must give the one Hermite form, n pivot rows then zero rows
+    modulus = k * _independent_det(rows)
+    assert hnf_rows([row[:] for row in rows], modulus) == hnf_by_euclid(rows)
 
 
 @st.composite
 def _rational_span_inputs(draw):
-    """The rows of _hnf_inputs, each over its own denominator: zero rows,
+    """The rows of _full_rank_rows, each over its own denominator: zero rows,
     integer combinations and more rows than columns keep their rank."""
-    rows = draw(_hnf_inputs())
+    rows = draw(_full_rank_rows())
     dens = draw(st.lists(st.integers(1, 12), min_size=len(rows), max_size=len(rows)))
     return [[Fraction(x, d) for x in row] for row, d in zip(rows, dens)]
 
@@ -434,43 +461,37 @@ def _rational_span_inputs(draw):
 @settings(max_examples=300, deadline=None)
 @given(_rational_span_inputs())
 @example([[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 3), Fraction(1, 4)], [1, 1]])
-@example([[Fraction(2, 3), 0, Fraction(4, 3)], [1, 0, 2]])
-@example([[0, 0], [0, 0], [0, 0]])
 def test_hnf_basis_is_the_hermite_form_over_the_denominator(rows):
     key = hnf_basis(rows)
     # built trusted, so it must already be in lowest terms
     assert key == Matrix.scaled(key.ints, key.den)
     cleared, den = grid_cleared(fraction_grid(rows))
     form = [row for row in hnf_by_euclid(cleared) if any(row)]
-    # the zero span, which has no basis, gives one zero row
-    assert (key.den, [list(r) for r in key.ints]) == (den, form or [[0] * len(rows[0])])
+    assert (key.den, [list(r) for r in key.ints]) == (den, form)
 
 
-AP5_ROWS = [[4, 3, 2, 1], [-1, 3, 2, 1], [-1, -2, 2, 1], [-1, -2, -3, 1]]
+@pytest.mark.parametrize("modulus", [0, -2])
+def test_hnf_rows_needs_a_positive_modulus(modulus):
+    with pytest.raises(ValueError, match="modulus must be positive"):
+        hnf_rows([[1, 2], [3, 4]], modulus)
 
 
-@settings(max_examples=300, deadline=None)
-@given(
-    st.integers(min_value=1, max_value=6).flatmap(
-        lambda n: st.lists(
-            st.lists(st.sampled_from([1, 9, 1000]).flatmap(
-                lambda b: st.integers(min_value=-b, max_value=b)
-            ), min_size=n, max_size=n),
-            min_size=n,
-            max_size=n,
-        )
-    ).filter(lambda rows: fraction_det(rows) != 0),
-    st.sampled_from([1, 2, 6]),
+@pytest.mark.parametrize(
+    "rows, rank",
+    [
+        ([[0, 0], [0, 0], [0, 0]], 0),
+        ([[Fraction(2, 3), 0, Fraction(4, 3)], [1, 0, 2]], 1),
+        ([[1, 2, 3], [4, 5, 6]], 2),
+        ([[1, 2, 3], [4, 5, 6], [7, 8, 9], [Fraction(1, 2), 1, Fraction(3, 2)]], 2),
+        ([[1, 0, 0], [0, 0, 1], [5, 0, 7], [0, 0, 0]], 2),
+    ],
+    ids=["zero-span", "one-line", "too-few-rows", "dependent-square", "missing-column"],
 )
-# the cleared rows of ap_lattice(5), det 125, at D = 125 and D = 250; they
-# contain 5 Z^4 too, but modulo 5 the pass gives a wrong form
-@example(AP5_ROWS, 1)
-@example(AP5_ROWS, 2)
-def test_hnf_rows_modulo_a_multiple_of_det_matches_euclidean_oracle(rows, k):
-    # the row lattice of a nonsingular square contains |det| Z^n, so the pass
-    # modulo any multiple of |det| must give the one Hermite form
-    modulus = k * abs(int(fraction_det(rows)))
-    assert hnf_rows([row[:] for row in rows], modulus=modulus) == hnf_by_euclid(rows)
+def test_hnf_basis_rejects_a_rank_deficient_span(rows, rank):
+    # a span of rank < n has no Hermite basis of n rows and no modulus
+    assert sum(map(any, hnf_by_euclid(grid_cleared(fraction_grid(rows))[0]))) == rank
+    with pytest.raises(DependentBasis, match=f"^span has rank {rank}, expected {len(rows[0])}$"):
+        hnf_basis(rows)
 
 
 # --- snf ----------------------------------------------------------------------

@@ -24,7 +24,7 @@ PUBLIC_NAMES = [
     "equation_order", "fake_a3", "fake_a3_variants", "falsify_a2",
     "family_distinctness", "galois_stable", "inverse", "is_integral",
     "is_maximal", "lattice_json", "maximal_order", "member_json",
-    "module_product", "new_field", "normal_a2", "normal_basis_search",
+    "module_product", "new_field", "normal_a2",
     "odd_trace_witness", "parse_generator", "parse_gram", "parse_rational",
     "primes_above_2", "principal_ideal_lattice", "remap_t0",
     "reparametrize", "scan_family", "short_vectors_gram", "snf",

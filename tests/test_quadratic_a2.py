@@ -1,5 +1,5 @@
 """A2 lattices in Q(sqrt(+-d)): the d = 3 slope family, the normal-basis
-lattice, and the bounded falsifier for other d.
+lattice, and the falsifier, closed for every d.
 
 The slope family's basis is (z, z omega) for the norm-one point z of the
 slope pair, omega = (-1 + sqrt(-3))/2 acting on coordinates as
@@ -21,6 +21,7 @@ from oracles import (
     a2_witness_by_search,
     hermite_form,
     norm_one_points_by_scan,
+    norm_one_points_by_slope,
 )
 from tracelattice import exact_linalg, lattice_core, quadratic_a2
 from tracelattice.exact_linalg import Matrix
@@ -35,13 +36,11 @@ from tracelattice.quadratic_a2 import (
     D_CAP,
     QuadAmbient,
     _certified_a2,
-    _norm_one_points,
     _slope_basis,
     _unit_key,
     falsify_a2,
     family_distinctness,
     normal_a2,
-    normal_basis_search,
 )
 from tracelattice.serialize import lattice_json
 
@@ -60,9 +59,13 @@ def times_omega(point):
     return ((-x - 3 * y) / 2, (x - y) / 2)
 
 
-def fraction_points(d, height):
-    """_norm_one_points' triples (a, k, m) as the points (a/m, k/m)."""
-    return [(F(a, m), F(k, m)) for a, k, m in _norm_one_points(d, height)]
+def normal_basis_search(height):
+    """The norm-one points (x, y) of Q(sqrt(+-3)) of height <= height whose
+    pairing 2(x^2 - 3y^2) with their own conjugate (x, -y) is -1: the
+    candidates for a conjugation-orbit A2 basis, by a search of the scan
+    oracle's points."""
+    points = norm_one_points_by_scan(3, height)
+    return [(x, y) for x, y in points if 2 * (x * x - 3 * y * y) == -1]
 
 
 def _pair(field, a, b):
@@ -399,6 +402,8 @@ def test_normal_a2_both_signs_agree_on_gram():
 
 
 def test_normal_basis_search_exactly_four_sign_choices():
+    # normal_a2 states this in closed form; the search over every point of
+    # height <= 2 finds the four sign choices of its row, one lattice
     found = normal_basis_search(2)
     assert found == [
         (F(-1, 2), F(-1, 2)),
@@ -411,48 +416,50 @@ def test_normal_basis_search_exactly_four_sign_choices():
         canonical_key(TraceLattice.from_rows(ambient, [(x, y), (x, -y)]))
         for x, y in found
     }
-    assert len(keys) == 1
+    assert keys == {canonical_key(normal_a2())}
 
 
 def test_normal_basis_search_empty_below_half_integers():
     assert normal_basis_search(1) == []
+    # x^2 = y^2 = 1/4 whatever the height: no more candidates appear
+    assert normal_basis_search(40) == normal_basis_search(2)
 
 
 # ---------------------------------------------------------------------------
-# norm-one point enumeration
+# norm-one points
+#
+# The program enumerates no point: falsify_a2 is closed for every d.  The
+# tests that check it against point searches (the normal-basis search above,
+# the norm identity, the falsifier's d = 3 closed form) stand on the
+# oracles' enumerations, which are checked here against each other: the
+# scan of every x = a/m, the conic's parametrization through (-1, 0), and
+# the quartic loop over x and y separately.
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 5])
 def test_norm_one_points_match_quartic_oracle(d):
-    assert fraction_points(d, 8) == _norm_one_oracle(d, 8)
+    assert norm_one_points_by_slope(d, 8) == _norm_one_oracle(d, 8)
+    assert norm_one_points_by_scan(d, 8) == _norm_one_oracle(d, 8)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 5, 6, 7, 11, 101, 1009, 10007])
 def test_norm_one_points_match_grid_scan(d):
-    # every height up to 40, then the falsify workload's 300 and a few
-    # heights between, so each bound n <= 2 d height is crossed many times;
+    # every height up to 40, then 300 and a few heights between, so each
+    # bound n <= 2 d height of the parametrization is crossed many times;
     # at d = 1009 and 10007 height^2 < d up to 31 and 100, where only
     # (+-1, 0) is left, and the second bound v <= 2 height decides
     for height in [*range(0, 41), 97, 150, 299, 300]:
-        assert fraction_points(d, height) == norm_one_points_by_scan(d, height), height
-
-
-@pytest.mark.parametrize("d", [2, 3, 5, 11])
-def test_integer_point_order_is_the_fraction_order(d):
-    # _norm_one_points sorts its integer triples by x L and y L, L the lcm
-    # of the denominators: the order sorted() gives the Fraction points
-    triples = _norm_one_points(d, 300)
-    points = [(F(a, m), F(k, m)) for a, k, m in triples]
-    assert points == sorted(points)
-    assert len(set(points)) == len(points)
-    assert all(F(a, m).denominator == m for a, _, m in triples)
+        assert norm_one_points_by_slope(d, height) == norm_one_points_by_scan(d, height), height
 
 
 def test_norm_one_points_always_contain_units():
+    # x >= -1 on the conic, with y = 0 at x = -1: (-1, 0) is the least
+    # point at every height >= 1, where falsify_a2's closed form starts
     for d in (1, 2, 3, 5, 6, 7):
-        pts = fraction_points(d, 1)
-        assert (F(1), F(0)) in pts
-        assert (F(-1), F(0)) in pts
+        for height in (1, 2, 9, 40):
+            pts = norm_one_points_by_scan(d, height)
+            assert (F(1), F(0)) in pts
+            assert pts[0] == (F(-1), F(0))
 
 
 def test_norm_one_points_rejects_non_squarefree():
@@ -468,8 +475,8 @@ def test_radicands_are_capped_at_10_to_the_20():
     near_cap = 99999999100000001881
     assert near_cap <= D_CAP == 10**20
     assert QuadAmbient(near_cap).d == near_cap
-    assert fraction_points(near_cap, 5) == [(F(-1), F(0)), (F(1), F(0))]
-    assert fraction_points(near_cap, 5) == norm_one_points_by_scan(near_cap, 5)
+    assert norm_one_points_by_slope(near_cap, 5) == [(F(-1), F(0)), (F(1), F(0))]
+    assert norm_one_points_by_scan(near_cap, 5) == [(F(-1), F(0)), (F(1), F(0))]
     for too_large in (D_CAP + 1, (10**18 + 3) * (10**18 + 9)):
         with pytest.raises(ValueError, match="at most 10"):
             QuadAmbient(too_large)
@@ -478,8 +485,8 @@ def test_radicands_are_capped_at_10_to_the_20():
 
 
 def test_norm_one_points_monotone_in_height():
-    small = set(fraction_points(3, 4))
-    large = set(fraction_points(3, 9))
+    small = set(norm_one_points_by_slope(3, 4))
+    large = set(norm_one_points_by_slope(3, 9))
     assert small <= large
 
 
@@ -492,6 +499,21 @@ def test_falsifier_finds_d3_witness_at_height_two():
     assert witness is not None
     assert witness.gram == A2_GRAM
     assert classify_root_type(witness) == "A2"
+
+
+@pytest.mark.parametrize("sign", [-1, 1])
+def test_falsifier_d3_closed_form_is_the_pair_search(sign):
+    # ((-1, 0), (1/2, -1/2)) from height 2 on, and nothing below, is the
+    # first pair the search over the sorted points finds at every height
+    witness = ((F(-1), F(0)), (F(1, 2), F(-1, 2)))
+    for height in range(61):
+        expected = a2_witness_by_search(3, height)
+        assert expected == (witness if height >= 2 else None), height
+        found = falsify_a2(3, height, sign)
+        assert (found is None) == (expected is None), height
+        if found is not None:
+            assert found.basis.data == witness
+            assert found.gram == A2_GRAM
 
 
 @pytest.mark.parametrize("d", [1, 2, 5, 6, 7])
@@ -552,7 +574,11 @@ def test_falsifier_agrees_with_the_pair_search(d, height, sign):
 def test_norm_identity_on_every_pair_of_points(d):
     # (a a' + d k k')^2 + d (a k' - k a')^2 = (m m')^2, and a pairing of -1
     # forces 4 d (a k' - k a')^2 = 3 (m m')^2, so 3d is a square
-    points = _norm_one_points(d, 40)
+    points = [
+        (int(x * m), int(y * m), m)
+        for x, y in norm_one_points_by_scan(d, 40)
+        for m in (x.denominator,)
+    ]
     pairing_minus_one = 0
     for a, k, m in points:
         for a2, k2, m2 in points:
@@ -568,21 +594,22 @@ def test_norm_identity_on_every_pair_of_points(d):
 @pytest.mark.parametrize("sign", [-1, 1])
 @pytest.mark.parametrize("d", [2, 5, 6, 7, 11, 101, 10**6 + 3])
 def test_falsifier_enumerates_no_point_unless_3d_is_a_square(d, sign, monkeypatch):
+    # no d enumerates a point: the norm identity answers d != 3 and the
+    # closed form d = 3, so only a d = 3 witness is built and certified,
+    # once, whatever the height
     calls = []
-    points = quadratic_a2._norm_one_points
+    certified_a2 = quadratic_a2._certified_a2
 
-    def counted(d, height):
-        # fails at once rather than enumerate a height of 10^9
-        calls.append((d, height))
-        assert d == 3, f"points enumerated for d = {d}"
-        return points(d, height)
+    def counted(basis, ambient):
+        calls.append(ambient.d)
+        return certified_a2(basis, ambient)
 
-    monkeypatch.setattr(quadratic_a2, "_norm_one_points", counted)
+    monkeypatch.setattr(quadratic_a2, "_certified_a2", counted)
     assert falsify_a2(d, 10**9, sign) is None
     assert falsify_a2(1, 10**9) is None
     assert calls == []
-    assert falsify_a2(3, 2, sign) is not None
-    assert calls == [(3, 2)]
+    assert falsify_a2(3, 10**9, sign) is not None
+    assert calls == [3]
 
 
 def test_falsifier_rejects_non_squarefree():
