@@ -437,15 +437,35 @@ def _full_rank_rows(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(_full_rank_rows(), st.sampled_from([1, 2, 6]))
-# the cleared rows of ap_lattice(5), det 125, at D = 125 and D = 250; they
-# contain 5 Z^4 too, but modulo 5 the pass gives a wrong form
-@example(AP5_ROWS, 1)
-@example(AP5_ROWS, 2)
 def test_hnf_rows_matches_euclidean_oracle(rows, k):
     # the lattice of n independent rows among them is a sublattice, so its
     # det, and any multiple, is a multiple of the span's det: the pass
     # modulo it must give the one Hermite form, n pivot rows then zero rows
     modulus = k * _independent_det(rows)
+    assert hnf_rows([row[:] for row in rows], modulus) == hnf_by_euclid(rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=6).flatmap(
+        lambda n: st.lists(
+            st.lists(st.sampled_from([1, 9, 1000]).flatmap(
+                lambda b: st.integers(min_value=-b, max_value=b)
+            ), min_size=n, max_size=n),
+            min_size=n,
+            max_size=n,
+        )
+    ).filter(lambda rows: fraction_det(rows) != 0),
+    st.sampled_from([1, 2, 6]),
+)
+# the cleared rows of ap_lattice(5), det 125, at D = 125 and D = 250; they
+# contain 5 Z^4 too, but modulo 5 the pass gives a wrong form
+@example(AP5_ROWS, 1)
+@example(AP5_ROWS, 2)
+def test_hnf_rows_modulo_a_multiple_of_det_matches_euclidean_oracle(rows, k):
+    # the row lattice of a nonsingular square contains |det| Z^n, so the pass
+    # modulo any multiple of |det| must give the one Hermite form
+    modulus = k * abs(int(fraction_det(rows)))
     assert hnf_rows([row[:] for row in rows], modulus) == hnf_by_euclid(rows)
 
 
